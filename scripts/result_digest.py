@@ -1,0 +1,111 @@
+#!/usr/bin/env python3
+"""Print the result and the operation counters of `rtmix` on a seeded suite.
+
+Runs `rtmix rta compute` under every algorithm that applies and
+`rtmix mix solve` under all four algorithms, through `rtmix.cli.main`, and
+prints one JSON line per run: the input, the command, the exit code, and the
+report's `result` and `counters` (or its error object).  Timings are left
+out, so two checkouts that compute the same thing print the same lines:
+
+    PYTHONPATH=src python3 scripts/result_digest.py > new.jsonl
+    PYTHONPATH=/path/to/other/checkout/src python3 scripts/result_digest.py > old.jsonl
+    diff old.jsonl new.jsonl
+"""
+
+import contextlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+
+from rtmix import MixInstance, gen, is_harmonic
+from rtmix.cli import main as cli_main
+
+LCM_SCAN_LIMIT = 5000  # lcm-scan runs only where the lcm of the periods is at most this
+SYSTEMS = 240  # seeded `gen random` systems, besides the 10 `gen extreme` ones
+MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
+
+
+def run(argv: list[str]) -> dict:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli_main(argv)
+    report = json.loads(out.getvalue())
+    if "error" in report:
+        return {"code": code, "error": report}
+    return {"code": code, "result": report["result"], "counters": report.get("counters")}
+
+
+def systems(count: int):
+    for seed in range(count):
+        harmonic = seed % 2 == 0
+        jitter_mode = "zero" if seed % 4 in (1, 2) else "upto-p"
+        n = 2 + seed % 5
+        p_max = (16, 64)[seed // 5 % 2]
+        ts = gen.random_system(seed, n, p_max, harmonic=harmonic, jitter_mode=jitter_mode)
+        yield f"random seed={seed} n={n} p_max={p_max} harmonic={harmonic} {jitter_mode}", ts
+    for cs, p1 in (([1], 2), ([1, 1], 3), ([2, 1], 5), ([1, 2, 1], 4), ([3, 1, 1, 1], 7)):
+        for jitters in ("p", "zero"):
+            ts = gen.construct_extreme(cs, p1, jitters, deadlines="p")
+            yield f"extreme cs={cs} p1={p1} jitter={jitters}", ts
+
+
+def mix_instances(count: int):
+    for seed in range(count):
+        harmonic = seed % 2 == 0
+        n = 1 + seed % 6
+        a_max = (16, 64)[seed // 6 % 2]
+        yield f"random seed={seed} n={n} a_max={a_max} harmonic={harmonic}", \
+            gen.random_mix_instance(seed, n, a_max, harmonic=harmonic)
+    for n in range(2, 7):
+        yield f"tight-mix n={n}", gen.tight_mixing_instance(n)
+
+
+def crowded(inst):
+    """The instance with each b_i raised by a multiple of a_i into [m, m + a_i],
+    m = lcm(a): an input that `mix solve --algorithm via-rtc` accepts."""
+    m = math.lcm(*inst.capacities()) if inst.terms else 1
+    terms = [(t.w, t.a, t.b - (t.b - m) // t.a * t.a) for t in inst.terms]
+    return MixInstance(inst.w0, terms)
+
+
+def write(path: str, payload: dict) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(payload, fh)
+
+
+def main() -> int:
+    lines = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "input.json")
+        for name, ts in systems(SYSTEMS):
+            tasks = [{"c": t.c, "d": t.d, "p": t.p, "jitter": t.jitter} for t in ts.tasks]
+            write(path, {"tasks": tasks})
+            periods = [t.p for t in ts.tasks]
+            algorithms = ["auto", "bruteforce", "turing"]
+            if is_harmonic(periods):
+                algorithms.append("harmonic")
+            if all(t.jitter == 0 for t in ts.tasks):
+                algorithms.append("jitter-free")
+            if math.lcm(*periods) <= LCM_SCAN_LIMIT:
+                algorithms.append("lcm-scan")
+            for algorithm in algorithms:
+                out = run(["rta", "compute", "--input", path, "--algorithm", algorithm])
+                print(json.dumps({"input": name, "cmd": f"rta compute {algorithm}", **out}))
+                lines += 1
+        for name, inst in mix_instances(MIX):
+            for label, case in (("", inst), (" crowded", crowded(inst))):
+                terms = [{"w": t.w, "a": t.a, "b": t.b} for t in case.terms]
+                write(path, {"w0": case.w0, "terms": terms})
+                for algorithm in ("bruteforce", "harmonic", "shift", "via-rtc"):
+                    out = run(["mix", "solve", "--input", path, "--algorithm", algorithm])
+                    print(json.dumps({"input": name + label, "cmd": f"mix solve {algorithm}", **out}))
+                    lines += 1
+    print(f"{lines} runs", file=sys.stderr)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -3,7 +3,6 @@ mixing set solvers, and the reductions connecting them."""
 
 from .core import (
     BoundsResult,
-    Rational,
     Task,
     TaskSystem,
     check_general_utilization_bound,
@@ -23,7 +22,6 @@ __all__ = [
     "MixInstance",
     "MixSolution",
     "MixTerm",
-    "Rational",
     "ReleasePattern",
     "ResponseQuery",
     "ScheduleTrace",

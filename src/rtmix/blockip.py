@@ -28,25 +28,24 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import TaskSystem, bounds_from_parts, ceil_div, utilization, validate
-from .errors import (
-    BudgetExceeded,
-    Infeasible,
-    InvalidInstance,
-    PreconditionViolated,
-    UtilizationExceeded,
-)
+from .core import TaskSystem, bounds_from_parts, ceil_div, is_integer, validate
+from .errors import BudgetExceeded, Infeasible, InvalidInstance, PreconditionViolated
 
 Matrix = tuple[tuple[int, ...], ...]
 
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-def _matrix(rows, r, cols, what: str) -> Matrix:
-    mat = tuple(tuple(int(v) for v in row) for row in rows)
-    if len(mat) != r or any(len(row) != cols for row in mat):
+def _integers(values, length: int, what: str) -> None:
+    if len(values) != length or not all(is_integer(v) for v in values):
+        raise InvalidInstance(f"{what} must hold {length} integers")
+
+
+def _matrix(rows, r: int, cols: int, what: str) -> None:
+    if len(rows) != r:
         raise InvalidInstance(f"{what}: expected a {r}x{cols} integer matrix")
-    return mat
+    for row in rows:
+        _integers(row, cols, f"each row of {what}")
 
 
 @dataclass(frozen=True)
@@ -71,6 +70,8 @@ class SimpleFourBlock:
 
     def __post_init__(self):
         n, r, s, t = self.n, self.r, self.s, self.t
+        if not all(is_integer(v) for v in (n, r, s, t, self.b0)):
+            raise InvalidInstance("n, r, s, t and b0 must be integers")
         if n < 0 or s < 1 or t < 0 or r < 0:
             raise InvalidInstance("dimensions must satisfy n,r,t >= 0 and s >= 1")
         _matrix(self.D, 1, s, "D")
@@ -80,21 +81,17 @@ class SimpleFourBlock:
             _matrix(self.C[i], 1, t, f"C[{i}]")
             _matrix(self.B[i], r, s, f"B[{i}]")
             _matrix(self.A[i], r, t, f"A[{i}]")
-            if len(self.rhs[i]) != r:
-                raise InvalidInstance(f"rhs[{i}] must have length {r}")
-        if len(self.w0) != s:
-            raise InvalidInstance(f"w0 must have length {s}")
+            _integers(self.rhs[i], r, f"rhs[{i}]")
+        _integers(self.w0, s, "w0")
         if n == 0:
             if self.j is not None:
                 raise InvalidInstance("j must be None when there are no bricks")
-        elif self.j is None or not 1 <= self.j <= n:
-            raise InvalidInstance(f"addressed brick j={self.j} out of range 1..{n}")
-        if len(self.wj) != t:
-            raise InvalidInstance(f"wj must have length {t}")
+        elif not is_integer(self.j) or not 1 <= self.j <= n:
+            raise InvalidInstance(f"addressed brick j={self.j!r} out of range 1..{n}")
+        _integers(self.wj, t, "wj")
         if any(v < 0 for v in self.w0) or any(v < 0 for v in self.wj):
             raise InvalidInstance("objective weights must be nonnegative")
-        if len(self.u) != s + n * t:
-            raise InvalidInstance(f"box bounds must have length {s + n * t}")
+        _integers(self.u, s + n * t, "box bounds u")
         if any(v < 0 for v in self.u):
             raise InvalidInstance("box bounds must be nonnegative")
 
@@ -342,9 +339,7 @@ def encode_rtc_as_4block(ts: TaskSystem, cap: int | None = None) -> SimpleFourBl
     validate(ts)
     if any(t.jitter != 0 for t in ts.tasks):
         raise PreconditionViolated("4-block encoding requires a jitter-free system")
-    if utilization(ts, exclude_last=True) >= 1:
-        raise UtilizationExceeded("interfering utilization >= 1")
-    bounds = bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1], cap)
+    bounds = bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1], cap)  # the utilization gate
     u_t = bounds.u
     interferers = ts.tasks[:-1]
     n = len(interferers)

@@ -1,13 +1,15 @@
 """Command-line frontend.
 
 Subcommands: `rta compute`, `mix solve`, `gen extreme|tight-mix|random`,
-`sim run`, `blockip solve|encode-rtc`, `bench`.  Solvers emit a JSON report
+`sim run`, `blockip solve|encode-rtc`.  Solvers emit a JSON report
 {result, algorithm, certificates, timings, instance}; `--verify` re-checks the
 result against the brute-force oracle and fails the run on mismatch.
 
-Exit codes: 0 success, 1 infeasible/unbounded/not-schedulable, 2 invalid
-input, 3 overflow or budget exhaustion.  The magnitude cap honours the
-RTMIX_LIMIT_BITS environment variable.
+Every `RTMixError` leaves as a JSON error object {error, message} and the exit
+code that `EXIT_CODES` gives its class: 0 success, 1 infeasible / unbounded /
+not schedulable / verify mismatch, 2 invalid input, 3 overflow, budget or
+generation attempt cap exhausted, 4 internal error (a certified invariant
+failed).  The magnitude cap honours the RTMIX_LIMIT_BITS environment variable.
 """
 
 from __future__ import annotations
@@ -18,10 +20,13 @@ import sys
 import time
 
 from . import blockip, counters, gen, jsonio, mixing, reverse, rta, sim
-from .core import magnitude_cap
+from .core import DEFAULT_LIMIT_BITS, ENV_LIMIT_BITS
 from .errors import (
     BudgetExceeded,
+    GenerationFailed,
+    HorizonTooSmall,
     Infeasible,
+    InternalInvariantViolated,
     InvalidInstance,
     OverflowLimit,
     PreconditionViolated,
@@ -34,10 +39,20 @@ EXIT_OK = 0
 EXIT_NEGATIVE = 1      # infeasible / unbounded / not schedulable / verify mismatch
 EXIT_INVALID = 2
 EXIT_RESOURCE = 3
+EXIT_INTERNAL = 4
 
 
 class _VerifyMismatch(RTMixError):
     pass
+
+
+# Exit code of each error class; an error takes the entry of its nearest listed class.
+EXIT_CODES = {
+    **dict.fromkeys((Unbounded, Infeasible, UtilizationExceeded, _VerifyMismatch), EXIT_NEGATIVE),
+    **dict.fromkeys((InvalidInstance, PreconditionViolated, HorizonTooSmall), EXIT_INVALID),
+    **dict.fromkeys((OverflowLimit, BudgetExceeded, GenerationFailed), EXIT_RESOURCE),
+    **dict.fromkeys((InternalInvariantViolated, RTMixError), EXIT_INTERNAL),
+}
 
 
 def _emit(report: dict, fmt: str) -> None:
@@ -216,70 +231,11 @@ def _cmd_blockip_encode(args) -> tuple[int, dict]:
     return _write_instance(jsonio.four_block_to_dict(prog), args)
 
 
-def _bench_rta_harmonic(seed: int) -> list[dict]:
-    rows = []
-    for n in (3, 5, 7):
-        for p_max in (16, 64, 256):
-            ts = gen.random_system(seed + 7 * n + p_max, n, p_max, harmonic=True)
-            q = rta.ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
-            with counters.collect() as ops:
-                start = time.perf_counter()
-                result = rta.response_harmonic(q)
-                wall = time.perf_counter() - start
-            rows.append(
-                {
-                    "suite": "rta-harmonic",
-                    "n": n,
-                    "p_max": p_max,
-                    "result": result,
-                    "counters": ops.as_dict(),
-                    "seconds": wall,
-                }
-            )
-    return rows
-
-
-def _bench_mix_harmonic(seed: int) -> list[dict]:
-    rows = []
-    for n in (2, 4, 6, 8):
-        inst = gen.random_mix_instance(seed + n, n=n, a_max=256)
-        with counters.collect() as ops:
-            start = time.perf_counter()
-            sol = mixing.solve_harmonic(inst)
-            wall = time.perf_counter() - start
-        rows.append(
-            {
-                "suite": "mix-harmonic",
-                "n": n,
-                "objective": sol.objective,
-                "counters": ops.as_dict(),
-                "seconds": wall,
-            }
-        )
-    return rows
-
-
-_BENCH_SUITES = {
-    "rta-harmonic": _bench_rta_harmonic,
-    "mix-harmonic": _bench_mix_harmonic,
-}
-
-
-def _cmd_bench(args) -> tuple[int, dict]:
-    rows = _BENCH_SUITES[args.suite](args.seed)
-    return EXIT_OK, {
-        "result": rows,
-        "algorithm": args.suite,
-        "certificates": {},
-        "timings": {"seconds": sum(r["seconds"] for r in rows)},
-    }
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtmix",
         description="Exact response-time analysis and mixing set solvers "
-        f"(magnitude cap: {magnitude_cap()}; override via RTMIX_LIMIT_BITS)",
+        f"(magnitude cap 2**{DEFAULT_LIMIT_BITS} - 1; set the bit count via {ENV_LIMIT_BITS})",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -347,11 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_benc.add_argument("--output")
     p_benc.set_defaults(handler=_cmd_blockip_encode)
 
-    p_bench = sub.add_parser("bench", help="operation-counter benchmarks")
-    p_bench.add_argument("--suite", choices=sorted(_BENCH_SUITES), required=True)
-    p_bench.add_argument("--seed", type=int, default=0)
-    p_bench.set_defaults(handler=_cmd_bench)
-
     return parser
 
 
@@ -360,15 +311,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.handler(args)
-    except (Unbounded, Infeasible, UtilizationExceeded, _VerifyMismatch) as exc:
+    except RTMixError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
-        return EXIT_NEGATIVE
-    except (OverflowLimit, BudgetExceeded) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
-        return EXIT_RESOURCE
-    except (InvalidInstance, PreconditionViolated) as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
-        return EXIT_INVALID
+        return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
     if report:
         _emit(report, args.format)
     return code

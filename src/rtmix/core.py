@@ -5,10 +5,12 @@ time, relative deadline (optional for pure response-time computation),
 minimum inter-arrival separation, and release jitter.  Priority is list
 order, index 0 highest.
 
-All utilization and bound arithmetic is exact: `fractions.Fraction`
-throughout, never floats.  Feasibility decisions in the solver modules rely
-on the integrality arguments behind these bounds, which a rounding error
-would silently break.
+All utilization and bound arithmetic is exact: sums of ratios are
+accumulated in integers (`fraction_sum`) and returned as
+`fractions.Fraction`, never floats.  Feasibility decisions in the solver
+modules rely on the integrality arguments behind these bounds, which a
+rounding error would silently break.  Every integer field must be a Python
+`int`: `bool`, float and str values are rejected (`is_integer`).
 """
 
 from __future__ import annotations
@@ -27,9 +29,6 @@ from .errors import (
     UtilizationExceeded,
 )
 
-# Exact rational type used for every fractional quantity in the package.
-Rational = Fraction
-
 ENV_LIMIT_BITS = "RTMIX_LIMIT_BITS"
 DEFAULT_LIMIT_BITS = 63
 
@@ -41,10 +40,19 @@ def magnitude_cap() -> int:
     variable.  lcm is exponential in the number of distinct periods, so a
     hard cap beats silent astronomically-large searches.
     """
-    bits = int(os.environ.get(ENV_LIMIT_BITS, DEFAULT_LIMIT_BITS))
+    raw = os.environ.get(ENV_LIMIT_BITS, DEFAULT_LIMIT_BITS)
+    try:
+        bits = int(raw)
+    except ValueError:
+        bits = 0
     if bits < 1:
-        raise InvalidInstance(f"{ENV_LIMIT_BITS} must be a positive bit count, got {bits}")
+        raise InvalidInstance(f"{ENV_LIMIT_BITS} must be a positive bit count, got {raw!r}")
     return (1 << bits) - 1
+
+
+def is_integer(value) -> bool:
+    """True for a Python int; `bool` is an int subclass but not an integer field."""
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -52,11 +60,6 @@ def ceil_div(num: int, den: int) -> int:
     if den <= 0:
         raise ValueError(f"ceil_div needs a positive denominator, got {den}")
     return -((-num) // den)
-
-
-def ceil_frac(x: Fraction | int) -> int:
-    """Exact integer ceiling of a rational."""
-    return math.ceil(x)
 
 
 def lcm_capped(values: Iterable[int], cap: int | None = None) -> int:
@@ -106,7 +109,7 @@ def validate(ts: TaskSystem) -> None:
         raise InvalidInstance("task system must contain at least one task")
     for idx, t in enumerate(ts.tasks):
         for name in ("c", "p", "jitter"):
-            if not isinstance(getattr(t, name), int):
+            if not is_integer(getattr(t, name)):
                 raise InvalidInstance(f"task {idx}: field {name} must be an integer")
         if t.c < 1:
             raise InvalidInstance(f"task {idx}: execution time must satisfy c >= 1, got {t.c}")
@@ -117,7 +120,7 @@ def validate(ts: TaskSystem) -> None:
                 f"task {idx}: jitter must satisfy 0 <= jitter <= p, got {t.jitter} (p={t.p})"
             )
         if t.d is not None:
-            if not isinstance(t.d, int):
+            if not is_integer(t.d):
                 raise InvalidInstance(f"task {idx}: deadline must be an integer or None")
             if not t.c <= t.d <= t.p:
                 raise InvalidInstance(
@@ -125,10 +128,26 @@ def validate(ts: TaskSystem) -> None:
                 )
 
 
-def utilization(ts: TaskSystem, exclude_last: bool = False) -> Fraction:
-    """Exact sum of c_i/p_i, optionally over the higher-priority prefix only."""
-    tasks = ts.tasks[:-1] if exclude_last else ts.tasks
-    return sum((Fraction(t.c, t.p) for t in tasks), Fraction(0))
+def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
+    """Exact sum of num/den over (num, den) pairs with den >= 1, accumulated
+    in integers and normalized once, not after every addition."""
+    num, den = 0, 1
+    for n, d in pairs:
+        num, den = num * d + n * den, den * d
+    return Fraction(num, den)
+
+
+def workload(tasks: Iterable[Task], gamma: int, t: int) -> int:
+    """gamma + sum c_i*ceil((t + jitter_i)/p_i): the demand that a response
+    time t must cover; the response is the least t with workload <= t."""
+    return gamma + sum(task.c * ceil_div(t + task.jitter, task.p) for task in tasks)
+
+
+def utilization(obj: TaskSystem | Iterable[Task], exclude_last: bool = False) -> Fraction:
+    """Exact sum of c_i/p_i over a system or a sequence of tasks, optionally
+    over all but the last (lowest-priority) task."""
+    tasks = obj.tasks if isinstance(obj, TaskSystem) else tuple(obj)
+    return fraction_sum((t.c, t.p) for t in (tasks[:-1] if exclude_last else tasks))
 
 
 @dataclass(frozen=True)
@@ -169,13 +188,15 @@ class BoundsResult:
 
     ell <= r <= min(u1, u2); `u` is the integer search ceiling
     min(ceil(u1), u2) used by the binary searches (the response time is
-    integral, the analytic u1 generally is not).
+    integral, the analytic u1 generally is not).  `utilization` is the
+    interferers' exact utilization, below 1, from which the bounds follow.
     """
 
     ell: Fraction
     u1: Fraction
     u2: int
     u: int
+    utilization: Fraction
 
 
 def bounds_from_parts(
@@ -184,22 +205,21 @@ def bounds_from_parts(
     cap: int | None = None,
 ) -> BoundsResult:
     """Bounds for the least t with t >= gamma + sum c_i*ceil((t+jitter_i)/p_i)."""
-    util = sum((Fraction(t.c, t.p) for t in interferers), Fraction(0))
+    util = utilization(interferers)
     if util >= 1:
         raise UtilizationExceeded(f"interfering utilization {util} >= 1")
     slack = 1 - util
     cost_sum = sum(t.c for t in interferers)
-    ell = (gamma + sum((Fraction(t.jitter, t.p) * t.c for t in interferers), Fraction(0))) / slack
-    u1 = ell + Fraction(cost_sum) / slack
+    ell = (gamma + fraction_sum((t.jitter * t.c, t.p) for t in interferers)) / slack
+    u1 = ell + cost_sum / slack
     m = lcm_capped((t.p for t in interferers), cap)
-    u2 = ceil_frac(Fraction(gamma + cost_sum) / (slack * m)) * m
-    return BoundsResult(ell, u1, u2, min(ceil_frac(u1), u2))
+    u2 = math.ceil((gamma + cost_sum) / (slack * m)) * m
+    return BoundsResult(ell, u1, u2, min(math.ceil(u1), u2), util)
 
 
 def response_bounds(ts: TaskSystem, cap: int | None = None) -> BoundsResult:
     """Bounds on the response time of the lowest-priority task."""
     validate(ts)
-    check_general_utilization_bound(ts)
     return bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1], cap)
 
 
@@ -208,8 +228,7 @@ def jitter_free_bounds(ts: TaskSystem, cap: int | None = None) -> tuple[Fraction
     validate(ts)
     if any(t.jitter != 0 for t in ts.tasks):
         raise PreconditionViolated("jitter-free bounds require jitter = 0 for every task")
-    check_general_utilization_bound(ts)
-    slack = 1 - utilization(ts, exclude_last=True)
+    slack = 1 - check_general_utilization_bound(ts).higher_priority
     lower = Fraction(ts.tasks[-1].c) / slack
     period = lcm_capped(ts.periods(), cap)
     return lower, period

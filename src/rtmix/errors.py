@@ -1,7 +1,8 @@
 """Exception hierarchy shared by all solver modules.
 
-The CLI maps these onto exit codes: invalid input -> 2, resource limits
-(overflow caps, enumeration budgets) -> 3, infeasible/unbounded outcomes -> 1.
+The CLI maps these onto exit codes (`cli.EXIT_CODES`): infeasible/unbounded
+outcomes -> 1, invalid input -> 2, resource limits (overflow caps,
+enumeration budgets, generation attempt caps) -> 3, internal errors -> 4.
 """
 
 

@@ -17,6 +17,7 @@ from .blockip import SimpleFourBlock
 from .core import Task, TaskSystem, validate
 from .errors import InvalidInstance
 from .mixing import MixInstance, MixSolution
+from .mixing import validate as validate_mix
 from .sim import ReleasePattern, ScheduleTrace
 
 
@@ -34,7 +35,8 @@ def task_system_to_dict(ts: TaskSystem) -> dict:
 
 
 def task_system_from_dict(data: Any) -> TaskSystem:
-    _require(isinstance(data, dict) and "tasks" in data, "expected {'tasks': [...]}")
+    _require(isinstance(data, dict) and isinstance(data.get("tasks"), list),
+             "expected {'tasks': [...]}")
     tasks = []
     for entry in data["tasks"]:
         _require(isinstance(entry, dict), "each task must be an object")
@@ -61,7 +63,7 @@ def mix_instance_to_dict(inst: MixInstance) -> dict:
 
 
 def mix_instance_from_dict(data: Any) -> MixInstance:
-    _require(isinstance(data, dict) and "w0" in data and "terms" in data,
+    _require(isinstance(data, dict) and "w0" in data and isinstance(data.get("terms"), list),
              "expected {'w0': ..., 'terms': [...]}")
     terms = []
     for entry in data["terms"]:
@@ -70,8 +72,6 @@ def mix_instance_from_dict(data: Any) -> MixInstance:
         _require(not unknown, f"unknown term fields: {sorted(unknown)}")
         terms.append((entry.get("w"), entry.get("a"), entry.get("b")))
     inst = MixInstance(data["w0"], terms)
-    from .mixing import validate as validate_mix
-
     validate_mix(inst)
     return inst
 
@@ -136,6 +136,12 @@ def four_block_to_dict(p: SimpleFourBlock) -> dict:
     }
 
 
+def _arrays(value: Any, depth: int, what: str) -> tuple:
+    """`value` as tuples nested `depth` deep; every level must be a JSON array."""
+    _require(isinstance(value, list), f"4-block field {what} must be an array")
+    return tuple(_arrays(v, depth - 1, what) if depth > 1 else v for v in value)
+
+
 def four_block_from_dict(data: Any) -> SimpleFourBlock:
     _require(isinstance(data, dict), "expected a 4-block object")
     _require(data.get("q", 1) == 1, "exactly one coupling inequality is supported")
@@ -145,16 +151,16 @@ def four_block_from_dict(data: Any) -> SimpleFourBlock:
             r=data["r"],
             s=data["s"],
             t=data["t"],
-            D=tuple(tuple(row) for row in data["D"]),
-            C=tuple(tuple(tuple(row) for row in block) for block in data["C"]),
-            B=tuple(tuple(tuple(row) for row in block) for block in data["B"]),
-            A=tuple(tuple(tuple(row) for row in block) for block in data["A"]),
+            D=_arrays(data["D"], 2, "D"),
+            C=_arrays(data["C"], 3, "C"),
+            B=_arrays(data["B"], 3, "B"),
+            A=_arrays(data["A"], 3, "A"),
             b0=data["b0"],
-            rhs=tuple(tuple(r) for r in data["rhs"]),
-            w0=tuple(data["w0"]),
+            rhs=_arrays(data["rhs"], 2, "rhs"),
+            w0=_arrays(data["w0"], 1, "w0"),
             j=data["j"],
-            wj=tuple(data["wj"]),
-            u=tuple(data["u"]),
+            wj=_arrays(data["wj"], 1, "wj"),
+            u=_arrays(data["u"], 1, "u"),
         )
     except KeyError as exc:
         raise InvalidInstance(f"missing 4-block field {exc}") from None

@@ -20,16 +20,21 @@ Three exact solvers are provided:
 
 Every solver returns the solution with the smallest optimal s, and every
 returned solution is feasibility-checked before it leaves the module.
+
+Each solver runs `validate` once, at its entry.  The helpers it calls
+(`is_unbounded`, `certified_s_bound`) trust their caller and do not
+re-validate, so code calling them directly validates first.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, ceil_frac, is_harmonic, lcm_capped
+from .core import ceil_div, fraction_sum, is_harmonic, is_integer, lcm_capped, magnitude_cap
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -71,10 +76,10 @@ class MixSolution:
 
 
 def validate(inst: MixInstance) -> None:
-    if not isinstance(inst.w0, int) or inst.w0 < 0:
-        raise InvalidInstance(f"w0 must be a nonnegative integer, got {inst.w0}")
+    if not is_integer(inst.w0) or inst.w0 < 0:
+        raise InvalidInstance(f"w0 must be a nonnegative integer, got {inst.w0!r}")
     for idx, t in enumerate(inst.terms):
-        if not all(isinstance(v, int) for v in (t.w, t.a, t.b)):
+        if not all(is_integer(v) for v in (t.w, t.a, t.b)):
             raise InvalidInstance(f"term {idx}: w, a, b must be integers")
         if t.a < 1:
             raise InvalidInstance(f"term {idx}: capacity must satisfy a >= 1, got {t.a}")
@@ -96,44 +101,32 @@ def objective_at(s: int, inst: MixInstance) -> int:
 
 
 def weight_utilization(inst: MixInstance) -> Fraction:
-    return sum((Fraction(t.w, t.a) for t in inst.terms), Fraction(0))
+    return fraction_sum((t.w, t.a) for t in inst.terms)
 
 
 def is_unbounded(inst: MixInstance) -> bool:
     """Unbounded iff sum w_i/a_i > w0: pushing s up one lcm then pays for itself."""
-    validate(inst)
     return weight_utilization(inst) > inst.w0
 
 
-def s_search_bound(inst: MixInstance, cap: int | None = None) -> int:
-    """An integer S with some optimal s <= S.
-
-    Always lcm(a) - 1; when sum w_i/a_i < w0 strictly (and w0 >= 1) this is
-    intersected with ceil(sum w_i / (w0 - sum w_i/a_i)), below which shifting
-    s down by that amount strictly improves the objective.
-    """
-    validate(inst)
-    bound = lcm_capped(inst.capacities(), cap) - 1
-    util = weight_utilization(inst)
-    if inst.w0 >= 1 and util < inst.w0:
-        weight_sum = sum(t.w for t in inst.terms)
-        bound = min(bound, ceil_frac(Fraction(weight_sum) / (inst.w0 - util)))
-    return bound
-
-
 def certified_s_bound(inst: MixInstance, cap: int | None = None) -> int:
-    """Like `s_search_bound`, but survives an over-cap lcm when the
-    strict-utilization bound alone certifies a value."""
-    validate(inst)
+    """An integer S with some optimal s <= S, for a bounded instance.
+
+    Always lcm(a) - 1; when sum w_i/a_i < w0 strictly (and w0 >= 1) also
+    ceil(sum w_i / (w0 - sum w_i/a_i)), below which shifting s down by that
+    amount strictly improves the objective.  Returns the smaller of the two.
+    An lcm past the magnitude cap raises OverflowLimit unless the second
+    bound exists and stays within the cap.
+    """
     util = weight_utilization(inst)
     util_bound = None
     if inst.w0 >= 1 and util < inst.w0:
         weight_sum = sum(t.w for t in inst.terms)
-        util_bound = ceil_frac(Fraction(weight_sum) / (inst.w0 - util))
+        util_bound = math.ceil(weight_sum / (inst.w0 - util))
     try:
         lcm_bound = lcm_capped(inst.capacities(), cap) - 1
     except OverflowLimit:
-        if util_bound is None:
+        if util_bound is None or util_bound > (magnitude_cap() if cap is None else cap):
             raise
         return util_bound
     return lcm_bound if util_bound is None else min(lcm_bound, util_bound)
@@ -156,7 +149,7 @@ def solve_bruteforce(
     validate(inst)
     if is_unbounded(inst):
         raise Unbounded("sum w_i/a_i exceeds w0")
-    hi = s_search_bound(inst, cap) if s_bound is None else s_bound
+    hi = certified_s_bound(inst, cap) if s_bound is None else s_bound
     counters.bump("mixing_calls")
     best_s, best_obj = 0, objective_at(0, inst)
     for s in range(1, hi + 1):

@@ -18,16 +18,18 @@ b_i - beta becomes the release jitter.  This module applies that identity:
   the inner queries are jitter-free.
 
 All of these fix w0 = 1 (rescaling would change the integrality of the dual
-query) and reject anything else.
+query) and reject anything else.  Each public function validates its
+instance once, at entry; the response queries it builds are validated by
+`rta.ResponseQuery` and answered by `rta.compute_response`, the same
+algorithm selector `rtmix rta compute --algorithm auto` uses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import mixing, rta
-from .core import Task, TaskSystem, ceil_div, is_harmonic, lcm_capped
+from .core import Task, TaskSystem, ceil_div, is_harmonic, lcm_capped, utilization, workload
 from .errors import InternalInvariantViolated, PreconditionViolated, Unbounded
 
 
@@ -40,15 +42,16 @@ class ShiftRecord:
     objective_correction: int
 
 
-def _require_unit_s_weight(inst: mixing.MixInstance) -> None:
+def _validate(inst: mixing.MixInstance) -> None:
     if inst.w0 != 1:
         raise PreconditionViolated(
-            f"reverse reductions require w0 = 1, got {inst.w0} (rescaling would "
+            f"reverse reductions require w0 = 1, got {inst.w0!r} (rescaling would "
             "change the integrality of the dual query)"
         )
+    mixing.validate(inst)
 
 
-def _pseudo_system(inst: mixing.MixInstance, beta: int) -> tuple[TaskSystem, tuple[int, ...]]:
+def _pseudo_tasks(inst: mixing.MixInstance, beta: int) -> tuple[Task, ...]:
     """Tasks (c=w_i, p=a_i, jitter=b_i - beta) for the positive-weight terms.
 
     Zero-weight terms never contribute to the objective and their constraints
@@ -63,11 +66,7 @@ def _pseudo_system(inst: mixing.MixInstance, beta: int) -> tuple[TaskSystem, tup
             )
         if t.w > 0:
             kept.append(Task(t.w, t.a, jit))
-    return TaskSystem(kept) if kept else TaskSystem([Task(1, 1, 0)]), tuple(range(len(kept)))
-
-
-def _workload(tasks, gamma: int, t: int) -> int:
-    return gamma + sum(task.c * ceil_div(t + task.jitter, task.p) for task in tasks)
+    return tuple(kept)
 
 
 def _response_leq(
@@ -81,21 +80,14 @@ def _response_leq(
     m = lcm(a) is feasible iff its smallest member is, and a residue scan
     settles the decision.
     """
-    system, indices = _pseudo_system(inst, beta)
-    tasks = [system.tasks[i] for i in indices]
-    util = sum(Fraction(t.c, t.p) for t in tasks)
-    if util < 1:
-        q = rta.ResponseQuery(system, indices, gamma)
-        if is_harmonic([t.p for t in tasks]):
-            r = rta.response_harmonic(q, cap=cap)
-        elif all(t.jitter == 0 for t in tasks):
-            r = rta.response_jitter_free(q, cap=cap)
-        else:
-            r = rta.response_turing(q, cap=cap)
+    tasks = _pseudo_tasks(inst, beta)
+    if utilization(tasks) < 1:
+        q = rta.ResponseQuery(TaskSystem(tasks), range(len(tasks)), gamma)
+        r = rta.compute_response(q, cap=cap)
         return r <= beta, r
     m = lcm_capped((t.p for t in tasks), cap)
     for rho in range(m):
-        if _workload(tasks, gamma, rho) <= rho:
+        if workload(tasks, gamma, rho) <= rho:
             return rho <= beta, rho
     return False, None
 
@@ -106,8 +98,7 @@ def mix_leq_via_rtc(
     """Decide Mix(I, beta) <= k by computing response(I, beta - k) and
     comparing with beta.  Requires the jitter encoding 0 <= b_i - beta <= a_i,
     beta at or above the certified s bound, and beta - k >= 1."""
-    _require_unit_s_weight(inst)
-    mixing.validate(inst)
+    _validate(inst)
     if beta - k < 1:
         raise PreconditionViolated(f"need beta - k >= 1, got beta={beta}, k={k}")
     if beta < mixing.certified_s_bound(inst, cap):
@@ -127,6 +118,24 @@ def _witness(inst: mixing.MixInstance, s: int, expect: int) -> mixing.MixSolutio
     return sol
 
 
+def _least_k(
+    inst: mixing.MixInstance, beta: int, hi: int, cap: int | None
+) -> mixing.MixSolution:
+    """The least k in [0, hi] with Mix(I, beta) <= k, by binary search over
+    `mix_leq_via_rtc`, and its witness s = beta - response(I, beta - k)."""
+    lo = 0
+    while lo < hi:
+        mid = (lo + hi) // 2  # mid <= beta - 1, so the dual constant stays >= 1
+        if mix_leq_via_rtc(inst, beta, mid, cap):
+            hi = mid
+        else:
+            lo = mid + 1
+    if lo == beta:
+        return _witness(inst, beta, lo)
+    _, r = _response_leq(inst, beta, beta - lo, cap)
+    return _witness(inst, beta - r, lo)
+
+
 def solve_crowded(inst: mixing.MixInstance, cap: int | None = None) -> mixing.MixSolution:
     """Optimum for crowded right-hand sides: lcm(a) <= b_i <= b_min + a_i.
 
@@ -137,8 +146,7 @@ def solve_crowded(inst: mixing.MixInstance, cap: int | None = None) -> mixing.Mi
     objective t - sum w_i*ceil((t + jitter_i)/a_i) over one capacity period,
     which the shift identity pins to (beta - m, beta].
     """
-    _require_unit_s_weight(inst)
-    mixing.validate(inst)
+    _validate(inst)
     if mixing.is_unbounded(inst):
         raise Unbounded("weight utilization exceeds 1")
     if not inst.terms:
@@ -153,22 +161,12 @@ def solve_crowded(inst: mixing.MixInstance, cap: int | None = None) -> mixing.Mi
             )
     beta = b_min
     if mix_leq_via_rtc(inst, beta, beta - 1, cap):
-        lo, hi = 0, beta - 1
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if mix_leq_via_rtc(inst, beta, mid, cap):
-                hi = mid
-            else:
-                lo = mid + 1
-        opt = lo
-        _, r = _response_leq(inst, beta, beta - opt, cap)
-        return _witness(inst, beta - r, opt)
+        return _least_k(inst, beta, beta - 1, cap)
     # optimum in [beta, b_max]: maximize the dual objective directly
-    system, indices = _pseudo_system(inst, beta)
-    tasks = [system.tasks[i] for i in indices]
+    tasks = _pseudo_tasks(inst, beta)
     best_t, best_val = None, None
     for t in range(max(0, beta - m) + 1, beta + 1):
-        val = t - _workload(tasks, 0, t)
+        val = t - workload(tasks, 0, t)
         if best_val is None or val > best_val:
             best_t, best_val = t, val
     opt = beta - best_val
@@ -180,21 +178,14 @@ def solve_crowded(inst: mixing.MixInstance, cap: int | None = None) -> mixing.Mi
 def solve_general_via_shift(inst: mixing.MixInstance, cap: int | None = None) -> mixing.MixSolution:
     """Arbitrary right-hand sides: shift each b_i up to the crowded window
     [m, m + a_i], solve the crowded instance, and subtract the shift cost."""
-    _require_unit_s_weight(inst)
-    mixing.validate(inst)
+    _validate(inst)
     if mixing.is_unbounded(inst):
         raise PreconditionViolated("instance is unbounded")
     if not inst.terms:
         return mixing.complete(0, inst)
     rec = shift_record(inst, cap)
-    shifted = mixing.MixInstance(
-        1,
-        [
-            (t.w, t.a, t.b + off * t.a)
-            for t, off in zip(inst.terms, rec.offsets)
-        ],
-    )
-    crowded = solve_crowded(shifted, cap)
+    terms = [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)]
+    crowded = solve_crowded(mixing.MixInstance(1, terms), cap)
     return _witness(inst, crowded.s, crowded.objective - rec.objective_correction)
 
 
@@ -221,8 +212,7 @@ def solve_constant_beta(
     (s = beta, x = 0) is always feasible with value beta, so the optimum is
     the least k in [0, beta] with response(I, beta - k) <= beta.
     """
-    _require_unit_s_weight(inst)
-    mixing.validate(inst)
+    _validate(inst)
     if mixing.is_unbounded(inst):
         raise Unbounded("weight utilization exceeds 1")
     if not inst.terms:
@@ -235,15 +225,4 @@ def solve_constant_beta(
             raise PreconditionViolated(f"harmonic path needs beta >= a_max, got {beta}")
     elif beta < lcm_capped(caps, cap):
         raise PreconditionViolated(f"general path needs beta >= lcm(a), got {beta}")
-    lo, hi = 0, beta
-    while lo < hi:
-        mid = (lo + hi) // 2  # mid <= beta - 1, so the dual constant stays >= 1
-        if mix_leq_via_rtc(inst, beta, mid, cap):
-            hi = mid
-        else:
-            lo = mid + 1
-    opt = lo
-    if opt == beta:
-        return _witness(inst, beta, opt)
-    _, r = _response_leq(inst, beta, beta - opt, cap)
-    return _witness(inst, beta - r, opt)
+    return _least_k(inst, beta, beta, cap)

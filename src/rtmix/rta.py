@@ -24,31 +24,40 @@ a certified bound S on the optimal s of the mixing instance, hence:
   modulo lcm of the periods; each residue yields at most one fixed point.
 * `response_jitter_free`: with zero jitter (s=k, x=0) is always feasible for
   the mixing instance, so every k is decidable and a plain binary search works.
+
+Every algorithm takes a `ResponseQuery`, the one compiled form of a query.
+It is validated once, when it is built, and holds the interferer tuple, its
+`BoundsResult` (which carries the exact utilization) and its certified S,
+all computed then under the magnitude cap in force; no algorithm recomputes
+them.  The
+residual probes of `narrow`/`catch` are derived from the parent query with
+`ResponseQuery.residual`, without validation or bounds.  `compute_response`
+is the only algorithm selector; `reverse` calls it too.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Literal, Sequence
 
 from . import counters, mixing
 from .core import (
     BoundsResult,
+    Task,
     TaskSystem,
     bounds_from_parts,
-    ceil_div,
-    ceil_frac,
     is_harmonic,
+    is_integer,
     lcm_capped,
     validate,
+    workload,
 )
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
     PreconditionKTooSmall,
     PreconditionViolated,
-    UtilizationExceeded,
 )
 
 Algorithm = Literal["auto", "bruteforce", "harmonic", "lcm-scan", "turing", "jitter-free"]
@@ -58,30 +67,49 @@ ALGORITHMS = ("auto", "bruteforce", "harmonic", "lcm-scan", "turing", "jitter-fr
 
 @dataclass(frozen=True)
 class ResponseQuery:
-    """Interference set I (indices into the system) plus the constant gamma."""
+    """Interference set I (indices into the system) plus the constant gamma,
+    compiled once: `tasks` is the interferer tuple, `bounds` its certified
+    interval with its exact utilization, and `s_bound` the certified bound S
+    on the optimal s of every Mix(I, k).  A probe derived with `residual`
+    leaves the last two None."""
 
     system: TaskSystem
     indices: tuple[int, ...]
     gamma: int
+    tasks: tuple[Task, ...]
+    bounds: BoundsResult | None
+    s_bound: int | None
 
     def __init__(self, system: TaskSystem, indices: Sequence[int], gamma: int):
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "indices", tuple(sorted(set(indices))))
-        object.__setattr__(self, "gamma", gamma)
-        if not isinstance(gamma, int) or gamma < 1:
-            raise InvalidInstance(f"gamma must be an integer >= 1, got {gamma}")
+        indices = tuple(sorted(set(indices)))
+        if not is_integer(gamma) or gamma < 1:
+            raise InvalidInstance(f"gamma must be an integer >= 1, got {gamma!r}")
         n = len(system.tasks)
-        if any(not 0 <= i < n for i in self.indices):
+        if any(not 0 <= i < n for i in indices):
             raise InvalidInstance("interference indices out of range")
-        util = sum(
-            (Fraction(system.tasks[i].c, system.tasks[i].p) for i in self.indices),
-            Fraction(0),
-        )
-        if util >= 1:
-            raise UtilizationExceeded(f"interfering utilization {util} >= 1")
+        tasks = tuple(system.tasks[i] for i in indices)
+        bounds = bounds_from_parts(gamma, tasks)  # raises UtilizationExceeded at U >= 1
+        # Independent of k, since the right-hand sides do not enter S.
+        s_bound = mixing.certified_s_bound(mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks]))
+        self._set(system=system, indices=indices, gamma=gamma, tasks=tasks,
+                  bounds=bounds, s_bound=s_bound)
 
-    def interferers(self):
-        return tuple(self.system.tasks[i] for i in self.indices)
+    def _set(self, **fields) -> None:
+        for name, value in fields.items():
+            object.__setattr__(self, name, value)
+
+    def residual(self, indices: tuple[int, ...], gamma: int) -> ResponseQuery:
+        """The decision probe over a subset of this query's interferers with a
+        larger constant: no validation and no bounds (`bounds` and `s_bound`
+        are None), so it serves only `decide_large_k(..., skip_gate=True)`."""
+        sub = object.__new__(ResponseQuery)
+        tasks = tuple(self.system.tasks[i] for i in indices)
+        sub._set(system=self.system, indices=indices, gamma=gamma, tasks=tasks,
+                 bounds=None, s_bound=None)
+        return sub
+
+    def interferers(self) -> tuple[Task, ...]:
+        return self.tasks
 
 
 @dataclass(frozen=True)
@@ -103,12 +131,11 @@ class ProbeRecord:
     feasible: bool
 
 
-def _phi(interferers, gamma: int, t: int) -> int:
-    return gamma + sum(task.c * ceil_div(t + task.jitter, task.p) for task in interferers)
-
-
-def _query_bounds(q: ResponseQuery, cap: int | None = None) -> BoundsResult:
-    return bounds_from_parts(q.gamma, q.interferers(), cap)
+def _check_cap(q: ResponseQuery, cap: int | None) -> None:
+    """Hold the lcm of q's periods to an explicit cap; the cap in force when q
+    was built already holds it."""
+    if cap is not None:
+        lcm_capped((t.p for t in q.tasks), cap)
 
 
 def response_bruteforce(q: ResponseQuery, cap: int | None = None) -> int:
@@ -117,17 +144,16 @@ def response_bruteforce(q: ResponseQuery, cap: int | None = None) -> int:
     feasible t; the certified upper bound doubles as an iteration guard."""
     if not q.indices:
         return q.gamma
-    bounds = _query_bounds(q, cap)
-    tasks = q.interferers()
+    _check_cap(q, cap)
     t = q.gamma
     while True:
         counters.bump("fixpoint_iters")
-        nxt = _phi(tasks, q.gamma, t)
+        nxt = workload(q.tasks, q.gamma, t)
         if nxt == t:
             break
-        if nxt > bounds.u:
+        if nxt > q.bounds.u:
             raise InternalInvariantViolated(
-                f"fixed-point iteration escaped the certified bound {bounds.u}"
+                f"fixed-point iteration escaped the certified bound {q.bounds.u}"
             )
         t = nxt
     return t
@@ -137,19 +163,7 @@ def build_mix_for_k(q: ResponseQuery, k: int) -> mixing.MixInstance:
     """Mixing instance deciding response <= k: term (w=c_i, a=p_i, b=k+jitter_i)."""
     if k < 1:
         raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
-    return mixing.MixInstance(
-        1, [(t.c, t.p, k + t.jitter) for t in q.interferers()]
-    )
-
-
-def _certified_query_bound(q: ResponseQuery, cap: int | None = None) -> int:
-    """Certified bound S on the optimal s of any Mix(I, k) built from q.
-
-    Independent of k: min of lcm(p_i) - 1 (when within cap) and the
-    strict-utilization bound ceil(sum c_i / (1 - U)), which always exists
-    because valid queries have U < 1."""
-    probe = mixing.MixInstance(1, [(t.c, t.p, 0) for t in q.interferers()])
-    return mixing.certified_s_bound(probe, cap)
+    return mixing.MixInstance(1, [(t.c, t.p, k + t.jitter) for t in q.tasks])
 
 
 def _solve_mix(
@@ -171,21 +185,18 @@ def decide_large_k(
 
     Valid only for k at or above the certified bound S (the gate); callers
     that certify validity some other way (jitter-free reductions, the
-    harmonic walk) pass skip_gate=True.
+    harmonic walk) pass skip_gate=True.  A residual probe has no S of its
+    own, so its mixing solve certifies one if it needs it.
     """
     if not q.indices:
         if k < 1:
             raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
         return DecisionOutcome(k >= q.gamma, k, mixing.MixSolution(0, (), 0))
-    gate = None
-    if not skip_gate:
-        gate = _certified_query_bound(q, cap)
-        if k < gate:
-            raise PreconditionKTooSmall(k, gate)
+    # S is read only for the gate: residual probes carry none and always skip it.
+    if not skip_gate and k < q.s_bound:
+        raise PreconditionKTooSmall(k, q.s_bound)
     counters.bump("decision_probes")
-    inst = build_mix_for_k(q, k)
-    s_bound = gate if gate is not None else _certified_query_bound(q, cap)
-    sol = _solve_mix(inst, s_bound=s_bound, cap=cap)
+    sol = _solve_mix(build_mix_for_k(q, k), s_bound=q.s_bound, cap=cap)
     return DecisionOutcome(sol.objective <= k - q.gamma, k, sol)
 
 
@@ -200,18 +211,36 @@ def two_values(q: ResponseQuery, i: int, t: int) -> int:
 
 def _decide_residual(
     q: ResponseQuery,
-    residual: tuple[int, ...],
-    gamma_prime: int,
+    phase: str,
     k: int,
+    ones: list[int],
+    twos: list[int],
+    residual: tuple[int, ...],
+    trace: list[ProbeRecord] | None,
     cap: int | None,
-) -> tuple[bool, mixing.MixSolution | None]:
-    """Probe Mix(residual, k) <= k - gamma_prime; residual periods < k by
+) -> bool:
+    """Probe k with the multipliers of `ones` and `twos` forced to 1 and 2:
+    Mix(residual, k) <= k - gamma'.  Residual periods lie below k by
     construction, so the reduction gate holds."""
-    if any(q.system.tasks[j].p >= k for j in residual):
+    tasks = q.system.tasks
+    if any(tasks[j].p >= k for j in residual):
         raise InternalInvariantViolated("residual set contains a period >= probe")
-    sub = ResponseQuery(q.system, residual, gamma_prime)
-    out = decide_large_k(sub, k, skip_gate=True, cap=cap)
-    return out.verdict, out.certificate
+    gamma_prime = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
+    sub = q.residual(residual, gamma_prime)
+    feasible = decide_large_k(sub, k, skip_gate=True, cap=cap).verdict
+    if trace is not None:
+        forced = {j: 1 for j in ones} | {j: 2 for j in twos}
+        trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
+    return feasible
+
+
+def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
+    """t, after checking it against the recurrence: feasible, and t - 1 is not."""
+    if workload(q.tasks, q.gamma, t) > t:
+        raise InternalInvariantViolated(f"{algorithm} returned infeasible t={t}")
+    if t > q.gamma and workload(q.tasks, q.gamma, t - 1) <= t - 1:
+        raise InternalInvariantViolated(f"{algorithm} returned non-minimal t={t}")
+    return t
 
 
 def narrow(
@@ -234,22 +263,17 @@ def narrow(
     tasks = q.system.tasks
     if not is_harmonic([tasks[j].p for j in q.indices]):
         raise PreconditionViolated("harmonic walk requires harmonic periods over I")
-    bounds = _query_bounds(q, cap)
+    _check_cap(q, cap)
     diffs = sorted({tasks[j].p - tasks[j].jitter for j in q.indices} - {0})
     prev = 0
     for k in diffs:
         ones = [j for j in q.indices if k <= tasks[j].p - tasks[j].jitter]
         twos = [j for j in q.indices if tasks[j].p - tasks[j].jitter < k <= tasks[j].p]
         residual = tuple(j for j in q.indices if tasks[j].p < k)
-        gamma_i = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
-        feasible, _ = _decide_residual(q, residual, gamma_i, k, cap)
-        if trace is not None:
-            forced = {j: 1 for j in ones} | {j: 2 for j in twos}
-            trace.append(ProbeRecord("narrow", k, forced, residual, gamma_i, feasible))
-        if feasible:
+        if _decide_residual(q, "narrow", k, ones, twos, residual, trace, cap):
             return catch(q, prev + 1, k, trace=trace, cap=cap)
         prev = k
-    return catch(q, prev + 1, bounds.u, trace=trace, cap=cap)
+    return catch(q, prev + 1, q.bounds.u, trace=trace, cap=cap)
 
 
 def catch(
@@ -273,18 +297,12 @@ def catch(
     while left != right:
         kappa = (left + right) // 2
         twos = [j for j in q.indices if kappa <= tasks[j].p < left + tasks[j].jitter]
-        gamma_k = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
         residual = tuple(j for j in q.indices if j not in ones and j not in twos)
-        feasible, _ = _decide_residual(q, residual, gamma_k, kappa, cap)
-        if trace is not None:
-            forced = {j: 1 for j in ones} | {j: 2 for j in twos}
-            trace.append(ProbeRecord("catch", kappa, forced, residual, gamma_k, feasible))
-        if feasible:
+        if _decide_residual(q, "catch", kappa, ones, twos, residual, trace, cap):
             right = kappa
         else:
             left = kappa + 1
-    interferers = q.interferers()
-    if _phi(interferers, q.gamma, right) > right:
+    if workload(q.tasks, q.gamma, right) > right:
         raise InternalInvariantViolated(f"catch returned infeasible t={right}")
     return right
 
@@ -296,13 +314,7 @@ def response_harmonic(
     cap: int | None = None,
 ) -> int:
     """narrow + catch, with a final minimality re-check against the recurrence."""
-    r = narrow(q, trace=trace, cap=cap)
-    interferers = q.interferers()
-    if _phi(interferers, q.gamma, r) > r:
-        raise InternalInvariantViolated(f"harmonic walk returned infeasible t={r}")
-    if r > q.gamma and _phi(interferers, q.gamma, r - 1) <= r - 1:
-        raise InternalInvariantViolated(f"harmonic walk returned non-minimal t={r}")
-    return r
+    return _least_fixed_point(q, narrow(q, trace=trace, cap=cap), "harmonic walk")
 
 
 def response_lcm_scan(q: ResponseQuery, cap: int | None = None) -> int:
@@ -315,13 +327,11 @@ def response_lcm_scan(q: ResponseQuery, cap: int | None = None) -> int:
     """
     if not q.indices:
         return q.gamma
-    tasks = q.interferers()
-    m = lcm_capped((t.p for t in tasks), cap)
-    util = sum(Fraction(t.c, t.p) for t in tasks)
-    denom = (1 - util) * m
+    m = lcm_capped((t.p for t in q.tasks), cap)
+    denom = (1 - q.bounds.utilization) * m
     best = None
     for rho in range(m):
-        lam = Fraction(_phi(tasks, q.gamma, rho) - rho) / denom
+        lam = (workload(q.tasks, q.gamma, rho) - rho) / denom
         if lam.denominator == 1 and lam >= 0:
             candidate = rho + int(lam) * m
             if best is None or candidate < best:
@@ -335,27 +345,22 @@ def response_turing(q: ResponseQuery, cap: int | None = None) -> int:
     """Decide at the certified bound S, then scan below or binary-search above."""
     if not q.indices:
         return q.gamma
-    bounds = _query_bounds(q, cap)
-    s_cert = _certified_query_bound(q, cap)
-    tasks = q.interferers()
+    _check_cap(q, cap)
+    s_cert = q.s_bound
     if s_cert >= 1 and decide_large_k(q, s_cert, cap=cap).verdict:
         for t in range(q.gamma, s_cert + 1):
-            if _phi(tasks, q.gamma, t) <= t:
+            if workload(q.tasks, q.gamma, t) <= t:
                 return t
         raise InternalInvariantViolated("decision at S affirmed but the scan found nothing")
-    lo = max(s_cert + 1, ceil_frac(bounds.ell))
-    hi = bounds.u
+    lo = max(s_cert + 1, math.ceil(q.bounds.ell))
+    hi = q.bounds.u
     while lo < hi:
         mid = (lo + hi) // 2
         if decide_large_k(q, mid, skip_gate=True, cap=cap).verdict:
             hi = mid
         else:
             lo = mid + 1
-    if _phi(tasks, q.gamma, lo) > lo:
-        raise InternalInvariantViolated(f"binary search returned infeasible t={lo}")
-    if lo > q.gamma and _phi(tasks, q.gamma, lo - 1) <= lo - 1:
-        raise InternalInvariantViolated(f"binary search returned non-minimal t={lo}")
-    return lo
+    return _least_fixed_point(q, lo, "binary search")
 
 
 def response_jitter_free(q: ResponseQuery, cap: int | None = None) -> int:
@@ -364,30 +369,26 @@ def response_jitter_free(q: ResponseQuery, cap: int | None = None) -> int:
     With jitter 0 the pair (s=k, x=0) is feasible for Mix(I, k) and anything
     with s > k is strictly worse, so the bound S <= k holds for every probe.
     """
-    tasks = q.interferers()
+    tasks = q.tasks
     if any(t.jitter != 0 for t in tasks):
         raise PreconditionViolated("jitter-free search requires jitter = 0 over I")
     if not q.indices:
         return q.gamma
-    bounds = _query_bounds(q, cap)
-    lo = max(q.gamma, ceil_frac(bounds.ell))
-    hi = bounds.u
+    lo = max(q.gamma, math.ceil(q.bounds.ell))
+    hi = q.bounds.u
     m = lcm_capped((t.p for t in tasks), cap)
-    if _phi(tasks, q.gamma, m) <= m:
+    if workload(tasks, q.gamma, m) <= m:
         hi = min(hi, m)
-    s_cert = _certified_query_bound(q, cap)
     while lo < hi:
         kappa = (lo + hi) // 2
         counters.bump("decision_probes")
         inst = build_mix_for_k(q, kappa)
-        sol = _solve_mix(inst, s_bound=min(s_cert, kappa), cap=cap)
+        sol = _solve_mix(inst, s_bound=min(q.s_bound, kappa), cap=cap)
         if sol.objective <= kappa - q.gamma:
             hi = kappa
         else:
             lo = kappa + 1
-    if _phi(tasks, q.gamma, lo) > lo:
-        raise InternalInvariantViolated(f"jitter-free search returned infeasible t={lo}")
-    return lo
+    return _least_fixed_point(q, lo, "jitter-free search")
 
 
 _DISPATCH = {
@@ -402,19 +403,15 @@ _DISPATCH = {
 def compute_response(q: ResponseQuery, algorithm: Algorithm = "auto", cap: int | None = None) -> int:
     """Run the selected algorithm; "auto" picks the fastest applicable one."""
     if algorithm == "auto":
-        tasks = q.interferers()
-        if is_harmonic([t.p for t in tasks]):
-            return response_harmonic(q, cap=cap)
-        if all(t.jitter == 0 for t in tasks):
-            return response_jitter_free(q, cap=cap)
-        return response_turing(q, cap=cap)
-    if algorithm == "harmonic":
-        return response_harmonic(q, cap=cap)
-    try:
-        fn = _DISPATCH[algorithm]
-    except KeyError:
-        raise InvalidInstance(f"unknown algorithm {algorithm!r}") from None
-    return fn(q, cap)
+        if is_harmonic([t.p for t in q.tasks]):
+            algorithm = "harmonic"
+        elif all(t.jitter == 0 for t in q.tasks):
+            algorithm = "jitter-free"
+        else:
+            algorithm = "turing"
+    if algorithm not in _DISPATCH:
+        raise InvalidInstance(f"unknown algorithm {algorithm!r}")
+    return _DISPATCH[algorithm](q, cap=cap)
 
 
 @dataclass(frozen=True)

@@ -7,7 +7,10 @@ enumeration of s, and the dual maximum by enumerating its own program.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume
 from hypothesis import strategies as st
 
 from rtmix.core import Task, TaskSystem, ceil_div
@@ -72,21 +75,13 @@ def small_task_systems(draw, max_n: int = 4, p_max: int = 12, zero_jitter: bool 
         c = draw(st.integers(1, p))
         jitter = 0 if zero_jitter else draw(st.integers(0, p))
         tasks.append(Task(c, p, jitter, p))
-    ts = TaskSystem(tasks)
-    hp = sum(t.c / t.p for t in tasks[:-1])
-    if hp >= 1:  # keep only instances passing the utilization gate
-        from hypothesis import assume
-
-        assume(False)
-    return ts
+    # keep only instances passing the utilization gate, decided exactly
+    assume(sum(Fraction(t.c, t.p) for t in tasks[:-1]) < 1)
+    return TaskSystem(tasks)
 
 
 @st.composite
 def bounded_mix_instances(draw, max_n: int = 5, a_max: int = 16, harmonic: bool = False):
-    from fractions import Fraction
-
-    from hypothesis import assume
-
     n = draw(st.integers(0, max_n))
     if harmonic:
         caps = []

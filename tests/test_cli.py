@@ -283,14 +283,81 @@ class TestMagnitudeCap:
         assert "OverflowLimit" in out
 
 
-class TestBench:
-    @pytest.mark.parametrize("suite", ["rta-harmonic", "mix-harmonic"])
-    def test_suites_report_counters(self, capsys, suite):
-        code, out = run_cli(capsys, "bench", "--suite", suite, "--seed", "3")
-        assert code == 0
-        rows = last_json(out)["result"]
-        assert rows and all("counters" in r and "seconds" in r for r in rows)
-        assert all(r["counters"]["mixing_ops"] > 0 for r in rows)
+# `rtmix blockip encode-rtc` of the system [(c=1, p=2), (c=1, p=4)], jitter 0
+FOUR_BLOCK = {"n": 1, "r": 1, "s": 1, "t": 2, "q": 1, "D": [[1]], "C": [[[-1, 0]]],
+              "B": [[[-1]]], "A": [[[2, -1]]], "b0": 1, "rhs": [[0]], "w0": [1], "j": 1,
+              "wj": [0, 0], "u": [4, 3, 1]}
+
+
+class TestErrorExitCodes:
+    """Every RTMixError leaves as a JSON error object with its documented exit code."""
+
+    @pytest.mark.parametrize(
+        "argv, env, code, error",
+        [
+            (["sim", "run", "--input", "{demo}", "--releases", "{releases}", "--horizon", "3"],
+             {}, 2, "HorizonTooSmall"),
+            (["gen", "random", "--seed", "1", "--n", "40", "--p-max", "2"], {}, 3, "GenerationFailed"),
+            (["rta", "compute", "--input", "{demo}"], {"RTMIX_LIMIT_BITS": "abc"}, 2, "InvalidInstance"),
+            (["rta", "compute", "--input", "{demo}"], {"RTMIX_LIMIT_BITS": "\u00b2"}, 2, "InvalidInstance"),
+            (["rta", "compute", "--input", "{demo}"], {"broken": True}, 4,
+             "InternalInvariantViolated"),
+        ],
+        ids=["horizon-too-small", "generation-failed", "limit-bits-not-a-number",
+             "limit-bits-superscript-digit", "internal-error"],
+    )
+    def test_error_maps_to_exit_code(
+        self, capsys, tmp_path, monkeypatch, demo_file, argv, env, code, error
+    ):
+        from rtmix.errors import InternalInvariantViolated
+
+        releases = tmp_path / "releases.json"
+        releases.write_text(json.dumps({"releases": [[{"arrival": 0, "release": 0}], [], []]}))
+        argv = [a.format(demo=demo_file, releases=releases) for a in argv]
+        if env.pop("broken", False):
+            def broken(*args, **kwargs):
+                raise InternalInvariantViolated("certified identity failed")
+
+            monkeypatch.setattr("rtmix.cli.rta.analyze_system", broken)
+        for name, value in env.items():
+            monkeypatch.setenv(name, value)
+        assert main(argv) == code
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report.keys() == {"error", "message"} and report["error"] == error
+        assert "Traceback" not in captured.out + captured.err
+
+
+class TestIntegerFieldsOnly:
+    def test_unchanged_program_solves(self, capsys, tmp_path):
+        path = tmp_path / "prog.json"
+        path.write_text(json.dumps(FOUR_BLOCK))
+        code, out = run_cli(capsys, "blockip", "solve", "--input", str(path))
+        assert code == 0 and last_json(out)["result"]["objective"] == 2
+
+    @pytest.mark.parametrize(
+        "command, payload",
+        [
+            ("rta", {"tasks": [{"c": True, "d": None, "p": 4, "jitter": 0}]}),
+            ("rta", {"tasks": [{"c": 1, "d": None, "p": 4.0, "jitter": 0}]}),
+            ("mix", {"w0": 1, "terms": [{"w": 1, "a": 2, "b": 2.5}]}),
+            ("mix", {"w0": True, "terms": [{"w": 1, "a": 2, "b": 3}]}),
+            ("blockip", {**FOUR_BLOCK, "D": [[1.5]]}),
+            ("blockip", {**FOUR_BLOCK, "u": [2.5, 3, 1]}),
+            ("blockip", {**FOUR_BLOCK, "A": [[["x", -1]]]}),
+            ("blockip", {**FOUR_BLOCK, "b0": True}),
+            ("blockip", {**FOUR_BLOCK, "D": 1}),
+        ],
+        ids=["bool-cost", "float-period", "float-rhs", "bool-w0", "float-D", "float-u",
+             "str-A", "bool-b0", "D-not-a-matrix"],
+    )
+    def test_rejected_with_exit_2(self, capsys, tmp_path, command, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        sub = {"rta": "compute", "mix": "solve", "blockip": "solve"}[command]
+        code, out = run_cli(capsys, command, sub, "--input", str(path))
+        assert code == 2
+        assert last_json(out)["error"] == "InvalidInstance"
 
 
 class TestTextFormat:

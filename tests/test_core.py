@@ -186,6 +186,11 @@ class TestBounds:
         with pytest.raises(OverflowLimit):
             lcm_capped([7, 9])
 
+    @pytest.mark.parametrize("raw", [" 4", "+4", "4\n"])
+    def test_magnitude_cap_env_accepts_what_int_parses(self, monkeypatch, raw):
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", raw)
+        assert magnitude_cap() == 15
+
 
 class TestJitterFreeBounds:
     def test_two_equal_periods(self):

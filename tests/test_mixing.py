@@ -11,16 +11,16 @@ from conftest import bounded_mix_instances, mix_enum_oracle
 from rtmix.gen import random_mix_instance, tight_mixing_instance
 from rtmix.mixing import (
     MixInstance,
+    certified_s_bound,
     complete,
     is_unbounded,
     objective_at,
-    s_search_bound,
     shift_identity_check,
     solve_breakpoints,
     solve_bruteforce,
     solve_harmonic,
 )
-from rtmix.errors import InvalidInstance, PreconditionViolated, Unbounded
+from rtmix.errors import InvalidInstance, OverflowLimit, PreconditionViolated, Unbounded
 
 
 TIGHT2 = MixInstance(1, [(2, 4, 7), (4, 8, 7)])
@@ -82,24 +82,33 @@ class TestUnbounded:
 
 class TestSearchBound:
     def test_tight_family_attains_lcm_minus_one(self):
-        assert s_search_bound(TIGHT2) == 7
+        assert certified_s_bound(TIGHT2) == 7
         assert solve_bruteforce(TIGHT2).s == 7
 
     def test_strict_utilization_intersection(self):
         # lcm(2,4)-1 = 3 beats the utilization bound ceil(2/(1-3/4)) = 8
         inst = MixInstance(1, [(1, 2, 5), (1, 4, 5)])
-        assert s_search_bound(inst) == 3
+        assert certified_s_bound(inst) == 3
 
     def test_zero_weights_pin_s_to_zero(self):
         inst = MixInstance(1, [(0, 5, 3)])
-        assert s_search_bound(inst) == 0
+        assert certified_s_bound(inst) == 0
         assert solve_bruteforce(inst).s == 0
+
+    def test_over_cap_lcm_needs_a_utilization_bound_within_the_cap(self):
+        inst = MixInstance(1, [(1, 4, 7), (1, 5, 7)])  # lcm 20; ceil(2 / (1 - 9/20)) = 4
+        assert certified_s_bound(inst, cap=10) == 4
+        assert solve_bruteforce(inst, cap=10) == solve_bruteforce(inst)
+        with pytest.raises(OverflowLimit):
+            certified_s_bound(inst, cap=3)
+        with pytest.raises(OverflowLimit):
+            certified_s_bound(TIGHT2, cap=4)  # weight utilization 1: no second bound
 
     @given(bounded_mix_instances())
     def test_bound_is_sound(self, inst):
         # the smallest optimal s (found by scanning a full lcm period) never
         # escapes the certified bound
-        bound = s_search_bound(inst)
+        bound = certified_s_bound(inst)
         m = math.lcm(*inst.capacities()) if inst.terms else 1
         _, s = mix_enum_oracle(inst, max(bound, m))
         assert s <= bound

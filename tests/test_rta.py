@@ -2,6 +2,8 @@
 the harmonic walk, the residue scan, and the bounded searches."""
 
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,9 @@ from hypothesis import strategies as st
 
 from conftest import dual_max_oracle, response_scan_oracle, small_task_systems
 from rtmix.core import Task, TaskSystem, bounds_from_parts, ceil_div
+from rtmix import counters, mixing, rta
 from rtmix.errors import (
+    InvalidInstance,
     PreconditionKTooSmall,
     PreconditionViolated,
     UtilizationExceeded,
@@ -42,6 +46,39 @@ def extreme3():
 def full_query(ts, gamma=None):
     n = len(ts.tasks)
     return ResponseQuery(ts, range(n - 1), ts.tasks[-1].c if gamma is None else gamma)
+
+
+class TestCompiledQuery:
+    def test_holds_interferers_utilization_bounds_and_s(self, demo_system):
+        q = ResponseQuery(demo_system, (1, 0, 1), 13)
+        assert q.indices == (0, 1)
+        assert q.tasks == q.interferers() == demo_system.tasks[:2]
+        assert q.bounds.utilization == Fraction(15, 65) + Fraction(7, 30)
+        assert q.bounds == bounds_from_parts(13, q.tasks)
+        assert q.s_bound == certified_s_bound(build_mix_for_k(q, 1)) == 42
+
+    @pytest.mark.parametrize("gamma", [0, True, 2.0, "3"])
+    def test_gamma_must_be_a_positive_integer(self, demo_system, gamma):
+        with pytest.raises(InvalidInstance):
+            ResponseQuery(demo_system, (0,), gamma)
+
+    def test_walk_bounds_once_and_validates_once_per_solve(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((rta, "bounds_from_parts"), (mixing, "certified_s_bound"),
+                             (mixing, "validate")):
+            def counted(*args, _real=getattr(module, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+        q = full_query(random_system(3, 6, 256, harmonic=True))
+        assert calls == {"bounds_from_parts": 1, "certified_s_bound": 1}
+        calls.clear()
+        with counters.collect() as ops:
+            response_harmonic(q)
+        # every probe derives from q: no bounds, and one validation per mixing solve
+        assert ops.decision_probes > 1
+        assert calls == {"validate": ops.mixing_calls}
 
 
 class TestBruteforce:
