@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """Print the result and the operation counters of `rtmix` on a seeded suite.
 
-Runs `rtmix rta compute` under every algorithm that applies and
-`rtmix mix solve` under all four algorithms, through `rtmix.cli.main`, and
+Runs `rtmix rta compute` under every algorithm that applies, `rtmix mix
+solve` under all four algorithms, and `rtmix blockip encode-rtc` followed by
+`rtmix blockip solve` on the encoded program, through `rtmix.cli.main`, and
 prints one JSON line per run: the input, the command, the exit code, and the
-report's `result` and `counters` (or its error object).  Timings are left
-out, so two checkouts that compute the same thing print the same lines:
+report's `result` and `counters` (the encoded program for `encode-rtc`, the
+error object for a failed run).  Timings are left out, so two checkouts that
+compute the same thing print the same lines:
 
     PYTHONPATH=src python3 scripts/result_digest.py > new.jsonl
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/result_digest.py > old.jsonl
@@ -26,6 +28,7 @@ from rtmix.cli import main as cli_main
 LCM_SCAN_LIMIT = 5000  # lcm-scan runs only where the lcm of the periods is at most this
 SYSTEMS = 240  # seeded `gen random` systems, besides the 10 `gen extreme` ones
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
+BLOCKIP = 60  # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16
 
 
 def run(argv: list[str]) -> dict:
@@ -35,6 +38,8 @@ def run(argv: list[str]) -> dict:
     report = json.loads(out.getvalue())
     if "error" in report:
         return {"code": code, "error": report}
+    if "result" not in report:  # an encoder prints the program it made
+        return {"code": code, "program": report}
     return {"code": code, "result": report["result"], "counters": report.get("counters")}
 
 
@@ -50,6 +55,15 @@ def systems(count: int):
         for jitters in ("p", "zero"):
             ts = gen.construct_extreme(cs, p1, jitters, deadlines="p")
             yield f"extreme cs={cs} p1={p1} jitter={jitters}", ts
+
+
+def jitter_free_systems(count: int):
+    for seed in range(count):
+        n = 2 + seed % 2
+        p_max = (8, 16)[seed // 2 % 2]
+        harmonic = seed // 4 % 2 == 0
+        yield f"random seed={seed} n={n} p_max={p_max} harmonic={harmonic} zero", \
+            gen.random_system(seed, n, p_max, harmonic=harmonic, jitter_mode="zero")
 
 
 def mix_instances(count: int):
@@ -71,6 +85,10 @@ def crowded(inst):
     return MixInstance(inst.w0, terms)
 
 
+def system_dict(ts) -> dict:
+    return {"tasks": [{"c": t.c, "d": t.d, "p": t.p, "jitter": t.jitter} for t in ts.tasks]}
+
+
 def write(path: str, payload: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh)
@@ -80,9 +98,9 @@ def main() -> int:
     lines = 0
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
+        program = os.path.join(tmp, "program.json")
         for name, ts in systems(SYSTEMS):
-            tasks = [{"c": t.c, "d": t.d, "p": t.p, "jitter": t.jitter} for t in ts.tasks]
-            write(path, {"tasks": tasks})
+            write(path, system_dict(ts))
             periods = [t.p for t in ts.tasks]
             algorithms = ["auto", "bruteforce", "turing"]
             if is_harmonic(periods):
@@ -103,6 +121,16 @@ def main() -> int:
                     out = run(["mix", "solve", "--input", path, "--algorithm", algorithm])
                     print(json.dumps({"input": name + label, "cmd": f"mix solve {algorithm}", **out}))
                     lines += 1
+        for name, ts in jitter_free_systems(BLOCKIP):
+            write(path, system_dict(ts))
+            out = run(["blockip", "encode-rtc", "--input", path])
+            print(json.dumps({"input": name, "cmd": "blockip encode-rtc", **out}))
+            lines += 1
+            if "program" in out:
+                write(program, out["program"])
+                out = run(["blockip", "solve", "--input", program])
+                print(json.dumps({"input": name, "cmd": "blockip solve", **out}))
+                lines += 1
     print(f"{lines} runs", file=sys.stderr)
     return 0
 

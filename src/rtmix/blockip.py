@@ -25,6 +25,7 @@ task with equality p_i*x_i - t - z_i = 0, and coupling t - sum c_i*x_i >= c_n.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -287,18 +288,14 @@ def solve_simple_4block(
     """
     if H is None:
         H = _default_objective_bound(p)
-    lo, hi = -H, H
-    value = solve_2stage_desk(transform_to_2stage(p, hi), node_budget)
-    if value is None or value < p.b0:
+
+    def reaches(k: int) -> bool:
+        value = solve_2stage_desk(transform_to_2stage(p, k), node_budget)
+        return value is not None and value >= p.b0
+
+    if not reaches(H):
         raise Infeasible(f"no objective value in [-{H}, {H}] satisfies the coupling bound")
-    while lo < hi:
-        mid = (lo + hi) // 2
-        value = solve_2stage_desk(transform_to_2stage(p, mid), node_budget)
-        if value is not None and value >= p.b0:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return -H + bisect.bisect_left(range(-H, H), True, key=reaches)
 
 
 def _default_objective_bound(p: SimpleFourBlock) -> int:
@@ -328,7 +325,7 @@ def rtc_inequality_matrix(ts: TaskSystem) -> tuple[Matrix, tuple[int, ...]]:
     return tuple(rows), tuple(rhs)
 
 
-def encode_rtc_as_4block(ts: TaskSystem, cap: int | None = None) -> SimpleFourBlock:
+def encode_rtc_as_4block(ts: TaskSystem) -> SimpleFourBlock:
     """Jitter-free response-time computation as a simple 4-block program.
 
     First stage: the candidate time t, box [0, u] from the certified bounds.
@@ -339,7 +336,7 @@ def encode_rtc_as_4block(ts: TaskSystem, cap: int | None = None) -> SimpleFourBl
     validate(ts)
     if any(t.jitter != 0 for t in ts.tasks):
         raise PreconditionViolated("4-block encoding requires a jitter-free system")
-    bounds = bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1], cap)  # the utilization gate
+    bounds = bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1])  # the utilization gate
     u_t = bounds.u
     interferers = ts.tasks[:-1]
     n = len(interferers)

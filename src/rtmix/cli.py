@@ -162,16 +162,21 @@ def _write_instance(payload: dict, args) -> tuple[int, dict]:
     return EXIT_OK, {}
 
 
+def _integers(text: str, flag: str) -> list[int]:
+    try:
+        return [int(v) for v in text.split(",")]
+    except ValueError:
+        raise InvalidInstance(f"{flag} takes comma-separated integers, got {text!r}") from None
+
+
 def _cmd_gen_extreme(args) -> tuple[int, dict]:
-    cs = [int(v) for v in args.c.split(",")] if args.c else []
+    cs = _integers(args.c, "--c") if args.c else []
     if args.n != len(cs) + 2:
         raise InvalidInstance(
             f"--n {args.n} is inconsistent with {len(cs)} leading costs "
             f"(need n - 2 = {args.n - 2})"
         )
-    jitters = args.jitter if args.jitter in ("p", "zero") else [
-        int(v) for v in args.jitter.split(",")
-    ]
+    jitters = args.jitter if args.jitter in ("p", "zero") else _integers(args.jitter, "--jitter")
     ts = gen.construct_extreme(cs, args.p1, jitters, deadlines=args.deadline)
     return _write_instance(jsonio.task_system_to_dict(ts), args)
 

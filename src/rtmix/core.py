@@ -62,9 +62,13 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def lcm_capped(values: Iterable[int], cap: int | None = None) -> int:
-    """lcm of positive integers, raising OverflowLimit past the magnitude cap."""
-    limit = magnitude_cap() if cap is None else cap
+def lcm_capped(values: Iterable[int]) -> int:
+    """lcm of positive integers, raising OverflowLimit past the magnitude cap.
+
+    Every lcm in the package is taken here, and each call reads the cap from
+    RTMIX_LIMIT_BITS afresh (`magnitude_cap`).
+    """
+    limit = magnitude_cap()
     acc = 1
     for v in values:
         if v < 1:
@@ -199,11 +203,7 @@ class BoundsResult:
     utilization: Fraction
 
 
-def bounds_from_parts(
-    gamma: int,
-    interferers: Sequence[Task],
-    cap: int | None = None,
-) -> BoundsResult:
+def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
     """Bounds for the least t with t >= gamma + sum c_i*ceil((t+jitter_i)/p_i)."""
     util = utilization(interferers)
     if util >= 1:
@@ -212,25 +212,25 @@ def bounds_from_parts(
     cost_sum = sum(t.c for t in interferers)
     ell = (gamma + fraction_sum((t.jitter * t.c, t.p) for t in interferers)) / slack
     u1 = ell + cost_sum / slack
-    m = lcm_capped((t.p for t in interferers), cap)
+    m = lcm_capped(t.p for t in interferers)
     u2 = math.ceil((gamma + cost_sum) / (slack * m)) * m
     return BoundsResult(ell, u1, u2, min(math.ceil(u1), u2), util)
 
 
-def response_bounds(ts: TaskSystem, cap: int | None = None) -> BoundsResult:
+def response_bounds(ts: TaskSystem) -> BoundsResult:
     """Bounds on the response time of the lowest-priority task."""
     validate(ts)
-    return bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1], cap)
+    return bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1])
 
 
-def jitter_free_bounds(ts: TaskSystem, cap: int | None = None) -> tuple[Fraction, int]:
+def jitter_free_bounds(ts: TaskSystem) -> tuple[Fraction, int]:
     """(lower, P) with c_n/(1-U) <= r_n <= P = lcm of all periods; requires jitter 0."""
     validate(ts)
     if any(t.jitter != 0 for t in ts.tasks):
         raise PreconditionViolated("jitter-free bounds require jitter = 0 for every task")
     slack = 1 - check_general_utilization_bound(ts).higher_priority
     lower = Fraction(ts.tasks[-1].c) / slack
-    period = lcm_capped(ts.periods(), cap)
+    period = lcm_capped(ts.periods())
     return lower, period
 
 
@@ -242,14 +242,14 @@ class WidthCertificate:
     holds: bool
 
 
-def interval_width_certificates(ts: TaskSystem, cap: int | None = None) -> tuple[WidthCertificate, ...]:
+def interval_width_certificates(ts: TaskSystem) -> tuple[WidthCertificate, ...]:
     """Certify the pseudo-polynomial width of the bound interval.
 
     u1 - ell <= p_max**n always; under the schedulability bound
     (total utilization <= 1) additionally u1 - ell <= p_max**2 and
     u1 <= 2*p_max**2.  A failed certificate is an arithmetic bug.
     """
-    b = response_bounds(ts, cap)
+    b = response_bounds(ts)
     p_max = max(ts.periods())
     n = len(ts.tasks)
     checks = [WidthCertificate("width_le_pmax_pow_n", b.u1 - b.ell, p_max**n, b.u1 - b.ell <= p_max**n)]

@@ -14,7 +14,7 @@ import json
 from typing import Any
 
 from .blockip import SimpleFourBlock
-from .core import Task, TaskSystem, validate
+from .core import Task, TaskSystem, is_integer, validate
 from .errors import InvalidInstance
 from .mixing import MixInstance, MixSolution
 from .mixing import validate as validate_mix
@@ -90,9 +90,15 @@ def release_pattern_to_dict(rp: ReleasePattern) -> dict:
 
 
 def release_pattern_from_dict(data: Any) -> ReleasePattern:
-    _require(isinstance(data, dict) and "releases" in data, "expected {'releases': [...]}")
+    _require(isinstance(data, dict) and isinstance(data.get("releases"), list),
+             "expected {'releases': [[...], ...]}")
     jobs = []
     for per_task in data["releases"]:
+        _require(isinstance(per_task, list), "each task's releases must be a list")
+        for e in per_task:
+            _require(isinstance(e, dict) and is_integer(e.get("arrival"))
+                     and is_integer(e.get("release")),
+                     "each release must be an object with integer 'arrival' and 'release'")
         jobs.append([(e["arrival"], e["release"]) for e in per_task])
     return ReleasePattern(jobs)
 

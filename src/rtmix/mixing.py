@@ -109,7 +109,7 @@ def is_unbounded(inst: MixInstance) -> bool:
     return weight_utilization(inst) > inst.w0
 
 
-def certified_s_bound(inst: MixInstance, cap: int | None = None) -> int:
+def certified_s_bound(inst: MixInstance) -> int:
     """An integer S with some optimal s <= S, for a bounded instance.
 
     Always lcm(a) - 1; when sum w_i/a_i < w0 strictly (and w0 >= 1) also
@@ -124,9 +124,9 @@ def certified_s_bound(inst: MixInstance, cap: int | None = None) -> int:
         weight_sum = sum(t.w for t in inst.terms)
         util_bound = math.ceil(weight_sum / (inst.w0 - util))
     try:
-        lcm_bound = lcm_capped(inst.capacities(), cap) - 1
+        lcm_bound = lcm_capped(inst.capacities()) - 1
     except OverflowLimit:
-        if util_bound is None or util_bound > (magnitude_cap() if cap is None else cap):
+        if util_bound is None or util_bound > magnitude_cap():
             raise
         return util_bound
     return lcm_bound if util_bound is None else min(lcm_bound, util_bound)
@@ -142,14 +142,12 @@ def _finalize(s: int, inst: MixInstance) -> MixSolution:
     return sol
 
 
-def solve_bruteforce(
-    inst: MixInstance, *, s_bound: int | None = None, cap: int | None = None
-) -> MixSolution:
+def solve_bruteforce(inst: MixInstance, *, s_bound: int | None = None) -> MixSolution:
     """Global optimum by scanning s = 0 .. bound; smallest optimal s wins ties."""
     validate(inst)
     if is_unbounded(inst):
         raise Unbounded("sum w_i/a_i exceeds w0")
-    hi = certified_s_bound(inst, cap) if s_bound is None else s_bound
+    hi = certified_s_bound(inst) if s_bound is None else s_bound
     counters.bump("mixing_calls")
     best_s, best_obj = 0, objective_at(0, inst)
     for s in range(1, hi + 1):
@@ -160,7 +158,7 @@ def solve_bruteforce(
     return _finalize(best_s, inst)
 
 
-def solve_breakpoints(inst: MixInstance, cap: int | None = None) -> MixSolution:
+def solve_breakpoints(inst: MixInstance) -> MixSolution:
     """Exact fallback testing only candidate s values where some ceiling drops.
 
     Between breakpoints the objective is linear with slope w0 >= 0, so every
@@ -170,7 +168,7 @@ def solve_breakpoints(inst: MixInstance, cap: int | None = None) -> MixSolution:
     validate(inst)
     if is_unbounded(inst):
         raise Unbounded("sum w_i/a_i exceeds w0")
-    m = lcm_capped(inst.capacities(), cap)
+    m = lcm_capped(inst.capacities())
     candidates = {0, m - 1}
     for t in inst.terms:
         candidates.update(range(t.b % t.a, m, t.a))
@@ -184,7 +182,7 @@ def solve_breakpoints(inst: MixInstance, cap: int | None = None) -> MixSolution:
     return _finalize(best_s, inst)
 
 
-def solve_harmonic(inst: MixInstance, cap: int | None = None) -> MixSolution:
+def solve_harmonic(inst: MixInstance) -> MixSolution:
     """Global optimum for a divisibility chain of capacities.
 
     Works top-down over distinct capacities a (largest first) on windows
@@ -251,14 +249,14 @@ class ShiftCheck:
     checked_backward: bool
 
 
-def shift_identity_check(inst: MixInstance, s: int, cap: int | None = None) -> ShiftCheck:
+def shift_identity_check(inst: MixInstance, s: int) -> ShiftCheck:
     """Verify x_i(s +- m) = x_i(s) -+ m/a_i for m = lcm of the capacities.
 
     The backward direction is skipped when s - m < 0.  Used by the property
     suite; a failure means the ceiling arithmetic itself is broken.
     """
     validate(inst)
-    m = lcm_capped(inst.capacities(), cap)
+    m = lcm_capped(inst.capacities())
     base = complete(s, inst).x
     fwd = complete(s + m, inst).x
     for t, xb, xf in zip(inst.terms, base, fwd):

@@ -19,13 +19,17 @@ b_i - beta becomes the release jitter.  This module applies that identity:
 
 All of these fix w0 = 1 (rescaling would change the integrality of the dual
 query) and reject anything else.  Each public function validates its
-instance once, at entry; the response queries it builds are validated by
-`rta.ResponseQuery` and answered by `rta.compute_response`, the same
-algorithm selector `rtmix rta compute --algorithm auto` uses.
+instance once, at entry, and `mix_leq_via_rtc` is the checked form of one
+decision.  Inside a solve the instance and beta stay fixed, so the binary
+search builds its pseudo-tasks once and probes without re-checking; only the
+response query, whose bounds depend on the dual constant, is built per probe.
+The queries are answered by `rta.compute_response`, the same algorithm
+selector `rtmix rta compute --algorithm auto` uses.
 """
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 
 from . import mixing, rta
@@ -69,43 +73,38 @@ def _pseudo_tasks(inst: mixing.MixInstance, beta: int) -> tuple[Task, ...]:
     return tuple(kept)
 
 
-def _response_leq(
-    inst: mixing.MixInstance, beta: int, gamma: int, cap: int | None
-) -> tuple[bool, int | None]:
-    """Decide whether the dual response at `gamma` is <= beta, returning the
-    response value when finite.
+def _response_leq(tasks: tuple[Task, ...], beta: int, gamma: int) -> tuple[bool, int | None]:
+    """Decide whether the dual response of `tasks` at `gamma` is <= beta,
+    returning the response value when finite.
 
     At weight utilization exactly 1 the response may not exist; then
     t -> t + m changes workload by exactly m, so each residue class modulo
     m = lcm(a) is feasible iff its smallest member is, and a residue scan
     settles the decision.
     """
-    tasks = _pseudo_tasks(inst, beta)
     if utilization(tasks) < 1:
         q = rta.ResponseQuery(TaskSystem(tasks), range(len(tasks)), gamma)
-        r = rta.compute_response(q, cap=cap)
+        r = rta.compute_response(q)
         return r <= beta, r
-    m = lcm_capped((t.p for t in tasks), cap)
+    m = lcm_capped(t.p for t in tasks)
     for rho in range(m):
         if workload(tasks, gamma, rho) <= rho:
             return rho <= beta, rho
     return False, None
 
 
-def mix_leq_via_rtc(
-    inst: mixing.MixInstance, beta: int, k: int, cap: int | None = None
-) -> bool:
+def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
     """Decide Mix(I, beta) <= k by computing response(I, beta - k) and
     comparing with beta.  Requires the jitter encoding 0 <= b_i - beta <= a_i,
     beta at or above the certified s bound, and beta - k >= 1."""
     _validate(inst)
     if beta - k < 1:
         raise PreconditionViolated(f"need beta - k >= 1, got beta={beta}, k={k}")
-    if beta < mixing.certified_s_bound(inst, cap):
+    if beta < mixing.certified_s_bound(inst):
         raise PreconditionViolated(
             f"beta={beta} is below the certified bound on optimal s"
         )
-    verdict, _ = _response_leq(inst, beta, beta - k, cap)
+    verdict, _ = _response_leq(_pseudo_tasks(inst, beta), beta, beta - k)
     return verdict
 
 
@@ -118,25 +117,24 @@ def _witness(inst: mixing.MixInstance, s: int, expect: int) -> mixing.MixSolutio
     return sol
 
 
-def _least_k(
-    inst: mixing.MixInstance, beta: int, hi: int, cap: int | None
-) -> mixing.MixSolution:
+def _least_k(inst: mixing.MixInstance, beta: int, hi: int) -> mixing.MixSolution:
     """The least k in [0, hi] with Mix(I, beta) <= k, by binary search over
-    `mix_leq_via_rtc`, and its witness s = beta - response(I, beta - k)."""
-    lo = 0
-    while lo < hi:
-        mid = (lo + hi) // 2  # mid <= beta - 1, so the dual constant stays >= 1
-        if mix_leq_via_rtc(inst, beta, mid, cap):
-            hi = mid
-        else:
-            lo = mid + 1
-    if lo == beta:
-        return _witness(inst, beta, lo)
-    _, r = _response_leq(inst, beta, beta - lo, cap)
-    return _witness(inst, beta - r, lo)
+    the decision of `mix_leq_via_rtc`, and its witness
+    s = beta - response(I, beta - k).  The caller has checked the instance
+    and beta; every probe k <= hi - 1 <= beta - 1 keeps the dual constant >= 1."""
+    tasks = _pseudo_tasks(inst, beta)
+
+    def leq(k: int) -> bool:
+        return _response_leq(tasks, beta, beta - k)[0]
+
+    k = bisect.bisect_left(range(hi), True, key=leq)
+    if k == beta:
+        return _witness(inst, beta, k)
+    _, r = _response_leq(tasks, beta, beta - k)
+    return _witness(inst, beta - r, k)
 
 
-def solve_crowded(inst: mixing.MixInstance, cap: int | None = None) -> mixing.MixSolution:
+def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
     """Optimum for crowded right-hand sides: lcm(a) <= b_i <= b_min + a_i.
 
     Sets beta = b_min, jitter_i = b_i - beta, then binary-searches the least
@@ -151,7 +149,7 @@ def solve_crowded(inst: mixing.MixInstance, cap: int | None = None) -> mixing.Mi
         raise Unbounded("weight utilization exceeds 1")
     if not inst.terms:
         return mixing.complete(0, inst)
-    m = lcm_capped(inst.capacities(), cap)
+    m = lcm_capped(inst.capacities())
     b_min = min(t.b for t in inst.terms)
     b_max = max(t.b for t in inst.terms)
     for idx, t in enumerate(inst.terms):
@@ -160,8 +158,8 @@ def solve_crowded(inst: mixing.MixInstance, cap: int | None = None) -> mixing.Mi
                 f"term {idx}: crowded right-hand side needs lcm <= b <= b_min + a"
             )
     beta = b_min
-    if mix_leq_via_rtc(inst, beta, beta - 1, cap):
-        return _least_k(inst, beta, beta - 1, cap)
+    if mix_leq_via_rtc(inst, beta, beta - 1):
+        return _least_k(inst, beta, beta - 1)
     # optimum in [beta, b_max]: maximize the dual objective directly
     tasks = _pseudo_tasks(inst, beta)
     best_t, best_val = None, None
@@ -175,7 +173,7 @@ def solve_crowded(inst: mixing.MixInstance, cap: int | None = None) -> mixing.Mi
     return _witness(inst, beta - best_t, opt)
 
 
-def solve_general_via_shift(inst: mixing.MixInstance, cap: int | None = None) -> mixing.MixSolution:
+def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
     """Arbitrary right-hand sides: shift each b_i up to the crowded window
     [m, m + a_i], solve the crowded instance, and subtract the shift cost."""
     _validate(inst)
@@ -183,15 +181,15 @@ def solve_general_via_shift(inst: mixing.MixInstance, cap: int | None = None) ->
         raise PreconditionViolated("instance is unbounded")
     if not inst.terms:
         return mixing.complete(0, inst)
-    rec = shift_record(inst, cap)
+    rec = shift_record(inst)
     terms = [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)]
-    crowded = solve_crowded(mixing.MixInstance(1, terms), cap)
+    crowded = solve_crowded(mixing.MixInstance(1, terms))
     return _witness(inst, crowded.s, crowded.objective - rec.objective_correction)
 
 
-def shift_record(inst: mixing.MixInstance, cap: int | None = None) -> ShiftRecord:
+def shift_record(inst: mixing.MixInstance) -> ShiftRecord:
     """Offsets ceil((m - b_i)/a_i) and the objective correction they cost."""
-    m = lcm_capped(inst.capacities(), cap)
+    m = lcm_capped(inst.capacities())
     offsets = tuple(ceil_div(m - t.b, t.a) for t in inst.terms)
     for t, off in zip(inst.terms, offsets):
         shifted = t.b + off * t.a
@@ -203,9 +201,7 @@ def shift_record(inst: mixing.MixInstance, cap: int | None = None) -> ShiftRecor
     return ShiftRecord(m, offsets, correction)
 
 
-def solve_constant_beta(
-    inst: mixing.MixInstance, beta: int, cap: int | None = None
-) -> mixing.MixSolution:
+def solve_constant_beta(inst: mixing.MixInstance, beta: int) -> mixing.MixSolution:
     """All right-hand sides equal to beta; inner queries are jitter-free.
 
     Requires beta >= a_max for harmonic capacities, beta >= lcm(a) otherwise.
@@ -223,6 +219,6 @@ def solve_constant_beta(
     if is_harmonic(caps):
         if beta < max(caps):
             raise PreconditionViolated(f"harmonic path needs beta >= a_max, got {beta}")
-    elif beta < lcm_capped(caps, cap):
+    elif beta < lcm_capped(caps):
         raise PreconditionViolated(f"general path needs beta >= lcm(a), got {beta}")
-    return _least_k(inst, beta, beta, cap)
+    return _least_k(inst, beta, beta)

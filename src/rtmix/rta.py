@@ -25,18 +25,21 @@ a certified bound S on the optimal s of the mixing instance, hence:
 * `response_jitter_free`: with zero jitter (s=k, x=0) is always feasible for
   the mixing instance, so every k is decidable and a plain binary search works.
 
-Every algorithm takes a `ResponseQuery`, the one compiled form of a query.
-It is validated once, when it is built, and holds the interferer tuple, its
-`BoundsResult` (which carries the exact utilization) and its certified S,
-all computed then under the magnitude cap in force; no algorithm recomputes
-them.  The
-residual probes of `narrow`/`catch` are derived from the parent query with
-`ResponseQuery.residual`, without validation or bounds.  `compute_response`
-is the only algorithm selector; `reverse` calls it too.
+Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
+and no other setting.  A query is validated once, when it is built, and
+holds the interferer tuple, its `BoundsResult` (which carries the exact
+utilization) and its certified S, all computed then under the magnitude cap
+that RTMIX_LIMIT_BITS sets; no algorithm recomputes them.  `decide_large_k`
+always refuses a k below a query's S.  The residual probes of
+`narrow`/`catch` are derived from the parent query with
+`ResponseQuery.residual`, without validation, bounds or S; the walk keeps
+their periods below the probe instead.  `compute_response` is the only
+algorithm selector; `reverse` calls it too.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
 from typing import Literal, Sequence
@@ -100,8 +103,9 @@ class ResponseQuery:
 
     def residual(self, indices: tuple[int, ...], gamma: int) -> ResponseQuery:
         """The decision probe over a subset of this query's interferers with a
-        larger constant: no validation and no bounds (`bounds` and `s_bound`
-        are None), so it serves only `decide_large_k(..., skip_gate=True)`."""
+        larger constant, for the harmonic walk: no validation and no bounds.
+        `bounds` and `s_bound` are None, so `decide_large_k` applies no gate;
+        the walk keeps every residual period below its probe instead."""
         sub = object.__new__(ResponseQuery)
         tasks = tuple(self.system.tasks[i] for i in indices)
         sub._set(system=self.system, indices=indices, gamma=gamma, tasks=tasks,
@@ -131,20 +135,12 @@ class ProbeRecord:
     feasible: bool
 
 
-def _check_cap(q: ResponseQuery, cap: int | None) -> None:
-    """Hold the lcm of q's periods to an explicit cap; the cap in force when q
-    was built already holds it."""
-    if cap is not None:
-        lcm_capped((t.p for t in q.tasks), cap)
-
-
-def response_bruteforce(q: ResponseQuery, cap: int | None = None) -> int:
+def response_bruteforce(q: ResponseQuery) -> int:
     """Least fixed point of t -> gamma + sum c_i*ceil((t+jitter_i)/p_i),
     iterated upward from gamma.  Monotone, so it converges to the least
     feasible t; the certified upper bound doubles as an iteration guard."""
     if not q.indices:
         return q.gamma
-    _check_cap(q, cap)
     t = q.gamma
     while True:
         counters.bump("fixpoint_iters")
@@ -166,37 +162,29 @@ def build_mix_for_k(q: ResponseQuery, k: int) -> mixing.MixInstance:
     return mixing.MixInstance(1, [(t.c, t.p, k + t.jitter) for t in q.tasks])
 
 
-def _solve_mix(
-    inst: mixing.MixInstance, s_bound: int | None = None, cap: int | None = None
-) -> mixing.MixSolution:
+def _solve_mix(inst: mixing.MixInstance, s_bound: int | None) -> mixing.MixSolution:
     if is_harmonic(inst.capacities()):
-        return mixing.solve_harmonic(inst, cap)
-    return mixing.solve_bruteforce(inst, s_bound=s_bound, cap=cap)
+        return mixing.solve_harmonic(inst)
+    return mixing.solve_bruteforce(inst, s_bound=s_bound)
 
 
-def decide_large_k(
-    q: ResponseQuery,
-    k: int,
-    *,
-    skip_gate: bool = False,
-    cap: int | None = None,
-) -> DecisionOutcome:
+def decide_large_k(q: ResponseQuery, k: int) -> DecisionOutcome:
     """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma.
 
-    Valid only for k at or above the certified bound S (the gate); callers
-    that certify validity some other way (jitter-free reductions, the
-    harmonic walk) pass skip_gate=True.  A residual probe has no S of its
-    own, so its mixing solve certifies one if it needs it.
+    Valid only for k at or above the certified bound S, so a built query
+    refuses any smaller k (the gate).  A residual probe carries no S: the
+    harmonic walk that derives it certifies the reduction by construction
+    (every residual period lies below k, which `_decide_residual` checks),
+    and its mixing solve certifies an s bound of its own if it needs one.
     """
     if not q.indices:
         if k < 1:
             raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
         return DecisionOutcome(k >= q.gamma, k, mixing.MixSolution(0, (), 0))
-    # S is read only for the gate: residual probes carry none and always skip it.
-    if not skip_gate and k < q.s_bound:
+    if q.s_bound is not None and k < q.s_bound:
         raise PreconditionKTooSmall(k, q.s_bound)
     counters.bump("decision_probes")
-    sol = _solve_mix(build_mix_for_k(q, k), s_bound=q.s_bound, cap=cap)
+    sol = _solve_mix(build_mix_for_k(q, k), q.s_bound)
     return DecisionOutcome(sol.objective <= k - q.gamma, k, sol)
 
 
@@ -217,7 +205,6 @@ def _decide_residual(
     twos: list[int],
     residual: tuple[int, ...],
     trace: list[ProbeRecord] | None,
-    cap: int | None,
 ) -> bool:
     """Probe k with the multipliers of `ones` and `twos` forced to 1 and 2:
     Mix(residual, k) <= k - gamma'.  Residual periods lie below k by
@@ -227,7 +214,7 @@ def _decide_residual(
         raise InternalInvariantViolated("residual set contains a period >= probe")
     gamma_prime = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
     sub = q.residual(residual, gamma_prime)
-    feasible = decide_large_k(sub, k, skip_gate=True, cap=cap).verdict
+    feasible = decide_large_k(sub, k).verdict
     if trace is not None:
         forced = {j: 1 for j in ones} | {j: 2 for j in twos}
         trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
@@ -243,12 +230,7 @@ def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
     return t
 
 
-def narrow(
-    q: ResponseQuery,
-    *,
-    trace: list[ProbeRecord] | None = None,
-    cap: int | None = None,
-) -> int:
+def narrow(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
     """Bracket the response among the sorted distinct differences p_j - jitter_j,
     then hand the interval to `catch`.
 
@@ -263,17 +245,16 @@ def narrow(
     tasks = q.system.tasks
     if not is_harmonic([tasks[j].p for j in q.indices]):
         raise PreconditionViolated("harmonic walk requires harmonic periods over I")
-    _check_cap(q, cap)
     diffs = sorted({tasks[j].p - tasks[j].jitter for j in q.indices} - {0})
     prev = 0
     for k in diffs:
         ones = [j for j in q.indices if k <= tasks[j].p - tasks[j].jitter]
         twos = [j for j in q.indices if tasks[j].p - tasks[j].jitter < k <= tasks[j].p]
         residual = tuple(j for j in q.indices if tasks[j].p < k)
-        if _decide_residual(q, "narrow", k, ones, twos, residual, trace, cap):
-            return catch(q, prev + 1, k, trace=trace, cap=cap)
+        if _decide_residual(q, "narrow", k, ones, twos, residual, trace):
+            return catch(q, prev + 1, k, trace=trace)
         prev = k
-    return catch(q, prev + 1, q.bounds.u, trace=trace, cap=cap)
+    return catch(q, prev + 1, q.bounds.u, trace=trace)
 
 
 def catch(
@@ -282,42 +263,37 @@ def catch(
     right: int,
     *,
     trace: list[ProbeRecord] | None = None,
-    cap: int | None = None,
 ) -> int:
     """Binary search for the least feasible t in [left, right].
 
     Precondition (guaranteed by `narrow`): the response lies in the interval
     and no difference p_j - jitter_j does, so multipliers of all tasks with
-    p_j >= probe stay forced throughout the search.
+    p_j >= probe stay forced throughout the search.  For the same reason the
+    set of tasks with p_j - jitter_j < left does not change as the interval
+    shrinks, so the initial `left` selects the tasks forced to 2.
     """
     if left > right:
         raise PreconditionViolated(f"empty search interval [{left}, {right}]")
     tasks = q.system.tasks
     ones = [j for j in q.indices if right <= tasks[j].p - tasks[j].jitter]
-    while left != right:
-        kappa = (left + right) // 2
+
+    def feasible(kappa: int) -> bool:
         twos = [j for j in q.indices if kappa <= tasks[j].p < left + tasks[j].jitter]
         residual = tuple(j for j in q.indices if j not in ones and j not in twos)
-        if _decide_residual(q, "catch", kappa, ones, twos, residual, trace, cap):
-            right = kappa
-        else:
-            left = kappa + 1
-    if workload(q.tasks, q.gamma, right) > right:
-        raise InternalInvariantViolated(f"catch returned infeasible t={right}")
-    return right
+        return _decide_residual(q, "catch", kappa, ones, twos, residual, trace)
+
+    t = left + bisect.bisect_left(range(left, right), True, key=feasible)
+    if workload(q.tasks, q.gamma, t) > t:
+        raise InternalInvariantViolated(f"catch returned infeasible t={t}")
+    return t
 
 
-def response_harmonic(
-    q: ResponseQuery,
-    *,
-    trace: list[ProbeRecord] | None = None,
-    cap: int | None = None,
-) -> int:
+def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
     """narrow + catch, with a final minimality re-check against the recurrence."""
-    return _least_fixed_point(q, narrow(q, trace=trace, cap=cap), "harmonic walk")
+    return _least_fixed_point(q, narrow(q, trace=trace), "harmonic walk")
 
 
-def response_lcm_scan(q: ResponseQuery, cap: int | None = None) -> int:
+def response_lcm_scan(q: ResponseQuery) -> int:
     """Scan residues modulo m = lcm of the interfering periods.
 
     Writing t = rho + lambda*m, the workload satisfies
@@ -327,7 +303,7 @@ def response_lcm_scan(q: ResponseQuery, cap: int | None = None) -> int:
     """
     if not q.indices:
         return q.gamma
-    m = lcm_capped((t.p for t in q.tasks), cap)
+    m = lcm_capped(t.p for t in q.tasks)
     denom = (1 - q.bounds.utilization) * m
     best = None
     for rho in range(m):
@@ -341,29 +317,25 @@ def response_lcm_scan(q: ResponseQuery, cap: int | None = None) -> int:
     return best
 
 
-def response_turing(q: ResponseQuery, cap: int | None = None) -> int:
-    """Decide at the certified bound S, then scan below or binary-search above."""
+def response_turing(q: ResponseQuery) -> int:
+    """Decide at the certified bound S, then scan below or binary-search above,
+    where every probe is past S and so passes the gate."""
     if not q.indices:
         return q.gamma
-    _check_cap(q, cap)
     s_cert = q.s_bound
-    if s_cert >= 1 and decide_large_k(q, s_cert, cap=cap).verdict:
+    if s_cert >= 1 and decide_large_k(q, s_cert).verdict:
         for t in range(q.gamma, s_cert + 1):
             if workload(q.tasks, q.gamma, t) <= t:
                 return t
         raise InternalInvariantViolated("decision at S affirmed but the scan found nothing")
     lo = max(s_cert + 1, math.ceil(q.bounds.ell))
-    hi = q.bounds.u
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if decide_large_k(q, mid, skip_gate=True, cap=cap).verdict:
-            hi = mid
-        else:
-            lo = mid + 1
-    return _least_fixed_point(q, lo, "binary search")
+    t = lo + bisect.bisect_left(
+        range(lo, q.bounds.u), True, key=lambda k: decide_large_k(q, k).verdict
+    )
+    return _least_fixed_point(q, t, "binary search")
 
 
-def response_jitter_free(q: ResponseQuery, cap: int | None = None) -> int:
+def response_jitter_free(q: ResponseQuery) -> int:
     """Unconditional binary search for zero-jitter queries.
 
     With jitter 0 the pair (s=k, x=0) is feasible for Mix(I, k) and anything
@@ -376,19 +348,17 @@ def response_jitter_free(q: ResponseQuery, cap: int | None = None) -> int:
         return q.gamma
     lo = max(q.gamma, math.ceil(q.bounds.ell))
     hi = q.bounds.u
-    m = lcm_capped((t.p for t in tasks), cap)
+    m = lcm_capped(t.p for t in tasks)
     if workload(tasks, q.gamma, m) <= m:
         hi = min(hi, m)
-    while lo < hi:
-        kappa = (lo + hi) // 2
+
+    def feasible(kappa: int) -> bool:
         counters.bump("decision_probes")
-        inst = build_mix_for_k(q, kappa)
-        sol = _solve_mix(inst, s_bound=min(q.s_bound, kappa), cap=cap)
-        if sol.objective <= kappa - q.gamma:
-            hi = kappa
-        else:
-            lo = kappa + 1
-    return _least_fixed_point(q, lo, "jitter-free search")
+        sol = _solve_mix(build_mix_for_k(q, kappa), min(q.s_bound, kappa))
+        return sol.objective <= kappa - q.gamma
+
+    t = lo + bisect.bisect_left(range(lo, hi), True, key=feasible)
+    return _least_fixed_point(q, t, "jitter-free search")
 
 
 _DISPATCH = {
@@ -400,7 +370,7 @@ _DISPATCH = {
 }
 
 
-def compute_response(q: ResponseQuery, algorithm: Algorithm = "auto", cap: int | None = None) -> int:
+def compute_response(q: ResponseQuery, algorithm: Algorithm = "auto") -> int:
     """Run the selected algorithm; "auto" picks the fastest applicable one."""
     if algorithm == "auto":
         if is_harmonic([t.p for t in q.tasks]):
@@ -411,7 +381,7 @@ def compute_response(q: ResponseQuery, algorithm: Algorithm = "auto", cap: int |
             algorithm = "turing"
     if algorithm not in _DISPATCH:
         raise InvalidInstance(f"unknown algorithm {algorithm!r}")
-    return _DISPATCH[algorithm](q, cap=cap)
+    return _DISPATCH[algorithm](q)
 
 
 @dataclass(frozen=True)
@@ -431,9 +401,7 @@ class SystemVerdict:
         return tuple(t.response for t in self.tasks)
 
 
-def analyze_system(
-    ts: TaskSystem, algorithm: Algorithm = "auto", cap: int | None = None
-) -> SystemVerdict:
+def analyze_system(ts: TaskSystem, algorithm: Algorithm = "auto") -> SystemVerdict:
     """Per-task responses r_j = response([0..j-1], c_j) and the schedulability
     verdict r_j <= d_j - jitter_j; the system verdict is their conjunction."""
     validate(ts)
@@ -442,7 +410,7 @@ def analyze_system(
     verdicts = []
     for j, task in enumerate(ts.tasks):
         q = ResponseQuery(ts, range(j), task.c)
-        r = compute_response(q, algorithm, cap)
+        r = compute_response(q, algorithm)
         budget = task.d - task.jitter
         verdicts.append(TaskVerdict(j, r, budget, r <= budget))
     return SystemVerdict(tuple(verdicts), all(v.schedulable for v in verdicts))

@@ -42,11 +42,21 @@ def response_scan_oracle(tasks, gamma: int, hi: int) -> int | None:
 
 
 def mix_enum_oracle(inst: MixInstance, s_hi: int):
-    """(best objective, smallest optimal s) by plain enumeration of s."""
-    best_s, best_obj = None, None
-    for s in range(s_hi + 1):
-        obj = inst.w0 * s + sum(t.w * ceil_div(t.b - s, t.a) for t in inst.terms)
-        if best_obj is None or obj < best_obj:
+    """(best objective, smallest optimal s) by enumeration of every s in [0, s_hi].
+
+    From s - 1 to s the objective rises by w0 and term i's ceiling
+    ceil((b_i - s)/a_i) drops by one exactly when s = b_i (mod a_i), so the
+    drops are accumulated per s first: O(s_hi + sum s_hi/a_i), not O(s_hi * n).
+    """
+    drops = [0] * (s_hi + 1)
+    for t in inst.terms:
+        for s in range((t.b - 1) % t.a + 1, s_hi + 1, t.a):  # least s >= 1 with s = b (mod a)
+            drops[s] += t.w
+    obj = sum(t.w * ceil_div(t.b, t.a) for t in inst.terms)
+    best_s, best_obj = 0, obj
+    for s in range(1, s_hi + 1):
+        obj += inst.w0 - drops[s]
+        if obj < best_obj:
             best_s, best_obj = s, obj
     return best_obj, best_s
 

@@ -302,9 +302,13 @@ class TestErrorExitCodes:
             (["rta", "compute", "--input", "{demo}"], {"RTMIX_LIMIT_BITS": "\u00b2"}, 2, "InvalidInstance"),
             (["rta", "compute", "--input", "{demo}"], {"broken": True}, 4,
              "InternalInvariantViolated"),
+            (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "x"], {}, 2, "InvalidInstance"),
+            (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "1", "--jitter", "1,x,2"], {}, 2,
+             "InvalidInstance"),
         ],
         ids=["horizon-too-small", "generation-failed", "limit-bits-not-a-number",
-             "limit-bits-superscript-digit", "internal-error"],
+             "limit-bits-superscript-digit", "internal-error", "extreme-cost-not-a-number",
+             "extreme-jitter-not-a-number"],
     )
     def test_error_maps_to_exit_code(
         self, capsys, tmp_path, monkeypatch, demo_file, argv, env, code, error
@@ -325,6 +329,26 @@ class TestErrorExitCodes:
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report.keys() == {"error", "message"} and report["error"] == error
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize(
+        "releases",
+        [
+            {"releases": [[{"arrival": 0}], [], []]},
+            {"releases": 5},
+            {"releases": [[5]]},
+            {"releases": [[{"arrival": 0.5, "release": True}], [], []]},
+        ],
+        ids=["release-missing", "releases-not-a-list", "release-not-an-object",
+             "release-not-integers"],
+    )
+    def test_malformed_releases_exit_2(self, capsys, tmp_path, demo_file, releases):
+        path = tmp_path / "releases.json"
+        path.write_text(json.dumps(releases))
+        argv = ["sim", "run", "--input", demo_file, "--releases", str(path), "--horizon", "200"]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert json.loads(captured.out)["error"] == "InvalidInstance"
         assert "Traceback" not in captured.out + captured.err
 
 

@@ -176,9 +176,10 @@ class TestBounds:
         b = bounds_from_parts(9, [])
         assert (b.ell, b.u1, b.u2, b.u) == (9, 9, 9, 9)
 
-    def test_overflow_limit_on_tiny_cap(self, demo_system):
+    def test_overflow_limit_on_tiny_cap(self, demo_system, monkeypatch):
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7, below the lcm 390 of the interferers
         with pytest.raises(OverflowLimit):
-            response_bounds(demo_system, cap=10)
+            response_bounds(demo_system)
 
     def test_magnitude_cap_env_override(self, monkeypatch):
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")

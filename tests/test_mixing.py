@@ -95,14 +95,17 @@ class TestSearchBound:
         assert certified_s_bound(inst) == 0
         assert solve_bruteforce(inst).s == 0
 
-    def test_over_cap_lcm_needs_a_utilization_bound_within_the_cap(self):
+    def test_over_cap_lcm_needs_a_utilization_bound_within_the_cap(self, monkeypatch):
         inst = MixInstance(1, [(1, 4, 7), (1, 5, 7)])  # lcm 20; ceil(2 / (1 - 9/20)) = 4
-        assert certified_s_bound(inst, cap=10) == 4
-        assert solve_bruteforce(inst, cap=10) == solve_bruteforce(inst)
+        uncapped = solve_bruteforce(inst)
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7
+        assert certified_s_bound(inst) == 4
+        assert solve_bruteforce(inst) == uncapped
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "2")  # cap 3
         with pytest.raises(OverflowLimit):
-            certified_s_bound(inst, cap=3)
+            certified_s_bound(inst)
         with pytest.raises(OverflowLimit):
-            certified_s_bound(TIGHT2, cap=4)  # weight utilization 1: no second bound
+            certified_s_bound(TIGHT2)  # weight utilization 1: no second bound
 
     @given(bounded_mix_instances())
     def test_bound_is_sound(self, inst):

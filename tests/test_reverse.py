@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 
 from conftest import bounded_mix_instances, mix_enum_oracle
+from rtmix import counters, mixing
 from rtmix.errors import PreconditionViolated
 from rtmix.gen import random_mix_instance
 from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce
@@ -80,6 +81,26 @@ class TestSolveCrowded:
     def test_rejects_uncrowded_rhs(self):
         with pytest.raises(PreconditionViolated):
             solve_crowded(MixInstance(1, [(1, 2, 1)]))
+
+    def test_instance_checked_once_per_public_entry(self, monkeypatch):
+        # solve_crowded validates its instance at its entry and again in its
+        # first probe, the public mix_leq_via_rtc, which also certifies the
+        # instance's S; the binary search's later probes repeat neither.
+        inst = MixInstance(1, [(1, 3, 12), (1, 4, 13), (1, 6, 12)])
+        expected = solve_bruteforce(inst).objective
+        validated, certified = [], []
+        validate, certify = mixing.validate, mixing.certified_s_bound
+        monkeypatch.setattr(mixing, "validate", lambda i: validated.append(i) or validate(i))
+        monkeypatch.setattr(
+            mixing, "certified_s_bound", lambda i: certified.append(i) or certify(i)
+        )
+        with counters.collect() as ops:
+            assert solve_crowded(inst).objective == expected
+        solves = ops.as_dict()["mixing_calls"]
+        assert solves > 2  # several probes, each solving mixing instances of its own
+        assert sum(v is inst for v in validated) == 2
+        assert len(validated) == 2 + solves
+        assert sum(c is inst for c in certified) == 1
 
     def test_seeded_equivalence(self):
         for seed in range(120):

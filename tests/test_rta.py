@@ -143,7 +143,7 @@ class TestDecideLargeK:
 
     def test_verdict_monotone_in_k(self, extreme3):
         q = ResponseQuery(extreme3, (0, 1), 1)
-        verdicts = [decide_large_k(q, k, skip_gate=True).verdict for k in range(4, 30)]
+        verdicts = [decide_large_k(q, k).verdict for k in range(4, 30)]
         assert verdicts == sorted(verdicts)
 
     @given(small_task_systems(max_n=3, p_max=8))
