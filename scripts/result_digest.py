@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print the result and the operation counters of `rtmix` on a seeded suite.
+"""Print the result and the operation counters of `rtmix` on a seeded suite,
+and check that the algorithms agree.
 
 Runs `rtmix rta compute` under every algorithm that applies, `rtmix mix
 solve` under all four algorithms, and `rtmix blockip encode-rtc` followed by
@@ -12,6 +13,11 @@ compute the same thing print the same lines:
     PYTHONPATH=src python3 scripts/result_digest.py > new.jsonl
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/result_digest.py > old.jsonl
     diff old.jsonl new.jsonl
+
+It exits 1, naming each fault on stderr, when two `rta compute` algorithms
+give different results on one input, when two successful `mix solve`
+algorithms give different objectives on one input, or when any run exits 4
+(an internal error).
 """
 
 import contextlib
@@ -23,9 +29,8 @@ import sys
 import tempfile
 
 from rtmix import MixInstance, gen, is_harmonic
-from rtmix.cli import main as cli_main
+from rtmix.cli import EXIT_INTERNAL, main as cli_main
 
-LCM_SCAN_LIMIT = 5000  # lcm-scan runs only where the lcm of the periods is at most this
 SYSTEMS = 240  # seeded `gen random` systems, besides the 10 `gen extreme` ones
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
 BLOCKIP = 60  # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16
@@ -96,43 +101,57 @@ def write(path: str, payload: dict) -> None:
 
 def main() -> int:
     lines = 0
+    faults = []
+
+    def record(name: str, cmd: str, out: dict) -> None:
+        nonlocal lines
+        print(json.dumps({"input": name, "cmd": cmd, **out}))
+        lines += 1
+        if out["code"] == EXIT_INTERNAL:
+            faults.append(f"{name}: {cmd} exited {EXIT_INTERNAL}")
+
+    def agree(name: str, what: str, values: dict) -> None:
+        if len({json.dumps(v, sort_keys=True) for v in values.values()}) > 1:
+            faults.append(f"{name}: {what} differ across algorithms: {values}")
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "input.json")
         program = os.path.join(tmp, "program.json")
         for name, ts in systems(SYSTEMS):
             write(path, system_dict(ts))
-            periods = [t.p for t in ts.tasks]
             algorithms = ["auto", "bruteforce", "turing"]
-            if is_harmonic(periods):
+            if is_harmonic(ts):
                 algorithms.append("harmonic")
             if all(t.jitter == 0 for t in ts.tasks):
                 algorithms.append("jitter-free")
-            if math.lcm(*periods) <= LCM_SCAN_LIMIT:
-                algorithms.append("lcm-scan")
+            results = {}
             for algorithm in algorithms:
                 out = run(["rta", "compute", "--input", path, "--algorithm", algorithm])
-                print(json.dumps({"input": name, "cmd": f"rta compute {algorithm}", **out}))
-                lines += 1
+                record(name, f"rta compute {algorithm}", out)
+                results[algorithm] = out.get("result")
+            agree(name, "rta compute results", results)
         for name, inst in mix_instances(MIX):
             for label, case in (("", inst), (" crowded", crowded(inst))):
                 terms = [{"w": t.w, "a": t.a, "b": t.b} for t in case.terms]
                 write(path, {"w0": case.w0, "terms": terms})
+                objectives = {}
                 for algorithm in ("bruteforce", "harmonic", "shift", "via-rtc"):
                     out = run(["mix", "solve", "--input", path, "--algorithm", algorithm])
-                    print(json.dumps({"input": name + label, "cmd": f"mix solve {algorithm}", **out}))
-                    lines += 1
+                    record(name + label, f"mix solve {algorithm}", out)
+                    if out["code"] == 0:
+                        objectives[algorithm] = out["result"]["objective"]
+                agree(name + label, "mix solve objectives", objectives)
         for name, ts in jitter_free_systems(BLOCKIP):
             write(path, system_dict(ts))
             out = run(["blockip", "encode-rtc", "--input", path])
-            print(json.dumps({"input": name, "cmd": "blockip encode-rtc", **out}))
-            lines += 1
+            record(name, "blockip encode-rtc", out)
             if "program" in out:
                 write(program, out["program"])
-                out = run(["blockip", "solve", "--input", program])
-                print(json.dumps({"input": name, "cmd": "blockip solve", **out}))
-                lines += 1
+                record(name, "blockip solve", run(["blockip", "solve", "--input", program]))
     print(f"{lines} runs", file=sys.stderr)
-    return 0
+    for fault in faults:
+        print(f"FAULT {fault}", file=sys.stderr)
+    return 1 if faults else 0
 
 
 if __name__ == "__main__":

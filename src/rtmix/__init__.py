@@ -5,10 +5,7 @@ from .core import (
     BoundsResult,
     Task,
     TaskSystem,
-    check_general_utilization_bound,
-    interval_width_certificates,
     is_harmonic,
-    jitter_free_bounds,
     response_bounds,
     utilization,
     validate,
@@ -28,12 +25,9 @@ __all__ = [
     "Task",
     "TaskSystem",
     "analyze_system",
-    "check_general_utilization_bound",
     "complete",
     "compute_response",
-    "interval_width_certificates",
     "is_harmonic",
-    "jitter_free_bounds",
     "response_bounds",
     "simulate",
     "utilization",

@@ -14,7 +14,8 @@ probe value k, to the decision
 a two-stage program: once x^(0) is fixed the bricks decouple and each brick
 maximizes its share of a independently.  `solve_2stage_desk` exploits exactly
 that - first-stage enumeration over the x^(0) box, then an exact per-brick
-search with interval-propagation pruning - under an explicit node budget.
+search with interval-propagation pruning - under the node budget
+`DEFAULT_NODE_BUDGET`.
 `solve_simple_4block` wraps it into the binary search for the least feasible
 k (the decisions are monotone in k because y only relaxes).
 
@@ -96,71 +97,12 @@ class SimpleFourBlock:
         if any(v < 0 for v in self.u):
             raise InvalidInstance("box bounds must be nonnegative")
 
-    def coupling_row(self) -> tuple[int, ...]:
-        row = list(self.D[0])
-        for i in range(self.n):
-            row.extend(self.C[i][0])
-        return tuple(row)
-
     def u_first(self) -> tuple[int, ...]:
         return self.u[: self.s]
 
     def u_brick(self, i: int) -> tuple[int, ...]:
         lo = self.s + i * self.t
         return self.u[lo : lo + self.t]
-
-
-@dataclass(frozen=True)
-class TwoStageProgram:
-    """The dualized decision program for a probe k.
-
-    The addressed brick carries one extra row w0 . x^(0) + wj . x^(j) + y = k
-    and one extra variable y in [0, y_max]; the objective maximizes the
-    coupling row.
-    """
-
-    source: SimpleFourBlock
-    k: int
-
-    @property
-    def y_max(self) -> int:
-        # objective weights and variables are nonnegative, so y <= k
-        return max(0, self.k)
-
-    def stitched_rows(self) -> tuple[tuple[tuple[int, ...], int], ...]:
-        """Explicit rows of the stitched system over (x^(0), x^(1..n), y):
-        per-brick equalities plus the slack row, each paired with its
-        right-hand side."""
-        p = self.source
-        width = p.s + p.n * p.t + 1
-        rows = []
-        for i in range(p.n):
-            for ri in range(p.r):
-                row = [0] * width
-                row[: p.s] = p.B[i][ri]
-                off = p.s + i * p.t
-                row[off : off + p.t] = p.A[i][ri]
-                rows.append((tuple(row), p.rhs[i][ri]))
-            if p.j is not None and i == p.j - 1:
-                row = [0] * width
-                row[: p.s] = p.w0
-                off = p.s + i * p.t
-                row[off : off + p.t] = p.wj
-                row[-1] = 1
-                rows.append((tuple(row), self.k))
-        if p.j is None:
-            row = [0] * width
-            row[: p.s] = p.w0
-            row[-1] = 1
-            rows.append((tuple(row), self.k))
-        return tuple(rows)
-
-
-def transform_to_2stage(p: SimpleFourBlock, k: int) -> TwoStageProgram:
-    """Stitch the slack row for w^T x <= k on top of the addressed brick."""
-    if not isinstance(p, SimpleFourBlock):
-        raise InvalidInstance("expected a SimpleFourBlock")
-    return TwoStageProgram(p, k)
 
 
 class _Budget:
@@ -225,13 +167,15 @@ def _max_brick(
     return best
 
 
-def solve_2stage_desk(
-    tp: TwoStageProgram, node_budget: int | None = None
-) -> int | None:
-    """Exact maximum of the coupling row over the two-stage feasible set,
-    or None when infeasible.  Raises BudgetExceeded past the node budget."""
-    p = tp.source
-    budget = _Budget(DEFAULT_NODE_BUDGET if node_budget is None else node_budget)
+def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
+    """Exact maximum of the coupling row over the two-stage program of probe k,
+    or None when infeasible.  Raises BudgetExceeded past DEFAULT_NODE_BUDGET.
+
+    The program stitches the slack row w0 . x^(0) + wj . x^(j) + y = k, with
+    y in [0, k] (weights and variables are nonnegative, so y <= k), onto the
+    addressed brick j; without bricks the row stands alone.
+    """
+    budget = _Budget(DEFAULT_NODE_BUDGET)
     a0 = p.D[0]
     slack_idx = None if p.j is None else p.j - 1
     best: int | None = None
@@ -257,8 +201,8 @@ def solve_2stage_desk(
                 # extra row: wj . x^(j) + y = k - w0 . x^(0), with slack var y
                 rows = [row + [0] for row in rows]
                 rows.append(list(p.wj) + [1])
-                rhs.append(tp.k - sum(p.w0[c] * x0[c] for c in range(p.s)))
-                boxes.append(tp.y_max)
+                rhs.append(k - sum(p.w0[c] * x0[c] for c in range(p.s)))
+                boxes.append(max(0, k))
                 a_obj.append(0)
             part = _max_brick(a_obj, rows, rhs, boxes, budget)
             if part is None:
@@ -266,7 +210,7 @@ def solve_2stage_desk(
             total += part
         if slack_idx is None:
             # no addressed brick: the slack row reduces to w0 . x^(0) + y = k
-            y = tp.k - sum(p.w0[c] * x0[c] for c in range(p.s))
+            y = k - sum(p.w0[c] * x0[c] for c in range(p.s))
             if y < 0:
                 return
         if best is None or total > best:
@@ -276,11 +220,7 @@ def solve_2stage_desk(
     return best
 
 
-def solve_simple_4block(
-    p: SimpleFourBlock,
-    H: int | None = None,
-    node_budget: int | None = None,
-) -> int:
+def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
     """Least k in [-H, H] whose dual decision reaches the coupling bound b0.
 
     H defaults to sum w_i * u_i, a sound bound on |w^T x| over the boxes.
@@ -290,7 +230,7 @@ def solve_simple_4block(
         H = _default_objective_bound(p)
 
     def reaches(k: int) -> bool:
-        value = solve_2stage_desk(transform_to_2stage(p, k), node_budget)
+        value = solve_2stage_desk(p, k)
         return value is not None and value >= p.b0
 
     if not reaches(H):
@@ -303,26 +243,6 @@ def _default_objective_bound(p: SimpleFourBlock) -> int:
     if p.j is not None:
         bound += sum(w * u for w, u in zip(p.wj, p.u_brick(p.j - 1)))
     return max(1, bound)
-
-
-def rtc_inequality_matrix(ts: TaskSystem) -> tuple[Matrix, tuple[int, ...]]:
-    """The compact all-inequality form of jitter-free response-time
-    computation: first row (1, -c_1, ..., -c_{n-1}) >= c_n, then
-    -t + p_i x_i >= 0 per interferer."""
-    validate(ts)
-    if any(t.jitter != 0 for t in ts.tasks):
-        raise PreconditionViolated("the compact matrix form requires a jitter-free system")
-    n = len(ts.tasks)
-    head = [1] + [-t.c for t in ts.tasks[:-1]]
-    rows = [tuple(head)]
-    rhs = [ts.tasks[-1].c]
-    for i, task in enumerate(ts.tasks[:-1]):
-        row = [0] * n
-        row[0] = -1
-        row[i + 1] = task.p
-        rows.append(tuple(row))
-        rhs.append(0)
-    return tuple(rows), tuple(rhs)
 
 
 def encode_rtc_as_4block(ts: TaskSystem) -> SimpleFourBlock:

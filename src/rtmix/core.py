@@ -21,13 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-from .errors import (
-    InternalInvariantViolated,
-    InvalidInstance,
-    OverflowLimit,
-    PreconditionViolated,
-    UtilizationExceeded,
-)
+from .errors import InvalidInstance, OverflowLimit, UtilizationExceeded
 
 ENV_LIMIT_BITS = "RTMIX_LIMIT_BITS"
 DEFAULT_LIMIT_BITS = 63
@@ -147,33 +141,10 @@ def workload(tasks: Iterable[Task], gamma: int, t: int) -> int:
     return gamma + sum(task.c * ceil_div(t + task.jitter, task.p) for task in tasks)
 
 
-def utilization(obj: TaskSystem | Iterable[Task], exclude_last: bool = False) -> Fraction:
-    """Exact sum of c_i/p_i over a system or a sequence of tasks, optionally
-    over all but the last (lowest-priority) task."""
-    tasks = obj.tasks if isinstance(obj, TaskSystem) else tuple(obj)
-    return fraction_sum((t.c, t.p) for t in (tasks[:-1] if exclude_last else tasks))
-
-
-@dataclass(frozen=True)
-class UtilizationReport:
-    higher_priority: Fraction         # sum over i < n
-    total: Fraction                   # sum over i <= n
-    schedulability_bound_holds: bool  # total <= 1
-
-
-def check_general_utilization_bound(ts: TaskSystem) -> UtilizationReport:
-    """Require sum_{i<n} c_i/p_i < 1; report whether the total stays <= 1.
-
-    By integrality the strict bound is equivalent to
-    sum_{i<n} c_i/p_i <= 1 - 1/lcm_{i<n} p_i, so no lcm is computed here.
-    """
-    hp = utilization(ts, exclude_last=True)
-    if hp >= 1:
-        raise UtilizationExceeded(
-            f"higher-priority utilization {hp} >= 1: no finite response time exists"
-        )
-    total = hp + Fraction(ts.tasks[-1].c, ts.tasks[-1].p)
-    return UtilizationReport(hp, total, total <= 1)
+def utilization(obj: TaskSystem | Iterable[Task]) -> Fraction:
+    """Exact sum of c_i/p_i over a system or a sequence of tasks."""
+    tasks = obj.tasks if isinstance(obj, TaskSystem) else obj
+    return fraction_sum((t.c, t.p) for t in tasks)
 
 
 def is_harmonic(obj: TaskSystem | Iterable[int]) -> bool:
@@ -221,44 +192,3 @@ def response_bounds(ts: TaskSystem) -> BoundsResult:
     """Bounds on the response time of the lowest-priority task."""
     validate(ts)
     return bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1])
-
-
-def jitter_free_bounds(ts: TaskSystem) -> tuple[Fraction, int]:
-    """(lower, P) with c_n/(1-U) <= r_n <= P = lcm of all periods; requires jitter 0."""
-    validate(ts)
-    if any(t.jitter != 0 for t in ts.tasks):
-        raise PreconditionViolated("jitter-free bounds require jitter = 0 for every task")
-    slack = 1 - check_general_utilization_bound(ts).higher_priority
-    lower = Fraction(ts.tasks[-1].c) / slack
-    period = lcm_capped(ts.periods())
-    return lower, period
-
-
-@dataclass(frozen=True)
-class WidthCertificate:
-    name: str
-    lhs: Fraction
-    rhs: int
-    holds: bool
-
-
-def interval_width_certificates(ts: TaskSystem) -> tuple[WidthCertificate, ...]:
-    """Certify the pseudo-polynomial width of the bound interval.
-
-    u1 - ell <= p_max**n always; under the schedulability bound
-    (total utilization <= 1) additionally u1 - ell <= p_max**2 and
-    u1 <= 2*p_max**2.  A failed certificate is an arithmetic bug.
-    """
-    b = response_bounds(ts)
-    p_max = max(ts.periods())
-    n = len(ts.tasks)
-    checks = [WidthCertificate("width_le_pmax_pow_n", b.u1 - b.ell, p_max**n, b.u1 - b.ell <= p_max**n)]
-    if utilization(ts) <= 1:
-        checks.append(
-            WidthCertificate("width_le_pmax_sq", b.u1 - b.ell, p_max**2, b.u1 - b.ell <= p_max**2)
-        )
-        checks.append(WidthCertificate("u1_le_two_pmax_sq", b.u1, 2 * p_max**2, b.u1 <= 2 * p_max**2))
-    for c in checks:
-        if not c.holds:
-            raise InternalInvariantViolated(f"certified inequality {c.name} failed: {c.lhs} > {c.rhs}")
-    return tuple(checks)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 
 @dataclass
@@ -19,17 +19,9 @@ class Counters:
     mixing_ops: int = 0        # arithmetic ops inside mixing solves
     decision_probes: int = 0   # dualized decision-oracle invocations
     fixpoint_iters: int = 0    # iterations of the ceiling-recurrence baseline
-    extra: dict = field(default_factory=dict)
 
     def as_dict(self) -> dict:
-        out = {
-            "mixing_calls": self.mixing_calls,
-            "mixing_ops": self.mixing_ops,
-            "decision_probes": self.decision_probes,
-            "fixpoint_iters": self.fixpoint_iters,
-        }
-        out.update(self.extra)
-        return out
+        return asdict(self)
 
 
 _active: ContextVar[Counters | None] = ContextVar("rtmix_counters", default=None)
@@ -37,12 +29,8 @@ _active: ContextVar[Counters | None] = ContextVar("rtmix_counters", default=None
 
 def bump(name: str, amount: int = 1) -> None:
     c = _active.get()
-    if c is None:
-        return
-    if hasattr(c, name):
+    if c is not None:
         setattr(c, name, getattr(c, name) + amount)
-    else:
-        c.extra[name] = c.extra.get(name, 0) + amount
 
 
 @contextmanager

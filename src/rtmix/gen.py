@@ -113,6 +113,8 @@ def random_system(
     """
     if jitter_mode not in ("zero", "upto-p"):
         raise InvalidInstance(f"unknown jitter_mode {jitter_mode!r}")
+    if p_max < 1:
+        raise InvalidInstance(f"p_max must be >= 1, got {p_max}")
     rng = random.Random(seed)
     for _ in range(_MAX_TRIES):
         periods = (
@@ -128,8 +130,7 @@ def random_system(
             d = rng.randint(c, p) if with_deadlines else None
             tasks.append(Task(c, p, jit, d))
         ts = TaskSystem(tasks)
-        hp = utilization(ts, exclude_last=True)
-        if hp >= 1:
+        if utilization(ts.tasks[:-1]) >= 1:
             continue
         if require_schedulable and utilization(ts) > 1:
             continue
@@ -151,6 +152,8 @@ def random_mix_instance(
     max_weight_utilization: Fraction | None = None,
 ) -> MixInstance:
     """Seeded random bounded mixing instance (weight utilization <= w0 = 1)."""
+    if a_max < 1:
+        raise InvalidInstance(f"a_max must be >= 1, got {a_max}")
     rng = random.Random(seed)
     for _ in range(_MAX_TRIES):
         if harmonic:

@@ -6,13 +6,10 @@ b_i arise from the shift normalization in `reverse`).  For a fixed s the
 pointwise-minimal completion x_i(s) = ceil((b_i - s)/a_i) is optimal, so the
 whole problem is a one-dimensional search over s.
 
-Three exact solvers are provided:
+Two exact solvers are provided:
 
 * `solve_bruteforce` scans every s up to a certified bound - the correctness
   oracle for everything else.
-* `solve_breakpoints` evaluates only the objective's breakpoints
-  (s congruent to b_i mod a_i, plus 0 and lcm-1); exact for arbitrary
-  capacities, used as a second cross-check.
 * `solve_harmonic` exploits a divisibility chain among the capacities: the
   objective shifts by a*(w0 - sum_{a_j <= a} w_j/a_j) >= 0 under s -> s + a,
   so the search narrows to one capacity-period per level and only splits at
@@ -158,30 +155,6 @@ def solve_bruteforce(inst: MixInstance, *, s_bound: int | None = None) -> MixSol
     return _finalize(best_s, inst)
 
 
-def solve_breakpoints(inst: MixInstance) -> MixSolution:
-    """Exact fallback testing only candidate s values where some ceiling drops.
-
-    Between breakpoints the objective is linear with slope w0 >= 0, so every
-    local minimum sits at a breakpoint or at s = 0; lcm - 1 is included
-    defensively.  Works for arbitrary capacities.
-    """
-    validate(inst)
-    if is_unbounded(inst):
-        raise Unbounded("sum w_i/a_i exceeds w0")
-    m = lcm_capped(inst.capacities())
-    candidates = {0, m - 1}
-    for t in inst.terms:
-        candidates.update(range(t.b % t.a, m, t.a))
-    counters.bump("mixing_calls")
-    counters.bump("mixing_ops", len(candidates) * (len(inst.terms) + 1))
-    best_s, best_obj = None, None
-    for s in sorted(candidates):
-        obj = objective_at(s, inst)
-        if best_obj is None or obj < best_obj:
-            best_s, best_obj = s, obj
-    return _finalize(best_s, inst)
-
-
 def solve_harmonic(inst: MixInstance) -> MixSolution:
     """Global optimum for a divisibility chain of capacities.
 
@@ -239,37 +212,3 @@ def solve_harmonic(inst: MixInstance) -> MixSolution:
         for seg_left, seg_right in reversed(segments):
             stack.append((seg_left, seg_right, li - 1))
     return _finalize(best_s, inst)
-
-
-@dataclass(frozen=True)
-class ShiftCheck:
-    s: int
-    period: int
-    checked_forward: bool
-    checked_backward: bool
-
-
-def shift_identity_check(inst: MixInstance, s: int) -> ShiftCheck:
-    """Verify x_i(s +- m) = x_i(s) -+ m/a_i for m = lcm of the capacities.
-
-    The backward direction is skipped when s - m < 0.  Used by the property
-    suite; a failure means the ceiling arithmetic itself is broken.
-    """
-    validate(inst)
-    m = lcm_capped(inst.capacities())
-    base = complete(s, inst).x
-    fwd = complete(s + m, inst).x
-    for t, xb, xf in zip(inst.terms, base, fwd):
-        if xf != xb - m // t.a:
-            raise InternalInvariantViolated(
-                f"forward shift identity failed for capacity {t.a} at s={s}"
-            )
-    backward = s - m >= 0
-    if backward:
-        bwd = complete(s - m, inst).x
-        for t, xb, xw in zip(inst.terms, base, bwd):
-            if xw != xb + m // t.a:
-                raise InternalInvariantViolated(
-                    f"backward shift identity failed for capacity {t.a} at s={s}"
-                )
-    return ShiftCheck(s, m, True, backward)

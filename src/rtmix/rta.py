@@ -20,8 +20,6 @@ a certified bound S on the optimal s of the mixing instance, hence:
   p_j - jitter_j, so those tasks leave the residual instance and the probe
   stays above every residual period.  `narrow` finds the bracketing interval,
   `catch` binary-searches inside it.
-* `response_lcm_scan` (any periods): the workload decomposes over residues
-  modulo lcm of the periods; each residue yields at most one fixed point.
 * `response_jitter_free`: with zero jitter (s=k, x=0) is always feasible for
   the mixing instance, so every k is decidable and a plain binary search works.
 
@@ -42,7 +40,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Sequence
 
 from . import counters, mixing
 from .core import (
@@ -62,11 +60,6 @@ from .errors import (
     PreconditionKTooSmall,
     PreconditionViolated,
 )
-
-Algorithm = Literal["auto", "bruteforce", "harmonic", "lcm-scan", "turing", "jitter-free"]
-
-ALGORITHMS = ("auto", "bruteforce", "harmonic", "lcm-scan", "turing", "jitter-free")
-
 
 @dataclass(frozen=True)
 class ResponseQuery:
@@ -111,16 +104,6 @@ class ResponseQuery:
         sub._set(system=self.system, indices=indices, gamma=gamma, tasks=tasks,
                  bounds=None, s_bound=None)
         return sub
-
-    def interferers(self) -> tuple[Task, ...]:
-        return self.tasks
-
-
-@dataclass(frozen=True)
-class DecisionOutcome:
-    verdict: bool
-    k: int
-    certificate: mixing.MixSolution | None
 
 
 @dataclass
@@ -168,7 +151,7 @@ def _solve_mix(inst: mixing.MixInstance, s_bound: int | None) -> mixing.MixSolut
     return mixing.solve_bruteforce(inst, s_bound=s_bound)
 
 
-def decide_large_k(q: ResponseQuery, k: int) -> DecisionOutcome:
+def decide_large_k(q: ResponseQuery, k: int) -> bool:
     """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma.
 
     Valid only for k at or above the certified bound S, so a built query
@@ -180,21 +163,11 @@ def decide_large_k(q: ResponseQuery, k: int) -> DecisionOutcome:
     if not q.indices:
         if k < 1:
             raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
-        return DecisionOutcome(k >= q.gamma, k, mixing.MixSolution(0, (), 0))
+        return k >= q.gamma
     if q.s_bound is not None and k < q.s_bound:
         raise PreconditionKTooSmall(k, q.s_bound)
     counters.bump("decision_probes")
-    sol = _solve_mix(build_mix_for_k(q, k), q.s_bound)
-    return DecisionOutcome(sol.objective <= k - q.gamma, k, sol)
-
-
-def two_values(q: ResponseQuery, i: int, t: int) -> int:
-    """Forced multiplier of task i at an optimum t with 0 < t <= p_i:
-    1 while t <= p_i - jitter_i, else 2."""
-    task = q.system.tasks[i]
-    if not 0 < t <= task.p:
-        raise PreconditionViolated(f"t={t} outside (0, p_{i}={task.p}]")
-    return 1 if t <= task.p - task.jitter else 2
+    return _solve_mix(build_mix_for_k(q, k), q.s_bound).objective <= k - q.gamma
 
 
 def _decide_residual(
@@ -214,7 +187,7 @@ def _decide_residual(
         raise InternalInvariantViolated("residual set contains a period >= probe")
     gamma_prime = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
     sub = q.residual(residual, gamma_prime)
-    feasible = decide_large_k(sub, k).verdict
+    feasible = decide_large_k(sub, k)
     if trace is not None:
         forced = {j: 1 for j in ones} | {j: 2 for j in twos}
         trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
@@ -293,44 +266,20 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
     return _least_fixed_point(q, narrow(q, trace=trace), "harmonic walk")
 
 
-def response_lcm_scan(q: ResponseQuery) -> int:
-    """Scan residues modulo m = lcm of the interfering periods.
-
-    Writing t = rho + lambda*m, the workload satisfies
-    w(t) = w(rho) + lambda*m*U, so each residue admits at most one fixed
-    point, at lambda = (w(rho) - rho) / ((1-U)*m); collect the residues where
-    lambda is a nonnegative integer and return the smallest fixed point.
-    """
-    if not q.indices:
-        return q.gamma
-    m = lcm_capped(t.p for t in q.tasks)
-    denom = (1 - q.bounds.utilization) * m
-    best = None
-    for rho in range(m):
-        lam = (workload(q.tasks, q.gamma, rho) - rho) / denom
-        if lam.denominator == 1 and lam >= 0:
-            candidate = rho + int(lam) * m
-            if best is None or candidate < best:
-                best = candidate
-    if best is None:
-        raise InternalInvariantViolated("residue scan found no fixed point under U < 1")
-    return best
-
-
 def response_turing(q: ResponseQuery) -> int:
     """Decide at the certified bound S, then scan below or binary-search above,
     where every probe is past S and so passes the gate."""
     if not q.indices:
         return q.gamma
     s_cert = q.s_bound
-    if s_cert >= 1 and decide_large_k(q, s_cert).verdict:
+    if s_cert >= 1 and decide_large_k(q, s_cert):
         for t in range(q.gamma, s_cert + 1):
             if workload(q.tasks, q.gamma, t) <= t:
                 return t
         raise InternalInvariantViolated("decision at S affirmed but the scan found nothing")
     lo = max(s_cert + 1, math.ceil(q.bounds.ell))
     t = lo + bisect.bisect_left(
-        range(lo, q.bounds.u), True, key=lambda k: decide_large_k(q, k).verdict
+        range(lo, q.bounds.u), True, key=lambda k: decide_large_k(q, k)
     )
     return _least_fixed_point(q, t, "binary search")
 
@@ -364,13 +313,14 @@ def response_jitter_free(q: ResponseQuery) -> int:
 _DISPATCH = {
     "bruteforce": response_bruteforce,
     "harmonic": response_harmonic,
-    "lcm-scan": response_lcm_scan,
     "turing": response_turing,
     "jitter-free": response_jitter_free,
 }
 
+ALGORITHMS = ("auto", *_DISPATCH)
 
-def compute_response(q: ResponseQuery, algorithm: Algorithm = "auto") -> int:
+
+def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     """Run the selected algorithm; "auto" picks the fastest applicable one."""
     if algorithm == "auto":
         if is_harmonic([t.p for t in q.tasks]):
@@ -401,7 +351,7 @@ class SystemVerdict:
         return tuple(t.response for t in self.tasks)
 
 
-def analyze_system(ts: TaskSystem, algorithm: Algorithm = "auto") -> SystemVerdict:
+def analyze_system(ts: TaskSystem, algorithm: str = "auto") -> SystemVerdict:
     """Per-task responses r_j = response([0..j-1], c_j) and the schedulability
     verdict r_j <= d_j - jitter_j; the system verdict is their conjunction."""
     validate(ts)

@@ -1,17 +1,17 @@
-"""Simple 4-block programs: transformation, desk backend, binary search,
-and the response-time encoding round trip."""
+"""Simple 4-block programs: desk backend, binary search, and the
+response-time encoding round trip."""
 
+import itertools
 import random
 
 import pytest
 
+from rtmix import blockip
 from rtmix.blockip import (
     SimpleFourBlock,
     encode_rtc_as_4block,
-    rtc_inequality_matrix,
     solve_2stage_desk,
     solve_simple_4block,
-    transform_to_2stage,
 )
 from rtmix.core import Task, TaskSystem, bounds_from_parts
 from rtmix.errors import (
@@ -60,69 +60,50 @@ class TestStructure:
             brick_program(w0=(-1,))
 
     def test_coupling_row_concatenation(self, pair_system):
+        # the coupling row is D's row followed by each brick's C row
         prog = encode_rtc_as_4block(pair_system)
-        assert prog.coupling_row() == (1, -1, 0)
+        assert prog.D[0] + prog.C[0][0] == (1, -1, 0)
         assert prog.b0 == 1
 
 
-class TestInequalityMatrix:
-    def test_pair_system(self, pair_system):
-        A, b = rtc_inequality_matrix(pair_system)
-        assert A == ((1, -1), (-1, 2))
-        assert b == (1, 0)
-
-    def test_single_task(self):
-        A, b = rtc_inequality_matrix(TaskSystem([Task(4, 9, 0)]))
-        assert A == ((1,),)
-        assert b == (4,)
-
-
 class TestStitching:
-    def test_slack_row_sits_above_the_addressed_brick(self, pair_system):
-        prog = encode_rtc_as_4block(pair_system)
-        tp = transform_to_2stage(prog, 5)
-        rows = tp.stitched_rows()
-        # brick equality -t + 2*x_1 - z_1 = 0, then the slack row t + y = 5
-        assert rows[0] == ((-1, 2, -1, 0), 0)
-        assert rows[1] == ((1, 0, 0, 1), 5)
-
     def test_every_feasible_point_projects_into_the_dual_decision(self, pair_system):
-        # brute-force the stitched system and check w^T x <= k on projections
+        # the coupling row maximized over every box point of the encoding that
+        # meets the brick equality and the stitched slack row w^T x + y = k,
+        # y >= 0, enumerated directly, is the desk backend's value
         prog = encode_rtc_as_4block(pair_system)
-        k = 3
-        tp = transform_to_2stage(prog, k)
-        rows = tp.stitched_rows()
-        boxes = list(prog.u) + [tp.y_max]
-        import itertools
-
-        for point in itertools.product(*(range(b + 1) for b in boxes)):
-            if all(
-                sum(c * v for c, v in zip(row, point)) == rhs for row, rhs in rows
-            ):
-                w_full = list(prog.w0) + list(prog.wj) + [0]
-                assert sum(c * v for c, v in zip(w_full, point)) <= k
+        (b_row,), (a_row,), (c_row,) = prog.B[0], prog.A[0], prog.C[0]
+        for k in range(0, 6):
+            values = [
+                prog.D[0][0] * t + sum(c * v for c, v in zip(c_row, brick))
+                for t, *brick in itertools.product(*(range(b + 1) for b in prog.u))
+                if b_row[0] * t + sum(a * v for a, v in zip(a_row, brick)) == prog.rhs[0][0]
+                and prog.w0[0] * t + sum(w * v for w, v in zip(prog.wj, brick)) <= k
+            ]
+            assert solve_2stage_desk(prog, k) == max(values, default=None)
 
 
 class TestDeskBackend:
     def test_forced_equality(self):
         # brick variable pinned by its row x = 3, box [0, 5], maximize x only
         prog = brick_program(D=((0,),), C=(((1,),),))
-        assert solve_2stage_desk(transform_to_2stage(prog, 10)) == 3
+        assert solve_2stage_desk(prog, 10) == 3
 
     def test_infeasible_rhs(self):
         prog = brick_program(rhs=((7,),), u=(5, 5))
-        assert solve_2stage_desk(transform_to_2stage(prog, 10)) is None
+        assert solve_2stage_desk(prog, 10) is None
 
     def test_slack_row_restricts_the_addressed_brick(self):
         # objective weight 1 on the brick: w^T x <= k caps the feasible x
         prog = brick_program(D=((0,),), C=(((1,),),), A=(((0,),),), rhs=((0,),), wj=(1,))
-        assert solve_2stage_desk(transform_to_2stage(prog, 2)) == 2
-        assert solve_2stage_desk(transform_to_2stage(prog, 0)) == 0
+        assert solve_2stage_desk(prog, 2) == 2
+        assert solve_2stage_desk(prog, 0) == 0
 
-    def test_budget_is_enforced(self, pair_system):
+    def test_budget_is_enforced(self, pair_system, monkeypatch):
         prog = encode_rtc_as_4block(pair_system)
+        monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 3)
         with pytest.raises(BudgetExceeded):
-            solve_2stage_desk(transform_to_2stage(prog, 2), node_budget=3)
+            solve_2stage_desk(prog, 2)
 
     def test_transformation_preserves_the_projected_feasible_set(self):
         # enumerate the original dual decision directly and compare
@@ -133,7 +114,7 @@ class TestDeskBackend:
                 (x for x in range(5) if 2 * x == 4 and x <= k),
                 default=None,
             )
-            via_slack = solve_2stage_desk(transform_to_2stage(prog, k))
+            via_slack = solve_2stage_desk(prog, k)
             assert via_slack == direct
 
 
@@ -155,7 +136,7 @@ class TestBinarySearch:
         prog = encode_rtc_as_4block(pair_system)
         values = []
         for k in range(0, 6):
-            v = solve_2stage_desk(transform_to_2stage(prog, k))
+            v = solve_2stage_desk(prog, k)
             values.append(-(10**9) if v is None else v)
         assert values == sorted(values)
 

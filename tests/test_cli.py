@@ -1,10 +1,21 @@
 """CLI behavior: reports, verification, exit codes, JSON round trips."""
 
+import contextlib
+import io
 import json
+import os
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+from rtmix import blockip, reverse, rta
 from rtmix.cli import main
+from rtmix.core import Task, TaskSystem
+from rtmix.errors import OverflowLimit
+from rtmix.mixing import MixInstance
 
 
 @pytest.fixture
@@ -42,7 +53,13 @@ class TestRtaCompute:
         )
         assert code == 1
 
-    @pytest.mark.parametrize("algorithm", ["bruteforce", "lcm-scan", "turing"])
+    def test_algorithm_choices(self, demo_file):
+        assert rta.ALGORITHMS == ("auto", "bruteforce", "harmonic", "turing", "jitter-free")
+        with pytest.raises(SystemExit) as exc:
+            main(["rta", "compute", "--input", demo_file, "--algorithm", "lcm-scan"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("algorithm", ["bruteforce", "turing"])
     def test_algorithm_selection(self, capsys, demo_file, algorithm):
         code, out = run_cli(
             capsys, "rta", "compute", "--input", demo_file, "--algorithm", algorithm
@@ -283,6 +300,64 @@ class TestMagnitudeCap:
         assert "OverflowLimit" in out
 
 
+@st.composite
+def periods_just_over_the_cap(draw):
+    """(bits, p1, p2) with cap = 2**bits - 1 < lcm(p1, p2) <= 2 * cap: periods
+    near 2**62 under the default 63 bits, or small periods under a small cap."""
+    bits = draw(st.one_of(st.just(63), st.integers(4, 20)))
+    cap = (1 << bits) - 1
+    x, y = draw(st.sampled_from([(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]))
+    g = draw(st.integers(-(-(cap + 1) // (x * y)), 2 * cap // (x * y)))
+    return bits, g * x, g * y
+
+
+class TestCapSweep:
+    """An lcm just over the magnitude cap raises OverflowLimit at once, never
+    a long scan; each case runs within Hypothesis's default deadline."""
+
+    @staticmethod
+    def system(p1, p2):
+        return TaskSystem([Task(1, p1, 0, 1), Task(1, p2, 0, 1), Task(1, 4, 0, 1)])
+
+    @given(periods_just_over_the_cap())
+    def test_analyze_system(self, case):
+        bits, p1, p2 = case
+        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
+            with pytest.raises(OverflowLimit):
+                rta.analyze_system(self.system(p1, p2))
+
+    @given(periods_just_over_the_cap())
+    def test_solve_general_via_shift(self, case):
+        bits, p1, p2 = case
+        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
+            with pytest.raises(OverflowLimit):
+                reverse.solve_general_via_shift(MixInstance(1, [(1, p1, 0), (1, p2, 3)]))
+
+    @given(periods_just_over_the_cap())
+    def test_encode_rtc_as_4block(self, case):
+        bits, p1, p2 = case
+        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
+            with pytest.raises(OverflowLimit):
+                blockip.encode_rtc_as_4block(self.system(p1, p2))
+
+    @given(periods_just_over_the_cap())
+    def test_rta_compute_exits_3(self, case):
+        bits, p1, p2 = case
+        tasks = [{"c": t.c, "p": t.p, "jitter": t.jitter, "d": t.d}
+                 for t in self.system(p1, p2).tasks]
+        out, err = io.StringIO(), io.StringIO()
+        with tempfile.TemporaryDirectory() as tmp:
+            path = os.path.join(tmp, "sys.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump({"tasks": tasks}, fh)
+            with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}), \
+                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["rta", "compute", "--input", path])
+        assert code == 3
+        assert json.loads(out.getvalue())["error"] == "OverflowLimit"
+        assert "Traceback" not in out.getvalue() + err.getvalue()
+
+
 # `rtmix blockip encode-rtc` of the system [(c=1, p=2), (c=1, p=4)], jitter 0
 FOUR_BLOCK = {"n": 1, "r": 1, "s": 1, "t": 2, "q": 1, "D": [[1]], "C": [[[-1, 0]]],
               "B": [[[-1]]], "A": [[[2, -1]]], "b0": 1, "rhs": [[0]], "w0": [1], "j": 1,
@@ -298,6 +373,8 @@ class TestErrorExitCodes:
             (["sim", "run", "--input", "{demo}", "--releases", "{releases}", "--horizon", "3"],
              {}, 2, "HorizonTooSmall"),
             (["gen", "random", "--seed", "1", "--n", "40", "--p-max", "2"], {}, 3, "GenerationFailed"),
+            (["gen", "random", "--seed", "1", "--n", "3", "--p-max", "0"], {}, 2, "InvalidInstance"),
+            (["gen", "random", "--seed", "1", "--n", "3", "--p-max", "-4"], {}, 2, "InvalidInstance"),
             (["rta", "compute", "--input", "{demo}"], {"RTMIX_LIMIT_BITS": "abc"}, 2, "InvalidInstance"),
             (["rta", "compute", "--input", "{demo}"], {"RTMIX_LIMIT_BITS": "\u00b2"}, 2, "InvalidInstance"),
             (["rta", "compute", "--input", "{demo}"], {"broken": True}, 4,
@@ -306,7 +383,8 @@ class TestErrorExitCodes:
             (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "1", "--jitter", "1,x,2"], {}, 2,
              "InvalidInstance"),
         ],
-        ids=["horizon-too-small", "generation-failed", "limit-bits-not-a-number",
+        ids=["horizon-too-small", "generation-failed", "p-max-zero", "p-max-negative",
+             "limit-bits-not-a-number",
              "limit-bits-superscript-digit", "internal-error", "extreme-cost-not-a-number",
              "extreme-jitter-not-a-number"],
     )

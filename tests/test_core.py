@@ -12,22 +12,15 @@ from rtmix.core import (
     TaskSystem,
     bounds_from_parts,
     ceil_div,
-    check_general_utilization_bound,
-    interval_width_certificates,
     is_harmonic,
-    jitter_free_bounds,
     lcm_capped,
     magnitude_cap,
     response_bounds,
     utilization,
     validate,
 )
-from rtmix.errors import (
-    InvalidInstance,
-    OverflowLimit,
-    PreconditionViolated,
-    UtilizationExceeded,
-)
+from rtmix.errors import InvalidInstance, OverflowLimit, UtilizationExceeded
+from rtmix.rta import ResponseQuery, response_bruteforce
 
 
 class TestValidate:
@@ -61,30 +54,29 @@ class TestValidate:
 
 class TestUtilization:
     def test_demo_higher_priority(self, demo_system):
-        assert utilization(demo_system, exclude_last=True) == Fraction(181, 390)
+        assert utilization(demo_system.tasks[:-1]) == Fraction(181, 390)
 
     def test_single_task_excluded_sum_is_zero(self):
-        assert utilization(TaskSystem([Task(1, 2, 0)]), exclude_last=True) == 0
+        assert utilization(TaskSystem([Task(1, 2, 0)]).tasks[:-1]) == 0
 
     def test_extreme_three_task_system_has_full_utilization(self):
         ts = TaskSystem([Task(1, 2, 2), Task(1, 4, 4), Task(1, 4, 4)])
         assert utilization(ts) == 1
 
     def test_gate_passes_on_demo(self, demo_system):
-        report = check_general_utilization_bound(demo_system)
-        assert report.schedulability_bound_holds
+        assert response_bounds(demo_system).utilization == Fraction(181, 390)
+        assert utilization(demo_system) <= 1
 
     def test_gate_rejects_full_prefix(self):
         ts = TaskSystem([Task(1, 1, 0), Task(1, 1, 0)])
         with pytest.raises(UtilizationExceeded):
-            check_general_utilization_bound(ts)
+            response_bounds(ts)
 
     def test_equality_case_of_refined_bound(self):
-        # prefix utilization 3/4 equals 1 - 1/lcm(2,4)
+        # prefix utilization 3/4 equals 1 - 1/lcm(2,4) and still passes the gate
         ts = TaskSystem([Task(1, 2, 2), Task(1, 4, 4), Task(1, 4, 4)])
-        report = check_general_utilization_bound(ts)
         m = math.lcm(2, 4)
-        assert report.higher_priority == 1 - Fraction(1, m)
+        assert response_bounds(ts).utilization == 1 - Fraction(1, m)
 
     @given(st.lists(st.tuples(st.integers(1, 9), st.integers(1, 9)), min_size=2, max_size=5))
     def test_strict_bound_equals_refined_bound(self, pairs):
@@ -166,7 +158,7 @@ class TestBounds:
 
         tasks = [Task(min(c, p), p, 0) for c, p in pairs]
         ts = TaskSystem(tasks)
-        assume(utilization(ts, exclude_last=True) < 1)
+        assume(utilization(ts.tasks[:-1]) < 1)
         b = response_bounds(ts)
         prefix = [t.p for t in ts.tasks[:-1]]
         assert b.u2 % (math.lcm(*prefix) if prefix else 1) == 0
@@ -194,31 +186,44 @@ class TestBounds:
 
 
 class TestJitterFreeBounds:
+    """With zero jitter, c_n/(1-U) <= r_n <= lcm of all periods: the lower end
+    is `response_bounds`' ell."""
+
+    @staticmethod
+    def bounds_and_response(ts):
+        q = ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
+        return response_bounds(ts).ell, response_bruteforce(q), math.lcm(*ts.periods())
+
     def test_two_equal_periods(self):
-        ts = TaskSystem([Task(1, 2, 0), Task(1, 2, 0)])
-        assert jitter_free_bounds(ts) == (2, 2)
+        ell, r, period = self.bounds_and_response(TaskSystem([Task(1, 2, 0), Task(1, 2, 0)]))
+        assert ell == 2 and ell <= r <= period == 2
 
     def test_single_task(self):
-        ts = TaskSystem([Task(3, 7, 0)])
-        assert jitter_free_bounds(ts) == (3, 7)
+        ell, r, period = self.bounds_and_response(TaskSystem([Task(3, 7, 0)]))
+        assert ell == 3 and ell <= r <= period == 7
 
     def test_harmonic_three_tasks(self):
         ts = TaskSystem([Task(1, 2, 0), Task(1, 4, 0), Task(1, 4, 0)])
-        assert jitter_free_bounds(ts) == (4, 4)
-
-    def test_rejects_jitter(self, demo_system):
-        with pytest.raises(PreconditionViolated):
-            jitter_free_bounds(demo_system)
+        ell, r, period = self.bounds_and_response(ts)
+        assert ell == 4 and ell <= r <= period == 4
 
 
 class TestWidthCertificates:
+    """The bound interval's pseudo-polynomial width: u1 - ell <= p_max**n
+    always, and under total utilization <= 1 also u1 - ell <= p_max**2 and
+    u1 <= 2*p_max**2."""
+
     def test_demo_all_hold(self, demo_system):
-        checks = interval_width_certificates(demo_system)
-        assert len(checks) == 3 and all(c.holds for c in checks)
+        b = response_bounds(demo_system)
+        assert utilization(demo_system) <= 1
+        assert b.u1 - b.ell <= 65**2 and b.u1 <= 2 * 65**2
 
     def test_extreme_system(self):
         ts = TaskSystem([Task(1, 2, 2), Task(1, 4, 4), Task(1, 4, 4)])
-        assert all(c.holds for c in interval_width_certificates(ts))
+        b = response_bounds(ts)
+        assert utilization(ts) <= 1
+        assert b.u1 - b.ell <= 4**2 and b.u1 <= 2 * 4**2
 
     def test_single_task(self):
-        assert all(c.holds for c in interval_width_certificates(TaskSystem([Task(2, 5, 1)])))
+        b = response_bounds(TaskSystem([Task(2, 5, 1)]))
+        assert b.u1 - b.ell <= 5 and b.u1 <= 2 * 5**2

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from rtmix.core import is_harmonic, utilization, validate
-from rtmix.errors import PreconditionViolated
+from rtmix.errors import InvalidInstance, PreconditionViolated
 from rtmix.gen import (
     construct_extreme,
     random_mix_instance,
@@ -99,7 +99,7 @@ class TestRandomSystem:
     def test_gate_always_passes(self):
         for seed in range(40):
             ts = random_system(seed, 5, 24)
-            assert utilization(ts, exclude_last=True) < 1
+            assert utilization(ts.tasks[:-1]) < 1
 
     def test_require_schedulable_bounds_total(self):
         for seed in range(25):
@@ -117,6 +117,12 @@ class TestRandomMixInstance:
         for seed in range(20):
             inst = random_mix_instance(seed, 6, 128)
             assert is_harmonic(inst.capacities())
+
+    @pytest.mark.parametrize("harmonic", [True, False])
+    @pytest.mark.parametrize("a_max", [0, -4])
+    def test_nonpositive_capacity_bound_rejected(self, a_max, harmonic):
+        with pytest.raises(InvalidInstance, match="a_max"):
+            random_mix_instance(1, 3, a_max, harmonic=harmonic)
 
 
 class TestRandomReleasePattern:

@@ -1,4 +1,4 @@
-"""Mixing set: canonical completion, bounds on s, and the three exact solvers."""
+"""Mixing set: canonical completion, bounds on s, and the two exact solvers."""
 
 import math
 from fractions import Fraction
@@ -15,8 +15,6 @@ from rtmix.mixing import (
     complete,
     is_unbounded,
     objective_at,
-    shift_identity_check,
-    solve_breakpoints,
     solve_bruteforce,
     solve_harmonic,
 )
@@ -75,7 +73,7 @@ class TestUnbounded:
 
     def test_solvers_raise(self):
         bad = MixInstance(1, [(2, 1, 0)])
-        for solver in (solve_bruteforce, solve_harmonic, solve_breakpoints):
+        for solver in (solve_bruteforce, solve_harmonic):
             with pytest.raises(Unbounded):
                 solver(bad)
 
@@ -192,36 +190,35 @@ class TestHarmonicSolver:
             inst = random_mix_instance(seed, n=random.Random(seed).randint(0, 8), a_max=256)
             b = solve_bruteforce(inst)
             h = solve_harmonic(inst)
-            p = solve_breakpoints(inst)
-            assert (h.objective, h.s) == (b.objective, b.s) == (p.objective, p.s)
-
-
-class TestBreakpoints:
-    @given(bounded_mix_instances(harmonic=False))
-    @settings(max_examples=60)
-    def test_matches_bruteforce_on_general_capacities(self, inst):
-        b = solve_bruteforce(inst)
-        p = solve_breakpoints(inst)
-        assert (p.objective, p.s) == (b.objective, b.s)
+            assert (h.objective, h.s) == (b.objective, b.s)
 
 
 class TestShiftIdentity:
+    """x_i(s +- m) = x_i(s) -+ m/a_i for m = lcm of the capacities."""
+
     def test_hand_example(self):
         inst = MixInstance(1, [(2, 4, 7), (4, 8, 7)])
-        report = shift_identity_check(inst, 1)
-        assert report.checked_forward and not report.checked_backward
         assert complete(9, inst).x == tuple(
             x - 8 // t.a for t, x in zip(inst.terms, complete(1, inst).x)
         )
 
     def test_backward_direction_at_large_s(self):
-        report = shift_identity_check(TIGHT2, 15)
-        assert report.checked_backward
+        assert complete(7, TIGHT2).x == tuple(
+            x + 8 // t.a for t, x in zip(TIGHT2.terms, complete(15, TIGHT2).x)
+        )
 
     @given(bounded_mix_instances(), st.integers(0, 30))
     def test_identity_holds_everywhere(self, inst, s):
         if inst.terms:
-            shift_identity_check(inst, s)
+            m = math.lcm(*inst.capacities())
+            base = complete(s, inst).x
+            assert complete(s + m, inst).x == tuple(
+                x - m // t.a for t, x in zip(inst.terms, base)
+            )
+            if s >= m:
+                assert complete(s - m, inst).x == tuple(
+                    x + m // t.a for t, x in zip(inst.terms, base)
+                )
 
 
 class TestValidation:
