@@ -28,10 +28,10 @@ import os
 import sys
 import tempfile
 
-from rtmix import MixInstance, gen, is_harmonic
+from rtmix import MixInstance, Task, TaskSystem, gen, is_harmonic
 from rtmix.cli import EXIT_INTERNAL, main as cli_main
 
-SYSTEMS = 240  # seeded `gen random` systems, besides the 10 `gen extreme` ones
+SYSTEMS = 240  # seeded `gen random` systems, besides 10 `gen extreme` ones and one large-S one
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
 BLOCKIP = 60  # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16
 
@@ -60,6 +60,14 @@ def systems(count: int):
         for jitters in ("p", "zero"):
             ts = gen.construct_extreme(cs, p1, jitters, deadlines="p")
             yield f"extreme cs={cs} p1={p1} jitter={jitters}", ts
+    # general periods with jitter whose certified S (about 1.1e15) lies far
+    # above the response of task 2 (1073740801): a search that walks s or t
+    # up to S does not finish
+    yield "large-S", TaskSystem([
+        Task(2**29, 2**30, 5, 2**30),
+        Task(2**29 - 2**10, 2**30 + 1, 7, 2**30 + 1),
+        Task(1, 2**31, 0, 2**31),
+    ])
 
 
 def jitter_free_systems(count: int):

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass
 @dataclass
 class Counters:
     mixing_calls: int = 0      # mixing-set solves
-    mixing_ops: int = 0        # arithmetic ops inside mixing solves
+    mixing_ops: int = 0        # objective terms and breakpoints visited by mixing solves
     decision_probes: int = 0   # dualized decision-oracle invocations
     fixpoint_iters: int = 0    # iterations of the ceiling-recurrence baseline
 

@@ -8,8 +8,9 @@ whole problem is a one-dimensional search over s.
 
 Two exact solvers are provided:
 
-* `solve_bruteforce` scans every s up to a certified bound - the correctness
-  oracle for everything else.
+* `solve_bruteforce` searches s up to a certified bound, visiting only s = 0
+  and the points where some term's ceiling drops - the correctness oracle
+  for everything else.
 * `solve_harmonic` exploits a divisibility chain among the capacities: the
   objective shifts by a*(w0 - sum_{a_j <= a} w_j/a_j) >= 0 under s -> s + a,
   so the search narrows to one capacity-period per level and only splits at
@@ -25,9 +26,11 @@ re-validate, so code calling them directly validates first.
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import repeat
 from typing import Iterable
 
 from . import counters
@@ -140,18 +143,33 @@ def _finalize(s: int, inst: MixInstance) -> MixSolution:
 
 
 def solve_bruteforce(inst: MixInstance, *, s_bound: int | None = None) -> MixSolution:
-    """Global optimum by scanning s = 0 .. bound; smallest optimal s wins ties."""
+    """Global optimum over s = 0 .. bound; smallest optimal s wins ties.
+
+    From s - 1 to s the objective rises by w0 and falls by w_i for every term
+    with s = b_i (mod a_i), so a minimum lies at s = 0 or at one of these drop
+    points.  Only those are visited: each weighted term's drop points form an
+    arithmetic progression, the progressions are merged lazily (O(n) memory),
+    and the objective is carried along as a running sum.
+    """
     validate(inst)
     if is_unbounded(inst):
         raise Unbounded("sum w_i/a_i exceeds w0")
     hi = certified_s_bound(inst) if s_bound is None else s_bound
     counters.bump("mixing_calls")
-    best_s, best_obj = 0, objective_at(0, inst)
-    for s in range(1, hi + 1):
-        obj = objective_at(s, inst)
-        if obj < best_obj:
-            best_s, best_obj = s, obj
-    counters.bump("mixing_ops", (hi + 1) * (len(inst.terms) + 1))
+    # least s >= 1 with s = b (mod a), then every a-th s up to hi
+    drops = [(range((t.b - 1) % t.a + 1, hi + 1, t.a), t.w) for t in inst.terms if t.w]
+    counters.bump("mixing_ops", len(inst.terms) + 1 + sum(len(r) for r, _ in drops))
+    best_s = prev = 0
+    best_obj = obj = objective_at(0, inst)
+    for s, w in heapq.merge(*(zip(r, repeat(w)) for r, w in drops)):
+        if s != prev:  # obj is complete at prev: every drop there is taken
+            if obj < best_obj:
+                best_s, best_obj = prev, obj
+            obj += inst.w0 * (s - prev)
+            prev = s
+        obj -= w
+    if obj < best_obj:
+        best_s = prev
     return _finalize(best_s, inst)
 
 

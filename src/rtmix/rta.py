@@ -12,8 +12,9 @@ decision "response <= k?" through the equivalent mixing set question
 b=k+jitter_i) per interferer.  That equivalence is only valid once k reaches
 a certified bound S on the optimal s of the mixing instance, hence:
 
-* `response_turing` (any periods): decide at k = S; on yes, scan [gamma, S]
-  directly, on no, binary-search (S, u] where every probe is valid.
+* `response_turing` (any periods): decide at k = S; on yes, run the
+  fixed-point iteration from gamma, which stops at the least feasible t and
+  so at most at S; on no, binary-search (S, u] where every probe is valid.
 * `narrow` / `catch` (harmonic periods): walk the sorted distinct differences
   p_j - jitter_j.  For every task whose period is at least the probe, the
   optimal multiplier is forced to 1 or 2 by the probe's position relative to
@@ -267,16 +268,19 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
 
 
 def response_turing(q: ResponseQuery) -> int:
-    """Decide at the certified bound S, then scan below or binary-search above,
-    where every probe is past S and so passes the gate."""
+    """Decide at the certified bound S; on yes the response is at most S and the
+    fixed-point iteration from gamma reaches it, on no binary-search above S,
+    where every probe passes the gate."""
     if not q.indices:
         return q.gamma
     s_cert = q.s_bound
     if s_cert >= 1 and decide_large_k(q, s_cert):
-        for t in range(q.gamma, s_cert + 1):
-            if workload(q.tasks, q.gamma, t) <= t:
-                return t
-        raise InternalInvariantViolated("decision at S affirmed but the scan found nothing")
+        t = response_bruteforce(q)
+        if t > s_cert:
+            raise InternalInvariantViolated(
+                f"decision at S={s_cert} affirmed but the fixed point is {t}"
+            )
+        return t
     lo = max(s_cert + 1, math.ceil(q.bounds.ell))
     t = lo + bisect.bisect_left(
         range(lo, q.bounds.u), True, key=lambda k: decide_large_k(q, k)

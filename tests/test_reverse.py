@@ -4,7 +4,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from conftest import bounded_mix_instances, mix_enum_oracle
 from rtmix import counters, mixing
@@ -145,6 +145,7 @@ class TestShift:
         assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
 
     @given(bounded_mix_instances())
+    @example(MixInstance(1, [(0, 15, 0), (3, 16, 0), (0, 1, 0), (6, 11, 0), (4, 15, 0)]))  # lcm 2640
     @settings(max_examples=60)
     def test_objective_matches_bruteforce(self, inst):
         if is_unbounded(inst):

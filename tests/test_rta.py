@@ -241,7 +241,7 @@ class TestHarmonicWalk:
 
 class TestTuring:
     def test_demo_query_resolved_by_scan(self, demo_system):
-        # the utilization bound certifies S = 42, and the scan lands exactly there
+        # the utilization bound certifies S = 42, and the fixed point lands exactly there
         q = ResponseQuery(demo_system, (0, 1), 13)
         inst = build_mix_for_k(q, 1)
         assert certified_s_bound(inst) == 42
@@ -258,6 +258,18 @@ class TestTuring:
     def test_matches_bruteforce(self, ts):
         q = full_query(ts)
         assert response_turing(q) == response_bruteforce(q)
+
+    def test_auto_on_a_certified_s_far_above_the_response(self):
+        # general periods with jitter, so auto picks turing; S is about 1e6
+        # times the response, which the search must not walk through
+        ts = TaskSystem([
+            Task(2**29, 2**30, 5, 2**30),
+            Task(2**29 - 2**10, 2**30 + 1, 7, 2**30 + 1),
+            Task(1, 2**31, 0, 2**31),
+        ])
+        q = full_query(ts)
+        assert q.s_bound == 1125349347163456
+        assert compute_response(q, "auto") == response_bruteforce(q) == 1073740801
 
 
 class TestJitterFree:
