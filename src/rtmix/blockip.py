@@ -13,15 +13,19 @@ probe value k, to the decision
 
 a two-stage program: once x^(0) is fixed the bricks decouple and each brick
 maximizes its share of a independently.  `solve_2stage_desk` exploits exactly
-that - first-stage enumeration over the x^(0) box, then an exact per-brick
-search with interval-propagation pruning - under the node budget
-`DEFAULT_NODE_BUDGET`.
+that - first-stage enumeration over the x^(0) box, then an exact completion
+per brick - under the node budget `DEFAULT_NODE_BUDGET`.  A unit-slack brick,
+whose one row is (p, -1) with p >= 1, is completed in closed form in O(1);
+every other brick, and the brick that carries a nonzero wj, goes through a
+depth-first search with interval-propagation pruning.
 `solve_simple_4block` wraps it into the binary search for the least feasible
-k (the decisions are monotone in k because y only relaxes).
+k in [0, H] (the decisions are monotone in k because y only relaxes, and no
+k < 0 passes because weights and variables are nonnegative).
 
 `encode_rtc_as_4block` expresses jitter-free response-time computation in
-this shape: one first-stage variable t, one brick (x_i, z_i) per interfering
-task with equality p_i*x_i - t - z_i = 0, and coupling t - sum c_i*x_i >= c_n.
+this shape: one first-stage variable t, one unit-slack brick (x_i, z_i) per
+interfering task with equality p_i*x_i - t - z_i = 0, and coupling
+t - sum c_i*x_i >= c_n.
 """
 
 from __future__ import annotations
@@ -167,17 +171,44 @@ def _max_brick(
     return best
 
 
+def _max_unit_slack(coef: int, c: Sequence[int], rest: int, boxes: Sequence[int]) -> int | None:
+    """Exact max of c . (x, z) over the boxes with coef*x - z = rest, coef >= 1.
+
+    z = coef*x - rest, so the feasible x form one interval and the objective
+    is linear in x on it: the best x is an end of that interval.
+    """
+    lo = max(0, ceil_div(rest, coef))
+    hi = min(boxes[0], (rest + boxes[1]) // coef)
+    if lo > hi:
+        return None
+    slope = c[0] + c[1] * coef
+    return slope * (hi if slope > 0 else lo) - c[1] * rest
+
+
+def _unit_slack_coefficient(rows: Matrix) -> int | None:
+    """p when a brick's rows are the single row (p, -1) with p >= 1, else None."""
+    if len(rows) == 1 and len(rows[0]) == 2 and rows[0][0] >= 1 and rows[0][1] == -1:
+        return rows[0][0]
+    return None
+
+
 def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     """Exact maximum of the coupling row over the two-stage program of probe k,
     or None when infeasible.  Raises BudgetExceeded past DEFAULT_NODE_BUDGET.
 
-    The program stitches the slack row w0 . x^(0) + wj . x^(j) + y = k, with
-    y in [0, k] (weights and variables are nonnegative, so y <= k), onto the
-    addressed brick j; without bricks the row stands alone.
+    The slack row is w0 . x^(0) + wj . x^(j) + y = k with y in [0, k]
+    (weights and variables are nonnegative, so y <= k).  Its necessary part
+    k - w0 . x^(0) >= 0 is checked once per first-stage point, before the
+    bricks; when wj = 0 that is the whole row.  Otherwise the row is stitched
+    onto the addressed brick j.  A unit-slack brick (one row (p, -1), p >= 1,
+    not carrying the slack row) is completed in closed form; every other
+    brick goes through the DFS `_max_brick`.  Each first-stage node, each
+    closed-form completion and each DFS node spends one unit of the budget.
     """
     budget = _Budget(DEFAULT_NODE_BUDGET)
     a0 = p.D[0]
-    slack_idx = None if p.j is None else p.j - 1
+    slack_idx = p.j - 1 if p.j is not None and any(p.wj) else None
+    unit_coef = [None if i == slack_idx else _unit_slack_coefficient(p.A[i]) for i in range(p.n)]
     best: int | None = None
 
     def first_stage(v: int, x0: list[int]) -> None:
@@ -188,31 +219,33 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
                 x0[v] = val
                 first_stage(v + 1, x0)
             return
+        room = k - sum(p.w0[c] * x0[c] for c in range(p.s))
+        if room < 0:
+            return
         total = sum(a0[i] * x0[i] for i in range(p.s))
         for i in range(p.n):
-            rows = [list(p.A[i][ri]) for ri in range(p.r)]
             rhs = [
                 p.rhs[i][ri] - sum(p.B[i][ri][c] * x0[c] for c in range(p.s))
                 for ri in range(p.r)
             ]
-            boxes = list(p.u_brick(i))
-            a_obj = list(p.C[i][0])
-            if i == slack_idx:
-                # extra row: wj . x^(j) + y = k - w0 . x^(0), with slack var y
-                rows = [row + [0] for row in rows]
-                rows.append(list(p.wj) + [1])
-                rhs.append(k - sum(p.w0[c] * x0[c] for c in range(p.s)))
-                boxes.append(max(0, k))
-                a_obj.append(0)
-            part = _max_brick(a_obj, rows, rhs, boxes, budget)
+            if unit_coef[i] is not None:
+                budget.spend()
+                part = _max_unit_slack(unit_coef[i], p.C[i][0], rhs[0], p.u_brick(i))
+            else:
+                rows = [list(p.A[i][ri]) for ri in range(p.r)]
+                boxes = list(p.u_brick(i))
+                a_obj = list(p.C[i][0])
+                if i == slack_idx:
+                    # extra row: wj . x^(j) + y = k - w0 . x^(0), with slack var y
+                    rows = [row + [0] for row in rows]
+                    rows.append(list(p.wj) + [1])
+                    rhs.append(room)
+                    boxes.append(k)
+                    a_obj.append(0)
+                part = _max_brick(a_obj, rows, rhs, boxes, budget)
             if part is None:
                 return
             total += part
-        if slack_idx is None:
-            # no addressed brick: the slack row reduces to w0 . x^(0) + y = k
-            y = k - sum(p.w0[c] * x0[c] for c in range(p.s))
-            if y < 0:
-                return
         if best is None or total > best:
             best = total
 
@@ -221,21 +254,24 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
 
 
 def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
-    """Least k in [-H, H] whose dual decision reaches the coupling bound b0.
+    """Least k in [0, H] whose dual decision reaches the coupling bound b0.
 
-    H defaults to sum w_i * u_i, a sound bound on |w^T x| over the boxes.
-    Raises Infeasible when no k in the window passes.
+    Weights and variables are nonnegative, so no k < 0 passes.  H defaults to
+    sum w_i * u_i, a sound bound on w^T x over the boxes; a negative H raises
+    InvalidInstance.  Raises Infeasible when no k in the window passes.
     """
     if H is None:
         H = _default_objective_bound(p)
+    if H < 0:
+        raise InvalidInstance(f"the search bound H must be nonnegative, got {H}")
 
     def reaches(k: int) -> bool:
         value = solve_2stage_desk(p, k)
         return value is not None and value >= p.b0
 
     if not reaches(H):
-        raise Infeasible(f"no objective value in [-{H}, {H}] satisfies the coupling bound")
-    return -H + bisect.bisect_left(range(-H, H), True, key=reaches)
+        raise Infeasible(f"no objective value in [0, {H}] satisfies the coupling bound")
+    return bisect.bisect_left(range(H), True, key=reaches)
 
 
 def _default_objective_bound(p: SimpleFourBlock) -> int:

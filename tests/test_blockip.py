@@ -5,6 +5,8 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from rtmix import blockip
 from rtmix.blockip import (
@@ -27,6 +29,71 @@ from rtmix.rta import ResponseQuery, response_jitter_free
 @pytest.fixture
 def pair_system():
     return TaskSystem([Task(1, 2, 0), Task(1, 1, 0)])
+
+
+def enumerated_decision(prog, k):
+    """Max of the coupling row over every box point that meets each brick's
+    rows and w^T x <= k (the slack row with y >= 0), or None: the dual
+    decision enumerated directly."""
+    s, t = prog.s, prog.t
+    best = None
+    for x in itertools.product(*(range(b + 1) for b in prog.u)):
+        x0 = x[:s]
+        bricks = [x[s + i * t : s + (i + 1) * t] for i in range(prog.n)]
+        if any(
+            sum(b * v for b, v in zip(prog.B[i][ri], x0))
+            + sum(a * v for a, v in zip(prog.A[i][ri], bricks[i]))
+            != prog.rhs[i][ri]
+            for i in range(prog.n)
+            for ri in range(prog.r)
+        ):
+            continue
+        weight = sum(w * v for w, v in zip(prog.w0, x0))
+        if prog.j is not None:
+            weight += sum(w * v for w, v in zip(prog.wj, bricks[prog.j - 1]))
+        if weight > k:
+            continue
+        value = sum(d * v for d, v in zip(prog.D[0], x0)) + sum(
+            c * v for i in range(prog.n) for c, v in zip(prog.C[i][0], bricks[i])
+        )
+        if best is None or value > best:
+            best = value
+    return best
+
+
+@st.composite
+def unit_slack_programs(draw):
+    """One first-stage variable and one or two bricks with the row (p, -1):
+    B and rhs of both signs, objectives of both signs with zero slope drawn
+    on purpose, boxes small enough to clip either variable or empty the
+    interval, and wj zero or not."""
+    n = draw(st.integers(1, 2))
+    A, B, C, rhs, u = [], [], [], [], [draw(st.integers(0, 4))]
+    for _ in range(n):
+        p = draw(st.integers(1, 5))
+        c_z = draw(st.integers(-3, 3))
+        c_x = draw(st.one_of(st.just(-c_z * p), st.integers(-3, 3)))
+        A.append(((p, -1),))
+        B.append(((draw(st.integers(-3, 3)),),))
+        C.append(((c_x, c_z),))
+        rhs.append((draw(st.integers(-6, 6)),))
+        u.extend([draw(st.integers(0, 4)), draw(st.integers(0, 4))])
+    return SimpleFourBlock(
+        n=n,
+        r=1,
+        s=1,
+        t=2,
+        D=((draw(st.integers(-3, 3)),),),
+        C=tuple(C),
+        B=tuple(B),
+        A=tuple(A),
+        b0=0,
+        rhs=tuple(rhs),
+        w0=(draw(st.integers(0, 2)),),
+        j=draw(st.integers(1, n)),
+        wj=draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 1)])),
+        u=tuple(u),
+    )
 
 
 def brick_program(**overrides):
@@ -72,15 +139,15 @@ class TestStitching:
         # meets the brick equality and the stitched slack row w^T x + y = k,
         # y >= 0, enumerated directly, is the desk backend's value
         prog = encode_rtc_as_4block(pair_system)
-        (b_row,), (a_row,), (c_row,) = prog.B[0], prog.A[0], prog.C[0]
         for k in range(0, 6):
-            values = [
-                prog.D[0][0] * t + sum(c * v for c, v in zip(c_row, brick))
-                for t, *brick in itertools.product(*(range(b + 1) for b in prog.u))
-                if b_row[0] * t + sum(a * v for a, v in zip(a_row, brick)) == prog.rhs[0][0]
-                and prog.w0[0] * t + sum(w * v for w, v in zip(prog.wj, brick)) <= k
-            ]
-            assert solve_2stage_desk(prog, k) == max(values, default=None)
+            assert solve_2stage_desk(prog, k) == enumerated_decision(prog, k)
+
+    @given(unit_slack_programs(), st.integers(-1, 8))
+    @settings(max_examples=400)
+    def test_unit_slack_bricks_match_enumeration(self, prog, k):
+        # unit-slack bricks are completed in closed form; the brick carrying
+        # a nonzero wj goes through the DFS with the slack row
+        assert solve_2stage_desk(prog, k) == enumerated_decision(prog, k)
 
 
 class TestDeskBackend:
@@ -172,3 +239,11 @@ class TestRtcRoundTrip:
             want = response_jitter_free(q)
             u = bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1]).u
             assert solve_simple_4block(encode_rtc_as_4block(ts), H=u) == want
+
+    def test_seeded_round_trips_at_scale(self):
+        # four to six tasks with periods up to 64: first-stage ranges up to about 500
+        for seed in range(30):
+            n = 4 + seed % 3
+            ts = random_system(seed + 500, n, 64, jitter_mode="zero", require_schedulable=True)
+            q = ResponseQuery(ts, range(n - 1), ts.tasks[-1].c)
+            assert solve_simple_4block(encode_rtc_as_4block(ts)) == response_jitter_free(q)

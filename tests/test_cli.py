@@ -269,6 +269,15 @@ class TestBlockip:
         code, _ = run_cli(capsys, "blockip", "solve", "--input", str(enc))
         assert code == 3
 
+    def test_negative_search_bound_exits_2(self, capsys, tmp_path):
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(json.dumps({"tasks": [{"c": 1, "p": 2, "jitter": 0, "d": None}]}))
+        enc = tmp_path / "enc.json"
+        run_cli(capsys, "blockip", "encode-rtc", "--input", str(sysfile), "--output", str(enc))
+        code, out = run_cli(capsys, "blockip", "solve", "--input", str(enc), "--H", "-1")
+        assert code == 2
+        assert last_json(out)["error"] == "InvalidInstance"
+
 
 class TestVerifyOnSeededSuite:
     def test_verify_passes_across_random_systems(self, capsys, tmp_path):
