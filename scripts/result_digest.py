@@ -31,7 +31,9 @@ import tempfile
 from rtmix import MixInstance, Task, TaskSystem, gen, is_harmonic
 from rtmix.cli import EXIT_INTERNAL, main as cli_main
 
-SYSTEMS = 240  # seeded `gen random` systems, besides 10 `gen extreme` ones and one large-S one
+# seeded `gen random` systems, besides 10 `gen extreme` ones, one large-S one,
+# 12 larger harmonic ones and 3 geometric ones
+SYSTEMS = 240
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
 BLOCKIP = 60  # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16
 
@@ -68,6 +70,18 @@ def systems(count: int):
         Task(2**29 - 2**10, 2**30 + 1, 7, 2**30 + 1),
         Task(1, 2**31, 0, 2**31),
     ])
+    # larger harmonic systems, short and long periods, for the walk's compiled chain
+    for n in (8, 10, 12):
+        for p_max in (1024, 2**24):
+            for jitter_mode in ("upto-p", "zero"):
+                seed = 1000 * n + p_max.bit_length()
+                ts = gen.random_system(seed, n, p_max, harmonic=True, jitter_mode=jitter_mode)
+                yield f"random seed={seed} n={n} p_max={p_max} harmonic=True {jitter_mode}", ts
+    # geometric: c_i = 1, p_i = 2^i for i = 1..k, then c = 2^(k-1); the fixed
+    # point takes about 25k iterations at k = 12
+    for k in (10, 11, 12):
+        tasks = [Task(1, 2**i, 0, 2**i) for i in range(1, k + 1)]
+        yield f"geometric k={k}", TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
 
 
 def jitter_free_systems(count: int):

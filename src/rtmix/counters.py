@@ -16,7 +16,10 @@ from dataclasses import asdict, dataclass
 @dataclass
 class Counters:
     mixing_calls: int = 0      # mixing-set solves
-    mixing_ops: int = 0        # objective terms and breakpoints visited by mixing solves
+    # Steps of mixing solves.  Brute force: the n + 1 terms at s = 0, then one
+    # per drop point.  Harmonic: per node, the terms of its level (each
+    # evaluated once, its objective part carried down) plus one; per leaf, one.
+    mixing_ops: int = 0
     decision_probes: int = 0   # dualized decision-oracle invocations
     fixpoint_iters: int = 0    # iterations of the ceiling-recurrence baseline
 

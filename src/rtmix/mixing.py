@@ -14,14 +14,21 @@ Two exact solvers are provided:
 * `solve_harmonic` exploits a divisibility chain among the capacities: the
   objective shifts by a*(w0 - sum_{a_j <= a} w_j/a_j) >= 0 under s -> s + a,
   so the search narrows to one capacity-period per level and only splits at
-  the level's own breakpoints.
+  the level's own breakpoints, carrying the objective down so that a leaf
+  costs O(1).
 
 Every solver returns the solution with the smallest optimal s, and every
-returned solution is feasibility-checked before it leaves the module.
+returned completion is feasibility-checked before it leaves the module.
 
-Each solver runs `validate` once, at its entry.  The helpers it calls
-(`is_unbounded`, `certified_s_bound`) trust their caller and do not
-re-validate, so code calling them directly validates first.
+Each solver runs `validate` once, at its entry; `solve_harmonic` does so in
+`compile_harmonic`, which also checks the chain and boundedness and sorts
+the terms into a `HarmonicChain`.  A compiled chain can be searched again
+and again, as a prefix of its levels at shifted right-hand sides, with no
+check repeated: the harmonic walk in `rta` compiles one chain per response
+query and searches a prefix of it in each decision probe.  Such a search
+reports s and the objective only.  The helpers (`is_unbounded`,
+`certified_s_bound`) trust their caller and do not re-validate, so code
+calling them directly validates first.
 """
 
 from __future__ import annotations
@@ -71,7 +78,7 @@ class MixInstance:
 @dataclass(frozen=True)
 class MixSolution:
     s: int
-    x: tuple[int, ...]
+    x: tuple[int, ...]  # empty when `solve_harmonic` searched a compiled chain
     objective: int
 
 
@@ -173,60 +180,123 @@ def solve_bruteforce(inst: MixInstance, *, s_bound: int | None = None) -> MixSol
     return _finalize(best_s, inst)
 
 
-def solve_harmonic(inst: MixInstance) -> MixSolution:
-    """Global optimum for a divisibility chain of capacities.
+@dataclass(frozen=True)
+class HarmonicChain:
+    """A mixing instance over a divisibility chain, checked and sorted once
+    by `compile_harmonic`.
 
-    Works top-down over distinct capacities a (largest first) on windows
-    [L, R).  Invariants: every term with capacity above the current level is
-    constant on the window, and the boundedness check guarantees
-    w0 >= sum_{a_j <= a} w_j/a_j, so s -> s + a never improves the objective
-    and the window narrows to [L, L + a).  Splitting at the level's own
-    breakpoints restores the invariant one level down; at the bottom the
-    objective is linear with slope w0 >= 0 and the left endpoint wins.
-    Leaves are explored left to right, so ties resolve to the smallest s.
+    `levels` lists the distinct capacities of the positive-weight terms in
+    ascending order, and `groups[l]` holds the (w, offset) pairs of the terms
+    at level l; a term's right-hand side is b = base + offset.  A prefix of a
+    bounded chain is bounded, so one compiled chain serves every instance
+    that keeps some of its lowest levels and moves all right-hand sides by
+    one constant (`prefix`), without checking anything again.
+    """
+
+    w0: int
+    levels: tuple[int, ...]
+    groups: tuple[tuple[tuple[int, int], ...], ...]
+    base: int = 0
+
+    def prefix(self, depth: int, base: int) -> HarmonicChain:
+        """The chain of the lowest `depth` levels, with right-hand sides base + offset."""
+        return HarmonicChain(self.w0, self.levels[:depth], self.groups[:depth], base)
+
+
+def compile_harmonic(inst: MixInstance) -> HarmonicChain:
+    """Check an instance once - validity, the divisibility chain, and
+    boundedness in integers - and sort its terms into levels.
+
+    For a chain the lcm m is the largest capacity, so sum w_i/a_i <= w0 reads
+    sum w_i*(m/a_i) <= w0*m.  Zero-weight terms never move the objective and
+    are left out of the levels.
     """
     validate(inst)
-    if not is_harmonic(inst.capacities()):
+    caps = inst.capacities()
+    if not is_harmonic(caps):
         raise PreconditionViolated("capacities do not form a divisibility chain")
-    if is_unbounded(inst):
+    m = max(caps, default=1)
+    if sum(t.w * (m // t.a) for t in inst.terms) > inst.w0 * m:
         raise Unbounded("sum w_i/a_i exceeds w0")
-    counters.bump("mixing_calls")
-    if not inst.terms:
-        return _finalize(0, inst)
-
-    residues: dict[int, set[int]] = {}
+    groups: dict[int, list[tuple[int, int]]] = {}
     for t in inst.terms:
-        residues.setdefault(t.a, set()).add(t.b % t.a)
-    levels = sorted(residues)  # ascending capacities
-    m = levels[-1]             # lcm of a harmonic chain is its maximum
+        if t.w:
+            groups.setdefault(t.a, []).append((t.w, t.b))
+    levels = tuple(sorted(groups))
+    return HarmonicChain(inst.w0, levels, tuple(tuple(groups[a]) for a in levels))
 
-    best_s: int | None = None
-    best_obj: int | None = None
-    stack: list[tuple[int, int, int]] = [(0, m, len(levels) - 1)]
+
+def _search(chain: HarmonicChain) -> tuple[int, int]:
+    """The smallest optimal s of a compiled chain and its objective.
+
+    Works top-down over the levels (largest capacity first) on windows
+    [L, R).  Invariants: every term above the current level is constant on
+    the window, and boundedness gives w0 >= sum_{a_j <= a} w_j/a_j, so
+    s -> s + a never improves the objective and the window narrows to
+    [L, L + a).  Splitting at the level's own breakpoints (where its
+    ceilings drop) restores the invariant one level down.  Each node carries
+    the constant part of the objective down: it adds its level's terms at
+    the left end of each piece, less the weights dropped at the cuts before
+    it.  At the bottom the objective is w0*s plus that sum, so the left end
+    wins and a leaf costs O(1).  Leaves are visited left to right, so ties
+    resolve to the smallest s.
+    """
+    w0, levels, groups, base = chain.w0, chain.levels, chain.groups, chain.base
+    counters.bump("mixing_calls")
+    if not levels:
+        return 0, 0
+    ops = 0
+    best_s = best_obj = None
+    stack = [(0, levels[-1], len(levels) - 1, 0)]
     while stack:
-        left, right, li = stack.pop()
-        if left >= right:
-            continue
-        if li < 0:
-            counters.bump("mixing_ops", len(inst.terms) + 1)
-            obj = objective_at(left, inst)
-            if best_obj is None or obj < best_obj:
-                best_s, best_obj = left, obj
-            continue
+        left, right, li, acc = stack.pop()
         a = levels[li]
         right = min(right, left + a)
-        cuts = sorted(
-            d
-            for d in {left + ((r - left) % a) for r in residues[a]}
-            if left < d < right
+        group = groups[li]
+        cuts = []
+        for w, off in group:
+            gap = base + off - left
+            acc -= w * (-gap // a)  # adds w*ceil((b - left)/a)
+            d = left + gap % a      # where this term's ceiling next drops
+            if left < d < right:
+                cuts.append((d, w))
+        cuts.sort()
+        pieces = []  # (left, right, constant part) from left to right
+        for d, w in cuts:
+            if d != left:
+                pieces.append((left, d, acc))
+                left = d
+            acc -= w
+        pieces.append((left, right, acc))
+        ops += len(group) + 1
+        if li:
+            stack.extend((lo, hi, li - 1, val) for lo, hi, val in reversed(pieces))
+            continue
+        ops += len(pieces)
+        for lo, _, val in pieces:  # leaves: the objective is w0*s + val on the piece
+            obj = w0 * lo + val
+            if best_obj is None or obj < best_obj:
+                best_s, best_obj = lo, obj
+    counters.bump("mixing_ops", ops)
+    return best_s, best_obj
+
+
+def solve_harmonic(inst: MixInstance | HarmonicChain) -> MixSolution:
+    """Global optimum for a divisibility chain of capacities; the smallest
+    optimal s wins ties.
+
+    A `MixInstance` is compiled (every check), searched once, and its
+    completion is checked against the search's objective.  A compiled chain
+    was checked when it was compiled and is only searched: its solution
+    reports s and the objective, and leaves x empty.
+    """
+    if isinstance(inst, HarmonicChain):
+        s, obj = _search(inst)
+        return MixSolution(s, (), obj)
+    s, obj = _search(compile_harmonic(inst))
+    sol = _finalize(s, inst)
+    if sol.objective != obj:
+        raise InternalInvariantViolated(
+            f"harmonic search carried objective {obj} to s={s}, completion gives {sol.objective}"
         )
-        counters.bump("mixing_ops", len(residues[a]) + 1)
-        lo = left
-        segments = []
-        for d in cuts:
-            segments.append((lo, d))
-            lo = d
-        segments.append((lo, right))
-        for seg_left, seg_right in reversed(segments):
-            stack.append((seg_left, seg_right, li - 1))
-    return _finalize(best_s, inst)
+    return sol

@@ -33,7 +33,7 @@ import bisect
 from dataclasses import dataclass
 
 from . import mixing, rta
-from .core import Task, TaskSystem, ceil_div, is_harmonic, lcm_capped, utilization, workload
+from .core import Task, TaskSystem, ceil_div, is_harmonic, lcm_capped, utilization
 from .errors import InternalInvariantViolated, PreconditionViolated, Unbounded
 
 
@@ -75,22 +75,17 @@ def _pseudo_tasks(inst: mixing.MixInstance, beta: int) -> tuple[Task, ...]:
 
 def _response_leq(tasks: tuple[Task, ...], beta: int, gamma: int) -> tuple[bool, int | None]:
     """Decide whether the dual response of `tasks` at `gamma` is <= beta,
-    returning the response value when finite.
+    returning the response value when it exists.
 
-    At weight utilization exactly 1 the response may not exist; then
-    t -> t + m changes workload by exactly m, so each residue class modulo
-    m = lcm(a) is feasible iff its smallest member is, and a residue scan
-    settles the decision.
+    At weight utilization 1 no t is feasible, so there is no response: with
+    jitter_i >= 0 the workload is at least
+    gamma + sum c_i*(t + jitter_i)/p_i >= gamma + t > t.
     """
-    if utilization(tasks) < 1:
-        q = rta.ResponseQuery(TaskSystem(tasks), range(len(tasks)), gamma)
-        r = rta.compute_response(q)
-        return r <= beta, r
-    m = lcm_capped(t.p for t in tasks)
-    for rho in range(m):
-        if workload(tasks, gamma, rho) <= rho:
-            return rho <= beta, rho
-    return False, None
+    if utilization(tasks) >= 1:
+        return False, None
+    q = rta.ResponseQuery(TaskSystem(tasks), range(len(tasks)), gamma)
+    r = rta.compute_response(q)
+    return r <= beta, r
 
 
 def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
@@ -140,9 +135,11 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
     Sets beta = b_min, jitter_i = b_i - beta, then binary-searches the least
     k with response(I, beta - k) <= beta.  Probes are limited to k <= beta - 1
     (the dual constant must stay >= 1); when even beta - 1 fails, the optimum
-    lies in [beta, b_max] and is recovered from the maximum of the dual
-    objective t - sum w_i*ceil((t + jitter_i)/a_i) over one capacity period,
-    which the shift identity pins to (beta - m, beta].
+    lies in [beta, b_max].  It maximizes the dual objective
+    t - sum w_i*ceil((t + jitter_i)/a_i) over one capacity period, which the
+    shift identity pins to (beta - m, beta]; with s = beta - t that is the
+    mixing objective over s < min(m, beta), which the brute-force solver
+    minimizes at its drop points (the smallest optimal s on ties).
     """
     _validate(inst)
     if mixing.is_unbounded(inst):
@@ -160,17 +157,13 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
     beta = b_min
     if mix_leq_via_rtc(inst, beta, beta - 1):
         return _least_k(inst, beta, beta - 1)
-    # optimum in [beta, b_max]: maximize the dual objective directly
-    tasks = _pseudo_tasks(inst, beta)
-    best_t, best_val = None, None
-    for t in range(max(0, beta - m) + 1, beta + 1):
-        val = t - workload(tasks, 0, t)
-        if best_val is None or val > best_val:
-            best_t, best_val = t, val
-    opt = beta - best_val
-    if not beta <= opt <= b_max:
-        raise InternalInvariantViolated(f"crowded fallback produced optimum {opt} outside [beta, b_max]")
-    return _witness(inst, beta - best_t, opt)
+    # optimum in [beta, b_max]: minimize over the s = beta - t of one capacity period
+    sol = mixing.solve_bruteforce(inst, s_bound=min(m - 1, beta - 1))
+    if not beta <= sol.objective <= b_max:
+        raise InternalInvariantViolated(
+            f"crowded fallback produced optimum {sol.objective} outside [beta, b_max]"
+        )
+    return sol
 
 
 def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:

@@ -29,10 +29,15 @@ and no other setting.  A query is validated once, when it is built, and
 holds the interferer tuple, its `BoundsResult` (which carries the exact
 utilization) and its certified S, all computed then under the magnitude cap
 that RTMIX_LIMIT_BITS sets; no algorithm recomputes them.  `decide_large_k`
-always refuses a k below a query's S.  The residual probes of
-`narrow`/`catch` are derived from the parent query with
-`ResponseQuery.residual`, without validation, bounds or S; the walk keeps
-their periods below the probe instead.  `compute_response` is the only
+always refuses a k below a query's S.
+
+The harmonic walk compiles its mixing chain once per query
+(`mixing.compile_harmonic`: one term (c_i, p_i, jitter_i) per interferer,
+sorted into period levels, checked once).  A residual probe at k is the
+chain's prefix of levels below k with right-hand sides k + jitter_i, passed
+to `decide_large_k` as a `Residual`; it needs no S, since the walk keeps
+every residual period below the probe, and no check beyond that, so a probe
+costs only the search over its levels.  `compute_response` is the only
 algorithm selector; `reverse` calls it too.
 """
 
@@ -41,7 +46,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import counters, mixing
 from .core import (
@@ -67,15 +72,14 @@ class ResponseQuery:
     """Interference set I (indices into the system) plus the constant gamma,
     compiled once: `tasks` is the interferer tuple, `bounds` its certified
     interval with its exact utilization, and `s_bound` the certified bound S
-    on the optimal s of every Mix(I, k).  A probe derived with `residual`
-    leaves the last two None."""
+    on the optimal s of every Mix(I, k)."""
 
     system: TaskSystem
     indices: tuple[int, ...]
     gamma: int
     tasks: tuple[Task, ...]
-    bounds: BoundsResult | None
-    s_bound: int | None
+    bounds: BoundsResult
+    s_bound: int
 
     def __init__(self, system: TaskSystem, indices: Sequence[int], gamma: int):
         indices = tuple(sorted(set(indices)))
@@ -88,23 +92,20 @@ class ResponseQuery:
         bounds = bounds_from_parts(gamma, tasks)  # raises UtilizationExceeded at U >= 1
         # Independent of k, since the right-hand sides do not enter S.
         s_bound = mixing.certified_s_bound(mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks]))
-        self._set(system=system, indices=indices, gamma=gamma, tasks=tasks,
-                  bounds=bounds, s_bound=s_bound)
-
-    def _set(self, **fields) -> None:
-        for name, value in fields.items():
+        for name, value in (("system", system), ("indices", indices), ("gamma", gamma),
+                            ("tasks", tasks), ("bounds", bounds), ("s_bound", s_bound)):
             object.__setattr__(self, name, value)
 
-    def residual(self, indices: tuple[int, ...], gamma: int) -> ResponseQuery:
-        """The decision probe over a subset of this query's interferers with a
-        larger constant, for the harmonic walk: no validation and no bounds.
-        `bounds` and `s_bound` are None, so `decide_large_k` applies no gate;
-        the walk keeps every residual period below its probe instead."""
-        sub = object.__new__(ResponseQuery)
-        tasks = tuple(self.system.tasks[i] for i in indices)
-        sub._set(system=self.system, indices=indices, gamma=gamma, tasks=tasks,
-                 bounds=None, s_bound=None)
-        return sub
+
+class Residual(NamedTuple):
+    """One decision probe of the harmonic walk at k: the interferers with
+    period below k, as the lowest `depth` levels of the walk's compiled chain
+    (right-hand sides k + jitter_i), and the constant gamma' that the tasks
+    with forced multipliers add to gamma."""
+
+    chain: mixing.HarmonicChain
+    depth: int
+    gamma: int
 
 
 @dataclass
@@ -152,27 +153,40 @@ def _solve_mix(inst: mixing.MixInstance, s_bound: int | None) -> mixing.MixSolut
     return mixing.solve_bruteforce(inst, s_bound=s_bound)
 
 
-def decide_large_k(q: ResponseQuery, k: int) -> bool:
+def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
     """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma.
 
     Valid only for k at or above the certified bound S, so a built query
-    refuses any smaller k (the gate).  A residual probe carries no S: the
-    harmonic walk that derives it certifies the reduction by construction
-    (every residual period lies below k, which `_decide_residual` checks),
-    and its mixing solve certifies an s bound of its own if it needs one.
+    refuses any smaller k (the gate).  A `Residual` of the harmonic walk
+    carries no S: the walk certifies the reduction by construction (every
+    residual period lies below k, which `_decide_residual` checks), and its
+    mixing instance is a prefix of the walk's chain at right-hand sides
+    k + jitter_i, checked when the chain was compiled.
     """
+    if isinstance(q, Residual):
+        if not q.depth:
+            return k >= q.gamma
+        counters.bump("decision_probes")
+        return mixing.solve_harmonic(q.chain.prefix(q.depth, k)).objective <= k - q.gamma
     if not q.indices:
         if k < 1:
             raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
         return k >= q.gamma
-    if q.s_bound is not None and k < q.s_bound:
+    if k < q.s_bound:
         raise PreconditionKTooSmall(k, q.s_bound)
     counters.bump("decision_probes")
     return _solve_mix(build_mix_for_k(q, k), q.s_bound).objective <= k - q.gamma
 
 
+def _walk_chain(q: ResponseQuery) -> mixing.HarmonicChain:
+    """The walk's mixing chain, compiled once per query: term (c_i, p_i, jitter_i)
+    per interferer, so a probe at k is a prefix of it at base k."""
+    return mixing.compile_harmonic(mixing.MixInstance(1, [(t.c, t.p, t.jitter) for t in q.tasks]))
+
+
 def _decide_residual(
     q: ResponseQuery,
+    chain: mixing.HarmonicChain,
     phase: str,
     k: int,
     ones: list[int],
@@ -182,13 +196,15 @@ def _decide_residual(
 ) -> bool:
     """Probe k with the multipliers of `ones` and `twos` forced to 1 and 2:
     Mix(residual, k) <= k - gamma'.  Residual periods lie below k by
-    construction, so the reduction gate holds."""
+    construction, so the reduction gate holds, and the residual is then the
+    chain's prefix of levels below k."""
     tasks = q.system.tasks
-    if any(tasks[j].p >= k for j in residual):
-        raise InternalInvariantViolated("residual set contains a period >= probe")
+    depth = bisect.bisect_left(chain.levels, k)
+    if (any(tasks[j].p >= k for j in residual)
+            or len(residual) != sum(map(len, chain.groups[:depth]))):
+        raise InternalInvariantViolated("residual set is not the chain below the probe")
     gamma_prime = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
-    sub = q.residual(residual, gamma_prime)
-    feasible = decide_large_k(sub, k)
+    feasible = decide_large_k(Residual(chain, depth, gamma_prime), k)
     if trace is not None:
         forced = {j: 1 for j in ones} | {j: 2 for j in twos}
         trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
@@ -212,23 +228,23 @@ def narrow(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
     k_i <= p_j - jitter_j (the optimum cannot exceed that difference), 2 when
     the difference was already probed infeasible (or is zero).  Those tasks
     move into the constant part gamma_i; the rest form a residual instance
-    whose periods all lie below k_i.
+    whose periods all lie below k_i.  The chain is compiled here, once, and
+    `catch` reuses it.
     """
     if not q.indices:
         return q.gamma
+    chain = _walk_chain(q)  # raises PreconditionViolated unless the periods form a chain
     tasks = q.system.tasks
-    if not is_harmonic([tasks[j].p for j in q.indices]):
-        raise PreconditionViolated("harmonic walk requires harmonic periods over I")
     diffs = sorted({tasks[j].p - tasks[j].jitter for j in q.indices} - {0})
     prev = 0
     for k in diffs:
         ones = [j for j in q.indices if k <= tasks[j].p - tasks[j].jitter]
         twos = [j for j in q.indices if tasks[j].p - tasks[j].jitter < k <= tasks[j].p]
         residual = tuple(j for j in q.indices if tasks[j].p < k)
-        if _decide_residual(q, "narrow", k, ones, twos, residual, trace):
-            return catch(q, prev + 1, k, trace=trace)
+        if _decide_residual(q, chain, "narrow", k, ones, twos, residual, trace):
+            return _catch(q, chain, prev + 1, k, trace)
         prev = k
-    return catch(q, prev + 1, q.bounds.u, trace=trace)
+    return _catch(q, chain, prev + 1, q.bounds.u, trace)
 
 
 def catch(
@@ -246,6 +262,16 @@ def catch(
     set of tasks with p_j - jitter_j < left does not change as the interval
     shrinks, so the initial `left` selects the tasks forced to 2.
     """
+    return _catch(q, _walk_chain(q), left, right, trace)
+
+
+def _catch(
+    q: ResponseQuery,
+    chain: mixing.HarmonicChain,
+    left: int,
+    right: int,
+    trace: list[ProbeRecord] | None,
+) -> int:
     if left > right:
         raise PreconditionViolated(f"empty search interval [{left}, {right}]")
     tasks = q.system.tasks
@@ -254,7 +280,7 @@ def catch(
     def feasible(kappa: int) -> bool:
         twos = [j for j in q.indices if kappa <= tasks[j].p < left + tasks[j].jitter]
         residual = tuple(j for j in q.indices if j not in ones and j not in twos)
-        return _decide_residual(q, "catch", kappa, ones, twos, residual, trace)
+        return _decide_residual(q, chain, "catch", kappa, ones, twos, residual, trace)
 
     t = left + bisect.bisect_left(range(left, right), True, key=feasible)
     if workload(q.tasks, q.gamma, t) > t:

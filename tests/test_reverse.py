@@ -4,13 +4,14 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from conftest import bounded_mix_instances, mix_enum_oracle
 from rtmix import counters, mixing
 from rtmix.errors import PreconditionViolated
-from rtmix.gen import random_mix_instance
-from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce
+from rtmix.gen import random_mix_instance, tight_mixing_instance
+from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce, weight_utilization
 from rtmix.reverse import (
     mix_leq_via_rtc,
     shift_record,
@@ -154,6 +155,66 @@ class TestShift:
         m = math.lcm(*inst.capacities()) if inst.terms else 1
         obj, _ = mix_enum_oracle(inst, m)
         assert got.objective == obj
+
+
+@st.composite
+def utilization_one_instances(draw, max_n: int = 4, a_max: int = 16):
+    """Instances whose weights fill the capacities exactly: a last term at
+    capacity m = lcm of the others takes the weight that is left."""
+    caps = [draw(st.integers(1, a_max)) for _ in range(draw(st.integers(0, max_n)))]
+    m = math.lcm(*caps)
+    terms = [(draw(st.integers(0, 8)), a, draw(st.integers(-40, 40))) for a in caps]
+    filled = sum(w * (m // a) for w, a, _ in terms)
+    assume(filled < m)
+    terms.append((m - filled, m, draw(st.integers(-40, 40))))
+    return MixInstance(1, terms)
+
+
+def hits_crowded_fallback(inst) -> bool:
+    """Whether the crowded solve inside solve_general_via_shift(inst) ends in
+    its fallback: the shifted instance's optimum is at least its b_min."""
+    rec = shift_record(inst)
+    crowded = MixInstance(1, [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)])
+    return solve_bruteforce(crowded).objective >= min(t.b for t in crowded.terms)
+
+
+class TestUtilizationOne:
+    """At weight utilization 1 no dual response exists (the workload exceeds
+    every t), so the crowded solve always ends in its fallback, which
+    minimizes over one capacity period at the drop points."""
+
+    @given(utilization_one_instances())
+    @settings(max_examples=80)
+    def test_objective_matches_bruteforce(self, inst):
+        assert weight_utilization(inst) == 1
+        assert hits_crowded_fallback(inst)
+        assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
+
+    def test_seeded_fallbacks_below_utilization_one(self):
+        # as utilization_one_instances, but the last term leaves some weight unused
+        hits = 0
+        for seed in range(150):
+            rng = random.Random(seed)
+            caps = [rng.randint(1, 16) for _ in range(rng.randint(1, 4))]
+            m = math.lcm(*caps)
+            terms = [(rng.randint(0, 8), a, rng.randint(-40, 40)) for a in caps]
+            filled = sum(w * (m // a) for w, a, _ in terms)
+            if filled >= m - 1:
+                continue
+            slack = rng.randint(1, m - filled - 1)
+            inst = MixInstance(1, terms + [(m - filled - slack, m, rng.randint(-40, 40))])
+            hits += hits_crowded_fallback(inst)
+            assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
+        assert hits >= 10
+
+    def test_large_lcm_without_a_scan(self):
+        # lcm = 13 * 2^13 = 106496: the scans over one capacity period that the
+        # utilization-1 decision and the fallback once ran took about a second
+        inst = tight_mixing_instance(13)
+        assert math.lcm(*inst.capacities()) >= 2**16
+        assert hits_crowded_fallback(inst)
+        assert solve_general_via_shift(inst).objective == 13 * 2**13 - 1
+        assert solve_bruteforce(inst).objective == 13 * 2**13 - 1
 
 
 class TestConstantBeta:

@@ -60,7 +60,7 @@ class TestCompiledQuery:
         with pytest.raises(InvalidInstance):
             ResponseQuery(demo_system, (0,), gamma)
 
-    def test_walk_bounds_once_and_validates_once_per_solve(self, monkeypatch):
+    def test_walk_bounds_once_and_validates_once_per_walk(self, monkeypatch):
         calls = Counter()
         for module, name in ((rta, "bounds_from_parts"), (mixing, "certified_s_bound"),
                              (mixing, "validate")):
@@ -70,13 +70,12 @@ class TestCompiledQuery:
 
             monkeypatch.setattr(module, name, counted)
         q = full_query(random_system(3, 6, 256, harmonic=True))
-        assert calls == {"bounds_from_parts": 1, "certified_s_bound": 1}
-        calls.clear()
         with counters.collect() as ops:
             response_harmonic(q)
-        # every probe derives from q: no bounds, and one validation per mixing solve
-        assert ops.decision_probes > 1
-        assert calls == {"validate": ops.mixing_calls}
+        # the query is bounded once and the walk compiles and checks its
+        # chain once; every probe searches a prefix of that chain
+        assert ops.decision_probes == ops.mixing_calls > 1
+        assert calls == {"bounds_from_parts": 1, "certified_s_bound": 1, "validate": 1}
 
 
 class TestBruteforce:
@@ -237,6 +236,43 @@ class TestHarmonicWalk:
                             rec,
                             t_star,
                         )
+
+
+def _audit_walk(q):
+    """The walk's answer equals the fixed point's, and every probe's verdict
+    is exactly "response <= k"."""
+    t_star = response_bruteforce(q)
+    trace: list[ProbeRecord] = []
+    assert response_harmonic(q, trace=trace) == t_star
+    for rec in trace:
+        assert rec.feasible == (t_star <= rec.k), (t_star, rec)
+
+
+class TestWalkAtScale:
+    """Differential checks beyond the small random suites: larger systems,
+    long periods, and the extreme and geometric families."""
+
+    @pytest.mark.parametrize("jitter_mode", ["upto-p", "zero"])
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_random_harmonic_systems_with_long_periods(self, n, jitter_mode):
+        for seed in range(4):
+            ts = random_system(1000 * n + seed, n, 2**24, harmonic=True, jitter_mode=jitter_mode)
+            for j in range(1, n):
+                _audit_walk(ResponseQuery(ts, range(j), ts.tasks[j].c))
+
+    @pytest.mark.parametrize("cs", [[1] * 4, [1] * 8, [2, 1, 3, 1], [1, 2, 1, 2, 1, 2],
+                                    [3, 1, 1, 1, 1, 1, 1], [1, 1, 2, 2, 3, 3]])
+    def test_extreme_family(self, cs):
+        for p1 in (cs[0] + 1, 7, 16):
+            for jitters in ("p", "zero"):
+                _audit_walk(full_query(construct_extreme(cs, p1, jitters)))
+
+    @pytest.mark.parametrize("k", [10, 11, 12])
+    def test_geometric_family(self, k):
+        # c_i = 1, p_i = 2^i for i = 1..k, gamma = 2^(k-1): the fixed point
+        # needs many iterations, the walk a few dozen probes
+        ts = TaskSystem([Task(1, 2**i) for i in range(1, k + 1)])
+        _audit_walk(ResponseQuery(ts, range(k), 2 ** (k - 1)))
 
 
 class TestTuring:
