@@ -32,7 +32,8 @@ from rtmix import MixInstance, Task, TaskSystem, gen, is_harmonic
 from rtmix.cli import EXIT_INTERNAL, main as cli_main
 
 # seeded `gen random` systems, besides 10 `gen extreme` ones, one large-S one,
-# 12 larger harmonic ones and 3 geometric ones
+# 12 larger harmonic ones, 3 geometric ones, 3 larger general ones and 6
+# non-harmonic geometric ones
 SYSTEMS = 240
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
 BLOCKIP = 60  # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16
@@ -82,6 +83,21 @@ def systems(count: int):
     for k in (10, 11, 12):
         tasks = [Task(1, 2**i, 0, 2**i) for i in range(1, k + 1)]
         yield f"geometric k={k}", TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
+    # larger general systems with zero jitter, where turing, jitter-free and
+    # the fixed point all apply
+    for n in (8, 10, 12):
+        seed = 7000 * n
+        ts = gen.random_system(seed, n, 256, jitter_mode="zero")
+        yield f"random seed={seed} n={n} p_max=256 harmonic=False zero", ts
+    # the geometric family with last period 3*2^(k-2), so not harmonic, with
+    # zero jitter and with jitter 2^(i-1) on task i
+    for k in (10, 11, 12):
+        periods = [2**i for i in range(1, k)] + [3 * 2 ** (k - 2)]
+        for jitter in (False, True):
+            tasks = [Task(1, p, 2 ** (i - 1) if jitter else 0, p)
+                     for i, p in enumerate(periods, start=1)]
+            ts = TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
+            yield f"geometric k={k} non-harmonic jitter={jitter}", ts
 
 
 def jitter_free_systems(count: int):

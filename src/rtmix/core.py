@@ -6,11 +6,12 @@ minimum inter-arrival separation, and release jitter.  Priority is list
 order, index 0 highest.
 
 All utilization and bound arithmetic is exact: sums of ratios are
-accumulated in integers (`fraction_sum`) and returned as
-`fractions.Fraction`, never floats.  Feasibility decisions in the solver
-modules rely on the integrality arguments behind these bounds, which a
-rounding error would silently break.  Every integer field must be a Python
-`int`: `bool`, float and str values are rejected (`is_integer`).
+accumulated in integers (`fraction_sum`, or at the lcm of the periods in
+`bounds_from_parts`) and returned as `fractions.Fraction`, never floats.
+Feasibility decisions in the solver modules rely on the integrality
+arguments behind these bounds, which a rounding error would silently break.
+Every integer field must be a Python `int`: `bool`, float and str values
+are rejected (`is_integer`).
 """
 
 from __future__ import annotations
@@ -175,17 +176,37 @@ class BoundsResult:
 
 
 def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
-    """Bounds for the least t with t >= gamma + sum c_i*ceil((t+jitter_i)/p_i)."""
-    util = utilization(interferers)
-    if util >= 1:
-        raise UtilizationExceeded(f"interfering utilization {util} >= 1")
-    slack = 1 - util
-    cost_sum = sum(t.c for t in interferers)
-    ell = (gamma + fraction_sum((t.jitter * t.c, t.p) for t in interferers)) / slack
-    u1 = ell + cost_sum / slack
-    m = lcm_capped(t.p for t in interferers)
-    u2 = math.ceil((gamma + cost_sum) / (slack * m)) * m
-    return BoundsResult(ell, u1, u2, min(math.ceil(u1), u2), util)
+    """Bounds for the least t with t >= gamma + sum c_i*ceil((t+jitter_i)/p_i).
+
+    One integer pass over the interferers at their lcm m: with the load
+    L = sum c_i*(m/p_i) the utilization is L/m and the slack is D/m,
+    D = m - L, so every bound is an integer ratio over D.  The utilization
+    gate is decided before the lcm meets the magnitude cap.
+    """
+    if any(t.p < 1 for t in interferers):
+        raise InvalidInstance("interferer periods must be >= 1")
+    m = math.lcm(*(t.p for t in interferers))
+    load = jitter_load = cost_sum = 0
+    for t in interferers:
+        share = t.c * (m // t.p)
+        load += share
+        jitter_load += t.jitter * share
+        cost_sum += t.c
+    if load >= m:
+        raise UtilizationExceeded(f"interfering utilization {Fraction(load, m)} >= 1")
+    limit = magnitude_cap()
+    if m > limit:
+        raise OverflowLimit(f"lcm exceeds the magnitude cap {limit}")
+    slack = m - load
+    base = gamma * m + jitter_load
+    u2 = ceil_div(gamma + cost_sum, slack) * m
+    return BoundsResult(
+        Fraction(base, slack),
+        Fraction(base + cost_sum * m, slack),
+        u2,
+        min(ceil_div(base + cost_sum * m, slack), u2),
+        Fraction(load, m),
+    )
 
 
 def response_bounds(ts: TaskSystem) -> BoundsResult:

@@ -41,7 +41,7 @@ from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, fraction_sum, is_harmonic, is_integer, lcm_capped, magnitude_cap
+from .core import ceil_div, fraction_sum, is_harmonic, is_integer, magnitude_cap
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -123,20 +123,24 @@ def certified_s_bound(inst: MixInstance) -> int:
     ceil(sum w_i / (w0 - sum w_i/a_i)), below which shifting s down by that
     amount strictly improves the objective.  Returns the smaller of the two.
     An lcm past the magnitude cap raises OverflowLimit unless the second
-    bound exists and stays within the cap.
+    bound exists and stays within the cap.  One integer pass at the lcm m:
+    sum w_i/a_i < w0 reads sum w_i*(m/a_i) < w0*m, and the second bound is
+    ceil(sum w_i * m / (w0*m - sum w_i*(m/a_i))).
     """
-    util = weight_utilization(inst)
+    m = math.lcm(*(t.a for t in inst.terms))
+    load = weight_sum = 0
+    for t in inst.terms:
+        load += t.w * (m // t.a)
+        weight_sum += t.w
     util_bound = None
-    if inst.w0 >= 1 and util < inst.w0:
-        weight_sum = sum(t.w for t in inst.terms)
-        util_bound = math.ceil(weight_sum / (inst.w0 - util))
-    try:
-        lcm_bound = lcm_capped(inst.capacities()) - 1
-    except OverflowLimit:
-        if util_bound is None or util_bound > magnitude_cap():
-            raise
+    if inst.w0 >= 1 and load < inst.w0 * m:
+        util_bound = ceil_div(weight_sum * m, inst.w0 * m - load)
+    limit = magnitude_cap()
+    if m > limit:
+        if util_bound is None or util_bound > limit:
+            raise OverflowLimit(f"lcm exceeds the magnitude cap {limit}")
         return util_bound
-    return lcm_bound if util_bound is None else min(lcm_bound, util_bound)
+    return m - 1 if util_bound is None else min(m - 1, util_bound)
 
 
 def _finalize(s: int, inst: MixInstance) -> MixSolution:

@@ -3,7 +3,7 @@
 The generalized query is: given interfering tasks I and a constant gamma >= 1,
 find the least t >= 0 with
 
-    t >= gamma + sum_{i in I} c_i * ceil((t + jitter_i) / p_i).
+    t >= W(t) = gamma + sum_{i in I} c_i * ceil((t + jitter_i) / p_i).
 
 `response_bruteforce` solves it by the classic monotone fixed-point iteration
 and is the oracle for everything else.  The other algorithms answer the
@@ -14,31 +14,44 @@ a certified bound S on the optimal s of the mixing instance, hence:
 
 * `response_turing` (any periods): decide at k = S; on yes, run the
   fixed-point iteration from gamma, which stops at the least feasible t and
-  so at most at S; on no, binary-search (S, u] where every probe is valid.
+  so at most at S; on no, search (S, u] where every probe is valid.
 * `narrow` / `catch` (harmonic periods): walk the sorted distinct differences
   p_j - jitter_j.  For every task whose period is at least the probe, the
   optimal multiplier is forced to 1 or 2 by the probe's position relative to
   p_j - jitter_j, so those tasks leave the residual instance and the probe
   stays above every residual period.  `narrow` finds the bracketing interval,
-  `catch` binary-searches inside it.
+  `catch` searches inside it.
 * `response_jitter_free`: with zero jitter (s=k, x=0) is always feasible for
-  the mixing instance, so every k is decidable and a plain binary search works.
+  the mixing instance, so every k is decidable and the search needs no gate.
+
+Every search is bracketed by the recurrence (`_bracket`): the response r is
+a fixed point of the monotone W, so a yes at k gives r <= min(k, W(k)) and
+a no gives r >= max(k + 1, W(k + 1)).  The searches bisect on the decision
+and tighten the bracket this way after each verdict; the width still at least
+halves per probe, so a search makes at most ceil(log2(hi - lo + 1)) probes.
+`narrow` tightens its lower end the same way after each infeasible
+difference, and skips the differences below it.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built, and
 holds the interferer tuple, its `BoundsResult` (which carries the exact
 utilization) and its certified S, all computed then under the magnitude cap
 that RTMIX_LIMIT_BITS sets; no algorithm recomputes them.  `decide_large_k`
-always refuses a k below a query's S.
+always refuses a k below a query's S.  A query may also carry a certified
+lower bound on its response (`lower`, 0 when none is known), from which
+`narrow`, `turing` and `jitter-free` start; `analyze_system` sets it to
+r_{j-1} + c_j for level j, and `response_bruteforce`, the independent
+baseline, ignores it.
 
 The harmonic walk compiles its mixing chain once per query
 (`mixing.compile_harmonic`: one term (c_i, p_i, jitter_i) per interferer,
-sorted into period levels, checked once).  A residual probe at k is the
-chain's prefix of levels below k with right-hand sides k + jitter_i, passed
-to `decide_large_k` as a `Residual`; it needs no S, since the walk keeps
-every residual period below the probe, and no check beyond that, so a probe
-costs only the search over its levels.  `compute_response` is the only
-algorithm selector; `reverse` calls it too.
+sorted into period levels, checked once), on the first probe whose residual
+is not empty; a walk whose probes never reach a mixing solve compiles none.
+A residual probe at k is the chain's prefix of levels below k with
+right-hand sides k + jitter_i, passed to `decide_large_k` as a `Residual`;
+it needs no S, since the walk keeps every residual period below the probe,
+and no check beyond that, so a probe costs only the search over its levels.
+`compute_response` is the only algorithm selector; `reverse` calls it too.
 """
 
 from __future__ import annotations
@@ -46,7 +59,7 @@ from __future__ import annotations
 import bisect
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from . import counters, mixing
 from .core import (
@@ -72,7 +85,9 @@ class ResponseQuery:
     """Interference set I (indices into the system) plus the constant gamma,
     compiled once: `tasks` is the interferer tuple, `bounds` its certified
     interval with its exact utilization, and `s_bound` the certified bound S
-    on the optimal s of every Mix(I, k)."""
+    on the optimal s of every Mix(I, k).  `lower` is a lower bound on the
+    response that the caller certifies (0 when it knows none); the searches
+    start from it, and only `analyze_system` sets it."""
 
     system: TaskSystem
     indices: tuple[int, ...]
@@ -80,11 +95,14 @@ class ResponseQuery:
     tasks: tuple[Task, ...]
     bounds: BoundsResult
     s_bound: int
+    lower: int
 
-    def __init__(self, system: TaskSystem, indices: Sequence[int], gamma: int):
+    def __init__(self, system: TaskSystem, indices: Sequence[int], gamma: int, lower: int = 0):
         indices = tuple(sorted(set(indices)))
         if not is_integer(gamma) or gamma < 1:
             raise InvalidInstance(f"gamma must be an integer >= 1, got {gamma!r}")
+        if not is_integer(lower) or lower < 0:
+            raise InvalidInstance(f"lower bound must be an integer >= 0, got {lower!r}")
         n = len(system.tasks)
         if any(not 0 <= i < n for i in indices):
             raise InvalidInstance("interference indices out of range")
@@ -92,18 +110,21 @@ class ResponseQuery:
         bounds = bounds_from_parts(gamma, tasks)  # raises UtilizationExceeded at U >= 1
         # Independent of k, since the right-hand sides do not enter S.
         s_bound = mixing.certified_s_bound(mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks]))
+        if lower > bounds.u:
+            raise InvalidInstance(f"lower bound {lower} exceeds the certified bound {bounds.u}")
         for name, value in (("system", system), ("indices", indices), ("gamma", gamma),
-                            ("tasks", tasks), ("bounds", bounds), ("s_bound", s_bound)):
+                            ("tasks", tasks), ("bounds", bounds), ("s_bound", s_bound),
+                            ("lower", lower)):
             object.__setattr__(self, name, value)
 
 
 class Residual(NamedTuple):
     """One decision probe of the harmonic walk at k: the interferers with
     period below k, as the lowest `depth` levels of the walk's compiled chain
-    (right-hand sides k + jitter_i), and the constant gamma' that the tasks
-    with forced multipliers add to gamma."""
+    (right-hand sides k + jitter_i; no chain when `depth` is 0), and the
+    constant gamma' that the tasks with forced multipliers add to gamma."""
 
-    chain: mixing.HarmonicChain
+    chain: mixing.HarmonicChain | None
     depth: int
     gamma: int
 
@@ -159,7 +180,7 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
     Valid only for k at or above the certified bound S, so a built query
     refuses any smaller k (the gate).  A `Residual` of the harmonic walk
     carries no S: the walk certifies the reduction by construction (every
-    residual period lies below k, which `_decide_residual` checks), and its
+    residual period lies below k, which `_Walk.decide` checks), and its
     mixing instance is a prefix of the walk's chain at right-hand sides
     k + jitter_i, checked when the chain was compiled.
     """
@@ -184,31 +205,42 @@ def _walk_chain(q: ResponseQuery) -> mixing.HarmonicChain:
     return mixing.compile_harmonic(mixing.MixInstance(1, [(t.c, t.p, t.jitter) for t in q.tasks]))
 
 
-def _decide_residual(
-    q: ResponseQuery,
-    chain: mixing.HarmonicChain,
-    phase: str,
-    k: int,
-    ones: list[int],
-    twos: list[int],
-    residual: tuple[int, ...],
-    trace: list[ProbeRecord] | None,
-) -> bool:
-    """Probe k with the multipliers of `ones` and `twos` forced to 1 and 2:
-    Mix(residual, k) <= k - gamma'.  Residual periods lie below k by
-    construction, so the reduction gate holds, and the residual is then the
-    chain's prefix of levels below k."""
-    tasks = q.system.tasks
-    depth = bisect.bisect_left(chain.levels, k)
-    if (any(tasks[j].p >= k for j in residual)
-            or len(residual) != sum(map(len, chain.groups[:depth]))):
-        raise InternalInvariantViolated("residual set is not the chain below the probe")
-    gamma_prime = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
-    feasible = decide_large_k(Residual(chain, depth, gamma_prime), k)
-    if trace is not None:
-        forced = {j: 1 for j in ones} | {j: 2 for j in twos}
-        trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
-    return feasible
+class _Walk:
+    """One harmonic walk over a query, and the probes it makes.  The chain is
+    compiled on the first probe whose residual is not empty, so a walk whose
+    probes never reach a mixing solve compiles and validates none."""
+
+    def __init__(self, q: ResponseQuery, trace: list[ProbeRecord] | None):
+        if not is_harmonic([t.p for t in q.tasks]):
+            raise PreconditionViolated("periods do not form a divisibility chain")
+        self.q = q
+        self.trace = trace
+        self.chain: mixing.HarmonicChain | None = None
+        self.p_min = min((t.p for t in q.tasks), default=math.inf)
+
+    def decide(self, phase: str, k: int, ones: list[int], twos: list[int],
+               residual: tuple[int, ...]) -> bool:
+        """Probe k with the multipliers of `ones` and `twos` forced to 1 and
+        2: Mix(residual, k) <= k - gamma'.  Residual periods lie below k by
+        construction, so the reduction gate holds, and the residual is then
+        the chain's prefix of levels below k (empty when no period is)."""
+        q, tasks = self.q, self.q.system.tasks
+        if residual:
+            if self.chain is None:
+                self.chain = _walk_chain(q)
+            chain = self.chain
+            depth = bisect.bisect_left(chain.levels, k)
+            exact = len(residual) == sum(map(len, chain.groups[:depth]))
+        else:
+            chain, depth, exact = None, 0, self.p_min >= k
+        if not exact or any(tasks[j].p >= k for j in residual):
+            raise InternalInvariantViolated("residual set is not the chain below the probe")
+        gamma_prime = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
+        feasible = decide_large_k(Residual(chain, depth, gamma_prime), k)
+        if self.trace is not None:
+            forced = {j: 1 for j in ones} | {j: 2 for j in twos}
+            self.trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
+        return feasible
 
 
 def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
@@ -220,6 +252,27 @@ def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
     return t
 
 
+def _bracket(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int], bool]) -> int:
+    """The response r, given lo <= r <= hi and a decision decide(k) that
+    answers "r <= k".
+
+    Bisects on the decision, and each verdict also tightens the bracket
+    through the recurrence: r is a fixed point of the monotone workload W,
+    so a yes at k gives r <= W(k) besides r <= k, and a no gives
+    r >= W(k + 1) besides r >= k + 1.  The bracket still at least halves per
+    probe, so a search makes at most ceil(log2(hi - lo + 1)) probes.
+    """
+    while lo < hi:
+        k = (lo + hi) // 2
+        if decide(k):
+            hi = min(k, workload(q.tasks, q.gamma, k))
+        else:
+            lo = max(k + 1, workload(q.tasks, q.gamma, k + 1))
+    if lo != hi:
+        raise InternalInvariantViolated(f"the verdicts emptied the bracket [{lo}, {hi}]")
+    return lo
+
+
 def narrow(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
     """Bracket the response among the sorted distinct differences p_j - jitter_j,
     then hand the interval to `catch`.
@@ -228,23 +281,29 @@ def narrow(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
     k_i <= p_j - jitter_j (the optimum cannot exceed that difference), 2 when
     the difference was already probed infeasible (or is zero).  Those tasks
     move into the constant part gamma_i; the rest form a residual instance
-    whose periods all lie below k_i.  The chain is compiled here, once, and
-    `catch` reuses it.
+    whose periods all lie below k_i.  The verdicts bracket the response as
+    in `_bracket`: a no at k_i raises the lower end to W(k_i + 1), and a yes
+    caps `catch`'s interval at W(k_i).  The lower end starts at the query's
+    certified lower bound; differences below it are skipped, and `catch`
+    starts at it at the earliest, so no skipped difference lies in its
+    interval.
     """
     if not q.indices:
         return q.gamma
-    chain = _walk_chain(q)  # raises PreconditionViolated unless the periods form a chain
+    walk = _Walk(q, trace)  # raises PreconditionViolated unless the periods form a chain
     tasks = q.system.tasks
     diffs = sorted({tasks[j].p - tasks[j].jitter for j in q.indices} - {0})
-    prev = 0
+    prev, lower = 0, q.lower
     for k in diffs:
+        if k < lower:
+            continue
         ones = [j for j in q.indices if k <= tasks[j].p - tasks[j].jitter]
         twos = [j for j in q.indices if tasks[j].p - tasks[j].jitter < k <= tasks[j].p]
         residual = tuple(j for j in q.indices if tasks[j].p < k)
-        if _decide_residual(q, chain, "narrow", k, ones, twos, residual, trace):
-            return _catch(q, chain, prev + 1, k, trace)
-        prev = k
-    return _catch(q, chain, prev + 1, q.bounds.u, trace)
+        if walk.decide("narrow", k, ones, twos, residual):
+            return _catch(walk, max(prev + 1, lower), min(k, workload(q.tasks, q.gamma, k)))
+        prev, lower = k, max(lower, workload(q.tasks, q.gamma, k + 1))
+    return _catch(walk, max(prev + 1, lower), q.bounds.u)
 
 
 def catch(
@@ -254,7 +313,9 @@ def catch(
     *,
     trace: list[ProbeRecord] | None = None,
 ) -> int:
-    """Binary search for the least feasible t in [left, right].
+    """The least feasible t in [left, right], by a bracketed search
+    (`_bracket`): a bisection whose verdicts also tighten the interval
+    through the recurrence.
 
     Precondition (guaranteed by `narrow`): the response lies in the interval
     and no difference p_j - jitter_j does, so multipliers of all tasks with
@@ -262,27 +323,22 @@ def catch(
     set of tasks with p_j - jitter_j < left does not change as the interval
     shrinks, so the initial `left` selects the tasks forced to 2.
     """
-    return _catch(q, _walk_chain(q), left, right, trace)
+    return _catch(_Walk(q, trace), left, right)
 
 
-def _catch(
-    q: ResponseQuery,
-    chain: mixing.HarmonicChain,
-    left: int,
-    right: int,
-    trace: list[ProbeRecord] | None,
-) -> int:
+def _catch(walk: _Walk, left: int, right: int) -> int:
     if left > right:
         raise PreconditionViolated(f"empty search interval [{left}, {right}]")
+    q = walk.q
     tasks = q.system.tasks
     ones = [j for j in q.indices if right <= tasks[j].p - tasks[j].jitter]
 
     def feasible(kappa: int) -> bool:
         twos = [j for j in q.indices if kappa <= tasks[j].p < left + tasks[j].jitter]
         residual = tuple(j for j in q.indices if j not in ones and j not in twos)
-        return _decide_residual(q, chain, "catch", kappa, ones, twos, residual, trace)
+        return walk.decide("catch", kappa, ones, twos, residual)
 
-    t = left + bisect.bisect_left(range(left, right), True, key=feasible)
+    t = _bracket(q, left, right, feasible)
     if workload(q.tasks, q.gamma, t) > t:
         raise InternalInvariantViolated(f"catch returned infeasible t={t}")
     return t
@@ -295,27 +351,28 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
 
 def response_turing(q: ResponseQuery) -> int:
     """Decide at the certified bound S; on yes the response is at most S and the
-    fixed-point iteration from gamma reaches it, on no binary-search above S,
-    where every probe passes the gate."""
+    fixed-point iteration from gamma reaches it, on no run the bracketed
+    search (`_bracket`) above S, where every probe passes the gate.  A
+    certified lower bound above S skips the decision at S; the search starts
+    at the largest of S + 1, W(S + 1), ceil(ell) and that bound."""
     if not q.indices:
         return q.gamma
     s_cert = q.s_bound
-    if s_cert >= 1 and decide_large_k(q, s_cert):
+    if s_cert >= max(1, q.lower) and decide_large_k(q, s_cert):
         t = response_bruteforce(q)
         if t > s_cert:
             raise InternalInvariantViolated(
                 f"decision at S={s_cert} affirmed but the fixed point is {t}"
             )
         return t
-    lo = max(s_cert + 1, math.ceil(q.bounds.ell))
-    t = lo + bisect.bisect_left(
-        range(lo, q.bounds.u), True, key=lambda k: decide_large_k(q, k)
-    )
-    return _least_fixed_point(q, t, "binary search")
+    lo = max(s_cert + 1, workload(q.tasks, q.gamma, s_cert + 1), math.ceil(q.bounds.ell), q.lower)
+    t = _bracket(q, lo, q.bounds.u, lambda k: decide_large_k(q, k))
+    return _least_fixed_point(q, t, "bracketed search")
 
 
 def response_jitter_free(q: ResponseQuery) -> int:
-    """Unconditional binary search for zero-jitter queries.
+    """Unconditional bracketed search (`_bracket`) for zero-jitter queries,
+    from the largest of gamma, ceil(ell) and the certified lower bound.
 
     With jitter 0 the pair (s=k, x=0) is feasible for Mix(I, k) and anything
     with s > k is strictly worse, so the bound S <= k holds for every probe.
@@ -325,7 +382,7 @@ def response_jitter_free(q: ResponseQuery) -> int:
         raise PreconditionViolated("jitter-free search requires jitter = 0 over I")
     if not q.indices:
         return q.gamma
-    lo = max(q.gamma, math.ceil(q.bounds.ell))
+    lo = max(q.gamma, math.ceil(q.bounds.ell), q.lower)
     hi = q.bounds.u
     m = lcm_capped(t.p for t in tasks)
     if workload(tasks, q.gamma, m) <= m:
@@ -336,8 +393,7 @@ def response_jitter_free(q: ResponseQuery) -> int:
         sol = _solve_mix(build_mix_for_k(q, kappa), min(q.s_bound, kappa))
         return sol.objective <= kappa - q.gamma
 
-    t = lo + bisect.bisect_left(range(lo, hi), True, key=feasible)
-    return _least_fixed_point(q, t, "jitter-free search")
+    return _least_fixed_point(q, _bracket(q, lo, hi, feasible), "jitter-free search")
 
 
 _DISPATCH = {
@@ -383,13 +439,18 @@ class SystemVerdict:
 
 def analyze_system(ts: TaskSystem, algorithm: str = "auto") -> SystemVerdict:
     """Per-task responses r_j = response([0..j-1], c_j) and the schedulability
-    verdict r_j <= d_j - jitter_j; the system verdict is their conjunction."""
+    verdict r_j <= d_j - jitter_j; the system verdict is their conjunction.
+
+    Each level starts from r_{j-1} + c_j, a certified lower bound on r_j
+    (Davis, Zabos and Burns, IEEE TC 2008): a t feasible for task j gives a
+    t - c_j feasible for task j - 1."""
     validate(ts)
     if any(t.d is None for t in ts.tasks):
         raise PreconditionViolated("schedulability analysis requires deadlines on every task")
     verdicts = []
     for j, task in enumerate(ts.tasks):
-        q = ResponseQuery(ts, range(j), task.c)
+        lower = verdicts[-1].response + task.c if verdicts else 0
+        q = ResponseQuery(ts, range(j), task.c, lower)
         r = compute_response(q, algorithm)
         budget = task.d - task.jitter
         verdicts.append(TaskVerdict(j, r, budget, r <= budget))

@@ -77,11 +77,19 @@ def dual_max_oracle(tasks, k: int) -> int:
 # -- hypothesis strategies ---------------------------------------------------
 
 @st.composite
-def small_task_systems(draw, max_n: int = 4, p_max: int = 12, zero_jitter: bool = False):
+def small_task_systems(draw, max_n: int = 4, p_max: int = 12, zero_jitter: bool = False,
+                       harmonic: bool = False):
     n = draw(st.integers(1, max_n))
+    periods = st.integers(1, p_max)
+    if harmonic:  # periods from one divisibility chain
+        chain = [draw(st.integers(1, 4))]
+        while chain[-1] * 2 <= p_max:
+            factors = [2, 3] if chain[-1] * 3 <= p_max else [2]
+            chain.append(chain[-1] * draw(st.sampled_from(factors)))
+        periods = st.sampled_from(chain)
     tasks = []
     for _ in range(n):
-        p = draw(st.integers(1, p_max))
+        p = draw(periods)
         c = draw(st.integers(1, p))
         jitter = 0 if zero_jitter else draw(st.integers(0, p))
         tasks.append(Task(c, p, jitter, p))

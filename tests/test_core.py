@@ -168,6 +168,36 @@ class TestBounds:
         b = bounds_from_parts(9, [])
         assert (b.ell, b.u1, b.u2, b.u) == (9, 9, 9, 9)
 
+    @given(st.integers(1, 50), st.lists(st.tuples(st.integers(1, 9), st.integers(1, 40),
+                                                  st.integers(0, 40)), max_size=5))
+    def test_integer_pass_matches_the_fraction_formulas(self, gamma, triples):
+        tasks = [Task(min(c, p), p, min(j, p)) for c, p, j in triples]
+        util = sum((Fraction(t.c, t.p) for t in tasks), Fraction(0))
+        if util >= 1:
+            with pytest.raises(UtilizationExceeded):
+                bounds_from_parts(gamma, tasks)
+            return
+        slack = 1 - util
+        ell = (gamma + sum((Fraction(t.jitter * t.c, t.p) for t in tasks), Fraction(0))) / slack
+        u1 = ell + sum(t.c for t in tasks) / slack
+        m = math.lcm(*(t.p for t in tasks))
+        u2 = math.ceil((gamma + sum(t.c for t in tasks)) / (slack * m)) * m
+        b = bounds_from_parts(gamma, tasks)
+        assert (b.ell, b.u1, b.u2, b.u, b.utilization) == (ell, u1, u2, min(math.ceil(u1), u2), util)
+        assert all(type(v) is Fraction for v in (b.ell, b.u1, b.utilization))
+
+    @pytest.mark.parametrize("p", [0, -3])
+    def test_rejects_a_period_below_one(self, p):
+        with pytest.raises(InvalidInstance):
+            bounds_from_parts(1, [Task(1, 4), Task(1, p)])
+
+    def test_utilization_gate_before_the_cap(self, monkeypatch):
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7, below the lcm 15
+        with pytest.raises(UtilizationExceeded):
+            bounds_from_parts(1, [Task(2, 3), Task(3, 5)])
+        with pytest.raises(OverflowLimit):
+            bounds_from_parts(1, [Task(1, 3), Task(1, 5)])
+
     def test_overflow_limit_on_tiny_cap(self, demo_system, monkeypatch):
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7, below the lcm 390 of the interferers
         with pytest.raises(OverflowLimit):

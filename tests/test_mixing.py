@@ -105,6 +105,15 @@ class TestSearchBound:
         with pytest.raises(OverflowLimit):
             certified_s_bound(TIGHT2)  # weight utilization 1: no second bound
 
+    @given(bounded_mix_instances(), st.integers(0, 3))
+    def test_integer_pass_matches_the_fraction_formula(self, inst, w0):
+        inst = MixInstance(w0, inst.terms)
+        util = sum((Fraction(t.w, t.a) for t in inst.terms), Fraction(0))
+        want = math.lcm(*inst.capacities()) - 1
+        if w0 >= 1 and util < w0:
+            want = min(want, math.ceil(sum(t.w for t in inst.terms) / (w0 - util)))
+        assert certified_s_bound(inst) == want
+
     @given(bounded_mix_instances())
     def test_bound_is_sound(self, inst):
         # the smallest optimal s (found by scanning a full lcm period) never

@@ -1,16 +1,19 @@
 """Response-time algorithms: the fixed-point oracle, the dualized decision,
 the harmonic walk, and the bounded searches."""
 
+import contextlib
+import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dual_max_oracle, response_scan_oracle, small_task_systems
-from rtmix.core import Task, TaskSystem, bounds_from_parts, ceil_div
+from rtmix.core import Task, TaskSystem, bounds_from_parts, ceil_div, is_harmonic, magnitude_cap
 from rtmix import counters, mixing, rta
 from rtmix.errors import (
     InvalidInstance,
@@ -46,6 +49,32 @@ def full_query(ts, gamma=None):
     return ResponseQuery(ts, range(n - 1), ts.tasks[-1].c if gamma is None else gamma)
 
 
+def oracle_responses(ts):
+    """r_j of every level j by the linear scan, independent of the searches."""
+    return [
+        response_scan_oracle(ts.tasks[:j], t.c, bounds_from_parts(t.c, ts.tasks[:j]).u)
+        for j, t in enumerate(ts.tasks)
+    ]
+
+
+def applicable(q):
+    """The algorithms that accept query q."""
+    algorithms = ["auto", "bruteforce", "turing"]
+    if is_harmonic([t.p for t in q.tasks]):
+        algorithms.append("harmonic")
+    if all(t.jitter == 0 for t in q.tasks):
+        algorithms.append("jitter-free")
+    return algorithms
+
+
+def geometric(k, harmonic=True, jitter=False):
+    """c_i = 1 and p_i = 2^i for i = 1..k; the non-harmonic variant has last
+    period 3*2^(k-2), and with jitter task i has jitter 2^(i-1)."""
+    periods = [2**i for i in range(1, k)] + [2**k if harmonic else 3 * 2 ** (k - 2)]
+    return TaskSystem([Task(1, p, 2 ** (i - 1) if jitter else 0)
+                       for i, p in enumerate(periods, start=1)])
+
+
 class TestCompiledQuery:
     def test_holds_interferers_utilization_bounds_and_s(self, demo_system):
         q = ResponseQuery(demo_system, (1, 0, 1), 13)
@@ -59,6 +88,22 @@ class TestCompiledQuery:
     def test_gamma_must_be_a_positive_integer(self, demo_system, gamma):
         with pytest.raises(InvalidInstance):
             ResponseQuery(demo_system, (0,), gamma)
+
+    @pytest.mark.parametrize("lower", [-1, True, 2.0, 391])
+    def test_lower_bound_must_be_an_integer_within_the_bounds(self, demo_system, lower):
+        # the certified upper bound of this query is 390
+        with pytest.raises(InvalidInstance):
+            ResponseQuery(demo_system, (0, 1), 13, lower)
+
+    def test_walk_compiles_no_chain_when_no_probe_reaches_a_solve(self, monkeypatch):
+        calls = Counter()
+        real = mixing.validate
+        monkeypatch.setattr(mixing, "validate", lambda inst: calls.update(["validate"]) or real(inst))
+        # the response 3 lies below the only period, so every residual is empty
+        q = ResponseQuery(TaskSystem([Task(1, 8, 2), Task(2, 16, 0)]), (0,), 2)
+        with counters.collect() as ops:
+            assert response_harmonic(q) == 3
+        assert ops.mixing_calls == 0 and not calls
 
     def test_walk_bounds_once_and_validates_once_per_walk(self, monkeypatch):
         calls = Counter()
@@ -239,13 +284,16 @@ class TestHarmonicWalk:
 
 
 def _audit_walk(q):
-    """The walk's answer equals the fixed point's, and every probe's verdict
-    is exactly "response <= k"."""
+    """The walk's answer equals the fixed point's, every probe's verdict is
+    exactly "response <= k", and no probe lies below the query's lower
+    bound; returns the response."""
     t_star = response_bruteforce(q)
     trace: list[ProbeRecord] = []
     assert response_harmonic(q, trace=trace) == t_star
     for rec in trace:
         assert rec.feasible == (t_star <= rec.k), (t_star, rec)
+        assert rec.k >= q.lower, (q.lower, rec)
+    return t_star
 
 
 class TestWalkAtScale:
@@ -255,10 +303,15 @@ class TestWalkAtScale:
     @pytest.mark.parametrize("jitter_mode", ["upto-p", "zero"])
     @pytest.mark.parametrize("n", range(8, 13))
     def test_random_harmonic_systems_with_long_periods(self, n, jitter_mode):
+        # every level, cold and warm-started from r_{j-1} + c_j
         for seed in range(4):
             ts = random_system(1000 * n + seed, n, 2**24, harmonic=True, jitter_mode=jitter_mode)
+            prev = ts.tasks[0].c
             for j in range(1, n):
-                _audit_walk(ResponseQuery(ts, range(j), ts.tasks[j].c))
+                c = ts.tasks[j].c
+                r = _audit_walk(ResponseQuery(ts, range(j), c))
+                assert _audit_walk(ResponseQuery(ts, range(j), c, prev + c)) == r
+                prev = r
 
     @pytest.mark.parametrize("cs", [[1] * 4, [1] * 8, [2, 1, 3, 1], [1, 2, 1, 2, 1, 2],
                                     [3, 1, 1, 1, 1, 1, 1], [1, 1, 2, 2, 3, 3]])
@@ -270,9 +323,117 @@ class TestWalkAtScale:
     @pytest.mark.parametrize("k", [10, 11, 12])
     def test_geometric_family(self, k):
         # c_i = 1, p_i = 2^i for i = 1..k, gamma = 2^(k-1): the fixed point
-        # needs many iterations, the walk a few dozen probes
-        ts = TaskSystem([Task(1, 2**i) for i in range(1, k + 1)])
-        _audit_walk(ResponseQuery(ts, range(k), 2 ** (k - 1)))
+        # needs many iterations, the walk a few dozen probes; warm-started
+        # as the level after task k, and at the response itself
+        ts = geometric(k)
+        r = _audit_walk(ResponseQuery(ts, range(k), 2 ** (k - 1)))
+        lower = response_bruteforce(ResponseQuery(ts, range(k - 1), 1)) + 2 ** (k - 1)
+        for bound in (lower, r):
+            assert _audit_walk(ResponseQuery(ts, range(k), 2 ** (k - 1), bound)) == r
+
+
+FAMILIES = pytest.mark.parametrize(
+    "harmonic, zero_jitter", [(True, False), (True, True), (False, False), (False, True)]
+)
+
+
+class TestWarmStart:
+    """`analyze_system` starts level j at r_{j-1} + c_j, and every search
+    narrows its bracket through the recurrence; no answer may move."""
+
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_levels_rise_by_at_least_the_cost(self, harmonic, zero_jitter, data):
+        ts = data.draw(small_task_systems(5, 12, zero_jitter, harmonic))
+        responses = oracle_responses(ts)
+        for j in range(1, len(ts.tasks)):
+            assert responses[j] >= responses[j - 1] + ts.tasks[j].c
+        for algorithm in ("auto", "bruteforce", "turing"):
+            assert analyze_system(ts, algorithm).responses() == tuple(responses)
+
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_lower_bound_changes_no_answer(self, harmonic, zero_jitter, data):
+        ts = data.draw(small_task_systems(5, 12, zero_jitter, harmonic))
+        responses = oracle_responses(ts)
+        for j, task in enumerate(ts.tasks):
+            cold = ResponseQuery(ts, range(j), task.c)
+            for lower in {responses[j - 1] + task.c if j else 0, responses[j]}:
+                warm = ResponseQuery(ts, range(j), task.c, lower)
+                for algorithm in applicable(cold):
+                    assert compute_response(warm, algorithm) == responses[j], (algorithm, lower)
+                    assert compute_response(cold, algorithm) == responses[j], algorithm
+                if "harmonic" in applicable(cold):
+                    _audit_walk(warm)
+
+    @staticmethod
+    @contextlib.contextmanager
+    def recorded_brackets():
+        """Yield a list that collects (lo, hi, probes) of every bracketed search."""
+        searches = []
+        real = rta._bracket
+
+        def spy(q, lo, hi, decide):
+            probes = []
+            t = real(q, lo, hi, lambda k: probes.append(k) or decide(k))
+            searches.append((lo, hi, len(probes)))
+            return t
+
+        with mock.patch.object(rta, "_bracket", spy):
+            yield searches
+
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_bracketed_searches_stay_within_log2(self, harmonic, zero_jitter, data):
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        with self.recorded_brackets() as searches:
+            for algorithm in applicable(full_query(ts)):
+                analyze_system(ts, algorithm)
+                compute_response(full_query(ts), algorithm)
+        for lo, hi, count in searches:
+            assert count <= (hi - lo).bit_length(), (lo, hi, count)  # ceil(log2(hi - lo + 1))
+
+    def test_bracket_bound_on_the_geometric_walk(self):
+        # the walk's catch interval on this query is wide
+        q = ResponseQuery(geometric(10), range(10), 2**9)
+        with self.recorded_brackets() as searches:
+            assert response_harmonic(q) == response_bruteforce(q)
+        assert any(count for _, _, count in searches)
+        assert all(count <= (hi - lo).bit_length() for lo, hi, count in searches)
+
+
+class TestSearchesAtScale:
+    """`turing`, `jitter-free` and the fixed point agree beyond the small
+    random suites: general zero-jitter systems with n = 8..12, and the
+    non-harmonic geometric family, cold and warm-started."""
+
+    @pytest.mark.parametrize("n", range(8, 13))
+    def test_general_zero_jitter_systems(self, n):
+        # the first four systems whose lcm stays within the magnitude cap;
+        # past it every query raises OverflowLimit
+        systems = (random_system(7000 * n + seed, n, 256, jitter_mode="zero") for seed in range(40))
+        fitting = [ts for ts in systems if math.lcm(*ts.periods()) <= magnitude_cap()]
+        for ts in fitting[:4]:
+            want = analyze_system(ts, "bruteforce").responses()
+            for algorithm in ("auto", "turing", "jitter-free"):
+                assert analyze_system(ts, algorithm).responses() == want, algorithm
+            q = full_query(ts)
+            assert response_turing(q) == response_jitter_free(q) == want[-1]
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("k", [10, 11, 12])
+    def test_non_harmonic_geometric_family(self, k, jitter):
+        ts = geometric(k, harmonic=False, jitter=jitter)
+        algorithms = [response_turing] + ([] if jitter else [response_jitter_free])
+        cold = ResponseQuery(ts, range(k), 2 ** (k - 1))
+        want = response_bruteforce(cold)
+        lower = response_bruteforce(ResponseQuery(ts, range(k - 1), 1)) + 2 ** (k - 1)
+        warm = ResponseQuery(ts, range(k), 2 ** (k - 1), lower)
+        for algorithm in algorithms:
+            assert algorithm(cold) == algorithm(warm) == want, algorithm.__name__
 
 
 class TestTuring:
