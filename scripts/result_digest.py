@@ -14,6 +14,9 @@ compute the same thing print the same lines:
     PYTHONPATH=/path/to/other/checkout/src python3 scripts/result_digest.py > old.jsonl
     diff old.jsonl new.jsonl
 
+At the end it prints, on stderr, the counter totals of each command and of
+all runs, so two checkouts can be compared by their totals alone.
+
 It exits 1, naming each fault on stderr, when two `rta compute` algorithms
 give different results on one input, when two successful `mix solve`
 algorithms give different objectives on one input, or when any run exits 4
@@ -27,6 +30,7 @@ import math
 import os
 import sys
 import tempfile
+from collections import Counter, defaultdict
 
 from rtmix import MixInstance, Task, TaskSystem, gen, is_harmonic
 from rtmix.cli import EXIT_INTERNAL, main as cli_main
@@ -140,11 +144,13 @@ def write(path: str, payload: dict) -> None:
 def main() -> int:
     lines = 0
     faults = []
+    totals: defaultdict[str, Counter] = defaultdict(Counter)
 
     def record(name: str, cmd: str, out: dict) -> None:
         nonlocal lines
         print(json.dumps({"input": name, "cmd": cmd, **out}))
         lines += 1
+        totals[cmd].update(out.get("counters") or {})
         if out["code"] == EXIT_INTERNAL:
             faults.append(f"{name}: {cmd} exited {EXIT_INTERNAL}")
 
@@ -187,6 +193,8 @@ def main() -> int:
                 write(program, out["program"])
                 record(name, "blockip solve", run(["blockip", "solve", "--input", program]))
     print(f"{lines} runs", file=sys.stderr)
+    for cmd, total in [*totals.items(), ("all", sum(totals.values(), Counter()))]:
+        print(f"counters {cmd}: {json.dumps(dict(sorted(total.items())))}", file=sys.stderr)
     for fault in faults:
         print(f"FAULT {fault}", file=sys.stderr)
     return 1 if faults else 0

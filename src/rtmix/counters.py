@@ -21,6 +21,8 @@ class Counters:
     # evaluated once, its objective part carried down) plus one; per leaf, one.
     mixing_ops: int = 0
     decision_probes: int = 0   # dualized decision-oracle invocations
+    # Decisions "response <= k" that W(k) <= k settled without the oracle.
+    recurrence_verdicts: int = 0
     fixpoint_iters: int = 0    # iterations of the ceiling-recurrence baseline
 
     def as_dict(self) -> dict:

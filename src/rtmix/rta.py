@@ -12,9 +12,10 @@ decision "response <= k?" through the equivalent mixing set question
 b=k+jitter_i) per interferer.  That equivalence is only valid once k reaches
 a certified bound S on the optimal s of the mixing instance, hence:
 
-* `response_turing` (any periods): decide at k = S; on yes, run the
-  fixed-point iteration from gamma, which stops at the least feasible t and
-  so at most at S; on no, search (S, u] where every probe is valid.
+* `response_turing` (any periods): decide at k = S (by the recurrence alone
+  when W(S) <= S, see below); on yes, run the fixed-point iteration from
+  gamma, which stops at the least feasible t and so at most at S; on no,
+  search (S, u] where every probe is valid.
 * `narrow` / `catch` (harmonic periods): walk the sorted distinct differences
   p_j - jitter_j.  For every task whose period is at least the probe, the
   optimal multiplier is forced to 1 or 2 by the probe's position relative to
@@ -26,11 +27,18 @@ a certified bound S on the optimal s of the mixing instance, hence:
 
 Every search is bracketed by the recurrence (`_bracket`): the response r is
 a fixed point of the monotone W, so a yes at k gives r <= min(k, W(k)) and
-a no gives r >= max(k + 1, W(k + 1)).  The searches bisect on the decision
-and tighten the bracket this way after each verdict; the width still at least
-halves per probe, so a search makes at most ceil(log2(hi - lo + 1)) probes.
-`narrow` tightens its lower end the same way after each infeasible
-difference, and skips the differences below it.
+a no gives r >= max(k + 1, W(k + 1)).  W(k) is computed before the decision,
+and when W(k) <= k, k is itself feasible: the recurrence gives the yes in
+O(n), with r <= W(k), and no mixing solve runs (a free verdict, counted as
+`recurrence_verdicts`; `decision_probes` counts only the oracle's calls).
+The searches bisect and tighten the bracket this way after each verdict; the
+width still at least halves per step, so a search decides at most
+ceil(log2(hi - lo + 1)) times.  `narrow` starts its lower end at ceil(ell),
+the certified lower bound of `core.bounds_from_parts` (Sjodin and Hansson,
+RTSS 1998), or at the query's `lower` when that is larger; it tightens that
+end the same way after each infeasible difference, and skips the
+differences below it.  Its difference probes always run the mixing solve,
+so each records the forced multipliers that the walk's audit checks.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built, and
@@ -256,16 +264,22 @@ def _bracket(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int], bool]) 
     """The response r, given lo <= r <= hi and a decision decide(k) that
     answers "r <= k".
 
-    Bisects on the decision, and each verdict also tightens the bracket
-    through the recurrence: r is a fixed point of the monotone workload W,
-    so a yes at k gives r <= W(k) besides r <= k, and a no gives
-    r >= W(k + 1) besides r >= k + 1.  The bracket still at least halves per
-    probe, so a search makes at most ceil(log2(hi - lo + 1)) probes.
+    Bisects, and each verdict also tightens the bracket through the
+    recurrence: r is a fixed point of the monotone workload W, so a yes at k
+    gives r <= W(k) besides r <= k, and a no gives r >= W(k + 1) besides
+    r >= k + 1.  W(k) comes first: when W(k) <= k, k is feasible, so the
+    yes is free and `decide` is not called; `decide` only sees a k with
+    W(k) > k.  The bracket still at least halves per step, so a search calls
+    `decide` at most ceil(log2(hi - lo + 1)) times.
     """
     while lo < hi:
         k = (lo + hi) // 2
-        if decide(k):
-            hi = min(k, workload(q.tasks, q.gamma, k))
+        w = workload(q.tasks, q.gamma, k)
+        if w <= k:
+            counters.bump("recurrence_verdicts")
+            hi = w
+        elif decide(k):
+            hi = k
         else:
             lo = max(k + 1, workload(q.tasks, q.gamma, k + 1))
     if lo != hi:
@@ -283,17 +297,18 @@ def narrow(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
     move into the constant part gamma_i; the rest form a residual instance
     whose periods all lie below k_i.  The verdicts bracket the response as
     in `_bracket`: a no at k_i raises the lower end to W(k_i + 1), and a yes
-    caps `catch`'s interval at W(k_i).  The lower end starts at the query's
-    certified lower bound; differences below it are skipped, and `catch`
-    starts at it at the earliest, so no skipped difference lies in its
-    interval.
+    caps `catch`'s interval at W(k_i).  The lower end starts at the larger
+    of ceil(ell) and the query's certified lower bound; differences below it
+    are skipped, and `catch` starts at it at the earliest, so no skipped
+    difference lies in its interval.  Unlike `catch`'s steps, every
+    difference probe runs the mixing solve, even where W(k_i) <= k_i.
     """
     if not q.indices:
         return q.gamma
     walk = _Walk(q, trace)  # raises PreconditionViolated unless the periods form a chain
     tasks = q.system.tasks
     diffs = sorted({tasks[j].p - tasks[j].jitter for j in q.indices} - {0})
-    prev, lower = 0, q.lower
+    prev, lower = 0, max(q.lower, math.ceil(q.bounds.ell))
     for k in diffs:
         if k < lower:
             continue
@@ -349,16 +364,27 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
     return _least_fixed_point(q, narrow(q, trace=trace), "harmonic walk")
 
 
+def _affirmed_at(q: ResponseQuery, k: int) -> bool:
+    """The decision "r <= k", by the recurrence when W(k) <= k, else by the
+    dualized oracle."""
+    if workload(q.tasks, q.gamma, k) <= k:
+        counters.bump("recurrence_verdicts")
+        return True
+    return decide_large_k(q, k)
+
+
 def response_turing(q: ResponseQuery) -> int:
     """Decide at the certified bound S; on yes the response is at most S and the
     fixed-point iteration from gamma reaches it, on no run the bracketed
-    search (`_bracket`) above S, where every probe passes the gate.  A
-    certified lower bound above S skips the decision at S; the search starts
-    at the largest of S + 1, W(S + 1), ceil(ell) and that bound."""
+    search (`_bracket`) above S, where every probe passes the gate.  When
+    W(S) <= S, S is feasible, so the yes at S is free; only otherwise does
+    the decision solve Mix(I, S).  A certified lower bound above S skips
+    the decision at S; the search starts at the largest of S + 1, W(S + 1),
+    ceil(ell) and that bound."""
     if not q.indices:
         return q.gamma
     s_cert = q.s_bound
-    if s_cert >= max(1, q.lower) and decide_large_k(q, s_cert):
+    if s_cert >= max(1, q.lower) and _affirmed_at(q, s_cert):
         t = response_bruteforce(q)
         if t > s_cert:
             raise InternalInvariantViolated(

@@ -13,7 +13,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dual_max_oracle, response_scan_oracle, small_task_systems
-from rtmix.core import Task, TaskSystem, bounds_from_parts, ceil_div, is_harmonic, magnitude_cap
+from rtmix.core import (
+    Task,
+    TaskSystem,
+    bounds_from_parts,
+    ceil_div,
+    is_harmonic,
+    magnitude_cap,
+    workload,
+)
 from rtmix import counters, mixing, rta
 from rtmix.errors import (
     InvalidInstance,
@@ -285,14 +293,15 @@ class TestHarmonicWalk:
 
 def _audit_walk(q):
     """The walk's answer equals the fixed point's, every probe's verdict is
-    exactly "response <= k", and no probe lies below the query's lower
-    bound; returns the response."""
+    exactly "response <= k", and no probe lies below the walk's start, the
+    larger of the query's lower bound and ceil(ell); returns the response."""
     t_star = response_bruteforce(q)
     trace: list[ProbeRecord] = []
     assert response_harmonic(q, trace=trace) == t_star
+    start = max(q.lower, math.ceil(q.bounds.ell))
     for rec in trace:
         assert rec.feasible == (t_star <= rec.k), (t_star, rec)
-        assert rec.k >= q.lower, (q.lower, rec)
+        assert rec.k >= start, (start, rec)
     return t_star
 
 
@@ -371,14 +380,14 @@ class TestWarmStart:
     @staticmethod
     @contextlib.contextmanager
     def recorded_brackets():
-        """Yield a list that collects (lo, hi, probes) of every bracketed search."""
+        """Yield a list that collects (q, lo, hi, probed k) of every bracketed search."""
         searches = []
         real = rta._bracket
 
         def spy(q, lo, hi, decide):
             probes = []
             t = real(q, lo, hi, lambda k: probes.append(k) or decide(k))
-            searches.append((lo, hi, len(probes)))
+            searches.append((q, lo, hi, probes))
             return t
 
         with mock.patch.object(rta, "_bracket", spy):
@@ -393,16 +402,20 @@ class TestWarmStart:
             for algorithm in applicable(full_query(ts)):
                 analyze_system(ts, algorithm)
                 compute_response(full_query(ts), algorithm)
-        for lo, hi, count in searches:
-            assert count <= (hi - lo).bit_length(), (lo, hi, count)  # ceil(log2(hi - lo + 1))
+        for q, lo, hi, probes in searches:
+            # at most ceil(log2(hi - lo + 1)) probes
+            assert len(probes) <= (hi - lo).bit_length(), (lo, hi, probes)
+            # a k with W(k) <= k is settled by the recurrence, never decided
+            for k in probes:
+                assert workload(q.tasks, q.gamma, k) > k, (q.tasks, q.gamma, k)
 
     def test_bracket_bound_on_the_geometric_walk(self):
         # the walk's catch interval on this query is wide
         q = ResponseQuery(geometric(10), range(10), 2**9)
         with self.recorded_brackets() as searches:
             assert response_harmonic(q) == response_bruteforce(q)
-        assert any(count for _, _, count in searches)
-        assert all(count <= (hi - lo).bit_length() for lo, hi, count in searches)
+        assert any(probes for *_, probes in searches)
+        assert all(len(probes) <= (hi - lo).bit_length() for _, lo, hi, probes in searches)
 
 
 class TestSearchesAtScale:
@@ -466,7 +479,12 @@ class TestTuring:
         ])
         q = full_query(ts)
         assert q.s_bound == 1125349347163456
-        assert compute_response(q, "auto") == response_bruteforce(q) == 1073740801
+        with counters.collect() as ops:
+            r = compute_response(q, "auto")
+        assert r == response_bruteforce(q) == 1073740801
+        # W(S) <= S, so the recurrence settles the decision at S: no mixing solve
+        assert ops.mixing_ops == ops.decision_probes == 0
+        assert ops.recurrence_verdicts == 1
 
 
 class TestJitterFree:
