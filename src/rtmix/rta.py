@@ -16,15 +16,16 @@ a certified bound S on the optimal s of the mixing instance, hence:
   when W(S) <= S, see below); on yes, run the fixed-point iteration from
   gamma, which stops at the least feasible t and so at most at S; on no,
   search (S, u] where every probe is valid.
-* `narrow` / `catch` (harmonic periods): walk the sorted distinct differences
-  p_j - jitter_j.  For every task whose period is at least the probe, the
-  optimal multiplier is forced to 1 or 2 by the probe's position relative to
-  p_j - jitter_j, so those tasks leave the residual instance and the probe
-  stays above every residual period.  `narrow` finds the bracketing interval,
-  `catch` searches inside it.
+* `response_harmonic` (harmonic periods): at a probe k, every task with
+  p_j >= k has its optimal multiplier forced to 1 or 2 by the probe's
+  position relative to d_j = p_j - jitter_j, so those tasks leave the
+  residual instance and the probe stays above every residual period.  The
+  walk first probes the sorted distinct nonzero differences d_j upward
+  until one is feasible, then searches the interval that leaves.
 * `response_jitter_free`: with zero jitter (s=k, x=0) is always feasible for
   the mixing instance, so every k is decidable and the search needs no gate.
 
+All of them decide through `decide_large_k`, the one dualized oracle.
 Every search is bracketed by the recurrence (`_bracket`): the response r is
 a fixed point of the monotone W, so a yes at k gives r <= min(k, W(k)) and
 a no gives r >= max(k + 1, W(k + 1)).  W(k) is computed before the decision,
@@ -33,21 +34,22 @@ O(n), with r <= W(k), and no mixing solve runs (a free verdict, counted as
 `recurrence_verdicts`; `decision_probes` counts only the oracle's calls).
 The searches bisect and tighten the bracket this way after each verdict; the
 width still at least halves per step, so a search decides at most
-ceil(log2(hi - lo + 1)) times.  `narrow` starts its lower end at ceil(ell),
-the certified lower bound of `core.bounds_from_parts` (Sjodin and Hansson,
-RTSS 1998), or at the query's `lower` when that is larger; it tightens that
-end the same way after each infeasible difference, and skips the
-differences below it.  Its difference probes always run the mixing solve,
-so each records the forced multipliers that the walk's audit checks.
+ceil(log2(hi - lo + 1)) times.  The harmonic walk starts its lower end at
+ceil(ell), the certified lower bound of `core.bounds_from_parts` (Sjodin and
+Hansson, RTSS 1998), or at the query's `lower` when that is larger; it
+tightens that end the same way after each infeasible difference, and skips
+the differences below it.  Its difference probes always run the mixing
+solve, so each records the forced multipliers that the walk's audit checks.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built, and
 holds the interferer tuple, its `BoundsResult` (which carries the exact
 utilization) and its certified S, all computed then under the magnitude cap
 that RTMIX_LIMIT_BITS sets; no algorithm recomputes them.  `decide_large_k`
-always refuses a k below a query's S.  A query may also carry a certified
+refuses a k below a query's S when some interferer has jitter; with none,
+S <= k holds for every probe.  A query may also carry a certified
 lower bound on its response (`lower`, 0 when none is known), from which
-`narrow`, `turing` and `jitter-free` start; `analyze_system` sets it to
+`harmonic`, `turing` and `jitter-free` start; `analyze_system` sets it to
 r_{j-1} + c_j for level j, and `response_bruteforce`, the independent
 baseline, ignores it.
 
@@ -141,7 +143,7 @@ class Residual(NamedTuple):
 class ProbeRecord:
     """Instrumentation record of one decision probe (for invariant audits)."""
 
-    phase: str                  # "narrow" or "catch"
+    phase: str                  # "difference" or "bisection"
     k: int
     forced: dict[int, int]      # task index -> forced multiplier (1 or 2)
     residual: tuple[int, ...]
@@ -176,17 +178,14 @@ def build_mix_for_k(q: ResponseQuery, k: int) -> mixing.MixInstance:
     return mixing.MixInstance(1, [(t.c, t.p, k + t.jitter) for t in q.tasks])
 
 
-def _solve_mix(inst: mixing.MixInstance, s_bound: int | None) -> mixing.MixSolution:
-    if is_harmonic(inst.capacities()):
-        return mixing.solve_harmonic(inst)
-    return mixing.solve_bruteforce(inst, s_bound=s_bound)
-
-
 def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
     """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma.
 
-    Valid only for k at or above the certified bound S, so a built query
-    refuses any smaller k (the gate).  A `Residual` of the harmonic walk
+    Valid for k at or above the certified bound S, so a built query with
+    jitter refuses any smaller k (the gate).  With zero jitter the pair
+    (s=k, x=0) is feasible for Mix(I, k) and anything with s > k is strictly
+    worse, so some optimal s lies at or below min(S, k) and every k >= 1 is
+    decidable; the solve scans s up to that.  A `Residual` of the harmonic walk
     carries no S: the walk certifies the reduction by construction (every
     residual period lies below k, which `_Walk.decide` checks), and its
     mixing instance is a prefix of the walk's chain at right-hand sides
@@ -201,10 +200,15 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
         if k < 1:
             raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
         return k >= q.gamma
-    if k < q.s_bound:
+    if k < q.s_bound and any(t.jitter for t in q.tasks):
         raise PreconditionKTooSmall(k, q.s_bound)
     counters.bump("decision_probes")
-    return _solve_mix(build_mix_for_k(q, k), q.s_bound).objective <= k - q.gamma
+    inst = build_mix_for_k(q, k)
+    if is_harmonic(inst.capacities()):
+        sol = mixing.solve_harmonic(inst)
+    else:
+        sol = mixing.solve_bruteforce(inst, s_bound=min(q.s_bound, k))
+    return sol.objective <= k - q.gamma
 
 
 def _walk_chain(q: ResponseQuery) -> mixing.HarmonicChain:
@@ -226,13 +230,21 @@ class _Walk:
         self.chain: mixing.HarmonicChain | None = None
         self.p_min = min((t.p for t in q.tasks), default=math.inf)
 
-    def decide(self, phase: str, k: int, ones: list[int], twos: list[int],
-               residual: tuple[int, ...]) -> bool:
-        """Probe k with the multipliers of `ones` and `twos` forced to 1 and
-        2: Mix(residual, k) <= k - gamma'.  Residual periods lie below k by
-        construction, so the reduction gate holds, and the residual is then
-        the chain's prefix of levels below k (empty when no period is)."""
+    def decide(self, phase: str, k: int, lo: int) -> bool:
+        """Probe k >= lo, lo a certified lower bound on the response:
+        Mix(residual, k) <= k - gamma'.  With d_j = p_j - jitter_j, task j's
+        multiplier is forced to 1 when k <= d_j and to 2 when d_j < lo and
+        k <= p_j; the rest form the residual.  No difference lies in [lo, k),
+        so residual periods lie below k and the residual is the chain's
+        prefix below k; the check that it is guards the walk's invariant."""
         q, tasks = self.q, self.q.system.tasks
+        forced = {}
+        for j, t in zip(q.indices, q.tasks):
+            if k <= t.p - t.jitter:
+                forced[j] = 1
+            elif t.p - t.jitter < lo and k <= t.p:
+                forced[j] = 2
+        residual = tuple(j for j in q.indices if j not in forced)
         if residual:
             if self.chain is None:
                 self.chain = _walk_chain(q)
@@ -243,10 +255,9 @@ class _Walk:
             chain, depth, exact = None, 0, self.p_min >= k
         if not exact or any(tasks[j].p >= k for j in residual):
             raise InternalInvariantViolated("residual set is not the chain below the probe")
-        gamma_prime = q.gamma + sum(tasks[j].c for j in ones) + 2 * sum(tasks[j].c for j in twos)
+        gamma_prime = q.gamma + sum(tasks[j].c * m for j, m in forced.items())
         feasible = decide_large_k(Residual(chain, depth, gamma_prime), k)
         if self.trace is not None:
-            forced = {j: 1 for j in ones} | {j: 2 for j in twos}
             self.trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
         return feasible
 
@@ -287,81 +298,27 @@ def _bracket(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int], bool]) 
     return lo
 
 
-def narrow(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
-    """Bracket the response among the sorted distinct differences p_j - jitter_j,
-    then hand the interval to `catch`.
-
-    At probe k_i every task with p_j >= k_i has a forced multiplier: 1 when
-    k_i <= p_j - jitter_j (the optimum cannot exceed that difference), 2 when
-    the difference was already probed infeasible (or is zero).  Those tasks
-    move into the constant part gamma_i; the rest form a residual instance
-    whose periods all lie below k_i.  The verdicts bracket the response as
-    in `_bracket`: a no at k_i raises the lower end to W(k_i + 1), and a yes
-    caps `catch`'s interval at W(k_i).  The lower end starts at the larger
-    of ceil(ell) and the query's certified lower bound; differences below it
-    are skipped, and `catch` starts at it at the earliest, so no skipped
-    difference lies in its interval.  Unlike `catch`'s steps, every
-    difference probe runs the mixing solve, even where W(k_i) <= k_i.
-    """
+def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
+    """The harmonic walk: probe the distinct nonzero differences upward from
+    lo = max(lower, ceil(ell)), skipping those below lo; a no at k raises lo
+    to max(k + 1, W(k + 1)), a yes caps hi at min(k, W(k)) and ends the scan.
+    Then `_bracket` searches [lo, hi]; no difference lies in [lo, hi), so the
+    forcing by that lo stays valid.  The answer is re-checked against the
+    recurrence."""
     if not q.indices:
         return q.gamma
     walk = _Walk(q, trace)  # raises PreconditionViolated unless the periods form a chain
-    tasks = q.system.tasks
-    diffs = sorted({tasks[j].p - tasks[j].jitter for j in q.indices} - {0})
-    prev, lower = 0, max(q.lower, math.ceil(q.bounds.ell))
-    for k in diffs:
-        if k < lower:
+    lo, hi = max(q.lower, math.ceil(q.bounds.ell)), q.bounds.u
+    for k in sorted({t.p - t.jitter for t in q.tasks} - {0}):
+        if k < lo:
             continue
-        ones = [j for j in q.indices if k <= tasks[j].p - tasks[j].jitter]
-        twos = [j for j in q.indices if tasks[j].p - tasks[j].jitter < k <= tasks[j].p]
-        residual = tuple(j for j in q.indices if tasks[j].p < k)
-        if walk.decide("narrow", k, ones, twos, residual):
-            return _catch(walk, max(prev + 1, lower), min(k, workload(q.tasks, q.gamma, k)))
-        prev, lower = k, max(lower, workload(q.tasks, q.gamma, k + 1))
-    return _catch(walk, max(prev + 1, lower), q.bounds.u)
-
-
-def catch(
-    q: ResponseQuery,
-    left: int,
-    right: int,
-    *,
-    trace: list[ProbeRecord] | None = None,
-) -> int:
-    """The least feasible t in [left, right], by a bracketed search
-    (`_bracket`): a bisection whose verdicts also tighten the interval
-    through the recurrence.
-
-    Precondition (guaranteed by `narrow`): the response lies in the interval
-    and no difference p_j - jitter_j does, so multipliers of all tasks with
-    p_j >= probe stay forced throughout the search.  For the same reason the
-    set of tasks with p_j - jitter_j < left does not change as the interval
-    shrinks, so the initial `left` selects the tasks forced to 2.
-    """
-    return _catch(_Walk(q, trace), left, right)
-
-
-def _catch(walk: _Walk, left: int, right: int) -> int:
-    if left > right:
-        raise PreconditionViolated(f"empty search interval [{left}, {right}]")
-    q = walk.q
-    tasks = q.system.tasks
-    ones = [j for j in q.indices if right <= tasks[j].p - tasks[j].jitter]
-
-    def feasible(kappa: int) -> bool:
-        twos = [j for j in q.indices if kappa <= tasks[j].p < left + tasks[j].jitter]
-        residual = tuple(j for j in q.indices if j not in ones and j not in twos)
-        return walk.decide("catch", kappa, ones, twos, residual)
-
-    t = _bracket(q, left, right, feasible)
-    if workload(q.tasks, q.gamma, t) > t:
-        raise InternalInvariantViolated(f"catch returned infeasible t={t}")
-    return t
-
-
-def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
-    """narrow + catch, with a final minimality re-check against the recurrence."""
-    return _least_fixed_point(q, narrow(q, trace=trace), "harmonic walk")
+        if walk.decide("difference", k, lo):
+            hi = min(k, workload(q.tasks, q.gamma, k))
+            break
+        lo = max(k + 1, workload(q.tasks, q.gamma, k + 1))
+    left = lo
+    t = _bracket(q, left, hi, lambda k: walk.decide("bisection", k, left))
+    return _least_fixed_point(q, t, "harmonic walk")
 
 
 def _affirmed_at(q: ResponseQuery, k: int) -> bool:
@@ -400,8 +357,7 @@ def response_jitter_free(q: ResponseQuery) -> int:
     """Unconditional bracketed search (`_bracket`) for zero-jitter queries,
     from the largest of gamma, ceil(ell) and the certified lower bound.
 
-    With jitter 0 the pair (s=k, x=0) is feasible for Mix(I, k) and anything
-    with s > k is strictly worse, so the bound S <= k holds for every probe.
+    With jitter 0, `decide_large_k` decides every k >= 1 (see there).
     """
     tasks = q.tasks
     if any(t.jitter != 0 for t in tasks):
@@ -413,13 +369,8 @@ def response_jitter_free(q: ResponseQuery) -> int:
     m = lcm_capped(t.p for t in tasks)
     if workload(tasks, q.gamma, m) <= m:
         hi = min(hi, m)
-
-    def feasible(kappa: int) -> bool:
-        counters.bump("decision_probes")
-        sol = _solve_mix(build_mix_for_k(q, kappa), min(q.s_bound, kappa))
-        return sol.objective <= kappa - q.gamma
-
-    return _least_fixed_point(q, _bracket(q, lo, hi, feasible), "jitter-free search")
+    t = _bracket(q, lo, hi, lambda k: decide_large_k(q, k))
+    return _least_fixed_point(q, t, "jitter-free search")
 
 
 _DISPATCH = {

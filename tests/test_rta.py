@@ -36,10 +36,8 @@ from rtmix.rta import (
     ResponseQuery,
     analyze_system,
     build_mix_for_k,
-    catch,
     compute_response,
     decide_large_k,
-    narrow,
     response_bruteforce,
     response_harmonic,
     response_jitter_free,
@@ -233,10 +231,10 @@ class TestTwoValues:
 
 class TestHarmonicWalk:
     def test_extreme_all_differences_zero(self, extreme3):
-        # jitter = period makes every difference zero, so narrow goes straight
-        # to the bounded binary search
+        # jitter = period makes every difference zero, so the walk goes
+        # straight to the bracketed search
         q = ResponseQuery(extreme3, (0, 1), 1)
-        assert narrow(q) == 12
+        assert response_harmonic(q) == 12
 
     def test_simple_chain(self):
         ts = TaskSystem([Task(1, 2, 1), Task(1, 4, 0), Task(1, 4, 2)])
@@ -244,11 +242,12 @@ class TestHarmonicWalk:
         assert response_harmonic(q) == response_bruteforce(q)
 
     def test_empty_interference(self, demo_system):
-        assert narrow(ResponseQuery(demo_system, (), 9)) == 9
+        assert response_harmonic(ResponseQuery(demo_system, (), 9)) == 9
 
-    def test_catch_degenerate_interval(self, extreme3):
-        q = ResponseQuery(extreme3, (0, 1), 1)
-        assert catch(q, 12, 12) == 12
+    def test_degenerate_interval_at_the_lower_bound(self, extreme3):
+        # the certified lower bound is the response itself
+        q = ResponseQuery(extreme3, (0, 1), 1, lower=12)
+        assert response_harmonic(q) == 12
 
     def test_harmonized_demo_variant(self):
         ts = TaskSystem([Task(7, 30, 5), Task(15, 60, 8), Task(13, 60, 25)])
@@ -257,7 +256,7 @@ class TestHarmonicWalk:
 
     def test_rejects_non_harmonic_periods(self, demo_system):
         with pytest.raises(PreconditionViolated):
-            narrow(ResponseQuery(demo_system, (0, 1), 13))
+            response_harmonic(ResponseQuery(demo_system, (0, 1), 13))
 
     def test_zero_jitter_chain(self):
         ts = TaskSystem([Task(1, 2, 0), Task(1, 4, 0), Task(1, 4, 0)])
@@ -270,7 +269,7 @@ class TestHarmonicWalk:
             assert response_harmonic(q) == response_bruteforce(q)
 
     def test_forced_multipliers_match_the_optimum(self):
-        # audit narrow/catch instrumentation on feasible probes
+        # audit the walk's instrumentation on feasible probes
         for seed in range(60):
             ts = random_system(seed + 400, random.Random(seed).randint(2, 6), 32, harmonic=True)
             q = full_query(ts)
@@ -410,7 +409,7 @@ class TestWarmStart:
                 assert workload(q.tasks, q.gamma, k) > k, (q.tasks, q.gamma, k)
 
     def test_bracket_bound_on_the_geometric_walk(self):
-        # the walk's catch interval on this query is wide
+        # the walk's bracketed search on this query spans a wide interval
         q = ResponseQuery(geometric(10), range(10), 2**9)
         with self.recorded_brackets() as searches:
             assert response_harmonic(q) == response_bruteforce(q)
