@@ -34,6 +34,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Sequence
 
+from . import counters
 from .core import TaskSystem, bounds_from_parts, ceil_div, is_integer, validate
 from .errors import BudgetExceeded, Infeasible, InvalidInstance, PreconditionViolated
 
@@ -203,7 +204,8 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     onto the addressed brick j.  A unit-slack brick (one row (p, -1), p >= 1,
     not carrying the slack row) is completed in closed form; every other
     brick goes through the DFS `_max_brick`.  Each first-stage node, each
-    closed-form completion and each DFS node spends one unit of the budget.
+    closed-form completion and each DFS node spends one unit of the budget;
+    a solve adds the units it spent to the `blockip_nodes` counter.
     """
     budget = _Budget(DEFAULT_NODE_BUDGET)
     a0 = p.D[0]
@@ -250,6 +252,7 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
             best = total
 
     first_stage(0, [0] * p.s)
+    counters.bump("blockip_nodes", budget.budget - budget.left)
     return best
 
 

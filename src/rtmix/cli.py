@@ -219,12 +219,14 @@ def _cmd_sim_run(args) -> tuple[int, dict]:
 
 def _cmd_blockip_solve(args) -> tuple[int, dict]:
     prog = jsonio.four_block_from_dict(jsonio.load_json(args.input))
-    value, timing = _timed(lambda: blockip.solve_simple_4block(prog, args.H))
+    with counters.collect() as ops:
+        value, timing = _timed(lambda: blockip.solve_simple_4block(prog, args.H))
     report = {
         "result": {"objective": value},
         "algorithm": "dualized-binary-search",
         "certificates": {},
         "timings": timing,
+        "counters": ops.as_dict(),
         "instance": jsonio.four_block_to_dict(prog),
     }
     return EXIT_OK, report

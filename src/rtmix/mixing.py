@@ -36,12 +36,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, fraction_sum, is_harmonic, is_integer, magnitude_cap
+from .core import ceil_div, is_harmonic, is_integer, magnitude_cap
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -107,13 +106,11 @@ def objective_at(s: int, inst: MixInstance) -> int:
     return inst.w0 * s + sum(t.w * ceil_div(t.b - s, t.a) for t in inst.terms)
 
 
-def weight_utilization(inst: MixInstance) -> Fraction:
-    return fraction_sum((t.w, t.a) for t in inst.terms)
-
-
 def is_unbounded(inst: MixInstance) -> bool:
-    """Unbounded iff sum w_i/a_i > w0: pushing s up one lcm then pays for itself."""
-    return weight_utilization(inst) > inst.w0
+    """Unbounded iff sum w_i/a_i > w0: pushing s up one lcm then pays for itself.
+    Decided in integers at the lcm m: sum w_i*(m/a_i) > w0*m."""
+    m = math.lcm(*(t.a for t in inst.terms))
+    return sum(t.w * (m // t.a) for t in inst.terms) > inst.w0 * m
 
 
 def certified_s_bound(inst: MixInstance) -> int:
@@ -209,18 +206,14 @@ class HarmonicChain:
 
 def compile_harmonic(inst: MixInstance) -> HarmonicChain:
     """Check an instance once - validity, the divisibility chain, and
-    boundedness in integers - and sort its terms into levels.
-
-    For a chain the lcm m is the largest capacity, so sum w_i/a_i <= w0 reads
-    sum w_i*(m/a_i) <= w0*m.  Zero-weight terms never move the objective and
-    are left out of the levels.
+    boundedness (`is_unbounded`) - and sort its terms into levels.
+    Zero-weight terms never move the objective and are left out of the
+    levels.
     """
     validate(inst)
-    caps = inst.capacities()
-    if not is_harmonic(caps):
+    if not is_harmonic(inst.capacities()):
         raise PreconditionViolated("capacities do not form a divisibility chain")
-    m = max(caps, default=1)
-    if sum(t.w * (m // t.a) for t in inst.terms) > inst.w0 * m:
+    if is_unbounded(inst):
         raise Unbounded("sum w_i/a_i exceeds w0")
     groups: dict[int, list[tuple[int, int]]] = {}
     for t in inst.terms:

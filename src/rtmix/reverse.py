@@ -171,7 +171,7 @@ def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
     [m, m + a_i], solve the crowded instance, and subtract the shift cost."""
     _validate(inst)
     if mixing.is_unbounded(inst):
-        raise PreconditionViolated("instance is unbounded")
+        raise Unbounded("weight utilization exceeds 1")
     if not inst.terms:
         return mixing.complete(0, inst)
     rec = shift_record(inst)

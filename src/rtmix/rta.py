@@ -236,7 +236,7 @@ class _Walk:
         multiplier is forced to 1 when k <= d_j and to 2 when d_j < lo and
         k <= p_j; the rest form the residual.  No difference lies in [lo, k),
         so residual periods lie below k and the residual is the chain's
-        prefix below k; the check that it is guards the walk's invariant."""
+        prefix below k; a residual that is not raises InternalInvariantViolated."""
         q, tasks = self.q, self.q.system.tasks
         forced = {}
         for j, t in zip(q.indices, q.tasks):
@@ -316,8 +316,7 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
             hi = min(k, workload(q.tasks, q.gamma, k))
             break
         lo = max(k + 1, workload(q.tasks, q.gamma, k + 1))
-    left = lo
-    t = _bracket(q, left, hi, lambda k: walk.decide("bisection", k, left))
+    t = _bracket(q, lo, hi, lambda k: walk.decide("bisection", k, lo))
     return _least_fixed_point(q, t, "harmonic walk")
 
 

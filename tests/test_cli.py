@@ -138,11 +138,13 @@ class TestMixSolve:
         assert code == 0
         assert last_json(out)["result"]["objective"] == 4
 
-    def test_unbounded_exit_code(self, capsys, tmp_path):
+    @pytest.mark.parametrize("algorithm", ["bruteforce", "harmonic", "shift", "via-rtc"])
+    def test_unbounded_exit_code(self, capsys, tmp_path, algorithm):
         inst = tmp_path / "unbounded.json"
         inst.write_text(json.dumps({"w0": 1, "terms": [{"w": 2, "a": 1, "b": 0}]}))
-        code, _ = run_cli(capsys, "mix", "solve", "--input", str(inst))
+        code, out = run_cli(capsys, "mix", "solve", "--input", str(inst), "--algorithm", algorithm)
         assert code == 1
+        assert last_json(out)["error"] == "Unbounded"
 
 
 class TestGen:
@@ -246,6 +248,16 @@ class TestBlockip:
         code, out = run_cli(capsys, "blockip", "solve", "--input", str(enc))
         assert code == 0
         assert last_json(out)["result"]["objective"] == 2
+
+    def test_solve_reports_the_nodes_it_spent(self, capsys, tmp_path):
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(json.dumps({"tasks": [{"c": 1, "p": 2, "jitter": 0, "d": None},
+                                                 {"c": 1, "p": 4, "jitter": 0, "d": None}]}))
+        enc = tmp_path / "enc.json"
+        run_cli(capsys, "blockip", "encode-rtc", "--input", str(sysfile), "--output", str(enc))
+        code, out = run_cli(capsys, "blockip", "solve", "--input", str(enc))
+        assert code == 0
+        assert last_json(out)["counters"]["blockip_nodes"] > 0
 
     def test_budget_exit_code(self, capsys, tmp_path, demo_file, monkeypatch):
         import rtmix.blockip as blockip_mod

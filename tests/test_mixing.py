@@ -71,6 +71,12 @@ class TestUnbounded:
     def test_empty_instance(self):
         assert not is_unbounded(MixInstance(0, []))
 
+    @given(st.integers(0, 3),
+           st.lists(st.tuples(st.integers(0, 6), st.integers(1, 24), st.just(0)), max_size=5))
+    def test_integer_test_matches_the_exact_utilization(self, w0, terms):
+        inst = MixInstance(w0, terms)
+        assert is_unbounded(inst) == (sum(Fraction(w, a) for w, a, _ in terms) > w0)
+
     def test_solvers_raise(self):
         bad = MixInstance(1, [(2, 1, 0)])
         for solver in (solve_bruteforce, solve_harmonic):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +12,7 @@ from conftest import bounded_mix_instances, mix_enum_oracle
 from rtmix import counters, mixing
 from rtmix.errors import PreconditionViolated
 from rtmix.gen import random_mix_instance, tight_mixing_instance
-from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce, weight_utilization
+from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce
 from rtmix.reverse import (
     mix_leq_via_rtc,
     shift_record,
@@ -186,7 +187,7 @@ class TestUtilizationOne:
     @given(utilization_one_instances())
     @settings(max_examples=80)
     def test_objective_matches_bruteforce(self, inst):
-        assert weight_utilization(inst) == 1
+        assert sum(Fraction(t.w, t.a) for t in inst.terms) == 1
         assert hits_crowded_fallback(inst)
         assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
 

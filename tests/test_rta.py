@@ -187,6 +187,15 @@ class TestDecideLargeK:
         with pytest.raises(PreconditionKTooSmall):
             decide_large_k(q, 1)
 
+    @given(small_task_systems(max_n=4, p_max=12, zero_jitter=True))
+    @settings(max_examples=60)
+    def test_zero_jitter_decides_every_k(self, ts):
+        # no gate without jitter: the verdict is exact below S as well
+        q = full_query(ts)
+        r = response_bruteforce(q)
+        for k in range(1, q.bounds.u + 1):
+            assert decide_large_k(q, k) == (r <= k), (k, r, q.s_bound)
+
     def test_verdict_monotone_in_k(self, extreme3):
         q = ResponseQuery(extreme3, (0, 1), 1)
         verdicts = [decide_large_k(q, k) for k in range(4, 30)]
