@@ -40,7 +40,9 @@ from rtmix.cli import EXIT_INTERNAL, main as cli_main
 # non-harmonic geometric ones
 SYSTEMS = 240
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
-BLOCKIP = 60  # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16
+# seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16, besides
+# n = 4 ones with p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179
+BLOCKIP = 60
 
 
 def run(argv: list[str]) -> dict:
@@ -111,6 +113,10 @@ def jitter_free_systems(count: int):
         harmonic = seed // 4 % 2 == 0
         yield f"random seed={seed} n={n} p_max={p_max} harmonic={harmonic} zero", \
             gen.random_system(seed, n, p_max, harmonic=harmonic, jitter_mode="zero")
+    for p_max in (128, 1024):
+        for seed in range(1, 6):
+            yield f"random seed={seed} n=4 p_max={p_max} harmonic=False zero", \
+                gen.random_system(seed, 4, p_max, jitter_mode="zero")
 
 
 def mix_instances(count: int):

@@ -13,11 +13,16 @@ probe value k, to the decision
 
 a two-stage program: once x^(0) is fixed the bricks decouple and each brick
 maximizes its share of a independently.  `solve_2stage_desk` exploits exactly
-that - first-stage enumeration over the x^(0) box, then an exact completion
-per brick - under the node budget `DEFAULT_NODE_BUDGET`.  A unit-slack brick,
-whose one row is (p, -1) with p >= 1, is completed in closed form in O(1);
-every other brick, and the brick that carries a nonzero wj, goes through a
-depth-first search with interval-propagation pruning.
+that under the node budget `DEFAULT_NODE_BUDGET`.  A unit-slack brick, whose
+one row is (p, -1) with p >= 1, is completed in closed form in O(1); every
+other brick, and the brick that carries a nonzero wj, goes through a
+depth-first search with interval-propagation pruning.  In general the first
+stage enumerates the x^(0) box.  When x^(0) is one variable t and every brick
+is unit-slack without the slack row - the shape `encode_rtc_as_4block`
+writes - the bricks' completions sum to an affine function of t between the
+points where some brick's ceiling or floor steps, with one slope for all
+pieces, so the first stage visits only one end of each piece: about
+sum_i |b_i|*u/p_i points instead of u + 1.
 `solve_simple_4block` wraps it into the binary search for the least feasible
 k in [0, H] (the decisions are monotone in k because y only relaxes, and no
 k < 0 passes because weights and variables are nonnegative).
@@ -31,8 +36,10 @@ t - sum c_i*x_i >= c_n.
 from __future__ import annotations
 
 import bisect
+import heapq
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import chain, groupby
+from typing import Iterator, Sequence
 
 from . import counters
 from .core import TaskSystem, bounds_from_parts, ceil_div, is_integer, validate
@@ -193,6 +200,72 @@ def _unit_slack_coefficient(rows: Matrix) -> int | None:
     return None
 
 
+def _steps(num: int, m: int, coef: int, T: int) -> Iterator[int]:
+    """The t in [1, T], in increasing order, where floor((num + m*t)/coef)
+    differs from its value at t - 1 (m != 0); a t repeats when |m| > coef.
+
+    A falling term floor((num - a*t)/coef) equals
+    -floor((coef - 1 - num + a*t)/coef), so it steps where that rising term
+    does.  A rising term steps once per multiple j*coef in (num, num + m*T],
+    at t = ceil((j*coef - num)/m).
+    """
+    if m < 0:
+        num, m = coef - 1 - num, -m
+    return (ceil_div(j * coef - num, m) for j in range(num // coef + 1, (num + m * T) // coef + 1))
+
+
+def _piece_ends(p: SimpleFourBlock, k: int) -> Iterator[int]:
+    """The first-stage points of probe k that hold the maximum of a program
+    with s = 1 and unit-slack bricks that carry no slack row, lazily and in
+    increasing order.
+
+    t ranges over [0, T], T = min(u_0, floor(k / w0)), where the slack row
+    leaves room.  Brick i's completion depends on t only through
+    lo = ceil((rhs_i - b_i*t)/p_i) and hi = floor((rhs_i + uz_i - b_i*t)/p_i),
+    so between their steps it is affine with slope c_z*b_i and its
+    feasibility is fixed.  The coupling row is then affine on every piece
+    with one slope sigma = D + sum_i c_z*b_i, and a piece's maximum lies at
+    its right end when sigma > 0 and at its left end otherwise.
+    """
+    w0, u0 = p.w0[0], p.u[0]
+    T = min(u0, k // w0) if w0 else (u0 if k >= 0 else -1)
+    if T < 0:
+        return iter(())
+    terms = set()  # (num, m, coef) of each distinct floor((num + m*t)/coef)
+    for i in range(p.n):
+        b, coef, rhs, uz = p.B[i][0][0], p.A[i][0][0], p.rhs[i][0], p.u_brick(i)[1]
+        if b:
+            terms.update(((rhs + coef - 1, -b, coef), (rhs + uz, -b, coef)))
+    steps = heapq.merge(*(_steps(num, m, coef, T) for num, m, coef in terms))
+    starts = (t for t, _ in groupby(steps))  # left ends of every piece but the first
+    sigma = p.D[0][0] + sum(p.C[i][0][1] * p.B[i][0][0] for i in range(p.n))
+    if sigma > 0:
+        return chain((t - 1 for t in starts), (T,))
+    return chain((0,), starts)
+
+
+def _max_over_pieces(p: SimpleFourBlock, k: int, budget: _Budget) -> int | None:
+    """`solve_2stage_desk` for s = 1 and unit-slack bricks that carry no
+    slack row: the best total over the points of `_piece_ends`."""
+    bricks = [
+        (p.A[i][0][0], p.C[i][0], p.rhs[i][0], p.B[i][0][0], p.u_brick(i)) for i in range(p.n)
+    ]
+    best: int | None = None
+    for t in _piece_ends(p, k):
+        budget.spend()
+        total = p.D[0][0] * t
+        for coef, c, rhs, b, boxes in bricks:
+            budget.spend()
+            part = _max_unit_slack(coef, c, rhs - b * t, boxes)
+            if part is None:
+                break
+            total += part
+        else:
+            if best is None or total > best:
+                best = total
+    return best
+
+
 def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     """Exact maximum of the coupling row over the two-stage program of probe k,
     or None when infeasible.  Raises BudgetExceeded past DEFAULT_NODE_BUDGET.
@@ -203,9 +276,14 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     bricks; when wj = 0 that is the whole row.  Otherwise the row is stitched
     onto the addressed brick j.  A unit-slack brick (one row (p, -1), p >= 1,
     not carrying the slack row) is completed in closed form; every other
-    brick goes through the DFS `_max_brick`.  Each first-stage node, each
-    closed-form completion and each DFS node spends one unit of the budget;
-    a solve adds the units it spent to the `blockip_nodes` counter.
+    brick goes through the DFS `_max_brick`.
+
+    When s = 1 and every brick is unit-slack with wj = 0, the first stage
+    visits one end of each piece of t on which the coupling row is affine
+    (`_piece_ends`); otherwise it enumerates the x^(0) box.  Each piece,
+    each first-stage node, each closed-form completion and each DFS node
+    spends one unit of the budget; a solve adds the units it spent to the
+    `blockip_nodes` counter.
     """
     budget = _Budget(DEFAULT_NODE_BUDGET)
     a0 = p.D[0]
@@ -251,7 +329,10 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
         if best is None or total > best:
             best = total
 
-    first_stage(0, [0] * p.s)
+    if p.s == 1 and None not in unit_coef:  # the slack brick's entry is None too
+        best = _max_over_pieces(p, k, budget)
+    else:
+        first_stage(0, [0] * p.s)
     counters.bump("blockip_nodes", budget.budget - budget.left)
     return best
 

@@ -25,7 +25,7 @@ class Counters:
     recurrence_verdicts: int = 0
     fixpoint_iters: int = 0    # iterations of the ceiling-recurrence baseline
     # Node-budget units that blockip's two-stage solver spent: first-stage
-    # nodes, closed-form brick completions and DFS nodes.
+    # nodes or pieces of t, closed-form brick completions and DFS nodes.
     blockip_nodes: int = 0
 
     def as_dict(self) -> dict:

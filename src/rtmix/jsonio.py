@@ -150,7 +150,8 @@ def _arrays(value: Any, depth: int, what: str) -> tuple:
 
 def four_block_from_dict(data: Any) -> SimpleFourBlock:
     _require(isinstance(data, dict), "expected a 4-block object")
-    _require(data.get("q", 1) == 1, "exactly one coupling inequality is supported")
+    q = data.get("q", 1)
+    _require(is_integer(q) and q == 1, "exactly one coupling inequality is supported")
     try:
         return SimpleFourBlock(
             n=data["n"],

@@ -1,6 +1,7 @@
 """Simple 4-block programs: desk backend, binary search, and the
 response-time encoding round trip."""
 
+import dataclasses
 import itertools
 import random
 
@@ -8,14 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rtmix import blockip
+from rtmix import blockip, counters
 from rtmix.blockip import (
     SimpleFourBlock,
     encode_rtc_as_4block,
     solve_2stage_desk,
     solve_simple_4block,
 )
-from rtmix.core import Task, TaskSystem, bounds_from_parts
+from rtmix.core import Task, TaskSystem, bounds_from_parts, ceil_div
 from rtmix.errors import (
     BudgetExceeded,
     Infeasible,
@@ -23,7 +24,7 @@ from rtmix.errors import (
     PreconditionViolated,
 )
 from rtmix.gen import random_system
-from rtmix.rta import ResponseQuery, response_jitter_free
+from rtmix.rta import ResponseQuery, response_bruteforce, response_jitter_free
 
 
 @pytest.fixture
@@ -63,36 +64,54 @@ def enumerated_decision(prog, k):
 
 @st.composite
 def unit_slack_programs(draw):
-    """One first-stage variable and one or two bricks with the row (p, -1):
-    B and rhs of both signs, objectives of both signs with zero slope drawn
-    on purpose, boxes small enough to clip either variable or empty the
-    interval, and wj zero or not."""
+    """One first-stage variable over a box up to 30 and one or two bricks with
+    the row (p, -1): |b| up to 6, so some b exceed p and every t ends a piece;
+    rhs of both signs; objectives of both signs, with zero brick slope and a
+    zero first-stage slope D + sum c_z*b drawn on purpose; brick boxes small
+    enough to clip either variable or empty the interval; w0 up to 3; and wj
+    zero (the piece-wise first stage) as often as not."""
     n = draw(st.integers(1, 2))
-    A, B, C, rhs, u = [], [], [], [], [draw(st.integers(0, 4))]
+    A, B, C, rhs, u = [], [], [], [], [draw(st.integers(0, 30))]
     for _ in range(n):
         p = draw(st.integers(1, 5))
         c_z = draw(st.integers(-3, 3))
         c_x = draw(st.one_of(st.just(-c_z * p), st.integers(-3, 3)))
         A.append(((p, -1),))
-        B.append(((draw(st.integers(-3, 3)),),))
+        B.append(((draw(st.integers(-6, 6)),),))
         C.append(((c_x, c_z),))
-        rhs.append((draw(st.integers(-6, 6)),))
+        rhs.append((draw(st.integers(-12, 12)),))
         u.extend([draw(st.integers(0, 4)), draw(st.integers(0, 4))])
+    flat = -sum(c[0][1] * b[0][0] for c, b in zip(C, B))
     return SimpleFourBlock(
         n=n,
         r=1,
         s=1,
         t=2,
-        D=((draw(st.integers(-3, 3)),),),
+        D=((draw(st.one_of(st.just(flat), st.integers(-3, 3))),),),
         C=tuple(C),
         B=tuple(B),
         A=tuple(A),
         b0=0,
         rhs=tuple(rhs),
-        w0=(draw(st.integers(0, 2)),),
+        w0=(draw(st.integers(0, 3)),),
         j=draw(st.integers(1, n)),
-        wj=draw(st.sampled_from([(0, 0), (1, 0), (0, 1), (2, 1)])),
+        wj=draw(st.one_of(st.just((0, 0)), st.sampled_from([(1, 0), (0, 1), (2, 1)]))),
         u=tuple(u),
+    )
+
+
+def mirrored(prog):
+    """The same program with every brick row negated: row (-p, 1) is not
+    unit-slack, so the desk backend enumerates the first stage and completes
+    each brick by depth-first search."""
+    def neg(rows):
+        return tuple(tuple(-v for v in row) for row in rows)
+
+    return dataclasses.replace(
+        prog,
+        A=tuple(neg(a) for a in prog.A),
+        B=tuple(neg(b) for b in prog.B),
+        rhs=neg(prog.rhs),
     )
 
 
@@ -142,12 +161,17 @@ class TestStitching:
         for k in range(0, 6):
             assert solve_2stage_desk(prog, k) == enumerated_decision(prog, k)
 
-    @given(unit_slack_programs(), st.integers(-1, 8))
+    @given(unit_slack_programs(), st.data())
     @settings(max_examples=400)
-    def test_unit_slack_bricks_match_enumeration(self, prog, k):
-        # unit-slack bricks are completed in closed form; the brick carrying
-        # a nonzero wj goes through the DFS with the slack row
-        assert solve_2stage_desk(prog, k) == enumerated_decision(prog, k)
+    def test_unit_slack_bricks_match_enumeration(self, prog, data):
+        # with wj = 0 the first stage visits one end of each piece; otherwise
+        # it enumerates t, unit-slack bricks are completed in closed form and
+        # the brick carrying wj goes through the DFS with the slack row.  The
+        # mirrored program takes the enumeration and the DFS for every brick.
+        k = data.draw(st.integers(-1, prog.w0[0] * prog.u[0] + 3), label="k")
+        want = enumerated_decision(prog, k)
+        assert solve_2stage_desk(prog, k) == want
+        assert solve_2stage_desk(mirrored(prog), k) == want
 
 
 class TestDeskBackend:
@@ -171,6 +195,63 @@ class TestDeskBackend:
         monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 3)
         with pytest.raises(BudgetExceeded):
             solve_2stage_desk(prog, 2)
+
+    def test_pieces_end_where_either_bound_steps(self):
+        # 5x - z = t with z = 0: only t = 0, 5, 10 are feasible, where
+        # ceil(t/5) steps but floor(t/5) does not; the slope D = 1 > 0
+        # puts each at the right end of its piece
+        prog = brick_program(
+            t=2, C=(((0, 0),),), B=(((-1,),),), A=(((5, -1),),), rhs=((0,),),
+            w0=(1,), wj=(0, 0), u=(12, 4, 0),
+        )
+        assert solve_2stage_desk(prog, 12) == 10
+        assert solve_2stage_desk(prog, 9) == 5
+
+    def test_falling_slope_takes_left_ends(self):
+        # 5x - z = 2t with z in [0, 4]: x = ceil(2t/5) steps at t = 1, 3, 6,
+        # 8, 11, and the value 4x - t falls inside each piece, so the best
+        # point, t = 11, is the left end of its piece
+        prog = brick_program(
+            t=2, D=((-1,),), C=(((4, 0),),), B=(((-2,),),), A=(((5, -1),),), rhs=((0,),),
+            wj=(0, 0), u=(12, 5, 4),
+        )
+        assert solve_2stage_desk(prog, 12) == enumerated_decision(prog, 12) == 9
+
+    def test_no_negative_probe_passes(self):
+        # x - z = t with z = 0 and coupling value t: w0 = 0 leaves t free of
+        # k, yet y = k - w0*t >= 0 fails at every t when k < 0
+        for w0, at_zero in ((0, 3), (1, 0)):
+            prog = brick_program(
+                t=2, C=(((0, 0),),), B=(((-1,),),), A=(((1, -1),),), rhs=((0,),),
+                w0=(w0,), wj=(0, 0), u=(3, 3, 0),
+            )
+            assert solve_2stage_desk(prog, -1) is None
+            assert solve_2stage_desk(prog, 0) == at_zero
+
+    def test_budget_stops_the_pieces_before_they_are_built(self, monkeypatch):
+        # p = 1, b = -1: every t in [0, 10**12] ends a piece, so the pieces
+        # are spent one by one, never listed first
+        prog = brick_program(
+            t=2, C=(((0, 0),),), B=(((-1,),),), A=(((1, -1),),), rhs=((0,),),
+            wj=(0, 0), u=(10**12, 10**12, 0),
+        )
+        monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 1000)
+        with pytest.raises(BudgetExceeded) as exc:
+            solve_2stage_desk(prog, 10**12)
+        assert exc.value.explored == 1001
+
+    def test_encoding_spends_nodes_per_piece(self):
+        # the encoding's first stage visits one end of each piece of t, where
+        # no ceil(t/p_i) steps: at most (n + 1)(1 + sum_i ceil(T/p_i)) nodes
+        # per probe, T = min(u, k), against (n + 1)(T + 1) + 1 for every t
+        ts = random_system(3, 4, 1024, jitter_mode="zero")
+        prog = encode_rtc_as_4block(ts)
+        for k in (0, prog.u[0] // 3, prog.u[0]):
+            with counters.collect() as ops:
+                solve_2stage_desk(prog, k)
+            T = min(prog.u[0], k)
+            pieces = 1 + sum(ceil_div(T, task.p) for task in ts.tasks[:-1])
+            assert ops.as_dict()["blockip_nodes"] <= (prog.n + 1) * pieces
 
     def test_transformation_preserves_the_projected_feasible_set(self):
         # enumerate the original dual decision directly and compare
@@ -247,3 +328,18 @@ class TestRtcRoundTrip:
             ts = random_system(seed + 500, n, 64, jitter_mode="zero", require_schedulable=True)
             q = ResponseQuery(ts, range(n - 1), ts.tasks[-1].c)
             assert solve_simple_4block(encode_rtc_as_4block(ts)) == response_jitter_free(q)
+
+    def test_round_trips_against_the_fixed_point_at_scale(self):
+        # four to eight tasks, periods up to 2^10, harmonic and not, checked
+        # against the fixed-point iteration: first-stage ranges run to thousands
+        for n in range(4, 9):
+            for p_max in (2**7, 2**10):
+                for harmonic in (False, True):
+                    for seed in range(2):
+                        ts = random_system(
+                            1000 * n + 10 * seed + harmonic, n, p_max,
+                            harmonic=harmonic, jitter_mode="zero",
+                        )
+                        q = ResponseQuery(ts, range(n - 1), ts.tasks[-1].c)
+                        got = solve_simple_4block(encode_rtc_as_4block(ts))
+                        assert got == response_bruteforce(q), (n, p_max, harmonic, seed)

@@ -281,6 +281,18 @@ class TestBlockip:
         code, _ = run_cli(capsys, "blockip", "solve", "--input", str(enc))
         assert code == 3
 
+    @pytest.mark.parametrize("q", [True, 1.0], ids=["bool", "float"])
+    def test_coupling_count_must_be_the_integer_1(self, capsys, tmp_path, q):
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(json.dumps({"tasks": [{"c": 1, "p": 2, "jitter": 0, "d": None},
+                                                 {"c": 1, "p": 4, "jitter": 0, "d": None}]}))
+        enc = tmp_path / "enc.json"
+        run_cli(capsys, "blockip", "encode-rtc", "--input", str(sysfile), "--output", str(enc))
+        enc.write_text(json.dumps({**json.loads(enc.read_text()), "q": q}))
+        code, out = run_cli(capsys, "blockip", "solve", "--input", str(enc))
+        assert code == 2
+        assert last_json(out)["error"] == "InvalidInstance"
+
     def test_negative_search_bound_exits_2(self, capsys, tmp_path):
         sysfile = tmp_path / "sys.json"
         sysfile.write_text(json.dumps({"tasks": [{"c": 1, "p": 2, "jitter": 0, "d": None}]}))
