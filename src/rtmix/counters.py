@@ -23,7 +23,12 @@ class Counters:
     decision_probes: int = 0   # dualized decision-oracle invocations
     # Decisions "response <= k" that W(k) <= k settled without the oracle.
     recurrence_verdicts: int = 0
-    fixpoint_iters: int = 0    # iterations of the ceiling-recurrence baseline
+    # Evaluations of W in fixed-point iterations t <- W(t): the baseline's,
+    # `auto`'s first leg and `turing`'s iteration below S.
+    fixpoint_iters: int = 0
+    # Queries that `auto`'s fixed-point leg left unsettled within its budget
+    # and handed off to a search.
+    auto_handoffs: int = 0
     # Node-budget units that blockip's two-stage solver spent: first-stage
     # nodes or pieces of t, closed-form brick completions and DFS nodes.
     blockip_nodes: int = 0

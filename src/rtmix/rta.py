@@ -14,8 +14,8 @@ a certified bound S on the optimal s of the mixing instance, hence:
 
 * `response_turing` (any periods): decide at k = S (by the recurrence alone
   when W(S) <= S, see below); on yes, run the fixed-point iteration from
-  gamma, which stops at the least feasible t and so at most at S; on no,
-  search (S, u] where every probe is valid.
+  max(gamma, lower), which stops at the least feasible t and so at most at
+  S; on no, search (S, u] where every probe is valid.
 * `response_harmonic` (harmonic periods): at a probe k, every task with
   p_j >= k has its optimal multiplier forced to 1 or 2 by the probe's
   position relative to d_j = p_j - jitter_j, so those tasks leave the
@@ -41,6 +41,21 @@ tightens that end the same way after each infeasible difference, and skips
 the differences below it.  Its difference probes always run the mixing
 solve, so each records the forced multipliers that the walk's audit checks.
 
+`compute_response(q, "auto")` runs the fixed point first.  On a query with
+interferers it iterates t <- W(t) from t0 = max(gamma, lower), a certified
+lower bound, for at most (u - t0 + 1).bit_length() steps: the most
+bisection steps `_bracket` can take on [t0, u], each of which costs at least
+one W evaluation plus a mixing solve.  When W(t) <= t, t is the response.
+Otherwise the last iterate, a certified lower bound since W is monotone and
+W(r) = r, becomes the query's `lower`, and `auto` hands off to the search
+for the query's periods: the walk on harmonic ones, `jitter-free` with zero
+jitter, else `turing`.  So the iteration never spends more than one search
+would, and the search starts above everything it spent (ski rental: Karlin,
+Manasse, Rudolph and Sleator, Algorithmica 1988).  The budget comes from
+the query; nothing is tuned.  Most queries of random systems settle in the
+first leg; geometric families, where the fixed point needs thousands of
+steps, hand off.  An explicit algorithm runs alone.
+
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built, and
 holds the interferer tuple, its `BoundsResult` (which carries the exact
@@ -49,9 +64,10 @@ that RTMIX_LIMIT_BITS sets; no algorithm recomputes them.  `decide_large_k`
 refuses a k below a query's S when some interferer has jitter; with none,
 S <= k holds for every probe.  A query may also carry a certified
 lower bound on its response (`lower`, 0 when none is known), from which
-`harmonic`, `turing` and `jitter-free` start; `analyze_system` sets it to
-r_{j-1} + c_j for level j, and `response_bruteforce`, the independent
-baseline, ignores it.
+`auto`, `harmonic`, `turing` and `jitter-free` start; `analyze_system` sets
+it to r_{j-1} + c_j for level j, `auto` raises it to its last iterate when
+it hands off (`ResponseQuery.with_lower`), and `response_bruteforce`, the
+independent baseline, ignores it.
 
 The harmonic walk compiles its mixing chain once per query
 (`mixing.compile_harmonic`: one term (c_i, p_i, jitter_i) per interferer,
@@ -67,6 +83,7 @@ and no check beyond that, so a probe costs only the search over its levels.
 from __future__ import annotations
 
 import bisect
+import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -97,7 +114,8 @@ class ResponseQuery:
     interval with its exact utilization, and `s_bound` the certified bound S
     on the optimal s of every Mix(I, k).  `lower` is a lower bound on the
     response that the caller certifies (0 when it knows none); the searches
-    start from it, and only `analyze_system` sets it."""
+    start from it.  `analyze_system` sets it, and `auto` raises it on a
+    hand-off."""
 
     system: TaskSystem
     indices: tuple[int, ...]
@@ -126,6 +144,13 @@ class ResponseQuery:
                             ("tasks", tasks), ("bounds", bounds), ("s_bound", s_bound),
                             ("lower", lower)):
             object.__setattr__(self, name, value)
+
+    def with_lower(self, lower: int) -> ResponseQuery:
+        """This query with `lower` raised to a bound the caller certifies,
+        lower <= r <= u; nothing is recomputed or checked again."""
+        q = copy.copy(self)
+        object.__setattr__(q, "lower", lower)
+        return q
 
 
 class Residual(NamedTuple):
@@ -169,6 +194,24 @@ def response_bruteforce(q: ResponseQuery) -> int:
             )
         t = nxt
     return t
+
+
+def _iterate(q: ResponseQuery, t: int, budget: int) -> tuple[int, bool]:
+    """At most `budget` steps of t <- W(t) from t, a certified lower bound on
+    the response r.  Returns (r, True) at the first t with W(t) <= t, which
+    is then r itself; else (the last iterate, False).  Every iterate is a
+    certified lower bound too: W is monotone and W(r) = r."""
+    for _ in range(budget):
+        counters.bump("fixpoint_iters")
+        nxt = workload(q.tasks, q.gamma, t)
+        if nxt <= t:
+            return t, True
+        if nxt > q.bounds.u:
+            raise InternalInvariantViolated(
+                f"fixed-point iteration escaped the certified bound {q.bounds.u}"
+            )
+        t = nxt
+    return t, False
 
 
 def build_mix_for_k(q: ResponseQuery, k: int) -> mixing.MixInstance:
@@ -331,20 +374,21 @@ def _affirmed_at(q: ResponseQuery, k: int) -> bool:
 
 def response_turing(q: ResponseQuery) -> int:
     """Decide at the certified bound S; on yes the response is at most S and the
-    fixed-point iteration from gamma reaches it, on no run the bracketed
-    search (`_bracket`) above S, where every probe passes the gate.  When
-    W(S) <= S, S is feasible, so the yes at S is free; only otherwise does
-    the decision solve Mix(I, S).  A certified lower bound above S skips
-    the decision at S; the search starts at the largest of S + 1, W(S + 1),
-    ceil(ell) and that bound."""
+    fixed-point iteration from t0 = max(gamma, lower) reaches it within
+    S - t0 + 1 steps, on no run the bracketed search (`_bracket`) above S,
+    where every probe passes the gate.  When W(S) <= S, S is feasible, so
+    the yes at S is free; only otherwise does the decision solve Mix(I, S).
+    A certified lower bound above S skips the decision at S; the search
+    starts at the largest of S + 1, W(S + 1), ceil(ell) and that bound."""
     if not q.indices:
         return q.gamma
     s_cert = q.s_bound
     if s_cert >= max(1, q.lower) and _affirmed_at(q, s_cert):
-        t = response_bruteforce(q)
-        if t > s_cert:
+        t0 = max(q.gamma, q.lower)
+        t, settled = _iterate(q, t0, s_cert - t0 + 1)
+        if not settled:
             raise InternalInvariantViolated(
-                f"decision at S={s_cert} affirmed but the fixed point is {t}"
+                f"decision at S={s_cert} affirmed but the fixed point exceeds it"
             )
         return t
     lo = max(s_cert + 1, workload(q.tasks, q.gamma, s_cert + 1), math.ceil(q.bounds.ell), q.lower)
@@ -383,8 +427,23 @@ ALGORITHMS = ("auto", *_DISPATCH)
 
 
 def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
-    """Run the selected algorithm; "auto" picks the fastest applicable one."""
+    """Run the selected algorithm.
+
+    "auto" on a query with interferers first iterates t <- W(t) from
+    t0 = max(gamma, lower) for at most (u - t0 + 1).bit_length() steps, the
+    most bisection steps `_bracket` can take on [t0, u], so the iteration
+    spends no more than one search would (ski rental, see the module
+    docstring).  It returns t once W(t) <= t, and otherwise hands the last
+    iterate, as `lower`, to the search for the query's periods (counted as
+    `auto_handoffs`).  An explicit algorithm runs alone."""
     if algorithm == "auto":
+        if q.indices:
+            t0 = max(q.gamma, q.lower)
+            t, settled = _iterate(q, t0, (q.bounds.u - t0 + 1).bit_length())
+            if settled:
+                return t
+            counters.bump("auto_handoffs")
+            q = q.with_lower(t)
         if is_harmonic([t.p for t in q.tasks]):
             algorithm = "harmonic"
         elif all(t.jitter == 0 for t in q.tasks):

@@ -478,8 +478,8 @@ class TestTuring:
         assert response_turing(q) == response_bruteforce(q)
 
     def test_auto_on_a_certified_s_far_above_the_response(self):
-        # general periods with jitter, so auto picks turing; S is about 1e6
-        # times the response, which the search must not walk through
+        # general periods with jitter, the slot turing holds in auto; S is
+        # about 1e6 times the response, which the search must not walk through
         ts = TaskSystem([
             Task(2**29, 2**30, 5, 2**30),
             Task(2**29 - 2**10, 2**30 + 1, 7, 2**30 + 1),
@@ -488,11 +488,62 @@ class TestTuring:
         q = full_query(ts)
         assert q.s_bound == 1125349347163456
         with counters.collect() as ops:
-            r = compute_response(q, "auto")
+            r = response_turing(q)
         assert r == response_bruteforce(q) == 1073740801
         # W(S) <= S, so the recurrence settles the decision at S: no mixing solve
         assert ops.mixing_ops == ops.decision_probes == 0
         assert ops.recurrence_verdicts == 1
+        # auto's fixed-point leg settles the query before any search
+        with counters.collect() as ops:
+            assert compute_response(q, "auto") == r
+        assert ops.mixing_ops == ops.auto_handoffs == 0
+
+
+    def test_yes_at_s_iterates_from_the_lower_bound(self, demo_system):
+        # r = S = 42: the yes at S is free, then the iteration runs from
+        # max(gamma, lower), here from r_1 + c_2 = 35 instead of gamma = 13
+        cold = ResponseQuery(demo_system, (0, 1), 13)
+        warm = ResponseQuery(demo_system, (0, 1), 13, 22 + 13)
+        assert cold.s_bound == 42
+        with counters.collect() as cold_ops:
+            assert response_turing(cold) == 42
+        with counters.collect() as warm_ops:
+            assert response_turing(warm) == 42
+        assert warm_ops.fixpoint_iters < cold_ops.fixpoint_iters
+
+
+class TestAutoHybrid:
+    """`auto` iterates the recurrence first, for at most
+    (u - t0 + 1).bit_length() steps from t0 = max(gamma, lower), and hands
+    the last iterate to the search as the query's `lower`."""
+
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_matches_the_fixed_point_cold_and_warm(self, harmonic, zero_jitter, data):
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        for j, task in enumerate(ts.tasks):
+            q = ResponseQuery(ts, range(j), task.c)
+            assert compute_response(q, "auto") == response_bruteforce(q)
+        # warm: analyze_system passes r_{j-1} + c_j as each level's lower bound
+        assert analyze_system(ts, "auto") == analyze_system(ts, "bruteforce")
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("harmonic", [True, False])
+    @pytest.mark.parametrize("k", [10, 11, 12])
+    def test_geometric_family_hands_off_once(self, k, harmonic, jitter):
+        q = ResponseQuery(geometric(k, harmonic, jitter), range(k), 2 ** (k - 1))
+        with counters.collect() as ops:
+            r = compute_response(q, "auto")
+        assert r == response_bruteforce(q)
+        assert ops.auto_handoffs == 1
+        assert ops.fixpoint_iters <= (q.bounds.u - q.gamma + 1).bit_length()
+        # an explicit algorithm runs its search alone: no iteration before it
+        # (r > S here, so `turing` never iterates below S) and no hand-off
+        for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
+            with counters.collect() as ops:
+                assert compute_response(q, algorithm) == r
+            assert ops.fixpoint_iters == ops.auto_handoffs == 0, algorithm
 
 
 class TestJitterFree:
