@@ -24,10 +24,10 @@ class Counters:
     # Decisions "response <= k" that W(k) <= k settled without the oracle.
     recurrence_verdicts: int = 0
     # Evaluations of W in fixed-point iterations t <- W(t): the baseline's,
-    # `auto`'s first leg and `turing`'s iteration below S.
+    # `auto`'s first leg on harmonic periods and `turing`'s iteration below S.
     fixpoint_iters: int = 0
-    # Queries that `auto`'s fixed-point leg left unsettled within its budget
-    # and handed off to a search.
+    # Harmonic queries that `auto`'s fixed-point leg left unsettled within
+    # its budget and handed off to the walk.
     auto_handoffs: int = 0
     # Node-budget units that blockip's two-stage solver spent: first-stage
     # nodes or pieces of t, closed-form brick completions and DFS nodes.

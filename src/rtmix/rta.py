@@ -41,20 +41,24 @@ tightens that end the same way after each infeasible difference, and skips
 the differences below it.  Its difference probes always run the mixing
 solve, so each records the forced multipliers that the walk's audit checks.
 
-`compute_response(q, "auto")` runs the fixed point first.  On a query with
-interferers it iterates t <- W(t) from t0 = max(gamma, lower), a certified
-lower bound, for at most (u - t0 + 1).bit_length() steps: the most
-bisection steps `_bracket` can take on [t0, u], each of which costs at least
-one W evaluation plus a mixing solve.  When W(t) <= t, t is the response.
-Otherwise the last iterate, a certified lower bound since W is monotone and
-W(r) = r, becomes the query's `lower`, and `auto` hands off to the search
-for the query's periods: the walk on harmonic ones, `jitter-free` with zero
-jitter, else `turing`.  So the iteration never spends more than one search
-would, and the search starts above everything it spent (ski rental: Karlin,
-Manasse, Rudolph and Sleator, Algorithmica 1988).  The budget comes from
-the query; nothing is tuned.  Most queries of random systems settle in the
-first leg; geometric families, where the fixed point needs thousands of
-steps, hand off.  An explicit algorithm runs alone.
+`compute_response(q, "auto")` on harmonic periods runs the fixed point
+first.  On a query with interferers it iterates t <- W(t) from
+t0 = max(gamma, lower), a certified lower bound, for at most
+(u - t0 + 1).bit_length() steps: the most bisection steps `_bracket` can
+take on [t0, u].  When W(t) <= t, t is the response.  Otherwise the last
+iterate, a certified lower bound since W is monotone and W(r) = r, becomes
+the query's `lower`, and `auto` hands off to the walk, which starts above
+everything the iteration spent (ski rental: Karlin, Manasse, Rudolph and
+Sleator, Algorithmica 1988).  The budget counts steps, not work.  Every
+walk probe evaluates W at least once and adds at most a solve over |I|
+chain levels, so on harmonic periods the iteration spends no more than a
+constant times what the walk's bisection can spend.  On general periods a
+probe sweeps the drop points up to min(S, k), which can cost thousands of
+W evaluations, so a step count bounds nothing there: `auto` runs
+`jitter-free` (zero jitter) or `turing` alone, as an explicit algorithm
+always does.  The budget comes from the query; nothing is tuned.  Most
+queries of random harmonic systems settle in the first leg; the geometric
+family, where the fixed point needs thousands of steps, hands off.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built, and
@@ -429,22 +433,25 @@ ALGORITHMS = ("auto", *_DISPATCH)
 def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     """Run the selected algorithm.
 
-    "auto" on a query with interferers first iterates t <- W(t) from
+    "auto" on harmonic periods first iterates t <- W(t) from
     t0 = max(gamma, lower) for at most (u - t0 + 1).bit_length() steps, the
-    most bisection steps `_bracket` can take on [t0, u], so the iteration
-    spends no more than one search would (ski rental, see the module
-    docstring).  It returns t once W(t) <= t, and otherwise hands the last
-    iterate, as `lower`, to the search for the query's periods (counted as
-    `auto_handoffs`).  An explicit algorithm runs alone."""
+    most bisection steps `_bracket` can take on [t0, u].  It returns t once
+    W(t) <= t, and otherwise hands the last iterate, as `lower`, to the walk
+    (counted as `auto_handoffs`).  The bound counts steps, not work; it
+    holds for the walk, whose every probe evaluates W, and not for the
+    general-period searches, whose probes can cost thousands of W
+    evaluations (see the module docstring).  So on other periods "auto"
+    runs `jitter-free` (zero jitter) or `turing` alone, as an explicit
+    algorithm does."""
     if algorithm == "auto":
-        if q.indices:
-            t0 = max(q.gamma, q.lower)
-            t, settled = _iterate(q, t0, (q.bounds.u - t0 + 1).bit_length())
-            if settled:
-                return t
-            counters.bump("auto_handoffs")
-            q = q.with_lower(t)
         if is_harmonic([t.p for t in q.tasks]):
+            if q.indices:
+                t0 = max(q.gamma, q.lower)
+                t, settled = _iterate(q, t0, (q.bounds.u - t0 + 1).bit_length())
+                if settled:
+                    return t
+                counters.bump("auto_handoffs")
+                q = q.with_lower(t)
             algorithm = "harmonic"
         elif all(t.jitter == 0 for t in q.tasks):
             algorithm = "jitter-free"

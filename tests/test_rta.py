@@ -493,11 +493,12 @@ class TestTuring:
         # W(S) <= S, so the recurrence settles the decision at S: no mixing solve
         assert ops.mixing_ops == ops.decision_probes == 0
         assert ops.recurrence_verdicts == 1
-        # auto's fixed-point leg settles the query before any search
+        # auto holds no fixed-point leg on general periods: it runs turing
+        # alone, with the same free verdict and no hand-off
         with counters.collect() as ops:
             assert compute_response(q, "auto") == r
         assert ops.mixing_ops == ops.auto_handoffs == 0
-
+        assert ops.recurrence_verdicts == 1
 
     def test_yes_at_s_iterates_from_the_lower_bound(self, demo_system):
         # r = S = 42: the yes at S is free, then the iteration runs from
@@ -513,9 +514,10 @@ class TestTuring:
 
 
 class TestAutoHybrid:
-    """`auto` iterates the recurrence first, for at most
+    """`auto` on harmonic periods iterates the recurrence first, for at most
     (u - t0 + 1).bit_length() steps from t0 = max(gamma, lower), and hands
-    the last iterate to the search as the query's `lower`."""
+    the last iterate to the walk as the query's `lower`; on other periods it
+    runs `jitter-free` or `turing` alone."""
 
     @FAMILIES
     @given(data=st.data())
@@ -529,10 +531,9 @@ class TestAutoHybrid:
         assert analyze_system(ts, "auto") == analyze_system(ts, "bruteforce")
 
     @pytest.mark.parametrize("jitter", [False, True])
-    @pytest.mark.parametrize("harmonic", [True, False])
     @pytest.mark.parametrize("k", [10, 11, 12])
-    def test_geometric_family_hands_off_once(self, k, harmonic, jitter):
-        q = ResponseQuery(geometric(k, harmonic, jitter), range(k), 2 ** (k - 1))
+    def test_harmonic_geometric_family_hands_off_once(self, k, jitter):
+        q = ResponseQuery(geometric(k, True, jitter), range(k), 2 ** (k - 1))
         with counters.collect() as ops:
             r = compute_response(q, "auto")
         assert r == response_bruteforce(q)
@@ -544,6 +545,18 @@ class TestAutoHybrid:
             with counters.collect() as ops:
                 assert compute_response(q, algorithm) == r
             assert ops.fixpoint_iters == ops.auto_handoffs == 0, algorithm
+
+    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("k", [10, 11, 12])
+    def test_general_periods_run_the_search_alone(self, k, jitter):
+        q = ResponseQuery(geometric(k, False, jitter), range(k), 2 ** (k - 1))
+        with counters.collect() as auto_ops:
+            r = compute_response(q, "auto")
+        with counters.collect() as search_ops:
+            assert compute_response(q, "turing" if jitter else "jitter-free") == r
+        assert r == response_bruteforce(q)
+        assert auto_ops == search_ops
+        assert auto_ops.fixpoint_iters == auto_ops.auto_handoffs == 0
 
 
 class TestJitterFree:
