@@ -5,9 +5,9 @@ time, relative deadline (optional for pure response-time computation),
 minimum inter-arrival separation, and release jitter.  Priority is list
 order, index 0 highest.
 
-All utilization and bound arithmetic is exact: sums of ratios are
-accumulated in integers (`fraction_sum`, or at the lcm of the periods in
-`bounds_from_parts`) and returned as `fractions.Fraction`, never floats.
+All utilization and bound arithmetic is exact: sums of ratios are taken in
+integers at the lcm of their denominators (`load_at_lcm`, `bounds_from_parts`)
+and returned as `fractions.Fraction`, never floats.
 Feasibility decisions in the solver modules rely on the integrality
 arguments behind these bounds, which a rounding error would silently break.
 Every integer field must be a Python `int`: `bool`, float and str values
@@ -58,10 +58,13 @@ def ceil_div(num: int, den: int) -> int:
 
 
 def lcm_capped(values: Iterable[int]) -> int:
-    """lcm of positive integers, raising OverflowLimit past the magnitude cap.
+    """lcm of positive integers, raising OverflowLimit past the magnitude cap,
+    which each call reads from RTMIX_LIMIT_BITS afresh (`magnitude_cap`).
 
-    Every lcm in the package is taken here, and each call reads the cap from
-    RTMIX_LIMIT_BITS afresh (`magnitude_cap`).
+    `bounds_from_parts`, `load_at_lcm` (behind `utilization` and
+    `mixing.is_unbounded`) and `mixing.certified_s_bound` take their own lcm:
+    a utilization test must be decided before the cap, and S may be valid
+    past an lcm beyond the cap.
     """
     limit = magnitude_cap()
     acc = 1
@@ -127,13 +130,12 @@ def validate(ts: TaskSystem) -> None:
                 )
 
 
-def fraction_sum(pairs: Iterable[tuple[int, int]]) -> Fraction:
-    """Exact sum of num/den over (num, den) pairs with den >= 1, accumulated
-    in integers and normalized once, not after every addition."""
-    num, den = 0, 1
-    for n, d in pairs:
-        num, den = num * d + n * den, den * d
-    return Fraction(num, den)
+def load_at_lcm(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
+    """(L, m) for (num, den) pairs with den >= 1: m is the lcm of the dens and
+    L = sum num*(m/den), so sum num/den = L/m, decided in integers."""
+    pairs = tuple(pairs)
+    m = math.lcm(*(d for _, d in pairs))
+    return sum(n * (m // d) for n, d in pairs), m
 
 
 def workload(tasks: Iterable[Task], gamma: int, t: int) -> int:
@@ -145,7 +147,7 @@ def workload(tasks: Iterable[Task], gamma: int, t: int) -> int:
 def utilization(obj: TaskSystem | Iterable[Task]) -> Fraction:
     """Exact sum of c_i/p_i over a system or a sequence of tasks."""
     tasks = obj.tasks if isinstance(obj, TaskSystem) else obj
-    return fraction_sum((t.c, t.p) for t in tasks)
+    return Fraction(*load_at_lcm((t.c, t.p) for t in tasks))
 
 
 def is_harmonic(obj: TaskSystem | Iterable[int]) -> bool:

@@ -13,7 +13,7 @@ import random
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Task, TaskSystem, utilization, validate
+from .core import Task, TaskSystem, load_at_lcm, utilization, validate
 from .errors import GenerationFailed, InvalidInstance, PreconditionViolated
 from .mixing import MixInstance
 
@@ -48,7 +48,7 @@ def construct_extreme(
     periods.append(2 * periods[-1])
     periods.append(periods[-1])
 
-    head_util = sum(Fraction(c, p) for c, p in zip(cs, periods))
+    head_util = Fraction(*load_at_lcm(zip(cs, periods)))
     c_tail = 2 * periods[n - 3] * (1 - head_util) - 1
     if c_tail.denominator != 1:
         raise PreconditionViolated("capacity-filling cost is not integral")
@@ -167,7 +167,7 @@ def random_mix_instance(
             for a in caps
         ]
         inst = MixInstance(1, terms)
-        util = sum(Fraction(w, a) for w, a, _ in terms)
+        util = Fraction(*load_at_lcm((w, a) for w, a, _ in terms))
         if util > 1:
             continue
         if max_weight_utilization is not None and util > max_weight_utilization:

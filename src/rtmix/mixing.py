@@ -40,7 +40,7 @@ from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, is_harmonic, is_integer, magnitude_cap
+from .core import ceil_div, is_harmonic, is_integer, load_at_lcm, magnitude_cap
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -108,9 +108,9 @@ def objective_at(s: int, inst: MixInstance) -> int:
 
 def is_unbounded(inst: MixInstance) -> bool:
     """Unbounded iff sum w_i/a_i > w0: pushing s up one lcm then pays for itself.
-    Decided in integers at the lcm m: sum w_i*(m/a_i) > w0*m."""
-    m = math.lcm(*(t.a for t in inst.terms))
-    return sum(t.w * (m // t.a) for t in inst.terms) > inst.w0 * m
+    Decided in integers at the lcm m (`load_at_lcm`): sum w_i*(m/a_i) > w0*m."""
+    load, m = load_at_lcm((t.w, t.a) for t in inst.terms)
+    return load > inst.w0 * m
 
 
 def certified_s_bound(inst: MixInstance) -> int:

@@ -14,17 +14,19 @@ b_i - beta becomes the release jitter.  This module applies that identity:
 * `solve_general_via_shift` normalizes an arbitrary right-hand side into the
   crowded window by shifting each b_i up by a multiple of a_i (the objective
   shifts by a computable constant);
-* `solve_constant_beta` is the all-equal right-hand-side special case, where
-  the inner queries are jitter-free.
+* `solve_constant_beta` is the all-equal right-hand-side special case: with
+  b_i = beta >= lcm(a) the instance is crowded with zero jitter, so it is
+  handed to `solve_crowded` as it is.
 
 All of these fix w0 = 1 (rescaling would change the integrality of the dual
 query) and reject anything else.  Each public function validates its
-instance once, at entry, and `mix_leq_via_rtc` is the checked form of one
+instance at entry, and `mix_leq_via_rtc` is the checked form of one
 decision.  Inside a solve the instance and beta stay fixed, so the binary
 search builds its pseudo-tasks once and probes without re-checking; only the
 response query, whose bounds depend on the dual constant, is built per probe.
 The queries are answered by `rta.compute_response`, the same algorithm
-selector `rtmix rta compute --algorithm auto` uses.
+selector `rtmix rta compute --algorithm auto` uses; a probe reads the
+query's own `UtilizationExceeded` (dual load >= 1) as "no response".
 """
 
 from __future__ import annotations
@@ -33,8 +35,8 @@ import bisect
 from dataclasses import dataclass
 
 from . import mixing, rta
-from .core import Task, TaskSystem, ceil_div, is_harmonic, lcm_capped, utilization
-from .errors import InternalInvariantViolated, PreconditionViolated, Unbounded
+from .core import Task, TaskSystem, ceil_div, lcm_capped
+from .errors import InternalInvariantViolated, PreconditionViolated, Unbounded, UtilizationExceeded
 
 
 @dataclass(frozen=True)
@@ -81,9 +83,10 @@ def _response_leq(tasks: tuple[Task, ...], beta: int, gamma: int) -> tuple[bool,
     jitter_i >= 0 the workload is at least
     gamma + sum c_i*(t + jitter_i)/p_i >= gamma + t > t.
     """
-    if utilization(tasks) >= 1:
+    try:
+        q = rta.ResponseQuery(TaskSystem(tasks), range(len(tasks)), gamma)
+    except UtilizationExceeded:
         return False, None
-    q = rta.ResponseQuery(TaskSystem(tasks), range(len(tasks)), gamma)
     r = rta.compute_response(q)
     return r <= beta, r
 
@@ -112,19 +115,17 @@ def _witness(inst: mixing.MixInstance, s: int, expect: int) -> mixing.MixSolutio
     return sol
 
 
-def _least_k(inst: mixing.MixInstance, beta: int, hi: int) -> mixing.MixSolution:
-    """The least k in [0, hi] with Mix(I, beta) <= k, by binary search over
-    the decision of `mix_leq_via_rtc`, and its witness
-    s = beta - response(I, beta - k).  The caller has checked the instance
-    and beta; every probe k <= hi - 1 <= beta - 1 keeps the dual constant >= 1."""
+def _least_k(inst: mixing.MixInstance, beta: int) -> mixing.MixSolution:
+    """The least k <= beta - 1 with Mix(I, beta) <= k, by binary search over
+    the decision of `mix_leq_via_rtc`, and its witness s = beta - response(I,
+    beta - k).  The caller has checked the instance, beta, and k = beta - 1;
+    every probe k <= beta - 1 keeps the dual constant >= 1."""
     tasks = _pseudo_tasks(inst, beta)
 
     def leq(k: int) -> bool:
         return _response_leq(tasks, beta, beta - k)[0]
 
-    k = bisect.bisect_left(range(hi), True, key=leq)
-    if k == beta:
-        return _witness(inst, beta, k)
+    k = bisect.bisect_left(range(beta - 1), True, key=leq)
     _, r = _response_leq(tasks, beta, beta - k)
     return _witness(inst, beta - r, k)
 
@@ -156,7 +157,7 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
             )
     beta = b_min
     if mix_leq_via_rtc(inst, beta, beta - 1):
-        return _least_k(inst, beta, beta - 1)
+        return _least_k(inst, beta)
     # optimum in [beta, b_max]: minimize over the s = beta - t of one capacity period
     sol = mixing.solve_bruteforce(inst, s_bound=min(m - 1, beta - 1))
     if not beta <= sol.objective <= b_max:
@@ -195,23 +196,11 @@ def shift_record(inst: mixing.MixInstance) -> ShiftRecord:
 
 
 def solve_constant_beta(inst: mixing.MixInstance, beta: int) -> mixing.MixSolution:
-    """All right-hand sides equal to beta; inner queries are jitter-free.
-
-    Requires beta >= a_max for harmonic capacities, beta >= lcm(a) otherwise.
-    (s = beta, x = 0) is always feasible with value beta, so the optimum is
-    the least k in [0, beta] with response(I, beta - k) <= beta.
+    """All right-hand sides equal to beta >= lcm(a) (on a divisibility chain,
+    lcm(a) = a_max): a crowded instance whose every jitter b_i - beta is 0,
+    solved by `solve_crowded`, which checks the window.
     """
     _validate(inst)
-    if mixing.is_unbounded(inst):
-        raise Unbounded("weight utilization exceeds 1")
-    if not inst.terms:
-        return mixing.complete(0, inst)
     if any(t.b != beta for t in inst.terms):
         raise PreconditionViolated("constant-beta path requires every b_i == beta")
-    caps = inst.capacities()
-    if is_harmonic(caps):
-        if beta < max(caps):
-            raise PreconditionViolated(f"harmonic path needs beta >= a_max, got {beta}")
-    elif beta < lcm_capped(caps):
-        raise PreconditionViolated(f"general path needs beta >= lcm(a), got {beta}")
-    return _least_k(inst, beta, beta)
+    return solve_crowded(inst)

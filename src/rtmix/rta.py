@@ -63,15 +63,17 @@ family, where the fixed point needs thousands of steps, hands off.
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built, and
 holds the interferer tuple, its `BoundsResult` (which carries the exact
-utilization) and its certified S, all computed then under the magnitude cap
-that RTMIX_LIMIT_BITS sets; no algorithm recomputes them.  `decide_large_k`
-refuses a k below a query's S when some interferer has jitter; with none,
-S <= k holds for every probe.  A query may also carry a certified
-lower bound on its response (`lower`, 0 when none is known), from which
-`auto`, `harmonic`, `turing` and `jitter-free` start; `analyze_system` sets
-it to r_{j-1} + c_j for level j, `auto` raises it to its last iterate when
-it hands off (`ResponseQuery.with_lower`), and `response_bruteforce`, the
-independent baseline, ignores it.
+utilization; building a query at utilization >= 1 raises), its certified S,
+and whether the periods form a chain (`harmonic`) and some interferer has
+jitter (`jittered`), all computed then under the magnitude cap that
+RTMIX_LIMIT_BITS sets; no algorithm or probe recomputes them.
+`decide_large_k` refuses a k below a query's S when the query is
+`jittered`; with no jitter, S <= k holds for every probe.  A query may also
+carry a certified lower bound on its response (`lower`, 0 when none is
+known), from which `auto`, `harmonic`, `turing` and `jitter-free` start;
+`analyze_system` sets it to r_{j-1} + c_j for level j, `auto` raises it to
+its last iterate when it hands off (`ResponseQuery.with_lower`), and
+`response_bruteforce`, the independent baseline, ignores it.
 
 The harmonic walk compiles its mixing chain once per query
 (`mixing.compile_harmonic`: one term (c_i, p_i, jitter_i) per interferer,
@@ -115,11 +117,12 @@ from .errors import (
 class ResponseQuery:
     """Interference set I (indices into the system) plus the constant gamma,
     compiled once: `tasks` is the interferer tuple, `bounds` its certified
-    interval with its exact utilization, and `s_bound` the certified bound S
-    on the optimal s of every Mix(I, k).  `lower` is a lower bound on the
-    response that the caller certifies (0 when it knows none); the searches
-    start from it.  `analyze_system` sets it, and `auto` raises it on a
-    hand-off."""
+    interval with its exact utilization, `s_bound` the certified bound S
+    on the optimal s of every Mix(I, k), `harmonic` whether the interferers'
+    periods form a divisibility chain and `jittered` whether some
+    interferer has jitter.  `lower` is a lower bound on the response that
+    the caller certifies (0 when it knows none); the searches start from it.
+    `analyze_system` sets it, and `auto` raises it on a hand-off."""
 
     system: TaskSystem
     indices: tuple[int, ...]
@@ -127,6 +130,8 @@ class ResponseQuery:
     tasks: tuple[Task, ...]
     bounds: BoundsResult
     s_bound: int
+    harmonic: bool
+    jittered: bool
     lower: int
 
     def __init__(self, system: TaskSystem, indices: Sequence[int], gamma: int, lower: int = 0):
@@ -144,9 +149,11 @@ class ResponseQuery:
         s_bound = mixing.certified_s_bound(mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks]))
         if lower > bounds.u:
             raise InvalidInstance(f"lower bound {lower} exceeds the certified bound {bounds.u}")
+        harmonic = is_harmonic([t.p for t in tasks])
+        jittered = any(t.jitter for t in tasks)
         for name, value in (("system", system), ("indices", indices), ("gamma", gamma),
                             ("tasks", tasks), ("bounds", bounds), ("s_bound", s_bound),
-                            ("lower", lower)):
+                            ("harmonic", harmonic), ("jittered", jittered), ("lower", lower)):
             object.__setattr__(self, name, value)
 
     def with_lower(self, lower: int) -> ResponseQuery:
@@ -247,11 +254,11 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
         if k < 1:
             raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
         return k >= q.gamma
-    if k < q.s_bound and any(t.jitter for t in q.tasks):
+    if k < q.s_bound and q.jittered:
         raise PreconditionKTooSmall(k, q.s_bound)
     counters.bump("decision_probes")
     inst = build_mix_for_k(q, k)
-    if is_harmonic(inst.capacities()):
+    if q.harmonic:
         sol = mixing.solve_harmonic(inst)
     else:
         sol = mixing.solve_bruteforce(inst, s_bound=min(q.s_bound, k))
@@ -270,7 +277,7 @@ class _Walk:
     probes never reach a mixing solve compiles and validates none."""
 
     def __init__(self, q: ResponseQuery, trace: list[ProbeRecord] | None):
-        if not is_harmonic([t.p for t in q.tasks]):
+        if not q.harmonic:
             raise PreconditionViolated("periods do not form a divisibility chain")
         self.q = q
         self.trace = trace
@@ -407,7 +414,7 @@ def response_jitter_free(q: ResponseQuery) -> int:
     With jitter 0, `decide_large_k` decides every k >= 1 (see there).
     """
     tasks = q.tasks
-    if any(t.jitter != 0 for t in tasks):
+    if q.jittered:
         raise PreconditionViolated("jitter-free search requires jitter = 0 over I")
     if not q.indices:
         return q.gamma
@@ -444,7 +451,7 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     runs `jitter-free` (zero jitter) or `turing` alone, as an explicit
     algorithm does."""
     if algorithm == "auto":
-        if is_harmonic([t.p for t in q.tasks]):
+        if q.harmonic:
             if q.indices:
                 t0 = max(q.gamma, q.lower)
                 t, settled = _iterate(q, t0, (q.bounds.u - t0 + 1).bit_length())
@@ -453,7 +460,7 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
                 counters.bump("auto_handoffs")
                 q = q.with_lower(t)
             algorithm = "harmonic"
-        elif all(t.jitter == 0 for t in q.tasks):
+        elif not q.jittered:
             algorithm = "jitter-free"
         else:
             algorithm = "turing"

@@ -7,6 +7,7 @@ enumeration of s, and the dual maximum by enumerating its own program.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -111,9 +112,12 @@ def bounded_mix_instances(draw, max_n: int = 5, a_max: int = 16, harmonic: bool 
                 cur = caps[-1]
     else:
         caps = [draw(st.integers(1, a_max)) for _ in range(n)]
-    terms = [
-        (draw(st.integers(0, 8)), a, draw(st.integers(-40, 40))) for a in caps
-    ]
-    inst = MixInstance(1, terms)
-    assume(sum(Fraction(w, a) for w, a, _ in terms) <= 1)
-    return inst
+    # Each weight is drawn within the utilization budget the earlier terms
+    # leave, so every instance with sum w/a <= 1 and w <= 8 can be drawn
+    # and none is rejected after drawing.
+    terms, budget = [], Fraction(1)
+    for a in caps:
+        w = draw(st.integers(0, min(8, math.floor(budget * a))))
+        budget -= Fraction(w, a)
+        terms.append((w, a, draw(st.integers(-40, 40))))
+    return MixInstance(1, terms)

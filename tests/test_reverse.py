@@ -184,6 +184,15 @@ class TestUtilizationOne:
     every t), so the crowded solve always ends in its fallback, which
     minimizes over one capacity period at the drop points."""
 
+    @given(utilization_one_instances(), st.data())
+    @settings(max_examples=60)
+    def test_mix_leq_via_rtc_is_false(self, base, data):
+        # the query's own gate answers every probe: Mix(I, beta) >= beta > k
+        beta = math.lcm(*base.capacities())  # above the certified S <= lcm - 1
+        inst = MixInstance(1, [(t.w, t.a, beta + data.draw(st.integers(0, t.a)))
+                               for t in base.terms])
+        assert mix_leq_via_rtc(inst, beta, data.draw(st.integers(0, beta - 1))) is False
+
     @given(utilization_one_instances())
     @settings(max_examples=80)
     def test_objective_matches_bruteforce(self, inst):
@@ -245,6 +254,18 @@ class TestConstantBeta:
         inst = MixInstance(1, [(1, 2, 4), (1, 4, 5)])
         with pytest.raises(PreconditionViolated):
             solve_constant_beta(inst, 4)
+
+    @given(utilization_one_instances(), st.integers(0, 8))
+    @example(MixInstance(1, [(2, 2, 0)]), 2)  # MixInstance(1, [(2, 2, 4)]) at beta = 4
+    @settings(max_examples=60)
+    def test_optimum_at_beta_comes_from_the_crowded_fallback(self, base, extra):
+        # weight utilization 1 with every b = beta >= lcm: the optimum is beta
+        # and no dual response exists, so the crowded solve's fallback gives it
+        beta = math.lcm(*base.capacities()) + extra
+        inst = MixInstance(1, [(t.w, t.a, beta) for t in base.terms])
+        sol = solve_constant_beta(inst, beta)
+        assert sol.objective == solve_bruteforce(inst).objective == beta
+        assert mixing.complete(sol.s, inst) == sol
 
     def test_seeded_equivalence(self):
         for seed in range(120):

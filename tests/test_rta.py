@@ -20,6 +20,7 @@ from rtmix.core import (
     ceil_div,
     is_harmonic,
     magnitude_cap,
+    utilization,
     workload,
 )
 from rtmix import counters, mixing, rta
@@ -127,6 +128,38 @@ class TestCompiledQuery:
         # chain once; every probe searches a prefix of that chain
         assert ops.decision_probes == ops.mixing_calls > 1
         assert calls == {"bounds_from_parts": 1, "certified_s_bound": 1, "validate": 1}
+
+    @given(st.lists(st.integers(1, 12).flatmap(
+        lambda p: st.tuples(st.integers(1, p), st.just(p), st.integers(0, p))), max_size=4))
+    @settings(max_examples=150)
+    def test_one_utilization_gate_and_the_compiled_flags(self, triples):
+        tasks = [Task(c, p, j) for c, p, j in triples]
+        util = utilization(tasks)
+        assert util == sum((Fraction(t.c, t.p) for t in tasks), Fraction(0))
+        unbounded = mixing.is_unbounded(mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks]))
+        assert unbounded == (util > 1)
+        try:
+            q = ResponseQuery(TaskSystem(tasks), range(len(tasks)), 1)
+        except UtilizationExceeded:
+            assert util >= 1
+            return
+        assert util < 1
+        assert q.harmonic == is_harmonic([t.p for t in tasks])
+        assert q.jittered == any(t.jitter for t in tasks)
+
+    def test_probes_read_the_compiled_flags(self, monkeypatch):
+        # harmonicity is decided once, when the query is built; no probe
+        # sorts the periods again
+        calls = []
+        real = rta.is_harmonic
+        monkeypatch.setattr(rta, "is_harmonic", lambda v: calls.append(v) or real(v))
+        for ts, algorithm in ((random_system(2, 6, 256), "turing"),
+                              (random_system(3, 6, 256, harmonic=True), "harmonic")):
+            calls.clear()
+            q = full_query(ts)
+            with counters.collect() as ops:
+                compute_response(q, algorithm)
+            assert ops.decision_probes > 1 and len(calls) == 1
 
 
 class TestBruteforce:
