@@ -103,7 +103,6 @@ def random_system(
     harmonic: bool = False,
     jitter_mode: str = "upto-p",
     require_schedulable: bool = False,
-    with_deadlines: bool = True,
 ) -> TaskSystem:
     """Seeded random task system passing the higher-priority utilization gate.
 
@@ -127,8 +126,7 @@ def random_system(
             # bias costs so the utilization gate is reachable for larger n
             c = rng.randint(1, max(1, (2 * p) // (n + 1)))
             jit = 0 if jitter_mode == "zero" else rng.randint(0, p)
-            d = rng.randint(c, p) if with_deadlines else None
-            tasks.append(Task(c, p, jit, d))
+            tasks.append(Task(c, p, jit, rng.randint(c, p)))
         ts = TaskSystem(tasks)
         if utilization(ts.tasks[:-1]) >= 1:
             continue
@@ -149,7 +147,6 @@ def random_mix_instance(
     b_hi: int = 512,
     w_max: int = 16,
     harmonic: bool = True,
-    max_weight_utilization: Fraction | None = None,
 ) -> MixInstance:
     """Seeded random bounded mixing instance (weight utilization <= w0 = 1)."""
     if a_max < 1:
@@ -166,13 +163,9 @@ def random_mix_instance(
             (rng.randint(0, min(w_max, max(1, a // max(1, n)))), a, rng.randint(b_lo, b_hi))
             for a in caps
         ]
-        inst = MixInstance(1, terms)
-        util = Fraction(*load_at_lcm((w, a) for w, a, _ in terms))
-        if util > 1:
-            continue
-        if max_weight_utilization is not None and util > max_weight_utilization:
-            continue
-        return inst
+        load, m = load_at_lcm((w, a) for w, a, _ in terms)
+        if load <= m:
+            return MixInstance(1, terms)
     raise GenerationFailed(f"no bounded mixing instance within {_MAX_TRIES} draws (seed={seed})")
 
 

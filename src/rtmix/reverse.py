@@ -21,12 +21,14 @@ b_i - beta becomes the release jitter.  This module applies that identity:
 All of these fix w0 = 1 (rescaling would change the integrality of the dual
 query) and reject anything else.  Each public function validates its
 instance at entry, and `mix_leq_via_rtc` is the checked form of one
-decision.  Inside a solve the instance and beta stay fixed, so the binary
-search builds its pseudo-tasks once and probes without re-checking; only the
-response query, whose bounds depend on the dual constant, is built per probe.
-The queries are answered by `rta.compute_response`, the same algorithm
-selector `rtmix rta compute --algorithm auto` uses; a probe reads the
-query's own `UtilizationExceeded` (dual load >= 1) as "no response".
+decision, which `solve_crowded` takes first at k = beta - 1.  Inside a solve
+the instance and beta stay fixed, so the binary search builds one response
+query and derives each probe's, at dual constant beta - k, from it
+(`rta.ResponseQuery.at`); it keeps each probe's response, so the least k's
+witness s = beta - response needs no second solve.  The queries are
+answered by `rta.compute_response`, the same algorithm selector
+`rtmix rta compute --algorithm auto` uses; the decision reads the query's
+own `UtilizationExceeded` (dual load >= 1) as "no response".
 """
 
 from __future__ import annotations
@@ -57,11 +59,15 @@ def _validate(inst: mixing.MixInstance) -> None:
     mixing.validate(inst)
 
 
-def _pseudo_tasks(inst: mixing.MixInstance, beta: int) -> tuple[Task, ...]:
-    """Tasks (c=w_i, p=a_i, jitter=b_i - beta) for the positive-weight terms.
+def _dual_query(inst: mixing.MixInstance, beta: int, gamma: int) -> rta.ResponseQuery:
+    """The response query at dual constant gamma of the pseudo-tasks
+    (c=w_i, p=a_i, jitter=b_i - beta) of the positive-weight terms.
 
     Zero-weight terms never contribute to the objective and their constraints
     are met by the canonical completion, so they are dropped from the query.
+    Raises UtilizationExceeded at dual load >= 1, where no t is feasible, so
+    there is no response: with jitter_i >= 0 the workload is at least
+    gamma + sum c_i*(t + jitter_i)/p_i >= gamma + t > t.
     """
     kept = []
     for idx, t in enumerate(inst.terms):
@@ -72,23 +78,7 @@ def _pseudo_tasks(inst: mixing.MixInstance, beta: int) -> tuple[Task, ...]:
             )
         if t.w > 0:
             kept.append(Task(t.w, t.a, jit))
-    return tuple(kept)
-
-
-def _response_leq(tasks: tuple[Task, ...], beta: int, gamma: int) -> tuple[bool, int | None]:
-    """Decide whether the dual response of `tasks` at `gamma` is <= beta,
-    returning the response value when it exists.
-
-    At weight utilization 1 no t is feasible, so there is no response: with
-    jitter_i >= 0 the workload is at least
-    gamma + sum c_i*(t + jitter_i)/p_i >= gamma + t > t.
-    """
-    try:
-        q = rta.ResponseQuery(TaskSystem(tasks), range(len(tasks)), gamma)
-    except UtilizationExceeded:
-        return False, None
-    r = rta.compute_response(q)
-    return r <= beta, r
+    return rta.ResponseQuery(TaskSystem(kept), range(len(kept)), gamma)
 
 
 def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
@@ -102,8 +92,11 @@ def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
         raise PreconditionViolated(
             f"beta={beta} is below the certified bound on optimal s"
         )
-    verdict, _ = _response_leq(_pseudo_tasks(inst, beta), beta, beta - k)
-    return verdict
+    try:
+        q = _dual_query(inst, beta, beta - k)
+    except UtilizationExceeded:
+        return False
+    return rta.compute_response(q) <= beta
 
 
 def _witness(inst: mixing.MixInstance, s: int, expect: int) -> mixing.MixSolution:
@@ -113,21 +106,6 @@ def _witness(inst: mixing.MixInstance, s: int, expect: int) -> mixing.MixSolutio
             f"witness at s={s} has objective {sol.objective}, expected {expect}"
         )
     return sol
-
-
-def _least_k(inst: mixing.MixInstance, beta: int) -> mixing.MixSolution:
-    """The least k <= beta - 1 with Mix(I, beta) <= k, by binary search over
-    the decision of `mix_leq_via_rtc`, and its witness s = beta - response(I,
-    beta - k).  The caller has checked the instance, beta, and k = beta - 1;
-    every probe k <= beta - 1 keeps the dual constant >= 1."""
-    tasks = _pseudo_tasks(inst, beta)
-
-    def leq(k: int) -> bool:
-        return _response_leq(tasks, beta, beta - k)[0]
-
-    k = bisect.bisect_left(range(beta - 1), True, key=leq)
-    _, r = _response_leq(tasks, beta, beta - k)
-    return _witness(inst, beta - r, k)
 
 
 def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
@@ -157,7 +135,16 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
             )
     beta = b_min
     if mix_leq_via_rtc(inst, beta, beta - 1):
-        return _least_k(inst, beta)
+        # k = beta - 1 holds (so the dual load is below 1): the least k is in range(beta)
+        q = _dual_query(inst, beta, 1)
+        responses = {}
+
+        def leq(k: int) -> bool:
+            responses[k] = rta.compute_response(q.at(beta - k))
+            return responses[k] <= beta
+
+        k = bisect.bisect_left(range(beta), True, key=leq)
+        return _witness(inst, beta - responses[k], k)
     # optimum in [beta, b_max]: minimize over the s = beta - t of one capacity period
     sol = mixing.solve_bruteforce(inst, s_bound=min(m - 1, beta - 1))
     if not beta <= sol.objective <= b_max:

@@ -72,8 +72,10 @@ RTMIX_LIMIT_BITS sets; no algorithm or probe recomputes them.
 carry a certified lower bound on its response (`lower`, 0 when none is
 known), from which `auto`, `harmonic`, `turing` and `jitter-free` start;
 `analyze_system` sets it to r_{j-1} + c_j for level j, `auto` raises it to
-its last iterate when it hands off (`ResponseQuery.with_lower`), and
-`response_bruteforce`, the independent baseline, ignores it.
+its last iterate when it hands off, and `response_bruteforce`, the
+independent baseline, ignores it.  `ResponseQuery.at` derives a built query
+at another gamma or lower, checked as a build is, recomputing only the
+bounds (only they depend on gamma); `auto`'s hand-off and `reverse` use it.
 
 The harmonic walk compiles its mixing chain once per query
 (`mixing.compile_harmonic`: one term (c_i, p_i, jitter_i) per interferer,
@@ -136,32 +138,37 @@ class ResponseQuery:
 
     def __init__(self, system: TaskSystem, indices: Sequence[int], gamma: int, lower: int = 0):
         indices = tuple(sorted(set(indices)))
-        if not is_integer(gamma) or gamma < 1:
-            raise InvalidInstance(f"gamma must be an integer >= 1, got {gamma!r}")
-        if not is_integer(lower) or lower < 0:
-            raise InvalidInstance(f"lower bound must be an integer >= 0, got {lower!r}")
         n = len(system.tasks)
         if any(not 0 <= i < n for i in indices):
             raise InvalidInstance("interference indices out of range")
         tasks = tuple(system.tasks[i] for i in indices)
-        bounds = bounds_from_parts(gamma, tasks)  # raises UtilizationExceeded at U >= 1
+        object.__setattr__(self, "tasks", tasks)
+        self._set_constants(gamma, lower)  # raises UtilizationExceeded at U >= 1
         # Independent of k, since the right-hand sides do not enter S.
         s_bound = mixing.certified_s_bound(mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks]))
-        if lower > bounds.u:
-            raise InvalidInstance(f"lower bound {lower} exceeds the certified bound {bounds.u}")
-        harmonic = is_harmonic([t.p for t in tasks])
-        jittered = any(t.jitter for t in tasks)
-        for name, value in (("system", system), ("indices", indices), ("gamma", gamma),
-                            ("tasks", tasks), ("bounds", bounds), ("s_bound", s_bound),
-                            ("harmonic", harmonic), ("jittered", jittered), ("lower", lower)):
+        for name, value in (("system", system), ("indices", indices), ("s_bound", s_bound),
+                            ("harmonic", is_harmonic([t.p for t in tasks])),
+                            ("jittered", any(t.jitter for t in tasks))):
             object.__setattr__(self, name, value)
 
-    def with_lower(self, lower: int) -> ResponseQuery:
-        """This query with `lower` raised to a bound the caller certifies,
-        lower <= r <= u; nothing is recomputed or checked again."""
+    def at(self, gamma: int, lower: int = 0) -> ResponseQuery:
+        """This query at another constant gamma and certified lower bound,
+        checked as `__init__` checks them.  Only `bounds` depends on gamma,
+        so it alone is recomputed; the interferers, S and the flags are shared."""
         q = copy.copy(self)
-        object.__setattr__(q, "lower", lower)
+        q._set_constants(gamma, lower)
         return q
+
+    def _set_constants(self, gamma: int, lower: int) -> None:
+        if not is_integer(gamma) or gamma < 1:
+            raise InvalidInstance(f"gamma must be an integer >= 1, got {gamma!r}")
+        if not is_integer(lower) or lower < 0:
+            raise InvalidInstance(f"lower bound must be an integer >= 0, got {lower!r}")
+        bounds = bounds_from_parts(gamma, self.tasks)
+        if lower > bounds.u:
+            raise InvalidInstance(f"lower bound {lower} exceeds the certified bound {bounds.u}")
+        for name, value in (("gamma", gamma), ("bounds", bounds), ("lower", lower)):
+            object.__setattr__(self, name, value)
 
 
 class Residual(NamedTuple):
@@ -458,7 +465,7 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
                 if settled:
                     return t
                 counters.bump("auto_handoffs")
-                q = q.with_lower(t)
+                q = q.at(q.gamma, t)
             algorithm = "harmonic"
         elif not q.jittered:
             algorithm = "jitter-free"

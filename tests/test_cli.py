@@ -139,12 +139,23 @@ class TestMixSolve:
         assert last_json(out)["result"]["objective"] == 4
 
     @pytest.mark.parametrize("algorithm", ["bruteforce", "harmonic", "shift", "via-rtc"])
-    def test_unbounded_exit_code(self, capsys, tmp_path, algorithm):
-        inst = tmp_path / "unbounded.json"
-        inst.write_text(json.dumps({"w0": 1, "terms": [{"w": 2, "a": 1, "b": 0}]}))
-        code, out = run_cli(capsys, "mix", "solve", "--input", str(inst), "--algorithm", algorithm)
-        assert code == 1
-        assert last_json(out)["error"] == "Unbounded"
+    def test_unbounded_exit_code(self, capsys, tmp_path, algorithm, monkeypatch):
+        inputs = [({"w0": 1, "terms": [{"w": 2, "a": 1, "b": 0}]}, None)]
+        if algorithm in ("shift", "via-rtc"):
+            # the lcm 77 exceeds the cap 15: the reverse reductions decide
+            # unboundedness before anything meets the cap (exit 1, not 3)
+            terms = [{"w": 5, "a": 7, "b": 0}, {"w": 5, "a": 11, "b": 3}]
+            inputs.append(({"w0": 1, "terms": terms}, "4"))
+        for data, bits in inputs:
+            if bits is not None:
+                monkeypatch.setenv("RTMIX_LIMIT_BITS", bits)
+            inst = tmp_path / "unbounded.json"
+            inst.write_text(json.dumps(data))
+            code, out = run_cli(
+                capsys, "mix", "solve", "--input", str(inst), "--algorithm", algorithm
+            )
+            assert code == 1
+            assert last_json(out)["error"] == "Unbounded"
 
 
 class TestGen:

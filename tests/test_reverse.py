@@ -9,7 +9,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_mix_instances, mix_enum_oracle
-from rtmix import counters, mixing
+from rtmix import counters, mixing, rta
 from rtmix.errors import PreconditionViolated
 from rtmix.gen import random_mix_instance, tight_mixing_instance
 from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce
@@ -88,14 +88,20 @@ class TestSolveCrowded:
         # solve_crowded validates its instance at its entry and again in its
         # first probe, the public mix_leq_via_rtc, which also certifies the
         # instance's S; the binary search's later probes repeat neither.
+        # Each of the two builds one response query; every probe of the
+        # search derives its query from the second.
         inst = MixInstance(1, [(1, 3, 12), (1, 4, 13), (1, 6, 12)])
         expected = solve_bruteforce(inst).objective
-        validated, certified = [], []
+        validated, certified, built, probed = [], [], [], []
         validate, certify = mixing.validate, mixing.certified_s_bound
+        init, compute = rta.ResponseQuery.__init__, rta.compute_response
         monkeypatch.setattr(mixing, "validate", lambda i: validated.append(i) or validate(i))
         monkeypatch.setattr(
             mixing, "certified_s_bound", lambda i: certified.append(i) or certify(i)
         )
+        monkeypatch.setattr(rta.ResponseQuery, "__init__",
+                            lambda q, *args: built.append(args) or init(q, *args))
+        monkeypatch.setattr(rta, "compute_response", lambda q: probed.append(q) or compute(q))
         with counters.collect() as ops:
             assert solve_crowded(inst).objective == expected
         solves = ops.as_dict()["mixing_calls"]
@@ -103,6 +109,7 @@ class TestSolveCrowded:
         assert sum(v is inst for v in validated) == 2
         assert len(validated) == 2 + solves
         assert sum(c is inst for c in certified) == 1
+        assert len(probed) > 3 and len(built) == 2
 
     def test_seeded_equivalence(self):
         for seed in range(120):

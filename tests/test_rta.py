@@ -2,6 +2,7 @@
 the harmonic walk, and the bounded searches."""
 
 import contextlib
+import dataclasses
 import math
 import random
 from collections import Counter
@@ -54,6 +55,10 @@ def extreme3():
 def full_query(ts, gamma=None):
     n = len(ts.tasks)
     return ResponseQuery(ts, range(n - 1), ts.tasks[-1].c if gamma is None else gamma)
+
+
+def query_fields(q):
+    return {f.name: getattr(q, f.name) for f in dataclasses.fields(q)}
 
 
 def oracle_responses(ts):
@@ -146,6 +151,26 @@ class TestCompiledQuery:
         assert util < 1
         assert q.harmonic == is_harmonic([t.p for t in tasks])
         assert q.jittered == any(t.jitter for t in tasks)
+
+    @given(data=st.data(), harmonic=st.booleans(), zero_jitter=st.booleans(),
+           gamma=st.integers(1, 40))
+    @settings(max_examples=80)
+    def test_derived_query_equals_a_built_one(self, data, harmonic, zero_jitter, gamma):
+        ts = data.draw(small_task_systems(4, 12, zero_jitter, harmonic))
+        q = full_query(ts)
+        before = query_fields(q)
+        cold = ResponseQuery(ts, q.indices, gamma)
+        lower = data.draw(st.integers(0, response_bruteforce(cold)))
+        built = ResponseQuery(ts, q.indices, gamma, lower)
+        derived = q.at(gamma, lower)
+        assert query_fields(derived) == query_fields(built)
+        for algorithm in applicable(built):
+            assert compute_response(derived, algorithm) == compute_response(built, algorithm)
+        for bad_gamma, bad_lower in ((0, 0), (True, 0), (2.0, 0),
+                                     (gamma, -1), (gamma, True), (gamma, built.bounds.u + 1)):
+            with pytest.raises(InvalidInstance):
+                q.at(bad_gamma, bad_lower)
+        assert query_fields(q) == before
 
     def test_probes_read_the_compiled_flags(self, monkeypatch):
         # harmonicity is decided once, when the query is built; no probe
