@@ -55,25 +55,26 @@ EXIT_CODES = {
 }
 
 
-def _emit(report: dict, fmt: str) -> None:
-    if fmt == "json":
-        print(json.dumps(report, indent=2))
-        return
-    def walk(obj, indent=0):
-        pad = "  " * indent
+def _render(report: dict, fmt: str) -> str:
+    """The report as text; an integer past the interpreter's int/str digit
+    limit (`sys.get_int_max_str_digits`) raises OverflowLimit."""
+    def walk(obj, pad=""):
         if isinstance(obj, dict):
             for key, val in obj.items():
                 if isinstance(val, (dict, list)):
-                    print(f"{pad}{key}:")
-                    walk(val, indent + 1)
+                    yield f"{pad}{key}:"
+                    yield from walk(val, pad + "  ")
                 else:
-                    print(f"{pad}{key}: {val}")
+                    yield f"{pad}{key}: {val}"
         elif isinstance(obj, list):
             for val in obj:
-                walk(val, indent)
+                yield from walk(val, pad)
         else:
-            print(f"{pad}{obj}")
-    walk(report)
+            yield f"{pad}{obj}"
+    try:
+        return json.dumps(report, indent=2) if fmt == "json" else "\n".join(walk(report))
+    except ValueError as exc:
+        raise OverflowLimit(f"the report holds an integer too long to print: {exc}") from None
 
 
 def _timed(fn):
@@ -153,7 +154,7 @@ def _cmd_mix_solve(args) -> tuple[int, dict]:
 
 
 def _write_instance(payload: dict, args) -> tuple[int, dict]:
-    text = json.dumps(payload, indent=2)
+    text = _render(payload, "json")
     if args.output:
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -318,11 +319,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         code, report = args.handler(args)
+        text = _render(report, args.format) if report else None
     except RTMixError as exc:
-        _emit({"error": type(exc).__name__, "message": str(exc)}, args.format)
+        print(_render({"error": type(exc).__name__, "message": str(exc)}, args.format))
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
-    if report:
-        _emit(report, args.format)
+    if text is not None:
+        print(text)
     return code
 
 

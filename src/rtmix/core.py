@@ -103,6 +103,26 @@ class TaskSystem:
         return tuple(t.p for t in self.tasks)
 
 
+def validate_task(idx: int, t: Task) -> None:
+    """Check one task's fields; raise InvalidInstance naming task `idx`."""
+    for name in ("c", "p", "jitter"):
+        if not is_integer(getattr(t, name)):
+            raise InvalidInstance(f"task {idx}: field {name} must be an integer")
+    if t.c < 1:
+        raise InvalidInstance(f"task {idx}: execution time must satisfy c >= 1, got {t.c}")
+    if t.p < 1:
+        raise InvalidInstance(f"task {idx}: period must satisfy p >= 1, got {t.p}")
+    if not 0 <= t.jitter <= t.p:
+        raise InvalidInstance(
+            f"task {idx}: jitter must satisfy 0 <= jitter <= p, got {t.jitter} (p={t.p})"
+        )
+    if t.d is not None:
+        if not is_integer(t.d):
+            raise InvalidInstance(f"task {idx}: deadline must be an integer or None")
+        if not t.c <= t.d <= t.p:
+            raise InvalidInstance(f"task {idx}: deadline must satisfy c <= d <= p, got {t.d}")
+
+
 def validate(ts: TaskSystem) -> None:
     """Check every structural invariant; raise InvalidInstance naming the first violation."""
     if not isinstance(ts, TaskSystem):
@@ -110,24 +130,7 @@ def validate(ts: TaskSystem) -> None:
     if len(ts.tasks) < 1:
         raise InvalidInstance("task system must contain at least one task")
     for idx, t in enumerate(ts.tasks):
-        for name in ("c", "p", "jitter"):
-            if not is_integer(getattr(t, name)):
-                raise InvalidInstance(f"task {idx}: field {name} must be an integer")
-        if t.c < 1:
-            raise InvalidInstance(f"task {idx}: execution time must satisfy c >= 1, got {t.c}")
-        if t.p < 1:
-            raise InvalidInstance(f"task {idx}: period must satisfy p >= 1, got {t.p}")
-        if not 0 <= t.jitter <= t.p:
-            raise InvalidInstance(
-                f"task {idx}: jitter must satisfy 0 <= jitter <= p, got {t.jitter} (p={t.p})"
-            )
-        if t.d is not None:
-            if not is_integer(t.d):
-                raise InvalidInstance(f"task {idx}: deadline must be an integer or None")
-            if not t.c <= t.d <= t.p:
-                raise InvalidInstance(
-                    f"task {idx}: deadline must satisfy c <= d <= p, got {t.d}"
-                )
+        validate_task(idx, t)
 
 
 def load_at_lcm(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:

@@ -16,9 +16,11 @@ from dataclasses import asdict, dataclass
 @dataclass
 class Counters:
     mixing_calls: int = 0      # mixing-set solves
-    # Steps of mixing solves.  Brute force: the n + 1 terms at s = 0, then one
-    # per drop point.  Harmonic: per node, the terms of its level (each
-    # evaluated once, its objective part carried down) plus one; per leaf, one.
+    # Steps of mixing solves, each a search of a compiled form (`MixForm`,
+    # which holds only the positive-weight terms).  Brute force: its n terms
+    # at s = 0 plus one, then one per drop point.  Harmonic: per node, the
+    # terms of its level (each evaluated once, its objective part carried
+    # down) plus one; per leaf, one.
     mixing_ops: int = 0
     decision_probes: int = 0   # dualized decision-oracle invocations
     # Decisions "response <= k" that W(k) <= k settled without the oracle.

@@ -20,15 +20,17 @@ Two exact solvers are provided:
 Every solver returns the solution with the smallest optimal s, and every
 returned completion is feasibility-checked before it leaves the module.
 
-Each solver runs `validate` once, at its entry; `solve_harmonic` does so in
-`compile_harmonic`, which also checks the chain and boundedness and sorts
-the terms into a `HarmonicChain`.  A compiled chain can be searched again
-and again, as a prefix of its levels at shifted right-hand sides, with no
-check repeated: the harmonic walk in `rta` compiles one chain per response
-query and searches a prefix of it in each decision probe.  Such a search
-reports s and the objective only.  The helpers (`is_unbounded`,
-`certified_s_bound`) trust their caller and do not re-validate, so code
-calling them directly validates first.
+Both solvers search one compiled form, a `MixForm`: `compile_mix` checks
+validity and boundedness once, certifies S (`certified_s_bound`), notes
+whether the capacities form a divisibility chain, and groups the
+positive-weight terms by capacity.  A solver given a `MixInstance`
+compiles it, searches it once and checks its completion.  A solver given
+a form searches it with no check repeated and reports s and the objective
+only: `rta` compiles one form per response query, terms (c_i, p_i,
+jitter_i), and every decision probe searches it at right-hand sides
+k + jitter_i (`MixForm.at`), the harmonic walk a prefix of its levels.
+The helpers (`is_unbounded`, `certified_s_bound`) trust their caller and
+do not re-validate, so code calling them directly validates first.
 """
 
 from __future__ import annotations
@@ -77,7 +79,7 @@ class MixInstance:
 @dataclass(frozen=True)
 class MixSolution:
     s: int
-    x: tuple[int, ...]  # empty when `solve_harmonic` searched a compiled chain
+    x: tuple[int, ...]  # empty when a solver searched a compiled form
     objective: int
 
 
@@ -100,10 +102,6 @@ def complete(s: int, inst: MixInstance) -> MixSolution:
     x = tuple(ceil_div(t.b - s, t.a) for t in inst.terms)
     obj = inst.w0 * s + sum(t.w * xi for t, xi in zip(inst.terms, x))
     return MixSolution(s, x, obj)
-
-
-def objective_at(s: int, inst: MixInstance) -> int:
-    return inst.w0 * s + sum(t.w * ceil_div(t.b - s, t.a) for t in inst.terms)
 
 
 def is_unbounded(inst: MixInstance) -> bool:
@@ -140,79 +138,43 @@ def certified_s_bound(inst: MixInstance) -> int:
     return m - 1 if util_bound is None else min(m - 1, util_bound)
 
 
-def _finalize(s: int, inst: MixInstance) -> MixSolution:
-    sol = complete(s, inst)
-    for t, xi in zip(inst.terms, sol.x):
-        if sol.s + t.a * xi < t.b:
-            raise InternalInvariantViolated(
-                f"solver produced an infeasible completion at s={sol.s}"
-            )
-    return sol
-
-
-def solve_bruteforce(inst: MixInstance, *, s_bound: int | None = None) -> MixSolution:
-    """Global optimum over s = 0 .. bound; smallest optimal s wins ties.
-
-    From s - 1 to s the objective rises by w0 and falls by w_i for every term
-    with s = b_i (mod a_i), so a minimum lies at s = 0 or at one of these drop
-    points.  Only those are visited: each weighted term's drop points form an
-    arithmetic progression, the progressions are merged lazily (O(n) memory),
-    and the objective is carried along as a running sum.
-    """
-    validate(inst)
-    if is_unbounded(inst):
-        raise Unbounded("sum w_i/a_i exceeds w0")
-    hi = certified_s_bound(inst) if s_bound is None else s_bound
-    counters.bump("mixing_calls")
-    # least s >= 1 with s = b (mod a), then every a-th s up to hi
-    drops = [(range((t.b - 1) % t.a + 1, hi + 1, t.a), t.w) for t in inst.terms if t.w]
-    counters.bump("mixing_ops", len(inst.terms) + 1 + sum(len(r) for r, _ in drops))
-    best_s = prev = 0
-    best_obj = obj = objective_at(0, inst)
-    for s, w in heapq.merge(*(zip(r, repeat(w)) for r, w in drops)):
-        if s != prev:  # obj is complete at prev: every drop there is taken
-            if obj < best_obj:
-                best_s, best_obj = prev, obj
-            obj += inst.w0 * (s - prev)
-            prev = s
-        obj -= w
-    if obj < best_obj:
-        best_s = prev
-    return _finalize(best_s, inst)
-
-
 @dataclass(frozen=True)
-class HarmonicChain:
-    """A mixing instance over a divisibility chain, checked and sorted once
-    by `compile_harmonic`.
+class MixForm:
+    """A mixing instance checked and sorted once by `compile_mix`, which
+    both solvers search.
 
     `levels` lists the distinct capacities of the positive-weight terms in
-    ascending order, and `groups[l]` holds the (w, offset) pairs of the terms
-    at level l; a term's right-hand side is b = base + offset.  A prefix of a
-    bounded chain is bounded, so one compiled chain serves every instance
-    that keeps some of its lowest levels and moves all right-hand sides by
-    one constant (`prefix`), without checking anything again.
+    ascending order, and `groups[l]` holds the (w, offset) pairs of the
+    terms at level l; a term's right-hand side is b = base + offset.  Zero-
+    weight terms never move the objective and are left out.  `chain` tells
+    whether all capacities form a divisibility chain, and `s_bound` is the
+    certified S (`certified_s_bound`), which no right-hand side enters.
+    Dropping terms shrinks both the lcm and the utilization bound, so a
+    prefix of levels stays bounded and keeps S certified: one compiled form
+    serves every instance that keeps some of its lowest levels and moves
+    all right-hand sides by one constant (`at`), without checking anything
+    again.
     """
 
     w0: int
     levels: tuple[int, ...]
     groups: tuple[tuple[tuple[int, int], ...], ...]
+    chain: bool
+    s_bound: int
     base: int = 0
 
-    def prefix(self, depth: int, base: int) -> HarmonicChain:
-        """The chain of the lowest `depth` levels, with right-hand sides base + offset."""
-        return HarmonicChain(self.w0, self.levels[:depth], self.groups[:depth], base)
+    def at(self, base: int, depth: int | None = None) -> MixForm:
+        """The lowest `depth` levels (all of them when None), with right-hand
+        sides base + offset."""
+        return MixForm(self.w0, self.levels[:depth], self.groups[:depth], self.chain,
+                       self.s_bound, base)
 
 
-def compile_harmonic(inst: MixInstance) -> HarmonicChain:
-    """Check an instance once - validity, the divisibility chain, and
-    boundedness (`is_unbounded`) - and sort its terms into levels.
-    Zero-weight terms never move the objective and are left out of the
-    levels.
-    """
+def compile_mix(inst: MixInstance) -> MixForm:
+    """Check an instance once - validity and boundedness (`is_unbounded`) -
+    and certify its S, note whether its capacities form a divisibility
+    chain, and group its positive-weight terms by capacity."""
     validate(inst)
-    if not is_harmonic(inst.capacities()):
-        raise PreconditionViolated("capacities do not form a divisibility chain")
     if is_unbounded(inst):
         raise Unbounded("sum w_i/a_i exceeds w0")
     groups: dict[int, list[tuple[int, int]]] = {}
@@ -220,11 +182,72 @@ def compile_harmonic(inst: MixInstance) -> HarmonicChain:
         if t.w:
             groups.setdefault(t.a, []).append((t.w, t.b))
     levels = tuple(sorted(groups))
-    return HarmonicChain(inst.w0, levels, tuple(tuple(groups[a]) for a in levels))
+    return MixForm(inst.w0, levels, tuple(tuple(groups[a]) for a in levels),
+                   is_harmonic(inst.capacities()), certified_s_bound(inst))
 
 
-def _search(chain: HarmonicChain) -> tuple[int, int]:
-    """The smallest optimal s of a compiled chain and its objective.
+def _solve(inst: MixInstance | MixForm, search, *args) -> MixSolution:
+    """Run `search` on a compiled form.  A `MixInstance` is compiled (every
+    check), searched once, and its completion is checked for feasibility
+    and against the search's objective.  A compiled form was checked when
+    it was compiled and is only searched: its solution reports s and the
+    objective, and leaves x empty."""
+    if isinstance(inst, MixForm):
+        s, obj = search(inst, *args)
+        return MixSolution(s, (), obj)
+    s, obj = search(compile_mix(inst), *args)
+    sol = complete(s, inst)
+    for t, xi in zip(inst.terms, sol.x):
+        if sol.s + t.a * xi < t.b:
+            raise InternalInvariantViolated(
+                f"solver produced an infeasible completion at s={sol.s}"
+            )
+    if sol.objective != obj:
+        raise InternalInvariantViolated(
+            f"the search carried objective {obj} to s={s}, completion gives {sol.objective}"
+        )
+    return sol
+
+
+def _scan(form: MixForm, s_bound: int | None) -> tuple[int, int]:
+    """The smallest optimal s in [0, s_bound], or [0, S], and its objective."""
+    w0, base = form.w0, form.base
+    hi = form.s_bound if s_bound is None else s_bound
+    terms = [(w, a, base + off) for a, group in zip(form.levels, form.groups) for w, off in group]
+    counters.bump("mixing_calls")
+    # least s >= 1 with s = b (mod a), then every a-th s up to hi
+    drops = [(range((b - 1) % a + 1, hi + 1, a), w) for w, a, b in terms]
+    counters.bump("mixing_ops", len(terms) + 1 + sum(len(r) for r, _ in drops))
+    best_s = prev = 0
+    best_obj = obj = sum(w * ceil_div(b, a) for w, a, b in terms)
+    for s, w in heapq.merge(*(zip(r, repeat(w)) for r, w in drops)):
+        if s != prev:  # obj is complete at prev: every drop there is taken
+            if obj < best_obj:
+                best_s, best_obj = prev, obj
+            obj += w0 * (s - prev)
+            prev = s
+        obj -= w
+    if obj < best_obj:
+        best_s, best_obj = prev, obj
+    return best_s, best_obj
+
+
+def solve_bruteforce(inst: MixInstance | MixForm, *, s_bound: int | None = None) -> MixSolution:
+    """Global optimum over s = 0 .. bound, the certified S unless `s_bound`
+    is given; smallest optimal s wins ties.
+
+    From s - 1 to s the objective rises by w0 and falls by w_i for every term
+    with s = b_i (mod a_i), so a minimum lies at s = 0 or at one of these drop
+    points.  Only those are visited: each weighted term's drop points form an
+    arithmetic progression, the progressions are merged lazily (O(n) memory),
+    and the objective is carried along as a running sum.
+    """
+    return _solve(inst, _scan, s_bound)
+
+
+def _search(form: MixForm) -> tuple[int, int]:
+    """The smallest optimal s of a compiled form over a divisibility chain,
+    and its objective.
 
     Works top-down over the levels (largest capacity first) on windows
     [L, R).  Invariants: every term above the current level is constant on
@@ -238,7 +261,9 @@ def _search(chain: HarmonicChain) -> tuple[int, int]:
     wins and a leaf costs O(1).  Leaves are visited left to right, so ties
     resolve to the smallest s.
     """
-    w0, levels, groups, base = chain.w0, chain.levels, chain.groups, chain.base
+    if not form.chain:
+        raise PreconditionViolated("capacities do not form a divisibility chain")
+    w0, levels, groups, base = form.w0, form.levels, form.groups, form.base
     counters.bump("mixing_calls")
     if not levels:
         return 0, 0
@@ -278,22 +303,8 @@ def _search(chain: HarmonicChain) -> tuple[int, int]:
     return best_s, best_obj
 
 
-def solve_harmonic(inst: MixInstance | HarmonicChain) -> MixSolution:
+def solve_harmonic(inst: MixInstance | MixForm) -> MixSolution:
     """Global optimum for a divisibility chain of capacities; the smallest
-    optimal s wins ties.
-
-    A `MixInstance` is compiled (every check), searched once, and its
-    completion is checked against the search's objective.  A compiled chain
-    was checked when it was compiled and is only searched: its solution
-    reports s and the objective, and leaves x empty.
-    """
-    if isinstance(inst, HarmonicChain):
-        s, obj = _search(inst)
-        return MixSolution(s, (), obj)
-    s, obj = _search(compile_harmonic(inst))
-    sol = _finalize(s, inst)
-    if sol.objective != obj:
-        raise InternalInvariantViolated(
-            f"harmonic search carried objective {obj} to s={s}, completion gives {sol.objective}"
-        )
-    return sol
+    optimal s wins ties.  Takes an instance or a compiled form, as
+    `solve_bruteforce` does."""
+    return _solve(inst, _search)

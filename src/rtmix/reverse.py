@@ -10,25 +10,25 @@ where the instance's capacities become periods, weights become costs, and
 b_i - beta becomes the release jitter.  This module applies that identity:
 
 * `solve_crowded` handles right-hand sides with lcm(a) <= b_i <= b_min + a_i,
-  where the jitter encoding is immediate;
+  where the jitter encoding is immediate (all-equal right-hand sides
+  b_i = beta >= lcm(a) are crowded with zero jitter);
 * `solve_general_via_shift` normalizes an arbitrary right-hand side into the
   crowded window by shifting each b_i up by a multiple of a_i (the objective
-  shifts by a computable constant);
-* `solve_constant_beta` is the all-equal right-hand-side special case: with
-  b_i = beta >= lcm(a) the instance is crowded with zero jitter, so it is
-  handed to `solve_crowded` as it is.
+  shifts by a computable constant).
 
-All of these fix w0 = 1 (rescaling would change the integrality of the dual
+Both fix w0 = 1 (rescaling would change the integrality of the dual
 query) and reject anything else.  Each public function validates its
 instance at entry, and `mix_leq_via_rtc` is the checked form of one
-decision, which `solve_crowded` takes first at k = beta - 1.  Inside a solve
-the instance and beta stay fixed, so the binary search builds one response
-query and derives each probe's, at dual constant beta - k, from it
-(`rta.ResponseQuery.at`); it keeps each probe's response, so the least k's
-witness s = beta - response needs no second solve.  The queries are
-answered by `rta.compute_response`, the same algorithm selector
-`rtmix rta compute --algorithm auto` uses; the decision reads the query's
-own `UtilizationExceeded` (dual load >= 1) as "no response".
+decision, which `solve_crowded` takes first at k = beta - 1.  Inside a
+solve the instance and beta stay fixed, so the binary search builds one
+response query and derives each probe's, at dual constant beta - k, from
+it (`rta.ResponseQuery.at`); the derived queries share its mixing form,
+compiled and checked at most once.  The search keeps each probe's
+response, so the least k's witness s = beta - response needs no second
+solve.  The queries are answered by `rta.compute_response`, the same
+algorithm selector `rtmix rta compute --algorithm auto` uses; the
+decision reads the query's own `UtilizationExceeded` (dual load >= 1) as
+"no response".
 """
 
 from __future__ import annotations
@@ -180,14 +180,3 @@ def shift_record(inst: mixing.MixInstance) -> ShiftRecord:
             )
     correction = sum(t.w * off for t, off in zip(inst.terms, offsets))
     return ShiftRecord(m, offsets, correction)
-
-
-def solve_constant_beta(inst: mixing.MixInstance, beta: int) -> mixing.MixSolution:
-    """All right-hand sides equal to beta >= lcm(a) (on a divisibility chain,
-    lcm(a) = a_max): a crowded instance whose every jitter b_i - beta is 0,
-    solved by `solve_crowded`, which checks the window.
-    """
-    _validate(inst)
-    if any(t.b != beta for t in inst.terms):
-        raise PreconditionViolated("constant-beta path requires every b_i == beta")
-    return solve_crowded(inst)

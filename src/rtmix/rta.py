@@ -61,30 +61,32 @@ queries of random harmonic systems settle in the first leg; the geometric
 family, where the fixed point needs thousands of steps, hands off.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
-and no other setting.  A query is validated once, when it is built, and
-holds the interferer tuple, its `BoundsResult` (which carries the exact
-utilization; building a query at utilization >= 1 raises), its certified S,
-and whether the periods form a chain (`harmonic`) and some interferer has
-jitter (`jittered`), all computed then under the magnitude cap that
-RTMIX_LIMIT_BITS sets; no algorithm or probe recomputes them.
-`decide_large_k` refuses a k below a query's S when the query is
-`jittered`; with no jitter, S <= k holds for every probe.  A query may also
-carry a certified lower bound on its response (`lower`, 0 when none is
-known), from which `auto`, `harmonic`, `turing` and `jitter-free` start;
+and no other setting.  A query is validated once, when it is built: each
+interferer as `core.validate` checks a task, then its `BoundsResult` (which
+carries the exact utilization; building a query at utilization >= 1
+raises), and whether the periods form a chain (`harmonic`) and some
+interferer has jitter (`jittered`), all computed then under the magnitude
+cap that RTMIX_LIMIT_BITS sets; no algorithm or probe recomputes them.
+Building a query calls nothing in `mixing`.  A query may also carry a
+certified lower bound on its response (`lower`, 0 when none is known),
+from which `auto`, `harmonic`, `turing` and `jitter-free` start;
 `analyze_system` sets it to r_{j-1} + c_j for level j, `auto` raises it to
 its last iterate when it hands off, and `response_bruteforce`, the
 independent baseline, ignores it.  `ResponseQuery.at` derives a built query
 at another gamma or lower, checked as a build is, recomputing only the
 bounds (only they depend on gamma); `auto`'s hand-off and `reverse` use it.
 
-The harmonic walk compiles its mixing chain once per query
-(`mixing.compile_harmonic`: one term (c_i, p_i, jitter_i) per interferer,
-sorted into period levels, checked once), on the first probe whose residual
-is not empty; a walk whose probes never reach a mixing solve compiles none.
-A residual probe at k is the chain's prefix of levels below k with
-right-hand sides k + jitter_i, passed to `decide_large_k` as a `Residual`;
-it needs no S, since the walk keeps every residual period below the probe,
-and no check beyond that, so a probe costs only the search over its levels.
+Mix(I, k) differs between probes only by the shift k, so a query compiles
+its interferers' mixing form once (`mixing.compile_mix`: one term
+(c_i, p_i, jitter_i) per interferer, checked once, grouped into period
+levels, with the certified S), on first need: the first probe that reaches
+a mixing solve, or `turing`'s read of S (`s_bound`).  Every query that
+`at` derives shares it.  A decision probe at k searches the form at base k,
+right-hand sides k + jitter_i, and checks nothing again; `decide_large_k`
+refuses a k below S when the query is `jittered`, and with no jitter it
+decides every k >= 1, scanning s up to min(S, k).  A probe of the harmonic walk searches the form's
+prefix of levels below k, passed to `decide_large_k` as a `Residual`; it
+needs no S, since the walk keeps every residual period below the probe.
 `compute_response` is the only algorithm selector; `reverse` calls it too.
 """
 
@@ -106,6 +108,7 @@ from .core import (
     is_integer,
     lcm_capped,
     validate,
+    validate_task,
     workload,
 )
 from .errors import (
@@ -118,20 +121,20 @@ from .errors import (
 @dataclass(frozen=True)
 class ResponseQuery:
     """Interference set I (indices into the system) plus the constant gamma,
-    compiled once: `tasks` is the interferer tuple, `bounds` its certified
-    interval with its exact utilization, `s_bound` the certified bound S
-    on the optimal s of every Mix(I, k), `harmonic` whether the interferers'
-    periods form a divisibility chain and `jittered` whether some
-    interferer has jitter.  `lower` is a lower bound on the response that
-    the caller certifies (0 when it knows none); the searches start from it.
-    `analyze_system` sets it, and `auto` raises it on a hand-off."""
+    compiled once: `tasks` is the interferer tuple, each checked as
+    `core.validate` checks a task, `bounds` its certified interval with its
+    exact utilization, `harmonic` whether the interferers' periods form a
+    divisibility chain and `jittered` whether some interferer has jitter.
+    `lower` is a lower bound on the response that the caller certifies (0
+    when it knows none); the searches start from it.  `analyze_system` sets
+    it, and `auto` raises it on a hand-off.  The interferers' mixing form
+    (`form`) and its certified S (`s_bound`) are compiled on first need."""
 
     system: TaskSystem
     indices: tuple[int, ...]
     gamma: int
     tasks: tuple[Task, ...]
     bounds: BoundsResult
-    s_bound: int
     harmonic: bool
     jittered: bool
     lower: int
@@ -142,19 +145,21 @@ class ResponseQuery:
         if any(not 0 <= i < n for i in indices):
             raise InvalidInstance("interference indices out of range")
         tasks = tuple(system.tasks[i] for i in indices)
+        for i, t in zip(indices, tasks):
+            validate_task(i, t)
         object.__setattr__(self, "tasks", tasks)
         self._set_constants(gamma, lower)  # raises UtilizationExceeded at U >= 1
-        # Independent of k, since the right-hand sides do not enter S.
-        s_bound = mixing.certified_s_bound(mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks]))
-        for name, value in (("system", system), ("indices", indices), ("s_bound", s_bound),
+        for name, value in (("system", system), ("indices", indices),
                             ("harmonic", is_harmonic([t.p for t in tasks])),
-                            ("jittered", any(t.jitter for t in tasks))):
+                            ("jittered", any(t.jitter for t in tasks)),
+                            ("_form", [])):  # filled once, shared by every `at` copy
             object.__setattr__(self, name, value)
 
     def at(self, gamma: int, lower: int = 0) -> ResponseQuery:
         """This query at another constant gamma and certified lower bound,
         checked as `__init__` checks them.  Only `bounds` depends on gamma,
-        so it alone is recomputed; the interferers, S and the flags are shared."""
+        so it alone is recomputed; the interferers, the flags and the
+        mixing form are shared."""
         q = copy.copy(self)
         q._set_constants(gamma, lower)
         return q
@@ -170,14 +175,28 @@ class ResponseQuery:
         for name, value in (("gamma", gamma), ("bounds", bounds), ("lower", lower)):
             object.__setattr__(self, name, value)
 
+    @property
+    def form(self) -> mixing.MixForm:
+        """The interferers' mixing form, one term (c_i, p_i, jitter_i) each,
+        so that Mix(I, k) is the form at base k; compiled on first need."""
+        if not self._form:
+            inst = mixing.MixInstance(1, [(t.c, t.p, t.jitter) for t in self.tasks])
+            self._form.append(mixing.compile_mix(inst))
+        return self._form[0]
+
+    @property
+    def s_bound(self) -> int:
+        """The certified bound S on the optimal s of every Mix(I, k)."""
+        return self.form.s_bound
+
 
 class Residual(NamedTuple):
     """One decision probe of the harmonic walk at k: the interferers with
-    period below k, as the lowest `depth` levels of the walk's compiled chain
-    (right-hand sides k + jitter_i; no chain when `depth` is 0), and the
+    period below k, as the lowest `depth` levels of the query's mixing form
+    (right-hand sides k + jitter_i; no form when `depth` is 0), and the
     constant gamma' that the tasks with forced multipliers add to gamma."""
 
-    chain: mixing.HarmonicChain | None
+    form: mixing.MixForm | None
     depth: int
     gamma: int
 
@@ -232,13 +251,6 @@ def _iterate(q: ResponseQuery, t: int, budget: int) -> tuple[int, bool]:
     return t, False
 
 
-def build_mix_for_k(q: ResponseQuery, k: int) -> mixing.MixInstance:
-    """Mixing instance deciding response <= k: term (w=c_i, a=p_i, b=k+jitter_i)."""
-    if k < 1:
-        raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
-    return mixing.MixInstance(1, [(t.c, t.p, k + t.jitter) for t in q.tasks])
-
-
 def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
     """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma.
 
@@ -246,81 +258,57 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
     jitter refuses any smaller k (the gate).  With zero jitter the pair
     (s=k, x=0) is feasible for Mix(I, k) and anything with s > k is strictly
     worse, so some optimal s lies at or below min(S, k) and every k >= 1 is
-    decidable; the solve scans s up to that.  A `Residual` of the harmonic walk
-    carries no S: the walk certifies the reduction by construction (every
-    residual period lies below k, which `_Walk.decide` checks), and its
-    mixing instance is a prefix of the walk's chain at right-hand sides
-    k + jitter_i, checked when the chain was compiled.
+    decidable; the solve scans s up to that.  Mix(I, k) is the query's
+    mixing form at base k, searched with no check repeated.  A `Residual`
+    of the harmonic walk needs no S: the walk certifies the reduction by
+    construction (every residual period lies below k, which `_walk_probe`
+    checks), and its instance is a prefix of the form's levels at base k.
     """
     if isinstance(q, Residual):
         if not q.depth:
             return k >= q.gamma
         counters.bump("decision_probes")
-        return mixing.solve_harmonic(q.chain.prefix(q.depth, k)).objective <= k - q.gamma
+        return mixing.solve_harmonic(q.form.at(k, q.depth)).objective <= k - q.gamma
+    if k < 1:
+        raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
     if not q.indices:
-        if k < 1:
-            raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
         return k >= q.gamma
-    if k < q.s_bound and q.jittered:
+    if q.jittered and k < q.s_bound:
         raise PreconditionKTooSmall(k, q.s_bound)
     counters.bump("decision_probes")
-    inst = build_mix_for_k(q, k)
     if q.harmonic:
-        sol = mixing.solve_harmonic(inst)
+        sol = mixing.solve_harmonic(q.form.at(k))
     else:
-        sol = mixing.solve_bruteforce(inst, s_bound=min(q.s_bound, k))
+        sol = mixing.solve_bruteforce(q.form.at(k), s_bound=min(q.s_bound, k))
     return sol.objective <= k - q.gamma
 
 
-def _walk_chain(q: ResponseQuery) -> mixing.HarmonicChain:
-    """The walk's mixing chain, compiled once per query: term (c_i, p_i, jitter_i)
-    per interferer, so a probe at k is a prefix of it at base k."""
-    return mixing.compile_harmonic(mixing.MixInstance(1, [(t.c, t.p, t.jitter) for t in q.tasks]))
-
-
-class _Walk:
-    """One harmonic walk over a query, and the probes it makes.  The chain is
-    compiled on the first probe whose residual is not empty, so a walk whose
-    probes never reach a mixing solve compiles and validates none."""
-
-    def __init__(self, q: ResponseQuery, trace: list[ProbeRecord] | None):
-        if not q.harmonic:
-            raise PreconditionViolated("periods do not form a divisibility chain")
-        self.q = q
-        self.trace = trace
-        self.chain: mixing.HarmonicChain | None = None
-        self.p_min = min((t.p for t in q.tasks), default=math.inf)
-
-    def decide(self, phase: str, k: int, lo: int) -> bool:
-        """Probe k >= lo, lo a certified lower bound on the response:
-        Mix(residual, k) <= k - gamma'.  With d_j = p_j - jitter_j, task j's
-        multiplier is forced to 1 when k <= d_j and to 2 when d_j < lo and
-        k <= p_j; the rest form the residual.  No difference lies in [lo, k),
-        so residual periods lie below k and the residual is the chain's
-        prefix below k; a residual that is not raises InternalInvariantViolated."""
-        q, tasks = self.q, self.q.system.tasks
-        forced = {}
-        for j, t in zip(q.indices, q.tasks):
-            if k <= t.p - t.jitter:
-                forced[j] = 1
-            elif t.p - t.jitter < lo and k <= t.p:
-                forced[j] = 2
-        residual = tuple(j for j in q.indices if j not in forced)
-        if residual:
-            if self.chain is None:
-                self.chain = _walk_chain(q)
-            chain = self.chain
-            depth = bisect.bisect_left(chain.levels, k)
-            exact = len(residual) == sum(map(len, chain.groups[:depth]))
-        else:
-            chain, depth, exact = None, 0, self.p_min >= k
-        if not exact or any(tasks[j].p >= k for j in residual):
-            raise InternalInvariantViolated("residual set is not the chain below the probe")
-        gamma_prime = q.gamma + sum(tasks[j].c * m for j, m in forced.items())
-        feasible = decide_large_k(Residual(chain, depth, gamma_prime), k)
-        if self.trace is not None:
-            self.trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
-        return feasible
+def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, phase: str,
+                k: int, lo: int) -> bool:
+    """One probe of the harmonic walk at k >= lo, lo a certified lower bound
+    on the response: Mix(residual, k) <= k - gamma'.  With d_j = p_j - jitter_j,
+    task j's multiplier is forced to 1 when k <= d_j and to 2 when d_j < lo
+    and k <= p_j; the rest form the residual.  No difference lies in [lo, k),
+    so the residual is exactly the tasks with period below k, the form's
+    prefix of levels below k; a residual that is not raises
+    InternalInvariantViolated.  The form is compiled on the first probe
+    whose residual is not empty."""
+    forced = {}
+    for j, t in zip(q.indices, q.tasks):
+        if k <= t.p - t.jitter:
+            forced[j] = 1
+        elif t.p - t.jitter < lo and k <= t.p:
+            forced[j] = 2
+    residual = tuple(j for j in q.indices if j not in forced)
+    if residual != tuple(j for j, t in zip(q.indices, q.tasks) if t.p < k):
+        raise InternalInvariantViolated("residual set is not the chain below the probe")
+    gamma_prime = q.gamma + sum(q.system.tasks[j].c * m for j, m in forced.items())
+    form = q.form if residual else None
+    depth = bisect.bisect_left(form.levels, k) if residual else 0
+    feasible = decide_large_k(Residual(form, depth, gamma_prime), k)
+    if trace is not None:
+        trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
+    return feasible
 
 
 def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
@@ -366,18 +354,19 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
     Then `_bracket` searches [lo, hi]; no difference lies in [lo, hi), so the
     forcing by that lo stays valid.  The answer is re-checked against the
     recurrence."""
+    if not q.harmonic:
+        raise PreconditionViolated("periods do not form a divisibility chain")
     if not q.indices:
         return q.gamma
-    walk = _Walk(q, trace)  # raises PreconditionViolated unless the periods form a chain
     lo, hi = max(q.lower, math.ceil(q.bounds.ell)), q.bounds.u
     for k in sorted({t.p - t.jitter for t in q.tasks} - {0}):
         if k < lo:
             continue
-        if walk.decide("difference", k, lo):
+        if _walk_probe(q, trace, "difference", k, lo):
             hi = min(k, workload(q.tasks, q.gamma, k))
             break
         lo = max(k + 1, workload(q.tasks, q.gamma, k + 1))
-    t = _bracket(q, lo, hi, lambda k: walk.decide("bisection", k, lo))
+    t = _bracket(q, lo, hi, lambda k: _walk_probe(q, trace, "bisection", k, lo))
     return _least_fixed_point(q, t, "harmonic walk")
 
 

@@ -61,7 +61,7 @@ def test_criterion_02_tight_mixing_family():
         sol = mixing.solve_bruteforce(inst)
         assert (sol.s, sol.objective) == (target, target)
         for s in range(target):
-            assert mixing.objective_at(s, inst) >= n * 2**n
+            assert mixing.complete(s, inst).objective >= n * 2**n
     elapsed = time.perf_counter() - start
     assert elapsed < 5.0
     _report(2, "tight family optimal at lcm-1 for n=2..6", f"{elapsed:.3f}s")
@@ -174,7 +174,7 @@ def test_criterion_06_mixing_oracle_equivalence():
             beta = (max(caps) if mixing.is_harmonic(caps) else m) + rng.randint(0, 12)
             const = mixing.MixInstance(1, [(t.w, t.a, beta) for t in inst.terms])
             assert (
-                reverse.solve_constant_beta(const, beta).objective
+                reverse.solve_crowded(const).objective
                 == mixing.solve_bruteforce(const).objective
             ), const
             beta_checked += 1
@@ -202,7 +202,8 @@ def test_criterion_07_duality_identity():
         if s_cert > 400:
             continue  # keep the enumeration oracle affordable
         for k in range(max(1, s_cert), max(1, s_cert) + 3):
-            mix_opt = mixing.solve_bruteforce(rta.build_mix_for_k(q, k)).objective
+            inst = mixing.MixInstance(1, [(t.c, t.p, k + t.jitter) for t in q.tasks])
+            mix_opt = mixing.solve_bruteforce(inst).objective
             assert k - mix_opt == dual_max_oracle(q.tasks, k), (ts, k)
         checked += 1
     elapsed = time.perf_counter() - start

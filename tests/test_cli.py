@@ -426,11 +426,17 @@ class TestErrorExitCodes:
             (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "x"], {}, 2, "InvalidInstance"),
             (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "1", "--jitter", "1,x,2"], {}, 2,
              "InvalidInstance"),
+            # integers past the interpreter's 4300-digit int/str limit, which stays as it is
+            (["rta", "compute", "--input", "{huge_p}"], {}, 2, "InvalidInstance"),
+            (["rta", "compute", "--input", "{long_response}"], {"RTMIX_LIMIT_BITS": "20000"}, 3,
+             "OverflowLimit"),
+            (["gen", "tight-mix", "--n", "15000"], {}, 3, "OverflowLimit"),
         ],
         ids=["horizon-too-small", "generation-failed", "p-max-zero", "p-max-negative",
              "limit-bits-not-a-number",
              "limit-bits-superscript-digit", "internal-error", "extreme-cost-not-a-number",
-             "extreme-jitter-not-a-number"],
+             "extreme-jitter-not-a-number", "period-too-long-to-parse",
+             "response-too-long-to-print", "generated-instance-too-long-to-print"],
     )
     def test_error_maps_to_exit_code(
         self, capsys, tmp_path, monkeypatch, demo_file, argv, env, code, error
@@ -439,7 +445,16 @@ class TestErrorExitCodes:
 
         releases = tmp_path / "releases.json"
         releases.write_text(json.dumps({"releases": [[{"arrival": 0, "release": 0}], [], []]}))
-        argv = [a.format(demo=demo_file, releases=releases) for a in argv]
+        # a 5001-digit period; and a 4300-digit cost over a 4300-digit
+        # period, whose response 1.9e4300 has 4301 digits
+        huge_p = tmp_path / "huge_p.json"
+        huge_p.write_text('{"tasks": [{"c": 1, "d": null, "p": 1%s, "jitter": 0}]}' % ("0" * 5000))
+        p = "9" * 4300
+        long_response = tmp_path / "long_response.json"
+        long_response.write_text('{"tasks": [%s, %s]}' % tuple(
+            '{"c": %s, "d": %s, "p": %s, "jitter": 0}' % (c + "0" * 4299, p, p) for c in "59"))
+        argv = [a.format(demo=demo_file, releases=releases, huge_p=huge_p,
+                         long_response=long_response) for a in argv]
         if env.pop("broken", False):
             def broken(*args, **kwargs):
                 raise InternalInvariantViolated("certified identity failed")

@@ -14,7 +14,6 @@ from rtmix.mixing import (
     certified_s_bound,
     complete,
     is_unbounded,
-    objective_at,
     solve_bruteforce,
     solve_harmonic,
 )

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,6 @@ from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce
 from rtmix.reverse import (
     mix_leq_via_rtc,
     shift_record,
-    solve_constant_beta,
     solve_crowded,
     solve_general_via_shift,
 )
@@ -89,7 +89,9 @@ class TestSolveCrowded:
         # first probe, the public mix_leq_via_rtc, which also certifies the
         # instance's S; the binary search's later probes repeat neither.
         # Each of the two builds one response query; every probe of the
-        # search derives its query from the second.
+        # search derives its query from the second and shares its mixing
+        # form, so each query's form is validated and certified once, not
+        # once per probe.
         inst = MixInstance(1, [(1, 3, 12), (1, 4, 13), (1, 6, 12)])
         expected = solve_bruteforce(inst).objective
         validated, certified, built, probed = [], [], [], []
@@ -107,9 +109,10 @@ class TestSolveCrowded:
         solves = ops.as_dict()["mixing_calls"]
         assert solves > 2  # several probes, each solving mixing instances of its own
         assert sum(v is inst for v in validated) == 2
-        assert len(validated) == 2 + solves
         assert sum(c is inst for c in certified) == 1
-        assert len(probed) > 3 and len(built) == 2
+        forms = [v for v in validated if v is not inst]
+        assert [c for c in certified if c is not inst] == forms
+        assert 1 <= len(forms) <= len(built) == 2 < len(probed)
 
     def test_seeded_equivalence(self):
         for seed in range(120):
@@ -152,6 +155,19 @@ class TestShift:
     def test_single_term(self):
         inst = MixInstance(1, [(1, 5, 0)])
         assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
+
+    def test_validates_once_per_compiled_query_not_per_probe(self, monkeypatch):
+        # each solve validates its instance at its public entries and each
+        # dual query's mixing form once, however many probes search it
+        calls = Counter()
+        real = mixing.validate
+        monkeypatch.setattr(mixing, "validate", lambda i: calls.update(["validate"]) or real(i))
+        with counters.collect() as ops:
+            for seed in range(1, 101):
+                for n, a_max, harmonic in ((6, 256, True), (4, 16, False)):
+                    inst = random_mix_instance(seed, n, a_max, harmonic=harmonic)
+                    solve_general_via_shift(inst)
+        assert calls["validate"] <= 800 < ops.decision_probes
 
     @given(bounded_mix_instances())
     @example(MixInstance(1, [(0, 15, 0), (3, 16, 0), (0, 1, 0), (6, 11, 0), (4, 15, 0)]))  # lcm 2640
@@ -235,32 +251,30 @@ class TestUtilizationOne:
 
 
 class TestConstantBeta:
+    """All right-hand sides equal to beta >= lcm(a): a crowded instance with
+    zero jitter, which `solve_crowded` takes as it is."""
+
     def test_harmonic_pair(self):
         inst = MixInstance(1, [(1, 2, 4), (1, 4, 4)])
-        assert solve_constant_beta(inst, 4).objective == 3
+        assert solve_crowded(inst).objective == 3
 
     def test_zero_weight_single_term(self):
         inst = MixInstance(1, [(0, 5, 5)])
-        sol = solve_constant_beta(inst, 5)
+        sol = solve_crowded(inst)
         assert sol.objective == 0
 
     def test_empty_instance(self):
-        assert solve_constant_beta(MixInstance(1, []), 10).objective == 0
+        assert solve_crowded(MixInstance(1, [])).objective == 0
 
     def test_rejects_small_beta_on_harmonic_path(self):
         inst = MixInstance(1, [(1, 2, 3), (1, 4, 3)])
         with pytest.raises(PreconditionViolated):
-            solve_constant_beta(inst, 3)
+            solve_crowded(inst)
 
     def test_rejects_small_beta_on_general_path(self):
         inst = MixInstance(1, [(1, 4, 8), (1, 6, 8)])  # lcm = 12
         with pytest.raises(PreconditionViolated):
-            solve_constant_beta(inst, 8)
-
-    def test_rejects_mismatched_rhs(self):
-        inst = MixInstance(1, [(1, 2, 4), (1, 4, 5)])
-        with pytest.raises(PreconditionViolated):
-            solve_constant_beta(inst, 4)
+            solve_crowded(inst)
 
     @given(utilization_one_instances(), st.integers(0, 8))
     @example(MixInstance(1, [(2, 2, 0)]), 2)  # MixInstance(1, [(2, 2, 4)]) at beta = 4
@@ -270,7 +284,7 @@ class TestConstantBeta:
         # and no dual response exists, so the crowded solve's fallback gives it
         beta = math.lcm(*base.capacities()) + extra
         inst = MixInstance(1, [(t.w, t.a, beta) for t in base.terms])
-        sol = solve_constant_beta(inst, beta)
+        sol = solve_crowded(inst)
         assert sol.objective == solve_bruteforce(inst).objective == beta
         assert mixing.complete(sol.s, inst) == sol
 
@@ -285,4 +299,4 @@ class TestConstantBeta:
             floor_b = max(caps) if harmonic else math.lcm(*caps)
             beta = floor_b + rng.randint(0, 15)
             inst = MixInstance(1, [(t.w, t.a, beta) for t in base.terms])
-            assert solve_constant_beta(inst, beta).objective == solve_bruteforce(inst).objective
+            assert solve_crowded(inst).objective == solve_bruteforce(inst).objective

@@ -10,7 +10,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dual_max_oracle, response_scan_oracle, small_task_systems
@@ -22,6 +22,7 @@ from rtmix.core import (
     is_harmonic,
     magnitude_cap,
     utilization,
+    validate,
     workload,
 )
 from rtmix import counters, mixing, rta
@@ -32,12 +33,11 @@ from rtmix.errors import (
     UtilizationExceeded,
 )
 from rtmix.gen import construct_extreme, random_system
-from rtmix.mixing import certified_s_bound, solve_bruteforce
+from rtmix.mixing import MixInstance, certified_s_bound, solve_bruteforce
 from rtmix.rta import (
     ProbeRecord,
     ResponseQuery,
     analyze_system,
-    build_mix_for_k,
     compute_response,
     decide_large_k,
     response_bruteforce,
@@ -94,7 +94,8 @@ class TestCompiledQuery:
         assert q.tasks == demo_system.tasks[:2]
         assert q.bounds.utilization == Fraction(15, 65) + Fraction(7, 30)
         assert q.bounds == bounds_from_parts(13, q.tasks)
-        assert q.s_bound == certified_s_bound(build_mix_for_k(q, 1)) == 42
+        s_bound = certified_s_bound(MixInstance(1, [(t.c, t.p, 0) for t in q.tasks]))
+        assert q.s_bound == s_bound == 42
 
     @pytest.mark.parametrize("gamma", [0, True, 2.0, "3"])
     def test_gamma_must_be_a_positive_integer(self, demo_system, gamma):
@@ -106,6 +107,60 @@ class TestCompiledQuery:
         # the certified upper bound of this query is 390
         with pytest.raises(InvalidInstance):
             ResponseQuery(demo_system, (0, 1), 13, lower)
+
+    @pytest.mark.parametrize(
+        "bad", [Task(1, 2, 3), Task(1.5, 4), Task(0, 4), Task(2, 4, 0, 1)],
+        ids=["jitter-above-period", "float-cost", "zero-cost", "deadline-below-cost"])
+    def test_rejects_interferers_that_validate_rejects(self, bad):
+        ts = TaskSystem([Task(1, 8), bad, Task(1, 16, 20)])
+        with pytest.raises(InvalidInstance, match="task 1:"):
+            validate(ts)
+        for indices in ((0, 1), (1, 2)):
+            with pytest.raises(InvalidInstance, match="task 1:"):
+                ResponseQuery(ts, indices, 3)
+
+    def test_building_a_query_calls_nothing_in_mixing(self, monkeypatch, demo_system):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a query build called into mixing")
+
+        for name, value in list(vars(mixing).items()):
+            if callable(value) and getattr(value, "__module__", None) == mixing.__name__:
+                monkeypatch.setattr(mixing, name, refuse)
+        systems = [demo_system] + [random_system(seed, 6, 256, harmonic=seed % 2 == 0)
+                                   for seed in range(1, 11)]
+        queries = [ResponseQuery(ts, range(j), t.c) for ts in systems
+                   for j, t in enumerate(ts.tasks)]
+        derived = [q.at(q.gamma + 1, q.gamma + 1) for q in queries]
+        monkeypatch.undo()
+        # the form is compiled on first need, and shared with the derived query
+        assert queries[2].s_bound == 42 and derived[2].form is queries[2].form
+
+    def test_each_query_checks_its_mixing_form_once(self, monkeypatch):
+        # a query's form is checked when it is compiled, on the query's first
+        # probe or on turing's read of S, and no probe checks it again
+        calls = Counter()
+        for name in ("validate", "is_unbounded"):
+            def counted(*args, _real=getattr(mixing, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(mixing, name, counted)
+        compiling = probes = 0
+        real = rta.compute_response
+
+        def spy(q, algorithm="auto"):
+            nonlocal compiling, probes
+            with counters.collect() as ops:
+                r = real(q, algorithm)
+            probes += ops.decision_probes
+            turing = q.indices and not q.harmonic and q.jittered  # auto's choice: it reads S
+            compiling += bool(ops.decision_probes or turing)
+            return r
+
+        monkeypatch.setattr(rta, "compute_response", spy)
+        for seed in range(1, 21):
+            analyze_system(random_system(seed, 6, 256), "auto")
+        assert calls["validate"] == calls["is_unbounded"] == compiling < probes
 
     def test_walk_compiles_no_chain_when_no_probe_reaches_a_solve(self, monkeypatch):
         calls = Counter()
@@ -214,17 +269,27 @@ class TestBruteforce:
         assert response_bruteforce(q) == response_scan_oracle(q.tasks, q.gamma, b.u)
 
 
+def mix_terms(q, k):
+    """The (w, a, b) terms of Mix(I, k) as the query's compiled form holds them."""
+    form = q.form.at(k)
+    return sorted((w, a, form.base + off) for a, group in zip(form.levels, form.groups)
+                  for w, off in group)
+
+
 class TestBuildMix:
+    """Mix(I, k) is the query's mixing form at base k: one term
+    (w=c_i, a=p_i, b=k+jitter_i) per interferer."""
+
     def test_direct_substitution(self, demo_system):
-        inst = build_mix_for_k(ResponseQuery(demo_system, (0, 1), 13), 100)
-        assert [(t.w, t.a, t.b) for t in inst.terms] == [(15, 65, 108), (7, 30, 105)]
+        q = ResponseQuery(demo_system, (0, 1), 13)
+        assert mix_terms(q, 100) == [(7, 30, 105), (15, 65, 108)]
+        assert q.form.chain is False and q.form.s_bound == 42
 
     def test_empty_interference(self, demo_system):
-        assert build_mix_for_k(ResponseQuery(demo_system, (), 5), 3).terms == ()
+        assert mix_terms(ResponseQuery(demo_system, (), 5), 3) == []
 
     def test_extreme_substitution(self, extreme3):
-        inst = build_mix_for_k(ResponseQuery(extreme3, (0, 1), 1), 12)
-        assert [(t.w, t.a, t.b) for t in inst.terms] == [(1, 2, 14), (1, 4, 16)]
+        assert mix_terms(ResponseQuery(extreme3, (0, 1), 1), 12) == [(1, 2, 14), (1, 4, 16)]
 
 
 class TestDecideLargeK:
@@ -246,12 +311,14 @@ class TestDecideLargeK:
             decide_large_k(q, 1)
 
     @given(small_task_systems(max_n=4, p_max=12, zero_jitter=True))
+    @example(TaskSystem([Task(2, 11), Task(1, 10), Task(5, 7), Task(4, 4)]))  # S = 769, u = 3080
     @settings(max_examples=60)
     def test_zero_jitter_decides_every_k(self, ts):
-        # no gate without jitter: the verdict is exact below S as well
+        # no gate without jitter: the verdict is exact below S as well, and
+        # at the response and the certified upper bound
         q = full_query(ts)
         r = response_bruteforce(q)
-        for k in range(1, q.bounds.u + 1):
+        for k in sorted({*range(1, q.s_bound + 1), r - 1, r, r + 1, q.bounds.u} - {0}):
             assert decide_large_k(q, k) == (r <= k), (k, r, q.s_bound)
 
     def test_verdict_monotone_in_k(self, extreme3):
@@ -264,10 +331,10 @@ class TestDecideLargeK:
     def test_duality_identity_at_certified_bound(self, ts):
         # k - Mix(I, k) equals the dual maximum, for every k at or past S
         q = full_query(ts)
-        inst = build_mix_for_k(q, 1)
-        s_cert = certified_s_bound(inst)
+        s_cert = certified_s_bound(MixInstance(1, [(t.c, t.p, 0) for t in q.tasks]))
         for k in range(max(1, s_cert), max(1, s_cert) + 3):
-            mix_opt = solve_bruteforce(build_mix_for_k(q, k)).objective
+            inst = MixInstance(1, [(t.c, t.p, k + t.jitter) for t in q.tasks])
+            mix_opt = solve_bruteforce(inst).objective
             assert k - mix_opt == dual_max_oracle(q.tasks, k)
 
 
@@ -519,8 +586,7 @@ class TestTuring:
     def test_demo_query_resolved_by_scan(self, demo_system):
         # the utilization bound certifies S = 42, and the fixed point lands exactly there
         q = ResponseQuery(demo_system, (0, 1), 13)
-        inst = build_mix_for_k(q, 1)
-        assert certified_s_bound(inst) == 42
+        assert q.s_bound == 42
         assert response_turing(q) == 42
 
     def test_extreme_system(self, extreme3):
