@@ -4,10 +4,11 @@ and check that the algorithms agree.
 
 Runs `rtmix rta compute` under every algorithm that applies, `rtmix mix
 solve` under all four algorithms, and `rtmix blockip encode-rtc` followed by
-`rtmix blockip solve` on the encoded program, through `rtmix.cli.main`, and
-prints one JSON line per run: the input, the command, the exit code, and the
-report's `result` and `counters` (the encoded program for `encode-rtc`, the
-error object for a failed run).  Timings are left out, so two checkouts that
+`rtmix blockip solve` on the encoded program and, for the small programs, on
+its mirrored form, through `rtmix.cli.main`, and prints one JSON line per
+run: the input, the command, the exit code, and the report's `result` and
+`counters` (the encoded program for `encode-rtc`, the error object for a
+failed run).  Timings are left out, so two checkouts that
 compute the same thing print the same lines:
 
     PYTHONPATH=src python3 scripts/result_digest.py > new.jsonl
@@ -19,8 +20,9 @@ all runs, so two checkouts can be compared by their totals alone.
 
 It exits 1, naming each fault on stderr, when two `rta compute` algorithms
 give different results on one input, when two successful `mix solve`
-algorithms give different objectives on one input, or when any run exits 4
-(an internal error).
+algorithms give different objectives on one input, when `blockip solve`
+gives different results on a program and its mirrored form, or when any run
+exits 4 (an internal error).
 """
 
 import contextlib
@@ -41,7 +43,8 @@ from rtmix.cli import EXIT_INTERNAL, main as cli_main
 SYSTEMS = 240
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
 # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16, besides
-# n = 4 ones with p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179
+# n = 4 ones with p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179;
+# the first BLOCKIP are also solved in mirrored form
 BLOCKIP = 60
 
 
@@ -138,6 +141,18 @@ def crowded(inst):
     return MixInstance(inst.w0, terms)
 
 
+def mirrored(program: dict) -> dict:
+    """The 4-block program with every brick row negated: the same feasible
+    set, but no brick is unit-slack, so `blockip solve` bisects on k with the
+    first-stage enumeration and a depth-first search per brick instead of
+    sweeping the pieces of t."""
+    def neg(rows):
+        return [[-v for v in row] for row in rows]
+
+    return {**program, "A": [neg(a) for a in program["A"]],
+            "B": [neg(b) for b in program["B"]], "rhs": neg(program["rhs"])}
+
+
 def system_dict(ts) -> dict:
     return {"tasks": [{"c": t.c, "d": t.d, "p": t.p, "jitter": t.jitter} for t in ts.tasks]}
 
@@ -191,13 +206,22 @@ def main() -> int:
                     if out["code"] == 0:
                         objectives[algorithm] = out["result"]["objective"]
                 agree(name + label, "mix solve objectives", objectives)
-        for name, ts in jitter_free_systems(BLOCKIP):
+        for index, (name, ts) in enumerate(jitter_free_systems(BLOCKIP)):
             write(path, system_dict(ts))
             out = run(["blockip", "encode-rtc", "--input", path])
             record(name, "blockip encode-rtc", out)
-            if "program" in out:
-                write(program, out["program"])
-                record(name, "blockip solve", run(["blockip", "solve", "--input", program]))
+            if "program" not in out:
+                continue
+            forms = {"": out["program"]}
+            if index < BLOCKIP:
+                forms[" mirrored"] = mirrored(out["program"])
+            results = {}
+            for label, form in forms.items():
+                write(program, form)
+                solved = run(["blockip", "solve", "--input", program])
+                record(name + label, "blockip solve", solved)
+                results[label.strip() or "encoded"] = solved.get("result")
+            agree(name, "blockip solve results", results)
     print(f"{lines} runs", file=sys.stderr)
     for cmd, total in [*totals.items(), ("all", sum(totals.values(), Counter()))]:
         print(f"counters {cmd}: {json.dumps(dict(sorted(total.items())))}", file=sys.stderr)

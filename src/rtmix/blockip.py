@@ -1,4 +1,4 @@
-"""Simple 4-block integer programs and their dualized binary-search solver.
+"""Simple 4-block integer programs and their dualized solver.
 
 The programs have one coupling inequality a^T x >= b0 on top of a
 block-diagonal system of equalities
@@ -22,10 +22,17 @@ is unit-slack without the slack row - the shape `encode_rtc_as_4block`
 writes - the bricks' completions sum to an affine function of t between the
 points where some brick's ceiling or floor steps, with one slope for all
 pieces, so the first stage visits only one end of each piece: about
-sum_i |b_i|*u/p_i points instead of u + 1.
-`solve_simple_4block` wraps it into the binary search for the least feasible
-k in [0, H] (the decisions are monotone in k because y only relaxes, and no
-k < 0 passes because weights and variables are nonnegative).
+sum_i |b_i|*u/p_i points instead of u + 1 (the piece path, `on_piece_path`).
+
+`solve_simple_4block` finds the least feasible k in [0, H] (the decisions
+are monotone in k because y only relaxes, and no k < 0 passes because
+weights and variables are nonnegative).  On the piece path a probe at k
+only widens t's range to [0, floor(k/w0)], so the least k is w0 times the
+least t whose coupling value reaches b0: one increasing sweep over the
+pieces finds that t, solving the affine inequality inside each piece and
+stopping at the first hit, and one `solve_2stage_desk` probe at the answer
+certifies it.  Every other program is searched by bisection on k with one
+`solve_2stage_desk` probe per step.
 
 `encode_rtc_as_4block` expresses jitter-free response-time computation in
 this shape: one first-stage variable t, one unit-slack brick (x_i, z_i) per
@@ -35,15 +42,20 @@ t - sum c_i*x_i >= c_n.
 
 from __future__ import annotations
 
-import bisect
 import heapq
 from dataclasses import dataclass
-from itertools import chain, groupby
-from typing import Iterator, Sequence
+from itertools import groupby
+from typing import Callable, Iterator, Sequence
 
 from . import counters
 from .core import TaskSystem, bounds_from_parts, ceil_div, is_integer, validate
-from .errors import BudgetExceeded, Infeasible, InvalidInstance, PreconditionViolated
+from .errors import (
+    BudgetExceeded,
+    Infeasible,
+    InternalInvariantViolated,
+    InvalidInstance,
+    PreconditionViolated,
+)
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -214,56 +226,105 @@ def _steps(num: int, m: int, coef: int, T: int) -> Iterator[int]:
     return (ceil_div(j * coef - num, m) for j in range(num // coef + 1, (num + m * T) // coef + 1))
 
 
-def _piece_ends(p: SimpleFourBlock, k: int) -> Iterator[int]:
-    """The first-stage points of probe k that hold the maximum of a program
-    with s = 1 and unit-slack bricks that carry no slack row, lazily and in
-    increasing order.
+def _pieces(p: SimpleFourBlock, T: int) -> Iterator[tuple[int, int]]:
+    """The pieces [left, right] of t in [0, T] (T >= 0) of a program on the
+    piece path (`on_piece_path`), lazily and in increasing order.
 
-    t ranges over [0, T], T = min(u_0, floor(k / w0)), where the slack row
-    leaves room.  Brick i's completion depends on t only through
+    Brick i's completion depends on t only through
     lo = ceil((rhs_i - b_i*t)/p_i) and hi = floor((rhs_i + uz_i - b_i*t)/p_i),
     so between their steps it is affine with slope c_z*b_i and its
     feasibility is fixed.  The coupling row is then affine on every piece
-    with one slope sigma = D + sum_i c_z*b_i, and a piece's maximum lies at
-    its right end when sigma > 0 and at its left end otherwise.
+    with one slope `_slope(p)`.
     """
-    w0, u0 = p.w0[0], p.u[0]
-    T = min(u0, k // w0) if w0 else (u0 if k >= 0 else -1)
-    if T < 0:
-        return iter(())
     terms = set()  # (num, m, coef) of each distinct floor((num + m*t)/coef)
     for i in range(p.n):
         b, coef, rhs, uz = p.B[i][0][0], p.A[i][0][0], p.rhs[i][0], p.u_brick(i)[1]
         if b:
             terms.update(((rhs + coef - 1, -b, coef), (rhs + uz, -b, coef)))
     steps = heapq.merge(*(_steps(num, m, coef, T) for num, m, coef in terms))
-    starts = (t for t, _ in groupby(steps))  # left ends of every piece but the first
-    sigma = p.D[0][0] + sum(p.C[i][0][1] * p.B[i][0][0] for i in range(p.n))
-    if sigma > 0:
-        return chain((t - 1 for t in starts), (T,))
-    return chain((0,), starts)
+    left = 0
+    for start, _ in groupby(steps):  # the left end of every piece but the first
+        yield left, start - 1
+        left = start
+    yield left, T
 
 
-def _max_over_pieces(p: SimpleFourBlock, k: int, budget: _Budget) -> int | None:
-    """`solve_2stage_desk` for s = 1 and unit-slack bricks that carry no
-    slack row: the best total over the points of `_piece_ends`."""
+def _slope(p: SimpleFourBlock) -> int:
+    """sigma = D + sum_i c_z*b_i, the coupling row's slope on every piece."""
+    return p.D[0][0] + sum(p.C[i][0][1] * p.B[i][0][0] for i in range(p.n))
+
+
+def _coupling(p: SimpleFourBlock, budget: _Budget) -> Callable[[int], int | None]:
+    """f(t): the coupling row's maximum at first-stage point t of a program on
+    the piece path, every brick completed in closed form, or None when some
+    brick has no completion.  Each call spends one unit of the budget for the
+    point and one per completion."""
+    d = p.D[0][0]
     bricks = [
         (p.A[i][0][0], p.C[i][0], p.rhs[i][0], p.B[i][0][0], p.u_brick(i)) for i in range(p.n)
     ]
-    best: int | None = None
-    for t in _piece_ends(p, k):
+
+    def f(t: int) -> int | None:
         budget.spend()
-        total = p.D[0][0] * t
+        total = d * t
         for coef, c, rhs, b, boxes in bricks:
             budget.spend()
             part = _max_unit_slack(coef, c, rhs - b * t, boxes)
             if part is None:
-                break
+                return None
             total += part
-        else:
-            if best is None or total > best:
-                best = total
+        return total
+
+    return f
+
+
+def _max_over_pieces(p: SimpleFourBlock, k: int, budget: _Budget) -> int | None:
+    """`solve_2stage_desk` on the piece path: the best f over t in [0, T],
+    T = min(u_0, floor(k / w0)), where the slack row leaves room.  f is
+    affine on each piece, so its maximum there lies at the right end when
+    the slope is positive and at the left end otherwise."""
+    w0, u0 = p.w0[0], p.u[0]
+    T = min(u0, k // w0) if w0 else (u0 if k >= 0 else -1)
+    if T < 0:
+        return None
+    f = _coupling(p, budget)
+    right_end = _slope(p) > 0
+    best: int | None = None
+    for left, right in _pieces(p, T):
+        value = f(right if right_end else left)
+        if value is not None and (best is None or value > best):
+            best = value
     return best
+
+
+def _least_reaching_t(p: SimpleFourBlock, T: int, budget: _Budget) -> int | None:
+    """The least t in [0, T] with f(t) >= b0 on the piece path, or None.
+
+    One increasing pass over the pieces: f is affine with slope sigma on
+    each, so the pass evaluates the piece's left end and, when sigma > 0,
+    solves f(left) + sigma*(t - left) >= b0 inside the piece; it stops at
+    the first hit.  A piece whose left end has no completion has none.
+    """
+    f = _coupling(p, budget)
+    sigma = _slope(p)
+    for left, right in _pieces(p, T):
+        value = f(left)
+        if value is None:
+            continue
+        if value >= p.b0:
+            return left
+        if sigma > 0:
+            t = left + ceil_div(p.b0 - value, sigma)
+            if t <= right:
+                return t
+    return None
+
+
+def on_piece_path(p: SimpleFourBlock) -> bool:
+    """True when x^(0) is one variable t, wj = 0 and every brick is
+    unit-slack (one row (p, -1), p >= 1): the shape `encode_rtc_as_4block`
+    writes, whose coupling row is affine in t piece by piece."""
+    return p.s == 1 and not any(p.wj) and all(_unit_slack_coefficient(a) is not None for a in p.A)
 
 
 def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
@@ -278,12 +339,12 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     not carrying the slack row) is completed in closed form; every other
     brick goes through the DFS `_max_brick`.
 
-    When s = 1 and every brick is unit-slack with wj = 0, the first stage
-    visits one end of each piece of t on which the coupling row is affine
-    (`_piece_ends`); otherwise it enumerates the x^(0) box.  Each piece,
-    each first-stage node, each closed-form completion and each DFS node
-    spends one unit of the budget; a solve adds the units it spent to the
-    `blockip_nodes` counter.
+    On the piece path (`on_piece_path`) the first stage visits one end of
+    each piece of t on which the coupling row is affine (`_max_over_pieces`);
+    otherwise it enumerates the x^(0) box.  Each piece, each first-stage
+    node, each closed-form completion and each DFS node spends one unit of
+    the budget; a solve adds the units it spent to the `blockip_nodes`
+    counter.
     """
     budget = _Budget(DEFAULT_NODE_BUDGET)
     a0 = p.D[0]
@@ -329,7 +390,7 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
         if best is None or total > best:
             best = total
 
-    if p.s == 1 and None not in unit_coef:  # the slack brick's entry is None too
+    if on_piece_path(p):
         best = _max_over_pieces(p, k, budget)
     else:
         first_stage(0, [0] * p.s)
@@ -343,11 +404,37 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
     Weights and variables are nonnegative, so no k < 0 passes.  H defaults to
     sum w_i * u_i, a sound bound on w^T x over the boxes; a negative H raises
     InvalidInstance.  Raises Infeasible when no k in the window passes.
+
+    On the piece path (`on_piece_path`) the answer is w0*t* for the least
+    t* in [0, min(u_0, floor(H / w0))] (or [0, u_0] when w0 = 0) whose
+    coupling value reaches b0: one sweep over the pieces, under a node
+    budget of its own, finds t*, and one `solve_2stage_desk` probe at w0*t*
+    certifies it.  Every other program is bisected on k, one probe a step.
     """
     if H is None:
         H = _default_objective_bound(p)
     if H < 0:
         raise InvalidInstance(f"the search bound H must be nonnegative, got {H}")
+    if not on_piece_path(p):
+        return _bisect(p, H)
+    w0, u0 = p.w0[0], p.u[0]
+    budget = _Budget(DEFAULT_NODE_BUDGET)
+    t = _least_reaching_t(p, min(u0, H // w0) if w0 else u0, budget)
+    counters.bump("blockip_nodes", budget.budget - budget.left)
+    if t is None:
+        raise Infeasible(f"no objective value in [0, {H}] satisfies the coupling bound")
+    k = w0 * t
+    value = solve_2stage_desk(p, k)
+    if value is None or value < p.b0:
+        raise InternalInvariantViolated(
+            f"the piece sweep's k={k} does not reach b0={p.b0} (probe gives {value})"
+        )
+    return k
+
+
+def _bisect(p: SimpleFourBlock, H: int) -> int:
+    """Least k in [0, H] whose probe reaches b0, by bisection; the decisions
+    are monotone in k because the slack y only relaxes."""
 
     def reaches(k: int) -> bool:
         value = solve_2stage_desk(p, k)
@@ -355,7 +442,14 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
 
     if not reaches(H):
         raise Infeasible(f"no objective value in [0, {H}] satisfies the coupling bound")
-    return bisect.bisect_left(range(H), True, key=reaches)
+    lo, hi = 0, H
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if reaches(mid):
+            hi = mid
+        else:
+            lo = mid + 1
+    return lo
 
 
 def _default_objective_bound(p: SimpleFourBlock) -> int:

@@ -224,7 +224,7 @@ def _cmd_blockip_solve(args) -> tuple[int, dict]:
         value, timing = _timed(lambda: blockip.solve_simple_4block(prog, args.H))
     report = {
         "result": {"objective": value},
-        "algorithm": "dualized-binary-search",
+        "algorithm": "piece-sweep" if blockip.on_piece_path(prog) else "dualized-binary-search",
         "certificates": {},
         "timings": timing,
         "counters": ops.as_dict(),

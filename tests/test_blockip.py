@@ -1,5 +1,5 @@
-"""Simple 4-block programs: desk backend, binary search, and the
-response-time encoding round trip."""
+"""Simple 4-block programs: desk backend, piece sweep, binary search, and
+the response-time encoding round trip."""
 
 import dataclasses
 import itertools
@@ -20,6 +20,7 @@ from rtmix.core import Task, TaskSystem, bounds_from_parts, ceil_div
 from rtmix.errors import (
     BudgetExceeded,
     Infeasible,
+    InternalInvariantViolated,
     InvalidInstance,
     PreconditionViolated,
 )
@@ -32,12 +33,10 @@ def pair_system():
     return TaskSystem([Task(1, 2, 0), Task(1, 1, 0)])
 
 
-def enumerated_decision(prog, k):
-    """Max of the coupling row over every box point that meets each brick's
-    rows and w^T x <= k (the slack row with y >= 0), or None: the dual
-    decision enumerated directly."""
+def feasible_points(prog):
+    """(w^T x, coupling value) of every box point x that meets each brick's
+    rows, enumerated directly."""
     s, t = prog.s, prog.t
-    best = None
     for x in itertools.product(*(range(b + 1) for b in prog.u)):
         x0 = x[:s]
         bricks = [x[s + i * t : s + (i + 1) * t] for i in range(prog.n)]
@@ -52,20 +51,23 @@ def enumerated_decision(prog, k):
         weight = sum(w * v for w, v in zip(prog.w0, x0))
         if prog.j is not None:
             weight += sum(w * v for w, v in zip(prog.wj, bricks[prog.j - 1]))
-        if weight > k:
-            continue
         value = sum(d * v for d, v in zip(prog.D[0], x0)) + sum(
             c * v for i in range(prog.n) for c, v in zip(prog.C[i][0], bricks[i])
         )
-        if best is None or value > best:
-            best = value
-    return best
+        yield weight, value
+
+
+def enumerated_decision(prog, k):
+    """Max of the coupling row over every feasible point with w^T x <= k (the
+    slack row with y >= 0), or None: the dual decision enumerated directly."""
+    return max((value for weight, value in feasible_points(prog) if weight <= k), default=None)
 
 
 @st.composite
-def unit_slack_programs(draw):
+def unit_slack_programs(draw, b_max=6):
     """One first-stage variable over a box up to 30 and one or two bricks with
-    the row (p, -1): |b| up to 6, so some b exceed p and every t ends a piece;
+    the row (p, -1): |b| up to b_max, by default 6, so some b exceed p and
+    every t ends a piece;
     rhs of both signs; objectives of both signs, with zero brick slope and a
     zero first-stage slope D + sum c_z*b drawn on purpose; brick boxes small
     enough to clip either variable or empty the interval; w0 up to 3; and wj
@@ -77,7 +79,7 @@ def unit_slack_programs(draw):
         c_z = draw(st.integers(-3, 3))
         c_x = draw(st.one_of(st.just(-c_z * p), st.integers(-3, 3)))
         A.append(((p, -1),))
-        B.append(((draw(st.integers(-6, 6)),),))
+        B.append(((draw(st.integers(-b_max, b_max)),),))
         C.append(((c_x, c_z),))
         rhs.append((draw(st.integers(-12, 12)),))
         u.extend([draw(st.integers(0, 4)), draw(st.integers(0, 4))])
@@ -287,6 +289,83 @@ class TestBinarySearch:
             v = solve_2stage_desk(prog, k)
             values.append(-(10**9) if v is None else v)
         assert values == sorted(values)
+
+
+    # the encoding of (c, p) = (1, 4), (2, 6), (1, 12), whose least k is 4, on
+    # the piece path and mirrored onto the bisection, with a search bound and
+    # a weight past sys.maxsize
+    @pytest.mark.parametrize(
+        "mirror, w0, H, want",
+        [
+            (False, 1, 10**20, 4),
+            (False, 10**30, None, 4 * 10**30),
+            (True, 1, 10**20, 4),
+            (True, 10**30, None, 4 * 10**30),
+        ],
+        ids=["sweep-huge-H", "sweep-huge-w0", "bisection-huge-H", "bisection-huge-w0"],
+    )
+    def test_takes_any_integer_bound_and_weight(self, mirror, w0, H, want):
+        prog = encode_rtc_as_4block(TaskSystem([Task(1, 4, 0), Task(2, 6, 0), Task(1, 12, 0)]))
+        prog = dataclasses.replace(mirrored(prog) if mirror else prog, w0=(w0,))
+        assert blockip.on_piece_path(prog) is not mirror
+        assert solve_simple_4block(prog, H) == want
+
+
+class TestPieceSweep:
+    @given(unit_slack_programs() | unit_slack_programs(b_max=1), st.data())
+    @settings(max_examples=300)
+    def test_least_k_matches_enumeration(self, prog, data):
+        # w0 = 0, sigma <= 0 and empty brick intervals come with the programs,
+        # and |b| <= 1 makes pieces longer than one t; b0 runs over every
+        # feasible point's value, so it is often first reached inside a piece,
+        # and over one free draw, often past every value; H often falls below
+        # w0*t*
+        prog = dataclasses.replace(prog, wj=(0, 0))
+        points = list(feasible_points(prog))
+        H = data.draw(st.integers(0, prog.w0[0] * prog.u[0] + 3), label="H")
+        free = data.draw(st.integers(-20, 20), label="b0")
+        for b0 in sorted({value for _, value in points} | {free}):
+            case = dataclasses.replace(prog, b0=b0)
+            # `enumerated_decision` at k reaches b0 iff some feasible point of
+            # weight <= k does, so the least such k is the least of their weights
+            least = min((w for w, v in points if v >= b0), default=None)
+            if least is None or least > H:
+                with pytest.raises(Infeasible):
+                    solve_simple_4block(case, H)
+            else:
+                assert solve_simple_4block(case, H) == least, b0
+
+    def test_one_probe_and_no_more_nodes_than_the_bisection(self, monkeypatch):
+        # each solve makes one certificate probe, where bisection makes
+        # 1 + about log2(H); the sweep visits no more pieces than bisection's
+        # first probe, at H, and with its certificate spends no more than the
+        # whole bisection
+        desk = blockip.solve_2stage_desk
+        probes = []  # the nodes of each probe, kept apart from the caller's
+
+        def counted(p, k):
+            with counters.collect() as ops:
+                value = desk(p, k)
+            probes.append(ops.blockip_nodes)
+            return value
+
+        monkeypatch.setattr(blockip, "solve_2stage_desk", counted)
+        for seed in range(1, 201):
+            prog = encode_rtc_as_4block(random_system(seed, 3, 16, jitter_mode="zero"))
+            probes.clear()
+            want = blockip._bisect(prog, blockip._default_objective_bound(prog))
+            at_h, bisection = probes[0], sum(probes)
+            probes.clear()
+            with counters.collect() as sweep:
+                assert solve_simple_4block(prog) == want, seed
+            assert len(probes) == 1, seed
+            assert sweep.blockip_nodes <= at_h and probes[0] <= at_h, seed
+            assert sweep.blockip_nodes + probes[0] <= bisection, seed
+
+    def test_sweep_answer_is_certified(self, pair_system, monkeypatch):
+        monkeypatch.setattr(blockip, "solve_2stage_desk", lambda p, k: None)
+        with pytest.raises(InternalInvariantViolated):
+            solve_simple_4block(encode_rtc_as_4block(pair_system))
 
 
 class TestRtcRoundTrip:

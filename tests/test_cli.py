@@ -287,10 +287,37 @@ class TestBlockip:
         )
         enc = tmp_path / "enc.json"
         run_cli(capsys, "blockip", "encode-rtc", "--input", str(sysfile), "--output", str(enc))
-        monkeypatch.setattr(blockip_mod, "DEFAULT_NODE_BUDGET", 10)
-        monkeypatch.setattr("rtmix.cli.blockip.DEFAULT_NODE_BUDGET", 10)
+        # the piece sweep spends 9 nodes to t* = 42 (three pieces of three
+        # units each), so a budget of 5 runs out inside the sweep
+        monkeypatch.setattr(blockip_mod, "DEFAULT_NODE_BUDGET", 5)
+        monkeypatch.setattr("rtmix.cli.blockip.DEFAULT_NODE_BUDGET", 5)
         code, _ = run_cli(capsys, "blockip", "solve", "--input", str(enc))
         assert code == 3
+
+    @pytest.mark.parametrize(
+        "mirror, label", [(False, "piece-sweep"), (True, "dualized-binary-search")]
+    )
+    def test_names_the_search_that_ran(self, capsys, tmp_path, mirror, label):
+        # the encoding of (c, p) = (1, 4), (2, 6), (1, 12), least k 4, with a
+        # search bound past sys.maxsize; with every brick row negated no brick
+        # is unit-slack, so the solver bisects on k
+        sysfile = tmp_path / "sys.json"
+        sysfile.write_text(json.dumps({"tasks": [
+            {"c": c, "p": p, "jitter": 0, "d": None} for c, p in ((1, 4), (2, 6), (1, 12))
+        ]}))
+        enc = tmp_path / "enc.json"
+        run_cli(capsys, "blockip", "encode-rtc", "--input", str(sysfile), "--output", str(enc))
+        if mirror:
+            prog = json.loads(enc.read_text())
+            for key in ("A", "B"):
+                prog[key] = [[[-v for v in row] for row in block] for block in prog[key]]
+            prog["rhs"] = [[-v for v in row] for row in prog["rhs"]]
+            enc.write_text(json.dumps(prog))
+        code, out = run_cli(capsys, "blockip", "solve", "--input", str(enc), "--H", str(10**20))
+        assert code == 0
+        report = last_json(out)
+        assert report["algorithm"] == label
+        assert report["result"]["objective"] == 4
 
     @pytest.mark.parametrize("q", [True, 1.0], ids=["bool", "float"])
     def test_coupling_count_must_be_the_integer_1(self, capsys, tmp_path, q):
