@@ -38,7 +38,7 @@ from rtmix import MixInstance, Task, TaskSystem, gen, is_harmonic
 from rtmix.cli import EXIT_INTERNAL, main as cli_main
 
 # seeded `gen random` systems, besides 10 `gen extreme` ones, one large-S one,
-# 12 larger harmonic ones, 3 geometric ones, 3 larger general ones and 6
+# 12 larger harmonic ones, 5 geometric ones, 3 larger general ones and 8
 # non-harmonic geometric ones
 SYSTEMS = 240
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
@@ -88,8 +88,9 @@ def systems(count: int):
                 ts = gen.random_system(seed, n, p_max, harmonic=True, jitter_mode=jitter_mode)
                 yield f"random seed={seed} n={n} p_max={p_max} harmonic=True {jitter_mode}", ts
     # geometric: c_i = 1, p_i = 2^i for i = 1..k, then c = 2^(k-1); the fixed
-    # point takes about 25k iterations at k = 12
-    for k in (10, 11, 12):
+    # point from gamma takes about 25k iterations at k = 12, while the
+    # general-period search's climb from ceil(ell) settles in one
+    for k in (10, 11, 12, 13, 14):
         tasks = [Task(1, 2**i, 0, 2**i) for i in range(1, k + 1)]
         yield f"geometric k={k}", TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
     # larger general systems with zero jitter, where turing, jitter-free and
@@ -99,8 +100,9 @@ def systems(count: int):
         ts = gen.random_system(seed, n, 256, jitter_mode="zero")
         yield f"random seed={seed} n={n} p_max=256 harmonic=False zero", ts
     # the geometric family with last period 3*2^(k-2), so not harmonic, with
-    # zero jitter and with jitter 2^(i-1) on task i
-    for k in (10, 11, 12):
+    # zero jitter and with jitter 2^(i-1) on task i; with jitter the climb
+    # passes S unsettled and hands over to the bracketed search
+    for k in (10, 11, 12, 13):
         periods = [2**i for i in range(1, k)] + [3 * 2 ** (k - 2)]
         for jitter in (False, True):
             tasks = [Task(1, p, 2 ** (i - 1) if jitter else 0, p)

@@ -171,6 +171,9 @@ class BoundsResult:
     min(ceil(u1), u2) used by the binary searches (the response time is
     integral, the analytic u1 generally is not).  `utilization` is the
     interferers' exact utilization, below 1, from which the bounds follow.
+    `s` is the certified bound S on the optimal s of every mixing instance
+    Mix(I, k) of these interferers, min(m - 1, ceil(sum c_i / (1 - U))),
+    the `mixing.certified_s_bound` of their terms (c_i, p_i, k + jitter_i).
     """
 
     ell: Fraction
@@ -178,6 +181,7 @@ class BoundsResult:
     u2: int
     u: int
     utilization: Fraction
+    s: int
 
 
 def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
@@ -185,8 +189,9 @@ def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
 
     One integer pass over the interferers at their lcm m: with the load
     L = sum c_i*(m/p_i) the utilization is L/m and the slack is D/m,
-    D = m - L, so every bound is an integer ratio over D.  The utilization
-    gate is decided before the lcm meets the magnitude cap.
+    D = m - L, so every bound is an integer ratio over D, S included:
+    S = min(m - 1, ceil(sum c_i * m / D)).  The utilization gate is decided
+    before the lcm meets the magnitude cap.
     """
     if any(t.p < 1 for t in interferers):
         raise InvalidInstance("interferer periods must be >= 1")
@@ -211,6 +216,7 @@ def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
         u2,
         min(ceil_div(base + cost_sum * m, slack), u2),
         Fraction(load, m),
+        min(m - 1, ceil_div(cost_sum * m, slack)),
     )
 
 

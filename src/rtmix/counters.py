@@ -23,10 +23,12 @@ class Counters:
     # down) plus one; per leaf, one.
     mixing_ops: int = 0
     decision_probes: int = 0   # dualized decision-oracle invocations
-    # Decisions "response <= k" that W(k) <= k settled without the oracle.
+    # Decisions "response <= k" of a bracketed search that W(k) <= k settled
+    # without the oracle.
     recurrence_verdicts: int = 0
     # Evaluations of W in fixed-point iterations t <- W(t): the baseline's,
-    # `auto`'s first leg on harmonic periods and `turing`'s iteration below S.
+    # `auto`'s first leg on harmonic periods and the general-period search's
+    # climb from ceil(ell) (`turing`, `jitter-free`).
     fixpoint_iters: int = 0
     # Harmonic queries that `auto`'s fixed-point leg left unsettled within
     # its budget and handed off to the walk.

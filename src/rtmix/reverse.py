@@ -33,7 +33,6 @@ decision reads the query's own `UtilizationExceeded` (dual load >= 1) as
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 
 from . import mixing, rta
@@ -135,16 +134,19 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
             )
     beta = b_min
     if mix_leq_via_rtc(inst, beta, beta - 1):
-        # k = beta - 1 holds (so the dual load is below 1): the least k is in range(beta)
+        # k = beta - 1 holds (so the dual load is below 1): the least k is in
+        # [0, beta), bisected in integers since beta may pass sys.maxsize
         q = _dual_query(inst, beta, 1)
         responses = {}
-
-        def leq(k: int) -> bool:
+        lo, hi = 0, beta
+        while lo < hi:
+            k = (lo + hi) // 2
             responses[k] = rta.compute_response(q.at(beta - k))
-            return responses[k] <= beta
-
-        k = bisect.bisect_left(range(beta), True, key=leq)
-        return _witness(inst, beta - responses[k], k)
+            if responses[k] <= beta:
+                hi = k
+            else:
+                lo = k + 1
+        return _witness(inst, beta - responses[lo], lo)
     # optimum in [beta, b_max]: minimize over the s = beta - t of one capacity period
     sol = mixing.solve_bruteforce(inst, s_bound=min(m - 1, beta - 1))
     if not beta <= sol.objective <= b_max:

@@ -12,18 +12,17 @@ decision "response <= k?" through the equivalent mixing set question
 b=k+jitter_i) per interferer.  That equivalence is only valid once k reaches
 a certified bound S on the optimal s of the mixing instance, hence:
 
-* `response_turing` (any periods): decide at k = S (by the recurrence alone
-  when W(S) <= S, see below); on yes, run the fixed-point iteration from
-  max(gamma, lower), which stops at the least feasible t and so at most at
-  S; on no, search (S, u] where every probe is valid.
+* `response_turing` and `response_jitter_free` (any periods; the second
+  only without jitter) run one general-period search: climb t <- W(t) from
+  t0 = max(lower, ceil(ell)) for at most max(1, S - t0 + 1) steps.  A t
+  with W(t) <= t is the response; otherwise the climb ends above S, where
+  every probe passes the gate, and a bracketed search runs from there.
 * `response_harmonic` (harmonic periods): at a probe k, every task with
   p_j >= k has its optimal multiplier forced to 1 or 2 by the probe's
   position relative to d_j = p_j - jitter_j, so those tasks leave the
   residual instance and the probe stays above every residual period.  The
   walk first probes the sorted distinct nonzero differences d_j upward
   until one is feasible, then searches the interval that leaves.
-* `response_jitter_free`: with zero jitter (s=k, x=0) is always feasible for
-  the mixing instance, so every k is decidable and the search needs no gate.
 
 All of them decide through `decide_large_k`, the one dualized oracle.
 Every search is bracketed by the recurrence (`_bracket`): the response r is
@@ -53,18 +52,18 @@ Sleator, Algorithmica 1988).  The budget counts steps, not work.  Every
 walk probe evaluates W at least once and adds at most a solve over |I|
 chain levels, so on harmonic periods the iteration spends no more than a
 constant times what the walk's bisection can spend.  On general periods a
-probe sweeps the drop points up to min(S, k), which can cost thousands of
-W evaluations, so a step count bounds nothing there: `auto` runs
-`jitter-free` (zero jitter) or `turing` alone, as an explicit algorithm
-always does.  The budget comes from the query; nothing is tuned.  Most
-queries of random harmonic systems settle in the first leg; the geometric
-family, where the fixed point needs thousands of steps, hands off.
+probe sweeps the drop points up to S, which can cost thousands of W
+evaluations, so `auto` runs `jitter-free` (zero jitter) or `turing`, whose
+climb is the fixed point itself, bounded by S instead of a step count.
+The budget comes from the query; nothing is tuned.  Most queries of random
+harmonic systems settle in the first leg; the geometric family, where the
+fixed point needs thousands of steps, hands off.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built: each
 interferer as `core.validate` checks a task, then its `BoundsResult` (which
-carries the exact utilization; building a query at utilization >= 1
-raises), and whether the periods form a chain (`harmonic`) and some
+carries the exact utilization and S; building a query at utilization
+>= 1 raises), and whether the periods form a chain (`harmonic`) and some
 interferer has jitter (`jittered`), all computed then under the magnitude
 cap that RTMIX_LIMIT_BITS sets; no algorithm or probe recomputes them.
 Building a query calls nothing in `mixing`.  A query may also carry a
@@ -79,14 +78,14 @@ bounds (only they depend on gamma); `auto`'s hand-off and `reverse` use it.
 Mix(I, k) differs between probes only by the shift k, so a query compiles
 its interferers' mixing form once (`mixing.compile_mix`: one term
 (c_i, p_i, jitter_i) per interferer, checked once, grouped into period
-levels, with the certified S), on first need: the first probe that reaches
-a mixing solve, or `turing`'s read of S (`s_bound`).  Every query that
-`at` derives shares it.  A decision probe at k searches the form at base k,
-right-hand sides k + jitter_i, and checks nothing again; `decide_large_k`
-refuses a k below S when the query is `jittered`, and with no jitter it
-decides every k >= 1, scanning s up to min(S, k).  A probe of the harmonic walk searches the form's
-prefix of levels below k, passed to `decide_large_k` as a `Residual`; it
-needs no S, since the walk keeps every residual period below the probe.
+levels), on first need: the first probe that reaches a mixing solve.  Every
+query that `at` derives shares it.  A decision probe at k searches the form
+at base k, right-hand sides k + jitter_i, and checks nothing again;
+`decide_large_k` refuses every k below S, which it reads from the bounds,
+and the brute-force scan searches s in [0, S].  A probe of the harmonic
+walk searches the form's prefix of levels below k, passed to
+`decide_large_k` as a `Residual`; it needs no S, since the walk keeps every
+residual period below the probe.
 `compute_response` is the only algorithm selector; `reverse` calls it too.
 """
 
@@ -128,7 +127,8 @@ class ResponseQuery:
     `lower` is a lower bound on the response that the caller certifies (0
     when it knows none); the searches start from it.  `analyze_system` sets
     it, and `auto` raises it on a hand-off.  The interferers' mixing form
-    (`form`) and its certified S (`s_bound`) are compiled on first need."""
+    (`form`) is compiled on first need; its certified S (`s_bound`) comes
+    with the bounds."""
 
     system: TaskSystem
     indices: tuple[int, ...]
@@ -187,7 +187,7 @@ class ResponseQuery:
     @property
     def s_bound(self) -> int:
         """The certified bound S on the optimal s of every Mix(I, k)."""
-        return self.form.s_bound
+        return self.bounds.s
 
 
 class Residual(NamedTuple):
@@ -254,15 +254,13 @@ def _iterate(q: ResponseQuery, t: int, budget: int) -> tuple[int, bool]:
 def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
     """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma.
 
-    Valid for k at or above the certified bound S, so a built query with
-    jitter refuses any smaller k (the gate).  With zero jitter the pair
-    (s=k, x=0) is feasible for Mix(I, k) and anything with s > k is strictly
-    worse, so some optimal s lies at or below min(S, k) and every k >= 1 is
-    decidable; the solve scans s up to that.  Mix(I, k) is the query's
-    mixing form at base k, searched with no check repeated.  A `Residual`
-    of the harmonic walk needs no S: the walk certifies the reduction by
-    construction (every residual period lies below k, which `_walk_probe`
-    checks), and its instance is a prefix of the form's levels at base k.
+    Valid for k at or above the certified bound S, so a built query refuses
+    any smaller k (the gate).  Mix(I, k) is the query's mixing form at base
+    k, searched with no check repeated; the brute-force scan searches s in
+    [0, S].  A `Residual` of the harmonic walk needs no S: the walk
+    certifies the reduction by construction (every residual period lies
+    below k, which `_walk_probe` checks), and its instance is a prefix of
+    the form's levels at base k.
     """
     if isinstance(q, Residual):
         if not q.depth:
@@ -273,14 +271,11 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
         raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
     if not q.indices:
         return k >= q.gamma
-    if q.jittered and k < q.s_bound:
+    if k < q.s_bound:
         raise PreconditionKTooSmall(k, q.s_bound)
     counters.bump("decision_probes")
-    if q.harmonic:
-        sol = mixing.solve_harmonic(q.form.at(k))
-    else:
-        sol = mixing.solve_bruteforce(q.form.at(k), s_bound=min(q.s_bound, k))
-    return sol.objective <= k - q.gamma
+    solve = mixing.solve_harmonic if q.harmonic else mixing.solve_bruteforce
+    return solve(q.form.at(k)).objective <= k - q.gamma
 
 
 def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, phase: str,
@@ -370,57 +365,40 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
     return _least_fixed_point(q, t, "harmonic walk")
 
 
-def _affirmed_at(q: ResponseQuery, k: int) -> bool:
-    """The decision "r <= k", by the recurrence when W(k) <= k, else by the
-    dualized oracle."""
-    if workload(q.tasks, q.gamma, k) <= k:
-        counters.bump("recurrence_verdicts")
-        return True
-    return decide_large_k(q, k)
+def _general_search(q: ResponseQuery) -> int:
+    """Climb t <- W(t) from t0 = max(lower, ceil(ell)), a certified lower
+    bound (Sjodin and Hansson, RTSS 1998), for at most max(1, S - t0 + 1)
+    steps.  A t with W(t) <= t is the response.  Otherwise every step rose
+    by at least 1, so the last iterate, still a certified lower bound,
+    stands above S, where every decision passes the gate: `_bracket` runs
+    from it up to u, or up to the lcm m when W(m) <= m.  The climb costs
+    O(S) W evaluations; since c_i >= 1, the drop points in [0, S] that one
+    decision at S would sweep number at most S*U + n."""
+    if not q.indices:
+        return q.gamma
+    t0 = max(q.lower, math.ceil(q.bounds.ell))
+    t, settled = _iterate(q, t0, max(1, q.s_bound - t0 + 1))
+    if settled:
+        return t
+    hi = q.bounds.u
+    m = lcm_capped(task.p for task in q.tasks)
+    if workload(q.tasks, q.gamma, m) <= m:
+        hi = min(hi, m)
+    t = _bracket(q, t, hi, lambda k: decide_large_k(q, k))
+    return _least_fixed_point(q, t, "general-period search")
 
 
 def response_turing(q: ResponseQuery) -> int:
-    """Decide at the certified bound S; on yes the response is at most S and the
-    fixed-point iteration from t0 = max(gamma, lower) reaches it within
-    S - t0 + 1 steps, on no run the bracketed search (`_bracket`) above S,
-    where every probe passes the gate.  When W(S) <= S, S is feasible, so
-    the yes at S is free; only otherwise does the decision solve Mix(I, S).
-    A certified lower bound above S skips the decision at S; the search
-    starts at the largest of S + 1, W(S + 1), ceil(ell) and that bound."""
-    if not q.indices:
-        return q.gamma
-    s_cert = q.s_bound
-    if s_cert >= max(1, q.lower) and _affirmed_at(q, s_cert):
-        t0 = max(q.gamma, q.lower)
-        t, settled = _iterate(q, t0, s_cert - t0 + 1)
-        if not settled:
-            raise InternalInvariantViolated(
-                f"decision at S={s_cert} affirmed but the fixed point exceeds it"
-            )
-        return t
-    lo = max(s_cert + 1, workload(q.tasks, q.gamma, s_cert + 1), math.ceil(q.bounds.ell), q.lower)
-    t = _bracket(q, lo, q.bounds.u, lambda k: decide_large_k(q, k))
-    return _least_fixed_point(q, t, "bracketed search")
+    """The general-period search (`_general_search`), for any periods."""
+    return _general_search(q)
 
 
 def response_jitter_free(q: ResponseQuery) -> int:
-    """Unconditional bracketed search (`_bracket`) for zero-jitter queries,
-    from the largest of gamma, ceil(ell) and the certified lower bound.
-
-    With jitter 0, `decide_large_k` decides every k >= 1 (see there).
-    """
-    tasks = q.tasks
+    """The general-period search (`_general_search`), for zero-jitter
+    queries only."""
     if q.jittered:
         raise PreconditionViolated("jitter-free search requires jitter = 0 over I")
-    if not q.indices:
-        return q.gamma
-    lo = max(q.gamma, math.ceil(q.bounds.ell), q.lower)
-    hi = q.bounds.u
-    m = lcm_capped(t.p for t in tasks)
-    if workload(tasks, q.gamma, m) <= m:
-        hi = min(hi, m)
-    t = _bracket(q, lo, hi, lambda k: decide_large_k(q, k))
-    return _least_fixed_point(q, t, "jitter-free search")
+    return _general_search(q)
 
 
 _DISPATCH = {
@@ -442,10 +420,10 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     W(t) <= t, and otherwise hands the last iterate, as `lower`, to the walk
     (counted as `auto_handoffs`).  The bound counts steps, not work; it
     holds for the walk, whose every probe evaluates W, and not for the
-    general-period searches, whose probes can cost thousands of W
+    general-period search, whose probes can cost thousands of W
     evaluations (see the module docstring).  So on other periods "auto"
-    runs `jitter-free` (zero jitter) or `turing` alone, as an explicit
-    algorithm does."""
+    runs `jitter-free` (zero jitter) or `turing`, as an explicit algorithm
+    does."""
     if algorithm == "auto":
         if q.harmonic:
             if q.indices:

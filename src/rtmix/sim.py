@@ -10,6 +10,7 @@ documented schedule strip exactly.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
@@ -90,43 +91,40 @@ def simulate(ts: TaskSystem, rp: ReleasePattern, horizon: int) -> ScheduleTrace:
     if horizon < 1:
         raise InvalidInstance(f"horizon must be >= 1, got {horizon}")
 
-    # (release, task, job index) of jobs released inside the window
-    pending = []
-    for tidx, jobs in enumerate(rp.jobs):
-        for jidx, job in enumerate(jobs):
-            if job.release < horizon:
-                pending.append((job.release, tidx, jidx, job))
-    remaining = {(t, j): ts.tasks[t].c for _, t, j, _ in pending}
-    released: list[tuple[int, int, int]] = []  # (task, release-order, job idx)
-    pending.sort()
+    # (release, task, job index) of the jobs released inside the window
+    pending = sorted((job.release, t, j) for t, jobs in enumerate(rp.jobs)
+                     for j, job in enumerate(jobs) if job.release < horizon)
+    # per task, [job index, remaining cost] of its released, unfinished jobs;
+    # a task's jobs are released in index order, so its queue's head runs first
+    queues: list[deque[list[int]]] = [deque() for _ in ts.tasks]
     completions: list[CompletedJob] = []
     timeline: list[int | None] = []
 
     cursor = 0
     for now in range(horizon):
         while cursor < len(pending) and pending[cursor][0] <= now:
-            _, t, j, _ = pending[cursor]
-            released.append((t, pending[cursor][0], j))
+            _, t, j = pending[cursor]
+            queues[t].append([j, ts.tasks[t].c])
             cursor += 1
-        ready = [key for key in released if remaining[(key[0], key[2])] > 0]
-        if not ready:
-            timeline.append(None)
-            continue
-        # highest priority first; among a task's own jobs, earliest release first
-        t, _, j = min(ready, key=lambda key: (key[0], key[1], key[2]))
+        # the highest-priority task with a released, unfinished job runs
+        t = next((t for t, queue in enumerate(queues) if queue), None)
         timeline.append(t)
-        remaining[(t, j)] -= 1
-        if remaining[(t, j)] == 0:
-            job = rp.jobs[t][j]
-            completions.append(CompletedJob(t, j, job.arrival, job.release, now + 1))
+        if t is None:
+            continue
+        head = queues[t][0]
+        head[1] -= 1
+        if head[1] == 0:
+            queues[t].popleft()
+            job = rp.jobs[t][head[0]]
+            completions.append(CompletedJob(t, head[0], job.arrival, job.release, now + 1))
 
-    unfinished = [key for key, rem in remaining.items() if rem > 0]
-    if unfinished:
-        t, j = unfinished[0]
-        raise HorizonTooSmall(
-            f"job {j} of task {t} released at {rp.jobs[t][j].release} does not finish "
-            f"within horizon {horizon}"
-        )
+    for t, queue in enumerate(queues):
+        if queue:
+            j = queue[0][0]
+            raise HorizonTooSmall(
+                f"job {j} of task {t} released at {rp.jobs[t][j].release} does not finish "
+                f"within horizon {horizon}"
+            )
 
     segments = []
     start = 0

@@ -138,6 +138,20 @@ class TestMixSolve:
         assert code == 0
         assert last_json(out)["result"]["objective"] == 4
 
+    def test_via_rtc_bisects_past_sys_maxsize(self, capsys, tmp_path):
+        # beta = b_min = 2**63 + 5 lies past sys.maxsize, which no range holds
+        inst = tmp_path / "huge.json"
+        terms = [{"w": 1, "a": 2, "b": 2**63 + 5}, {"w": 1, "a": 4, "b": 2**63 + 6}]
+        inst.write_text(json.dumps({"w0": 1, "terms": terms}))
+        objectives = {}
+        for algorithm in ("via-rtc", "bruteforce"):
+            code, out = run_cli(
+                capsys, "mix", "solve", "--input", str(inst), "--algorithm", algorithm
+            )
+            assert code == 0, out
+            objectives[algorithm] = last_json(out)["result"]["objective"]
+        assert objectives["via-rtc"] == objectives["bruteforce"]
+
     @pytest.mark.parametrize("algorithm", ["bruteforce", "harmonic", "shift", "via-rtc"])
     def test_unbounded_exit_code(self, capsys, tmp_path, algorithm, monkeypatch):
         inputs = [({"w0": 1, "terms": [{"w": 2, "a": 1, "b": 0}]}, None)]

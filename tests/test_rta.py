@@ -14,6 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import dual_max_oracle, response_scan_oracle, small_task_systems
+from conftest import workload as conftest_workload
 from rtmix.core import (
     Task,
     TaskSystem,
@@ -87,6 +88,26 @@ def geometric(k, harmonic=True, jitter=False):
                        for i, p in enumerate(periods, start=1)])
 
 
+FAMILIES = pytest.mark.parametrize(
+    "harmonic, zero_jitter", [(True, False), (True, True), (False, False), (False, True)]
+)
+
+
+def climb_evaluations(q):
+    """The W evaluations of the general-period search's climb: t <- W(t) from
+    t0 = max(lower, ceil(ell)) until W(t) <= t, at most max(1, S - t0 + 1)
+    of them, with S from `mixing.certified_s_bound`."""
+    s_cert = certified_s_bound(MixInstance(1, [(t.c, t.p, 0) for t in q.tasks]))
+    t = max(q.lower, math.ceil(q.bounds.ell))
+    budget = max(1, s_cert - t + 1)
+    for step in range(1, budget + 1):
+        w = conftest_workload(q.tasks, q.gamma, t)
+        if w <= t:
+            return step
+        t = w
+    return budget
+
+
 class TestCompiledQuery:
     def test_holds_interferers_utilization_bounds_and_s(self, demo_system):
         q = ResponseQuery(demo_system, (1, 0, 1), 13)
@@ -137,7 +158,8 @@ class TestCompiledQuery:
 
     def test_each_query_checks_its_mixing_form_once(self, monkeypatch):
         # a query's form is checked when it is compiled, on the query's first
-        # probe or on turing's read of S, and no probe checks it again
+        # probe, and no probe checks it again; S comes with the bounds, so a
+        # query that no probe reaches compiles no form
         calls = Counter()
         for name in ("validate", "is_unbounded"):
             def counted(*args, _real=getattr(mixing, name), _name=name):
@@ -153,8 +175,7 @@ class TestCompiledQuery:
             with counters.collect() as ops:
                 r = real(q, algorithm)
             probes += ops.decision_probes
-            turing = q.indices and not q.harmonic and q.jittered  # auto's choice: it reads S
-            compiling += bool(ops.decision_probes or turing)
+            compiling += bool(ops.decision_probes)
             return r
 
         monkeypatch.setattr(rta, "compute_response", spy)
@@ -229,17 +250,46 @@ class TestCompiledQuery:
 
     def test_probes_read_the_compiled_flags(self, monkeypatch):
         # harmonicity is decided once, when the query is built; no probe
-        # sorts the periods again
+        # sorts the periods again.  The jittered non-harmonic geometric query
+        # leaves the climb unsettled, so the general-period search probes.
         calls = []
         real = rta.is_harmonic
         monkeypatch.setattr(rta, "is_harmonic", lambda v: calls.append(v) or real(v))
-        for ts, algorithm in ((random_system(2, 6, 256), "turing"),
-                              (random_system(3, 6, 256, harmonic=True), "harmonic")):
+        for build, algorithm in (
+                (lambda: ResponseQuery(geometric(10, False, True), range(10), 2**9), "turing"),
+                (lambda: full_query(random_system(3, 6, 256, harmonic=True)), "harmonic")):
             calls.clear()
-            q = full_query(ts)
+            q = build()
             with counters.collect() as ops:
                 compute_response(q, algorithm)
             assert ops.decision_probes > 1 and len(calls) == 1
+
+    @given(st.lists(st.integers(1, 12).flatmap(
+        lambda p: st.tuples(st.integers(1, p), st.just(p), st.integers(0, p))),
+        min_size=1, max_size=4), st.integers(1, 200))
+    @settings(max_examples=150)
+    def test_bounds_carry_the_certified_s(self, triples, k):
+        # the S that the bounds' integer pass computes is the mixing module's
+        # S of every Mix(I, k), with no form compiled to read it
+        tasks = [Task(c, p, j) for c, p, j in triples]
+        try:
+            q = ResponseQuery(TaskSystem(tasks), range(len(tasks)), 1)
+        except UtilizationExceeded:
+            return
+        inst = MixInstance(1, [(t.c, t.p, k + t.jitter) for t in tasks])
+        assert q.bounds.s == q.s_bound == certified_s_bound(inst)
+        assert not q._form
+
+    def test_a_query_the_climb_settles_checks_no_mixing_form(self, monkeypatch):
+        def refuse(inst):
+            raise AssertionError("the climb compiled a mixing form")
+
+        monkeypatch.setattr(mixing, "validate", refuse)
+        for q in (full_query(random_system(2, 6, 256)),
+                  ResponseQuery(geometric(10, False), range(10), 2**9)):
+            with counters.collect() as ops:
+                assert response_turing(q) == response_bruteforce(q)
+            assert ops.decision_probes == ops.mixing_calls == 0 < ops.fixpoint_iters
 
 
 class TestBruteforce:
@@ -313,13 +363,49 @@ class TestDecideLargeK:
     @given(small_task_systems(max_n=4, p_max=12, zero_jitter=True))
     @example(TaskSystem([Task(2, 11), Task(1, 10), Task(5, 7), Task(4, 4)]))  # S = 769, u = 3080
     @settings(max_examples=60)
-    def test_zero_jitter_decides_every_k(self, ts):
-        # no gate without jitter: the verdict is exact below S as well, and
-        # at the response and the certified upper bound
+    def test_zero_jitter_is_gated_at_s_as_jitter_is(self, ts):
+        # one gate for every built query: a zero-jitter query refuses every
+        # k below S, and from S up the verdict is exact, at the response and
+        # the certified upper bound too
         q = full_query(ts)
         r = response_bruteforce(q)
-        for k in sorted({*range(1, q.s_bound + 1), r - 1, r, r + 1, q.bounds.u} - {0}):
-            assert decide_large_k(q, k) == (r <= k), (k, r, q.s_bound)
+        if q.indices:
+            for k in range(1, q.s_bound):
+                with pytest.raises(PreconditionKTooSmall):
+                    decide_large_k(q, k)
+        for k in {q.s_bound, q.s_bound + 1, r - 1, r, r + 1, q.bounds.u}:
+            if k >= max(1, q.s_bound):
+                assert decide_large_k(q, k) == (r <= k), (k, r, q.s_bound)
+
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_every_decision_on_a_built_query_is_at_or_above_s(self, harmonic, zero_jitter, data):
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        decided = []
+        real = rta.decide_large_k
+
+        def spy(q, k):
+            if isinstance(q, ResponseQuery):
+                decided.append((q.s_bound, k))
+            return real(q, k)
+
+        with mock.patch.object(rta, "decide_large_k", spy):
+            for algorithm in applicable(full_query(ts)):
+                analyze_system(ts, algorithm)
+        assert all(k >= s_cert for s_cert, k in decided), decided
+
+    def test_the_spy_sees_decisions_above_s(self):
+        # the geometric queries with jitter leave the climb unsettled, so
+        # the general-period search decides, every time above S
+        decided = []
+        real = rta.decide_large_k
+        with mock.patch.object(rta, "decide_large_k",
+                               lambda q, k: decided.append(k - q.s_bound) or real(q, k)):
+            for harmonic in (True, False):
+                q = ResponseQuery(geometric(10, harmonic, True), range(10), 2**9)
+                assert response_turing(q) == response_bruteforce(q)
+        assert decided and min(decided) > 0
 
     def test_verdict_monotone_in_k(self, extreme3):
         q = ResponseQuery(extreme3, (0, 1), 1)
@@ -474,11 +560,6 @@ class TestWalkAtScale:
             assert _audit_walk(ResponseQuery(ts, range(k), 2 ** (k - 1), bound)) == r
 
 
-FAMILIES = pytest.mark.parametrize(
-    "harmonic, zero_jitter", [(True, False), (True, True), (False, False), (False, True)]
-)
-
-
 class TestWarmStart:
     """`analyze_system` starts level j at r_{j-1} + c_j, and every search
     narrows its bracket through the recurrence; no answer may move."""
@@ -601,9 +682,27 @@ class TestTuring:
         q = full_query(ts)
         assert response_turing(q) == response_bruteforce(q)
 
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_general_search_matches_the_scan_cold_and_warm(self, harmonic, zero_jitter, data):
+        # turing, jitter-free and auto against the linear scan of the defining
+        # inequality, at every level: cold, from r_{j-1} + c_j and from r_j
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        responses = oracle_responses(ts)
+        for j, task in enumerate(ts.tasks):
+            cold = ResponseQuery(ts, range(j), task.c)
+            algorithms = ["turing", "auto"] + ([] if cold.jittered else ["jitter-free"])
+            for lower in {0, responses[j - 1] + task.c if j else 0, responses[j]}:
+                for algorithm in algorithms:
+                    got = compute_response(cold.at(task.c, lower), algorithm)
+                    assert got == responses[j], (algorithm, lower)
+
     def test_auto_on_a_certified_s_far_above_the_response(self):
         # general periods with jitter, the slot turing holds in auto; S is
-        # about 1e6 times the response, which the search must not walk through
+        # about 1e6 times the response, which the search must not walk
+        # through: the climb from ceil(ell) settles at the response, far
+        # below S, with no decision and no bracket
         ts = TaskSystem([
             Task(2**29, 2**30, 5, 2**30),
             Task(2**29 - 2**10, 2**30 + 1, 7, 2**30 + 1),
@@ -614,27 +713,26 @@ class TestTuring:
         with counters.collect() as ops:
             r = response_turing(q)
         assert r == response_bruteforce(q) == 1073740801
-        # W(S) <= S, so the recurrence settles the decision at S: no mixing solve
-        assert ops.mixing_ops == ops.decision_probes == 0
-        assert ops.recurrence_verdicts == 1
-        # auto holds no fixed-point leg on general periods: it runs turing
-        # alone, with the same free verdict and no hand-off
-        with counters.collect() as ops:
+        assert ops.mixing_ops == ops.decision_probes == ops.recurrence_verdicts == 0
+        assert ops.fixpoint_iters == climb_evaluations(q)
+        # auto runs turing on general periods with jitter: the same climb
+        # and no hand-off
+        with counters.collect() as auto_ops:
             assert compute_response(q, "auto") == r
-        assert ops.mixing_ops == ops.auto_handoffs == 0
-        assert ops.recurrence_verdicts == 1
+        assert auto_ops == ops
 
-    def test_yes_at_s_iterates_from_the_lower_bound(self, demo_system):
-        # r = S = 42: the yes at S is free, then the iteration runs from
-        # max(gamma, lower), here from r_1 + c_2 = 35 instead of gamma = 13
+    def test_climb_starts_at_the_larger_of_lower_and_ceil_ell(self, demo_system):
+        # r = S = 42 and ceil(ell) = 30: from 30 or from r_1 + c_2 = 35 the
+        # climb reaches 42 in one step and settles there (two W evaluations);
+        # a lower bound below ceil(ell) changes nothing, one at r settles at once
         cold = ResponseQuery(demo_system, (0, 1), 13)
-        warm = ResponseQuery(demo_system, (0, 1), 13, 22 + 13)
-        assert cold.s_bound == 42
-        with counters.collect() as cold_ops:
-            assert response_turing(cold) == 42
-        with counters.collect() as warm_ops:
-            assert response_turing(warm) == 42
-        assert warm_ops.fixpoint_iters < cold_ops.fixpoint_iters
+        assert cold.s_bound == 42 and math.ceil(cold.bounds.ell) == 30
+        for lower, evaluations in ((0, 2), (20, 2), (22 + 13, 2), (42, 1)):
+            q = cold.at(13, lower)
+            with counters.collect() as ops:
+                assert response_turing(q) == 42
+            assert ops.fixpoint_iters == evaluations == climb_evaluations(q), lower
+            assert ops.decision_probes == ops.recurrence_verdicts == 0
 
 
 class TestAutoHybrid:
@@ -663,12 +761,14 @@ class TestAutoHybrid:
         assert r == response_bruteforce(q)
         assert ops.auto_handoffs == 1
         assert ops.fixpoint_iters <= (q.bounds.u - q.gamma + 1).bit_length()
-        # an explicit algorithm runs its search alone: no iteration before it
-        # (r > S here, so `turing` never iterates below S) and no hand-off
+        # an explicit algorithm runs its search alone, with no hand-off: the
+        # walk with no iteration before it, the general-period search with
+        # its own climb from ceil(ell)
         for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
             with counters.collect() as ops:
                 assert compute_response(q, algorithm) == r
-            assert ops.fixpoint_iters == ops.auto_handoffs == 0, algorithm
+            climb = 0 if algorithm == "harmonic" else climb_evaluations(q)
+            assert ops.fixpoint_iters == climb and ops.auto_handoffs == 0, algorithm
 
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
@@ -680,7 +780,21 @@ class TestAutoHybrid:
             assert compute_response(q, "turing" if jitter else "jitter-free") == r
         assert r == response_bruteforce(q)
         assert auto_ops == search_ops
-        assert auto_ops.fixpoint_iters == auto_ops.auto_handoffs == 0
+        assert auto_ops.fixpoint_iters == climb_evaluations(q)
+        assert auto_ops.auto_handoffs == 0
+
+    @pytest.mark.parametrize("harmonic", [True, False])
+    @pytest.mark.parametrize("k", range(10, 15))
+    def test_zero_jitter_geometric_families_settle_in_the_climb(self, k, harmonic):
+        # ceil(ell) is the response itself: one W evaluation, no decision
+        q = ResponseQuery(geometric(k, harmonic), range(k), 2 ** (k - 1))
+        for algorithm in ("turing", "jitter-free"):
+            with counters.collect() as ops:
+                r = compute_response(q, algorithm)
+            # ceil(ell) is a certified lower bound, so a feasible t there is the least
+            assert r == math.ceil(q.bounds.ell) and conftest_workload(q.tasks, q.gamma, r) <= r
+            assert ops.decision_probes == ops.recurrence_verdicts == 0
+            assert ops.fixpoint_iters == 1
 
 
 class TestJitterFree:
