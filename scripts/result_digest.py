@@ -33,13 +33,15 @@ import os
 import sys
 import tempfile
 from collections import Counter, defaultdict
+from unittest import mock
 
 from rtmix import MixInstance, Task, TaskSystem, gen, is_harmonic
 from rtmix.cli import EXIT_INTERNAL, main as cli_main
 
 # seeded `gen random` systems, besides 10 `gen extreme` ones, one large-S one,
-# 12 larger harmonic ones, 5 geometric ones, 3 larger general ones and 8
-# non-harmonic geometric ones
+# 12 larger harmonic ones, 5 geometric ones, 3 larger general ones, 8
+# non-harmonic geometric ones and 3 whose utilization gate trips at a middle
+# level; one more system runs under a magnitude cap below a prefix lcm
 SYSTEMS = 240
 MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
 # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16, besides
@@ -109,6 +111,12 @@ def systems(count: int):
                      for i, p in enumerate(periods, start=1)]
             ts = TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
             yield f"geometric k={k} non-harmonic jitter={jitter}", ts
+    # the interferers' utilization reaches 1 at level 3 of 5: levels 0-2 are
+    # answered and level 3 raises UtilizationExceeded, naming its utilization
+    for name, pairs in (("harmonic 5/4", ((1, 2), (1, 4), (2, 4), (1, 8), (1, 16))),
+                        ("general 7/6", ((1, 3), (1, 2), (2, 6), (1, 7), (1, 9))),
+                        ("general 1", ((1, 3), (1, 2), (1, 6), (1, 7), (1, 9)))):
+        yield f"utilization {name} at level 3", TaskSystem([Task(c, p, 0, p) for c, p in pairs])
 
 
 def jitter_free_systems(count: int):
@@ -197,6 +205,12 @@ def main() -> int:
                 record(name, f"rta compute {algorithm}", out)
                 results[algorithm] = out.get("result")
             agree(name, "rta compute results", results)
+        # a magnitude cap of 2**6 - 1 below the interferer lcm of level 4
+        # (1, 4, 12, 60, 420 by level): level 4 raises OverflowLimit
+        write(path, system_dict(TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])))
+        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": "6"}):
+            out = run(["rta", "compute", "--input", path, "--algorithm", "auto"])
+        record("lcm past a 6-bit cap at level 4", "rta compute auto", out)
         for name, inst in mix_instances(MIX):
             for label, case in (("", inst), (" crowded", crowded(inst))):
                 terms = [{"w": t.w, "a": t.a, "b": t.b} for t in case.terms]

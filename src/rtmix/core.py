@@ -20,7 +20,7 @@ import math
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInstance, OverflowLimit, UtilizationExceeded
 
@@ -163,36 +163,48 @@ def is_harmonic(obj: TaskSystem | Iterable[int]) -> bool:
     return all(b % a == 0 for a, b in zip(values, values[1:]))
 
 
-@dataclass(frozen=True)
-class BoundsResult:
-    """Certified interval for the lowest-priority response time.
+class BoundsResult(NamedTuple):
+    """Certified interval for the lowest-priority response time, with the
+    interferers' integer load aggregate: the lcm m of their periods,
+    L = sum c_i*(m/p_i) (`load`), sum jitter_i*c_i*(m/p_i) and sum c_i.
 
     ell <= r <= min(u1, u2); `u` is the integer search ceiling
-    min(ceil(u1), u2) used by the binary searches (the response time is
-    integral, the analytic u1 generally is not).  `utilization` is the
-    interferers' exact utilization, below 1, from which the bounds follow.
-    `s` is the certified bound S on the optimal s of every mixing instance
-    Mix(I, k) of these interferers, min(m - 1, ceil(sum c_i / (1 - U))),
-    the `mixing.certified_s_bound` of their terms (c_i, p_i, k + jitter_i).
-    """
+    min(ceil(u1), u2) used by the binary searches.  `utilization` L/m is
+    below 1.  `s` is the certified bound S on the optimal s of every mixing
+    instance Mix(I, k) of these interferers, min(m - 1, ceil(sum c_i /
+    (1 - U))), the `mixing.certified_s_bound` of their terms (c_i, p_i,
+    k + jitter_i)."""
 
-    ell: Fraction
-    u1: Fraction
+    gamma: int
+    m: int
+    load: int
+    jitter_load: int
+    cost_sum: int
     u2: int
     u: int
-    utilization: Fraction
     s: int
+
+    # exact, built when read
+    ell = property(lambda b: Fraction(b.gamma * b.m + b.jitter_load, b.m - b.load))
+    u1 = property(lambda b: b.ell + Fraction(b.cost_sum * b.m, b.m - b.load))
+    utilization = property(lambda b: Fraction(b.load, b.m))
+
+    def at(self, gamma: int) -> BoundsResult:
+        """The same interferers' bounds at constant gamma."""
+        return bounds_from_load(gamma, self.m, self.load, self.jitter_load, self.cost_sum)
+
+    def plus(self, t: Task, gamma: int) -> BoundsResult:
+        """The bounds with interferer t added, at constant gamma: m' = lcm(m, p),
+        each sum scaled by m'/m, plus t's share; no pass over the others."""
+        m = math.lcm(self.m, t.p)
+        scale, share = m // self.m, t.c * (m // t.p)
+        return bounds_from_load(gamma, m, self.load * scale + share,
+                                self.jitter_load * scale + t.jitter * share, self.cost_sum + t.c)
 
 
 def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
-    """Bounds for the least t with t >= gamma + sum c_i*ceil((t+jitter_i)/p_i).
-
-    One integer pass over the interferers at their lcm m: with the load
-    L = sum c_i*(m/p_i) the utilization is L/m and the slack is D/m,
-    D = m - L, so every bound is an integer ratio over D, S included:
-    S = min(m - 1, ceil(sum c_i * m / D)).  The utilization gate is decided
-    before the lcm meets the magnitude cap.
-    """
+    """Bounds for the least t with t >= gamma + sum c_i*ceil((t+jitter_i)/p_i),
+    from one integer pass over the interferers for their load aggregate."""
     if any(t.p < 1 for t in interferers):
         raise InvalidInstance("interferer periods must be >= 1")
     m = math.lcm(*(t.p for t in interferers))
@@ -202,20 +214,25 @@ def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
         load += share
         jitter_load += t.jitter * share
         cost_sum += t.c
+    return bounds_from_load(gamma, m, load, jitter_load, cost_sum)
+
+
+def bounds_from_load(gamma: int, m: int, load: int, jitter_load: int,
+                     cost_sum: int) -> BoundsResult:
+    """The bounds at gamma from a load aggregate, the one copy of their
+    arithmetic.  The slack is D/m, D = m - L, so every bound is an integer
+    ratio over D, S included: S = min(m - 1, ceil(sum c_i * m / D)).  The
+    utilization gate is decided before the lcm meets the magnitude cap."""
     if load >= m:
         raise UtilizationExceeded(f"interfering utilization {Fraction(load, m)} >= 1")
     limit = magnitude_cap()
     if m > limit:
         raise OverflowLimit(f"lcm exceeds the magnitude cap {limit}")
     slack = m - load
-    base = gamma * m + jitter_load
     u2 = ceil_div(gamma + cost_sum, slack) * m
     return BoundsResult(
-        Fraction(base, slack),
-        Fraction(base + cost_sum * m, slack),
-        u2,
-        min(ceil_div(base + cost_sum * m, slack), u2),
-        Fraction(load, m),
+        gamma, m, load, jitter_load, cost_sum, u2,
+        min(ceil_div(gamma * m + jitter_load + cost_sum * m, slack), u2),
         min(m - 1, ceil_div(cost_sum * m, slack)),
     )
 

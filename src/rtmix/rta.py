@@ -71,9 +71,10 @@ certified lower bound on its response (`lower`, 0 when none is known),
 from which `auto`, `harmonic`, `turing` and `jitter-free` start;
 `analyze_system` sets it to r_{j-1} + c_j for level j, `auto` raises it to
 its last iterate when it hands off, and `response_bruteforce`, the
-independent baseline, ignores it.  `ResponseQuery.at` derives a built query
-at another gamma or lower, checked as a build is, recomputing only the
-bounds (only they depend on gamma); `auto`'s hand-off and `reverse` use it.
+independent baseline, ignores it.  From the bounds' load aggregate, two
+O(1) derivations, checked as a build is, make a query from a built one:
+`ResponseQuery.at` at another gamma or lower (`auto`'s hand-off, `reverse`),
+and `ResponseQuery.plus` with one more interferer (`analyze_system`).
 
 Mix(I, k) differs between probes only by the shift k, so a query compiles
 its interferers' mixing form once (`mixing.compile_mix`: one term
@@ -92,7 +93,6 @@ residual period below the probe.
 from __future__ import annotations
 
 import bisect
-import copy
 import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
@@ -105,7 +105,6 @@ from .core import (
     bounds_from_parts,
     is_harmonic,
     is_integer,
-    lcm_capped,
     validate,
     validate_task,
     workload,
@@ -128,7 +127,8 @@ class ResponseQuery:
     when it knows none); the searches start from it.  `analyze_system` sets
     it, and `auto` raises it on a hand-off.  The interferers' mixing form
     (`form`) is compiled on first need; its certified S (`s_bound`) comes
-    with the bounds."""
+    with the bounds, which also carry the load aggregate from which `at`
+    and `plus` derive a query without a pass over the interferers."""
 
     system: TaskSystem
     indices: tuple[int, ...]
@@ -147,33 +147,55 @@ class ResponseQuery:
         tasks = tuple(system.tasks[i] for i in indices)
         for i, t in zip(indices, tasks):
             validate_task(i, t)
-        object.__setattr__(self, "tasks", tasks)
-        self._set_constants(gamma, lower)  # raises UtilizationExceeded at U >= 1
-        for name, value in (("system", system), ("indices", indices),
-                            ("harmonic", is_harmonic([t.p for t in tasks])),
-                            ("jittered", any(t.jitter for t in tasks)),
-                            ("_form", [])):  # filled once, shared by every `at` copy
-            object.__setattr__(self, name, value)
+        periods = tuple(sorted(t.p for t in tasks))
+        vars(self).update(system=system, indices=indices, tasks=tasks,
+                          harmonic=is_harmonic(periods), jittered=any(t.jitter for t in tasks),
+                          _form=[], _periods=periods)  # `_form` is shared by every `at` copy
+        self._set_constants(gamma, lower, lambda g: bounds_from_parts(g, tasks))
 
     def at(self, gamma: int, lower: int = 0) -> ResponseQuery:
         """This query at another constant gamma and certified lower bound,
-        checked as `__init__` checks them.  Only `bounds` depends on gamma,
-        so it alone is recomputed; the interferers, the flags and the
-        mixing form are shared."""
-        q = copy.copy(self)
-        q._set_constants(gamma, lower)
+        checked as a build is.  Only `bounds` depends on gamma: derived from
+        its load aggregate, or kept at an unchanged gamma.  The interferers,
+        the flags and the mixing form are shared."""
+        return self._copy()._set_constants(
+            gamma, lower, lambda g: self.bounds if g == self.gamma else self.bounds.at(g))
+
+    def plus(self, index: int, gamma: int, lower: int = 0) -> ResponseQuery:
+        """This query with interferer `index`, below all of its interferers in
+        priority, added at gamma and lower, checked as a build is, in O(1):
+        the bounds come from the load aggregate, the chain flag from testing
+        the new period against its sorted neighbours."""
+        last = self.indices[-1] if self.indices else -1
+        if not last < index < len(self.system.tasks):
+            raise InvalidInstance(f"interferer {index} must follow {last} within the system")
+        t = self.system.tasks[index]
+        validate_task(index, t)
+        i = bisect.bisect_left(self._periods, t.p)
+        periods = self._periods[:i] + (t.p,) + self._periods[i:]
+        near = periods[max(i - 1, 0):i + 2]
+        return self._copy(
+            _form=[], _periods=periods, jittered=self.jittered or t.jitter > 0,
+            harmonic=self.harmonic and all(b % a == 0 for a, b in zip(near, near[1:])),
+            indices=self.indices + (index,), tasks=self.tasks + (t,),
+        )._set_constants(gamma, lower, lambda g: self.bounds.plus(t, g))
+
+    def _copy(self, **changes) -> ResponseQuery:
+        q = object.__new__(ResponseQuery)
+        vars(q).update(vars(self), **changes)
         return q
 
-    def _set_constants(self, gamma: int, lower: int) -> None:
+    def _set_constants(self, gamma: int, lower: int,
+                       bounds: Callable[[int], BoundsResult]) -> ResponseQuery:
         if not is_integer(gamma) or gamma < 1:
             raise InvalidInstance(f"gamma must be an integer >= 1, got {gamma!r}")
         if not is_integer(lower) or lower < 0:
             raise InvalidInstance(f"lower bound must be an integer >= 0, got {lower!r}")
-        bounds = bounds_from_parts(gamma, self.tasks)
-        if lower > bounds.u:
-            raise InvalidInstance(f"lower bound {lower} exceeds the certified bound {bounds.u}")
-        for name, value in (("gamma", gamma), ("bounds", bounds), ("lower", lower)):
-            object.__setattr__(self, name, value)
+        result = bounds(gamma)  # raises UtilizationExceeded at U >= 1
+        if lower > result.u:
+            raise InvalidInstance(f"lower bound {lower} exceeds the certified bound {result.u}")
+        vars(self).update(gamma=gamma, bounds=result, lower=lower)
+        return self
 
     @property
     def form(self) -> mixing.MixForm:
@@ -381,7 +403,7 @@ def _general_search(q: ResponseQuery) -> int:
     if settled:
         return t
     hi = q.bounds.u
-    m = lcm_capped(task.p for task in q.tasks)
+    m = q.bounds.m
     if workload(q.tasks, q.gamma, m) <= m:
         hi = min(hi, m)
     t = _bracket(q, t, hi, lambda k: decide_large_k(q, k))
@@ -466,14 +488,15 @@ def analyze_system(ts: TaskSystem, algorithm: str = "auto") -> SystemVerdict:
 
     Each level starts from r_{j-1} + c_j, a certified lower bound on r_j
     (Davis, Zabos and Burns, IEEE TC 2008): a t feasible for task j gives a
-    t - c_j feasible for task j - 1."""
+    t - c_j feasible for task j - 1.  Level j's query is level j - 1's with
+    task j - 1 added (`ResponseQuery.plus`)."""
     validate(ts)
     if any(t.d is None for t in ts.tasks):
         raise PreconditionViolated("schedulability analysis requires deadlines on every task")
     verdicts = []
     for j, task in enumerate(ts.tasks):
         lower = verdicts[-1].response + task.c if verdicts else 0
-        q = ResponseQuery(ts, range(j), task.c, lower)
+        q = q.plus(j - 1, task.c, lower) if j else ResponseQuery(ts, (), task.c)
         r = compute_response(q, algorithm)
         budget = task.d - task.jitter
         verdicts.append(TaskVerdict(j, r, budget, r <= budget))

@@ -186,6 +186,24 @@ class TestBounds:
         assert (b.ell, b.u1, b.u2, b.u, b.utilization) == (ell, u1, u2, min(math.ceil(u1), u2), util)
         assert all(type(v) is Fraction for v in (b.ell, b.u1, b.utilization))
 
+    @given(st.integers(1, 50), st.integers(1, 50), st.lists(st.tuples(
+        st.integers(1, 9), st.integers(1, 40), st.integers(0, 40)), min_size=1, max_size=5))
+    def test_derived_bounds_equal_the_one_pass(self, gamma, other, triples):
+        # each interferer added to the load aggregate in turn, and the
+        # bounds moved to another gamma, match the one integer pass
+        tasks = [Task(min(c, p), p, min(j, p)) for c, p, j in triples]
+        b = bounds_from_parts(other, [])
+        for i, t in enumerate(tasks, start=1):
+            try:
+                b = b.plus(t, gamma if i == len(tasks) else other)
+            except UtilizationExceeded:
+                assert utilization(tasks[:i]) >= 1
+                return
+        assert b == bounds_from_parts(gamma, tasks)
+        assert b.at(other) == bounds_from_parts(other, tasks)
+        assert b.m == math.lcm(*(t.p for t in tasks))
+        assert b.load == sum(t.c * (b.m // t.p) for t in tasks)
+
     @pytest.mark.parametrize("p", [0, -3])
     def test_rejects_a_period_below_one(self, p):
         with pytest.raises(InvalidInstance):
@@ -197,6 +215,10 @@ class TestBounds:
             bounds_from_parts(1, [Task(2, 3), Task(3, 5)])
         with pytest.raises(OverflowLimit):
             bounds_from_parts(1, [Task(1, 3), Task(1, 5)])
+        with pytest.raises(UtilizationExceeded):
+            bounds_from_parts(1, [Task(2, 3)]).plus(Task(3, 5), 1)
+        with pytest.raises(OverflowLimit):
+            bounds_from_parts(1, [Task(1, 3)]).plus(Task(1, 5), 1)
 
     def test_overflow_limit_on_tiny_cap(self, demo_system, monkeypatch):
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7, below the lcm 390 of the interferers

@@ -3,6 +3,7 @@ the harmonic walk, and the bounded searches."""
 
 import contextlib
 import dataclasses
+import json
 import math
 import random
 from collections import Counter
@@ -26,9 +27,11 @@ from rtmix.core import (
     validate,
     workload,
 )
-from rtmix import counters, mixing, rta
+from rtmix import core, counters, mixing, rta
+from rtmix.cli import main as cli_main
 from rtmix.errors import (
     InvalidInstance,
+    OverflowLimit,
     PreconditionKTooSmall,
     PreconditionViolated,
     UtilizationExceeded,
@@ -869,6 +872,139 @@ class TestAnalyzeSystem:
     def test_auto_on_harmonic_system(self):
         ts = TaskSystem([Task(1, 2, 1, 2), Task(1, 4, 2, 4), Task(1, 8, 0, 8)])
         assert analyze_system(ts, "auto") == analyze_system(ts, "bruteforce")
+
+
+class TestDerivedLevels:
+    """`analyze_system` builds level 0 and derives level j + 1 from level j
+    by adding task j (`ResponseQuery.plus`); `at` derives a query at another
+    gamma from the carried load aggregate."""
+
+    @staticmethod
+    def levels(ts):
+        """The queries that `analyze_system` answers, in level order."""
+        seen, real = [], rta.compute_response
+        with mock.patch.object(rta, "compute_response",
+                               lambda q, a="auto": seen.append(q) or real(q, a)):
+            analyze_system(ts)
+        return seen
+
+    @given(data=st.data(), harmonic=st.booleans(), zero_jitter=st.booleans())
+    @settings(max_examples=120)
+    def test_every_level_equals_a_built_query(self, data, harmonic, zero_jitter):
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        levels = self.levels(ts)
+        assert len(levels) == len(ts.tasks)
+        for j, (q, task) in enumerate(zip(levels, ts.tasks)):
+            built = ResponseQuery(ts, range(j), task.c, q.lower)
+            assert query_fields(q) == query_fields(built)
+            assert (q.indices, q.tasks, q.harmonic, q.jittered) == (
+                tuple(range(j)), ts.tasks[:j], built.harmonic, built.jittered)
+            for name in ("ell", "u1", "u2", "u", "utilization", "s"):
+                assert getattr(q.bounds, name) == getattr(built.bounds, name), name
+            assert q.bounds == bounds_from_parts(task.c, ts.tasks[:j])
+            if q.tasks:
+                assert q.form == built.form
+        assert [q.lower for q in levels[1:]] == [
+            r + t.c for r, t in zip(analyze_system(ts).responses(), ts.tasks[1:])]
+
+    @given(data=st.data(), harmonic=st.booleans(), zero_jitter=st.booleans(),
+           gamma=st.integers(1, 60))
+    @settings(max_examples=120)
+    def test_at_bounds_equal_the_one_pass(self, data, harmonic, zero_jitter, gamma):
+        ts = data.draw(small_task_systems(4, 24, zero_jitter, harmonic))
+        q = full_query(ts)
+        lower = data.draw(st.integers(0, bounds_from_parts(gamma, q.tasks).u))
+        assert q.at(gamma, lower).bounds == bounds_from_parts(gamma, q.tasks)
+
+    def test_at_keeps_the_bounds_at_an_unchanged_gamma(self, demo_system):
+        q = ResponseQuery(demo_system, (0, 1), 13)
+        with mock.patch.object(rta, "bounds_from_parts", side_effect=AssertionError):
+            same = q.at(13, 40)
+            moved = q.at(14)
+        assert same.bounds is q.bounds and same.lower == 40
+        assert moved.bounds == bounds_from_parts(14, q.tasks)
+        for gamma, lower in ((True, 0), (13, q.bounds.u + 1)):
+            with pytest.raises(InvalidInstance):
+                q.at(gamma, lower)
+
+    @given(data=st.data(), harmonic=st.booleans(), gamma=st.integers(1, 30))
+    @settings(max_examples=80)
+    def test_plus_equals_a_build(self, data, harmonic, gamma):
+        ts = data.draw(small_task_systems(5, 24, False, harmonic))
+        n = len(ts.tasks)
+        chosen = sorted(data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1)))
+        added = chosen[-1]
+        try:
+            q = ResponseQuery(ts, chosen[:-1], gamma)
+        except UtilizationExceeded:
+            return  # the drawn systems keep only their last task's interferers below 1
+        try:
+            built = ResponseQuery(ts, chosen, gamma)
+        except UtilizationExceeded:
+            with pytest.raises(UtilizationExceeded):
+                q.plus(added, gamma)
+            return
+        assert query_fields(q.plus(added, gamma)) == query_fields(built)
+        for index in {-1, n, *chosen[:-1]}:
+            with pytest.raises(InvalidInstance):
+                q.plus(index, gamma)
+
+    def test_plus_checks_the_new_interferer_gamma_and_lower(self):
+        ts = TaskSystem([Task(1, 8), Task(1, 2, 3), Task(1, 16)])
+        q = ResponseQuery(ts, (0,), 2)
+        with pytest.raises(InvalidInstance, match="task 1:"):
+            q.plus(1, 2)
+        for gamma, lower in ((0, 0), (2, -1), (2, q.plus(2, 2).bounds.u + 1)):
+            with pytest.raises(InvalidInstance):
+                q.plus(2, gamma, lower)
+
+    def test_utilization_gate_trips_at_the_middle_level(self, capsys, tmp_path):
+        # the prefix load reaches 1 at level 3 (1/2 + 1/4 + 1/4), so levels
+        # 0-2 are answered and level 3 raises, as a fresh build does
+        tasks = [Task(1, 2, 0, 2), Task(1, 4, 0, 4), Task(1, 4, 0, 4), Task(1, 8, 0, 8)]
+        ts = TaskSystem(tasks)
+        with pytest.raises(UtilizationExceeded) as fresh:
+            ResponseQuery(ts, range(3), 1)
+        seen, real = [], rta.compute_response
+        with mock.patch.object(rta, "compute_response",
+                               lambda q, a="auto": seen.append(q) or real(q, a)):
+            with pytest.raises(UtilizationExceeded) as derived:
+                analyze_system(ts)
+        assert len(seen) == 3 and str(derived.value) == str(fresh.value)
+        path = tmp_path / "system.json"
+        path.write_text(json.dumps({"tasks": [
+            {"c": t.c, "d": t.d, "p": t.p, "jitter": t.jitter} for t in tasks]}))
+        assert cli_main(["rta", "compute", "--input", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == "UtilizationExceeded"
+
+    def test_overflow_at_the_level_whose_lcm_passes_the_cap(self, monkeypatch):
+        # interferer lcm 1, 4, 12, 60, 420 by level, utilization below 1 at
+        # every level; a cap of 2**6 - 1 = 63 holds up to level 3
+        ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "6")
+        seen, real = [], rta.compute_response
+        monkeypatch.setattr(rta, "compute_response",
+                            lambda q, a="auto": seen.append(q) or real(q, a))
+        with pytest.raises(OverflowLimit):
+            analyze_system(ts)
+        assert [q.bounds.m for q in seen] == [1, 4, 12, 60]
+        with pytest.raises(OverflowLimit):
+            ResponseQuery(ts, range(4), 1)
+
+    def test_one_bounds_pass_and_linear_task_checks(self, monkeypatch):
+        calls = Counter()
+        for module, name in ((core, "validate_task"), (rta, "validate_task"),
+                             (core, "bounds_from_parts"), (rta, "bounds_from_parts")):
+            def counted(*args, _real=getattr(module, name), _name=name):
+                calls[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(module, name, counted)
+        for seed, n in ((1, 8), (2, 12)):
+            ts = random_system(seed, n, 1024, harmonic=True)
+            calls.clear()
+            analyze_system(ts)
+            assert calls["bounds_from_parts"] == 1 and calls["validate_task"] <= 2 * n
 
 
 class TestCrossAlgorithmAgreement:
