@@ -43,7 +43,9 @@ from rtmix.cli import EXIT_INTERNAL, main as cli_main
 # non-harmonic geometric ones and 3 whose utilization gate trips at a middle
 # level; one more system runs under a magnitude cap below a prefix lcm
 SYSTEMS = 240
-MIX = 120  # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6
+# seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6 and 7
+# crowded ones at the ends of the reverse search's window
+MIX = 120
 # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16, besides
 # n = 4 ones with p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179;
 # the first BLOCKIP are also solved in mirrored form
@@ -141,6 +143,24 @@ def mix_instances(count: int):
             gen.random_mix_instance(seed, n, a_max, harmonic=harmonic)
     for n in range(2, 7):
         yield f"tight-mix n={n}", gen.tight_mixing_instance(n)
+    # crowded instances at the ends of the window that the dual query's bounds
+    # leave for the least k, [beta - top, beta - max(1, top - C)] with C = sum w_i.
+    # No positive weight: no interferer, C = 0, and the window is {0}, its
+    # lower end 0 (top = beta only then); the witness's response is the one probe
+    # after the first
+    yield "crowded all weights zero", MixInstance(1, [(0, 4, 12), (0, 6, 15)])
+    yield "crowded all weights zero one term", MixInstance(1, [(0, 5, 7)])
+    # top = 1: the window is {beta - 1}, decided by the first probe, whose
+    # response the witness computes again
+    yield "crowded window width 1", MixInstance(1, [(1, 2, 4), (1, 4, 4)])
+    yield "crowded window width 1 jitter", MixInstance(1, [(3, 4, 4), (0, 2, 5)])
+    # one unit of weight: the window [1, 2] starts at 1, the least lower end
+    # that a positive weight leaves
+    yield "crowded window from 1", MixInstance(1, [(1, 16, 16), (0, 8, 20)])
+    # beta past sys.maxsize, general and harmonic capacities
+    for caps in ((3, 5), (2, 4)):
+        yield f"crowded beta 2**70 capacities={caps}", \
+            MixInstance(1, [(1, caps[0], 2**70), (1, caps[1], 2**70 + caps[1] - 1)])
 
 
 def crowded(inst):

@@ -18,17 +18,20 @@ b_i - beta becomes the release jitter.  This module applies that identity:
 
 Both fix w0 = 1 (rescaling would change the integrality of the dual
 query) and reject anything else.  Each public function validates its
-instance at entry, and `mix_leq_via_rtc` is the checked form of one
-decision, which `solve_crowded` takes first at k = beta - 1.  Inside a
-solve the instance and beta stay fixed, so the binary search builds one
-response query and derives each probe's, at dual constant beta - k, from
-it (`rta.ResponseQuery.at`); the derived queries share its mixing form,
-compiled and checked at most once.  The search keeps each probe's
-response, so the least k's witness s = beta - response needs no second
-solve.  The queries are answered by `rta.compute_response`, the same
-algorithm selector `rtmix rta compute --algorithm auto` uses; the
-decision reads the query's own `UtilizationExceeded` (dual load >= 1) as
-"no response".
+instance at entry (`solve_general_via_shift` hands its shifted instance,
+with the same w and a, straight to the search), and `mix_leq_via_rtc` is
+the checked form of one decision, which `solve_crowded` takes first at
+k = beta - 1.  Inside a solve the instance and beta stay fixed, so the
+search builds one response query and derives each probe's, at dual
+constant beta - k, from it (`rta.ResponseQuery.at`), sharing its mixing
+form.  The query's load aggregate brackets every response (Sjodin and
+Hansson, RTSS 1998), which leaves at most sum w_i + 1 values of k to
+bisect, and each probe starts from a certified lower bound derived from
+the response above it.  The search keeps each probe's response for the
+least k's witness s = beta - response.  The queries are answered by
+`rta.compute_response`, the same algorithm selector `rtmix rta compute
+--algorithm auto` uses; the decision reads the query's own
+`UtilizationExceeded` (dual load >= 1) as "no response".
 """
 
 from __future__ import annotations
@@ -113,18 +116,29 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
     Sets beta = b_min, jitter_i = b_i - beta, then binary-searches the least
     k with response(I, beta - k) <= beta.  Probes are limited to k <= beta - 1
     (the dual constant must stay >= 1); when even beta - 1 fails, the optimum
-    lies in [beta, b_max].  It maximizes the dual objective
-    t - sum w_i*ceil((t + jitter_i)/a_i) over one capacity period, which the
-    shift identity pins to (beta - m, beta]; with s = beta - t that is the
-    mixing objective over s < min(m, beta), which the brute-force solver
-    minimizes at its drop points (the smallest optimal s on ties).
+    lies in [beta, b_max].  Otherwise the dual query's load aggregate
+    (D = m - L, jitter load J, cost sum C) bounds the least k: with
+    top = floor((beta*D - J)/m), each dual constant g > top has
+    ell(g) > beta and each g <= top - C has u1(g) <= beta, so only
+    [beta - top, beta - max(1, top - C)], at most C + 1 values, is bisected.
+    A probe below the least known yes k' starts from r(k') + (k' - k), a
+    lower bound since r(g) - g, the interference at r(g), never falls as g grows.
+    The search maximizes the dual objective t - sum w_i*ceil((t + jitter_i)/a_i)
+    over one capacity period, which the shift identity pins to
+    (beta - m, beta]; with s = beta - t that is the mixing objective over
+    s < min(m, beta), which the brute-force solver minimizes at its drop
+    points (the smallest optimal s on ties).
     """
     _validate(inst)
     if mixing.is_unbounded(inst):
         raise Unbounded("weight utilization exceeds 1")
     if not inst.terms:
         return mixing.complete(0, inst)
-    m = lcm_capped(inst.capacities())
+    return _solve_crowded(inst, lcm_capped(inst.capacities()))
+
+
+def _solve_crowded(inst: mixing.MixInstance, m: int) -> mixing.MixSolution:
+    """`solve_crowded` on a valid, bounded, nonempty inst with lcm(a) = m."""
     b_min = min(t.b for t in inst.terms)
     b_max = max(t.b for t in inst.terms)
     for idx, t in enumerate(inst.terms):
@@ -134,18 +148,23 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
             )
     beta = b_min
     if mix_leq_via_rtc(inst, beta, beta - 1):
-        # k = beta - 1 holds (so the dual load is below 1): the least k is in
-        # [0, beta), bisected in integers since beta may pass sys.maxsize
+        # k = beta - 1 holds (so the dual load is below 1 and 1 <= top <= beta);
+        # bisected in integers since beta may pass sys.maxsize
         q = _dual_query(inst, beta, 1)
+        b = q.bounds
+        top = (beta * (b.m - b.load) - b.jitter_load) // b.m
+        lo, hi = beta - top, beta - max(1, top - b.cost_sum)
         responses = {}
-        lo, hi = 0, beta
         while lo < hi:
             k = (lo + hi) // 2
-            responses[k] = rta.compute_response(q.at(beta - k))
+            lower = responses[hi] + (hi - k) if hi in responses else 0
+            responses[k] = rta.compute_response(q.at(beta - k, lower))
             if responses[k] <= beta:
                 hi = k
             else:
                 lo = k + 1
+        if lo not in responses:  # the window's upper end, a yes by the bounds
+            responses[lo] = rta.compute_response(q.at(beta - lo))
         return _witness(inst, beta - responses[lo], lo)
     # optimum in [beta, b_max]: minimize over the s = beta - t of one capacity period
     sol = mixing.solve_bruteforce(inst, s_bound=min(m - 1, beta - 1))
@@ -166,7 +185,7 @@ def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
         return mixing.complete(0, inst)
     rec = shift_record(inst)
     terms = [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)]
-    crowded = solve_crowded(mixing.MixInstance(1, terms))
+    crowded = _solve_crowded(mixing.MixInstance(1, terms), rec.m)
     return _witness(inst, crowded.s, crowded.objective - rec.objective_correction)
 
 

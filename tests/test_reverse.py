@@ -4,6 +4,7 @@ import math
 import random
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -91,8 +92,11 @@ class TestSolveCrowded:
         # Each of the two builds one response query; every probe of the
         # search derives its query from the second and shares its mixing
         # form, so each query's form is validated and certified once, not
-        # once per mixing solve that searches it.
-        inst = MixInstance(1, [(1, 3, 12), (1, 4, 13), (1, 6, 12)])
+        # once per mixing solve that searches it.  The dual query's bounds
+        # leave a window of C + 1 = 5 values of k (C = sum w_i), so after the
+        # first probe the search makes at most ceil(log2(C + 1)) probes and
+        # at most one more for the witness.
+        inst = MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)])
         expected = solve_bruteforce(inst).objective
         validated, certified, built, probed = [], [], [], []
         validate, certify = mixing.validate, mixing.certified_s_bound
@@ -112,6 +116,8 @@ class TestSolveCrowded:
         assert [c for c in certified if c is not inst] == forms
         assert 1 <= len(forms) < ops.mixing_calls  # some form serves several solves
         assert len(forms) <= len(built) == 2 < len(probed)
+        cost_sum = sum(t.w for t in inst.terms)
+        assert len(probed) <= 2 + math.ceil(math.log2(cost_sum + 1))
 
     def test_seeded_equivalence(self):
         for seed in range(120):
@@ -129,6 +135,110 @@ class TestSolveCrowded:
             terms = [(w, a, min(b, b_min + a)) for w, a, b in terms]
             inst = MixInstance(1, terms)
             assert solve_crowded(inst).objective == solve_bruteforce(inst).objective
+
+
+@st.composite
+def crowded_instances(draw):
+    """Bounded instances, harmonic or general capacities, with crowded
+    right-hand sides: all equal to one beta >= lcm(a), or each drawn in
+    [floor, floor + a_i] for a floor >= lcm(a) and clipped to b_min + a_i."""
+    base = draw(bounded_mix_instances(harmonic=draw(st.booleans())))
+    assume(base.terms)
+    floor = math.lcm(*base.capacities()) + draw(st.integers(0, 12))
+    if draw(st.booleans()):
+        return MixInstance(1, [(t.w, t.a, floor) for t in base.terms])
+    terms = [(t.w, t.a, floor + draw(st.integers(0, t.a))) for t in base.terms]
+    b_min = min(b for _, _, b in terms)
+    return MixInstance(1, [(w, a, min(b, b_min + a)) for w, a, b in terms])
+
+
+def shifted(inst):
+    """The crowded instance that solve_general_via_shift(inst) searches."""
+    rec = shift_record(inst)
+    return MixInstance(1, [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)])
+
+
+class TestBoundsWindow:
+    """The dual query's load aggregate (D = m - L, jitter load J, cost sum C)
+    pins the least k of a crowded solve below beta to
+    [beta - top, beta - top + C], top = floor((beta*D - J)/m), and each probe
+    starts from a certified lower bound on its response."""
+
+    @given(crowded_instances())
+    @example(MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)]))
+    @example(MixInstance(1, [(0, 4, 12), (0, 6, 15)]))  # no interferer: C = 0
+    @settings(max_examples=150)
+    def test_optimum_lies_in_the_window(self, inst):
+        beta = min(t.b for t in inst.terms)
+        opt = solve_bruteforce(inst).objective
+        if opt >= beta:  # the crowded fallback, which no window serves
+            return
+        b = reverse._dual_query(inst, beta, 1).bounds
+        top = (beta * (b.m - b.load) - b.jitter_load) // b.m
+        assert b.cost_sum == sum(t.w for t in inst.terms)
+        assert beta - top <= opt <= beta - top + b.cost_sum
+
+    @given(st.one_of(crowded_instances(), bounded_mix_instances(harmonic=True),
+                     bounded_mix_instances()))
+    @example(MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)]))
+    @settings(max_examples=150)
+    def test_every_probe_starts_at_or_below_its_response(self, inst):
+        if is_unbounded(inst):
+            return
+        probes = []
+        compute = rta.compute_response
+
+        def spy(q):
+            probes.append((q.lower, compute(q)))
+            return probes[-1][1]
+
+        cost_sum = sum(t.w for t in inst.terms)
+        for solve, case in ((solve_crowded, shifted(inst)), (solve_general_via_shift, inst)):
+            probes.clear()
+            with mock.patch.object(rta, "compute_response", spy):
+                solve(case)
+            assert all(lower <= response for lower, response in probes)
+            assert len(probes) <= 2 + math.ceil(math.log2(cost_sum + 1))
+
+    def test_warm_starts_are_taken(self):
+        # window [94, 98] of k: the first probe (k = beta - 1) and the search's
+        # first one start from nothing, each later one from the response at
+        # the least k known to hold
+        inst = MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)])
+        lowers = []
+        compute = rta.compute_response
+        with mock.patch.object(rta, "compute_response",
+                               lambda q: lowers.append(q.lower) or compute(q)):
+            assert solve_crowded(inst).objective == solve_bruteforce(inst).objective == 94
+        assert lowers[:2] == [0, 0] and all(lower > 0 for lower in lowers[2:])
+        assert len(lowers) >= 3
+
+    @given(crowded_instances())
+    @settings(max_examples=150)
+    def test_crowded_solution_matches_bruteforce(self, inst):
+        # the objective is brute force's; s is the witness of the least k,
+        # beta minus the least fixed point at dual constant beta - k (brute
+        # force takes the smallest optimal s, which can differ on ties), and
+        # x is the canonical completion of s
+        sol, want = solve_crowded(inst), solve_bruteforce(inst)
+        assert sol.objective == want.objective
+        assert sol == mixing.complete(sol.s, inst)
+        beta = min(t.b for t in inst.terms)
+        if want.objective < beta:
+            q = reverse._dual_query(inst, beta, beta - want.objective)
+            assert sol.s == beta - rta.response_bruteforce(q)
+        else:
+            assert sol == want
+
+    @given(st.one_of(bounded_mix_instances(harmonic=True), bounded_mix_instances()))
+    @settings(max_examples=150)
+    def test_shift_solution_matches_bruteforce(self, inst):
+        if is_unbounded(inst):
+            return
+        sol = solve_general_via_shift(inst)
+        assert sol.objective == solve_bruteforce(inst).objective
+        s = solve_crowded(shifted(inst)).s if inst.terms else 0
+        assert sol == mixing.complete(s, inst)
 
 
 class TestShift:
@@ -201,8 +311,7 @@ def utilization_one_instances(draw, max_n: int = 4, a_max: int = 16):
 def hits_crowded_fallback(inst) -> bool:
     """Whether the crowded solve inside solve_general_via_shift(inst) ends in
     its fallback: the shifted instance's optimum is at least its b_min."""
-    rec = shift_record(inst)
-    crowded = MixInstance(1, [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)])
+    crowded = shifted(inst)
     return solve_bruteforce(crowded).objective >= min(t.b for t in crowded.terms)
 
 
