@@ -5,7 +5,8 @@ and check that the algorithms agree.
 Runs `rtmix rta compute` under every algorithm that applies, `rtmix mix
 solve` under all four algorithms, and `rtmix blockip encode-rtc` followed by
 `rtmix blockip solve` on the encoded program and, for the small programs, on
-its mirrored form, through `rtmix.cli.main`, and prints one JSON line per
+its mirrored form and on both forms with the objective weight (1, 0) on
+brick 1, through `rtmix.cli.main`, and prints one JSON line per
 run: the input, the command, the exit code, and the report's `result` and
 `counters` (the encoded program for `encode-rtc`, the error object for a
 failed run).  Timings are left out, so two checkouts that
@@ -22,7 +23,8 @@ It exits 1, naming each fault on stderr, when two `rta compute` algorithms
 give different results on one input, when two successful `mix solve`
 algorithms give different objectives on one input, when `blockip solve`
 gives different results on a program and its mirrored form, or when any run
-exits 4 (an internal error).
+exits 4 (an internal error).  A weighted program's objective counts x_1, so
+it is compared with its own mirrored form only.
 """
 
 import contextlib
@@ -48,7 +50,8 @@ SYSTEMS = 240
 MIX = 120
 # seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16, besides
 # n = 4 ones with p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179;
-# the first BLOCKIP are also solved in mirrored form
+# the first BLOCKIP are also solved in mirrored form, and with weight 1 on the
+# multiplier x_1 of brick 1 in both forms
 BLOCKIP = 60
 
 
@@ -248,16 +251,20 @@ def main() -> int:
             record(name, "blockip encode-rtc", out)
             if "program" not in out:
                 continue
-            forms = {"": out["program"]}
+            encoded = out["program"]
+            groups = [{"": encoded}]
             if index < BLOCKIP:
-                forms[" mirrored"] = mirrored(out["program"])
-            results = {}
-            for label, form in forms.items():
-                write(program, form)
-                solved = run(["blockip", "solve", "--input", program])
-                record(name + label, "blockip solve", solved)
-                results[label.strip() or "encoded"] = solved.get("result")
-            agree(name, "blockip solve results", results)
+                weighted = {**encoded, "wj": [1, 0]}
+                groups = [{"": encoded, " mirrored": mirrored(encoded)},
+                          {" wj=(1,0)": weighted, " wj=(1,0) mirrored": mirrored(weighted)}]
+            for forms in groups:
+                results = {}
+                for label, form in forms.items():
+                    write(program, form)
+                    solved = run(["blockip", "solve", "--input", program])
+                    record(name + label, "blockip solve", solved)
+                    results[label.strip() or "encoded"] = solved.get("result")
+                agree(name, "blockip solve results", results)
     print(f"{lines} runs", file=sys.stderr)
     for cmd, total in [*totals.items(), ("all", sum(totals.values(), Counter()))]:
         print(f"counters {cmd}: {json.dumps(dict(sorted(total.items())))}", file=sys.stderr)

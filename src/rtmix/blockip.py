@@ -9,27 +9,29 @@ with box bounds 0 <= x <= u, and an objective that touches only the first
 brick x^(0) and at most one other brick j.  Minimizing w^T x reduces, for a
 probe value k, to the decision
 
-    max { a^T x  :  w^T x + y = k,  blocks,  boxes,  y >= 0 }  >=  b0,
+    max { a^T x  :  w^T x <= k,  blocks,  boxes }  >=  b0,
 
 a two-stage program: once x^(0) is fixed the bricks decouple and each brick
-maximizes its share of a independently.  `solve_2stage_desk` exploits exactly
-that under the node budget `DEFAULT_NODE_BUDGET`.  A unit-slack brick, whose
-one row is (p, -1) with p >= 1, is completed in closed form in O(1); every
-other brick, and the brick that carries a nonzero wj, goes through a
-depth-first search with interval-propagation pruning.  In general the first
-stage enumerates the x^(0) box.  When x^(0) is one variable t and every brick
-is unit-slack without the slack row - the shape `encode_rtc_as_4block`
-writes - the bricks' completions sum to an affine function of t between the
-points where some brick's ceiling or floor steps, with one slope for all
-pieces, so the first stage visits only one end of each piece: about
-sum_i |b_i|*u/p_i points instead of u + 1 (the piece path, `on_piece_path`).
+maximizes its share of a independently, brick j under the room
+k - w0 . x^(0) that x^(0) leaves its weights.  `solve_2stage_desk` exploits
+exactly that under the node budget `DEFAULT_NODE_BUDGET`.  A unit-slack brick
+without weights, whose one row is (p, -1) with p >= 1, is completed in closed
+form in O(1); every other brick goes through a depth-first search with
+interval-propagation pruning that stops each variable where the brick's
+weight would pass the room.  In general the first stage enumerates the x^(0)
+box.  When x^(0) is one variable t, wj = 0 and every brick is unit-slack -
+the shape `encode_rtc_as_4block` writes - the bricks' completions sum to an
+affine function of t between the points where some brick's ceiling or floor
+steps, with one slope for all pieces, so the first stage visits only one end
+of each piece: about sum_i |b_i|*u/p_i points instead of u + 1 (the piece
+path, `on_piece_path`).
 
 `solve_simple_4block` finds the least feasible k in [0, H] (the decisions
-are monotone in k because y only relaxes, and no k < 0 passes because
-weights and variables are nonnegative).  On the piece path a probe at k
-only widens t's range to [0, floor(k/w0)], so the least k is w0 times the
-least t whose coupling value reaches b0: one increasing sweep over the
-pieces finds that t, solving the affine inequality inside each piece and
+are monotone in k because a larger k only relaxes w^T x <= k, and no k < 0
+passes because weights and variables are nonnegative).  On the piece path a
+probe at k only widens t's range to [0, floor(k/w0)], so the least k is w0
+times the least t whose coupling value reaches b0: one increasing sweep over
+the pieces finds that t, solving the affine inequality inside each piece and
 stopping at the first hit, and one `solve_2stage_desk` probe at the answer
 certifies it.  Every other program is searched by bisection on k with one
 `solve_2stage_desk` probe per step.
@@ -44,7 +46,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from itertools import groupby
+from itertools import groupby, product
 from typing import Callable, Iterator, Sequence
 
 from . import counters
@@ -147,13 +149,17 @@ def _max_brick(
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
     boxes: Sequence[int],
+    weights: Sequence[int],
+    room: int,
     budget: _Budget,
 ) -> int | None:
-    """Exact max of a_obj . x over integer x in the boxes with rows . x = rhs.
+    """Exact max of a_obj . x over integer x in the boxes with rows . x = rhs
+    and weights . x <= room (weights and room nonnegative).
 
     Depth-first assignment with interval propagation: a partial assignment is
     pruned as soon as some row's residual cannot be covered by the remaining
-    variables' coefficient ranges.
+    variables' coefficient ranges.  Each variable's values stop where the
+    partial weight, which only grows, would pass the room.
     """
     nvars = len(boxes)
     residual = list(rhs)
@@ -169,7 +175,7 @@ def _max_brick(
 
     best: int | None = None
 
-    def solve(v: int, acc_obj: int) -> None:
+    def solve(v: int, acc_obj: int, left: int) -> None:
         nonlocal best
         budget.spend()
         if v == nvars:
@@ -180,14 +186,15 @@ def _max_brick(
         for ri in range(len(rows)):
             if not lo_suffix[v][ri] <= residual[ri] <= hi_suffix[v][ri]:
                 return
-        for val in range(boxes[v] + 1):
+        top = min(boxes[v], left // weights[v]) if weights[v] else boxes[v]
+        for val in range(top + 1):
             for ri, row in enumerate(rows):
                 residual[ri] -= row[v] * val
-            solve(v + 1, acc_obj + a_obj[v] * val)
+            solve(v + 1, acc_obj + a_obj[v] * val, left - weights[v] * val)
             for ri, row in enumerate(rows):
                 residual[ri] += row[v] * val
 
-    solve(0, 0)
+    solve(0, 0, room)
     return best
 
 
@@ -331,70 +338,57 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     """Exact maximum of the coupling row over the two-stage program of probe k,
     or None when infeasible.  Raises BudgetExceeded past DEFAULT_NODE_BUDGET.
 
-    The slack row is w0 . x^(0) + wj . x^(j) + y = k with y in [0, k]
-    (weights and variables are nonnegative, so y <= k).  Its necessary part
-    k - w0 . x^(0) >= 0 is checked once per first-stage point, before the
-    bricks; when wj = 0 that is the whole row.  Otherwise the row is stitched
-    onto the addressed brick j.  A unit-slack brick (one row (p, -1), p >= 1,
-    not carrying the slack row) is completed in closed form; every other
-    brick goes through the DFS `_max_brick`.
+    The slack row w0 . x^(0) + wj . x^(j) <= k is checked once per
+    first-stage point, before the bricks, as room = k - w0 . x^(0) >= 0;
+    when wj = 0 that is the whole row.  Otherwise the addressed brick j
+    keeps wj . x^(j) <= room.  A unit-slack brick (one row (p, -1), p >= 1)
+    without weights is completed in closed form; every other brick goes
+    through the DFS `_max_brick`, which cuts a branch once its weight passes
+    the room.
 
     On the piece path (`on_piece_path`) the first stage visits one end of
     each piece of t on which the coupling row is affine (`_max_over_pieces`);
     otherwise it enumerates the x^(0) box.  Each piece, each first-stage
-    node, each closed-form completion and each DFS node spends one unit of
+    point, each closed-form completion and each DFS node spends one unit of
     the budget; a solve adds the units it spent to the `blockip_nodes`
     counter.
     """
     budget = _Budget(DEFAULT_NODE_BUDGET)
-    a0 = p.D[0]
-    slack_idx = p.j - 1 if p.j is not None and any(p.wj) else None
-    unit_coef = [None if i == slack_idx else _unit_slack_coefficient(p.A[i]) for i in range(p.n)]
-    best: int | None = None
+    if on_piece_path(p):
+        best = _max_over_pieces(p, k, budget)
+    else:
+        best = _max_over_first_stage(p, k, budget)
+    counters.bump("blockip_nodes", budget.budget - budget.left)
+    return best
 
-    def first_stage(v: int, x0: list[int]) -> None:
-        nonlocal best
+
+def _max_over_first_stage(p: SimpleFourBlock, k: int, budget: _Budget) -> int | None:
+    """`solve_2stage_desk` off the piece path: every x^(0) in its box, each
+    brick completed on its own under the room the point leaves."""
+    weights = [p.wj if i + 1 == p.j else (0,) * p.t for i in range(p.n)]
+    unit_coef = [
+        None if any(weights[i]) else _unit_slack_coefficient(p.A[i]) for i in range(p.n)
+    ]
+    best: int | None = None
+    for x0 in product(*(range(u + 1) for u in p.u_first())):
         budget.spend()
-        if v < p.s:
-            for val in range(p.u_first()[v] + 1):
-                x0[v] = val
-                first_stage(v + 1, x0)
-            return
-        room = k - sum(p.w0[c] * x0[c] for c in range(p.s))
+        room = k - sum(w * v for w, v in zip(p.w0, x0))
         if room < 0:
-            return
-        total = sum(a0[i] * x0[i] for i in range(p.s))
+            continue
+        total = sum(d * v for d, v in zip(p.D[0], x0))
         for i in range(p.n):
-            rhs = [
-                p.rhs[i][ri] - sum(p.B[i][ri][c] * x0[c] for c in range(p.s))
-                for ri in range(p.r)
-            ]
+            rhs = [r - sum(b * v for b, v in zip(row, x0)) for r, row in zip(p.rhs[i], p.B[i])]
             if unit_coef[i] is not None:
                 budget.spend()
                 part = _max_unit_slack(unit_coef[i], p.C[i][0], rhs[0], p.u_brick(i))
             else:
-                rows = [list(p.A[i][ri]) for ri in range(p.r)]
-                boxes = list(p.u_brick(i))
-                a_obj = list(p.C[i][0])
-                if i == slack_idx:
-                    # extra row: wj . x^(j) + y = k - w0 . x^(0), with slack var y
-                    rows = [row + [0] for row in rows]
-                    rows.append(list(p.wj) + [1])
-                    rhs.append(room)
-                    boxes.append(k)
-                    a_obj.append(0)
-                part = _max_brick(a_obj, rows, rhs, boxes, budget)
+                part = _max_brick(p.C[i][0], p.A[i], rhs, p.u_brick(i), weights[i], room, budget)
             if part is None:
-                return
+                break
             total += part
-        if best is None or total > best:
-            best = total
-
-    if on_piece_path(p):
-        best = _max_over_pieces(p, k, budget)
-    else:
-        first_stage(0, [0] * p.s)
-    counters.bump("blockip_nodes", budget.budget - budget.left)
+        else:
+            if best is None or total > best:
+                best = total
     return best
 
 
@@ -434,7 +428,7 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
 
 def _bisect(p: SimpleFourBlock, H: int) -> int:
     """Least k in [0, H] whose probe reaches b0, by bisection; the decisions
-    are monotone in k because the slack y only relaxes."""
+    are monotone in k because a larger k only relaxes the slack row."""
 
     def reaches(k: int) -> bool:
         value = solve_2stage_desk(p, k)

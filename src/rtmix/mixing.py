@@ -186,16 +186,16 @@ def compile_mix(inst: MixInstance) -> MixForm:
                    is_harmonic(inst.capacities()), certified_s_bound(inst))
 
 
-def _solve(inst: MixInstance | MixForm, search, *args) -> MixSolution:
+def _solve(inst: MixInstance | MixForm, search) -> MixSolution:
     """Run `search` on a compiled form.  A `MixInstance` is compiled (every
     check), searched once, and its completion is checked for feasibility
     and against the search's objective.  A compiled form was checked when
     it was compiled and is only searched: its solution reports s and the
     objective, and leaves x empty."""
     if isinstance(inst, MixForm):
-        s, obj = search(inst, *args)
+        s, obj = search(inst)
         return MixSolution(s, (), obj)
-    s, obj = search(compile_mix(inst), *args)
+    s, obj = search(compile_mix(inst))
     sol = complete(s, inst)
     for t, xi in zip(inst.terms, sol.x):
         if sol.s + t.a * xi < t.b:
@@ -209,10 +209,9 @@ def _solve(inst: MixInstance | MixForm, search, *args) -> MixSolution:
     return sol
 
 
-def _scan(form: MixForm, s_bound: int | None) -> tuple[int, int]:
-    """The smallest optimal s in [0, s_bound], or [0, S], and its objective."""
-    w0, base = form.w0, form.base
-    hi = form.s_bound if s_bound is None else s_bound
+def _scan(form: MixForm) -> tuple[int, int]:
+    """The smallest optimal s in [0, S] and its objective."""
+    w0, base, hi = form.w0, form.base, form.s_bound
     terms = [(w, a, base + off) for a, group in zip(form.levels, form.groups) for w, off in group]
     counters.bump("mixing_calls")
     # least s >= 1 with s = b (mod a), then every a-th s up to hi
@@ -232,9 +231,9 @@ def _scan(form: MixForm, s_bound: int | None) -> tuple[int, int]:
     return best_s, best_obj
 
 
-def solve_bruteforce(inst: MixInstance | MixForm, *, s_bound: int | None = None) -> MixSolution:
-    """Global optimum over s = 0 .. bound, the certified S unless `s_bound`
-    is given; smallest optimal s wins ties.
+def solve_bruteforce(inst: MixInstance | MixForm) -> MixSolution:
+    """Global optimum over s = 0 .. S, the certified S; smallest optimal s
+    wins ties.
 
     From s - 1 to s the objective rises by w0 and falls by w_i for every term
     with s = b_i (mod a_i), so a minimum lies at s = 0 or at one of these drop
@@ -242,7 +241,7 @@ def solve_bruteforce(inst: MixInstance | MixForm, *, s_bound: int | None = None)
     arithmetic progression, the progressions are merged lazily (O(n) memory),
     and the objective is carried along as a running sum.
     """
-    return _solve(inst, _scan, s_bound)
+    return _solve(inst, _scan)
 
 
 def _search(form: MixForm) -> tuple[int, int]:

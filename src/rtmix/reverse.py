@@ -126,8 +126,9 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
     The search maximizes the dual objective t - sum w_i*ceil((t + jitter_i)/a_i)
     over one capacity period, which the shift identity pins to
     (beta - m, beta]; with s = beta - t that is the mixing objective over
-    s < min(m, beta), which the brute-force solver minimizes at its drop
-    points (the smallest optimal s on ties).
+    s < min(m, beta) = m.  The brute-force solver's range [0, S] lies inside
+    it (S <= m - 1) and holds an optimal s, so its smallest optimal s is the
+    answer.
     """
     _validate(inst)
     if mixing.is_unbounded(inst):
@@ -166,8 +167,8 @@ def _solve_crowded(inst: mixing.MixInstance, m: int) -> mixing.MixSolution:
         if lo not in responses:  # the window's upper end, a yes by the bounds
             responses[lo] = rta.compute_response(q.at(beta - lo))
         return _witness(inst, beta - responses[lo], lo)
-    # optimum in [beta, b_max]: minimize over the s = beta - t of one capacity period
-    sol = mixing.solve_bruteforce(inst, s_bound=min(m - 1, beta - 1))
+    # optimum in [beta, b_max], at some s = beta - t <= S <= m - 1 <= beta - 1
+    sol = mixing.solve_bruteforce(inst)
     if not beta <= sol.objective <= b_max:
         raise InternalInvariantViolated(
             f"crowded fallback produced optimum {sol.objective} outside [beta, b_max]"

@@ -146,24 +146,23 @@ def observed_responses(
     return [job.completion - origin(job) for job in trace.jobs]
 
 
-def render_gantt(trace: ScheduleTrace, ts: TaskSystem, width: int | None = None) -> str:
+def render_gantt(trace: ScheduleTrace, ts: TaskSystem) -> str:
     """Monospace strip per task plus a processor row; '#' marks execution."""
-    horizon = trace.horizon if width is None else min(width, trace.horizon)
     rows = []
     per_task = []
     for tidx in range(len(ts.tasks)):
-        cells = ["."] * horizon
+        cells = ["."] * trace.horizon
         for seg in trace.segments:
             if seg.task == tidx:
-                for x in range(seg.start, min(seg.end, horizon)):
+                for x in range(seg.start, seg.end):
                     cells[x] = "#"
         per_task.append("".join(cells))
     for tidx, strip in enumerate(per_task):
         rows.append(f"task{tidx:<2d} |{strip}|")
-    proc = ["."] * horizon
+    proc = ["."] * trace.horizon
     for seg in trace.segments:
         if seg.task is not None:
-            for x in range(seg.start, min(seg.end, horizon)):
+            for x in range(seg.start, seg.end):
                 proc[x] = str(seg.task % 10)
     rows.append(f"cpu    |{''.join(proc)}|")
     return "\n".join(rows)

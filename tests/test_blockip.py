@@ -59,7 +59,7 @@ def feasible_points(prog):
 
 def enumerated_decision(prog, k):
     """Max of the coupling row over every feasible point with w^T x <= k (the
-    slack row with y >= 0), or None: the dual decision enumerated directly."""
+    slack row), or None: the dual decision enumerated directly."""
     return max((value for weight, value in feasible_points(prog) if weight <= k), default=None)
 
 
@@ -157,8 +157,8 @@ class TestStructure:
 class TestStitching:
     def test_every_feasible_point_projects_into_the_dual_decision(self, pair_system):
         # the coupling row maximized over every box point of the encoding that
-        # meets the brick equality and the stitched slack row w^T x + y = k,
-        # y >= 0, enumerated directly, is the desk backend's value
+        # meets the brick equality and the slack row w^T x <= k, enumerated
+        # directly, is the desk backend's value
         prog = encode_rtc_as_4block(pair_system)
         for k in range(0, 6):
             assert solve_2stage_desk(prog, k) == enumerated_decision(prog, k)
@@ -168,7 +168,8 @@ class TestStitching:
     def test_unit_slack_bricks_match_enumeration(self, prog, data):
         # with wj = 0 the first stage visits one end of each piece; otherwise
         # it enumerates t, unit-slack bricks are completed in closed form and
-        # the brick carrying wj goes through the DFS with the slack row.  The
+        # the brick carrying wj goes through the DFS, which stops each of its
+        # variables where wj . x^(j) would pass the room k - w0*t.  The
         # mirrored program takes the enumeration and the DFS for every brick.
         k = data.draw(st.integers(-1, prog.w0[0] * prog.u[0] + 3), label="k")
         want = enumerated_decision(prog, k)
@@ -191,6 +192,16 @@ class TestDeskBackend:
         prog = brick_program(D=((0,),), C=(((1,),),), A=(((0,),),), rhs=((0,),), wj=(1,))
         assert solve_2stage_desk(prog, 2) == 2
         assert solve_2stage_desk(prog, 0) == 0
+
+    def test_weighted_brick_stops_at_the_room(self, monkeypatch):
+        # x in [0, 1000] with weight 1 and coupling value x >= 3: each probe
+        # enumerates x only up to the room k, so the least k, 3, is found in
+        # a small budget
+        prog = brick_program(
+            D=((0,),), C=(((1,),),), A=(((0,),),), b0=3, rhs=((0,),), wj=(1,), u=(5, 1000)
+        )
+        monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 100_000)
+        assert solve_simple_4block(prog) == 3
 
     def test_budget_is_enforced(self, pair_system, monkeypatch):
         prog = encode_rtc_as_4block(pair_system)
@@ -256,7 +267,8 @@ class TestDeskBackend:
             assert ops.as_dict()["blockip_nodes"] <= (prog.n + 1) * pieces
 
     def test_transformation_preserves_the_projected_feasible_set(self):
-        # enumerate the original dual decision directly and compare
+        # enumerate the original dual decision directly and compare with the
+        # backend, which bounds the brick's weight by the room k
         prog = brick_program(D=((0,),), C=(((1,),),), A=(((2,),),), rhs=((4,),), wj=(1,), u=(3, 4))
         for k in range(0, 6):
             # original: max x s.t. 2x = 4, x in [0, 4], wj.x <= k

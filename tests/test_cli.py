@@ -308,6 +308,19 @@ class TestBlockip:
         code, _ = run_cli(capsys, "blockip", "solve", "--input", str(enc))
         assert code == 3
 
+    def test_weighted_brick_solves_within_budget(self, capsys, tmp_path, monkeypatch):
+        # one brick variable x in [0, 1000] with weight 1 and coupling value
+        # x >= 3: the least objective is 3
+        prog = tmp_path / "prog.json"
+        prog.write_text(json.dumps({
+            "n": 1, "r": 1, "s": 1, "t": 1, "D": [[0]], "C": [[[1]]], "B": [[[0]]],
+            "A": [[[0]]], "b0": 3, "rhs": [[0]], "w0": [0], "j": 1, "wj": [1], "u": [5, 1000],
+        }))
+        monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 100_000)
+        code, out = run_cli(capsys, "blockip", "solve", "--input", str(prog))
+        assert code == 0
+        assert last_json(out)["result"]["objective"] == 3
+
     @pytest.mark.parametrize(
         "mirror, label", [(False, "piece-sweep"), (True, "dualized-binary-search")]
     )

@@ -158,19 +158,17 @@ class TestBruteforce:
 
     @given(st.data())
     @settings(max_examples=300)
-    def test_explicit_s_bound_and_any_w0(self, data):
+    def test_any_w0(self, data):
         # weights up to a_i and w0 between the weight utilization and 3, so
-        # optima off s = 0 and ties are common; the jitter-free search passes
-        # s_bound = min(S, kappa), often below lcm - 1
+        # optima off s = 0 and ties are common, and the certified S often
+        # falls below lcm - 1
         caps = data.draw(st.lists(st.one_of(st.just(1), st.integers(2, 16)), max_size=4))
         terms = [(data.draw(st.integers(0, a)), a, data.draw(st.integers(-40, 40))) for a in caps]
         util = sum(Fraction(w, a) for w, a, _ in terms)
         assume(util <= 3)
         inst = MixInstance(data.draw(st.integers(math.ceil(util), 3), label="w0"), terms)
-        m = math.lcm(*caps) if caps else 1
-        s_bound = data.draw(st.integers(0, max(0, min(m - 2, 600))), label="s_bound")
-        sol = solve_bruteforce(inst, s_bound=s_bound)
-        assert (sol.objective, sol.s) == mix_enum_oracle(inst, s_bound)
+        sol = solve_bruteforce(inst)
+        assert (sol.objective, sol.s) == mix_enum_oracle(inst, certified_s_bound(inst))
 
     @given(bounded_mix_instances())
     def test_strict_utilization_localizes_optimum(self, inst):
