@@ -42,17 +42,23 @@ from rtmix.cli import EXIT_INTERNAL, main as cli_main
 
 # seeded `gen random` systems, besides 10 `gen extreme` ones, one large-S one,
 # 12 larger harmonic ones, 5 geometric ones, 3 larger general ones, 8
-# non-harmonic geometric ones and 3 whose utilization gate trips at a middle
-# level; one more system runs under a magnitude cap below a prefix lcm
+# non-harmonic geometric ones, 3 whose utilization gate trips at a middle
+# level and 10 whose interferer lcm passes 2**63; one more system runs under
+# a magnitude cap below a prefix's search bound S
 SYSTEMS = 240
-# seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6 and 7
-# crowded ones at the ends of the reverse search's window
+# seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6, 7
+# crowded ones at the ends of the reverse search's window and 5 whose lcm
+# passes 2**63
 MIX = 120
-# seeded jitter-free `gen random` systems, n = 2 or 3 and p_max = 8 or 16, besides
-# n = 4 ones with p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179;
-# the first BLOCKIP are also solved in mirrored form, and with weight 1 on the
-# multiplier x_1 of brick 1 in both forms
+# seeded `gen random` systems, n = 2 or 3 and p_max = 8 or 16, jitter-free and
+# then with jitter, each also solved in mirrored form, and with weight 1 on the
+# multiplier x_1 of brick 1 in both forms; besides jitter-free n = 4 ones with
+# p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179, and
+# 5 jitter-free n = 6 ones whose interferer lcm passes 2**63
 BLOCKIP = 60
+# the lcm past which the large-lcm families draw: the default magnitude cap
+# plus one, which bounds S and not the lcm
+BIG_LCM = 2**63
 
 
 def run(argv: list[str]) -> dict:
@@ -122,19 +128,48 @@ def systems(count: int):
                         ("general 7/6", ((1, 3), (1, 2), (2, 6), (1, 7), (1, 9))),
                         ("general 1", ((1, 3), (1, 2), (1, 6), (1, 7), (1, 9)))):
         yield f"utilization {name} at level 3", TaskSystem([Task(c, p, 0, p) for c, p in pairs])
+    # six tasks with periods up to 2**16 and deadlines at the periods, whose
+    # interferer lcm passes 2**63 while S stays small: every query answers
+    for jitter_mode in ("upto-p", "zero"):
+        for seed, ts in big_lcm(lambda seed: gen.random_system(
+                seed, 6, 2**16, jitter_mode=jitter_mode), lambda ts: ts.periods()[:-1]):
+            ts = TaskSystem([Task(t.c, t.p, t.jitter, t.p) for t in ts.tasks])
+            yield f"random seed={seed} n=6 p_max=65536 harmonic=False {jitter_mode} d=p", ts
 
 
-def jitter_free_systems(count: int):
-    for seed in range(count):
-        n = 2 + seed % 2
-        p_max = (8, 16)[seed // 2 % 2]
-        harmonic = seed // 4 % 2 == 0
-        yield f"random seed={seed} n={n} p_max={p_max} harmonic={harmonic} zero", \
-            gen.random_system(seed, n, p_max, harmonic=harmonic, jitter_mode="zero")
+def big_lcm(draw, periods, count: int = 5):
+    """The first `count` (seed, draw(seed)) whose periods' lcm passes BIG_LCM."""
+    found = 0
+    for seed in range(1000):
+        case = draw(seed)
+        if math.lcm(*periods(case)) > BIG_LCM:
+            yield seed, case
+            found += 1
+            if found == count:
+                return
+
+
+def blockip_systems(count: int):
+    """(name, system, small): a small system's program is also solved in
+    mirrored and weighted forms."""
+    def small(jitter_mode):
+        for seed in range(count):
+            n = 2 + seed % 2
+            p_max = (8, 16)[seed // 2 % 2]
+            harmonic = seed // 4 % 2 == 0
+            ts = gen.random_system(seed, n, p_max, harmonic=harmonic, jitter_mode=jitter_mode)
+            yield f"random seed={seed} n={n} p_max={p_max} harmonic={harmonic} {jitter_mode}", \
+                ts, True
+
+    yield from small("zero")
     for p_max in (128, 1024):
         for seed in range(1, 6):
             yield f"random seed={seed} n=4 p_max={p_max} harmonic=False zero", \
-                gen.random_system(seed, 4, p_max, jitter_mode="zero")
+                gen.random_system(seed, 4, p_max, jitter_mode="zero"), False
+    for seed, ts in big_lcm(lambda seed: gen.random_system(seed, 6, 2**16, jitter_mode="zero"),
+                            lambda ts: ts.periods()[:-1]):
+        yield f"random seed={seed} n=6 p_max=65536 harmonic=False zero", ts, False
+    yield from small("upto-p")
 
 
 def mix_instances(count: int):
@@ -164,6 +199,10 @@ def mix_instances(count: int):
     for caps in ((3, 5), (2, 4)):
         yield f"crowded beta 2**70 capacities={caps}", \
             MixInstance(1, [(1, caps[0], 2**70), (1, caps[1], 2**70 + caps[1] - 1)])
+    # capacities up to 2**16 whose lcm passes 2**63 while S stays small
+    for seed, inst in big_lcm(lambda seed: gen.random_mix_instance(
+            seed, 6, 2**16, harmonic=False), lambda inst: inst.capacities()):
+        yield f"random seed={seed} n=6 a_max=65536 harmonic=False", inst
 
 
 def crowded(inst):
@@ -228,12 +267,12 @@ def main() -> int:
                 record(name, f"rta compute {algorithm}", out)
                 results[algorithm] = out.get("result")
             agree(name, "rta compute results", results)
-        # a magnitude cap of 2**6 - 1 below the interferer lcm of level 4
-        # (1, 4, 12, 60, 420 by level): level 4 raises OverflowLimit
+        # a magnitude cap of 2**5 - 1 below the interferers' S at level 4
+        # (0, 2, 5, 14, 55 by level): level 4 raises OverflowLimit
         write(path, system_dict(TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])))
-        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": "6"}):
+        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": "5"}):
             out = run(["rta", "compute", "--input", path, "--algorithm", "auto"])
-        record("lcm past a 6-bit cap at level 4", "rta compute auto", out)
+        record("S past a 5-bit cap at level 4", "rta compute auto", out)
         for name, inst in mix_instances(MIX):
             for label, case in (("", inst), (" crowded", crowded(inst))):
                 terms = [{"w": t.w, "a": t.a, "b": t.b} for t in case.terms]
@@ -245,7 +284,7 @@ def main() -> int:
                     if out["code"] == 0:
                         objectives[algorithm] = out["result"]["objective"]
                 agree(name + label, "mix solve objectives", objectives)
-        for index, (name, ts) in enumerate(jitter_free_systems(BLOCKIP)):
+        for name, ts, small in blockip_systems(BLOCKIP):
             write(path, system_dict(ts))
             out = run(["blockip", "encode-rtc", "--input", path])
             record(name, "blockip encode-rtc", out)
@@ -253,7 +292,7 @@ def main() -> int:
                 continue
             encoded = out["program"]
             groups = [{"": encoded}]
-            if index < BLOCKIP:
+            if small:
                 weighted = {**encoded, "wj": [1, 0]}
                 groups = [{"": encoded, " mirrored": mirrored(encoded)},
                           {" wj=(1,0)": weighted, " wj=(1,0) mirrored": mirrored(weighted)}]

@@ -36,9 +36,9 @@ stopping at the first hit, and one `solve_2stage_desk` probe at the answer
 certifies it.  Every other program is searched by bisection on k with one
 `solve_2stage_desk` probe per step.
 
-`encode_rtc_as_4block` expresses jitter-free response-time computation in
+`encode_rtc_as_4block` expresses response-time computation with jitter in
 this shape: one first-stage variable t, one unit-slack brick (x_i, z_i) per
-interfering task with equality p_i*x_i - t - z_i = 0, and coupling
+interfering task with equality p_i*x_i - t - z_i = jitter_i, and coupling
 t - sum c_i*x_i >= c_n.
 """
 
@@ -56,7 +56,6 @@ from .errors import (
     Infeasible,
     InternalInvariantViolated,
     InvalidInstance,
-    PreconditionViolated,
 )
 
 Matrix = tuple[tuple[int, ...], ...]
@@ -454,23 +453,23 @@ def _default_objective_bound(p: SimpleFourBlock) -> int:
 
 
 def encode_rtc_as_4block(ts: TaskSystem) -> SimpleFourBlock:
-    """Jitter-free response-time computation as a simple 4-block program.
+    """Response-time computation, with jitter, as a simple 4-block program.
 
     First stage: the candidate time t, box [0, u] from the certified bounds.
-    Brick i: (x_i, z_i) with p_i*x_i - t - z_i = 0; the multiplier box comes
-    from the same bounds and the slack box [0, p_i - 1] is tight because any
-    solution with z_i >= p_i lowers its objective by decrementing x_i.
+    Brick i: (x_i, z_i) with p_i*x_i - t - z_i = jitter_i; the multiplier
+    box ceil((u + jitter_i + p_i)/p_i) comes from the same bounds and the
+    slack box [0, p_i - 1] is tight because any solution with z_i >= p_i
+    lowers its objective by decrementing x_i.  The bounds gate utilization
+    and S (`core.bounds_from_parts`); u and the lcm are uncapped.
     """
     validate(ts)
-    if any(t.jitter != 0 for t in ts.tasks):
-        raise PreconditionViolated("4-block encoding requires a jitter-free system")
-    bounds = bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1])  # the utilization gate
+    bounds = bounds_from_parts(ts.tasks[-1].c, ts.tasks[:-1])  # the utilization and S gates
     u_t = bounds.u
     interferers = ts.tasks[:-1]
     n = len(interferers)
     boxes = [u_t]
     for task in interferers:
-        boxes.extend([ceil_div(u_t + task.p, task.p), task.p - 1])
+        boxes.extend([ceil_div(u_t + task.jitter + task.p, task.p), task.p - 1])
     return SimpleFourBlock(
         n=n,
         r=1 if n else 0,
@@ -481,7 +480,7 @@ def encode_rtc_as_4block(ts: TaskSystem) -> SimpleFourBlock:
         B=tuple(((-1,),) for _ in interferers),
         A=tuple(((task.p, -1),) for task in interferers),
         b0=ts.tasks[-1].c,
-        rhs=tuple((0,) for _ in interferers),
+        rhs=tuple((task.jitter,) for task in interferers),
         w0=(1,),
         j=1 if n else None,
         wj=(0, 0) if n else (),

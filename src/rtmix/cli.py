@@ -7,9 +7,10 @@ result against the brute-force oracle and fails the run on mismatch.
 
 Every `RTMixError` leaves as a JSON error object {error, message} and the exit
 code that `EXIT_CODES` gives its class: 0 success, 1 infeasible / unbounded /
-not schedulable / verify mismatch, 2 invalid input, 3 overflow, budget or
-generation attempt cap exhausted, 4 internal error (a certified invariant
-failed).  The magnitude cap honours the RTMIX_LIMIT_BITS environment variable.
+not schedulable / verify mismatch, 2 invalid input, 3 overflow (the search
+bound S past the magnitude cap, which RTMIX_LIMIT_BITS sets, or a report
+integer too long to print), budget or generation attempt cap exhausted,
+4 internal error (a certified invariant failed).
 """
 
 from __future__ import annotations
@@ -243,7 +244,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtmix",
         description="Exact response-time analysis and mixing set solvers "
-        f"(magnitude cap 2**{DEFAULT_LIMIT_BITS} - 1; set the bit count via {ENV_LIMIT_BITS})",
+        f"(magnitude cap 2**{DEFAULT_LIMIT_BITS} - 1 on the search bound S; set the bit "
+        f"count via {ENV_LIMIT_BITS})",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -12,6 +12,10 @@ Feasibility decisions in the solver modules rely on the integrality
 arguments behind these bounds, which a rounding error would silently break.
 Every integer field must be a Python `int`: `bool`, float and str values
 are rejected (`is_integer`).
+
+The one magnitude rule is `certified_s`: S, which bounds every search,
+raises OverflowLimit past the cap that RTMIX_LIMIT_BITS sets; the lcm is
+exact and uncapped.
 """
 
 from __future__ import annotations
@@ -29,11 +33,11 @@ DEFAULT_LIMIT_BITS = 63
 
 
 def magnitude_cap() -> int:
-    """Cap on lcm-style quantities; exceeding it raises OverflowLimit.
+    """Cap on the search bound S (`certified_s`); exceeding it raises OverflowLimit.
 
     Defaults to 2**63 - 1; override with the RTMIX_LIMIT_BITS environment
-    variable.  lcm is exponential in the number of distinct periods, so a
-    hard cap beats silent astronomically-large searches.
+    variable.  Every search is bounded by S, so a hard cap on S beats a
+    silent astronomically long search.
     """
     raw = os.environ.get(ENV_LIMIT_BITS, DEFAULT_LIMIT_BITS)
     try:
@@ -57,24 +61,17 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def lcm_capped(values: Iterable[int]) -> int:
-    """lcm of positive integers, raising OverflowLimit past the magnitude cap,
-    which each call reads from RTMIX_LIMIT_BITS afresh (`magnitude_cap`).
-
-    `bounds_from_parts`, `load_at_lcm` (behind `utilization` and
-    `mixing.is_unbounded`) and `mixing.certified_s_bound` take their own lcm:
-    a utilization test must be decided before the cap, and S may be valid
-    past an lcm beyond the cap.
-    """
+def certified_s(weight_sum: int, m: int, slack: int) -> int:
+    """The certified search bound S = min(m - 1, ceil(weight_sum * m / slack)),
+    or m - 1 when there is no slack (slack <= 0), for terms of lcm m and
+    summed weight `weight_sum`.  The one gate on magnitude: S past the cap
+    (`magnitude_cap`) raises OverflowLimit, while m itself is uncapped."""
+    s = m - 1 if slack <= 0 else min(m - 1, ceil_div(weight_sum * m, slack))
     limit = magnitude_cap()
-    acc = 1
-    for v in values:
-        if v < 1:
-            raise InvalidInstance(f"lcm argument must be >= 1, got {v}")
-        acc = math.lcm(acc, v)
-        if acc > limit:
-            raise OverflowLimit(f"lcm exceeds the magnitude cap {limit}")
-    return acc
+    if s > limit:
+        raise OverflowLimit(f"the search bound S exceeds the magnitude cap "
+                            f"2**{limit.bit_length()} - 1")
+    return s
 
 
 @dataclass(frozen=True)
@@ -221,19 +218,16 @@ def bounds_from_load(gamma: int, m: int, load: int, jitter_load: int,
                      cost_sum: int) -> BoundsResult:
     """The bounds at gamma from a load aggregate, the one copy of their
     arithmetic.  The slack is D/m, D = m - L, so every bound is an integer
-    ratio over D, S included: S = min(m - 1, ceil(sum c_i * m / D)).  The
-    utilization gate is decided before the lcm meets the magnitude cap."""
+    ratio over D, S included: S = min(m - 1, ceil(sum c_i * m / D)), gated
+    by `certified_s` after the utilization gate."""
     if load >= m:
         raise UtilizationExceeded(f"interfering utilization {Fraction(load, m)} >= 1")
-    limit = magnitude_cap()
-    if m > limit:
-        raise OverflowLimit(f"lcm exceeds the magnitude cap {limit}")
     slack = m - load
+    s = certified_s(cost_sum, m, slack)
     u2 = ceil_div(gamma + cost_sum, slack) * m
     return BoundsResult(
         gamma, m, load, jitter_load, cost_sum, u2,
-        min(ceil_div(gamma * m + jitter_load + cost_sum * m, slack), u2),
-        min(m - 1, ceil_div(cost_sum * m, slack)),
+        min(ceil_div(gamma * m + jitter_load + cost_sum * m, slack), u2), s,
     )
 
 

@@ -32,7 +32,8 @@ class UtilizationExceeded(RTMixError):
 
 
 class OverflowLimit(RTMixError):
-    """An lcm (or similar product) exceeded the configured magnitude cap."""
+    """The search bound S exceeded the configured magnitude cap, or a report
+    held an integer too long to print."""
 
 
 class Unbounded(RTMixError):

@@ -21,9 +21,10 @@ Every solver returns the solution with the smallest optimal s, and every
 returned completion is feasibility-checked before it leaves the module.
 
 Both solvers search one compiled form, a `MixForm`: `compile_mix` checks
-validity and boundedness once, certifies S (`certified_s_bound`), notes
-whether the capacities form a divisibility chain, and groups the
-positive-weight terms by capacity.  A solver given a `MixInstance`
+validity and boundedness once, certifies S (`certified_s_bound`, which
+raises OverflowLimit when S passes the magnitude cap; the lcm itself is
+uncapped), notes whether the capacities form a divisibility chain, and
+groups the positive-weight terms by capacity.  A solver given a `MixInstance`
 compiles it, searches it once and checks its completion.  A solver given
 a form searches it with no check repeated and reports s and the objective
 only: `rta` compiles one form per response query, terms (c_i, p_i,
@@ -42,11 +43,10 @@ from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, is_harmonic, is_integer, load_at_lcm, magnitude_cap
+from .core import ceil_div, certified_s, is_harmonic, is_integer, load_at_lcm
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
-    OverflowLimit,
     PreconditionViolated,
     Unbounded,
 )
@@ -114,28 +114,19 @@ def is_unbounded(inst: MixInstance) -> bool:
 def certified_s_bound(inst: MixInstance) -> int:
     """An integer S with some optimal s <= S, for a bounded instance.
 
-    Always lcm(a) - 1; when sum w_i/a_i < w0 strictly (and w0 >= 1) also
+    Always lcm(a) - 1; when sum w_i/a_i < w0 strictly also
     ceil(sum w_i / (w0 - sum w_i/a_i)), below which shifting s down by that
-    amount strictly improves the objective.  Returns the smaller of the two.
-    An lcm past the magnitude cap raises OverflowLimit unless the second
-    bound exists and stays within the cap.  One integer pass at the lcm m:
-    sum w_i/a_i < w0 reads sum w_i*(m/a_i) < w0*m, and the second bound is
-    ceil(sum w_i * m / (w0*m - sum w_i*(m/a_i))).
+    amount strictly improves the objective.  Returns the smaller of the two
+    (`core.certified_s`, which raises OverflowLimit when S passes the
+    magnitude cap).  One integer pass at the lcm m: the slack
+    w0*m - sum w_i*(m/a_i) is positive exactly when the second bound exists.
     """
     m = math.lcm(*(t.a for t in inst.terms))
     load = weight_sum = 0
     for t in inst.terms:
         load += t.w * (m // t.a)
         weight_sum += t.w
-    util_bound = None
-    if inst.w0 >= 1 and load < inst.w0 * m:
-        util_bound = ceil_div(weight_sum * m, inst.w0 * m - load)
-    limit = magnitude_cap()
-    if m > limit:
-        if util_bound is None or util_bound > limit:
-            raise OverflowLimit(f"lcm exceeds the magnitude cap {limit}")
-        return util_bound
-    return m - 1 if util_bound is None else min(m - 1, util_bound)
+    return certified_s(weight_sum, m, inst.w0 * m - load)
 
 
 @dataclass(frozen=True)

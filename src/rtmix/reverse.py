@@ -16,30 +16,35 @@ b_i - beta becomes the release jitter.  This module applies that identity:
   crowded window by shifting each b_i up by a multiple of a_i (the objective
   shifts by a computable constant).
 
-Both fix w0 = 1 (rescaling would change the integrality of the dual
-query) and reject anything else.  Each public function validates its
-instance at entry (`solve_general_via_shift` hands its shifted instance,
-with the same w and a, straight to the search), and `mix_leq_via_rtc` is
-the checked form of one decision, which `solve_crowded` takes first at
-k = beta - 1.  Inside a solve the instance and beta stay fixed, so the
-search builds one response query and derives each probe's, at dual
-constant beta - k, from it (`rta.ResponseQuery.at`), sharing its mixing
-form.  The query's load aggregate brackets every response (Sjodin and
-Hansson, RTSS 1998), which leaves at most sum w_i + 1 values of k to
-bisect, and each probe starts from a certified lower bound derived from
-the response above it.  The search keeps each probe's response for the
-least k's witness s = beta - response.  The queries are answered by
-`rta.compute_response`, the same algorithm selector `rtmix rta compute
---algorithm auto` uses; the decision reads the query's own
+Both fix w0 = 1 (rescaling would change the integrality of the dual query)
+and reject anything else.  Each public function but `shift_record`
+validates its instance at entry (`solve_general_via_shift` hands its
+shifted instance, with the same w and a, straight to the search), and
+`mix_leq_via_rtc` is the checked form of one decision, which
+`solve_crowded` takes first at k = beta - 1.  Inside a solve the instance
+and beta stay fixed, so the search builds one response query and derives
+each probe's, at dual constant beta - k, from it (`rta.ResponseQuery.at`),
+sharing its mixing form.  The query's load aggregate brackets every
+response (Sjodin and Hansson, RTSS 1998), which leaves at most sum w_i + 1
+values of k to bisect, and each probe starts from a certified lower bound
+derived from the response above it.  The search keeps each probe's
+response for the least k's witness s = beta - response.  The queries are
+answered by `rta.compute_response`, the same algorithm selector `rtmix rta
+compute --algorithm auto` uses; the decision reads the query's own
 `UtilizationExceeded` (dual load >= 1) as "no response".
+
+The lcm m, beta and the shifted right-hand sides are uncapped: only the
+certified S meets the magnitude cap (`core.certified_s`), and S bounds each
+probe's search and the fallback's scan.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from . import mixing, rta
-from .core import Task, TaskSystem, ceil_div, lcm_capped
+from .core import Task, TaskSystem, ceil_div
 from .errors import InternalInvariantViolated, PreconditionViolated, Unbounded, UtilizationExceeded
 
 
@@ -135,7 +140,7 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
         raise Unbounded("weight utilization exceeds 1")
     if not inst.terms:
         return mixing.complete(0, inst)
-    return _solve_crowded(inst, lcm_capped(inst.capacities()))
+    return _solve_crowded(inst, math.lcm(*inst.capacities()))
 
 
 def _solve_crowded(inst: mixing.MixInstance, m: int) -> mixing.MixSolution:
@@ -191,8 +196,9 @@ def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
 
 
 def shift_record(inst: mixing.MixInstance) -> ShiftRecord:
-    """Offsets ceil((m - b_i)/a_i) and the objective correction they cost."""
-    m = lcm_capped(inst.capacities())
+    """Offsets ceil((m - b_i)/a_i) and the objective correction they cost,
+    for a valid instance."""
+    m = math.lcm(*inst.capacities())
     offsets = tuple(ceil_div(m - t.b, t.a) for t in inst.terms)
     for t, off in zip(inst.terms, offsets):
         shifted = t.b + off * t.a

@@ -63,9 +63,10 @@ Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built: each
 interferer as `core.validate` checks a task, then its `BoundsResult` (which
 carries the exact utilization and S; building a query at utilization
->= 1 raises), and whether the periods form a chain (`harmonic`) and some
-interferer has jitter (`jittered`), all computed then under the magnitude
-cap that RTMIX_LIMIT_BITS sets; no algorithm or probe recomputes them.
+>= 1 raises, and so does S past the magnitude cap that RTMIX_LIMIT_BITS
+sets), and whether the periods form a chain (`harmonic`) and some
+interferer has jitter (`jittered`), all computed then; no algorithm or
+probe recomputes them.
 Building a query calls nothing in `mixing`.  A query may also carry a
 certified lower bound on its response (`lower`, 0 when none is known),
 from which `auto`, `harmonic`, `turing` and `jitter-free` start;

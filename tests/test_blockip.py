@@ -3,12 +3,14 @@ the response-time encoding round trip."""
 
 import dataclasses
 import itertools
+import math
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import small_task_systems
 from rtmix import blockip, counters
 from rtmix.blockip import (
     SimpleFourBlock,
@@ -22,7 +24,6 @@ from rtmix.errors import (
     Infeasible,
     InternalInvariantViolated,
     InvalidInstance,
-    PreconditionViolated,
 )
 from rtmix.gen import random_system
 from rtmix.rta import ResponseQuery, response_bruteforce, response_jitter_free
@@ -393,9 +394,31 @@ class TestRtcRoundTrip:
         prog = encode_rtc_as_4block(TaskSystem([Task(3, 7, 0)]))
         assert solve_simple_4block(prog) == 3
 
-    def test_rejects_jitter(self):
-        with pytest.raises(PreconditionViolated):
-            encode_rtc_as_4block(TaskSystem([Task(1, 4, 1), Task(1, 4, 0)]))
+    def test_round_trips_jitter(self):
+        # brick rows p*x - t - z = jitter: the multiplier is ceil((t + 1)/4)
+        ts = TaskSystem([Task(1, 4, 1), Task(1, 4, 0)])
+        prog = encode_rtc_as_4block(ts)
+        assert prog.rhs == ((1,),) and prog.u[1] == ceil_div(prog.u[0] + 1 + 4, 4)
+        assert blockip.on_piece_path(prog)
+        assert solve_simple_4block(prog) == response_bruteforce(ResponseQuery(ts, (0,), 1)) == 2
+
+    @given(small_task_systems())
+    def test_jittered_round_trip_matches_the_fixed_point(self, ts):
+        n = len(ts.tasks)
+        want = response_bruteforce(ResponseQuery(ts, range(n - 1), ts.tasks[-1].c))
+        prog = encode_rtc_as_4block(ts)
+        assert blockip.on_piece_path(prog)
+        assert solve_simple_4block(prog) == want
+
+    @pytest.mark.parametrize("jitter_mode", ["upto-p", "zero"])
+    def test_round_trips_with_an_interferer_lcm_past_the_default_cap(self, jitter_mode):
+        # six tasks with periods up to 2**16: the lcm is not capped, only S
+        draws = (random_system(seed, 6, 2**16, jitter_mode=jitter_mode) for seed in range(12))
+        big = [ts for ts in draws if math.lcm(*ts.periods()[:-1]) > 2**63][:6]
+        assert len(big) == 6
+        for ts in big:
+            q = ResponseQuery(ts, range(5), ts.tasks[-1].c)
+            assert solve_simple_4block(encode_rtc_as_4block(ts)) == response_bruteforce(q)
 
     def test_seeded_round_trips(self):
         for seed in range(30):

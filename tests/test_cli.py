@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import tempfile
 from unittest import mock
@@ -398,51 +399,78 @@ class TestMagnitudeCap:
         assert "OverflowLimit" in out
 
 
+def search_bound(pairs):
+    """S = min(m - 1, ceil(sum c_i * m / (m - L))) of (c, p) interferers at
+    utilization below 1, computed here from its definition."""
+    m = math.lcm(*(p for _, p in pairs))
+    load = sum(c * (m // p) for c, p in pairs)
+    return min(m - 1, -(-sum(c for c, _ in pairs) * m // (m - load)))
+
+
 @st.composite
-def periods_just_over_the_cap(draw):
-    """(bits, p1, p2) with cap = 2**bits - 1 < lcm(p1, p2) <= 2 * cap: periods
-    near 2**62 under the default 63 bits, or small periods under a small cap."""
+def s_just_over_the_cap(draw):
+    """(bits, interferers (c, p)) with cap = 2**bits - 1 < S <= 2 * cap, under
+    the default 63 bits or a small cap.  Either both interferers on one
+    period P = S + 1, leaving slack 1/P (S = m - 1), or on the coprime
+    periods q and q + 1 with costs q - 2 and 1, where
+    S = ceil((q - 1)q(q + 1)/(q + 2)), about q^2 - 2q + 3, stays below
+    m - 1 = q^2 + q - 1."""
     bits = draw(st.one_of(st.just(63), st.integers(4, 20)))
     cap = (1 << bits) - 1
-    x, y = draw(st.sampled_from([(1, 2), (2, 3), (3, 4), (3, 5), (4, 5)]))
-    g = draw(st.integers(-(-(cap + 1) // (x * y)), 2 * cap // (x * y)))
-    return bits, g * x, g * y
+    if draw(st.booleans()):
+        p = draw(st.integers(cap + 2, 2 * cap + 1))
+        pairs = [(1, p), (p - 2, p)]
+    else:
+        def s_at(q):
+            return search_bound([(q - 2, q), (1, q + 1)])
+
+        lo, hi = math.isqrt(cap), math.isqrt(2 * cap) + 1
+        while s_at(lo) <= cap:
+            lo += 1
+        while s_at(hi) > 2 * cap:
+            hi -= 1
+        q = draw(st.integers(lo, hi))
+        pairs = [(q - 2, q), (1, q + 1)]
+    assert cap < search_bound(pairs) <= 2 * cap
+    return bits, pairs
 
 
 class TestCapSweep:
-    """An lcm just over the magnitude cap raises OverflowLimit at once, never
-    a long scan; each case runs within Hypothesis's default deadline."""
+    """A search bound S just over the magnitude cap raises OverflowLimit at
+    once, never a long search; each case runs within Hypothesis's default
+    deadline."""
 
     @staticmethod
-    def system(p1, p2):
-        return TaskSystem([Task(1, p1, 0, 1), Task(1, p2, 0, 1), Task(1, 4, 0, 1)])
+    def system(pairs):
+        return TaskSystem([Task(c, p, 0, p) for c, p in pairs] + [Task(1, 4, 0, 4)])
 
-    @given(periods_just_over_the_cap())
+    @given(s_just_over_the_cap())
     def test_analyze_system(self, case):
-        bits, p1, p2 = case
+        bits, pairs = case
         with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
             with pytest.raises(OverflowLimit):
-                rta.analyze_system(self.system(p1, p2))
+                rta.analyze_system(self.system(pairs))
 
-    @given(periods_just_over_the_cap())
+    @given(s_just_over_the_cap())
     def test_solve_general_via_shift(self, case):
-        bits, p1, p2 = case
+        bits, pairs = case
+        (c1, p1), (c2, p2) = pairs
         with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
             with pytest.raises(OverflowLimit):
-                reverse.solve_general_via_shift(MixInstance(1, [(1, p1, 0), (1, p2, 3)]))
+                reverse.solve_general_via_shift(MixInstance(1, [(c1, p1, 0), (c2, p2, 3)]))
 
-    @given(periods_just_over_the_cap())
+    @given(s_just_over_the_cap())
     def test_encode_rtc_as_4block(self, case):
-        bits, p1, p2 = case
+        bits, pairs = case
         with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
             with pytest.raises(OverflowLimit):
-                blockip.encode_rtc_as_4block(self.system(p1, p2))
+                blockip.encode_rtc_as_4block(self.system(pairs))
 
-    @given(periods_just_over_the_cap())
+    @given(s_just_over_the_cap())
     def test_rta_compute_exits_3(self, case):
-        bits, p1, p2 = case
+        bits, pairs = case
         tasks = [{"c": t.c, "p": t.p, "jitter": t.jitter, "d": t.d}
-                 for t in self.system(p1, p2).tasks]
+                 for t in self.system(pairs).tasks]
         out, err = io.StringIO(), io.StringIO()
         with tempfile.TemporaryDirectory() as tmp:
             path = os.path.join(tmp, "sys.json")

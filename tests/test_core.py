@@ -12,8 +12,8 @@ from rtmix.core import (
     TaskSystem,
     bounds_from_parts,
     ceil_div,
+    certified_s,
     is_harmonic,
-    lcm_capped,
     magnitude_cap,
     response_bounds,
     utilization,
@@ -210,15 +210,16 @@ class TestBounds:
             bounds_from_parts(1, [Task(1, 4), Task(1, p)])
 
     def test_utilization_gate_before_the_cap(self, monkeypatch):
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7, below the lcm 15
+        # cap 7, below S = min(14, ceil(3 * 15 / 2)) = 14 of [(2, 3), (1, 5)]
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")
         with pytest.raises(UtilizationExceeded):
             bounds_from_parts(1, [Task(2, 3), Task(3, 5)])
         with pytest.raises(OverflowLimit):
-            bounds_from_parts(1, [Task(1, 3), Task(1, 5)])
+            bounds_from_parts(1, [Task(2, 3), Task(1, 5)])
         with pytest.raises(UtilizationExceeded):
             bounds_from_parts(1, [Task(2, 3)]).plus(Task(3, 5), 1)
         with pytest.raises(OverflowLimit):
-            bounds_from_parts(1, [Task(1, 3)]).plus(Task(1, 5), 1)
+            bounds_from_parts(1, [Task(2, 3)]).plus(Task(1, 5), 1)
 
     def test_overflow_limit_on_tiny_cap(self, demo_system, monkeypatch):
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7, below the lcm 390 of the interferers
@@ -226,10 +227,25 @@ class TestBounds:
             response_bounds(demo_system)
 
     def test_magnitude_cap_env_override(self, monkeypatch):
+        # the cap bounds S, not the lcm: lcm 63 passes the cap 15 with S = 3,
+        # while [(6, 7), (1, 9)] has S = min(62, ceil(7 * 63 / 2)) = 62
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
         assert magnitude_cap() == 15
+        b = bounds_from_parts(1, [Task(1, 7), Task(1, 9)])
+        assert (b.m, b.s) == (63, 3)
         with pytest.raises(OverflowLimit):
-            lcm_capped([7, 9])
+            bounds_from_parts(1, [Task(6, 7), Task(1, 9)])
+        # no slack leaves S = m - 1, which meets the cap at m = 16
+        assert certified_s(1, 16, 0) == 15
+        with pytest.raises(OverflowLimit):
+            certified_s(1, 17, 0)
+
+    def test_overflow_names_a_cap_past_the_int_str_digit_limit(self, monkeypatch):
+        # a cap of 4516 decimal digits, past the interpreter's 4300-digit
+        # int/str limit: the error names it by its bit count
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "15000")
+        with pytest.raises(OverflowLimit, match=r"2\*\*15000 - 1"):
+            certified_s(1, 2**15001, 0)
 
     @pytest.mark.parametrize("raw", [" 4", "+4", "4\n"])
     def test_magnitude_cap_env_accepts_what_int_parses(self, monkeypatch, raw):

@@ -265,6 +265,18 @@ class TestShift:
         inst = MixInstance(1, [(1, 5, 0)])
         assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
 
+    def test_lcm_past_the_default_cap(self):
+        # capacities up to 2**16: the lcm passes 2**63 while S stays small,
+        # so the shift lands right-hand sides near the lcm and still solves
+        draws = (random_mix_instance(seed, 6, 2**16, harmonic=False) for seed in range(12))
+        big = [inst for inst in draws if math.lcm(*inst.capacities()) > 2**63]
+        assert len(big) >= 10
+        for inst in big:
+            rec = shift_record(inst)
+            assert all(rec.m <= t.b + off * t.a <= rec.m + t.a
+                       for t, off in zip(inst.terms, rec.offsets))
+            assert solve_general_via_shift(inst) == solve_bruteforce(inst)
+
     def test_validates_once_per_compiled_query_not_per_probe(self, monkeypatch):
         # each solve validates its instance at its public entries and each
         # mixing form once, when it is compiled, however many probes search it

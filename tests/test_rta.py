@@ -22,7 +22,6 @@ from rtmix.core import (
     bounds_from_parts,
     ceil_div,
     is_harmonic,
-    magnitude_cap,
     utilization,
     validate,
     workload,
@@ -642,16 +641,26 @@ class TestSearchesAtScale:
 
     @pytest.mark.parametrize("n", range(8, 13))
     def test_general_zero_jitter_systems(self, n):
-        # the first four systems whose lcm stays within the magnitude cap;
-        # past it every query raises OverflowLimit
-        systems = (random_system(7000 * n + seed, n, 256, jitter_mode="zero") for seed in range(40))
-        fitting = [ts for ts in systems if math.lcm(*ts.periods()) <= magnitude_cap()]
-        for ts in fitting[:4]:
+        # the first four systems, lcm past the magnitude cap or not
+        for ts in (random_system(7000 * n + seed, n, 256, jitter_mode="zero") for seed in range(4)):
             want = analyze_system(ts, "bruteforce").responses()
             for algorithm in ("auto", "turing", "jitter-free"):
                 assert analyze_system(ts, algorithm).responses() == want, algorithm
             q = full_query(ts)
             assert response_turing(q) == response_jitter_free(q) == want[-1]
+
+    @pytest.mark.parametrize("jitter_mode", ["upto-p", "zero"])
+    def test_interferer_lcm_past_the_default_cap(self, jitter_mode):
+        # six tasks with periods up to 2**16: the interferers' lcm passes
+        # 2**63 on most draws, while S stays small, so every query answers
+        draws = (random_system(seed, 6, 2**16, jitter_mode=jitter_mode) for seed in range(12))
+        big = [ts for ts in draws if math.lcm(*ts.periods()[:-1]) > 2**63][:6]
+        assert len(big) == 6
+        algorithms = ["auto", "turing"] + (["jitter-free"] if jitter_mode == "zero" else [])
+        for ts in big:
+            want = analyze_system(ts, "bruteforce").responses()
+            for algorithm in algorithms:
+                assert analyze_system(ts, algorithm).responses() == want, algorithm
 
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
@@ -977,11 +986,12 @@ class TestDerivedLevels:
         assert cli_main(["rta", "compute", "--input", str(path)]) == 1
         assert json.loads(capsys.readouterr().out)["error"] == "UtilizationExceeded"
 
-    def test_overflow_at_the_level_whose_lcm_passes_the_cap(self, monkeypatch):
-        # interferer lcm 1, 4, 12, 60, 420 by level, utilization below 1 at
-        # every level; a cap of 2**6 - 1 = 63 holds up to level 3
+    def test_overflow_at_the_level_whose_s_passes_the_cap(self, monkeypatch):
+        # interferer lcm 1, 4, 12, 60, 420 and S 0, 2, 5, 14, 55 by level,
+        # utilization below 1 at every level; a cap of 2**5 - 1 = 31 holds
+        # S up to level 3
         ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "6")
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "5")
         seen, real = [], rta.compute_response
         monkeypatch.setattr(rta, "compute_response",
                             lambda q, a="auto": seen.append(q) or real(q, a))
