@@ -15,7 +15,8 @@ are rejected (`is_integer`).
 
 The one magnitude rule is `certified_s`: S, which bounds every search,
 raises OverflowLimit past the cap that RTMIX_LIMIT_BITS sets; the lcm is
-exact and uncapped.
+exact and uncapped.  A bounds pass (`bounds_from_parts`) reads the cap once
+and its `BoundsResult` carries it to every bounds derived from it.
 """
 
 from __future__ import annotations
@@ -51,7 +52,7 @@ def magnitude_cap() -> int:
 
 def is_integer(value) -> bool:
     """True for a Python int; `bool` is an int subclass but not an integer field."""
-    return isinstance(value, int) and not isinstance(value, bool)
+    return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def ceil_div(num: int, den: int) -> int:
@@ -61,13 +62,16 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def certified_s(weight_sum: int, m: int, slack: int) -> int:
+def certified_s(weight_sum: int, m: int, slack: int, limit: int | None = None) -> int:
     """The certified search bound S = min(m - 1, ceil(weight_sum * m / slack)),
     or m - 1 when there is no slack (slack <= 0), for terms of lcm m and
     summed weight `weight_sum`.  The one gate on magnitude: S past the cap
-    (`magnitude_cap`) raises OverflowLimit, while m itself is uncapped."""
+    raises OverflowLimit, while m itself is uncapped.  `limit` is the cap
+    that the caller's bounds pass read (`magnitude_cap`); when None, the cap
+    is read here."""
     s = m - 1 if slack <= 0 else min(m - 1, ceil_div(weight_sum * m, slack))
-    limit = magnitude_cap()
+    if limit is None:
+        limit = magnitude_cap()
     if s > limit:
         raise OverflowLimit(f"the search bound S exceeds the magnitude cap "
                             f"2**{limit.bit_length()} - 1")
@@ -102,9 +106,9 @@ class TaskSystem:
 
 def validate_task(idx: int, t: Task) -> None:
     """Check one task's fields; raise InvalidInstance naming task `idx`."""
-    for name in ("c", "p", "jitter"):
-        if not is_integer(getattr(t, name)):
-            raise InvalidInstance(f"task {idx}: field {name} must be an integer")
+    if not (is_integer(t.c) and is_integer(t.p) and is_integer(t.jitter)):
+        name = next(n for n in ("c", "p", "jitter") if not is_integer(getattr(t, n)))
+        raise InvalidInstance(f"task {idx}: field {name} must be an integer")
     if t.c < 1:
         raise InvalidInstance(f"task {idx}: execution time must satisfy c >= 1, got {t.c}")
     if t.p < 1:
@@ -166,11 +170,14 @@ class BoundsResult(NamedTuple):
     L = sum c_i*(m/p_i) (`load`), sum jitter_i*c_i*(m/p_i) and sum c_i.
 
     ell <= r <= min(u1, u2); `u` is the integer search ceiling
-    min(ceil(u1), u2) used by the binary searches.  `utilization` L/m is
-    below 1.  `s` is the certified bound S on the optimal s of every mixing
-    instance Mix(I, k) of these interferers, min(m - 1, ceil(sum c_i /
-    (1 - U))), the `mixing.certified_s_bound` of their terms (c_i, p_i,
-    k + jitter_i)."""
+    min(ceil(u1), u2) used by the binary searches, and `ceil_ell` is
+    ceil(ell), computed in integers, where the searches start.
+    `utilization` L/m is below 1.  `s` is the certified bound S on the
+    optimal s of every mixing instance Mix(I, k) of these interferers,
+    min(m - 1, ceil(sum c_i / (1 - U))), the `mixing.certified_s_bound` of
+    their terms (c_i, p_i, k + jitter_i).  `cap` is the magnitude cap that
+    gated S, read once by the bounds pass (`bounds_from_parts`); `at` and
+    `plus` gate their S by it too."""
 
     gamma: int
     m: int
@@ -180,6 +187,8 @@ class BoundsResult(NamedTuple):
     u2: int
     u: int
     s: int
+    ceil_ell: int
+    cap: int
 
     # exact, built when read
     ell = property(lambda b: Fraction(b.gamma * b.m + b.jitter_load, b.m - b.load))
@@ -188,7 +197,8 @@ class BoundsResult(NamedTuple):
 
     def at(self, gamma: int) -> BoundsResult:
         """The same interferers' bounds at constant gamma."""
-        return bounds_from_load(gamma, self.m, self.load, self.jitter_load, self.cost_sum)
+        return bounds_from_load(gamma, self.m, self.load, self.jitter_load, self.cost_sum,
+                                self.cap)
 
     def plus(self, t: Task, gamma: int) -> BoundsResult:
         """The bounds with interferer t added, at constant gamma: m' = lcm(m, p),
@@ -196,12 +206,14 @@ class BoundsResult(NamedTuple):
         m = math.lcm(self.m, t.p)
         scale, share = m // self.m, t.c * (m // t.p)
         return bounds_from_load(gamma, m, self.load * scale + share,
-                                self.jitter_load * scale + t.jitter * share, self.cost_sum + t.c)
+                                self.jitter_load * scale + t.jitter * share, self.cost_sum + t.c,
+                                self.cap)
 
 
 def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
     """Bounds for the least t with t >= gamma + sum c_i*ceil((t+jitter_i)/p_i),
-    from one integer pass over the interferers for their load aggregate."""
+    from one integer pass over the interferers for their load aggregate.
+    The magnitude cap is read once, here, and carried by the result."""
     if any(t.p < 1 for t in interferers):
         raise InvalidInstance("interferer periods must be >= 1")
     m = math.lcm(*(t.p for t in interferers))
@@ -215,19 +227,24 @@ def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
 
 
 def bounds_from_load(gamma: int, m: int, load: int, jitter_load: int,
-                     cost_sum: int) -> BoundsResult:
+                     cost_sum: int, cap: int | None = None) -> BoundsResult:
     """The bounds at gamma from a load aggregate, the one copy of their
     arithmetic.  The slack is D/m, D = m - L, so every bound is an integer
-    ratio over D, S included: S = min(m - 1, ceil(sum c_i * m / D)), gated
-    by `certified_s` after the utilization gate."""
+    ratio over D, S and ceil(ell) included: S = min(m - 1, ceil(sum c_i * m
+    / D)), gated by `certified_s` after the utilization gate, and
+    ceil(ell) = ceil((gamma*m + J) / D).  `cap` is the magnitude cap of the
+    bounds these derive from; a new bounds pass (None) reads it."""
     if load >= m:
         raise UtilizationExceeded(f"interfering utilization {Fraction(load, m)} >= 1")
+    if cap is None:
+        cap = magnitude_cap()
     slack = m - load
-    s = certified_s(cost_sum, m, slack)
+    s = certified_s(cost_sum, m, slack, cap)
     u2 = ceil_div(gamma + cost_sum, slack) * m
+    base = gamma * m + jitter_load
     return BoundsResult(
         gamma, m, load, jitter_load, cost_sum, u2,
-        min(ceil_div(gamma * m + jitter_load + cost_sum * m, slack), u2), s,
+        min(ceil_div(base + cost_sum * m, slack), u2), s, ceil_div(base, slack), cap,
     )
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from contextvars import ContextVar
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 
 @dataclass
@@ -38,7 +38,8 @@ class Counters:
     blockip_nodes: int = 0
 
     def as_dict(self) -> dict:
-        return asdict(self)
+        """A fresh dict of every counter, in declaration order."""
+        return dict(vars(self))
 
 
 _active: ContextVar[Counters | None] = ContextVar("rtmix_counters", default=None)

@@ -41,7 +41,8 @@ def task_system_from_dict(data: Any) -> TaskSystem:
     for entry in data["tasks"]:
         _require(isinstance(entry, dict), "each task must be an object")
         unknown = set(entry) - {"c", "d", "p", "jitter"}
-        _require(not unknown, f"unknown task fields: {sorted(unknown)}")
+        if unknown:
+            raise InvalidInstance(f"unknown task fields: {sorted(unknown)}")
         tasks.append(
             Task(
                 c=entry.get("c"),
@@ -69,7 +70,8 @@ def mix_instance_from_dict(data: Any) -> MixInstance:
     for entry in data["terms"]:
         _require(isinstance(entry, dict), "each term must be an object")
         unknown = set(entry) - {"w", "a", "b"}
-        _require(not unknown, f"unknown term fields: {sorted(unknown)}")
+        if unknown:
+            raise InvalidInstance(f"unknown term fields: {sorted(unknown)}")
         terms.append((entry.get("w"), entry.get("a"), entry.get("b")))
     inst = MixInstance(data["w0"], terms)
     validate_mix(inst)
@@ -144,7 +146,8 @@ def four_block_to_dict(p: SimpleFourBlock) -> dict:
 
 def _arrays(value: Any, depth: int, what: str) -> tuple:
     """`value` as tuples nested `depth` deep; every level must be a JSON array."""
-    _require(isinstance(value, list), f"4-block field {what} must be an array")
+    if not isinstance(value, list):
+        raise InvalidInstance(f"4-block field {what} must be an array")
     return tuple(_arrays(v, depth - 1, what) if depth > 1 else v for v in value)
 
 

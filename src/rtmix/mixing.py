@@ -39,7 +39,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterable
 
 from . import counters
@@ -87,7 +87,7 @@ def validate(inst: MixInstance) -> None:
     if not is_integer(inst.w0) or inst.w0 < 0:
         raise InvalidInstance(f"w0 must be a nonnegative integer, got {inst.w0!r}")
     for idx, t in enumerate(inst.terms):
-        if not all(is_integer(v) for v in (t.w, t.a, t.b)):
+        if not (is_integer(t.w) and is_integer(t.a) and is_integer(t.b)):
             raise InvalidInstance(f"term {idx}: w, a, b must be integers")
         if t.a < 1:
             raise InvalidInstance(f"term {idx}: capacity must satisfy a >= 1, got {t.a}")
@@ -200,6 +200,10 @@ def _solve(inst: MixInstance | MixForm, search) -> MixSolution:
     return sol
 
 
+# Drop points that `_scan` sorts at once; past this many it merges them lazily.
+_SORT_LIMIT = 1 << 16
+
+
 def _scan(form: MixForm) -> tuple[int, int]:
     """The smallest optimal s in [0, S] and its objective."""
     w0, base, hi = form.w0, form.base, form.s_bound
@@ -207,10 +211,13 @@ def _scan(form: MixForm) -> tuple[int, int]:
     counters.bump("mixing_calls")
     # least s >= 1 with s = b (mod a), then every a-th s up to hi
     drops = [(range((b - 1) % a + 1, hi + 1, a), w) for w, a, b in terms]
-    counters.bump("mixing_ops", len(terms) + 1 + sum(len(r) for r, _ in drops))
+    total = sum(len(r) for r, _ in drops)
+    counters.bump("mixing_ops", len(terms) + 1 + total)
+    pairs = [zip(r, repeat(w)) for r, w in drops]
+    points = sorted(chain.from_iterable(pairs)) if total <= _SORT_LIMIT else heapq.merge(*pairs)
     best_s = prev = 0
     best_obj = obj = sum(w * ceil_div(b, a) for w, a, b in terms)
-    for s, w in heapq.merge(*(zip(r, repeat(w)) for r, w in drops)):
+    for s, w in points:
         if s != prev:  # obj is complete at prev: every drop there is taken
             if obj < best_obj:
                 best_s, best_obj = prev, obj
@@ -229,8 +236,9 @@ def solve_bruteforce(inst: MixInstance | MixForm) -> MixSolution:
     From s - 1 to s the objective rises by w0 and falls by w_i for every term
     with s = b_i (mod a_i), so a minimum lies at s = 0 or at one of these drop
     points.  Only those are visited: each weighted term's drop points form an
-    arithmetic progression, the progressions are merged lazily (O(n) memory),
-    and the objective is carried along as a running sum.
+    arithmetic progression, and the objective is carried along as a running
+    sum.  Up to `_SORT_LIMIT` drop points are sorted at once; more are merged
+    lazily from the progressions, in O(n) memory.
     """
     return _solve(inst, _scan)
 
@@ -273,19 +281,20 @@ def _search(form: MixForm) -> tuple[int, int]:
             if left < d < right:
                 cuts.append((d, w))
         cuts.sort()
-        pieces = []  # (left, right, constant part) from left to right
+        li -= 1
+        pieces = []  # (left, right, level below, constant part) from left to right
         for d, w in cuts:
             if d != left:
-                pieces.append((left, d, acc))
+                pieces.append((left, d, li, acc))
                 left = d
             acc -= w
-        pieces.append((left, right, acc))
+        pieces.append((left, right, li, acc))
         ops += len(group) + 1
-        if li:
-            stack.extend((lo, hi, li - 1, val) for lo, hi, val in reversed(pieces))
+        if li >= 0:
+            stack.extend(reversed(pieces))
             continue
         ops += len(pieces)
-        for lo, _, val in pieces:  # leaves: the objective is w0*s + val on the piece
+        for lo, _, _, val in pieces:  # leaves: the objective is w0*s + val on the piece
             obj = w0 * lo + val
             if best_obj is None or obj < best_obj:
                 best_s, best_obj = lo, obj

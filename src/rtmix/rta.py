@@ -62,11 +62,16 @@ fixed point needs thousands of steps, hands off.
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is validated once, when it is built: each
 interferer as `core.validate` checks a task, then its `BoundsResult` (which
-carries the exact utilization and S; building a query at utilization
->= 1 raises, and so does S past the magnitude cap that RTMIX_LIMIT_BITS
-sets), and whether the periods form a chain (`harmonic`) and some
-interferer has jitter (`jittered`), all computed then; no algorithm or
-probe recomputes them.
+carries the exact utilization, S and ceil(ell), the searches' start, in
+integers; building a query at utilization >= 1 raises, and so does S past
+the magnitude cap that RTMIX_LIMIT_BITS sets, read once by the build and
+kept by every query derived from it), and whether the periods form a chain
+(`harmonic`) and some interferer has jitter (`jittered`), all computed
+then; no algorithm or probe recomputes them.  W is compiled once per query
+too: one integer term (c_i, p_i, o_i = jitter_i + p_i - 1) per interferer,
+so that W(t) = gamma + sum c_i * ((t + o_i) // p_i) (`ResponseQuery.workload`).
+Every search evaluates W through these terms; `core.workload` stays the
+definition, which `response_bruteforce`, the independent baseline, uses.
 Building a query calls nothing in `mixing`.  A query may also carry a
 certified lower bound on its response (`lower`, 0 when none is known),
 from which `auto`, `harmonic`, `turing` and `jitter-free` start;
@@ -75,7 +80,8 @@ its last iterate when it hands off, and `response_bruteforce`, the
 independent baseline, ignores it.  From the bounds' load aggregate, two
 O(1) derivations, checked as a build is, make a query from a built one:
 `ResponseQuery.at` at another gamma or lower (`auto`'s hand-off, `reverse`),
-and `ResponseQuery.plus` with one more interferer (`analyze_system`).
+and `ResponseQuery.plus` with one more interferer (`analyze_system`), which
+extends the compiled terms by one.
 
 Mix(I, k) differs between probes only by the shift k, so a query compiles
 its interferers' mixing form once (`mixing.compile_mix`: one term
@@ -94,7 +100,6 @@ residual period below the probe.
 from __future__ import annotations
 
 import bisect
-import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -129,7 +134,9 @@ class ResponseQuery:
     it, and `auto` raises it on a hand-off.  The interferers' mixing form
     (`form`) is compiled on first need; its certified S (`s_bound`) comes
     with the bounds, which also carry the load aggregate from which `at`
-    and `plus` derive a query without a pass over the interferers."""
+    and `plus` derive a query without a pass over the interferers.  W is
+    compiled at the build into integer terms (`workload`), which `at`
+    shares and `plus` extends."""
 
     system: TaskSystem
     indices: tuple[int, ...]
@@ -142,8 +149,7 @@ class ResponseQuery:
 
     def __init__(self, system: TaskSystem, indices: Sequence[int], gamma: int, lower: int = 0):
         indices = tuple(sorted(set(indices)))
-        n = len(system.tasks)
-        if any(not 0 <= i < n for i in indices):
+        if indices and not 0 <= indices[0] <= indices[-1] < len(system.tasks):
             raise InvalidInstance("interference indices out of range")
         tasks = tuple(system.tasks[i] for i in indices)
         for i, t in zip(indices, tasks):
@@ -151,14 +157,15 @@ class ResponseQuery:
         periods = tuple(sorted(t.p for t in tasks))
         vars(self).update(system=system, indices=indices, tasks=tasks,
                           harmonic=is_harmonic(periods), jittered=any(t.jitter for t in tasks),
-                          _form=[], _periods=periods)  # `_form` is shared by every `at` copy
+                          _form=[], _periods=periods,  # `_form` is shared by every `at` copy
+                          _terms=tuple((t.c, t.p, t.jitter + t.p - 1) for t in tasks))
         self._set_constants(gamma, lower, lambda g: bounds_from_parts(g, tasks))
 
     def at(self, gamma: int, lower: int = 0) -> ResponseQuery:
         """This query at another constant gamma and certified lower bound,
         checked as a build is.  Only `bounds` depends on gamma: derived from
         its load aggregate, or kept at an unchanged gamma.  The interferers,
-        the flags and the mixing form are shared."""
+        the flags, the compiled W and the mixing form are shared."""
         return self._copy()._set_constants(
             gamma, lower, lambda g: self.bounds if g == self.gamma else self.bounds.at(g))
 
@@ -166,19 +173,21 @@ class ResponseQuery:
         """This query with interferer `index`, below all of its interferers in
         priority, added at gamma and lower, checked as a build is, in O(1):
         the bounds come from the load aggregate, the chain flag from testing
-        the new period against its sorted neighbours."""
+        the new period against its two sorted neighbours, and the compiled W
+        gains one term."""
         last = self.indices[-1] if self.indices else -1
         if not last < index < len(self.system.tasks):
             raise InvalidInstance(f"interferer {index} must follow {last} within the system")
         t = self.system.tasks[index]
         validate_task(index, t)
-        i = bisect.bisect_left(self._periods, t.p)
-        periods = self._periods[:i] + (t.p,) + self._periods[i:]
-        near = periods[max(i - 1, 0):i + 2]
+        p, periods = t.p, self._periods
+        i = bisect.bisect_left(periods, p)
+        harmonic = (self.harmonic and (i == 0 or p % periods[i - 1] == 0)
+                    and (i == len(periods) or periods[i] % p == 0))
         return self._copy(
-            _form=[], _periods=periods, jittered=self.jittered or t.jitter > 0,
-            harmonic=self.harmonic and all(b % a == 0 for a, b in zip(near, near[1:])),
-            indices=self.indices + (index,), tasks=self.tasks + (t,),
+            _form=[], _periods=periods[:i] + (p,) + periods[i:], harmonic=harmonic,
+            jittered=self.jittered or t.jitter > 0, indices=self.indices + (index,),
+            tasks=self.tasks + (t,), _terms=self._terms + ((t.c, p, t.jitter + p - 1),),
         )._set_constants(gamma, lower, lambda g: self.bounds.plus(t, g))
 
     def _copy(self, **changes) -> ResponseQuery:
@@ -197,6 +206,15 @@ class ResponseQuery:
             raise InvalidInstance(f"lower bound {lower} exceeds the certified bound {result.u}")
         vars(self).update(gamma=gamma, bounds=result, lower=lower)
         return self
+
+    def workload(self, t: int) -> int:
+        """W(t) = gamma + sum c_i * ((t + o_i) // p_i), o_i = jitter_i + p_i - 1,
+        through the interferers compiled once as integer terms; it equals
+        `core.workload(self.tasks, self.gamma, t)`."""
+        w = self.gamma
+        for c, p, o in self._terms:
+            w += c * ((t + o) // p)
+        return w
 
     @property
     def form(self) -> mixing.MixForm:
@@ -260,18 +278,24 @@ def _iterate(q: ResponseQuery, t: int, budget: int) -> tuple[int, bool]:
     """At most `budget` steps of t <- W(t) from t, a certified lower bound on
     the response r.  Returns (r, True) at the first t with W(t) <= t, which
     is then r itself; else (the last iterate, False).  Every iterate is a
-    certified lower bound too: W is monotone and W(r) = r."""
-    for _ in range(budget):
-        counters.bump("fixpoint_iters")
-        nxt = workload(q.tasks, q.gamma, t)
-        if nxt <= t:
-            return t, True
-        if nxt > q.bounds.u:
-            raise InternalInvariantViolated(
-                f"fixed-point iteration escaped the certified bound {q.bounds.u}"
-            )
-        t = nxt
-    return t, False
+    certified lower bound too: W is monotone and W(r) = r.  `fixpoint_iters`
+    is bumped once, by the number of W evaluations, also when the climb
+    raises."""
+    u = q.bounds.u
+    steps = 0
+    try:
+        for steps in range(1, budget + 1):
+            nxt = q.workload(t)
+            if nxt <= t:
+                return t, True
+            if nxt > u:
+                raise InternalInvariantViolated(
+                    f"fixed-point iteration escaped the certified bound {u}"
+                )
+            t = nxt
+        return t, False
+    finally:
+        counters.bump("fixpoint_iters", steps)
 
 
 def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
@@ -311,16 +335,22 @@ def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, phase: str,
     prefix of levels below k; a residual that is not raises
     InternalInvariantViolated.  The form is compiled on the first probe
     whose residual is not empty."""
-    forced = {}
+    forced, residual, below, gamma_prime = {}, [], [], q.gamma
     for j, t in zip(q.indices, q.tasks):
-        if k <= t.p - t.jitter:
+        d = t.p - t.jitter
+        if k <= d:
             forced[j] = 1
-        elif t.p - t.jitter < lo and k <= t.p:
+            gamma_prime += t.c
+        elif d < lo and k <= t.p:
             forced[j] = 2
-    residual = tuple(j for j in q.indices if j not in forced)
-    if residual != tuple(j for j, t in zip(q.indices, q.tasks) if t.p < k):
+            gamma_prime += 2 * t.c
+        else:
+            residual.append(j)
+        if t.p < k:
+            below.append(j)
+    if residual != below:
         raise InternalInvariantViolated("residual set is not the chain below the probe")
-    gamma_prime = q.gamma + sum(q.system.tasks[j].c * m for j, m in forced.items())
+    residual = tuple(residual)
     form = q.form if residual else None
     depth = bisect.bisect_left(form.levels, k) if residual else 0
     feasible = decide_large_k(Residual(form, depth, gamma_prime), k)
@@ -331,9 +361,9 @@ def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, phase: str,
 
 def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
     """t, after checking it against the recurrence: feasible, and t - 1 is not."""
-    if workload(q.tasks, q.gamma, t) > t:
+    if q.workload(t) > t:
         raise InternalInvariantViolated(f"{algorithm} returned infeasible t={t}")
-    if t > q.gamma and workload(q.tasks, q.gamma, t - 1) <= t - 1:
+    if t > q.gamma and q.workload(t - 1) <= t - 1:
         raise InternalInvariantViolated(f"{algorithm} returned non-minimal t={t}")
     return t
 
@@ -352,14 +382,14 @@ def _bracket(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int], bool]) 
     """
     while lo < hi:
         k = (lo + hi) // 2
-        w = workload(q.tasks, q.gamma, k)
+        w = q.workload(k)
         if w <= k:
             counters.bump("recurrence_verdicts")
             hi = w
         elif decide(k):
             hi = k
         else:
-            lo = max(k + 1, workload(q.tasks, q.gamma, k + 1))
+            lo = max(k + 1, q.workload(k + 1))
     if lo != hi:
         raise InternalInvariantViolated(f"the verdicts emptied the bracket [{lo}, {hi}]")
     return lo
@@ -376,14 +406,14 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
         raise PreconditionViolated("periods do not form a divisibility chain")
     if not q.indices:
         return q.gamma
-    lo, hi = max(q.lower, math.ceil(q.bounds.ell)), q.bounds.u
+    lo, hi = max(q.lower, q.bounds.ceil_ell), q.bounds.u
     for k in sorted({t.p - t.jitter for t in q.tasks} - {0}):
         if k < lo:
             continue
         if _walk_probe(q, trace, "difference", k, lo):
-            hi = min(k, workload(q.tasks, q.gamma, k))
+            hi = min(k, q.workload(k))
             break
-        lo = max(k + 1, workload(q.tasks, q.gamma, k + 1))
+        lo = max(k + 1, q.workload(k + 1))
     t = _bracket(q, lo, hi, lambda k: _walk_probe(q, trace, "bisection", k, lo))
     return _least_fixed_point(q, t, "harmonic walk")
 
@@ -399,13 +429,13 @@ def _general_search(q: ResponseQuery) -> int:
     decision at S would sweep number at most S*U + n."""
     if not q.indices:
         return q.gamma
-    t0 = max(q.lower, math.ceil(q.bounds.ell))
+    t0 = max(q.lower, q.bounds.ceil_ell)
     t, settled = _iterate(q, t0, max(1, q.s_bound - t0 + 1))
     if settled:
         return t
     hi = q.bounds.u
     m = q.bounds.m
-    if workload(q.tasks, q.gamma, m) <= m:
+    if q.workload(m) <= m:
         hi = min(hi, m)
     t = _bracket(q, t, hi, lambda k: decide_large_k(q, k))
     return _least_fixed_point(q, t, "general-period search")

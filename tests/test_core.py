@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rtmix import core
 from rtmix.core import (
     Task,
     TaskSystem,
@@ -14,6 +15,7 @@ from rtmix.core import (
     ceil_div,
     certified_s,
     is_harmonic,
+    is_integer,
     magnitude_cap,
     response_bounds,
     utilization,
@@ -50,6 +52,23 @@ class TestValidate:
     def test_first_violation_is_named(self, task, fragment):
         with pytest.raises(InvalidInstance, match=fragment):
             validate(TaskSystem([task]))
+
+    @pytest.mark.parametrize(
+        "task, field",
+        [(Task(1.0, 5, 0), "c"), (Task(1, True, 0), "p"), (Task(1, 5, "0"), "jitter"),
+         (Task(1, 5.0, None), "p")],
+    )
+    def test_the_first_non_integer_field_is_named(self, task, field):
+        with pytest.raises(InvalidInstance) as exc:
+            validate(TaskSystem([task]))
+        assert str(exc.value) == f"task 0: field {field} must be an integer"
+
+    def test_is_integer_takes_int_and_its_subclasses_but_bool(self):
+        class Count(int):
+            pass
+
+        assert is_integer(3) and is_integer(-2**80) and is_integer(Count(4))
+        assert not any(is_integer(v) for v in (True, False, 3.0, "3", None))
 
 
 class TestUtilization:
@@ -184,6 +203,7 @@ class TestBounds:
         u2 = math.ceil((gamma + sum(t.c for t in tasks)) / (slack * m)) * m
         b = bounds_from_parts(gamma, tasks)
         assert (b.ell, b.u1, b.u2, b.u, b.utilization) == (ell, u1, u2, min(math.ceil(u1), u2), util)
+        assert b.ceil_ell == math.ceil(ell) and type(b.ceil_ell) is int
         assert all(type(v) is Fraction for v in (b.ell, b.u1, b.utilization))
 
     @given(st.integers(1, 50), st.integers(1, 50), st.lists(st.tuples(
@@ -201,6 +221,7 @@ class TestBounds:
                 return
         assert b == bounds_from_parts(gamma, tasks)
         assert b.at(other) == bounds_from_parts(other, tasks)
+        assert b.ceil_ell == math.ceil(b.ell) and b.at(other).ceil_ell == math.ceil(b.at(other).ell)
         assert b.m == math.lcm(*(t.p for t in tasks))
         assert b.load == sum(t.c * (b.m // t.p) for t in tasks)
 
@@ -246,6 +267,23 @@ class TestBounds:
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "15000")
         with pytest.raises(OverflowLimit, match=r"2\*\*15000 - 1"):
             certified_s(1, 2**15001, 0)
+
+    def test_a_bounds_pass_reads_the_cap_once_and_derived_bounds_keep_it(self, monkeypatch):
+        reads = []
+        real = core.magnitude_cap
+        monkeypatch.setattr(core, "magnitude_cap", lambda: reads.append(1) or real())
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
+        b = bounds_from_parts(1, [Task(1, 9)])
+        assert b.cap == 15 and len(reads) == 1
+        # S of [(1, 9), (1, 7)] is 3 and of [(1, 9), (6, 7)] is 62: the
+        # derived bounds gate S by the cap that the pass read, not by the
+        # variable as it is now
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "63")
+        assert b.plus(Task(1, 7), 2).at(5).cap == 15
+        with pytest.raises(OverflowLimit):
+            b.plus(Task(6, 7), 1)
+        assert len(reads) == 1
+        assert bounds_from_parts(1, [Task(1, 9), Task(6, 7)]).s == 62 and len(reads) == 2
 
     @pytest.mark.parametrize("raw", [" 4", "+4", "4\n"])
     def test_magnitude_cap_env_accepts_what_int_parses(self, monkeypatch, raw):

@@ -32,6 +32,11 @@ class TestTaskSystem:
         with pytest.raises(InvalidInstance, match="unknown task fields"):
             task_system_from_dict({"tasks": [{"c": 1, "p": 2, "jitter": 0, "wcet": 1}]})
 
+    def test_unknown_fields_message_names_them_sorted(self):
+        with pytest.raises(InvalidInstance) as exc:
+            task_system_from_dict({"tasks": [{"c": 1, "p": 2}, {"c": 1, "p": 4, "z": 0, "a": 1}]})
+        assert str(exc.value) == "unknown task fields: ['a', 'z']"
+
     def test_invalid_task_rejected(self):
         with pytest.raises(InvalidInstance):
             task_system_from_dict({"tasks": [{"c": 0, "p": 2, "jitter": 0}]})
@@ -45,6 +50,12 @@ class TestMixInstance:
     def test_unknown_field_rejected(self):
         with pytest.raises(InvalidInstance, match="unknown term fields"):
             mix_instance_from_dict({"w0": 1, "terms": [{"w": 1, "a": 2, "b": 3, "x": 0}]})
+
+    def test_unknown_fields_message_names_them_sorted(self):
+        with pytest.raises(InvalidInstance) as exc:
+            mix_instance_from_dict({"w0": 1, "terms": [{"w": 1, "a": 2, "b": 3},
+                                                       {"w": 1, "a": 2, "y": 3, "x": 0}]})
+        assert str(exc.value) == "unknown term fields: ['x', 'y']"
 
     def test_shape_rejected(self):
         with pytest.raises(InvalidInstance):
@@ -77,6 +88,15 @@ class TestFourBlock:
         data["q"] = 2
         with pytest.raises(InvalidInstance, match="coupling"):
             four_block_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [("D", 1), ("C", [[[-1, 0]], 2]), ("w0", {"0": 1}),
+                                              ("rhs", [0])])
+    def test_a_field_that_is_not_an_array_is_named(self, field, value):
+        data = four_block_to_dict(encode_rtc_as_4block(TaskSystem([Task(1, 2, 0)])))
+        data[field] = value
+        with pytest.raises(InvalidInstance) as exc:
+            four_block_from_dict(data)
+        assert str(exc.value) == f"4-block field {field} must be an array"
 
     def test_missing_field_rejected(self):
         data = four_block_to_dict(encode_rtc_as_4block(TaskSystem([Task(1, 2, 0)])))

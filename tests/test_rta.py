@@ -29,6 +29,7 @@ from rtmix.core import (
 from rtmix import core, counters, mixing, rta
 from rtmix.cli import main as cli_main
 from rtmix.errors import (
+    InternalInvariantViolated,
     InvalidInstance,
     OverflowLimit,
     PreconditionKTooSmall,
@@ -292,6 +293,85 @@ class TestCompiledQuery:
             with counters.collect() as ops:
                 assert response_turing(q) == response_bruteforce(q)
             assert ops.decision_probes == ops.mixing_calls == 0 < ops.fixpoint_iters
+
+
+class TestCompiledWorkload:
+    """W compiled once per query, ceil(ell) in integers, the magnitude cap
+    read once per bounds pass, and one counter bump per climb."""
+
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=80)
+    def test_compiled_w_equals_the_definition(self, harmonic, zero_jitter, data):
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        gammas = st.integers(1, 40)
+        built = [ResponseQuery(ts, range(j), data.draw(gammas)) for j in range(len(ts.tasks))]
+        derived = [built[0]]
+        for j in range(1, len(ts.tasks)):
+            derived.append(derived[-1].plus(j - 1, data.draw(gammas)))
+        moved = [q.at(data.draw(gammas)) for q in built + derived]
+        for q in built + derived + moved:
+            for t in [*range(100), q.bounds.u, q.bounds.m]:
+                assert q.workload(t) == conftest_workload(q.tasks, q.gamma, t), (q.indices, t)
+            assert q.bounds.ceil_ell == math.ceil(q.bounds.ell)
+
+    def test_one_cap_read_per_analysis_and_every_level_keeps_it(self, monkeypatch):
+        # the query of level 0 reads the cap; every later level is derived
+        # from it, and only a mixing compile reads the cap again
+        calls, seen = Counter(), []
+        real_cap, real_compile, real_compute = core.magnitude_cap, mixing.compile_mix, rta.compute_response
+        monkeypatch.setattr(core, "magnitude_cap", lambda: calls.update(["cap"]) or real_cap())
+        monkeypatch.setattr(mixing, "compile_mix",
+                            lambda inst: calls.update(["compile"]) or real_compile(inst))
+        monkeypatch.setattr(rta, "compute_response",
+                            lambda q, a="auto": seen.append(q) or real_compute(q, a))
+        compiled = 0
+        for seed, kwargs in ((1, {"harmonic": True}), (2, {}), (3, {"jitter_mode": "zero"}),
+                             (4, {})):
+            ts = random_system(seed, 6, 256, **kwargs)
+            calls.clear()
+            seen.clear()
+            analyze_system(ts)
+            assert calls["cap"] == 1 + calls["compile"], seed
+            assert [q.bounds.cap for q in seen] == [real_cap()] * 6
+            compiled += calls["compile"]
+        assert compiled < 4  # some analysis read the cap exactly once
+
+    def test_a_derived_level_keeps_the_cap_of_its_build(self, monkeypatch):
+        # S is 0, 2, 5, 14, 55 by level; a cap of 2**5 - 1 refuses level 4
+        # even when the variable changes after level 0 was built
+        ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "5")
+        q = ResponseQuery(ts, (), 1)
+        monkeypatch.delenv("RTMIX_LIMIT_BITS")
+        for j in range(3):
+            q = q.plus(j, 1)
+        assert q.bounds.s == 14 and q.at(7).bounds.cap == 31
+        with pytest.raises(OverflowLimit):
+            q.plus(3, 1)
+        assert ResponseQuery(ts, range(4), 1).s_bound == 55
+
+    @pytest.mark.parametrize("cut", range(1, 6))
+    def test_the_climb_counts_every_evaluation_also_when_it_raises(self, cut):
+        # iterates 32, 69, 105, 141, 176, 211, ...: a ceiling u just below
+        # iterate `cut` makes evaluation `cut` escape it
+        q = ResponseQuery(geometric(6, True, True), range(6), 32)
+        path = [32]
+        for _ in range(cut):
+            path.append(conftest_workload(q.tasks, q.gamma, path[-1]))
+        broken = q._copy(bounds=q.bounds._replace(u=path[cut] - 1))
+        with counters.collect() as ops:
+            with pytest.raises(InternalInvariantViolated, match="escaped"):
+                rta._iterate(broken, 32, 10)
+        assert ops.fixpoint_iters == cut
+        with counters.collect() as ops:
+            assert rta._iterate(q, 32, cut) == (path[cut], False)
+        assert ops.fixpoint_iters == cut
+        if cut == 3:
+            with counters.collect() as ops:
+                with pytest.raises(InternalInvariantViolated):
+                    compute_response(broken, "auto")
+            assert ops.fixpoint_iters == 3
 
 
 class TestBruteforce:
