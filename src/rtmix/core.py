@@ -15,8 +15,9 @@ are rejected (`is_integer`).
 
 The one magnitude rule is `certified_s`: S, which bounds every search,
 raises OverflowLimit past the cap that RTMIX_LIMIT_BITS sets; the lcm is
-exact and uncapped.  A bounds pass (`bounds_from_parts`) reads the cap once
-and its `BoundsResult` carries it to every bounds derived from it.
+exact and uncapped.  Each bounds pass reads the cap once and passes it on:
+`bounds_from_parts`, whose `BoundsResult` carries it to every bounds
+derived from it, and `mixing.certified_s_bound`.
 """
 
 from __future__ import annotations
@@ -62,16 +63,13 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def certified_s(weight_sum: int, m: int, slack: int, limit: int | None = None) -> int:
+def certified_s(weight_sum: int, m: int, slack: int, limit: int) -> int:
     """The certified search bound S = min(m - 1, ceil(weight_sum * m / slack)),
     or m - 1 when there is no slack (slack <= 0), for terms of lcm m and
     summed weight `weight_sum`.  The one gate on magnitude: S past the cap
-    raises OverflowLimit, while m itself is uncapped.  `limit` is the cap
-    that the caller's bounds pass read (`magnitude_cap`); when None, the cap
-    is read here."""
+    `limit`, which the caller's bounds pass read (`magnitude_cap`), raises
+    OverflowLimit, while m itself is uncapped."""
     s = m - 1 if slack <= 0 else min(m - 1, ceil_div(weight_sum * m, slack))
-    if limit is None:
-        limit = magnitude_cap()
     if s > limit:
         raise OverflowLimit(f"the search bound S exceeds the magnitude cap "
                             f"2**{limit.bit_length()} - 1")
@@ -223,21 +221,19 @@ def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
         load += share
         jitter_load += t.jitter * share
         cost_sum += t.c
-    return bounds_from_load(gamma, m, load, jitter_load, cost_sum)
+    return bounds_from_load(gamma, m, load, jitter_load, cost_sum, magnitude_cap())
 
 
 def bounds_from_load(gamma: int, m: int, load: int, jitter_load: int,
-                     cost_sum: int, cap: int | None = None) -> BoundsResult:
+                     cost_sum: int, cap: int) -> BoundsResult:
     """The bounds at gamma from a load aggregate, the one copy of their
     arithmetic.  The slack is D/m, D = m - L, so every bound is an integer
     ratio over D, S and ceil(ell) included: S = min(m - 1, ceil(sum c_i * m
     / D)), gated by `certified_s` after the utilization gate, and
-    ceil(ell) = ceil((gamma*m + J) / D).  `cap` is the magnitude cap of the
-    bounds these derive from; a new bounds pass (None) reads it."""
+    ceil(ell) = ceil((gamma*m + J) / D).  `cap` is the magnitude cap that
+    the bounds pass read, which derived bounds keep."""
     if load >= m:
         raise UtilizationExceeded(f"interfering utilization {Fraction(load, m)} >= 1")
-    if cap is None:
-        cap = magnitude_cap()
     slack = m - load
     s = certified_s(cost_sum, m, slack, cap)
     u2 = ceil_div(gamma + cost_sum, slack) * m

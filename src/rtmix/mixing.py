@@ -39,11 +39,11 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from itertools import chain, repeat
+from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, certified_s, is_harmonic, is_integer, load_at_lcm
+from .core import ceil_div, certified_s, is_harmonic, is_integer, load_at_lcm, magnitude_cap
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -118,15 +118,16 @@ def certified_s_bound(inst: MixInstance) -> int:
     ceil(sum w_i / (w0 - sum w_i/a_i)), below which shifting s down by that
     amount strictly improves the objective.  Returns the smaller of the two
     (`core.certified_s`, which raises OverflowLimit when S passes the
-    magnitude cap).  One integer pass at the lcm m: the slack
-    w0*m - sum w_i*(m/a_i) is positive exactly when the second bound exists.
+    magnitude cap, read here once per call).  One integer pass at the lcm m:
+    the slack w0*m - sum w_i*(m/a_i) is positive exactly when the second
+    bound exists.
     """
     m = math.lcm(*(t.a for t in inst.terms))
     load = weight_sum = 0
     for t in inst.terms:
         load += t.w * (m // t.a)
         weight_sum += t.w
-    return certified_s(weight_sum, m, inst.w0 * m - load)
+    return certified_s(weight_sum, m, inst.w0 * m - load, magnitude_cap())
 
 
 @dataclass(frozen=True)
@@ -200,10 +201,6 @@ def _solve(inst: MixInstance | MixForm, search) -> MixSolution:
     return sol
 
 
-# Drop points that `_scan` sorts at once; past this many it merges them lazily.
-_SORT_LIMIT = 1 << 16
-
-
 def _scan(form: MixForm) -> tuple[int, int]:
     """The smallest optimal s in [0, S] and its objective."""
     w0, base, hi = form.w0, form.base, form.s_bound
@@ -211,13 +208,10 @@ def _scan(form: MixForm) -> tuple[int, int]:
     counters.bump("mixing_calls")
     # least s >= 1 with s = b (mod a), then every a-th s up to hi
     drops = [(range((b - 1) % a + 1, hi + 1, a), w) for w, a, b in terms]
-    total = sum(len(r) for r, _ in drops)
-    counters.bump("mixing_ops", len(terms) + 1 + total)
-    pairs = [zip(r, repeat(w)) for r, w in drops]
-    points = sorted(chain.from_iterable(pairs)) if total <= _SORT_LIMIT else heapq.merge(*pairs)
+    counters.bump("mixing_ops", len(terms) + 1 + sum(len(r) for r, _ in drops))
     best_s = prev = 0
     best_obj = obj = sum(w * ceil_div(b, a) for w, a, b in terms)
-    for s, w in points:
+    for s, w in heapq.merge(*(zip(r, repeat(w)) for r, w in drops)):
         if s != prev:  # obj is complete at prev: every drop there is taken
             if obj < best_obj:
                 best_s, best_obj = prev, obj
@@ -236,9 +230,8 @@ def solve_bruteforce(inst: MixInstance | MixForm) -> MixSolution:
     From s - 1 to s the objective rises by w0 and falls by w_i for every term
     with s = b_i (mod a_i), so a minimum lies at s = 0 or at one of these drop
     points.  Only those are visited: each weighted term's drop points form an
-    arithmetic progression, and the objective is carried along as a running
-    sum.  Up to `_SORT_LIMIT` drop points are sorted at once; more are merged
-    lazily from the progressions, in O(n) memory.
+    arithmetic progression, the progressions are merged lazily (O(n) memory),
+    and the objective is carried along as a running sum.
     """
     return _solve(inst, _scan)
 

@@ -257,16 +257,16 @@ class TestBounds:
         with pytest.raises(OverflowLimit):
             bounds_from_parts(1, [Task(6, 7), Task(1, 9)])
         # no slack leaves S = m - 1, which meets the cap at m = 16
-        assert certified_s(1, 16, 0) == 15
+        assert certified_s(1, 16, 0, magnitude_cap()) == 15
         with pytest.raises(OverflowLimit):
-            certified_s(1, 17, 0)
+            certified_s(1, 17, 0, magnitude_cap())
 
     def test_overflow_names_a_cap_past_the_int_str_digit_limit(self, monkeypatch):
         # a cap of 4516 decimal digits, past the interpreter's 4300-digit
         # int/str limit: the error names it by its bit count
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "15000")
         with pytest.raises(OverflowLimit, match=r"2\*\*15000 - 1"):
-            certified_s(1, 2**15001, 0)
+            certified_s(1, 2**15001, 0, magnitude_cap())
 
     def test_a_bounds_pass_reads_the_cap_once_and_derived_bounds_keep_it(self, monkeypatch):
         reads = []

@@ -2,14 +2,12 @@
 
 import math
 from fractions import Fraction
-from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_mix_instances, mix_enum_oracle
-from rtmix import counters, mixing
 from rtmix.gen import random_mix_instance, tight_mixing_instance
 from rtmix.mixing import (
     MixInstance,
@@ -171,23 +169,6 @@ class TestBruteforce:
         inst = MixInstance(data.draw(st.integers(math.ceil(util), 3), label="w0"), terms)
         sol = solve_bruteforce(inst)
         assert (sol.objective, sol.s) == mix_enum_oracle(inst, certified_s_bound(inst))
-
-    @given(st.data())
-    @settings(max_examples=200)
-    def test_sorted_and_merged_drop_points_agree(self, data):
-        # the scan sorts up to `_SORT_LIMIT` drop points at once and merges
-        # more lazily: both give the smallest optimal s and the same counts
-        caps = data.draw(st.lists(st.one_of(st.just(1), st.integers(2, 16)), max_size=4))
-        terms = [(data.draw(st.integers(0, a)), a, data.draw(st.integers(-40, 40))) for a in caps]
-        util = sum(Fraction(w, a) for w, a, _ in terms)
-        assume(util <= 3)
-        inst = MixInstance(data.draw(st.integers(math.ceil(util), 3), label="w0"), terms)
-        with counters.collect() as sorted_ops:
-            by_sort = solve_bruteforce(inst)
-        with mock.patch.object(mixing, "_SORT_LIMIT", -1), counters.collect() as merged_ops:
-            by_merge = solve_bruteforce(inst)
-        assert by_sort == by_merge and sorted_ops == merged_ops
-        assert (by_sort.objective, by_sort.s) == mix_enum_oracle(inst, certified_s_bound(inst))
 
     @given(bounded_mix_instances())
     def test_strict_utilization_localizes_optimum(self, inst):

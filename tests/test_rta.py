@@ -317,10 +317,12 @@ class TestCompiledWorkload:
 
     def test_one_cap_read_per_analysis_and_every_level_keeps_it(self, monkeypatch):
         # the query of level 0 reads the cap; every later level is derived
-        # from it, and only a mixing compile reads the cap again
+        # from it, and only a mixing compile, a bounds pass of its own,
+        # reads the cap again
         calls, seen = Counter(), []
         real_cap, real_compile, real_compute = core.magnitude_cap, mixing.compile_mix, rta.compute_response
-        monkeypatch.setattr(core, "magnitude_cap", lambda: calls.update(["cap"]) or real_cap())
+        for module in (core, mixing):
+            monkeypatch.setattr(module, "magnitude_cap", lambda: calls.update(["cap"]) or real_cap())
         monkeypatch.setattr(mixing, "compile_mix",
                             lambda inst: calls.update(["compile"]) or real_compile(inst))
         monkeypatch.setattr(rta, "compute_response",
@@ -350,6 +352,20 @@ class TestCompiledWorkload:
         with pytest.raises(OverflowLimit):
             q.plus(3, 1)
         assert ResponseQuery(ts, range(4), 1).s_bound == 55
+
+    def test_a_query_mixing_form_reads_the_cap_at_its_compile(self, monkeypatch):
+        # S = 14 passes the build's cap 31; the form, compiled at the first
+        # probe, gates the same S by the cap that the variable sets then
+        ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "5")
+        q = ResponseQuery(ts, range(3), 1)
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")
+        assert (q.bounds.s, q.bounds.cap) == (14, 31)
+        with pytest.raises(OverflowLimit):
+            q.form
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
+        assert q.form.s_bound == q.bounds.s == 14
+        assert q.at(2).bounds.cap == 31
 
     @pytest.mark.parametrize("cut", range(1, 6))
     def test_the_climb_counts_every_evaluation_also_when_it_raises(self, cut):
