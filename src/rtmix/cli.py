@@ -125,7 +125,6 @@ _MIX_SOLVERS = {
     "bruteforce": lambda inst: mixing.solve_bruteforce(inst),
     "harmonic": lambda inst: mixing.solve_harmonic(inst),
     "shift": lambda inst: reverse.solve_general_via_shift(inst),
-    "via-rtc": lambda inst: reverse.solve_crowded(inst),
 }
 
 

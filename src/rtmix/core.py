@@ -95,9 +95,6 @@ class TaskSystem:
     def __init__(self, tasks: Iterable[Task]):
         object.__setattr__(self, "tasks", tuple(tasks))
 
-    def __len__(self) -> int:
-        return len(self.tasks)
-
     def periods(self) -> tuple[int, ...]:
         return tuple(t.p for t in self.tasks)
 

@@ -1,4 +1,4 @@
-"""Solving mixing set instances through response-time computations.
+"""Solving mixing set instances through response times.
 
 The forward reduction decides "response(I, gamma) <= k" via
 "Mix(I, k) <= k - gamma"; substituting k -> k' + gamma, gamma -> beta - k'
@@ -7,31 +7,27 @@ turns it around: for beta at or above the certified bound S on optimal s,
     Mix(I, beta) <= k   iff   response(I, beta - k) <= beta,
 
 where the instance's capacities become periods, weights become costs, and
-b_i - beta becomes the release jitter.  This module applies that identity:
-
-* `solve_crowded` handles right-hand sides with lcm(a) <= b_i <= b_min + a_i,
-  where the jitter encoding is immediate (all-equal right-hand sides
-  b_i = beta >= lcm(a) are crowded with zero jitter);
-* `solve_general_via_shift` normalizes an arbitrary right-hand side into the
-  crowded window by shifting each b_i up by a multiple of a_i (the objective
-  shifts by a computable constant).
-
-Both fix w0 = 1 (rescaling would change the integrality of the dual query)
-and reject anything else.  Each public function but `shift_record`
-validates its instance at entry (`solve_general_via_shift` hands its
-shifted instance, with the same w and a, straight to the search), and
-`mix_leq_via_rtc` is the checked form of one decision, which
-`solve_crowded` takes first at k = beta - 1.  Inside a solve the instance
-and beta stay fixed, so the search builds one response query and derives
-each probe's, at dual constant beta - k, from it (`rta.ResponseQuery.at`),
-sharing its mixing form.  The query's load aggregate brackets every
-response (Sjodin and Hansson, RTSS 1998), which leaves at most sum w_i + 1
-values of k to bisect, and each probe starts from a certified lower bound
-derived from the response above it.  The search keeps each probe's
-response for the least k's witness s = beta - response.  The queries are
-answered by `rta.compute_response`, the same algorithm selector `rtmix rta
-compute --algorithm auto` uses; the decision reads the query's own
-`UtilizationExceeded` (dual load >= 1) as "no response".
+b_i - beta becomes the release jitter.  `solve_general_via_shift`, the one
+solver here, applies that identity to any bounded instance: it shifts each
+b_i by a multiple of a_i into the crowded window [m, m + a_i], m = lcm(a)
+(`shift_record`, which checks the window), where beta = b_min gives jitter
+0 <= b_i - beta <= a_i, hands the shifted instance, with the same w and a,
+straight to the crowded search (`_solve_crowded`), and shifts the objective
+back by a computable constant.  Each public function but `shift_record`
+validates its instance at entry and fixes w0 = 1 (rescaling would change
+the integrality of the dual query); `mix_leq_via_rtc` is the checked form of
+one decision, which the crowded search takes first at k = beta - 1.  Inside
+a solve the instance and beta stay fixed, so the search builds one response
+query and derives each probe's, at dual constant beta - k, from it
+(`rta.ResponseQuery.at`), sharing its mixing form.  The query's load
+aggregate brackets every response (Sjodin and Hansson, RTSS 1998), which
+leaves at most sum w_i + 1 values of k to bisect, and each probe starts from
+a certified lower bound derived from the response above it.  The search
+keeps each probe's response for the least k's witness s = beta - response,
+which the solver completes and checks once, against the original instance.
+The queries are answered by `rta.compute_response`, the same algorithm
+selector `rtmix rta compute --algorithm auto` uses; the decision reads the
+query's own `UtilizationExceeded` (dual load >= 1) as "no response".
 
 The lcm m, beta and the shifted right-hand sides are uncapped: only the
 certified S meets the magnitude cap (`core.certified_s`), and S bounds each
@@ -106,17 +102,34 @@ def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
     return rta.compute_response(q) <= beta
 
 
-def _witness(inst: mixing.MixInstance, s: int, expect: int) -> mixing.MixSolution:
+def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
+    """Optimum of any bounded instance: shift each b_i by a multiple of
+    a_i into the crowded window [m, m + a_i] (`shift_record`), solve the
+    crowded instance (`_solve_crowded`), and subtract the shift's cost.
+    With x'_i = x_i + offset_i the shifted objective at s is the original's
+    plus the correction, so the optimal s is the same and the completion is
+    checked once, against the original instance."""
+    _validate(inst)
+    if mixing.is_unbounded(inst):
+        raise Unbounded("weight utilization exceeds 1")
+    if not inst.terms:
+        return mixing.complete(0, inst)
+    rec = shift_record(inst)
+    terms = [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)]
+    s, objective = _solve_crowded(mixing.MixInstance(1, terms))
+    objective -= rec.objective_correction
     sol = mixing.complete(s, inst)
-    if sol.objective != expect:
+    if sol.objective != objective:
         raise InternalInvariantViolated(
-            f"witness at s={s} has objective {sol.objective}, expected {expect}"
+            f"witness at s={s} has objective {sol.objective}, expected {objective}"
         )
     return sol
 
 
-def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
-    """Optimum for crowded right-hand sides: lcm(a) <= b_i <= b_min + a_i.
+def _solve_crowded(inst: mixing.MixInstance) -> tuple[int, int]:
+    """(s, objective) of an optimum of a valid, bounded, nonempty instance
+    whose right-hand sides are crowded: m <= b_i <= b_min + a_i, m = lcm(a),
+    as `shift_record` places them.
 
     Sets beta = b_min, jitter_i = b_i - beta, then binary-searches the least
     k with response(I, beta - k) <= beta.  Probes are limited to k <= beta - 1
@@ -131,28 +144,11 @@ def solve_crowded(inst: mixing.MixInstance) -> mixing.MixSolution:
     The search maximizes the dual objective t - sum w_i*ceil((t + jitter_i)/a_i)
     over one capacity period, which the shift identity pins to
     (beta - m, beta]; with s = beta - t that is the mixing objective over
-    s < min(m, beta) = m.  The brute-force solver's range [0, S] lies inside
+    s < min(m, beta) = m.  The fallback's brute-force range [0, S] lies inside
     it (S <= m - 1) and holds an optimal s, so its smallest optimal s is the
     answer.
     """
-    _validate(inst)
-    if mixing.is_unbounded(inst):
-        raise Unbounded("weight utilization exceeds 1")
-    if not inst.terms:
-        return mixing.complete(0, inst)
-    return _solve_crowded(inst, math.lcm(*inst.capacities()))
-
-
-def _solve_crowded(inst: mixing.MixInstance, m: int) -> mixing.MixSolution:
-    """`solve_crowded` on a valid, bounded, nonempty inst with lcm(a) = m."""
-    b_min = min(t.b for t in inst.terms)
-    b_max = max(t.b for t in inst.terms)
-    for idx, t in enumerate(inst.terms):
-        if not m <= t.b <= b_min + t.a:
-            raise PreconditionViolated(
-                f"term {idx}: crowded right-hand side needs lcm <= b <= b_min + a"
-            )
-    beta = b_min
+    beta = min(t.b for t in inst.terms)
     if mix_leq_via_rtc(inst, beta, beta - 1):
         # k = beta - 1 holds (so the dual load is below 1 and 1 <= top <= beta);
         # bisected in integers since beta may pass sys.maxsize
@@ -171,33 +167,20 @@ def _solve_crowded(inst: mixing.MixInstance, m: int) -> mixing.MixSolution:
                 lo = k + 1
         if lo not in responses:  # the window's upper end, a yes by the bounds
             responses[lo] = rta.compute_response(q.at(beta - lo))
-        return _witness(inst, beta - responses[lo], lo)
+        return beta - responses[lo], lo
     # optimum in [beta, b_max], at some s = beta - t <= S <= m - 1 <= beta - 1
     sol = mixing.solve_bruteforce(inst)
-    if not beta <= sol.objective <= b_max:
+    if not beta <= sol.objective <= max(t.b for t in inst.terms):
         raise InternalInvariantViolated(
             f"crowded fallback produced optimum {sol.objective} outside [beta, b_max]"
         )
-    return sol
-
-
-def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
-    """Arbitrary right-hand sides: shift each b_i up to the crowded window
-    [m, m + a_i], solve the crowded instance, and subtract the shift cost."""
-    _validate(inst)
-    if mixing.is_unbounded(inst):
-        raise Unbounded("weight utilization exceeds 1")
-    if not inst.terms:
-        return mixing.complete(0, inst)
-    rec = shift_record(inst)
-    terms = [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)]
-    crowded = _solve_crowded(mixing.MixInstance(1, terms), rec.m)
-    return _witness(inst, crowded.s, crowded.objective - rec.objective_correction)
+    return sol.s, sol.objective
 
 
 def shift_record(inst: mixing.MixInstance) -> ShiftRecord:
     """Offsets ceil((m - b_i)/a_i) and the objective correction they cost,
-    for a valid instance."""
+    for a valid instance.  Each shifted b'_i lies in [m, m + a_i], so
+    m <= b'_min and the shifted instance is crowded: b'_i <= b'_min + a_i."""
     m = math.lcm(*inst.capacities())
     offsets = tuple(ceil_div(m - t.b, t.a) for t in inst.terms)
     for t, off in zip(inst.terms, offsets):

@@ -144,6 +144,27 @@ class TestStructure:
         with pytest.raises(InvalidInstance):
             brick_program(A=(((1, 2),),))
 
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            ({"D": ((1,), (1,))}, "D: expected a 1x1 integer matrix"),
+            ({"s": 0}, "dimensions must satisfy n,r,t >= 0 and s >= 1"),
+            ({"n": -1}, "dimensions must satisfy n,r,t >= 0 and s >= 1"),
+            ({"C": ()}, "need exactly one C, B, A, rhs block per brick"),
+            ({"n": 0, "C": (), "B": (), "A": (), "rhs": (), "u": (5,)},
+             "j must be None when there are no bricks"),
+            ({"j": 2}, "addressed brick j=2 out of range 1..1"),
+            ({"j": None}, "addressed brick j=None out of range 1..1"),
+            ({"u": (5, -1)}, "box bounds must be nonnegative"),
+        ],
+        ids=["D-rows", "s-zero", "n-negative", "C-blocks", "j-without-bricks",
+             "j-past-n", "j-missing", "negative-box-bound"],
+    )
+    def test_malformed_program_names_its_fault(self, overrides, message):
+        with pytest.raises(InvalidInstance) as exc:
+            brick_program(**overrides)
+        assert str(exc.value) == message
+
     def test_negative_weights_rejected(self):
         with pytest.raises(InvalidInstance):
             brick_program(w0=(-1,))
@@ -290,6 +311,15 @@ class TestBinarySearch:
         prog = encode_rtc_as_4block(pair_system)
         with pytest.raises(Infeasible):
             solve_simple_4block(prog, H=1)
+
+    def test_bisection_infeasible_when_h_window_misses(self, pair_system):
+        # the mirrored encoding leaves the piece path, so the bisection's own
+        # check of H refuses it
+        prog = mirrored(encode_rtc_as_4block(pair_system))
+        assert not blockip.on_piece_path(prog)
+        with pytest.raises(Infeasible) as exc:
+            solve_simple_4block(prog, H=1)
+        assert str(exc.value) == "no objective value in [0, 1] satisfies the coupling bound"
 
     def test_zero_objective_feasible_at_zero(self):
         prog = brick_program()

@@ -1,11 +1,14 @@
 """CLI behavior: reports, verification, exit codes, JSON round trips."""
 
+import argparse
 import contextlib
 import io
 import json
 import math
 import os
+import sys
 import tempfile
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -13,7 +16,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rtmix import blockip, reverse, rta
-from rtmix.cli import main
+from rtmix.cli import build_parser, main
 from rtmix.core import Task, TaskSystem
 from rtmix.errors import OverflowLimit
 from rtmix.mixing import MixInstance
@@ -127,6 +130,7 @@ class TestMixSolve:
         assert last_json(out)["result"]["objective"] == 23
 
     def test_via_rtc_on_crowded_instance(self, capsys, tmp_path):
+        # `shift` is the one solver through response times (rtc)
         inst = tmp_path / "crowded.json"
         inst.write_text(
             json.dumps(
@@ -134,30 +138,34 @@ class TestMixSolve:
             )
         )
         code, out = run_cli(
-            capsys, "mix", "solve", "--input", str(inst), "--algorithm", "via-rtc", "--verify"
+            capsys, "mix", "solve", "--input", str(inst), "--algorithm", "shift", "--verify"
         )
         assert code == 0
         assert last_json(out)["result"]["objective"] == 4
 
     def test_via_rtc_bisects_past_sys_maxsize(self, capsys, tmp_path):
-        # beta = b_min = 2**63 + 5 lies past sys.maxsize, which no range holds
+        # four capacities near 2**16 whose lcm m passes 2**63: the shift lands
+        # every right-hand side in [m, m + a_i], so the crowded search's
+        # beta = b_min lies past sys.maxsize, which no range holds
+        caps = (65521, 65519, 65497, 65479)
+        assert math.lcm(*caps) > sys.maxsize
         inst = tmp_path / "huge.json"
-        terms = [{"w": 1, "a": 2, "b": 2**63 + 5}, {"w": 1, "a": 4, "b": 2**63 + 6}]
+        terms = [{"w": 1, "a": a, "b": b} for a, b in zip(caps, (0, 3, 7, 11))]
         inst.write_text(json.dumps({"w0": 1, "terms": terms}))
         objectives = {}
-        for algorithm in ("via-rtc", "bruteforce"):
+        for algorithm in ("shift", "bruteforce"):
             code, out = run_cli(
                 capsys, "mix", "solve", "--input", str(inst), "--algorithm", algorithm
             )
             assert code == 0, out
             objectives[algorithm] = last_json(out)["result"]["objective"]
-        assert objectives["via-rtc"] == objectives["bruteforce"]
+        assert objectives["shift"] == objectives["bruteforce"]
 
-    @pytest.mark.parametrize("algorithm", ["bruteforce", "harmonic", "shift", "via-rtc"])
+    @pytest.mark.parametrize("algorithm", ["bruteforce", "harmonic", "shift"])
     def test_unbounded_exit_code(self, capsys, tmp_path, algorithm, monkeypatch):
         inputs = [({"w0": 1, "terms": [{"w": 2, "a": 1, "b": 0}]}, None)]
-        if algorithm in ("shift", "via-rtc"):
-            # the lcm 77 exceeds the cap 15: the reverse reductions decide
+        if algorithm == "shift":
+            # the lcm 77 exceeds the cap 15: the reverse reduction decides
             # unboundedness before anything meets the cap (exit 1, not 3)
             terms = [{"w": 5, "a": 7, "b": 0}, {"w": 5, "a": 11, "b": 3}]
             inputs.append(({"w0": 1, "terms": terms}, "4"))
@@ -571,6 +579,25 @@ class TestErrorExitCodes:
         assert "Traceback" not in captured.out + captured.err
 
 
+class TestUnreadableInput:
+    @pytest.mark.parametrize("command", ["rta compute", "mix solve", "blockip solve"])
+    @pytest.mark.parametrize(
+        "text, message",
+        [(None, "cannot read {path}: "), ('{"tasks": [', "{path} is not valid JSON: ")],
+        ids=["missing-file", "invalid-json"],
+    )
+    def test_exits_2(self, capsys, tmp_path, command, text, message):
+        path = tmp_path / "input.json"
+        if text is not None:
+            path.write_text(text)
+        assert main([*command.split(), "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["error"] == "InvalidInstance"
+        assert report["message"].startswith(message.format(path=path))
+        assert "Traceback" not in captured.out + captured.err
+
+
 class TestIntegerFieldsOnly:
     def test_unchanged_program_solves(self, capsys, tmp_path):
         path = tmp_path / "prog.json"
@@ -610,3 +637,38 @@ class TestTextFormat:
         )
         assert code == 0
         assert "responses" in out and "{" not in out.splitlines()[0]
+
+
+def parser_algorithms(command: str) -> tuple[str, ...]:
+    """The --algorithm choices that the parser accepts for `rtmix <command>`."""
+    parser = build_parser()
+    for name in command.split():
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = sub.choices[name]
+    return tuple(next(a for a in parser._actions if a.dest == "algorithm").choices)
+
+
+def readme_algorithms(command: str) -> tuple[str, ...]:
+    """The algorithms that the README's command-line section lists for
+    `rtmix <command>`: the first parenthesized list, up to a semicolon, in the
+    comment block above the command's example."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8").splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith(f"rtmix {command} "))
+    start = at
+    while lines[start - 1].startswith("#"):
+        start -= 1
+    comment = " ".join(line.lstrip("# ") for line in lines[start:at])
+    listed = comment[comment.index("(") + 1:].split(")")[0].split(";")[0]
+    return tuple(name.strip() for name in listed.split("|"))
+
+
+class TestReadmeAlgorithms:
+    """The README lists exactly the algorithms that the parser accepts."""
+
+    def test_rta_compute(self):
+        listed = readme_algorithms("rta compute")
+        assert listed == rta.ALGORITHMS == parser_algorithms("rta compute")
+
+    def test_mix_solve(self):
+        assert readme_algorithms("mix solve") == parser_algorithms("mix solve")
+        assert parser_algorithms("mix solve") == ("bruteforce", "harmonic", "shift")

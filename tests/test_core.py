@@ -63,6 +63,16 @@ class TestValidate:
             validate(TaskSystem([task]))
         assert str(exc.value) == f"task 0: field {field} must be an integer"
 
+    def test_rejects_what_is_not_a_task_system(self):
+        with pytest.raises(InvalidInstance) as exc:
+            validate([Task(1, 5, 0)])
+        assert str(exc.value) == "expected a TaskSystem"
+
+    def test_rejects_a_non_integer_deadline(self):
+        with pytest.raises(InvalidInstance) as exc:
+            validate(TaskSystem([Task(2, 5, 0, 3.0)]))
+        assert str(exc.value) == "task 0: deadline must be an integer or None"
+
     def test_is_integer_takes_int_and_its_subclasses_but_bool(self):
         class Count(int):
             pass

@@ -51,8 +51,28 @@ class TestConstructExtreme:
         with pytest.raises(PreconditionViolated):
             construct_extreme([2], 2, "p")
 
+    @pytest.mark.parametrize(
+        "cs, jitters, message",
+        [
+            ([], "p", "need at least one leading cost (n >= 3)"),
+            ([1, 0], "p", "leading costs must be >= 1"),
+            ([1], [0, 1], "jitter vector must have length 3"),
+        ],
+        ids=["no-leading-cost", "zero-cost", "short-jitter-vector"],
+    )
+    def test_rejects_unmet_preconditions(self, cs, jitters, message):
+        with pytest.raises(PreconditionViolated) as exc:
+            construct_extreme(cs, 3, jitters)
+        assert str(exc.value) == message
+
 
 class TestTightMixing:
+    @pytest.mark.parametrize("n", [1, 0])
+    def test_needs_two_terms(self, n):
+        with pytest.raises(PreconditionViolated) as exc:
+            tight_mixing_instance(n)
+        assert str(exc.value) == f"tight family needs n >= 2, got {n}"
+
     def test_n2_values(self):
         inst = tight_mixing_instance(2)
         assert inst.w0 == 1
@@ -83,6 +103,11 @@ class TestTightMixing:
 
 
 class TestRandomSystem:
+    def test_unknown_jitter_mode_rejected(self):
+        with pytest.raises(InvalidInstance) as exc:
+            random_system(1, 3, 8, jitter_mode="half")
+        assert str(exc.value) == "unknown jitter_mode 'half'"
+
     def test_deterministic_in_seed(self):
         a = random_system(5, 4, 16, harmonic=True)
         b = random_system(5, 4, 16, harmonic=True)

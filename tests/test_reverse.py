@@ -15,12 +15,7 @@ from rtmix import counters, mixing, reverse, rta
 from rtmix.errors import PreconditionViolated
 from rtmix.gen import random_mix_instance, tight_mixing_instance
 from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce
-from rtmix.reverse import (
-    mix_leq_via_rtc,
-    shift_record,
-    solve_crowded,
-    solve_general_via_shift,
-)
+from rtmix.reverse import mix_leq_via_rtc, shift_record, solve_general_via_shift
 
 
 class TestMixLeqViaRtc:
@@ -48,6 +43,14 @@ class TestMixLeqViaRtc:
         with pytest.raises(PreconditionViolated):
             mix_leq_via_rtc(inst, 4, 4)
 
+    def test_rejects_beta_below_the_certified_s(self):
+        # S = min(lcm - 1, ceil(C / (1 - U))) = min(3, 8) = 3
+        inst = MixInstance(1, [(1, 2, 4), (1, 4, 4)])
+        assert mixing.certified_s_bound(inst) == 3
+        with pytest.raises(PreconditionViolated) as exc:
+            mix_leq_via_rtc(inst, 2, 1)
+        assert str(exc.value) == "beta=2 is below the certified bound on optimal s"
+
     def test_monotone_in_k(self):
         inst = MixInstance(1, [(1, 2, 5), (2, 4, 6)])
         beta = 4
@@ -56,38 +59,37 @@ class TestMixLeqViaRtc:
 
 
 class TestSolveCrowded:
+    """Crowded instances, lcm(a) <= b_i <= b_min + a_i, through the shift path."""
+
     def test_two_term_example(self):
         inst = MixInstance(1, [(1, 2, 4), (1, 4, 5)])
-        assert solve_crowded(inst).objective == solve_bruteforce(inst).objective
+        assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
 
     def test_all_rhs_equal_lcm(self):
         inst = MixInstance(1, [(1, 2, 4), (1, 4, 4)])
-        assert solve_crowded(inst).objective == solve_bruteforce(inst).objective == 3
+        assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective == 3
 
     def test_weighted_example(self):
         inst = MixInstance(1, [(2, 3, 9), (1, 9, 11)])
-        assert solve_crowded(inst).objective == solve_bruteforce(inst).objective
+        assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
 
     def test_heavy_weights_push_optimum_to_beta(self):
         # optimal objective reaches b_min itself, exercising the dual-maximum
         # tail behind the k <= beta - 1 probe range
         inst = MixInstance(1, [(2, 2, 5)])
-        got = solve_crowded(inst)
+        got = solve_general_via_shift(inst)
         assert got.objective == solve_bruteforce(inst).objective == 5
 
     def test_unbounded_instances_rejected(self):
         from rtmix.errors import Unbounded
 
         with pytest.raises(Unbounded):
-            solve_crowded(MixInstance(1, [(100, 2, 4)]))
-
-    def test_rejects_uncrowded_rhs(self):
-        with pytest.raises(PreconditionViolated):
-            solve_crowded(MixInstance(1, [(1, 2, 1)]))
+            solve_general_via_shift(MixInstance(1, [(100, 2, 4)]))
 
     def test_instance_checked_once_per_public_entry(self, monkeypatch):
-        # solve_crowded validates its instance at its entry and again in its
-        # first probe, the public mix_leq_via_rtc, which also certifies the
+        # the shift leaves this crowded instance as it is: the solve validates
+        # it at its entry and again, shifted, in the crowded search's first
+        # probe, the public mix_leq_via_rtc, which also certifies the
         # instance's S; the binary search's later probes repeat neither.
         # Each of the two builds one response query; every probe of the
         # search derives its query from the second and shares its mixing
@@ -109,11 +111,11 @@ class TestSolveCrowded:
                             lambda q, *args: built.append(args) or init(q, *args))
         monkeypatch.setattr(rta, "compute_response", lambda q: probed.append(q) or compute(q))
         with counters.collect() as ops:
-            assert solve_crowded(inst).objective == expected
-        assert sum(v is inst for v in validated) == 2
-        assert sum(c is inst for c in certified) == 1
-        forms = [v for v in validated if v is not inst]
-        assert [c for c in certified if c is not inst] == forms
+            assert solve_general_via_shift(inst).objective == expected
+        assert sum(v == inst for v in validated) == 2
+        assert sum(c == inst for c in certified) == 1
+        forms = [v for v in validated if v != inst]
+        assert [c for c in certified if c != inst] == forms
         assert 1 <= len(forms) < ops.mixing_calls  # some form serves several solves
         assert len(forms) <= len(built) == 2 < len(probed)
         cost_sum = sum(t.w for t in inst.terms)
@@ -134,7 +136,7 @@ class TestSolveCrowded:
             b_min = min(b for _, _, b in terms)
             terms = [(w, a, min(b, b_min + a)) for w, a, b in terms]
             inst = MixInstance(1, terms)
-            assert solve_crowded(inst).objective == solve_bruteforce(inst).objective
+            assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
 
 
 @st.composite
@@ -193,10 +195,10 @@ class TestBoundsWindow:
             return probes[-1][1]
 
         cost_sum = sum(t.w for t in inst.terms)
-        for solve, case in ((solve_crowded, shifted(inst)), (solve_general_via_shift, inst)):
+        for case in (shifted(inst), inst):
             probes.clear()
             with mock.patch.object(rta, "compute_response", spy):
-                solve(case)
+                solve_general_via_shift(case)
             assert all(lower <= response for lower, response in probes)
             assert len(probes) <= 2 + math.ceil(math.log2(cost_sum + 1))
 
@@ -209,7 +211,7 @@ class TestBoundsWindow:
         compute = rta.compute_response
         with mock.patch.object(rta, "compute_response",
                                lambda q: lowers.append(q.lower) or compute(q)):
-            assert solve_crowded(inst).objective == solve_bruteforce(inst).objective == 94
+            assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective == 94
         assert lowers[:2] == [0, 0] and all(lower > 0 for lower in lowers[2:])
         assert len(lowers) >= 3
 
@@ -219,16 +221,16 @@ class TestBoundsWindow:
         # the objective is brute force's; s is the witness of the least k,
         # beta minus the least fixed point at dual constant beta - k (brute
         # force takes the smallest optimal s, which can differ on ties), and
-        # x is the canonical completion of s
-        sol, want = solve_crowded(inst), solve_bruteforce(inst)
-        assert sol.objective == want.objective
-        assert sol == mixing.complete(sol.s, inst)
+        # its canonical completion attains the objective; the crowded search
+        # takes the instance as it is, without a shift
+        (s, objective), want = reverse._solve_crowded(inst), solve_bruteforce(inst)
+        assert objective == want.objective == mixing.complete(s, inst).objective
         beta = min(t.b for t in inst.terms)
         if want.objective < beta:
             q = reverse._dual_query(inst, beta, beta - want.objective)
-            assert sol.s == beta - rta.response_bruteforce(q)
+            assert s == beta - rta.response_bruteforce(q)
         else:
-            assert sol == want
+            assert s == want.s
 
     @given(st.one_of(bounded_mix_instances(harmonic=True), bounded_mix_instances()))
     @settings(max_examples=150)
@@ -237,7 +239,7 @@ class TestBoundsWindow:
             return
         sol = solve_general_via_shift(inst)
         assert sol.objective == solve_bruteforce(inst).objective
-        s = solve_crowded(shifted(inst)).s if inst.terms else 0
+        s = reverse._solve_crowded(shifted(inst))[0] if inst.terms else 0
         assert sol == mixing.complete(s, inst)
 
 
@@ -377,29 +379,19 @@ class TestUtilizationOne:
 
 class TestConstantBeta:
     """All right-hand sides equal to beta >= lcm(a): a crowded instance with
-    zero jitter, which `solve_crowded` takes as it is."""
+    zero jitter, which the shift moves by offsets of 0 or less."""
 
     def test_harmonic_pair(self):
         inst = MixInstance(1, [(1, 2, 4), (1, 4, 4)])
-        assert solve_crowded(inst).objective == 3
+        assert solve_general_via_shift(inst).objective == 3
 
     def test_zero_weight_single_term(self):
         inst = MixInstance(1, [(0, 5, 5)])
-        sol = solve_crowded(inst)
+        sol = solve_general_via_shift(inst)
         assert sol.objective == 0
 
     def test_empty_instance(self):
-        assert solve_crowded(MixInstance(1, [])).objective == 0
-
-    def test_rejects_small_beta_on_harmonic_path(self):
-        inst = MixInstance(1, [(1, 2, 3), (1, 4, 3)])
-        with pytest.raises(PreconditionViolated):
-            solve_crowded(inst)
-
-    def test_rejects_small_beta_on_general_path(self):
-        inst = MixInstance(1, [(1, 4, 8), (1, 6, 8)])  # lcm = 12
-        with pytest.raises(PreconditionViolated):
-            solve_crowded(inst)
+        assert solve_general_via_shift(MixInstance(1, [])).objective == 0
 
     @given(utilization_one_instances(), st.integers(0, 8))
     @example(MixInstance(1, [(2, 2, 0)]), 2)  # MixInstance(1, [(2, 2, 4)]) at beta = 4
@@ -409,7 +401,7 @@ class TestConstantBeta:
         # and no dual response exists, so the crowded solve's fallback gives it
         beta = math.lcm(*base.capacities()) + extra
         inst = MixInstance(1, [(t.w, t.a, beta) for t in base.terms])
-        sol = solve_crowded(inst)
+        sol = solve_general_via_shift(inst)
         assert sol.objective == solve_bruteforce(inst).objective == beta
         assert mixing.complete(sol.s, inst) == sol
 
@@ -424,4 +416,4 @@ class TestConstantBeta:
             floor_b = max(caps) if harmonic else math.lcm(*caps)
             beta = floor_b + rng.randint(0, 15)
             inst = MixInstance(1, [(t.w, t.a, beta) for t in base.terms])
-            assert solve_crowded(inst).objective == solve_bruteforce(inst).objective
+            assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective

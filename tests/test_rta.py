@@ -121,6 +121,17 @@ class TestCompiledQuery:
         s_bound = certified_s_bound(MixInstance(1, [(t.c, t.p, 0) for t in q.tasks]))
         assert q.s_bound == s_bound == 42
 
+    @pytest.mark.parametrize("indices", [(3,), (-1, 0)])
+    def test_interferers_must_lie_in_the_system(self, demo_system, indices):
+        with pytest.raises(InvalidInstance) as exc:
+            ResponseQuery(demo_system, indices, 13)
+        assert str(exc.value) == "interference indices out of range"
+
+    def test_unknown_algorithm_rejected(self, demo_system):
+        with pytest.raises(InvalidInstance) as exc:
+            compute_response(ResponseQuery(demo_system, (0, 1), 13), "lcm-scan")
+        assert str(exc.value) == "unknown algorithm 'lcm-scan'"
+
     @pytest.mark.parametrize("gamma", [0, True, 2.0, "3"])
     def test_gamma_must_be_a_positive_integer(self, demo_system, gamma):
         with pytest.raises(InvalidInstance):
@@ -452,6 +463,12 @@ class TestDecideLargeK:
 
     def test_empty_interference(self, demo_system):
         assert decide_large_k(ResponseQuery(demo_system, (), 5), 5)
+
+    @pytest.mark.parametrize("k", [0, -3])
+    def test_refuses_k_below_1(self, demo_system, k):
+        with pytest.raises(PreconditionViolated) as exc:
+            decide_large_k(ResponseQuery(demo_system, (0, 1), 13), k)
+        assert str(exc.value) == f"decision probes need k >= 1, got {k}"
 
     def test_gate_refuses_small_k(self, demo_system):
         q = ResponseQuery(demo_system, (0, 1), 13)

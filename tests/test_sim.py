@@ -38,6 +38,16 @@ class TestValidatePattern:
         with pytest.raises(InvalidInstance, match="closer"):
             validate_pattern(demo_system, rp)
 
+    def test_one_job_list_per_task(self, demo_system):
+        with pytest.raises(InvalidInstance) as exc:
+            validate_pattern(demo_system, ReleasePattern([[], []]))
+        assert str(exc.value) == "pattern covers 2 tasks, system has 3"
+
+    def test_negative_arrival_rejected(self, demo_system):
+        with pytest.raises(InvalidInstance) as exc:
+            validate_pattern(demo_system, ReleasePattern([[(-1, 0)], [], []]))
+        assert str(exc.value) == "task 0: negative arrival -1"
+
     def test_release_delay_bounded_by_jitter(self, demo_system):
         rp = ReleasePattern([[(0, 9)], [], []])
         with pytest.raises(InvalidInstance, match="delay"):
@@ -87,6 +97,20 @@ class TestSimulate:
         a = simulate(demo_system, demo_pattern, 65)
         b = simulate(demo_system, demo_pattern, 65)
         assert a == b
+
+
+class TestSimulateInputs:
+    @pytest.mark.parametrize("horizon", [0, -5])
+    def test_horizon_below_1_rejected(self, demo_system, demo_pattern, horizon):
+        with pytest.raises(InvalidInstance) as exc:
+            simulate(demo_system, demo_pattern, horizon)
+        assert str(exc.value) == f"horizon must be >= 1, got {horizon}"
+
+    def test_unknown_measure_rejected(self, demo_system, demo_pattern):
+        trace = simulate(demo_system, demo_pattern, 65)
+        with pytest.raises(InvalidInstance) as exc:
+            observed_responses(trace, "completion")
+        assert str(exc.value) == "unknown measure 'completion'"
 
 
 class TestObservedResponses:
