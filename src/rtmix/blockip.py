@@ -14,17 +14,16 @@ probe value k, to the decision
 a two-stage program: once x^(0) is fixed the bricks decouple and each brick
 maximizes its share of a independently, brick j under the room
 k - w0 . x^(0) that x^(0) leaves its weights.  `solve_2stage_desk` exploits
-exactly that under the node budget `DEFAULT_NODE_BUDGET`.  A unit-slack brick
-without weights, whose one row is (p, -1) with p >= 1, is completed in closed
-form in O(1); every other brick goes through a depth-first search with
-interval-propagation pruning that stops each variable where the brick's
-weight would pass the room.  In general the first stage enumerates the x^(0)
-box.  When x^(0) is one variable t, wj = 0 and every brick is unit-slack -
-the shape `encode_rtc_as_4block` writes - the bricks' completions sum to an
-affine function of t between the points where some brick's ceiling or floor
-steps, with one slope for all pieces, so the first stage visits only one end
-of each piece: about sum_i |b_i|*u/p_i points instead of u + 1 (the piece
-path, `on_piece_path`).
+exactly that under the node budget `DEFAULT_NODE_BUDGET`.  A unit-slack brick,
+whose one row is (p, -1) with p >= 1, is completed in closed form in O(1);
+every other brick goes through a depth-first search with interval-propagation
+pruning.  Both stop brick j where its weight would pass the room.  In general
+the first stage enumerates the x^(0) box.  When x^(0) is one variable t,
+wj = 0 and every brick is unit-slack - the shape `encode_rtc_as_4block`
+writes - the bricks' completions sum to an affine function of t between the
+points where some brick's ceiling or floor steps, with one slope for all
+pieces, so the first stage visits only one end of each piece: about
+sum_i |b_i|*u/p_i points instead of u + 1 (the piece path, `on_piece_path`).
 
 `solve_simple_4block` finds the least feasible k in [0, H] (the decisions
 are monotone in k because a larger k only relaxes w^T x <= k, and no k < 0
@@ -197,14 +196,20 @@ def _max_brick(
     return best
 
 
-def _max_unit_slack(coef: int, c: Sequence[int], rest: int, boxes: Sequence[int]) -> int | None:
-    """Exact max of c . (x, z) over the boxes with coef*x - z = rest, coef >= 1.
+def _max_unit_slack(coef: int, c: Sequence[int], rest: int, boxes: Sequence[int],
+                    weights: Sequence[int], room: int) -> int | None:
+    """Exact max of c . (x, z) over the boxes with coef*x - z = rest, coef >= 1,
+    and weights . (x, z) <= room when some weight is positive.
 
-    z = coef*x - rest, so the feasible x form one interval and the objective
-    is linear in x on it: the best x is an end of that interval.
+    z = coef*x - rest, so the weight is (w_x + w_z*coef)*x - w_z*rest, the
+    feasible x form one interval and the objective is linear in x on it:
+    the best x is an end of that interval.
     """
     lo = max(0, ceil_div(rest, coef))
     hi = min(boxes[0], (rest + boxes[1]) // coef)
+    rate = weights[0] + weights[1] * coef
+    if rate:
+        hi = min(hi, (room + weights[1] * rest) // rate)
     if lo > hi:
         return None
     slope = c[0] + c[1] * coef
@@ -275,7 +280,7 @@ def _coupling(p: SimpleFourBlock, budget: _Budget) -> Callable[[int], int | None
         total = d * t
         for coef, c, rhs, b, boxes in bricks:
             budget.spend()
-            part = _max_unit_slack(coef, c, rhs - b * t, boxes)
+            part = _max_unit_slack(coef, c, rhs - b * t, boxes, (0, 0), 0)  # wj = 0 here
             if part is None:
                 return None
             total += part
@@ -341,9 +346,9 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     first-stage point, before the bricks, as room = k - w0 . x^(0) >= 0;
     when wj = 0 that is the whole row.  Otherwise the addressed brick j
     keeps wj . x^(j) <= room.  A unit-slack brick (one row (p, -1), p >= 1)
-    without weights is completed in closed form; every other brick goes
-    through the DFS `_max_brick`, which cuts a branch once its weight passes
-    the room.
+    is completed in closed form, the room bounding its x when it is brick j;
+    every other brick goes through the DFS `_max_brick`, which cuts a branch
+    once its weight passes the room.
 
     On the piece path (`on_piece_path`) the first stage visits one end of
     each piece of t on which the coupling row is affine (`_max_over_pieces`);
@@ -365,9 +370,7 @@ def _max_over_first_stage(p: SimpleFourBlock, k: int, budget: _Budget) -> int | 
     """`solve_2stage_desk` off the piece path: every x^(0) in its box, each
     brick completed on its own under the room the point leaves."""
     weights = [p.wj if i + 1 == p.j else (0,) * p.t for i in range(p.n)]
-    unit_coef = [
-        None if any(weights[i]) else _unit_slack_coefficient(p.A[i]) for i in range(p.n)
-    ]
+    unit_coef = [_unit_slack_coefficient(a) for a in p.A]
     best: int | None = None
     for x0 in product(*(range(u + 1) for u in p.u_first())):
         budget.spend()
@@ -379,7 +382,8 @@ def _max_over_first_stage(p: SimpleFourBlock, k: int, budget: _Budget) -> int | 
             rhs = [r - sum(b * v for b, v in zip(row, x0)) for r, row in zip(p.rhs[i], p.B[i])]
             if unit_coef[i] is not None:
                 budget.spend()
-                part = _max_unit_slack(unit_coef[i], p.C[i][0], rhs[0], p.u_brick(i))
+                part = _max_unit_slack(unit_coef[i], p.C[i][0], rhs[0], p.u_brick(i),
+                                       weights[i], room)
             else:
                 part = _max_brick(p.C[i][0], p.A[i], rhs, p.u_brick(i), weights[i], room, budget)
             if part is None:

@@ -10,11 +10,12 @@ samplers, deterministic in their seed.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Sequence
 
 from .core import Task, TaskSystem, load_at_lcm, utilization, validate
-from .errors import GenerationFailed, InvalidInstance, PreconditionViolated
+from .errors import (
+    GenerationFailed, InternalInvariantViolated, InvalidInstance, PreconditionViolated,
+)
 from .mixing import MixInstance
 
 _MAX_TRIES = 2000
@@ -48,12 +49,10 @@ def construct_extreme(
     periods.append(2 * periods[-1])
     periods.append(periods[-1])
 
-    head_util = Fraction(*load_at_lcm(zip(cs, periods)))
-    c_tail = 2 * periods[n - 3] * (1 - head_util) - 1
-    if c_tail.denominator != 1:
-        raise PreconditionViolated("capacity-filling cost is not integral")
-    costs = cs + [int(c_tail), 1]
-    assert costs[n - 2] >= 1
+    # every head period divides P = p_{n-2}, so 2P*(1 - head utilization) - 1
+    # is an integer, and at least 1: by induction 1 - head utilization >= 1/P
+    P = periods[n - 3]
+    costs = cs + [2 * P - 1 - sum(c * (2 * P // p) for c, p in zip(cs, periods)), 1]
 
     if jitters == "p":
         jit = list(periods)
@@ -68,9 +67,9 @@ def construct_extreme(
     ts = TaskSystem(
         Task(c, p, j, d) for c, p, j, d in zip(costs, periods, jit, ds)
     )
+    if costs[n - 2] < 1 or utilization(ts) != 1:
+        raise InternalInvariantViolated("constructed system misses full utilization")
     validate(ts)
-    if utilization(ts) != 1:
-        raise PreconditionViolated("constructed system misses full utilization")
     return ts
 
 

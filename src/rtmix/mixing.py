@@ -21,17 +21,17 @@ Every solver returns the solution with the smallest optimal s, and every
 returned completion is feasibility-checked before it leaves the module.
 
 Both solvers search one compiled form, a `MixForm`: `compile_mix` checks
-validity and boundedness once, certifies S (`certified_s_bound`, which
-raises OverflowLimit when S passes the magnitude cap; the lcm itself is
-uncapped), notes whether the capacities form a divisibility chain, and
-groups the positive-weight terms by capacity.  A solver given a `MixInstance`
-compiles it, searches it once and checks its completion.  A solver given
-a form searches it with no check repeated and reports s and the objective
-only: `rta` compiles one form per response query, terms (c_i, p_i,
-jitter_i), and every decision probe searches it at right-hand sides
-k + jitter_i (`MixForm.at`), the harmonic walk a prefix of its levels.
-The helpers (`is_unbounded`, `certified_s_bound`) trust their caller and
-do not re-validate, so code calling them directly validates first.
+validity, then decides boundedness and certifies S in one pass
+(`certified_s_bound`, which raises Unbounded, then OverflowLimit when S
+passes the magnitude cap; the lcm itself is uncapped), notes whether the
+capacities form a divisibility chain, and groups the positive-weight terms
+by capacity.  A solver given a `MixInstance` compiles it, searches it once
+and checks its completion.  A solver given a form searches it with no check
+repeated and reports s and the objective only: `rta` compiles one form per
+response query, terms (c_i, p_i, jitter_i), and every decision probe
+searches it at right-hand sides k + jitter_i (`MixForm.at`), the harmonic
+walk a prefix of its levels.  `certified_s_bound` trusts its caller and does
+not re-validate, so code calling it directly validates first.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, certified_s, is_harmonic, is_integer, load_at_lcm, magnitude_cap
+from .core import ceil_div, certified_s, is_harmonic, is_integer, magnitude_cap
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -104,30 +104,26 @@ def complete(s: int, inst: MixInstance) -> MixSolution:
     return MixSolution(s, x, obj)
 
 
-def is_unbounded(inst: MixInstance) -> bool:
-    """Unbounded iff sum w_i/a_i > w0: pushing s up one lcm then pays for itself.
-    Decided in integers at the lcm m (`load_at_lcm`): sum w_i*(m/a_i) > w0*m."""
-    load, m = load_at_lcm((t.w, t.a) for t in inst.terms)
-    return load > inst.w0 * m
-
-
 def certified_s_bound(inst: MixInstance) -> int:
-    """An integer S with some optimal s <= S, for a bounded instance.
+    """An integer S with some optimal s <= S; the one boundedness decision.
 
-    Always lcm(a) - 1; when sum w_i/a_i < w0 strictly also
-    ceil(sum w_i / (w0 - sum w_i/a_i)), below which shifting s down by that
-    amount strictly improves the objective.  Returns the smaller of the two
-    (`core.certified_s`, which raises OverflowLimit when S passes the
-    magnitude cap, read here once per call).  One integer pass at the lcm m:
-    the slack w0*m - sum w_i*(m/a_i) is positive exactly when the second
-    bound exists.
+    One integer pass at the lcm m computes the slack w0*m - sum w_i*(m/a_i).
+    A negative slack (sum w_i/a_i > w0) raises Unbounded: pushing s up one
+    lcm then pays for itself.  Otherwise S is lcm(a) - 1, and also at most
+    ceil(sum w_i / (w0 - sum w_i/a_i)) when the slack is positive, below
+    which shifting s down by that amount strictly improves the objective
+    (`core.certified_s`, which then raises OverflowLimit when S passes the
+    magnitude cap, read here once per call).
     """
     m = math.lcm(*(t.a for t in inst.terms))
     load = weight_sum = 0
     for t in inst.terms:
         load += t.w * (m // t.a)
         weight_sum += t.w
-    return certified_s(weight_sum, m, inst.w0 * m - load, magnitude_cap())
+    slack = inst.w0 * m - load
+    if slack < 0:
+        raise Unbounded("sum w_i/a_i exceeds w0")
+    return certified_s(weight_sum, m, slack, magnitude_cap())
 
 
 @dataclass(frozen=True)
@@ -163,12 +159,10 @@ class MixForm:
 
 
 def compile_mix(inst: MixInstance) -> MixForm:
-    """Check an instance once - validity and boundedness (`is_unbounded`) -
-    and certify its S, note whether its capacities form a divisibility
-    chain, and group its positive-weight terms by capacity."""
+    """Check an instance once - validity, then boundedness and S in one
+    pass (`certified_s_bound`) - note whether its capacities form a
+    divisibility chain, and group its positive-weight terms by capacity."""
     validate(inst)
-    if is_unbounded(inst):
-        raise Unbounded("sum w_i/a_i exceeds w0")
     groups: dict[int, list[tuple[int, int]]] = {}
     for t in inst.terms:
         if t.w:

@@ -16,7 +16,9 @@ straight to the crowded search (`_solve_crowded`), and shifts the objective
 back by a computable constant.  Each public function but `shift_record`
 validates its instance at entry and fixes w0 = 1 (rescaling would change
 the integrality of the dual query); `mix_leq_via_rtc` is the checked form of
-one decision, which the crowded search takes first at k = beta - 1.  Inside
+one decision, which the crowded search takes first at k = beta - 1; its
+`mixing.certified_s_bound` raises Unbounded when sum w_i/a_i > 1, for the
+original instance too, since the shift keeps w and a.  Inside
 a solve the instance and beta stay fixed, so the search builds one response
 query and derives each probe's, at dual constant beta - k, from it
 (`rta.ResponseQuery.at`), sharing its mixing form.  The query's load
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 
 from . import mixing, rta
 from .core import Task, TaskSystem, ceil_div
-from .errors import InternalInvariantViolated, PreconditionViolated, Unbounded, UtilizationExceeded
+from .errors import InternalInvariantViolated, PreconditionViolated, UtilizationExceeded
 
 
 @dataclass(frozen=True)
@@ -87,7 +89,8 @@ def _dual_query(inst: mixing.MixInstance, beta: int, gamma: int) -> rta.Response
 def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
     """Decide Mix(I, beta) <= k by computing response(I, beta - k) and
     comparing with beta.  Requires the jitter encoding 0 <= b_i - beta <= a_i,
-    beta at or above the certified s bound, and beta - k >= 1."""
+    beta at or above the certified s bound, and beta - k >= 1.  Raises
+    Unbounded when sum w_i/a_i > 1 (`mixing.certified_s_bound`)."""
     _validate(inst)
     if beta - k < 1:
         raise PreconditionViolated(f"need beta - k >= 1, got beta={beta}, k={k}")
@@ -108,10 +111,9 @@ def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
     crowded instance (`_solve_crowded`), and subtract the shift's cost.
     With x'_i = x_i + offset_i the shifted objective at s is the original's
     plus the correction, so the optimal s is the same and the completion is
-    checked once, against the original instance."""
+    checked once, against the original instance.  The crowded search's
+    first probe raises Unbounded for an unbounded instance."""
     _validate(inst)
-    if mixing.is_unbounded(inst):
-        raise Unbounded("weight utilization exceeds 1")
     if not inst.terms:
         return mixing.complete(0, inst)
     rec = shift_record(inst)

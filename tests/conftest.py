@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the code paths they check: responses are
 verified by a linear scan of the defining inequality, mixing optima by full
-enumeration of s, and the dual maximum by enumerating its own program.
+enumeration of s, mixing boundedness by summing exact fractions, and the
+dual maximum by enumerating its own program.
 """
 
 from __future__ import annotations
@@ -60,6 +61,13 @@ def mix_enum_oracle(inst: MixInstance, s_hi: int):
         if obj < best_obj:
             best_s, best_obj = s, obj
     return best_obj, best_s
+
+
+def exceeds_w0(inst: MixInstance) -> bool:
+    """Whether sum w_i/a_i > w0, in exact fractions: the instance is
+    unbounded, since pushing s up one lcm of the capacities then lowers
+    the objective."""
+    return sum((Fraction(t.w, t.a) for t in inst.terms), Fraction(0)) > inst.w0
 
 
 def dual_max_oracle(tasks, k: int) -> int:

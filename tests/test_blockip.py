@@ -189,9 +189,8 @@ class TestStitching:
     @settings(max_examples=400)
     def test_unit_slack_bricks_match_enumeration(self, prog, data):
         # with wj = 0 the first stage visits one end of each piece; otherwise
-        # it enumerates t, unit-slack bricks are completed in closed form and
-        # the brick carrying wj goes through the DFS, which stops each of its
-        # variables where wj . x^(j) would pass the room k - w0*t.  The
+        # it enumerates t and completes every unit-slack brick in closed form,
+        # the brick carrying wj with its x bounded by the room k - w0*t.  The
         # mirrored program takes the enumeration and the DFS for every brick.
         k = data.draw(st.integers(-1, prog.w0[0] * prog.u[0] + 3), label="k")
         want = enumerated_decision(prog, k)
@@ -200,6 +199,17 @@ class TestStitching:
 
 
 class TestDeskBackend:
+    @given(st.integers(1, 5), st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+           st.integers(-12, 12), st.tuples(st.integers(0, 6), st.integers(0, 6)),
+           st.tuples(st.integers(0, 3), st.integers(0, 3)), st.integers(-4, 30))
+    @settings(max_examples=400)
+    def test_unit_slack_closed_form_matches_the_dfs(self, coef, c, rest, boxes, weights, room):
+        # the closed form adds (w_x + w_z*p)*x <= room + w_z*rest to the
+        # interval of x; the DFS walks the brick (x, z) with row (p, -1)
+        budget = blockip._Budget(10_000)
+        want = blockip._max_brick(c, ((coef, -1),), (rest,), boxes, weights, room, budget)
+        assert blockip._max_unit_slack(coef, c, rest, boxes, weights, room) == want
+
     def test_forced_equality(self):
         # brick variable pinned by its row x = 3, box [0, 5], maximize x only
         prog = brick_program(D=((0,),), C=(((1,),),))

@@ -5,8 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from rtmix import gen
 from rtmix.core import is_harmonic, utilization, validate
-from rtmix.errors import InvalidInstance, PreconditionViolated
+from rtmix.errors import InternalInvariantViolated, InvalidInstance, PreconditionViolated
 from rtmix.gen import (
     construct_extreme,
     random_mix_instance,
@@ -38,6 +39,13 @@ class TestConstructExtreme:
         assert ts.tasks[-1].c == 1
         assert ts.tasks[-1].p == max(ts.periods())
         assert ts.tasks[-1].p == ts.tasks[-2].p
+
+    def test_missed_full_utilization_is_an_internal_fault(self, monkeypatch):
+        # the construction guarantees utilization 1; a miss is the program's
+        # fault (exit 4), not the caller's, and `python -O` keeps the check
+        monkeypatch.setattr(gen, "utilization", lambda ts: Fraction(1, 2))
+        with pytest.raises(InternalInvariantViolated):
+            construct_extreme([1], 2, "p")
 
     def test_zero_jitter_preset(self):
         ts = construct_extreme([1], 2, "zero")

@@ -4,20 +4,22 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bounded_mix_instances, mix_enum_oracle
+from conftest import bounded_mix_instances, exceeds_w0, mix_enum_oracle
+from rtmix.core import is_harmonic
 from rtmix.gen import random_mix_instance, tight_mixing_instance
 from rtmix.mixing import (
     MixInstance,
     certified_s_bound,
+    compile_mix,
     complete,
-    is_unbounded,
     solve_bruteforce,
     solve_harmonic,
 )
 from rtmix.errors import InvalidInstance, OverflowLimit, PreconditionViolated, Unbounded
+from rtmix.reverse import solve_general_via_shift
 
 
 TIGHT2 = MixInstance(1, [(2, 4, 7), (4, 8, 7)])
@@ -60,21 +62,49 @@ class TestComplete:
 
 
 class TestUnbounded:
+    """`certified_s_bound` decides boundedness, and every entry that needs
+    S meets that one decision."""
+
     def test_single_heavy_term(self):
-        assert is_unbounded(MixInstance(1, [(2, 1, 0)]))
+        with pytest.raises(Unbounded):
+            certified_s_bound(MixInstance(1, [(2, 1, 0)]))
 
     def test_tight_family_sits_on_the_boundary(self):
-        assert not is_unbounded(TIGHT2)
+        assert certified_s_bound(TIGHT2) == 7
         assert sum(Fraction(t.w, t.a) for t in TIGHT2.terms) == 1
 
     def test_empty_instance(self):
-        assert not is_unbounded(MixInstance(0, []))
+        assert certified_s_bound(MixInstance(0, [])) == 0
 
     @given(st.integers(0, 3),
-           st.lists(st.tuples(st.integers(0, 6), st.integers(1, 24), st.just(0)), max_size=5))
+           st.lists(st.tuples(st.integers(0, 6), st.integers(1, 24), st.integers(-20, 20)),
+                    max_size=5))
+    @example(1, [(2, 1, 0)])
+    @example(1, [(2, 4, 7), (4, 8, 7)])  # sum w_i/a_i = w0 exactly
+    @settings(max_examples=150)
     def test_integer_test_matches_the_exact_utilization(self, w0, terms):
+        # compile, both solvers, S and the reverse solver raise Unbounded
+        # exactly when sum w_i/a_i > w0 in exact fractions
         inst = MixInstance(w0, terms)
-        assert is_unbounded(inst) == (sum(Fraction(w, a) for w, a, _ in terms) > w0)
+        entries = [certified_s_bound, compile_mix, solve_bruteforce]
+        if is_harmonic(inst.capacities()):
+            entries.append(solve_harmonic)
+        if w0 == 1:
+            entries.append(solve_general_via_shift)
+        for entry in entries:
+            if exceeds_w0(inst):
+                with pytest.raises(Unbounded):
+                    entry(inst)
+            else:
+                entry(inst)
+
+    def test_unbounded_precedes_the_magnitude_cap(self, monkeypatch):
+        # lcm 77, so S = 76 would pass the cap 15; the slack's sign comes first
+        inst = MixInstance(1, [(5, 7, 0), (5, 11, 3)])
+        monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
+        for entry in (certified_s_bound, compile_mix, solve_bruteforce, solve_general_via_shift):
+            with pytest.raises(Unbounded):
+                entry(inst)
 
     def test_solvers_raise(self):
         bad = MixInstance(1, [(2, 1, 0)])
@@ -112,8 +142,13 @@ class TestSearchBound:
 
     @given(bounded_mix_instances(), st.integers(0, 3))
     def test_integer_pass_matches_the_fraction_formula(self, inst, w0):
+        # S where sum w_i/a_i <= w0; Unbounded, and no S, where it exceeds w0
         inst = MixInstance(w0, inst.terms)
         util = sum((Fraction(t.w, t.a) for t in inst.terms), Fraction(0))
+        if util > w0:
+            with pytest.raises(Unbounded):
+                certified_s_bound(inst)
+            return
         want = math.lcm(*inst.capacities()) - 1
         if w0 >= 1 and util < w0:
             want = min(want, math.ceil(sum(t.w for t in inst.terms) / (w0 - util)))

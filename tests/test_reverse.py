@@ -10,11 +10,11 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bounded_mix_instances, mix_enum_oracle
+from conftest import bounded_mix_instances, exceeds_w0, mix_enum_oracle
 from rtmix import counters, mixing, reverse, rta
-from rtmix.errors import PreconditionViolated
+from rtmix.errors import PreconditionViolated, Unbounded
 from rtmix.gen import random_mix_instance, tight_mixing_instance
-from rtmix.mixing import MixInstance, is_unbounded, solve_bruteforce
+from rtmix.mixing import MixInstance, solve_bruteforce
 from rtmix.reverse import mix_leq_via_rtc, shift_record, solve_general_via_shift
 
 
@@ -51,6 +51,12 @@ class TestMixLeqViaRtc:
             mix_leq_via_rtc(inst, 2, 1)
         assert str(exc.value) == "beta=2 is below the certified bound on optimal s"
 
+    def test_unbounded_instance_raises(self):
+        # sum w_i/a_i = 2 > w0: the objective has no lower bound, so no
+        # verdict on Mix <= k is right but Unbounded
+        with pytest.raises(Unbounded):
+            mix_leq_via_rtc(MixInstance(1, [(2, 1, 0)]), 0, -1)
+
     def test_monotone_in_k(self):
         inst = MixInstance(1, [(1, 2, 5), (2, 4, 6)])
         beta = 4
@@ -81,8 +87,6 @@ class TestSolveCrowded:
         assert got.objective == solve_bruteforce(inst).objective == 5
 
     def test_unbounded_instances_rejected(self):
-        from rtmix.errors import Unbounded
-
         with pytest.raises(Unbounded):
             solve_general_via_shift(MixInstance(1, [(100, 2, 4)]))
 
@@ -185,7 +189,7 @@ class TestBoundsWindow:
     @example(MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)]))
     @settings(max_examples=150)
     def test_every_probe_starts_at_or_below_its_response(self, inst):
-        if is_unbounded(inst):
+        if exceeds_w0(inst):
             return
         probes = []
         compute = rta.compute_response
@@ -235,7 +239,7 @@ class TestBoundsWindow:
     @given(st.one_of(bounded_mix_instances(harmonic=True), bounded_mix_instances()))
     @settings(max_examples=150)
     def test_shift_solution_matches_bruteforce(self, inst):
-        if is_unbounded(inst):
+        if exceeds_w0(inst):
             return
         sol = solve_general_via_shift(inst)
         assert sol.objective == solve_bruteforce(inst).objective
@@ -301,7 +305,7 @@ class TestShift:
     @example(MixInstance(1, [(0, 15, 0), (3, 16, 0), (0, 1, 0), (6, 11, 0), (4, 15, 0)]))  # lcm 2640
     @settings(max_examples=60)
     def test_objective_matches_bruteforce(self, inst):
-        if is_unbounded(inst):
+        if exceeds_w0(inst):
             return
         got = solve_general_via_shift(inst)
         m = math.lcm(*inst.capacities()) if inst.terms else 1

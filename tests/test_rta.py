@@ -14,7 +14,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dual_max_oracle, response_scan_oracle, small_task_systems
+from conftest import dual_max_oracle, exceeds_w0, response_scan_oracle, small_task_systems
 from conftest import workload as conftest_workload
 from rtmix.core import (
     Task,
@@ -34,6 +34,7 @@ from rtmix.errors import (
     OverflowLimit,
     PreconditionKTooSmall,
     PreconditionViolated,
+    Unbounded,
     UtilizationExceeded,
 )
 from rtmix.gen import construct_extreme, random_system
@@ -172,10 +173,11 @@ class TestCompiledQuery:
 
     def test_each_query_checks_its_mixing_form_once(self, monkeypatch):
         # a query's form is checked when it is compiled, on the query's first
-        # probe, and no probe checks it again; S comes with the bounds, so a
-        # query that no probe reaches compiles no form
+        # probe - validity, then boundedness and S in one pass at the lcm -
+        # and no probe checks it again; S comes with the bounds, so a query
+        # that no probe reaches compiles no form
         calls = Counter()
-        for name in ("validate", "is_unbounded"):
+        for name in ("validate", "certified_s_bound"):
             def counted(*args, _real=getattr(mixing, name), _name=name):
                 calls[_name] += 1
                 return _real(*args)
@@ -195,7 +197,7 @@ class TestCompiledQuery:
         monkeypatch.setattr(rta, "compute_response", spy)
         for seed in range(1, 21):
             analyze_system(random_system(seed, 6, 256), "auto")
-        assert calls["validate"] == calls["is_unbounded"] == compiling < probes
+        assert calls["validate"] == calls["certified_s_bound"] == compiling < probes
 
     def test_walk_compiles_no_chain_when_no_probe_reaches_a_solve(self, monkeypatch):
         calls = Counter()
@@ -231,8 +233,13 @@ class TestCompiledQuery:
         tasks = [Task(c, p, j) for c, p, j in triples]
         util = utilization(tasks)
         assert util == sum((Fraction(t.c, t.p) for t in tasks), Fraction(0))
-        unbounded = mixing.is_unbounded(mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks]))
-        assert unbounded == (util > 1)
+        inst = mixing.MixInstance(1, [(t.c, t.p, 0) for t in tasks])
+        assert exceeds_w0(inst) == (util > 1)
+        if util > 1:
+            with pytest.raises(Unbounded):
+                mixing.certified_s_bound(inst)
+        else:
+            mixing.certified_s_bound(inst)
         try:
             q = ResponseQuery(TaskSystem(tasks), range(len(tasks)), 1)
         except UtilizationExceeded:
