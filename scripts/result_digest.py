@@ -2,8 +2,11 @@
 """Print the result and the operation counters of `rtmix` on a seeded suite,
 and check that the algorithms agree.
 
-Runs `rtmix rta compute` under every algorithm that applies, `rtmix mix
-solve` under all three algorithms, and `rtmix blockip encode-rtc` followed by
+Runs `rtmix rta compute` under every algorithm that applies, `auto` with
+`--verify` (each level's response checked against a fixed-point query built
+from the level's interferers; the line keeps the label `rta compute auto`,
+and a mismatch exits 1 with no result, so the algorithms disagree), `rtmix
+mix solve` under all three algorithms, and `rtmix blockip encode-rtc` followed by
 `rtmix blockip solve` on the encoded program and, for the small programs, on
 its mirrored form and on both forms with the objective weight (1, 0) on
 brick 1, through `rtmix.cli.main`, and prints one JSON line per
@@ -264,7 +267,8 @@ def main() -> int:
                 algorithms.append("jitter-free")
             results = {}
             for algorithm in algorithms:
-                out = run(["rta", "compute", "--input", path, "--algorithm", algorithm])
+                argv = ["rta", "compute", "--input", path, "--algorithm", algorithm]
+                out = run(argv + ["--verify"] * (algorithm == "auto"))
                 record(name, f"rta compute {algorithm}", out)
                 results[algorithm] = out.get("result")
             agree(name, "rta compute results", results)

@@ -90,7 +90,7 @@ def _cmd_rta_compute(args) -> tuple[int, dict]:
         verdicts, timing = _timed(lambda: rta.analyze_system(ts, args.algorithm))
     if args.verify:
         for tv in verdicts.tasks:
-            q = rta.ResponseQuery(ts, range(tv.index), ts.tasks[tv.index].c)
+            q = rta.ResponseQuery(ts.tasks[:tv.index], ts.tasks[tv.index].c)
             if rta.response_bruteforce(q) != tv.response:
                 raise _VerifyMismatch(
                     f"task {tv.index}: {tv.response} disagrees with the brute-force oracle"

@@ -1,8 +1,9 @@
 """Sporadic task-system model and exact response-time bounds.
 
 Tasks are quadruples (c, d, p, jitter) of integers: worst-case execution
-time, relative deadline (optional for pure response-time computation),
-minimum inter-arrival separation, and release jitter.  Priority is list
+time, relative deadline (optional: a response query never reads it, and
+only schedulability analysis requires it), minimum inter-arrival
+separation, and release jitter.  Priority is list
 order, index 0 highest.
 
 All utilization and bound arithmetic is exact: sums of ratios are taken in

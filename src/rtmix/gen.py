@@ -86,6 +86,9 @@ def tight_mixing_instance(n: int) -> MixInstance:
 
 
 def _harmonic_periods(rng: random.Random, n: int, p_max: int) -> list[int]:
+    """n periods (none for n <= 0) from one divisibility chain, shuffled."""
+    if n < 1:
+        return []
     chain = [rng.randint(1, max(1, p_max // 4)) if p_max >= 4 else 1]
     while len(chain) < n:
         factor = rng.choice([1, 2, 2, 3, 4])
@@ -166,21 +169,3 @@ def random_mix_instance(
         if load <= m:
             return MixInstance(1, terms)
     raise GenerationFailed(f"no bounded mixing instance within {_MAX_TRIES} draws (seed={seed})")
-
-
-def random_release_pattern(seed: int, ts: TaskSystem, horizon: int) -> list[list[tuple[int, int]]]:
-    """Legal (arrival, release) pairs per task: arrivals >= p_i apart,
-    releases delayed by at most the task's jitter, all releases < horizon."""
-    rng = random.Random(seed)
-    pattern: list[list[tuple[int, int]]] = []
-    for t in ts.tasks:
-        jobs = []
-        arrival = rng.randint(0, t.p)
-        while True:
-            release = arrival + rng.randint(0, t.jitter)
-            if release >= horizon:
-                break
-            jobs.append((arrival, release))
-            arrival += t.p + rng.randint(0, t.p)
-        pattern.append(jobs)
-    return pattern

@@ -82,15 +82,6 @@ def mix_solution_to_dict(sol: MixSolution) -> dict:
     return {"s": sol.s, "x": list(sol.x), "objective": sol.objective}
 
 
-def release_pattern_to_dict(rp: ReleasePattern) -> dict:
-    return {
-        "releases": [
-            [{"arrival": j.arrival, "release": j.release} for j in per_task]
-            for per_task in rp.jobs
-        ]
-    }
-
-
 def release_pattern_from_dict(data: Any) -> ReleasePattern:
     _require(isinstance(data, dict) and isinstance(data.get("releases"), list),
              "expected {'releases': [[...], ...]}")

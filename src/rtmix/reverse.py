@@ -42,7 +42,7 @@ import math
 from dataclasses import dataclass
 
 from . import mixing, rta
-from .core import Task, TaskSystem, ceil_div
+from .core import Task, ceil_div
 from .errors import InternalInvariantViolated, PreconditionViolated, UtilizationExceeded
 
 
@@ -83,7 +83,7 @@ def _dual_query(inst: mixing.MixInstance, beta: int, gamma: int) -> rta.Response
             )
         if t.w > 0:
             kept.append(Task(t.w, t.a, jit))
-    return rta.ResponseQuery(TaskSystem(kept), range(len(kept)), gamma)
+    return rta.ResponseQuery(kept, gamma)
 
 
 def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:

@@ -60,8 +60,11 @@ harmonic systems settle in the first leg; the geometric family, where the
 fixed point needs thousands of steps, hands off.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
-and no other setting.  A query is validated once, when it is built: each
-interferer as `core.validate` checks a task, then its `BoundsResult` (which
+and no other setting.  A query is what the paper states: the interfering
+tasks themselves, in priority order, and gamma, with no enclosing
+`TaskSystem` and no positions into one.  It is validated once, when it is
+built: each interferer as `core.validate` checks a task, then its
+`BoundsResult` (which
 carries the exact utilization, S and ceil(ell), the searches' start, in
 integers; building a query at utilization >= 1 raises, and so does S past
 the magnitude cap that RTMIX_LIMIT_BITS sets, read once by the build and
@@ -82,7 +85,9 @@ independent baseline, ignores it.  From the bounds' load aggregate, two
 O(1) derivations, checked as a build is, make a query from a built one:
 `ResponseQuery.at` at another gamma or lower (`auto`'s hand-off, `reverse`),
 and `ResponseQuery.plus` with one more interferer (`analyze_system`), which
-extends the compiled terms by one.
+extends the compiled terms by one and trusts its caller to have checked the
+task: `analyze_system` validates its `TaskSystem` once, so a request checks
+each task once there, besides its decoder's check.
 
 Mix(I, k) differs between probes only by the shift k, so a query compiles
 its interferers' mixing form once (`mixing.compile_mix`: one term
@@ -102,7 +107,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple
 
 from . import counters, mixing
 from .core import (
@@ -125,22 +130,20 @@ from .errors import (
 
 @dataclass(frozen=True)
 class ResponseQuery:
-    """Interference set I (indices into the system) plus the constant gamma,
+    """The interferers I, in priority order, plus the constant gamma,
     compiled once: `tasks` is the interferer tuple, each checked as
-    `core.validate` checks a task, `bounds` its certified interval with its
-    exact utilization, `harmonic` whether the interferers' periods form a
-    divisibility chain and `jittered` whether some interferer has jitter.
-    `lower` is a lower bound on the response that the caller certifies (0
-    when it knows none); the searches start from it.  `analyze_system` sets
-    it, and `auto` raises it on a hand-off.  The interferers' mixing form
-    (`form`) is compiled on first need; its certified S (`s_bound`) comes
-    with the bounds, which also carry the load aggregate from which `at`
-    and `plus` derive a query without a pass over the interferers.  W is
-    compiled at the build into integer terms (`workload`), which `at`
-    shares and `plus` extends."""
+    `core.validate` checks a task (named by its position in `tasks`),
+    `bounds` its certified interval with its exact utilization, `harmonic`
+    whether the interferers' periods form a divisibility chain and
+    `jittered` whether some interferer has jitter.  `lower` is a lower bound
+    on the response that the caller certifies (0 when it knows none); the
+    searches start from it.  `analyze_system` sets it, and `auto` raises it
+    on a hand-off.  The interferers' mixing form (`form`) is compiled on
+    first need; its certified S (`s_bound`) comes with the bounds, which
+    also carry the load aggregate from which `at` and `plus` derive a query
+    without a pass over the interferers.  W is compiled at the build into
+    integer terms (`workload`), which `at` shares and `plus` extends."""
 
-    system: TaskSystem
-    indices: tuple[int, ...]
     gamma: int
     tasks: tuple[Task, ...]
     bounds: BoundsResult
@@ -148,16 +151,13 @@ class ResponseQuery:
     jittered: bool
     lower: int
 
-    def __init__(self, system: TaskSystem, indices: Sequence[int], gamma: int, lower: int = 0):
-        indices = tuple(sorted(set(indices)))
-        if indices and not 0 <= indices[0] <= indices[-1] < len(system.tasks):
-            raise InvalidInstance("interference indices out of range")
-        tasks = tuple(system.tasks[i] for i in indices)
-        for i, t in zip(indices, tasks):
+    def __init__(self, tasks: Iterable[Task], gamma: int, lower: int = 0):
+        tasks = tuple(tasks)
+        for i, t in enumerate(tasks):
             validate_task(i, t)
         periods = tuple(sorted(t.p for t in tasks))
-        vars(self).update(system=system, indices=indices, tasks=tasks,
-                          harmonic=is_harmonic(periods), jittered=any(t.jitter for t in tasks),
+        vars(self).update(tasks=tasks, harmonic=is_harmonic(periods),
+                          jittered=any(t.jitter for t in tasks),
                           _form=[], _periods=periods,  # `_form` is shared by every `at` copy
                           _terms=tuple((t.c, t.p, t.jitter + t.p - 1) for t in tasks))
         self._set_constants(gamma, lower, lambda g: bounds_from_parts(g, tasks))
@@ -170,25 +170,22 @@ class ResponseQuery:
         return self._copy()._set_constants(
             gamma, lower, lambda g: self.bounds if g == self.gamma else self.bounds.at(g))
 
-    def plus(self, index: int, gamma: int, lower: int = 0) -> ResponseQuery:
-        """This query with interferer `index`, below all of its interferers in
-        priority, added at gamma and lower, checked as a build is, in O(1):
-        the bounds come from the load aggregate, the chain flag from testing
-        the new period against its two sorted neighbours, and the compiled W
-        gains one term."""
-        last = self.indices[-1] if self.indices else -1
-        if not last < index < len(self.system.tasks):
-            raise InvalidInstance(f"interferer {index} must follow {last} within the system")
-        t = self.system.tasks[index]
-        validate_task(index, t)
+    def plus(self, t: Task, gamma: int, lower: int = 0) -> ResponseQuery:
+        """This query with interferer t, below all of its interferers in
+        priority, added at gamma and lower, in O(1): the bounds come from the
+        load aggregate, the chain flag from testing the new period against
+        its two sorted neighbours, and the compiled W gains one term.  Gamma
+        and lower are checked as a build checks them; t is not, since its
+        one caller, `analyze_system`, adds tasks that its one `validate`
+        has checked."""
         p, periods = t.p, self._periods
         i = bisect.bisect_left(periods, p)
         harmonic = (self.harmonic and (i == 0 or p % periods[i - 1] == 0)
                     and (i == len(periods) or periods[i] % p == 0))
         return self._copy(
             _form=[], _periods=periods[:i] + (p,) + periods[i:], harmonic=harmonic,
-            jittered=self.jittered or t.jitter > 0, indices=self.indices + (index,),
-            tasks=self.tasks + (t,), _terms=self._terms + ((t.c, p, t.jitter + p - 1),),
+            jittered=self.jittered or t.jitter > 0, tasks=self.tasks + (t,),
+            _terms=self._terms + ((t.c, p, t.jitter + p - 1),),
         )._set_constants(gamma, lower, lambda g: self.bounds.plus(t, g))
 
     def _copy(self, **changes) -> ResponseQuery:
@@ -250,8 +247,8 @@ class ProbeRecord:
 
     phase: str                  # "difference" or "bisection"
     k: int
-    forced: dict[int, int]      # task index -> forced multiplier (1 or 2)
-    residual: tuple[int, ...]
+    forced: dict[int, int]      # position in q.tasks -> forced multiplier (1 or 2)
+    residual: tuple[int, ...]   # positions in q.tasks
     gamma_prime: int
     feasible: bool
 
@@ -260,7 +257,7 @@ def response_bruteforce(q: ResponseQuery) -> int:
     """Least fixed point of t -> gamma + sum c_i*ceil((t+jitter_i)/p_i),
     iterated upward from gamma.  Monotone, so it converges to the least
     feasible t; the certified upper bound doubles as an iteration guard."""
-    if not q.indices:
+    if not q.tasks:
         return q.gamma
     t = q.gamma
     while True:
@@ -318,7 +315,7 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
         return mixing.solve_harmonic(q.form.at(k, q.depth)).objective <= k - q.gamma
     if k < 1:
         raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
-    if not q.indices:
+    if not q.tasks:
         return k >= q.gamma
     if k < q.s_bound:
         raise PreconditionKTooSmall(k, q.s_bound)
@@ -338,7 +335,7 @@ def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, phase: str,
     InternalInvariantViolated.  The form is compiled on the first probe
     whose residual is not empty."""
     forced, residual, below, gamma_prime = {}, [], [], q.gamma
-    for j, t in zip(q.indices, q.tasks):
+    for j, t in enumerate(q.tasks):
         d = t.p - t.jitter
         if k <= d:
             forced[j] = 1
@@ -406,7 +403,7 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
     recurrence."""
     if not q.harmonic:
         raise PreconditionViolated("periods do not form a divisibility chain")
-    if not q.indices:
+    if not q.tasks:
         return q.gamma
     lo, hi = max(q.lower, q.bounds.ceil_ell), q.bounds.u
     for k in sorted({t.p - t.jitter for t in q.tasks} - {0}):
@@ -429,7 +426,7 @@ def _general_search(q: ResponseQuery) -> int:
     from it up to u, or up to the lcm m when W(m) <= m.  The climb costs
     O(S) W evaluations; since c_i >= 1, the drop points in [0, S] that one
     decision at S would sweep number at most S*U + n."""
-    if not q.indices:
+    if not q.tasks:
         return q.gamma
     t0 = max(q.lower, q.bounds.ceil_ell)
     t, settled = _iterate(q, t0, max(1, q.s_bound - t0 + 1))
@@ -481,7 +478,7 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     does."""
     if algorithm == "auto":
         if q.harmonic:
-            if q.indices:
+            if q.tasks:
                 t0 = max(q.gamma, q.lower)
                 t, settled = _iterate(q, t0, (q.bounds.u - t0 + 1).bit_length())
                 if settled:
@@ -517,19 +514,20 @@ class SystemVerdict:
 
 def analyze_system(ts: TaskSystem, algorithm: str = "auto") -> SystemVerdict:
     """Per-task responses r_j = response([0..j-1], c_j) and the schedulability
-    verdict r_j <= d_j - jitter_j; the system verdict is their conjunction.
+    verdict r_j <= d_j - jitter_j; the overall verdict is their conjunction.
 
     Each level starts from r_{j-1} + c_j, a certified lower bound on r_j
     (Davis, Zabos and Burns, IEEE TC 2008): a t feasible for task j gives a
     t - c_j feasible for task j - 1.  Level j's query is level j - 1's with
-    task j - 1 added (`ResponseQuery.plus`)."""
+    task j - 1 added (`ResponseQuery.plus`, which relies on the one
+    `validate(ts)` here), so each task is checked once."""
     validate(ts)
     if any(t.d is None for t in ts.tasks):
         raise PreconditionViolated("schedulability analysis requires deadlines on every task")
     verdicts = []
     for j, task in enumerate(ts.tasks):
         lower = verdicts[-1].response + task.c if verdicts else 0
-        q = q.plus(j - 1, task.c, lower) if j else ResponseQuery(ts, (), task.c)
+        q = q.plus(ts.tasks[j - 1], task.c, lower) if j else ResponseQuery((), task.c)
         r = compute_response(q, algorithm)
         budget = task.d - task.jitter
         verdicts.append(TaskVerdict(j, r, budget, r <= budget))

@@ -1,4 +1,4 @@
-"""Shared fixtures, hypothesis strategies, and independent oracles.
+"""Shared fixtures, seeded test inputs, hypothesis strategies, and independent oracles.
 
 The oracles here deliberately avoid the code paths they check: responses are
 verified by a linear scan of the defining inequality, mixing optima by full
@@ -9,6 +9,7 @@ dual maximum by enumerating its own program.
 from __future__ import annotations
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from hypothesis import strategies as st
 
 from rtmix.core import Task, TaskSystem, ceil_div
 from rtmix.mixing import MixInstance
+from rtmix.sim import ReleasePattern
 
 
 @pytest.fixture
@@ -81,6 +83,34 @@ def dual_max_oracle(tasks, k: int) -> int:
         if best is None or val > best:
             best = val
     return best
+
+
+def random_release_pattern(seed: int, ts: TaskSystem, horizon: int) -> list[list[tuple[int, int]]]:
+    """Legal (arrival, release) pairs per task: arrivals >= p_i apart,
+    releases delayed by at most the task's jitter, all releases < horizon."""
+    rng = random.Random(seed)
+    pattern: list[list[tuple[int, int]]] = []
+    for t in ts.tasks:
+        jobs = []
+        arrival = rng.randint(0, t.p)
+        while True:
+            release = arrival + rng.randint(0, t.jitter)
+            if release >= horizon:
+                break
+            jobs.append((arrival, release))
+            arrival += t.p + rng.randint(0, t.p)
+        pattern.append(jobs)
+    return pattern
+
+
+def release_pattern_to_dict(rp: ReleasePattern) -> dict:
+    """The JSON form that `jsonio.release_pattern_from_dict` reads."""
+    return {
+        "releases": [
+            [{"arrival": j.arrival, "release": j.release} for j in per_task]
+            for per_task in rp.jobs
+        ]
+    }
 
 
 # -- hypothesis strategies ---------------------------------------------------

@@ -73,7 +73,7 @@ def test_criterion_03_extreme_systems_attain_the_bound():
     for n, cs in shapes.items():
         ts = gen.construct_extreme(cs, cs[0] + 1, "p")
         assert len(ts.tasks) == n
-        q = rta.ResponseQuery(ts, range(n - 1), ts.tasks[-1].c)
+        q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         r = rta.response_bruteforce(q)
         b = bounds_from_parts(q.gamma, q.tasks)
         assert Fraction(r) == b.ell == Fraction(b.u2)
@@ -96,7 +96,7 @@ def test_criterion_04_bounds_sandwich():
             harmonic=rng.random() < 0.5,
             jitter_mode="zero" if rng.random() < 0.3 else "upto-p",
         )
-        q = rta.ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
+        q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         b = bounds_from_parts(q.gamma, q.tasks)
         r = rta.response_bruteforce(q)
         assert b.ell <= r <= min(math.ceil(b.u1), b.u2), (seed, ts)
@@ -128,7 +128,7 @@ def test_criterion_05_harmonic_rtc_oracle_equivalence():
     start = time.perf_counter()
     suite = _harmonic_suite(500)
     for ts in suite:
-        q = rta.ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
+        q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         r = rta.response_bruteforce(q)
         assert rta.response_harmonic(q) == r, ts
         assert rta.response_turing(q) == r, ts
@@ -197,7 +197,7 @@ def test_criterion_07_duality_identity():
         seed += 1
         rng = random.Random(seed * 13)
         ts = gen.random_system(seed * 13, rng.randint(1, 4), 12, harmonic=rng.random() < 0.5)
-        q = rta.ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
+        q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         probe = mixing.MixInstance(1, [(t.c, t.p, 0) for t in q.tasks])
         s_cert = mixing.certified_s_bound(probe)
         if s_cert > 400:
@@ -217,11 +217,10 @@ def test_criterion_08_forced_value_invariants():
     suite = _harmonic_suite(500)
     two_value_checks = probe_checks = 0
     for ts in suite:
-        q = rta.ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
+        q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         t_star = rta.response_bruteforce(q)
         # forced-multiplier law at the optimum: 1 while t* <= p - jitter, else 2
-        for i in q.indices:
-            task = ts.tasks[i]
+        for i, task in enumerate(q.tasks):
             if 0 < t_star <= task.p:
                 forced = 1 if t_star <= task.p - task.jitter else 2
                 assert forced == ceil_div(t_star + task.jitter, task.p), (ts, i)
@@ -263,7 +262,7 @@ def test_criterion_09_four_block_round_trip():
             jitter_mode="zero",
             require_schedulable=True,
         )
-        q = rta.ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
+        q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         want = rta.response_jitter_free(q)
         u = bounds_from_parts(q.gamma, q.tasks).u
         got = blockip.solve_simple_4block(blockip.encode_rtc_as_4block(ts), H=u)
@@ -284,7 +283,7 @@ def _walk_ops(n: int, p_max: int, seeds) -> int:
         ts = _full_jitter(
             gen.random_system(seed * 37 + n * 5 + p_max, n, p_max, harmonic=True)
         )
-        q = rta.ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
+        q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         with counters.collect() as c:
             r = rta.response_harmonic(q)
         assert r == rta.response_bruteforce(q)

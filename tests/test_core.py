@@ -307,7 +307,7 @@ class TestJitterFreeBounds:
 
     @staticmethod
     def bounds_and_response(ts):
-        q = ResponseQuery(ts, range(len(ts.tasks) - 1), ts.tasks[-1].c)
+        q = ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         return response_bounds(ts).ell, response_bruteforce(q), math.lcm(*ts.periods())
 
     def test_two_equal_periods(self):

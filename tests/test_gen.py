@@ -1,17 +1,19 @@
 """Generators: extreme family, tight mixing family, seeded random instances."""
 
+import json
 import math
 from fractions import Fraction
 
 import pytest
 
+from conftest import random_release_pattern
 from rtmix import gen
+from rtmix.cli import main
 from rtmix.core import is_harmonic, utilization, validate
 from rtmix.errors import InternalInvariantViolated, InvalidInstance, PreconditionViolated
 from rtmix.gen import (
     construct_extreme,
     random_mix_instance,
-    random_release_pattern,
     random_system,
     tight_mixing_instance,
 )
@@ -156,6 +158,28 @@ class TestRandomMixInstance:
     def test_nonpositive_capacity_bound_rejected(self, a_max, harmonic):
         with pytest.raises(InvalidInstance, match="a_max"):
             random_mix_instance(1, 3, a_max, harmonic=harmonic)
+
+
+class TestDrawCount:
+    """The random generators draw exactly n tasks or terms, harmonic or not,
+    and none for n <= 0."""
+
+    @pytest.mark.parametrize("harmonic", [True, False])
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_exactly_n(self, n, harmonic):
+        for seed in range(5):
+            assert len(random_system(seed, n, 64, harmonic=harmonic).tasks) == n
+            assert len(random_mix_instance(seed, n, 64, harmonic=harmonic).terms) == n
+
+    @pytest.mark.parametrize("harmonic", [True, False])
+    @pytest.mark.parametrize("n", [0, -3])
+    def test_none_for_a_nonpositive_count(self, capsys, n, harmonic):
+        assert random_mix_instance(1, n, 16, harmonic=harmonic).terms == ()
+        with pytest.raises(InvalidInstance, match="at least one task"):
+            random_system(1, n, 8, harmonic=harmonic)
+        argv = ["gen", "random", "--seed", "1", "--n", str(n), "--p-max", "8"]
+        assert main(argv + ["--harmonic"] * harmonic) == 2
+        assert json.loads(capsys.readouterr().out)["error"] == "InvalidInstance"
 
 
 class TestRandomReleasePattern:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import release_pattern_to_dict
 from rtmix.blockip import encode_rtc_as_4block
 from rtmix.core import Task, TaskSystem
 from rtmix.errors import InvalidInstance
@@ -11,7 +12,6 @@ from rtmix.jsonio import (
     mix_instance_from_dict,
     mix_instance_to_dict,
     release_pattern_from_dict,
-    release_pattern_to_dict,
     task_system_from_dict,
     task_system_to_dict,
     trace_to_dict,

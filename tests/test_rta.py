@@ -58,8 +58,7 @@ def extreme3():
 
 
 def full_query(ts, gamma=None):
-    n = len(ts.tasks)
-    return ResponseQuery(ts, range(n - 1), ts.tasks[-1].c if gamma is None else gamma)
+    return ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c if gamma is None else gamma)
 
 
 def query_fields(q):
@@ -114,35 +113,28 @@ def climb_evaluations(q):
 
 class TestCompiledQuery:
     def test_holds_interferers_utilization_bounds_and_s(self, demo_system):
-        q = ResponseQuery(demo_system, (1, 0, 1), 13)
-        assert q.indices == (0, 1)
+        q = ResponseQuery(iter(demo_system.tasks[:2]), 13)
         assert q.tasks == demo_system.tasks[:2]
         assert q.bounds.utilization == Fraction(15, 65) + Fraction(7, 30)
         assert q.bounds == bounds_from_parts(13, q.tasks)
         s_bound = certified_s_bound(MixInstance(1, [(t.c, t.p, 0) for t in q.tasks]))
         assert q.s_bound == s_bound == 42
 
-    @pytest.mark.parametrize("indices", [(3,), (-1, 0)])
-    def test_interferers_must_lie_in_the_system(self, demo_system, indices):
-        with pytest.raises(InvalidInstance) as exc:
-            ResponseQuery(demo_system, indices, 13)
-        assert str(exc.value) == "interference indices out of range"
-
     def test_unknown_algorithm_rejected(self, demo_system):
         with pytest.raises(InvalidInstance) as exc:
-            compute_response(ResponseQuery(demo_system, (0, 1), 13), "lcm-scan")
+            compute_response(ResponseQuery(demo_system.tasks[:2], 13), "lcm-scan")
         assert str(exc.value) == "unknown algorithm 'lcm-scan'"
 
     @pytest.mark.parametrize("gamma", [0, True, 2.0, "3"])
     def test_gamma_must_be_a_positive_integer(self, demo_system, gamma):
         with pytest.raises(InvalidInstance):
-            ResponseQuery(demo_system, (0,), gamma)
+            ResponseQuery(demo_system.tasks[:1], gamma)
 
     @pytest.mark.parametrize("lower", [-1, True, 2.0, 391])
     def test_lower_bound_must_be_an_integer_within_the_bounds(self, demo_system, lower):
         # the certified upper bound of this query is 390
         with pytest.raises(InvalidInstance):
-            ResponseQuery(demo_system, (0, 1), 13, lower)
+            ResponseQuery(demo_system.tasks[:2], 13, lower)
 
     @pytest.mark.parametrize(
         "bad", [Task(1, 2, 3), Task(1.5, 4), Task(0, 4), Task(2, 4, 0, 1)],
@@ -151,9 +143,26 @@ class TestCompiledQuery:
         ts = TaskSystem([Task(1, 8), bad, Task(1, 16, 20)])
         with pytest.raises(InvalidInstance, match="task 1:"):
             validate(ts)
-        for indices in ((0, 1), (1, 2)):
-            with pytest.raises(InvalidInstance, match="task 1:"):
-                ResponseQuery(ts, indices, 3)
+        # a build names a bad interferer by its position in the query
+        for interferers, position in ((ts.tasks[:2], 1), (ts.tasks[1:], 0)):
+            with pytest.raises(InvalidInstance, match=f"task {position}:"):
+                ResponseQuery(interferers, 3)
+
+    def test_a_repeated_interferer_interferes_once_per_copy(self):
+        # a query is its interferer tuple, so the same task twice is two
+        # interferers, where an index set collapsed the copies into one
+        task = Task(3, 16, 5)
+        q = ResponseQuery((task, task), 9)
+        assert q.tasks == (task, task) and q == ResponseQuery((task,), 9).plus(task, 9)
+        want = response_scan_oracle(q.tasks, 9, q.bounds.u)
+        assert want == 21 != response_bruteforce(ResponseQuery((task,), 9))
+        for algorithm in applicable(q):
+            assert compute_response(q, algorithm) == want, algorithm
+        for k in range(max(1, q.s_bound), q.bounds.u + 1):
+            assert decide_large_k(q, k) == (want <= k), k
+        trace = []
+        assert response_harmonic(q, trace=trace) == want
+        assert [rec.residual for rec in trace] == [(0, 1)]
 
     def test_building_a_query_calls_nothing_in_mixing(self, monkeypatch, demo_system):
         def refuse(*args, **kwargs):
@@ -164,7 +173,7 @@ class TestCompiledQuery:
                 monkeypatch.setattr(mixing, name, refuse)
         systems = [demo_system] + [random_system(seed, 6, 256, harmonic=seed % 2 == 0)
                                    for seed in range(1, 11)]
-        queries = [ResponseQuery(ts, range(j), t.c) for ts in systems
+        queries = [ResponseQuery(ts.tasks[:j], t.c) for ts in systems
                    for j, t in enumerate(ts.tasks)]
         derived = [q.at(q.gamma + 1, q.gamma + 1) for q in queries]
         monkeypatch.undo()
@@ -204,7 +213,7 @@ class TestCompiledQuery:
         real = mixing.validate
         monkeypatch.setattr(mixing, "validate", lambda inst: calls.update(["validate"]) or real(inst))
         # the response 3 lies below the only period, so every residual is empty
-        q = ResponseQuery(TaskSystem([Task(1, 8, 2), Task(2, 16, 0)]), (0,), 2)
+        q = ResponseQuery([Task(1, 8, 2)], 2)
         with counters.collect() as ops:
             assert response_harmonic(q) == 3
         assert ops.mixing_calls == 0 and not calls
@@ -241,7 +250,7 @@ class TestCompiledQuery:
         else:
             mixing.certified_s_bound(inst)
         try:
-            q = ResponseQuery(TaskSystem(tasks), range(len(tasks)), 1)
+            q = ResponseQuery(tasks, 1)
         except UtilizationExceeded:
             assert util >= 1
             return
@@ -256,9 +265,9 @@ class TestCompiledQuery:
         ts = data.draw(small_task_systems(4, 12, zero_jitter, harmonic))
         q = full_query(ts)
         before = query_fields(q)
-        cold = ResponseQuery(ts, q.indices, gamma)
+        cold = ResponseQuery(q.tasks, gamma)
         lower = data.draw(st.integers(0, response_bruteforce(cold)))
-        built = ResponseQuery(ts, q.indices, gamma, lower)
+        built = ResponseQuery(q.tasks, gamma, lower)
         derived = q.at(gamma, lower)
         assert query_fields(derived) == query_fields(built)
         for algorithm in applicable(built):
@@ -277,7 +286,7 @@ class TestCompiledQuery:
         real = rta.is_harmonic
         monkeypatch.setattr(rta, "is_harmonic", lambda v: calls.append(v) or real(v))
         for build, algorithm in (
-                (lambda: ResponseQuery(geometric(10, False, True), range(10), 2**9), "turing"),
+                (lambda: ResponseQuery(geometric(10, False, True).tasks, 2**9), "turing"),
                 (lambda: full_query(random_system(3, 6, 256, harmonic=True)), "harmonic")):
             calls.clear()
             q = build()
@@ -294,7 +303,7 @@ class TestCompiledQuery:
         # S of every Mix(I, k), with no form compiled to read it
         tasks = [Task(c, p, j) for c, p, j in triples]
         try:
-            q = ResponseQuery(TaskSystem(tasks), range(len(tasks)), 1)
+            q = ResponseQuery(tasks, 1)
         except UtilizationExceeded:
             return
         inst = MixInstance(1, [(t.c, t.p, k + t.jitter) for t in tasks])
@@ -307,7 +316,7 @@ class TestCompiledQuery:
 
         monkeypatch.setattr(mixing, "validate", refuse)
         for q in (full_query(random_system(2, 6, 256)),
-                  ResponseQuery(geometric(10, False), range(10), 2**9)):
+                  ResponseQuery(geometric(10, False).tasks, 2**9)):
             with counters.collect() as ops:
                 assert response_turing(q) == response_bruteforce(q)
             assert ops.decision_probes == ops.mixing_calls == 0 < ops.fixpoint_iters
@@ -323,14 +332,14 @@ class TestCompiledWorkload:
     def test_compiled_w_equals_the_definition(self, harmonic, zero_jitter, data):
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         gammas = st.integers(1, 40)
-        built = [ResponseQuery(ts, range(j), data.draw(gammas)) for j in range(len(ts.tasks))]
+        built = [ResponseQuery(ts.tasks[:j], data.draw(gammas)) for j in range(len(ts.tasks))]
         derived = [built[0]]
         for j in range(1, len(ts.tasks)):
-            derived.append(derived[-1].plus(j - 1, data.draw(gammas)))
+            derived.append(derived[-1].plus(ts.tasks[j - 1], data.draw(gammas)))
         moved = [q.at(data.draw(gammas)) for q in built + derived]
         for q in built + derived + moved:
             for t in [*range(100), q.bounds.u, q.bounds.m]:
-                assert q.workload(t) == conftest_workload(q.tasks, q.gamma, t), (q.indices, t)
+                assert q.workload(t) == conftest_workload(q.tasks, q.gamma, t), (q.tasks, t)
             assert q.bounds.ceil_ell == math.ceil(q.bounds.ell)
 
     def test_one_cap_read_per_analysis_and_every_level_keeps_it(self, monkeypatch):
@@ -362,21 +371,21 @@ class TestCompiledWorkload:
         # even when the variable changes after level 0 was built
         ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "5")
-        q = ResponseQuery(ts, (), 1)
+        q = ResponseQuery((), 1)
         monkeypatch.delenv("RTMIX_LIMIT_BITS")
-        for j in range(3):
-            q = q.plus(j, 1)
+        for task in ts.tasks[:3]:
+            q = q.plus(task, 1)
         assert q.bounds.s == 14 and q.at(7).bounds.cap == 31
         with pytest.raises(OverflowLimit):
-            q.plus(3, 1)
-        assert ResponseQuery(ts, range(4), 1).s_bound == 55
+            q.plus(ts.tasks[3], 1)
+        assert ResponseQuery(ts.tasks[:4], 1).s_bound == 55
 
     def test_a_query_mixing_form_reads_the_cap_at_its_compile(self, monkeypatch):
         # S = 14 passes the build's cap 31; the form, compiled at the first
         # probe, gates the same S by the cap that the variable sets then
         ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "5")
-        q = ResponseQuery(ts, range(3), 1)
+        q = ResponseQuery(ts.tasks[:3], 1)
         monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")
         assert (q.bounds.s, q.bounds.cap) == (14, 31)
         with pytest.raises(OverflowLimit):
@@ -389,7 +398,7 @@ class TestCompiledWorkload:
     def test_the_climb_counts_every_evaluation_also_when_it_raises(self, cut):
         # iterates 32, 69, 105, 141, 176, 211, ...: a ceiling u just below
         # iterate `cut` makes evaluation `cut` escape it
-        q = ResponseQuery(geometric(6, True, True), range(6), 32)
+        q = ResponseQuery(geometric(6, True, True).tasks, 32)
         path = [32]
         for _ in range(cut):
             path.append(conftest_workload(q.tasks, q.gamma, path[-1]))
@@ -410,22 +419,22 @@ class TestCompiledWorkload:
 
 class TestBruteforce:
     def test_demo_query(self, demo_system):
-        q = ResponseQuery(demo_system, (0, 1), 13)
+        q = ResponseQuery(demo_system.tasks[:2], 13)
         assert response_bruteforce(q) == 42
         assert response_scan_oracle(q.tasks, 13, 390) == 42
 
     def test_empty_interference(self, demo_system):
-        assert response_bruteforce(ResponseQuery(demo_system, (), 5)) == 5
+        assert response_bruteforce(ResponseQuery((), 5)) == 5
 
     def test_extreme_system_attains_upper_bound(self, extreme3):
-        q = ResponseQuery(extreme3, (0, 1), 1)
+        q = ResponseQuery(extreme3.tasks[:2], 1)
         b = bounds_from_parts(1, q.tasks)
         assert response_bruteforce(q) == 12 == b.ell == b.u2
 
     def test_rejects_saturated_utilization(self):
         ts = TaskSystem([Task(1, 1, 0), Task(1, 1, 0)])
         with pytest.raises(UtilizationExceeded):
-            ResponseQuery(ts, (0,), 1)
+            ResponseQuery(ts.tasks[:1], 1)
 
     @given(small_task_systems())
     @settings(max_examples=80)
@@ -447,38 +456,38 @@ class TestBuildMix:
     (w=c_i, a=p_i, b=k+jitter_i) per interferer."""
 
     def test_direct_substitution(self, demo_system):
-        q = ResponseQuery(demo_system, (0, 1), 13)
+        q = ResponseQuery(demo_system.tasks[:2], 13)
         assert mix_terms(q, 100) == [(7, 30, 105), (15, 65, 108)]
         assert q.form.chain is False and q.form.s_bound == 42
 
     def test_empty_interference(self, demo_system):
-        assert mix_terms(ResponseQuery(demo_system, (), 5), 3) == []
+        assert mix_terms(ResponseQuery((), 5), 3) == []
 
     def test_extreme_substitution(self, extreme3):
-        assert mix_terms(ResponseQuery(extreme3, (0, 1), 1), 12) == [(1, 2, 14), (1, 4, 16)]
+        assert mix_terms(ResponseQuery(extreme3.tasks[:2], 1), 12) == [(1, 2, 14), (1, 4, 16)]
 
 
 class TestDecideLargeK:
     def test_demo_at_certified_bound(self, demo_system):
-        q = ResponseQuery(demo_system, (0, 1), 13)
+        q = ResponseQuery(demo_system.tasks[:2], 13)
         assert decide_large_k(q, 390)
 
     def test_extreme_bracketing(self, extreme3):
-        q = ResponseQuery(extreme3, (0, 1), 1)
+        q = ResponseQuery(extreme3.tasks[:2], 1)
         assert not decide_large_k(q, 11)
         assert decide_large_k(q, 12)
 
     def test_empty_interference(self, demo_system):
-        assert decide_large_k(ResponseQuery(demo_system, (), 5), 5)
+        assert decide_large_k(ResponseQuery((), 5), 5)
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_refuses_k_below_1(self, demo_system, k):
         with pytest.raises(PreconditionViolated) as exc:
-            decide_large_k(ResponseQuery(demo_system, (0, 1), 13), k)
+            decide_large_k(ResponseQuery(demo_system.tasks[:2], 13), k)
         assert str(exc.value) == f"decision probes need k >= 1, got {k}"
 
     def test_gate_refuses_small_k(self, demo_system):
-        q = ResponseQuery(demo_system, (0, 1), 13)
+        q = ResponseQuery(demo_system.tasks[:2], 13)
         with pytest.raises(PreconditionKTooSmall):
             decide_large_k(q, 1)
 
@@ -491,7 +500,7 @@ class TestDecideLargeK:
         # the certified upper bound too
         q = full_query(ts)
         r = response_bruteforce(q)
-        if q.indices:
+        if q.tasks:
             for k in range(1, q.s_bound):
                 with pytest.raises(PreconditionKTooSmall):
                     decide_large_k(q, k)
@@ -525,12 +534,12 @@ class TestDecideLargeK:
         with mock.patch.object(rta, "decide_large_k",
                                lambda q, k: decided.append(k - q.s_bound) or real(q, k)):
             for harmonic in (True, False):
-                q = ResponseQuery(geometric(10, harmonic, True), range(10), 2**9)
+                q = ResponseQuery(geometric(10, harmonic, True).tasks, 2**9)
                 assert response_turing(q) == response_bruteforce(q)
         assert decided and min(decided) > 0
 
     def test_verdict_monotone_in_k(self, extreme3):
-        q = ResponseQuery(extreme3, (0, 1), 1)
+        q = ResponseQuery(extreme3.tasks[:2], 1)
         verdicts = [decide_large_k(q, k) for k in range(4, 30)]
         assert verdicts == sorted(verdicts)
 
@@ -564,8 +573,7 @@ class TestTwoValues:
     def test_law_at_the_optimum(self, ts):
         q = full_query(ts)
         t_star = response_bruteforce(q)
-        for i in q.indices:
-            task = ts.tasks[i]
+        for task in q.tasks:
             if 0 < t_star <= task.p:
                 forced = 1 if t_star <= task.p - task.jitter else 2
                 assert forced == ceil_div(t_star + task.jitter, task.p)
@@ -575,7 +583,7 @@ class TestHarmonicWalk:
     def test_extreme_all_differences_zero(self, extreme3):
         # jitter = period makes every difference zero, so the walk goes
         # straight to the bracketed search
-        q = ResponseQuery(extreme3, (0, 1), 1)
+        q = ResponseQuery(extreme3.tasks[:2], 1)
         assert response_harmonic(q) == 12
 
     def test_simple_chain(self):
@@ -584,21 +592,21 @@ class TestHarmonicWalk:
         assert response_harmonic(q) == response_bruteforce(q)
 
     def test_empty_interference(self, demo_system):
-        assert response_harmonic(ResponseQuery(demo_system, (), 9)) == 9
+        assert response_harmonic(ResponseQuery((), 9)) == 9
 
     def test_degenerate_interval_at_the_lower_bound(self, extreme3):
         # the certified lower bound is the response itself
-        q = ResponseQuery(extreme3, (0, 1), 1, lower=12)
+        q = ResponseQuery(extreme3.tasks[:2], 1, lower=12)
         assert response_harmonic(q) == 12
 
     def test_harmonized_demo_variant(self):
         ts = TaskSystem([Task(7, 30, 5), Task(15, 60, 8), Task(13, 60, 25)])
-        q = ResponseQuery(ts, (0, 1), 13)
+        q = ResponseQuery(ts.tasks[:2], 13)
         assert response_harmonic(q) == response_bruteforce(q)
 
     def test_rejects_non_harmonic_periods(self, demo_system):
         with pytest.raises(PreconditionViolated):
-            response_harmonic(ResponseQuery(demo_system, (0, 1), 13))
+            response_harmonic(ResponseQuery(demo_system.tasks[:2], 13))
 
     def test_zero_jitter_chain(self):
         ts = TaskSystem([Task(1, 2, 0), Task(1, 4, 0), Task(1, 4, 0)])
@@ -659,8 +667,8 @@ class TestWalkAtScale:
             prev = ts.tasks[0].c
             for j in range(1, n):
                 c = ts.tasks[j].c
-                r = _audit_walk(ResponseQuery(ts, range(j), c))
-                assert _audit_walk(ResponseQuery(ts, range(j), c, prev + c)) == r
+                r = _audit_walk(ResponseQuery(ts.tasks[:j], c))
+                assert _audit_walk(ResponseQuery(ts.tasks[:j], c, prev + c)) == r
                 prev = r
 
     @pytest.mark.parametrize("cs", [[1] * 4, [1] * 8, [2, 1, 3, 1], [1, 2, 1, 2, 1, 2],
@@ -676,10 +684,10 @@ class TestWalkAtScale:
         # needs many iterations, the walk a few dozen probes; warm-started
         # as the level after task k, and at the response itself
         ts = geometric(k)
-        r = _audit_walk(ResponseQuery(ts, range(k), 2 ** (k - 1)))
-        lower = response_bruteforce(ResponseQuery(ts, range(k - 1), 1)) + 2 ** (k - 1)
+        r = _audit_walk(ResponseQuery(ts.tasks, 2 ** (k - 1)))
+        lower = response_bruteforce(ResponseQuery(ts.tasks[:k - 1], 1)) + 2 ** (k - 1)
         for bound in (lower, r):
-            assert _audit_walk(ResponseQuery(ts, range(k), 2 ** (k - 1), bound)) == r
+            assert _audit_walk(ResponseQuery(ts.tasks, 2 ** (k - 1), bound)) == r
 
 
 class TestWarmStart:
@@ -704,9 +712,9 @@ class TestWarmStart:
         ts = data.draw(small_task_systems(5, 12, zero_jitter, harmonic))
         responses = oracle_responses(ts)
         for j, task in enumerate(ts.tasks):
-            cold = ResponseQuery(ts, range(j), task.c)
+            cold = ResponseQuery(ts.tasks[:j], task.c)
             for lower in {responses[j - 1] + task.c if j else 0, responses[j]}:
-                warm = ResponseQuery(ts, range(j), task.c, lower)
+                warm = ResponseQuery(ts.tasks[:j], task.c, lower)
                 for algorithm in applicable(cold):
                     assert compute_response(warm, algorithm) == responses[j], (algorithm, lower)
                     assert compute_response(cold, algorithm) == responses[j], algorithm
@@ -747,7 +755,7 @@ class TestWarmStart:
 
     def test_bracket_bound_on_the_geometric_walk(self):
         # the walk's bracketed search on this query spans a wide interval
-        q = ResponseQuery(geometric(10), range(10), 2**9)
+        q = ResponseQuery(geometric(10).tasks, 2**9)
         with self.recorded_brackets() as searches:
             assert response_harmonic(q) == response_bruteforce(q)
         assert any(probes for *_, probes in searches)
@@ -787,10 +795,10 @@ class TestSearchesAtScale:
     def test_non_harmonic_geometric_family(self, k, jitter):
         ts = geometric(k, harmonic=False, jitter=jitter)
         algorithms = [response_turing] + ([] if jitter else [response_jitter_free])
-        cold = ResponseQuery(ts, range(k), 2 ** (k - 1))
+        cold = ResponseQuery(ts.tasks, 2 ** (k - 1))
         want = response_bruteforce(cold)
-        lower = response_bruteforce(ResponseQuery(ts, range(k - 1), 1)) + 2 ** (k - 1)
-        warm = ResponseQuery(ts, range(k), 2 ** (k - 1), lower)
+        lower = response_bruteforce(ResponseQuery(ts.tasks[:k - 1], 1)) + 2 ** (k - 1)
+        warm = ResponseQuery(ts.tasks, 2 ** (k - 1), lower)
         for algorithm in algorithms:
             assert algorithm(cold) == algorithm(warm) == want, algorithm.__name__
 
@@ -798,15 +806,15 @@ class TestSearchesAtScale:
 class TestTuring:
     def test_demo_query_resolved_by_scan(self, demo_system):
         # the utilization bound certifies S = 42, and the fixed point lands exactly there
-        q = ResponseQuery(demo_system, (0, 1), 13)
+        q = ResponseQuery(demo_system.tasks[:2], 13)
         assert q.s_bound == 42
         assert response_turing(q) == 42
 
     def test_extreme_system(self, extreme3):
-        assert response_turing(ResponseQuery(extreme3, (0, 1), 1)) == 12
+        assert response_turing(ResponseQuery(extreme3.tasks[:2], 1)) == 12
 
     def test_empty_interference(self, demo_system):
-        assert response_turing(ResponseQuery(demo_system, (), 3)) == 3
+        assert response_turing(ResponseQuery((), 3)) == 3
 
     @given(small_task_systems(max_n=4, p_max=12))
     @settings(max_examples=60)
@@ -823,7 +831,7 @@ class TestTuring:
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         responses = oracle_responses(ts)
         for j, task in enumerate(ts.tasks):
-            cold = ResponseQuery(ts, range(j), task.c)
+            cold = ResponseQuery(ts.tasks[:j], task.c)
             algorithms = ["turing", "auto"] + ([] if cold.jittered else ["jitter-free"])
             for lower in {0, responses[j - 1] + task.c if j else 0, responses[j]}:
                 for algorithm in algorithms:
@@ -857,7 +865,7 @@ class TestTuring:
         # r = S = 42 and ceil(ell) = 30: from 30 or from r_1 + c_2 = 35 the
         # climb reaches 42 in one step and settles there (two W evaluations);
         # a lower bound below ceil(ell) changes nothing, one at r settles at once
-        cold = ResponseQuery(demo_system, (0, 1), 13)
+        cold = ResponseQuery(demo_system.tasks[:2], 13)
         assert cold.s_bound == 42 and math.ceil(cold.bounds.ell) == 30
         for lower, evaluations in ((0, 2), (20, 2), (22 + 13, 2), (42, 1)):
             q = cold.at(13, lower)
@@ -879,7 +887,7 @@ class TestAutoHybrid:
     def test_matches_the_fixed_point_cold_and_warm(self, harmonic, zero_jitter, data):
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         for j, task in enumerate(ts.tasks):
-            q = ResponseQuery(ts, range(j), task.c)
+            q = ResponseQuery(ts.tasks[:j], task.c)
             assert compute_response(q, "auto") == response_bruteforce(q)
         # warm: analyze_system passes r_{j-1} + c_j as each level's lower bound
         assert analyze_system(ts, "auto") == analyze_system(ts, "bruteforce")
@@ -887,7 +895,7 @@ class TestAutoHybrid:
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
     def test_harmonic_geometric_family_hands_off_once(self, k, jitter):
-        q = ResponseQuery(geometric(k, True, jitter), range(k), 2 ** (k - 1))
+        q = ResponseQuery(geometric(k, True, jitter).tasks, 2 ** (k - 1))
         with counters.collect() as ops:
             r = compute_response(q, "auto")
         assert r == response_bruteforce(q)
@@ -905,7 +913,7 @@ class TestAutoHybrid:
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
     def test_general_periods_run_the_search_alone(self, k, jitter):
-        q = ResponseQuery(geometric(k, False, jitter), range(k), 2 ** (k - 1))
+        q = ResponseQuery(geometric(k, False, jitter).tasks, 2 ** (k - 1))
         with counters.collect() as auto_ops:
             r = compute_response(q, "auto")
         with counters.collect() as search_ops:
@@ -919,7 +927,7 @@ class TestAutoHybrid:
     @pytest.mark.parametrize("k", range(10, 15))
     def test_zero_jitter_geometric_families_settle_in_the_climb(self, k, harmonic):
         # ceil(ell) is the response itself: one W evaluation, no decision
-        q = ResponseQuery(geometric(k, harmonic), range(k), 2 ** (k - 1))
+        q = ResponseQuery(geometric(k, harmonic).tasks, 2 ** (k - 1))
         for algorithm in ("turing", "jitter-free"):
             with counters.collect() as ops:
                 r = compute_response(q, algorithm)
@@ -932,7 +940,7 @@ class TestAutoHybrid:
 class TestJitterFree:
     def test_single_interferer(self):
         ts = TaskSystem([Task(1, 2, 0), Task(1, 4, 0)])
-        assert response_jitter_free(ResponseQuery(ts, (0,), 1)) == 2
+        assert response_jitter_free(ResponseQuery(ts.tasks[:1], 1)) == 2
 
     def test_harmonic_three_tasks(self):
         ts = TaskSystem([Task(1, 2, 0), Task(1, 4, 0), Task(1, 4, 0)])
@@ -947,7 +955,7 @@ class TestJitterFree:
 
     def test_rejects_jitter(self, demo_system):
         with pytest.raises(PreconditionViolated):
-            response_jitter_free(ResponseQuery(demo_system, (0, 1), 13))
+            response_jitter_free(ResponseQuery(demo_system.tasks[:2], 13))
 
     @given(small_task_systems(max_n=4, p_max=12, zero_jitter=True))
     @settings(max_examples=60)
@@ -1024,10 +1032,10 @@ class TestDerivedLevels:
         levels = self.levels(ts)
         assert len(levels) == len(ts.tasks)
         for j, (q, task) in enumerate(zip(levels, ts.tasks)):
-            built = ResponseQuery(ts, range(j), task.c, q.lower)
+            built = ResponseQuery(ts.tasks[:j], task.c, q.lower)
             assert query_fields(q) == query_fields(built)
-            assert (q.indices, q.tasks, q.harmonic, q.jittered) == (
-                tuple(range(j)), ts.tasks[:j], built.harmonic, built.jittered)
+            assert (q.tasks, q.harmonic, q.jittered) == (
+                ts.tasks[:j], built.harmonic, built.jittered)
             for name in ("ell", "u1", "u2", "u", "utilization", "s"):
                 assert getattr(q.bounds, name) == getattr(built.bounds, name), name
             assert q.bounds == bounds_from_parts(task.c, ts.tasks[:j])
@@ -1046,7 +1054,7 @@ class TestDerivedLevels:
         assert q.at(gamma, lower).bounds == bounds_from_parts(gamma, q.tasks)
 
     def test_at_keeps_the_bounds_at_an_unchanged_gamma(self, demo_system):
-        q = ResponseQuery(demo_system, (0, 1), 13)
+        q = ResponseQuery(demo_system.tasks[:2], 13)
         with mock.patch.object(rta, "bounds_from_parts", side_effect=AssertionError):
             same = q.at(13, 40)
             moved = q.at(14)
@@ -1059,33 +1067,29 @@ class TestDerivedLevels:
     @given(data=st.data(), harmonic=st.booleans(), gamma=st.integers(1, 30))
     @settings(max_examples=80)
     def test_plus_equals_a_build(self, data, harmonic, gamma):
+        # any interferer tuple, in any order and with repeats
         ts = data.draw(small_task_systems(5, 24, False, harmonic))
-        n = len(ts.tasks)
-        chosen = sorted(data.draw(st.lists(st.integers(0, n - 1), unique=True, min_size=1)))
-        added = chosen[-1]
+        tasks = data.draw(st.lists(st.sampled_from(ts.tasks), min_size=1, max_size=5))
         try:
-            q = ResponseQuery(ts, chosen[:-1], gamma)
+            q = ResponseQuery(tasks[:-1], gamma)
         except UtilizationExceeded:
             return  # the drawn systems keep only their last task's interferers below 1
         try:
-            built = ResponseQuery(ts, chosen, gamma)
+            built = ResponseQuery(tasks, gamma)
         except UtilizationExceeded:
             with pytest.raises(UtilizationExceeded):
-                q.plus(added, gamma)
+                q.plus(tasks[-1], gamma)
             return
-        assert query_fields(q.plus(added, gamma)) == query_fields(built)
-        for index in {-1, n, *chosen[:-1]}:
-            with pytest.raises(InvalidInstance):
-                q.plus(index, gamma)
+        assert query_fields(q.plus(tasks[-1], gamma)) == query_fields(built)
 
-    def test_plus_checks_the_new_interferer_gamma_and_lower(self):
-        ts = TaskSystem([Task(1, 8), Task(1, 2, 3), Task(1, 16)])
-        q = ResponseQuery(ts, (0,), 2)
-        with pytest.raises(InvalidInstance, match="task 1:"):
-            q.plus(1, 2)
-        for gamma, lower in ((0, 0), (2, -1), (2, q.plus(2, 2).bounds.u + 1)):
+    def test_plus_checks_gamma_and_lower(self):
+        # the added task is not checked again: `analyze_system`, the one
+        # caller, has validated its system
+        ts = TaskSystem([Task(1, 8), Task(1, 16)])
+        q = ResponseQuery(ts.tasks[:1], 2)
+        for gamma, lower in ((0, 0), (2, -1), (2, q.plus(ts.tasks[1], 2).bounds.u + 1)):
             with pytest.raises(InvalidInstance):
-                q.plus(2, gamma, lower)
+                q.plus(ts.tasks[1], gamma, lower)
 
     def test_utilization_gate_trips_at_the_middle_level(self, capsys, tmp_path):
         # the prefix load reaches 1 at level 3 (1/2 + 1/4 + 1/4), so levels
@@ -1093,7 +1097,7 @@ class TestDerivedLevels:
         tasks = [Task(1, 2, 0, 2), Task(1, 4, 0, 4), Task(1, 4, 0, 4), Task(1, 8, 0, 8)]
         ts = TaskSystem(tasks)
         with pytest.raises(UtilizationExceeded) as fresh:
-            ResponseQuery(ts, range(3), 1)
+            ResponseQuery(ts.tasks[:3], 1)
         seen, real = [], rta.compute_response
         with mock.patch.object(rta, "compute_response",
                                lambda q, a="auto": seen.append(q) or real(q, a)):
@@ -1119,11 +1123,11 @@ class TestDerivedLevels:
             analyze_system(ts)
         assert [q.bounds.m for q in seen] == [1, 4, 12, 60]
         with pytest.raises(OverflowLimit):
-            ResponseQuery(ts, range(4), 1)
+            ResponseQuery(ts.tasks[:4], 1)
 
     def test_one_bounds_pass_and_linear_task_checks(self, monkeypatch):
         calls = Counter()
-        for module, name in ((core, "validate_task"), (rta, "validate_task"),
+        for module, name in ((core, "validate_task"), (rta, "validate_task"), (rta, "validate"),
                              (core, "bounds_from_parts"), (rta, "bounds_from_parts")):
             def counted(*args, _real=getattr(module, name), _name=name):
                 calls[_name] += 1
@@ -1134,7 +1138,8 @@ class TestDerivedLevels:
             ts = random_system(seed, n, 1024, harmonic=True)
             calls.clear()
             analyze_system(ts)
-            assert calls["bounds_from_parts"] == 1 and calls["validate_task"] <= 2 * n
+            # one system check, n task checks in it, and none by the queries
+            assert calls == {"validate": 1, "validate_task": n, "bounds_from_parts": 1}
 
 
 class TestCrossAlgorithmAgreement:
@@ -1147,6 +1152,6 @@ class TestCrossAlgorithmAgreement:
             assert response_turing(q) == r
 
     def test_compute_response_dispatch(self, demo_system):
-        q = ResponseQuery(demo_system, (0, 1), 13)
+        q = ResponseQuery(demo_system.tasks[:2], 13)
         for algorithm in ("auto", "bruteforce", "turing"):
             assert compute_response(q, algorithm) == 42
