@@ -22,18 +22,20 @@ the first stage enumerates the x^(0) box.  When x^(0) is one variable t,
 wj = 0 and every brick is unit-slack - the shape `encode_rtc_as_4block`
 writes - the bricks' completions sum to an affine function of t between the
 points where some brick's ceiling or floor steps, with one slope for all
-pieces, so the first stage visits only one end of each piece: about
-sum_i |b_i|*u/p_i points instead of u + 1 (the piece path, `on_piece_path`).
+pieces, so the first stage evaluates only the left end of each piece:
+about sum_i |b_i|*u/p_i points instead of u + 1 (the piece path,
+`on_piece_path`).  One generator, `_piece_values`, walks the pieces and
+yields each feasible piece with its left end's value.
 
 `solve_simple_4block` finds the least feasible k in [0, H] (the decisions
 are monotone in k because a larger k only relaxes w^T x <= k, and no k < 0
 passes because weights and variables are nonnegative).  On the piece path a
 probe at k only widens t's range to [0, floor(k/w0)], so the least k is w0
 times the least t whose coupling value reaches b0: one increasing sweep over
-the pieces finds that t, solving the affine inequality inside each piece and
-stopping at the first hit, and one `solve_2stage_desk` probe at the answer
-certifies it.  Every other program is searched by bisection on k with one
-`solve_2stage_desk` probe per step.
+the same `_piece_values` finds that t, solving the affine inequality inside
+each piece and stopping at the first hit, and one `solve_2stage_desk` probe
+at the answer certifies it.  Every other program is searched by bisection
+on k with one `solve_2stage_desk` probe per step.
 
 `encode_rtc_as_4block` expresses response-time computation with jitter in
 this shape: one first-stage variable t, one unit-slack brick (x_i, z_i) per
@@ -46,7 +48,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import groupby, product
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from . import counters
 from .core import TaskSystem, bounds_from_parts, ceil_div, is_integer, validate
@@ -265,63 +267,56 @@ def _slope(p: SimpleFourBlock) -> int:
     return p.D[0][0] + sum(p.C[i][0][1] * p.B[i][0][0] for i in range(p.n))
 
 
-def _coupling(p: SimpleFourBlock, budget: _Budget) -> Callable[[int], int | None]:
-    """f(t): the coupling row's maximum at first-stage point t of a program on
-    the piece path, every brick completed in closed form, or None when some
-    brick has no completion.  Each call spends one unit of the budget for the
-    point and one per completion."""
+def _piece_values(p: SimpleFourBlock, T: int, budget: _Budget) -> Iterator[tuple[int, int, int]]:
+    """(left, right, f(left)) for each piece [left, right] of t in [0, T] of a
+    program on the piece path whose bricks all complete, in increasing order.
+
+    f(t) is the coupling row's maximum at first-stage point t, every brick
+    completed in closed form (wj = 0 here).  On a piece f is affine with
+    slope `_slope(p)` and whether the bricks complete is fixed, so f(left)
+    stands for the piece.  Each piece spends one unit of the budget and each
+    completion tried one more.
+    """
     d = p.D[0][0]
     bricks = [
         (p.A[i][0][0], p.C[i][0], p.rhs[i][0], p.B[i][0][0], p.u_brick(i)) for i in range(p.n)
     ]
-
-    def f(t: int) -> int | None:
+    for left, right in _pieces(p, T):
         budget.spend()
-        total = d * t
+        total = d * left
         for coef, c, rhs, b, boxes in bricks:
             budget.spend()
-            part = _max_unit_slack(coef, c, rhs - b * t, boxes, (0, 0), 0)  # wj = 0 here
+            part = _max_unit_slack(coef, c, rhs - b * left, boxes, (0, 0), 0)
             if part is None:
-                return None
+                break
             total += part
-        return total
+        else:
+            yield left, right, total
 
-    return f
 
-
-def _max_over_pieces(p: SimpleFourBlock, k: int, budget: _Budget) -> int | None:
-    """`solve_2stage_desk` on the piece path: the best f over t in [0, T],
-    T = min(u_0, floor(k / w0)), where the slack row leaves room.  f is
-    affine on each piece, so its maximum there lies at the right end when
-    the slope is positive and at the left end otherwise."""
+def _piece_totals(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[int]:
+    """`solve_2stage_desk` on the piece path: the best f on each piece of t in
+    [0, T], T = min(u_0, floor(k / w0)), where the slack row leaves room (no
+    t does when k < 0), f(left) + max(0, sigma)*(right - left): the right
+    end's value if the slope sigma is positive, else the left end's."""
+    if k < 0:
+        return
     w0, u0 = p.w0[0], p.u[0]
-    T = min(u0, k // w0) if w0 else (u0 if k >= 0 else -1)
-    if T < 0:
-        return None
-    f = _coupling(p, budget)
-    right_end = _slope(p) > 0
-    best: int | None = None
-    for left, right in _pieces(p, T):
-        value = f(right if right_end else left)
-        if value is not None and (best is None or value > best):
-            best = value
-    return best
+    rise = max(0, _slope(p))
+    for left, right, value in _piece_values(p, min(u0, k // w0) if w0 else u0, budget):
+        yield value + rise * (right - left)
 
 
 def _least_reaching_t(p: SimpleFourBlock, T: int, budget: _Budget) -> int | None:
     """The least t in [0, T] with f(t) >= b0 on the piece path, or None.
 
-    One increasing pass over the pieces: f is affine with slope sigma on
-    each, so the pass evaluates the piece's left end and, when sigma > 0,
-    solves f(left) + sigma*(t - left) >= b0 inside the piece; it stops at
-    the first hit.  A piece whose left end has no completion has none.
+    One increasing pass over `_piece_values`: f is affine with slope sigma
+    on each piece, so when sigma > 0 the pass solves
+    f(left) + sigma*(t - left) >= b0 inside the piece; it stops at the
+    first hit.
     """
-    f = _coupling(p, budget)
     sigma = _slope(p)
-    for left, right in _pieces(p, T):
-        value = f(left)
-        if value is None:
-            continue
+    for left, right, value in _piece_values(p, T, budget):
         if value >= p.b0:
             return left
         if sigma > 0:
@@ -350,28 +345,27 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     every other brick goes through the DFS `_max_brick`, which cuts a branch
     once its weight passes the room.
 
-    On the piece path (`on_piece_path`) the first stage visits one end of
-    each piece of t on which the coupling row is affine (`_max_over_pieces`);
-    otherwise it enumerates the x^(0) box.  Each piece, each first-stage
-    point, each closed-form completion and each DFS node spends one unit of
-    the budget; a solve adds the units it spent to the `blockip_nodes`
-    counter.
+    On the piece path (`on_piece_path`) the first stage evaluates the left
+    end of each piece of t on which the coupling row is affine
+    (`_piece_values`) and extends it to the piece's best end; otherwise it
+    enumerates the x^(0) box.  The probe is the max over one total per
+    feasible piece or point.  Each piece, each first-stage point, each
+    closed-form completion and each DFS node spends one unit of the budget;
+    a solve adds the units it spent to the `blockip_nodes` counter.
     """
     budget = _Budget(DEFAULT_NODE_BUDGET)
-    if on_piece_path(p):
-        best = _max_over_pieces(p, k, budget)
-    else:
-        best = _max_over_first_stage(p, k, budget)
+    totals = _piece_totals if on_piece_path(p) else _first_stage_totals
+    best = max(totals(p, k, budget), default=None)
     counters.bump("blockip_nodes", budget.budget - budget.left)
     return best
 
 
-def _max_over_first_stage(p: SimpleFourBlock, k: int, budget: _Budget) -> int | None:
-    """`solve_2stage_desk` off the piece path: every x^(0) in its box, each
-    brick completed on its own under the room the point leaves."""
+def _first_stage_totals(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[int]:
+    """`solve_2stage_desk` off the piece path: the coupling row's maximum at
+    every x^(0) in its box whose bricks all complete, each on its own, under
+    the room the point leaves."""
     weights = [p.wj if i + 1 == p.j else (0,) * p.t for i in range(p.n)]
     unit_coef = [_unit_slack_coefficient(a) for a in p.A]
-    best: int | None = None
     for x0 in product(*(range(u + 1) for u in p.u_first())):
         budget.spend()
         room = k - sum(w * v for w, v in zip(p.w0, x0))
@@ -390,9 +384,7 @@ def _max_over_first_stage(p: SimpleFourBlock, k: int, budget: _Budget) -> int | 
                 break
             total += part
         else:
-            if best is None or total > best:
-                best = total
-    return best
+            yield total
 
 
 def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:

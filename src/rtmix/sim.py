@@ -2,10 +2,14 @@
 
 Discrete time, unit quanta: at each instant the released, unfinished job of
 the highest-priority task runs; a release preempts lower-priority work in the
-same instant.  Every job costs exactly c_i units.  The simulator is the
-ground-truth cross-validator for the analysis side: observed responses can
-never exceed the computed worst case, and one bundled scenario reproduces a
-documented schedule strip exactly.
+same instant.  Every job costs exactly c_i units, and every arrival, release
+and horizon is a Python int.  Time stays discrete, but the loop advances
+from event to event - the next release or the running job's completion -
+and extends the last segment while the same task (or idle) continues, so
+its cost grows with the number of jobs, not with the horizon.  The
+simulator is the ground-truth cross-validator for the analysis side:
+observed responses can never exceed the computed worst case, and one
+bundled scenario reproduces a documented schedule strip exactly.
 """
 
 from __future__ import annotations
@@ -14,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import TaskSystem, validate
+from .core import TaskSystem, is_integer, validate
 from .errors import HorizonTooSmall, InvalidInstance
 
 
@@ -70,6 +74,8 @@ def validate_pattern(ts: TaskSystem, rp: ReleasePattern) -> None:
     for idx, (task, jobs) in enumerate(zip(ts.tasks, rp.jobs)):
         prev_arrival = None
         for job in jobs:
+            if not (is_integer(job.arrival) and is_integer(job.release)):
+                raise InvalidInstance(f"task {idx}: arrival and release must be integers")
             if job.arrival < 0:
                 raise InvalidInstance(f"task {idx}: negative arrival {job.arrival}")
             if prev_arrival is not None and job.arrival - prev_arrival < task.p:
@@ -88,6 +94,8 @@ def simulate(ts: TaskSystem, rp: ReleasePattern, horizon: int) -> ScheduleTrace:
     """Run the schedule on [0, horizon); raises HorizonTooSmall if a job
     released inside the window cannot finish."""
     validate_pattern(ts, rp)
+    if not is_integer(horizon):
+        raise InvalidInstance(f"horizon must be an integer, got {horizon!r}")
     if horizon < 1:
         raise InvalidInstance(f"horizon must be >= 1, got {horizon}")
 
@@ -98,25 +106,30 @@ def simulate(ts: TaskSystem, rp: ReleasePattern, horizon: int) -> ScheduleTrace:
     # a task's jobs are released in index order, so its queue's head runs first
     queues: list[deque[list[int]]] = [deque() for _ in ts.tasks]
     completions: list[CompletedJob] = []
-    timeline: list[int | None] = []
-
-    cursor = 0
-    for now in range(horizon):
+    segments: list[Segment] = []
+    cursor = now = 0
+    while now < horizon:
         while cursor < len(pending) and pending[cursor][0] <= now:
             _, t, j = pending[cursor]
             queues[t].append([j, ts.tasks[t].c])
             cursor += 1
         # the highest-priority task with a released, unfinished job runs
+        # until it completes or the next release, whichever is earlier
         t = next((t for t, queue in enumerate(queues) if queue), None)
-        timeline.append(t)
-        if t is None:
-            continue
-        head = queues[t][0]
-        head[1] -= 1
-        if head[1] == 0:
-            queues[t].popleft()
-            job = rp.jobs[t][head[0]]
-            completions.append(CompletedJob(t, head[0], job.arrival, job.release, now + 1))
+        end = pending[cursor][0] if cursor < len(pending) else horizon
+        if t is not None:
+            head = queues[t][0]
+            end = min(end, now + head[1])
+            head[1] -= end - now
+            if head[1] == 0:
+                queues[t].popleft()
+                job = rp.jobs[t][head[0]]
+                completions.append(CompletedJob(t, head[0], job.arrival, job.release, end))
+        if segments and segments[-1].task == t:
+            segments[-1] = Segment(segments[-1].start, end, t)
+        else:
+            segments.append(Segment(now, end, t))
+        now = end
 
     for t, queue in enumerate(queues):
         if queue:
@@ -126,12 +139,6 @@ def simulate(ts: TaskSystem, rp: ReleasePattern, horizon: int) -> ScheduleTrace:
                 f"within horizon {horizon}"
             )
 
-    segments = []
-    start = 0
-    for i in range(1, horizon + 1):
-        if i == horizon or timeline[i] != timeline[start]:
-            segments.append(Segment(start, i, timeline[start]))
-            start = i
     completions.sort(key=lambda c: (c.task, c.index))
     return ScheduleTrace(horizon, tuple(segments), tuple(completions))
 

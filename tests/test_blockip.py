@@ -185,10 +185,11 @@ class TestStitching:
         for k in range(0, 6):
             assert solve_2stage_desk(prog, k) == enumerated_decision(prog, k)
 
-    @given(unit_slack_programs(), st.data())
+    @given(unit_slack_programs() | unit_slack_programs(b_max=1), st.data())
     @settings(max_examples=400)
     def test_unit_slack_bricks_match_enumeration(self, prog, data):
-        # with wj = 0 the first stage visits one end of each piece; otherwise
+        # with wj = 0 the first stage extends each piece's left-end value to
+        # its best end, and |b| <= 1 makes pieces longer than one t; otherwise
         # it enumerates t and completes every unit-slack brick in closed form,
         # the brick carrying wj with its x bounded by the room k - w0*t.  The
         # mirrored program takes the enumeration and the DFS for every brick.

@@ -12,6 +12,7 @@ from rtmix.gen import random_system
 from rtmix.rta import ResponseQuery, response_bruteforce
 from rtmix.sim import (
     ReleasePattern,
+    Segment,
     observed_responses,
     render_gantt,
     simulate,
@@ -54,6 +55,13 @@ class TestValidatePattern:
         with pytest.raises(InvalidInstance, match="delay"):
             validate_pattern(demo_system, rp)
 
+    # a release of 1.5 would otherwise report a response of 2.5
+    @pytest.mark.parametrize("job", [(0, 1.5), (True, True)], ids=["fractional", "bool"])
+    def test_non_integer_times_rejected(self, demo_system, job):
+        with pytest.raises(InvalidInstance) as exc:
+            validate_pattern(demo_system, ReleasePattern([[job], [], []]))
+        assert str(exc.value) == "task 0: arrival and release must be integers"
+
 
 class TestSimulate:
     def test_demo_schedule_strip(self, demo_system, demo_pattern):
@@ -94,6 +102,14 @@ class TestSimulate:
         with pytest.raises(HorizonTooSmall):
             simulate(ts, ReleasePattern([[(0, 0)]]), 3)
 
+    def test_cost_does_not_grow_with_the_horizon(self):
+        # one job at horizon 10**12: the loop jumps from its completion to
+        # the horizon, one busy and one idle segment
+        ts = TaskSystem([Task(4, 9, 0)])
+        trace = simulate(ts, ReleasePattern([[(0, 0)]]), 10**12)
+        assert trace.segments == (Segment(0, 4, 0), Segment(4, 10**12, None))
+        assert [job.completion for job in trace.jobs] == [4]
+
     def test_deterministic(self, demo_system, demo_pattern):
         a = simulate(demo_system, demo_pattern, 65)
         b = simulate(demo_system, demo_pattern, 65)
@@ -106,6 +122,12 @@ class TestSimulateInputs:
         with pytest.raises(InvalidInstance) as exc:
             simulate(demo_system, demo_pattern, horizon)
         assert str(exc.value) == f"horizon must be >= 1, got {horizon}"
+
+    @pytest.mark.parametrize("horizon", [10.5, True])
+    def test_non_integer_horizon_rejected(self, demo_system, demo_pattern, horizon):
+        with pytest.raises(InvalidInstance) as exc:
+            simulate(demo_system, demo_pattern, horizon)
+        assert str(exc.value) == f"horizon must be an integer, got {horizon!r}"
 
     def test_unknown_measure_rejected(self, demo_system, demo_pattern):
         trace = simulate(demo_system, demo_pattern, 65)
