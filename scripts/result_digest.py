@@ -38,7 +38,6 @@ import os
 import sys
 import tempfile
 from collections import Counter, defaultdict
-from unittest import mock
 
 from rtmix import MixInstance, Task, TaskSystem, gen, is_harmonic
 from rtmix.cli import EXIT_INTERNAL, main as cli_main
@@ -46,8 +45,8 @@ from rtmix.cli import EXIT_INTERNAL, main as cli_main
 # seeded `gen random` systems, besides 10 `gen extreme` ones, one large-S one,
 # 12 larger harmonic ones, 5 geometric ones, 3 larger general ones, 8
 # non-harmonic geometric ones, 3 whose utilization gate trips at a middle
-# level and 10 whose interferer lcm passes 2**63; one more system runs under
-# a magnitude cap below a prefix's search bound S
+# level and 10 whose interferer lcm passes 2**63; one more system's search
+# bound S passes the magnitude cap at a middle level
 SYSTEMS = 240
 # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6, 7
 # crowded ones at the ends of the reverse search's window and 5 whose lcm
@@ -59,8 +58,8 @@ MIX = 120
 # p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179, and
 # 5 jitter-free n = 6 ones whose interferer lcm passes 2**63
 BLOCKIP = 60
-# the lcm past which the large-lcm families draw: the default magnitude cap
-# plus one, which bounds S and not the lcm
+# the lcm past which the large-lcm families draw: the magnitude cap plus
+# one, which bounds S and not the lcm
 BIG_LCM = 2**63
 
 
@@ -272,12 +271,14 @@ def main() -> int:
                 record(name, f"rta compute {algorithm}", out)
                 results[algorithm] = out.get("result")
             agree(name, "rta compute results", results)
-        # a magnitude cap of 2**5 - 1 below the interferers' S at level 4
-        # (0, 2, 5, 14, 55 by level): level 4 raises OverflowLimit
-        write(path, system_dict(TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])))
-        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": "5"}):
-            out = run(["rta", "compute", "--input", path, "--algorithm", "auto"])
-        record("S past a 5-bit cap at level 4", "rta compute auto", out)
+        # two interferers on one period P = 2**63 + 1 leave level 2 slack 1/P
+        # and S = P - 1, past the magnitude cap 2**63 - 1: level 2 raises
+        # OverflowLimit
+        big = BIG_LCM + 1
+        write(path, system_dict(TaskSystem([Task(1, big, 0, big), Task(big - 2, big, 0, big),
+                                            Task(1, 4, 0, 4), Task(1, 8, 0, 8)])))
+        out = run(["rta", "compute", "--input", path, "--algorithm", "auto"])
+        record("S past the magnitude cap at level 2", "rta compute auto", out)
         for name, inst in mix_instances(MIX):
             for label, case in (("", inst), (" crowded", crowded(inst))):
                 terms = [{"w": t.w, "a": t.a, "b": t.b} for t in case.terms]

@@ -159,7 +159,9 @@ def _max_brick(
     Depth-first assignment with interval propagation: a partial assignment is
     pruned as soon as some row's residual cannot be covered by the remaining
     variables' coefficient ranges.  Each variable's values stop where the
-    partial weight, which only grows, would pass the room.
+    partial weight, which only grows, would pass the room.  The search keeps
+    its own stack of open variables, one frame each, so no width of brick
+    meets the interpreter's recursion limit.
     """
     nvars = len(boxes)
     residual = list(rhs)
@@ -174,28 +176,36 @@ def _max_brick(
             hi_suffix[v][ri] = hi_suffix[v + 1][ri] + contrib_hi
 
     best: int | None = None
-
-    def solve(v: int, acc_obj: int, left: int) -> None:
-        nonlocal best
+    # one frame per open variable, frames[v] for variable v: its value, its
+    # last value, and the objective and room before it
+    frames: list[list[int]] = []
+    acc_obj, left = 0, room
+    while True:
         budget.spend()
+        v = len(frames)
         if v == nvars:
-            if all(r == 0 for r in residual):
-                if best is None or acc_obj > best:
-                    best = acc_obj
-            return
-        for ri in range(len(rows)):
-            if not lo_suffix[v][ri] <= residual[ri] <= hi_suffix[v][ri]:
-                return
-        top = min(boxes[v], left // weights[v]) if weights[v] else boxes[v]
-        for val in range(top + 1):
-            for ri, row in enumerate(rows):
-                residual[ri] -= row[v] * val
-            solve(v + 1, acc_obj + a_obj[v] * val, left - weights[v] * val)
+            if all(r == 0 for r in residual) and (best is None or acc_obj > best):
+                best = acc_obj
+        elif all(lo <= r <= hi for lo, r, hi in zip(lo_suffix[v], residual, hi_suffix[v])):
+            top = min(boxes[v], left // weights[v]) if weights[v] else boxes[v]
+            if top >= 0:  # enter the first child, value 0, which leaves the residual
+                frames.append([0, top, acc_obj, left])
+                continue
+        # back up to the deepest open variable with a value left, and take it
+        while frames:
+            v = len(frames) - 1
+            val, top, acc_obj, left = frame = frames[-1]
+            if val < top:
+                frame[0] = val = val + 1
+                for ri, row in enumerate(rows):
+                    residual[ri] -= row[v]
+                acc_obj, left = acc_obj + a_obj[v] * val, left - weights[v] * val
+                break
             for ri, row in enumerate(rows):
                 residual[ri] += row[v] * val
-
-    solve(0, 0, room)
-    return best
+            frames.pop()
+        else:
+            return best
 
 
 def _max_unit_slack(coef: int, c: Sequence[int], rest: int, boxes: Sequence[int],

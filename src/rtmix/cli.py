@@ -8,9 +8,9 @@ result against the brute-force oracle and fails the run on mismatch.
 Every `RTMixError` leaves as a JSON error object {error, message} and the exit
 code that `EXIT_CODES` gives its class: 0 success, 1 infeasible / unbounded /
 not schedulable / verify mismatch, 2 invalid input, 3 overflow (the search
-bound S past the magnitude cap, which RTMIX_LIMIT_BITS sets, or a report
-integer too long to print), budget or generation attempt cap exhausted,
-4 internal error (a certified invariant failed).
+bound S past the fixed magnitude cap 2**63 - 1, or a report integer too
+long to print), budget or generation attempt cap exhausted, 4 internal
+error (a certified invariant failed).
 """
 
 from __future__ import annotations
@@ -21,7 +21,6 @@ import sys
 import time
 
 from . import blockip, counters, gen, jsonio, mixing, reverse, rta, sim
-from .core import DEFAULT_LIMIT_BITS, ENV_LIMIT_BITS
 from .errors import (
     BudgetExceeded,
     GenerationFailed,
@@ -243,8 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="rtmix",
         description="Exact response-time analysis and mixing set solvers "
-        f"(magnitude cap 2**{DEFAULT_LIMIT_BITS} - 1 on the search bound S; set the bit "
-        f"count via {ENV_LIMIT_BITS})",
+        "(magnitude cap 2**63 - 1 on the search bound S)",
     )
     parser.add_argument("--format", choices=("json", "text"), default="json")
     sub = parser.add_subparsers(dest="command", required=True)

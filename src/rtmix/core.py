@@ -15,41 +15,22 @@ Every integer field must be a Python `int`: `bool`, float and str values
 are rejected (`is_integer`).
 
 The one magnitude rule is `certified_s`: S, which bounds every search,
-raises OverflowLimit past the cap that RTMIX_LIMIT_BITS sets; the lcm is
-exact and uncapped.  Each bounds pass reads the cap once and passes it on:
-`bounds_from_parts`, whose `BoundsResult` carries it to every bounds
-derived from it, and `mixing.certified_s_bound`.
+raises OverflowLimit past the fixed cap `MAGNITUDE_CAP` = 2**63 - 1; the lcm
+is exact and uncapped.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import InvalidInstance, OverflowLimit, UtilizationExceeded
 
-ENV_LIMIT_BITS = "RTMIX_LIMIT_BITS"
-DEFAULT_LIMIT_BITS = 63
-
-
-def magnitude_cap() -> int:
-    """Cap on the search bound S (`certified_s`); exceeding it raises OverflowLimit.
-
-    Defaults to 2**63 - 1; override with the RTMIX_LIMIT_BITS environment
-    variable.  Every search is bounded by S, so a hard cap on S beats a
-    silent astronomically long search.
-    """
-    raw = os.environ.get(ENV_LIMIT_BITS, DEFAULT_LIMIT_BITS)
-    try:
-        bits = int(raw)
-    except ValueError:
-        bits = 0
-    if bits < 1:
-        raise InvalidInstance(f"{ENV_LIMIT_BITS} must be a positive bit count, got {raw!r}")
-    return (1 << bits) - 1
+# Cap on the search bound S (`certified_s`).  Every search is bounded by S,
+# so a hard cap on S beats a silent astronomically long search.
+MAGNITUDE_CAP = 2**63 - 1
 
 
 def is_integer(value) -> bool:
@@ -64,16 +45,14 @@ def ceil_div(num: int, den: int) -> int:
     return -((-num) // den)
 
 
-def certified_s(weight_sum: int, m: int, slack: int, limit: int) -> int:
+def certified_s(weight_sum: int, m: int, slack: int) -> int:
     """The certified search bound S = min(m - 1, ceil(weight_sum * m / slack)),
     or m - 1 when there is no slack (slack <= 0), for terms of lcm m and
-    summed weight `weight_sum`.  The one gate on magnitude: S past the cap
-    `limit`, which the caller's bounds pass read (`magnitude_cap`), raises
-    OverflowLimit, while m itself is uncapped."""
+    summed weight `weight_sum`.  The one gate on magnitude: S past
+    `MAGNITUDE_CAP` raises OverflowLimit, while m itself is uncapped."""
     s = m - 1 if slack <= 0 else min(m - 1, ceil_div(weight_sum * m, slack))
-    if s > limit:
-        raise OverflowLimit(f"the search bound S exceeds the magnitude cap "
-                            f"2**{limit.bit_length()} - 1")
+    if s > MAGNITUDE_CAP:
+        raise OverflowLimit("the search bound S exceeds the magnitude cap 2**63 - 1")
     return s
 
 
@@ -171,9 +150,7 @@ class BoundsResult(NamedTuple):
     `utilization` L/m is below 1.  `s` is the certified bound S on the
     optimal s of every mixing instance Mix(I, k) of these interferers,
     min(m - 1, ceil(sum c_i / (1 - U))), the `mixing.certified_s_bound` of
-    their terms (c_i, p_i, k + jitter_i).  `cap` is the magnitude cap that
-    gated S, read once by the bounds pass (`bounds_from_parts`); `at` and
-    `plus` gate their S by it too."""
+    their terms (c_i, p_i, k + jitter_i)."""
 
     gamma: int
     m: int
@@ -184,7 +161,6 @@ class BoundsResult(NamedTuple):
     u: int
     s: int
     ceil_ell: int
-    cap: int
 
     # exact, built when read
     ell = property(lambda b: Fraction(b.gamma * b.m + b.jitter_load, b.m - b.load))
@@ -193,8 +169,7 @@ class BoundsResult(NamedTuple):
 
     def at(self, gamma: int) -> BoundsResult:
         """The same interferers' bounds at constant gamma."""
-        return bounds_from_load(gamma, self.m, self.load, self.jitter_load, self.cost_sum,
-                                self.cap)
+        return bounds_from_load(gamma, self.m, self.load, self.jitter_load, self.cost_sum)
 
     def plus(self, t: Task, gamma: int) -> BoundsResult:
         """The bounds with interferer t added, at constant gamma: m' = lcm(m, p),
@@ -202,14 +177,12 @@ class BoundsResult(NamedTuple):
         m = math.lcm(self.m, t.p)
         scale, share = m // self.m, t.c * (m // t.p)
         return bounds_from_load(gamma, m, self.load * scale + share,
-                                self.jitter_load * scale + t.jitter * share, self.cost_sum + t.c,
-                                self.cap)
+                                self.jitter_load * scale + t.jitter * share, self.cost_sum + t.c)
 
 
 def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
     """Bounds for the least t with t >= gamma + sum c_i*ceil((t+jitter_i)/p_i),
-    from one integer pass over the interferers for their load aggregate.
-    The magnitude cap is read once, here, and carried by the result."""
+    from one integer pass over the interferers for their load aggregate."""
     if any(t.p < 1 for t in interferers):
         raise InvalidInstance("interferer periods must be >= 1")
     m = math.lcm(*(t.p for t in interferers))
@@ -219,27 +192,24 @@ def bounds_from_parts(gamma: int, interferers: Sequence[Task]) -> BoundsResult:
         load += share
         jitter_load += t.jitter * share
         cost_sum += t.c
-    return bounds_from_load(gamma, m, load, jitter_load, cost_sum, magnitude_cap())
+    return bounds_from_load(gamma, m, load, jitter_load, cost_sum)
 
 
 def bounds_from_load(gamma: int, m: int, load: int, jitter_load: int,
-                     cost_sum: int, cap: int) -> BoundsResult:
+                     cost_sum: int) -> BoundsResult:
     """The bounds at gamma from a load aggregate, the one copy of their
     arithmetic.  The slack is D/m, D = m - L, so every bound is an integer
     ratio over D, S and ceil(ell) included: S = min(m - 1, ceil(sum c_i * m
     / D)), gated by `certified_s` after the utilization gate, and
-    ceil(ell) = ceil((gamma*m + J) / D).  `cap` is the magnitude cap that
-    the bounds pass read, which derived bounds keep."""
+    ceil(ell) = ceil((gamma*m + J) / D)."""
     if load >= m:
         raise UtilizationExceeded(f"interfering utilization {Fraction(load, m)} >= 1")
     slack = m - load
-    s = certified_s(cost_sum, m, slack, cap)
+    s = certified_s(cost_sum, m, slack)
     u2 = ceil_div(gamma + cost_sum, slack) * m
     base = gamma * m + jitter_load
-    return BoundsResult(
-        gamma, m, load, jitter_load, cost_sum, u2,
-        min(ceil_div(base + cost_sum * m, slack), u2), s, ceil_div(base, slack), cap,
-    )
+    return BoundsResult(gamma, m, load, jitter_load, cost_sum, u2,
+                        min(ceil_div(base + cost_sum * m, slack), u2), s, ceil_div(base, slack))
 
 
 def response_bounds(ts: TaskSystem) -> BoundsResult:

@@ -1,7 +1,7 @@
 """Exception hierarchy shared by all solver modules.
 
 The CLI maps these onto exit codes (`cli.EXIT_CODES`): infeasible/unbounded
-outcomes -> 1, invalid input -> 2, resource limits (overflow caps,
+outcomes -> 1, invalid input -> 2, resource limits (the magnitude cap,
 enumeration budgets, generation attempt caps) -> 3, internal errors -> 4.
 """
 
@@ -32,8 +32,8 @@ class UtilizationExceeded(RTMixError):
 
 
 class OverflowLimit(RTMixError):
-    """The search bound S exceeded the configured magnitude cap, or a report
-    held an integer too long to print."""
+    """The search bound S exceeded the magnitude cap 2**63 - 1
+    (`core.MAGNITUDE_CAP`), or a report held an integer too long to print."""
 
 
 class Unbounded(RTMixError):

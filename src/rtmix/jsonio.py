@@ -177,3 +177,5 @@ def load_json(path: str) -> Any:
         raise InvalidInstance(f"{path} is not valid JSON: {exc}") from None
     except ValueError as exc:  # an integer literal past the int/str digit limit
         raise InvalidInstance(f"{path} holds an integer too long to parse: {exc}") from None
+    except RecursionError:
+        raise InvalidInstance(f"{path} nests too deeply to parse") from None

@@ -23,9 +23,9 @@ returned completion is feasibility-checked before it leaves the module.
 Both solvers search one compiled form, a `MixForm`: `compile_mix` checks
 validity, then decides boundedness and certifies S in one pass
 (`certified_s_bound`, which raises Unbounded, then OverflowLimit when S
-passes the magnitude cap; the lcm itself is uncapped), notes whether the
-capacities form a divisibility chain, and groups the positive-weight terms
-by capacity.  A solver given a `MixInstance` compiles it, searches it once
+passes the magnitude cap 2**63 - 1; the lcm itself is uncapped), notes
+whether the capacities form a divisibility chain, and groups the
+positive-weight terms by capacity.  A solver given a `MixInstance` compiles it, searches it once
 and checks its completion.  A solver given a form searches it with no check
 repeated and reports s and the objective only: `rta` compiles one form per
 response query, terms (c_i, p_i, jitter_i), and every decision probe
@@ -43,7 +43,7 @@ from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, certified_s, is_harmonic, is_integer, magnitude_cap
+from .core import ceil_div, certified_s, is_harmonic, is_integer
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -113,7 +113,7 @@ def certified_s_bound(inst: MixInstance) -> int:
     ceil(sum w_i / (w0 - sum w_i/a_i)) when the slack is positive, below
     which shifting s down by that amount strictly improves the objective
     (`core.certified_s`, which then raises OverflowLimit when S passes the
-    magnitude cap, read here once per call).
+    magnitude cap 2**63 - 1).
     """
     m = math.lcm(*(t.a for t in inst.terms))
     load = weight_sum = 0
@@ -123,7 +123,7 @@ def certified_s_bound(inst: MixInstance) -> int:
     slack = inst.w0 * m - load
     if slack < 0:
         raise Unbounded("sum w_i/a_i exceeds w0")
-    return certified_s(weight_sum, m, slack, magnitude_cap())
+    return certified_s(weight_sum, m, slack)
 
 
 @dataclass(frozen=True)

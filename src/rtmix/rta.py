@@ -64,14 +64,12 @@ and no other setting.  A query is what the paper states: the interfering
 tasks themselves, in priority order, and gamma, with no enclosing
 `TaskSystem` and no positions into one.  It is validated once, when it is
 built: each interferer as `core.validate` checks a task, then its
-`BoundsResult` (which
-carries the exact utilization, S and ceil(ell), the searches' start, in
-integers; building a query at utilization >= 1 raises, and so does S past
-the magnitude cap that RTMIX_LIMIT_BITS sets, read once by the build and
-kept by every query derived from it; the mixing form's compile reads it
-again), and whether the periods form a chain (`harmonic`) and some
-interferer has jitter (`jittered`), all computed then; no algorithm or
-probe recomputes them.  W is compiled once per query
+`BoundsResult` (which carries the exact utilization, S and ceil(ell), the
+searches' start, in integers; building a query at utilization >= 1
+raises, and so does S past the magnitude cap 2**63 - 1), and whether the
+periods form a chain (`harmonic`) and some interferer has jitter
+(`jittered`), all computed then; no algorithm or probe recomputes them.
+W is compiled once per query
 too: one integer term (c_i, p_i, o_i = jitter_i + p_i - 1) per interferer,
 so that W(t) = gamma + sum c_i * ((t + o_i) // p_i) (`ResponseQuery.workload`).
 Every search evaluates W through these terms; `core.workload` stays the
@@ -217,8 +215,7 @@ class ResponseQuery:
     @property
     def form(self) -> mixing.MixForm:
         """The interferers' mixing form, one term (c_i, p_i, jitter_i) each,
-        so that Mix(I, k) is the form at base k; compiled on first need, by a
-        mixing compile that reads the magnitude cap itself."""
+        so that Mix(I, k) is the form at base k; compiled on first need."""
         if not self._form:
             inst = mixing.MixInstance(1, [(t.c, t.p, t.jitter) for t in self.tasks])
             self._form.append(mixing.compile_mix(inst))

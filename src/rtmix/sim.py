@@ -19,7 +19,10 @@ from dataclasses import dataclass
 from typing import Iterable, Literal
 
 from .core import TaskSystem, is_integer, validate
-from .errors import HorizonTooSmall, InvalidInstance
+from .errors import HorizonTooSmall, InvalidInstance, PreconditionViolated
+
+# Widest strip `render_gantt` draws, in time units (columns).
+GANTT_MAX_WIDTH = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -154,22 +157,20 @@ def observed_responses(
 
 
 def render_gantt(trace: ScheduleTrace, ts: TaskSystem) -> str:
-    """Monospace strip per task plus a processor row; '#' marks execution."""
-    rows = []
-    per_task = []
-    for tidx in range(len(ts.tasks)):
-        cells = ["."] * trace.horizon
-        for seg in trace.segments:
-            if seg.task == tidx:
-                for x in range(seg.start, seg.end):
-                    cells[x] = "#"
-        per_task.append("".join(cells))
-    for tidx, strip in enumerate(per_task):
-        rows.append(f"task{tidx:<2d} |{strip}|")
-    proc = ["."] * trace.horizon
-    for seg in trace.segments:
-        if seg.task is not None:
-            for x in range(seg.start, seg.end):
-                proc[x] = str(seg.task % 10)
-    rows.append(f"cpu    |{''.join(proc)}|")
+    """Monospace strip per task plus a processor row; '#' marks execution.
+
+    Each row is drawn from the segments, which tile [0, horizon) as
+    `simulate` writes them, one column per time unit; a horizon past
+    `GANTT_MAX_WIDTH` raises PreconditionViolated."""
+    if trace.horizon > GANTT_MAX_WIDTH:
+        raise PreconditionViolated(
+            f"a Gantt strip of {trace.horizon} columns is wider than {GANTT_MAX_WIDTH}"
+        )
+
+    def strip(mark) -> str:
+        return "".join(mark(seg.task) * (seg.end - seg.start) for seg in trace.segments)
+
+    rows = [f"task{tidx:<2d} |{strip(lambda t: '#' if t == tidx else '.')}|"
+            for tidx in range(len(ts.tasks))]
+    rows.append(f"cpu    |{strip(lambda t: '.' if t is None else str(t % 10))}|")
     return "\n".join(rows)

@@ -236,6 +236,15 @@ class TestDeskBackend:
         monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 100_000)
         assert solve_simple_4block(prog) == 3
 
+    def test_a_brick_wider_than_the_recursion_limit(self):
+        # one general brick of 1200 binary variables whose row of ones must
+        # sum to 0: the depth-first search runs 1200 variables deep
+        width = 1200
+        prog = brick_program(t=width, C=((((0,) * width),),), A=((((1,) * width),),),
+                             rhs=((0,),), wj=(0,) * width, u=(0,) + (1,) * width)
+        assert not blockip.on_piece_path(prog)
+        assert solve_simple_4block(prog) == 0
+
     def test_budget_is_enforced(self, pair_system, monkeypatch):
         prog = encode_rtc_as_4block(pair_system)
         monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 3)

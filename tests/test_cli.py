@@ -6,6 +6,7 @@ import io
 import json
 import math
 import os
+import re
 import sys
 import tempfile
 from pathlib import Path
@@ -16,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from rtmix import blockip, reverse, rta
-from rtmix.cli import build_parser, main
+from rtmix.cli import EXIT_CODES, build_parser, main
 from rtmix.core import Task, TaskSystem
 from rtmix.errors import OverflowLimit
 from rtmix.mixing import MixInstance
@@ -162,16 +163,16 @@ class TestMixSolve:
         assert objectives["shift"] == objectives["bruteforce"]
 
     @pytest.mark.parametrize("algorithm", ["bruteforce", "harmonic", "shift"])
-    def test_unbounded_exit_code(self, capsys, tmp_path, algorithm, monkeypatch):
-        inputs = [({"w0": 1, "terms": [{"w": 2, "a": 1, "b": 0}]}, None)]
+    def test_unbounded_exit_code(self, capsys, tmp_path, algorithm):
+        inputs = [{"w0": 1, "terms": [{"w": 2, "a": 1, "b": 0}]}]
         if algorithm == "shift":
-            # the lcm 77 exceeds the cap 15: the reverse reduction decides
-            # unboundedness before anything meets the cap (exit 1, not 3)
-            terms = [{"w": 5, "a": 7, "b": 0}, {"w": 5, "a": 11, "b": 3}]
-            inputs.append(({"w0": 1, "terms": terms}, "4"))
-        for data, bits in inputs:
-            if bits is not None:
-                monkeypatch.setenv("RTMIX_LIMIT_BITS", bits)
+            # one capacity P = 2**63 + 1, so S = m - 1 would pass the cap
+            # 2**63 - 1: the reverse reduction decides unboundedness before
+            # anything meets the cap (exit 1, not 3)
+            big = 2**63 + 1
+            inputs.append({"w0": 1, "terms": [{"w": 1, "a": big, "b": 0},
+                                              {"w": big, "a": big, "b": 3}]})
+        for data in inputs:
             inst = tmp_path / "unbounded.json"
             inst.write_text(json.dumps(data))
             code, out = run_cli(
@@ -399,14 +400,6 @@ class TestVerifyOnSeededSuite:
             assert code == 0
 
 
-class TestMagnitudeCap:
-    def test_env_override_trips_the_overflow_exit(self, capsys, demo_file, monkeypatch):
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
-        code, out = run_cli(capsys, "rta", "compute", "--input", demo_file)
-        assert code == 3
-        assert "OverflowLimit" in out
-
-
 def search_bound(pairs):
     """S = min(m - 1, ceil(sum c_i * m / (m - L))) of (c, p) interferers at
     utilization below 1, computed here from its definition."""
@@ -417,14 +410,12 @@ def search_bound(pairs):
 
 @st.composite
 def s_just_over_the_cap(draw):
-    """(bits, interferers (c, p)) with cap = 2**bits - 1 < S <= 2 * cap, under
-    the default 63 bits or a small cap.  Either both interferers on one
-    period P = S + 1, leaving slack 1/P (S = m - 1), or on the coprime
-    periods q and q + 1 with costs q - 2 and 1, where
+    """Interferers (c, p) with cap = 2**63 - 1 < S <= 2 * cap.  Either both
+    on one period P = S + 1, leaving slack 1/P (S = m - 1), or on the
+    coprime periods q and q + 1 with costs q - 2 and 1, where
     S = ceil((q - 1)q(q + 1)/(q + 2)), about q^2 - 2q + 3, stays below
     m - 1 = q^2 + q - 1."""
-    bits = draw(st.one_of(st.just(63), st.integers(4, 20)))
-    cap = (1 << bits) - 1
+    cap = 2**63 - 1
     if draw(st.booleans()):
         p = draw(st.integers(cap + 2, 2 * cap + 1))
         pairs = [(1, p), (p - 2, p)]
@@ -440,7 +431,7 @@ def s_just_over_the_cap(draw):
         q = draw(st.integers(lo, hi))
         pairs = [(q - 2, q), (1, q + 1)]
     assert cap < search_bound(pairs) <= 2 * cap
-    return bits, pairs
+    return pairs
 
 
 class TestCapSweep:
@@ -453,30 +444,23 @@ class TestCapSweep:
         return TaskSystem([Task(c, p, 0, p) for c, p in pairs] + [Task(1, 4, 0, 4)])
 
     @given(s_just_over_the_cap())
-    def test_analyze_system(self, case):
-        bits, pairs = case
-        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
-            with pytest.raises(OverflowLimit):
-                rta.analyze_system(self.system(pairs))
+    def test_analyze_system(self, pairs):
+        with pytest.raises(OverflowLimit):
+            rta.analyze_system(self.system(pairs))
 
     @given(s_just_over_the_cap())
-    def test_solve_general_via_shift(self, case):
-        bits, pairs = case
+    def test_solve_general_via_shift(self, pairs):
         (c1, p1), (c2, p2) = pairs
-        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
-            with pytest.raises(OverflowLimit):
-                reverse.solve_general_via_shift(MixInstance(1, [(c1, p1, 0), (c2, p2, 3)]))
+        with pytest.raises(OverflowLimit):
+            reverse.solve_general_via_shift(MixInstance(1, [(c1, p1, 0), (c2, p2, 3)]))
 
     @given(s_just_over_the_cap())
-    def test_encode_rtc_as_4block(self, case):
-        bits, pairs = case
-        with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}):
-            with pytest.raises(OverflowLimit):
-                blockip.encode_rtc_as_4block(self.system(pairs))
+    def test_encode_rtc_as_4block(self, pairs):
+        with pytest.raises(OverflowLimit):
+            blockip.encode_rtc_as_4block(self.system(pairs))
 
     @given(s_just_over_the_cap())
-    def test_rta_compute_exits_3(self, case):
-        bits, pairs = case
+    def test_rta_compute_exits_3(self, pairs):
         tasks = [{"c": t.c, "p": t.p, "jitter": t.jitter, "d": t.d}
                  for t in self.system(pairs).tasks]
         out, err = io.StringIO(), io.StringIO()
@@ -484,8 +468,7 @@ class TestCapSweep:
             path = os.path.join(tmp, "sys.json")
             with open(path, "w", encoding="utf-8") as fh:
                 json.dump({"tasks": tasks}, fh)
-            with mock.patch.dict(os.environ, {"RTMIX_LIMIT_BITS": str(bits)}), \
-                    contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 code = main(["rta", "compute", "--input", path])
         assert code == 3
         assert json.loads(out.getvalue())["error"] == "OverflowLimit"
@@ -502,61 +485,62 @@ class TestErrorExitCodes:
     """Every RTMixError leaves as a JSON error object with its documented exit code."""
 
     @pytest.mark.parametrize(
-        "argv, env, code, error",
+        "argv, code, error",
         [
-            (["sim", "run", "--input", "{demo}", "--releases", "{releases}", "--horizon", "3"],
-             {}, 2, "HorizonTooSmall"),
-            (["gen", "random", "--seed", "1", "--n", "40", "--p-max", "2"], {}, 3, "GenerationFailed"),
-            (["gen", "random", "--seed", "1", "--n", "3", "--p-max", "0"], {}, 2, "InvalidInstance"),
-            (["gen", "random", "--seed", "1", "--n", "3", "--p-max", "-4"], {}, 2, "InvalidInstance"),
-            (["rta", "compute", "--input", "{demo}"], {"RTMIX_LIMIT_BITS": "abc"}, 2, "InvalidInstance"),
-            (["rta", "compute", "--input", "{demo}"], {"RTMIX_LIMIT_BITS": "\u00b2"}, 2, "InvalidInstance"),
-            (["rta", "compute", "--input", "{demo}"], {"broken": True}, 4,
-             "InternalInvariantViolated"),
-            (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "x"], {}, 2, "InvalidInstance"),
-            (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "1", "--jitter", "1,x,2"], {}, 2,
+            (["sim", "run", "--input", "{demo}", "--releases", "{releases}", "--horizon", "3"], 2,
+             "HorizonTooSmall"),
+            (["gen", "random", "--seed", "1", "--n", "40", "--p-max", "2"], 3, "GenerationFailed"),
+            (["gen", "random", "--seed", "1", "--n", "3", "--p-max", "0"], 2, "InvalidInstance"),
+            (["gen", "random", "--seed", "1", "--n", "3", "--p-max", "-4"], 2, "InvalidInstance"),
+            (["rta", "compute", "--input", "{demo}"], 4, "InternalInvariantViolated"),
+            (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "x"], 2, "InvalidInstance"),
+            (["gen", "extreme", "--n", "3", "--p1", "2", "--c", "1", "--jitter", "1,x,2"], 2,
              "InvalidInstance"),
             # integers past the interpreter's 4300-digit int/str limit, which stays as it is
-            (["rta", "compute", "--input", "{huge_p}"], {}, 2, "InvalidInstance"),
-            (["rta", "compute", "--input", "{long_response}"], {"RTMIX_LIMIT_BITS": "20000"}, 3,
-             "OverflowLimit"),
-            (["gen", "tight-mix", "--n", "15000"], {}, 3, "OverflowLimit"),
+            (["rta", "compute", "--input", "{huge_p}"], 2, "InvalidInstance"),
+            # JSON nested past the interpreter's recursion limit
+            (["rta", "compute", "--input", "{deep}"], 2, "InvalidInstance"),
+            (["rta", "compute", "--input", "{long_response}"], 3, "OverflowLimit"),
+            (["gen", "tight-mix", "--n", "15000"], 3, "OverflowLimit"),
         ],
         ids=["horizon-too-small", "generation-failed", "p-max-zero", "p-max-negative",
-             "limit-bits-not-a-number",
-             "limit-bits-superscript-digit", "internal-error", "extreme-cost-not-a-number",
-             "extreme-jitter-not-a-number", "period-too-long-to-parse",
+             "internal-error", "extreme-cost-not-a-number",
+             "extreme-jitter-not-a-number", "period-too-long-to-parse", "input-nested-too-deep",
              "response-too-long-to-print", "generated-instance-too-long-to-print"],
     )
     def test_error_maps_to_exit_code(
-        self, capsys, tmp_path, monkeypatch, demo_file, argv, env, code, error
+        self, capsys, tmp_path, monkeypatch, demo_file, argv, code, error
     ):
         from rtmix.errors import InternalInvariantViolated
 
         releases = tmp_path / "releases.json"
         releases.write_text(json.dumps({"releases": [[{"arrival": 0, "release": 0}], [], []]}))
-        # a 5001-digit period; and a 4300-digit cost over a 4300-digit
-        # period, whose response 1.9e4300 has 4301 digits
+        # a 5001-digit period; and a 4300-digit cost 9e4299 over the
+        # interferer (1, 2), whose response 1.8e4300 has 4301 digits while
+        # its S is 1
         huge_p = tmp_path / "huge_p.json"
         huge_p.write_text('{"tasks": [{"c": 1, "d": null, "p": 1%s, "jitter": 0}]}' % ("0" * 5000))
         p = "9" * 4300
         long_response = tmp_path / "long_response.json"
-        long_response.write_text('{"tasks": [%s, %s]}' % tuple(
-            '{"c": %s, "d": %s, "p": %s, "jitter": 0}' % (c + "0" * 4299, p, p) for c in "59"))
+        long_response.write_text(
+            '{"tasks": [{"c": 1, "d": 2, "p": 2, "jitter": 0}, '
+            '{"c": 9%s, "d": %s, "p": %s, "jitter": 0}]}' % ("0" * 4299, p, p))
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 200_000)
         argv = [a.format(demo=demo_file, releases=releases, huge_p=huge_p,
-                         long_response=long_response) for a in argv]
-        if env.pop("broken", False):
+                         long_response=long_response, deep=deep) for a in argv]
+        if error == "InternalInvariantViolated":
             def broken(*args, **kwargs):
                 raise InternalInvariantViolated("certified identity failed")
 
             monkeypatch.setattr("rtmix.cli.rta.analyze_system", broken)
-        for name, value in env.items():
-            monkeypatch.setenv(name, value)
         assert main(argv) == code
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert report.keys() == {"error", "message"} and report["error"] == error
         assert "Traceback" not in captured.out + captured.err
+        if error == "OverflowLimit":  # both rows meet the report's digit guard, not the cap
+            assert "too long to print" in report["message"]
 
     @pytest.mark.parametrize(
         "releases",
@@ -648,11 +632,15 @@ def parser_algorithms(command: str) -> tuple[str, ...]:
     return tuple(next(a for a in parser._actions if a.dest == "algorithm").choices)
 
 
+def readme_lines() -> list[str]:
+    return (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8").splitlines()
+
+
 def readme_algorithms(command: str) -> tuple[str, ...]:
     """The algorithms that the README's command-line section lists for
     `rtmix <command>`: the first parenthesized list, up to a semicolon, in the
     comment block above the command's example."""
-    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text("utf-8").splitlines()
+    lines = readme_lines()
     at = next(i for i, line in enumerate(lines) if line.startswith(f"rtmix {command} "))
     start = at
     while lines[start - 1].startswith("#"):
@@ -672,3 +660,19 @@ class TestReadmeAlgorithms:
     def test_mix_solve(self):
         assert readme_algorithms("mix solve") == parser_algorithms("mix solve")
         assert parser_algorithms("mix solve") == ("bruteforce", "harmonic", "shift")
+
+
+class TestReadmeExitCodes:
+    """The README's exit-code table lists each public error class of
+    `cli.EXIT_CODES` under its code, and under no other."""
+
+    def test_every_public_class_under_its_code(self):
+        rows = {}  # code -> the row's errors cell
+        for line in readme_lines():
+            row = re.fullmatch(r"\| `(\d+)` \| [^|]* \|(.*)\|", line)
+            if row:
+                rows[int(row[1])] = row[2]
+        assert sorted(rows) == sorted({0, *EXIT_CODES.values()})
+        for cls in (cls for cls in EXIT_CODES if not cls.__name__.startswith("_")):
+            listed = [code for code, cell in rows.items() if f"`{cls.__name__}`" in cell]
+            assert listed == [EXIT_CODES[cls]], cls.__name__

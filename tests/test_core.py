@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from rtmix import core
 from rtmix.core import (
+    MAGNITUDE_CAP,
     Task,
     TaskSystem,
     bounds_from_parts,
@@ -16,7 +16,6 @@ from rtmix.core import (
     certified_s,
     is_harmonic,
     is_integer,
-    magnitude_cap,
     response_bounds,
     utilization,
     validate,
@@ -240,65 +239,36 @@ class TestBounds:
         with pytest.raises(InvalidInstance):
             bounds_from_parts(1, [Task(1, 4), Task(1, p)])
 
-    def test_utilization_gate_before_the_cap(self, monkeypatch):
-        # cap 7, below S = min(14, ceil(3 * 15 / 2)) = 14 of [(2, 3), (1, 5)]
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")
+    def test_utilization_gate_before_the_cap(self):
+        # two interferers on one period P = 2**63 + 1: costs (1, P - 1) fill
+        # it (utilization 1, and S = m - 1 = 2**63 would pass the cap), while
+        # costs (1, P - 2) leave slack 1/P and S = P - 1 = 2**63
+        big = 2**63 + 1
         with pytest.raises(UtilizationExceeded):
-            bounds_from_parts(1, [Task(2, 3), Task(3, 5)])
+            bounds_from_parts(1, [Task(1, big), Task(big - 1, big)])
         with pytest.raises(OverflowLimit):
-            bounds_from_parts(1, [Task(2, 3), Task(1, 5)])
+            bounds_from_parts(1, [Task(1, big), Task(big - 2, big)])
         with pytest.raises(UtilizationExceeded):
-            bounds_from_parts(1, [Task(2, 3)]).plus(Task(3, 5), 1)
+            bounds_from_parts(1, [Task(1, big)]).plus(Task(big - 1, big), 1)
         with pytest.raises(OverflowLimit):
-            bounds_from_parts(1, [Task(2, 3)]).plus(Task(1, 5), 1)
+            bounds_from_parts(1, [Task(1, big)]).plus(Task(big - 2, big), 1)
 
-    def test_overflow_limit_on_tiny_cap(self, demo_system, monkeypatch):
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7, below the lcm 390 of the interferers
+    def test_overflow_limit_past_the_cap(self):
+        big = 2**63 + 1  # interferers (1, big), (big - 2, big): S = 2**63
+        ts = TaskSystem([Task(1, big, 0, big), Task(big - 2, big, 0, big), Task(1, 4, 0, 4)])
         with pytest.raises(OverflowLimit):
-            response_bounds(demo_system)
+            response_bounds(ts)
 
-    def test_magnitude_cap_env_override(self, monkeypatch):
-        # the cap bounds S, not the lcm: lcm 63 passes the cap 15 with S = 3,
-        # while [(6, 7), (1, 9)] has S = min(62, ceil(7 * 63 / 2)) = 62
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
-        assert magnitude_cap() == 15
-        b = bounds_from_parts(1, [Task(1, 7), Task(1, 9)])
-        assert (b.m, b.s) == (63, 3)
-        with pytest.raises(OverflowLimit):
-            bounds_from_parts(1, [Task(6, 7), Task(1, 9)])
-        # no slack leaves S = m - 1, which meets the cap at m = 16
-        assert certified_s(1, 16, 0, magnitude_cap()) == 15
-        with pytest.raises(OverflowLimit):
-            certified_s(1, 17, 0, magnitude_cap())
-
-    def test_overflow_names_a_cap_past_the_int_str_digit_limit(self, monkeypatch):
-        # a cap of 4516 decimal digits, past the interpreter's 4300-digit
-        # int/str limit: the error names it by its bit count
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "15000")
-        with pytest.raises(OverflowLimit, match=r"2\*\*15000 - 1"):
-            certified_s(1, 2**15001, 0, magnitude_cap())
-
-    def test_a_bounds_pass_reads_the_cap_once_and_derived_bounds_keep_it(self, monkeypatch):
-        reads = []
-        real = core.magnitude_cap
-        monkeypatch.setattr(core, "magnitude_cap", lambda: reads.append(1) or real())
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
-        b = bounds_from_parts(1, [Task(1, 9)])
-        assert b.cap == 15 and len(reads) == 1
-        # S of [(1, 9), (1, 7)] is 3 and of [(1, 9), (6, 7)] is 62: the
-        # derived bounds gate S by the cap that the pass read, not by the
-        # variable as it is now
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "63")
-        assert b.plus(Task(1, 7), 2).at(5).cap == 15
-        with pytest.raises(OverflowLimit):
-            b.plus(Task(6, 7), 1)
-        assert len(reads) == 1
-        assert bounds_from_parts(1, [Task(1, 9), Task(6, 7)]).s == 62 and len(reads) == 2
-
-    @pytest.mark.parametrize("raw", [" 4", "+4", "4\n"])
-    def test_magnitude_cap_env_accepts_what_int_parses(self, monkeypatch, raw):
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", raw)
-        assert magnitude_cap() == 15
+    def test_the_cap_bounds_s_not_the_lcm(self):
+        # the coprime periods 2**32 + 1 and 2**32 + 3 have an lcm past the
+        # cap, while their utilization bound keeps S at 3
+        b = bounds_from_parts(1, [Task(1, 2**32 + 1), Task(1, 2**32 + 3)])
+        assert b.m > MAGNITUDE_CAP and b.s == 3
+        # no slack leaves S = m - 1, which meets the cap 2**63 - 1 at m = 2**63
+        assert MAGNITUDE_CAP == 2**63 - 1
+        assert certified_s(1, 2**63, 0) == 2**63 - 1
+        with pytest.raises(OverflowLimit, match=r"the magnitude cap 2\*\*63 - 1"):
+            certified_s(1, 2**63 + 1, 0)
 
 
 class TestJitterFreeBounds:

@@ -98,13 +98,18 @@ class TestUnbounded:
             else:
                 entry(inst)
 
-    def test_unbounded_precedes_the_magnitude_cap(self, monkeypatch):
-        # lcm 77, so S = 76 would pass the cap 15; the slack's sign comes first
-        inst = MixInstance(1, [(5, 7, 0), (5, 11, 3)])
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
+    def test_unbounded_precedes_the_cap(self):
+        # one capacity P = 2**63 + 1: weights (1, P - 2) leave slack 1 and
+        # S = P - 1, past the cap; weights (1, P) push sum w_i/a_i past w0,
+        # where S = m - 1 would pass the cap too, and the slack's sign comes first
+        big = 2**63 + 1
+        over_cap = MixInstance(1, [(1, big, 0), (big - 2, big, 3)])
+        unbounded = MixInstance(1, [(1, big, 0), (big, big, 3)])
         for entry in (certified_s_bound, compile_mix, solve_bruteforce, solve_general_via_shift):
+            with pytest.raises(OverflowLimit):
+                entry(over_cap)
             with pytest.raises(Unbounded):
-                entry(inst)
+                entry(unbounded)
 
     def test_solvers_raise(self):
         bad = MixInstance(1, [(2, 1, 0)])
@@ -128,17 +133,21 @@ class TestSearchBound:
         assert certified_s_bound(inst) == 0
         assert solve_bruteforce(inst).s == 0
 
-    def test_over_cap_lcm_needs_a_utilization_bound_within_the_cap(self, monkeypatch):
-        inst = MixInstance(1, [(1, 4, 7), (1, 5, 7)])  # lcm 20; ceil(2 / (1 - 9/20)) = 4
-        uncapped = solve_bruteforce(inst)
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")  # cap 7
-        assert certified_s_bound(inst) == 4
-        assert solve_bruteforce(inst) == uncapped
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "2")  # cap 3
+    def test_over_cap_lcm_needs_a_utilization_bound_within_the_cap(self):
+        # the coprime capacities 2**32 + 1 and 2**32 + 3 have an lcm past the
+        # cap 2**63 - 1, while ceil(2 / (1 - sum 1/a_i)) = 3 is within it
+        inst = MixInstance(1, [(1, 2**32 + 1, 7), (1, 2**32 + 3, 7)])
+        assert math.lcm(*inst.capacities()) > 2**63 - 1
+        assert certified_s_bound(inst) == 3
+        best_obj, best_s = mix_enum_oracle(inst, 3)
+        assert (solve_bruteforce(inst).s, solve_bruteforce(inst).objective) == (best_s, best_obj)
+        # one capacity P = 2**63 + 1 with weights (1, P - 2): the utilization
+        # bound (P - 1) * P / 1 leaves S = P - 1, past the cap
+        big = 2**63 + 1
         with pytest.raises(OverflowLimit):
-            certified_s_bound(inst)
-        with pytest.raises(OverflowLimit):
-            certified_s_bound(TIGHT2)  # weight utilization 1: no second bound
+            certified_s_bound(MixInstance(1, [(1, big, 7), (big - 2, big, 7)]))
+        with pytest.raises(OverflowLimit):  # weight utilization 1: no second bound
+            certified_s_bound(MixInstance(1, [(1, big, 7), (big - 1, big, 7)]))
 
     @given(bounded_mix_instances(), st.integers(0, 3))
     def test_integer_pass_matches_the_fraction_formula(self, inst, w0):

@@ -342,58 +342,6 @@ class TestCompiledWorkload:
                 assert q.workload(t) == conftest_workload(q.tasks, q.gamma, t), (q.tasks, t)
             assert q.bounds.ceil_ell == math.ceil(q.bounds.ell)
 
-    def test_one_cap_read_per_analysis_and_every_level_keeps_it(self, monkeypatch):
-        # the query of level 0 reads the cap; every later level is derived
-        # from it, and only a mixing compile, a bounds pass of its own,
-        # reads the cap again
-        calls, seen = Counter(), []
-        real_cap, real_compile, real_compute = core.magnitude_cap, mixing.compile_mix, rta.compute_response
-        for module in (core, mixing):
-            monkeypatch.setattr(module, "magnitude_cap", lambda: calls.update(["cap"]) or real_cap())
-        monkeypatch.setattr(mixing, "compile_mix",
-                            lambda inst: calls.update(["compile"]) or real_compile(inst))
-        monkeypatch.setattr(rta, "compute_response",
-                            lambda q, a="auto": seen.append(q) or real_compute(q, a))
-        compiled = 0
-        for seed, kwargs in ((1, {"harmonic": True}), (2, {}), (3, {"jitter_mode": "zero"}),
-                             (4, {})):
-            ts = random_system(seed, 6, 256, **kwargs)
-            calls.clear()
-            seen.clear()
-            analyze_system(ts)
-            assert calls["cap"] == 1 + calls["compile"], seed
-            assert [q.bounds.cap for q in seen] == [real_cap()] * 6
-            compiled += calls["compile"]
-        assert compiled < 4  # some analysis read the cap exactly once
-
-    def test_a_derived_level_keeps_the_cap_of_its_build(self, monkeypatch):
-        # S is 0, 2, 5, 14, 55 by level; a cap of 2**5 - 1 refuses level 4
-        # even when the variable changes after level 0 was built
-        ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "5")
-        q = ResponseQuery((), 1)
-        monkeypatch.delenv("RTMIX_LIMIT_BITS")
-        for task in ts.tasks[:3]:
-            q = q.plus(task, 1)
-        assert q.bounds.s == 14 and q.at(7).bounds.cap == 31
-        with pytest.raises(OverflowLimit):
-            q.plus(ts.tasks[3], 1)
-        assert ResponseQuery(ts.tasks[:4], 1).s_bound == 55
-
-    def test_a_query_mixing_form_reads_the_cap_at_its_compile(self, monkeypatch):
-        # S = 14 passes the build's cap 31; the form, compiled at the first
-        # probe, gates the same S by the cap that the variable sets then
-        ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "5")
-        q = ResponseQuery(ts.tasks[:3], 1)
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "3")
-        assert (q.bounds.s, q.bounds.cap) == (14, 31)
-        with pytest.raises(OverflowLimit):
-            q.form
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "4")
-        assert q.form.s_bound == q.bounds.s == 14
-        assert q.at(2).bounds.cap == 31
-
     @pytest.mark.parametrize("cut", range(1, 6))
     def test_the_climb_counts_every_evaluation_also_when_it_raises(self, cut):
         # iterates 32, 69, 105, 141, 176, 211, ...: a ceiling u just below
@@ -1111,19 +1059,20 @@ class TestDerivedLevels:
         assert json.loads(capsys.readouterr().out)["error"] == "UtilizationExceeded"
 
     def test_overflow_at_the_level_whose_s_passes_the_cap(self, monkeypatch):
-        # interferer lcm 1, 4, 12, 60, 420 and S 0, 2, 5, 14, 55 by level,
-        # utilization below 1 at every level; a cap of 2**5 - 1 = 31 holds
-        # S up to level 3
-        ts = TaskSystem([Task(1, p, 0, p) for p in (4, 3, 5, 7, 11)])
-        monkeypatch.setenv("RTMIX_LIMIT_BITS", "5")
+        # two interferers on one period P = 2**63 + 1 leave slack 1/P at
+        # level 2, whose S = P - 1 = 2**63 passes the cap 2**63 - 1; S is 0
+        # and 2 at levels 0 and 1, and utilization is below 1 at every level
+        big = 2**63 + 1
+        ts = TaskSystem([Task(1, big, 0, big), Task(big - 2, big, 0, big), Task(1, 4, 0, 4),
+                         Task(1, 8, 0, 8)])
         seen, real = [], rta.compute_response
         monkeypatch.setattr(rta, "compute_response",
                             lambda q, a="auto": seen.append(q) or real(q, a))
         with pytest.raises(OverflowLimit):
             analyze_system(ts)
-        assert [q.bounds.m for q in seen] == [1, 4, 12, 60]
+        assert [(q.bounds.m, q.bounds.s) for q in seen] == [(1, 0), (big, 2)]
         with pytest.raises(OverflowLimit):
-            ResponseQuery(ts.tasks[:4], 1)
+            ResponseQuery(ts.tasks[:2], 1)
 
     def test_one_bounds_pass_and_linear_task_checks(self, monkeypatch):
         calls = Counter()

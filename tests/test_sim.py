@@ -6,8 +6,9 @@ import random
 import pytest
 
 from conftest import random_release_pattern
+from rtmix import sim
 from rtmix.core import Task, TaskSystem
-from rtmix.errors import HorizonTooSmall, InvalidInstance
+from rtmix.errors import HorizonTooSmall, InvalidInstance, PreconditionViolated
 from rtmix.gen import random_system
 from rtmix.rta import ResponseQuery, response_bruteforce
 from rtmix.sim import (
@@ -206,3 +207,19 @@ class TestGantt:
         lines = text.splitlines()
         assert len(lines) == len(demo_system.tasks) + 1
         assert lines[0].startswith("task0")
+
+    def test_demo_strip(self, demo_system, demo_pattern):
+        assert render_gantt(simulate(demo_system, demo_pattern, 65), demo_system) == (
+            "task0  |........###############..........................................|\n"
+            "task1  |.....###...............####........#######.......................|\n"
+            "task2  |...........................########.......#####..................|\n"
+            "cpu    |.....111000000000000000111122222222111111122222..................|"
+        )
+
+    def test_refuses_a_strip_past_the_width_limit(self):
+        ts = TaskSystem([Task(1, 4, 0, 4)])
+        releases = ReleasePattern([[(0, 0)]])
+        text = render_gantt(simulate(ts, releases, sim.GANTT_MAX_WIDTH), ts)
+        assert [len(line) for line in text.splitlines()] == [sim.GANTT_MAX_WIDTH + 9] * 2
+        with pytest.raises(PreconditionViolated):
+            render_gantt(simulate(ts, releases, sim.GANTT_MAX_WIDTH + 1), ts)
