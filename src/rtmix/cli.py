@@ -10,13 +10,16 @@ code that `EXIT_CODES` gives its class: 0 success, 1 infeasible / unbounded /
 not schedulable / verify mismatch, 2 invalid input, 3 overflow (the search
 bound S past the fixed magnitude cap 2**63 - 1, or a report integer too
 long to print), budget or generation attempt cap exhausted, 4 internal
-error (a certified invariant failed).
+error (a certified invariant failed).  A reader that closes stdout early
+(`rtmix ... | head`) cuts the output short, with no traceback, and the
+command keeps its own exit code.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -75,6 +78,17 @@ def _render(report: dict, fmt: str) -> str:
         return json.dumps(report, indent=2) if fmt == "json" else "\n".join(walk(report))
     except ValueError as exc:
         raise OverflowLimit(f"the report holds an integer too long to print: {exc}") from None
+
+
+def _print(text: str) -> None:
+    """Print text; once the reader has closed stdout, drop it instead."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit: point it at devnull
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
 
 
 def _timed(fn):
@@ -155,10 +169,13 @@ def _cmd_mix_solve(args) -> tuple[int, dict]:
 def _write_instance(payload: dict, args) -> tuple[int, dict]:
     text = _render(payload, "json")
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:
+            raise InvalidInstance(f"cannot write {args.output}: {exc}") from None
         return EXIT_OK, {"written": args.output}
-    print(text)
+    _print(text)
     return EXIT_OK, {}
 
 
@@ -203,7 +220,7 @@ def _cmd_sim_run(args) -> tuple[int, dict]:
     rp = jsonio.release_pattern_from_dict(jsonio.load_json(args.releases))
     trace, timing = _timed(lambda: sim.simulate(ts, rp, args.horizon))
     if args.gantt:
-        print(sim.render_gantt(trace, ts))
+        _print(sim.render_gantt(trace, ts))
     report = {
         "result": jsonio.trace_to_dict(trace),
         "algorithm": "event-loop",
@@ -320,10 +337,10 @@ def main(argv: list[str] | None = None) -> int:
         code, report = args.handler(args)
         text = _render(report, args.format) if report else None
     except RTMixError as exc:
-        print(_render({"error": type(exc).__name__, "message": str(exc)}, args.format))
+        _print(_render({"error": type(exc).__name__, "message": str(exc)}, args.format))
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
     if text is not None:
-        print(text)
+        _print(text)
     return code
 
 

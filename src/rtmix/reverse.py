@@ -8,28 +8,25 @@ turns it around: for beta at or above the certified bound S on optimal s,
 
 where the instance's capacities become periods, weights become costs, and
 b_i - beta becomes the release jitter.  `solve_general_via_shift`, the one
-solver here, applies that identity to any bounded instance: it shifts each
-b_i by a multiple of a_i into the crowded window [m, m + a_i], m = lcm(a)
-(`shift_record`, which checks the window), where beta = b_min gives jitter
-0 <= b_i - beta <= a_i, hands the shifted instance, with the same w and a,
-straight to the crowded search (`_solve_crowded`), and shifts the objective
-back by a computable constant.  Each public function but `shift_record`
-validates its instance at entry and fixes w0 = 1 (rescaling would change
-the integrality of the dual query); `mix_leq_via_rtc` is the checked form of
-one decision, which the crowded search takes first at k = beta - 1; its
-`mixing.certified_s_bound` raises Unbounded when sum w_i/a_i > 1, for the
-original instance too, since the shift keeps w and a.  Inside
-a solve the instance and beta stay fixed, so the search builds one response
-query and derives each probe's, at dual constant beta - k, from it
-(`rta.ResponseQuery.at`), sharing its mixing form.  The query's load
-aggregate brackets every response (Sjodin and Hansson, RTSS 1998), which
-leaves at most sum w_i + 1 values of k to bisect, and each probe starts from
-a certified lower bound derived from the response above it.  The search
-keeps each probe's response for the least k's witness s = beta - response,
-which the solver completes and checks once, against the original instance.
-The queries are answered by `rta.compute_response`, the same algorithm
-selector `rtmix rta compute --algorithm auto` uses; the decision reads the
-query's own `UtilizationExceeded` (dual load >= 1) as "no response".
+solver here, applies that identity to any bounded instance.  It checks the
+instance once, at entry: w0 = 1 (rescaling would change the integrality of
+the dual query), then `mixing.certified_s_bound`, which raises Unbounded
+when sum w_i/a_i > 1.  It shifts each b_i by a multiple of a_i into the
+crowded window [m, m + a_i], m = lcm(a) (`shift_record`, which checks the
+window), where beta = b_min gives jitter 0 <= b_i - beta <= a_i, hands the
+shifted right-hand sides, with the same w and a, to the crowded search
+(`_solve_crowded`), and shifts the objective back by a computable constant.
+The search builds one dual query and derives each probe's, at dual constant
+beta - k, from it (`rta.ResponseQuery.at`), sharing its mixing form.  The
+query's load aggregate brackets every response (Sjodin and Hansson, RTSS
+1998): it decides the first probe in most solves and leaves at most
+sum w_i + 1 values of k, and each probe's response narrows them from both
+sides.  The least k's witness s = beta - response is completed and checked
+once, against the original instance.  `mix_leq_via_rtc` is the checked form
+of one decision, which the search calls only where the bounds leave its
+first probe open.  Queries are answered by `rta.compute_response`, the
+selector `rtmix rta compute --algorithm auto` uses; a dual load >= 1 (the
+query's own `UtilizationExceeded`) reads as "no response".
 
 The lcm m, beta and the shifted right-hand sides are uncapped: only the
 certified S meets the magnitude cap (`core.certified_s`), and S bounds each
@@ -64,26 +61,27 @@ def _validate(inst: mixing.MixInstance) -> None:
     mixing.validate(inst)
 
 
-def _dual_query(inst: mixing.MixInstance, beta: int, gamma: int) -> rta.ResponseQuery:
+def _dual_query(terms: tuple[mixing.MixTerm, ...], bs: list[int], beta: int,
+                gamma: int) -> rta.ResponseQuery | None:
     """The response query at dual constant gamma of the pseudo-tasks
-    (c=w_i, p=a_i, jitter=b_i - beta) of the positive-weight terms.
-
-    Zero-weight terms never contribute to the objective and their constraints
-    are met by the canonical completion, so they are dropped from the query.
-    Raises UtilizationExceeded at dual load >= 1, where no t is feasible, so
-    there is no response: with jitter_i >= 0 the workload is at least
-    gamma + sum c_i*(t + jitter_i)/p_i >= gamma + t > t.
-    """
+    (c=w_i, p=a_i, jitter=b_i - beta) of the positive-weight terms at
+    right-hand sides bs; zero-weight terms never move the objective, and the
+    canonical completion meets their constraints.  None at dual load >= 1,
+    where there is no response: with jitter_i >= 0 the workload is at least
+    gamma + sum c_i*(t + jitter_i)/p_i >= gamma + t > t."""
     kept = []
-    for idx, t in enumerate(inst.terms):
-        jit = t.b - beta
+    for idx, (t, b) in enumerate(zip(terms, bs)):
+        jit = b - beta
         if not 0 <= jit <= t.a:
             raise PreconditionViolated(
                 f"term {idx}: jitter encoding needs 0 <= b - beta <= a, got {jit}"
             )
         if t.w > 0:
             kept.append(Task(t.w, t.a, jit))
-    return rta.ResponseQuery(kept, gamma)
+    try:
+        return rta.ResponseQuery(kept, gamma)
+    except UtilizationExceeded:
+        return None
 
 
 def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
@@ -95,88 +93,89 @@ def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
     if beta - k < 1:
         raise PreconditionViolated(f"need beta - k >= 1, got beta={beta}, k={k}")
     if beta < mixing.certified_s_bound(inst):
-        raise PreconditionViolated(
-            f"beta={beta} is below the certified bound on optimal s"
-        )
-    try:
-        q = _dual_query(inst, beta, beta - k)
-    except UtilizationExceeded:
-        return False
-    return rta.compute_response(q) <= beta
+        raise PreconditionViolated(f"beta={beta} is below the certified bound on optimal s")
+    q = _dual_query(inst.terms, [t.b for t in inst.terms], beta, beta - k)
+    return q is not None and rta.compute_response(q) <= beta
 
 
 def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
     """Optimum of any bounded instance: shift each b_i by a multiple of
     a_i into the crowded window [m, m + a_i] (`shift_record`), solve the
-    crowded instance (`_solve_crowded`), and subtract the shift's cost.
-    With x'_i = x_i + offset_i the shifted objective at s is the original's
-    plus the correction, so the optimal s is the same and the completion is
-    checked once, against the original instance.  The crowded search's
-    first probe raises Unbounded for an unbounded instance."""
+    shifted right-hand sides (`_solve_crowded`), and subtract the shift's
+    cost.  With x'_i = x_i + offset_i the shifted objective at s is the
+    original's plus the correction, so the optimal s is the same and the
+    completion is checked once, against the original instance.  Its one
+    `certified_s_bound` (Unbounded, then OverflowLimit) holds for the
+    shifted instance too, since the shift keeps w and a."""
     _validate(inst)
+    mixing.certified_s_bound(inst)
     if not inst.terms:
         return mixing.complete(0, inst)
     rec = shift_record(inst)
-    terms = [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)]
-    s, objective = _solve_crowded(mixing.MixInstance(1, terms))
+    bs = [t.b + off * t.a for t, off in zip(inst.terms, rec.offsets)]
+    s, objective = _solve_crowded(inst.terms, bs)
     objective -= rec.objective_correction
     sol = mixing.complete(s, inst)
     if sol.objective != objective:
-        raise InternalInvariantViolated(
-            f"witness at s={s} has objective {sol.objective}, expected {objective}"
-        )
+        raise InternalInvariantViolated(f"witness at s={s} has objective {sol.objective}, "
+                                        f"expected {objective}")
     return sol
 
 
-def _solve_crowded(inst: mixing.MixInstance) -> tuple[int, int]:
-    """(s, objective) of an optimum of a valid, bounded, nonempty instance
-    whose right-hand sides are crowded: m <= b_i <= b_min + a_i, m = lcm(a),
-    as `shift_record` places them.
+def _solve_crowded(terms: tuple[mixing.MixTerm, ...], bs: list[int]) -> tuple[int, int]:
+    """(s, objective) of an optimum of the terms' weights and capacities at
+    right-hand sides bs, for a checked, bounded, nonempty instance that bs
+    crowd: m <= b_i <= b_min + a_i, m = lcm(a), as `shift_record` places them.
 
-    Sets beta = b_min, jitter_i = b_i - beta, then binary-searches the least
-    k with response(I, beta - k) <= beta.  Probes are limited to k <= beta - 1
-    (the dual constant must stay >= 1); when even beta - 1 fails, the optimum
-    lies in [beta, b_max].  Otherwise the dual query's load aggregate
-    (D = m - L, jitter load J, cost sum C) bounds the least k: with
-    top = floor((beta*D - J)/m), each dual constant g > top has
-    ell(g) > beta and each g <= top - C has u1(g) <= beta, so only
-    [beta - top, beta - max(1, top - C)], at most C + 1 values, is bisected.
-    A probe below the least known yes k' starts from r(k') + (k' - k), a
-    lower bound since r(g) - g, the interference at r(g), never falls as g grows.
-    The search maximizes the dual objective t - sum w_i*ceil((t + jitter_i)/a_i)
-    over one capacity period, which the shift identity pins to
-    (beta - m, beta]; with s = beta - t that is the mixing objective over
-    s < min(m, beta) = m.  The fallback's brute-force range [0, S] lies inside
-    it (S <= m - 1) and holds an optimal s, so its smallest optimal s is the
-    answer.
+    Sets beta = b_min, jitter_i = b_i - beta, builds one dual query at
+    gamma = 1 and searches the least k with r(beta - k) <= beta, r the
+    response, each probe's query derived from that one.  Its load aggregate
+    (D = m - L, jitter load J, cost sum C) brackets every response: with
+    top = floor((beta*D - J)/m), each dual constant g > top has ell(g) > beta
+    and each g <= top - C has u1(g) <= beta.  So it decides the first probe,
+    k = beta - 1 (the dual constant stays >= 1): a yes when top - C >= 1, a
+    no when top < 1 or at dual load >= 1; only in between does the checked
+    `mix_leq_via_rtc` compute it.  After a yes, the least k lies in
+    [beta - top, beta - max(1, top - C)], at most C + 1 values.  Each probe's
+    response r narrows them from both sides, as `rta._bracket` does with W:
+    f(t) = t - sum w_i*ceil((t + jitter_i)/a_i) rises by at most 1 per unit
+    of t, the least k is beta - max_{t <= beta} f(t), and f(r) = g since
+    W(r) = r, while f(t) < g for t < r.  So a yes (r <= beta) puts the least
+    k in [k - (beta - r), k], and a no in [k + 1, k + (r - beta)].  A probe
+    below the least yes k' starts from r(k') + (k' - k), a lower bound since
+    r(g) - g, the interference at r(g), never falls as g grows.  The least
+    k's witness is s = beta - r.  When k = beta - 1 fails, the optimum lies in
+    [beta, b_max], at s < min(m, beta) = m by the shift identity; the
+    fallback's brute-force range [0, S] lies inside it (S <= m - 1) and holds
+    an optimal s, so its smallest optimal s is the answer.
     """
-    beta = min(t.b for t in inst.terms)
-    if mix_leq_via_rtc(inst, beta, beta - 1):
-        # k = beta - 1 holds (so the dual load is below 1 and 1 <= top <= beta);
-        # bisected in integers since beta may pass sys.maxsize
-        q = _dual_query(inst, beta, 1)
+    beta = min(bs)
+    q = _dual_query(terms, bs, beta, 1)
+    top = cost_sum = 0
+    if q is not None:
         b = q.bounds
-        top = (beta * (b.m - b.load) - b.jitter_load) // b.m
-        lo, hi = beta - top, beta - max(1, top - b.cost_sum)
-        responses = {}
-        while lo < hi:
-            k = (lo + hi) // 2
-            lower = responses[hi] + (hi - k) if hi in responses else 0
-            responses[k] = rta.compute_response(q.at(beta - k, lower))
-            if responses[k] <= beta:
-                hi = k
-            else:
-                lo = k + 1
-        if lo not in responses:  # the window's upper end, a yes by the bounds
-            responses[lo] = rta.compute_response(q.at(beta - lo))
-        return beta - responses[lo], lo
-    # optimum in [beta, b_max], at some s = beta - t <= S <= m - 1 <= beta - 1
-    sol = mixing.solve_bruteforce(inst)
-    if not beta <= sol.objective <= max(t.b for t in inst.terms):
-        raise InternalInvariantViolated(
-            f"crowded fallback produced optimum {sol.objective} outside [beta, b_max]"
-        )
-    return sol.s, sol.objective
+        top, cost_sum = (beta * (b.m - b.load) - b.jitter_load) // b.m, b.cost_sum
+    if top - cost_sum < 1:  # the bounds do not decide k = beta - 1 a yes
+        crowded = mixing.MixInstance(1, [(t.w, t.a, rhs) for t, rhs in zip(terms, bs)])
+        if top < 1 or not mix_leq_via_rtc(crowded, beta, beta - 1):
+            sol = mixing.solve_bruteforce(crowded)
+            if not beta <= sol.objective <= max(bs):
+                raise InternalInvariantViolated("crowded fallback produced optimum "
+                                                f"{sol.objective} outside [beta, b_max]")
+            return sol.s, sol.objective
+    # in integers, since beta may pass sys.maxsize
+    lo, hi = beta - top, beta - max(1, top - cost_sum)
+    ky = ry = None  # the least k probed with a yes, and its response
+    while ky != lo:
+        if lo > hi:
+            raise InternalInvariantViolated(f"the responses emptied the bracket [{lo}, {hi}]")
+        k = (lo + hi) // 2
+        r = rta.compute_response(q.at(beta - k, 0 if ky is None else ry + ky - k))
+        if r <= beta:
+            ky, ry, lo, hi = k, r, max(lo, k - (beta - r)), k
+        else:
+            lo, hi = k + 1, min(hi, k + (r - beta))
+    return beta - ry, lo
 
 
 def shift_record(inst: mixing.MixInstance) -> ShiftRecord:
@@ -188,8 +187,7 @@ def shift_record(inst: mixing.MixInstance) -> ShiftRecord:
     for t, off in zip(inst.terms, offsets):
         shifted = t.b + off * t.a
         if not m <= shifted <= m + t.a:
-            raise InternalInvariantViolated(
-                f"shifted right-hand side {shifted} escaped [m, m + a]"
-            )
+            raise InternalInvariantViolated(f"shifted right-hand side {shifted} "
+                                            "escaped [m, m + a]")
     correction = sum(t.w * off for t, off in zip(inst.terms, offsets))
     return ShiftRecord(m, offsets, correction)

@@ -170,7 +170,8 @@ def test_criterion_06_mixing_oracle_equivalence():
             b_min = min(t.b for t in inst.terms)
             if all(m <= t.b <= b_min + t.a for t in inst.terms):
                 # already crowded: the crowded search takes it without a shift
-                assert reverse._solve_crowded(inst)[1] == want, inst
+                rhs = [t.b for t in inst.terms]
+                assert reverse._solve_crowded(inst.terms, rhs)[1] == want, inst
                 crowded_checked += 1
             beta = (max(caps) if mixing.is_harmonic(caps) else m) + rng.randint(0, 12)
             const = mixing.MixInstance(1, [(t.w, t.a, beta) for t in inst.terms])

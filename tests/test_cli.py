@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import subprocess
 import sys
 import tempfile
 from pathlib import Path
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import rtmix
 from rtmix import blockip, reverse, rta
 from rtmix.cli import EXIT_CODES, build_parser, main
 from rtmix.core import Task, TaskSystem
@@ -580,6 +582,45 @@ class TestUnreadableInput:
         assert report["error"] == "InvalidInstance"
         assert report["message"].startswith(message.format(path=path))
         assert "Traceback" not in captured.out + captured.err
+
+
+class TestOutput:
+    """Where the output goes: a file that cannot be written, a pipe closed early."""
+
+    @pytest.mark.parametrize("command", ["gen tight-mix --n 3", "blockip encode-rtc"])
+    def test_unwritable_output_exits_2(self, capsys, tmp_path, demo_file, command):
+        target = tmp_path / "missing_dir" / "out.json"
+        argv = [*command.split(), "--output", str(target)]
+        if command == "blockip encode-rtc":
+            argv += ["--input", demo_file]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["error"] == "InvalidInstance"
+        assert report["message"].startswith(f"cannot write {target}: ")
+        assert "Traceback" not in captured.out + captured.err
+        assert not target.parent.exists()
+
+    @pytest.mark.parametrize("argv, taken, code", [
+        (["gen", "tight-mix", "--n", "3000"], 10, 0),  # a 5.6 MB instance, cut by `head -c 10`
+        (["gen", "tight-mix", "--n", "15000"], 0, 3),  # its error object, to a closed pipe
+    ])
+    def test_reader_closing_the_pipe_leaves_no_traceback(self, argv, taken, code):
+        # the reader takes `taken` bytes and closes the pipe, so the command's
+        # next write fails; the rest of the output is dropped, nothing reaches
+        # stderr, and the exit code is the command's own
+        src = str(Path(rtmix.__file__).resolve().parents[1])
+        proc = subprocess.Popen(
+            [sys.executable, "-c", "import sys; from rtmix.cli import main; "
+             "sys.exit(main(sys.argv[1:]))", *argv],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": src})
+        head = proc.stdout.read(taken)
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == code
+        assert head == b"{\n  \"w0\": "[:taken] and err == ""
 
 
 class TestIntegerFieldsOnly:

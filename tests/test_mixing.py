@@ -101,15 +101,19 @@ class TestUnbounded:
     def test_unbounded_precedes_the_cap(self):
         # one capacity P = 2**63 + 1: weights (1, P - 2) leave slack 1 and
         # S = P - 1, past the cap; weights (1, P) push sum w_i/a_i past w0,
-        # where S = m - 1 would pass the cap too, and the slack's sign comes first
+        # where S = m - 1 would pass the cap too, and the slack's sign comes
+        # first; a zero-weight term, which the reverse solver's dual query
+        # drops, changes neither
         big = 2**63 + 1
-        over_cap = MixInstance(1, [(1, big, 0), (big - 2, big, 3)])
-        unbounded = MixInstance(1, [(1, big, 0), (big, big, 3)])
-        for entry in (certified_s_bound, compile_mix, solve_bruteforce, solve_general_via_shift):
-            with pytest.raises(OverflowLimit):
-                entry(over_cap)
-            with pytest.raises(Unbounded):
-                entry(unbounded)
+        for zero in ([], [(0, 7, 1)]):
+            over_cap = MixInstance(1, [(1, big, 0), (big - 2, big, 3), *zero])
+            unbounded = MixInstance(1, [(1, big, 0), (big, big, 3), *zero])
+            for entry in (certified_s_bound, compile_mix, solve_bruteforce,
+                          solve_general_via_shift):
+                with pytest.raises(OverflowLimit):
+                    entry(over_cap)
+                with pytest.raises(Unbounded):
+                    entry(unbounded)
 
     def test_solvers_raise(self):
         bad = MixInstance(1, [(2, 1, 0)])

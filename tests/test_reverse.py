@@ -91,20 +91,18 @@ class TestSolveCrowded:
             solve_general_via_shift(MixInstance(1, [(100, 2, 4)]))
 
     def test_instance_checked_once_per_public_entry(self, monkeypatch):
-        # the shift leaves this crowded instance as it is: the solve validates
-        # it at its entry and again, shifted, in the crowded search's first
-        # probe, the public mix_leq_via_rtc, which also certifies the
-        # instance's S; the binary search's later probes repeat neither.
-        # Each of the two builds one response query; every probe of the
-        # search derives its query from the second and shares its mixing
-        # form, so each query's form is validated and certified once, not
-        # once per mixing solve that searches it.  The dual query's bounds
-        # leave a window of C + 1 = 5 values of k (C = sum w_i), so after the
-        # first probe the search makes at most ceil(log2(C + 1)) probes and
-        # at most one more for the witness.
+        # the shift leaves this crowded instance as it is, and the dual query's
+        # bounds decide the first probe (top - C = 11 - 4 >= 1), so the solve
+        # validates and certifies the instance once, at its entry, and never
+        # calls the checked mix_leq_via_rtc.  It builds one response query;
+        # every probe derives its query from it and shares its mixing form,
+        # which is validated and certified once, not once per mixing solve
+        # that searches it.  The bounds leave a window of C + 1 = 5 values of
+        # k (C = sum w_i), so the search makes at most ceil(log2(C + 1))
+        # probes and at most one more for the witness.
         inst = MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)])
         expected = solve_bruteforce(inst).objective
-        validated, certified, built, probed = [], [], [], []
+        validated, certified, built, probed, decided = [], [], [], [], []
         validate, certify = mixing.validate, mixing.certified_s_bound
         init, compute = rta.ResponseQuery.__init__, rta.compute_response
         monkeypatch.setattr(mixing, "validate", lambda i: validated.append(i) or validate(i))
@@ -114,16 +112,34 @@ class TestSolveCrowded:
         monkeypatch.setattr(rta.ResponseQuery, "__init__",
                             lambda q, *args: built.append(args) or init(q, *args))
         monkeypatch.setattr(rta, "compute_response", lambda q: probed.append(q) or compute(q))
+        monkeypatch.setattr(reverse, "mix_leq_via_rtc", lambda *args: decided.append(args))
         with counters.collect() as ops:
             assert solve_general_via_shift(inst).objective == expected
-        assert sum(v == inst for v in validated) == 2
-        assert sum(c == inst for c in certified) == 1
+        assert validated.count(inst) == certified.count(inst) == 1
         forms = [v for v in validated if v != inst]
         assert [c for c in certified if c != inst] == forms
-        assert 1 <= len(forms) < ops.mixing_calls  # some form serves several solves
-        assert len(forms) <= len(built) == 2 < len(probed)
+        assert len(forms) == len(built) == 1 < ops.mixing_calls  # one form serves several solves
+        assert decided == [] and 1 < len(probed)
         cost_sum = sum(t.w for t in inst.terms)
-        assert len(probed) <= 2 + math.ceil(math.log2(cost_sum + 1))
+        assert len(probed) <= 1 + math.ceil(math.log2(cost_sum + 1))
+
+    @pytest.mark.parametrize("terms, verdict", [
+        ([(1, 2, 6), (1, 3, 6)], True),   # top = 1 < C = 2; the search runs
+        ([(1, 2, 5), (1, 4, 6)], False),  # top = 1 < C = 2; the optimum is beta
+    ])
+    def test_undecided_first_probe_goes_through_mix_leq_via_rtc(self, monkeypatch, terms,
+                                                                verdict):
+        # 1 <= top <= C: the bounds leave k = beta - 1 open, so the checked
+        # public decision computes it on the crowded instance, once
+        inst = MixInstance(1, terms)
+        beta = min(t.b for t in inst.terms)
+        b = reverse._dual_query(inst.terms, rhs(inst), beta, 1).bounds
+        assert 1 <= (beta * (b.m - b.load) - b.jitter_load) // b.m <= b.cost_sum
+        decided, real = [], reverse.mix_leq_via_rtc
+        monkeypatch.setattr(reverse, "mix_leq_via_rtc",
+                            lambda *args: decided.append(real(*args)) or decided[-1])
+        assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
+        assert decided == [verdict]
 
     def test_seeded_equivalence(self):
         for seed in range(120):
@@ -164,6 +180,11 @@ def shifted(inst):
     return MixInstance(1, [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)])
 
 
+def rhs(inst):
+    """The right-hand sides of an instance, as the crowded search takes them."""
+    return [t.b for t in inst.terms]
+
+
 class TestBoundsWindow:
     """The dual query's load aggregate (D = m - L, jitter load J, cost sum C)
     pins the least k of a crowded solve below beta to
@@ -179,7 +200,7 @@ class TestBoundsWindow:
         opt = solve_bruteforce(inst).objective
         if opt >= beta:  # the crowded fallback, which no window serves
             return
-        b = reverse._dual_query(inst, beta, 1).bounds
+        b = reverse._dual_query(inst.terms, rhs(inst), beta, 1).bounds
         top = (beta * (b.m - b.load) - b.jitter_load) // b.m
         assert b.cost_sum == sum(t.w for t in inst.terms)
         assert beta - top <= opt <= beta - top + b.cost_sum
@@ -187,12 +208,15 @@ class TestBoundsWindow:
     @given(st.one_of(crowded_instances(), bounded_mix_instances(harmonic=True),
                      bounded_mix_instances()))
     @example(MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)]))
+    @example(MixInstance(1, [(1, 2, 6), (1, 3, 6)]))  # the bounds leave k = beta - 1 open
     @settings(max_examples=150)
     def test_every_probe_starts_at_or_below_its_response(self, inst):
+        # at most ceil(log2(C + 1)) bisection probes and one for the witness,
+        # besides the checked first probe where the bounds leave it open
         if exceeds_w0(inst):
             return
-        probes = []
-        compute = rta.compute_response
+        probes, decided = [], []
+        compute, decide = rta.compute_response, reverse.mix_leq_via_rtc
 
         def spy(q):
             probes.append((q.lower, compute(q)))
@@ -201,23 +225,79 @@ class TestBoundsWindow:
         cost_sum = sum(t.w for t in inst.terms)
         for case in (shifted(inst), inst):
             probes.clear()
-            with mock.patch.object(rta, "compute_response", spy):
+            decided.clear()
+            with mock.patch.object(rta, "compute_response", spy), \
+                 mock.patch.object(reverse, "mix_leq_via_rtc",
+                                   lambda *args: decided.append(args) or decide(*args)):
                 solve_general_via_shift(case)
             assert all(lower <= response for lower, response in probes)
-            assert len(probes) <= 2 + math.ceil(math.log2(cost_sum + 1))
+            assert len(decided) <= 1
+            assert len(probes) <= len(decided) + 1 + math.ceil(math.log2(cost_sum + 1))
 
-    def test_warm_starts_are_taken(self):
-        # window [94, 98] of k: the first probe (k = beta - 1) and the search's
-        # first one start from nothing, each later one from the response at
-        # the least k known to hold
-        inst = MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)])
-        lowers = []
+    @given(crowded_instances())
+    @example(MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)]))
+    @example(MixInstance(1, [(1, 2, 6), (1, 3, 6)]))  # the bounds leave k = beta - 1 open
+    @example(MixInstance(1, [(1, 2, 5), (1, 4, 6)]))  # ... and it is a no
+    @settings(max_examples=200)
+    def test_each_response_brackets_the_least_k_from_both_sides(self, inst):
+        # at dual constant g = beta - k with response r, f(r) = g and
+        # f(t) = t - sum w_i*ceil((t + jitter_i)/a_i) rises by at most 1 per
+        # unit of t, so a yes (r <= beta) puts the least k in
+        # [k - (beta - r), k] and a no in [k + 1, k + (r - beta)]; every probe
+        # of a solve is checked, the first probe at k = beta - 1 included
+        beta = min(t.b for t in inst.terms)
+        opt = solve_bruteforce(inst).objective
+        probes = []
+        compute = rta.compute_response
+
+        def spy(q):
+            probes.append((beta - q.gamma, compute(q)))
+            return probes[-1][1]
+
+        with mock.patch.object(rta, "compute_response", spy):
+            assert reverse._solve_crowded(inst.terms, rhs(inst))[1] == opt
+        assert probes or opt >= beta
+        for k, r in probes:
+            if r <= beta:
+                assert k - (beta - r) <= opt <= k
+            else:
+                assert k + 1 <= opt <= k + (r - beta)
+
+    @pytest.mark.parametrize("terms, probes", [
+        # beta = 14, window [9, 12]: a yes at k = 10 with r = beta puts the
+        # least k at 10 - (14 - 14) = 10 or above, so that one probe settles it
+        ([(1, 6, 17), (1, 4, 14), (1, 6, 15)], [(10, 14)]),
+        # beta = 33, window [27, 32] after the checked first probe at k = 32,
+        # which the bounds leave open: the no at k = 29 (r = 34) caps the
+        # window at 29 + (34 - 33) = 30, so k = 30 ends the search, where
+        # bisection alone would probe k = 31 first
+        ([(3, 10, 38), (3, 10, 33), (1, 6, 34)], [(32, 20), (29, 34), (30, 29)]),
+    ])
+    def test_responses_narrow_the_window_from_both_sides(self, terms, probes):
+        inst = MixInstance(1, terms)
+        beta = min(t.b for t in inst.terms)
+        seen = []
         compute = rta.compute_response
         with mock.patch.object(rta, "compute_response",
-                               lambda q: lowers.append(q.lower) or compute(q)):
-            assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective == 94
-        assert lowers[:2] == [0, 0] and all(lower > 0 for lower in lowers[2:])
-        assert len(lowers) >= 3
+                               lambda q: seen.append((beta - q.gamma, compute(q))) or seen[-1][1]):
+            _, objective = reverse._solve_crowded(inst.terms, rhs(inst))
+        assert objective == solve_bruteforce(inst).objective == probes[-1][0]
+        assert seen == probes
+
+    def test_warm_starts_are_taken(self):
+        # window [94, 98] of k: only the search's first probe, at k = 96,
+        # starts from nothing; each later one starts from the response at the
+        # least k known to hold, one up per unit of k.  Every probe answers
+        # yes, down to the window's lower end, and the last one's response
+        # gives the witness s = 105 - 102 = 3
+        inst = MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)])
+        probes = []
+        compute = rta.compute_response
+        with mock.patch.object(rta, "compute_response",
+                               lambda q: probes.append((105 - q.gamma, q.lower)) or compute(q)):
+            sol = solve_general_via_shift(inst)
+        assert sol.objective == solve_bruteforce(inst).objective == 94 and sol.s == 3
+        assert probes == [(96, 0), (95, 88), (94, 97)]
 
     @given(crowded_instances())
     @settings(max_examples=150)
@@ -227,11 +307,12 @@ class TestBoundsWindow:
         # force takes the smallest optimal s, which can differ on ties), and
         # its canonical completion attains the objective; the crowded search
         # takes the instance as it is, without a shift
-        (s, objective), want = reverse._solve_crowded(inst), solve_bruteforce(inst)
+        s, objective = reverse._solve_crowded(inst.terms, rhs(inst))
+        want = solve_bruteforce(inst)
         assert objective == want.objective == mixing.complete(s, inst).objective
         beta = min(t.b for t in inst.terms)
         if want.objective < beta:
-            q = reverse._dual_query(inst, beta, beta - want.objective)
+            q = reverse._dual_query(inst.terms, rhs(inst), beta, beta - want.objective)
             assert s == beta - rta.response_bruteforce(q)
         else:
             assert s == want.s
@@ -243,7 +324,7 @@ class TestBoundsWindow:
             return
         sol = solve_general_via_shift(inst)
         assert sol.objective == solve_bruteforce(inst).objective
-        s = reverse._solve_crowded(shifted(inst))[0] if inst.terms else 0
+        s = reverse._solve_crowded(inst.terms, rhs(shifted(inst)))[0] if inst.terms else 0
         assert sol == mixing.complete(s, inst)
 
 
