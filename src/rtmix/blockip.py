@@ -51,7 +51,7 @@ from itertools import groupby, product
 from typing import Iterator, Sequence
 
 from . import counters
-from .core import TaskSystem, bounds_from_parts, ceil_div, is_integer, validate
+from .core import TaskSystem, bounds_from_parts, ceil_div, is_integer, require_integers, validate
 from .errors import (
     BudgetExceeded,
     Infeasible,
@@ -363,6 +363,7 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     closed-form completion and each DFS node spends one unit of the budget;
     a solve adds the units it spent to the `blockip_nodes` counter.
     """
+    require_integers(k=k)
     budget = _Budget(DEFAULT_NODE_BUDGET)
     totals = _piece_totals if on_piece_path(p) else _first_stage_totals
     best = max(totals(p, k, budget), default=None)
@@ -412,6 +413,7 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
     """
     if H is None:
         H = _default_objective_bound(p)
+    require_integers(H=H)
     if H < 0:
         raise InvalidInstance(f"the search bound H must be nonnegative, got {H}")
     if not on_piece_path(p):

@@ -38,6 +38,13 @@ def is_integer(value) -> bool:
     return type(value) is int or (isinstance(value, int) and not isinstance(value, bool))
 
 
+def require_integers(**values) -> None:
+    """Raise InvalidInstance naming the first value that is not an integer."""
+    for name, value in values.items():
+        if not is_integer(value):
+            raise InvalidInstance(f"{name} must be an integer, got {value!r}")
+
+
 def ceil_div(num: int, den: int) -> int:
     """Exact ceil(num / den) for integer num and positive integer den."""
     if den <= 0:

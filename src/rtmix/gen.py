@@ -12,7 +12,7 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
-from .core import Task, TaskSystem, load_at_lcm, utilization, validate
+from .core import Task, TaskSystem, load_at_lcm, require_integers, utilization, validate
 from .errors import (
     GenerationFailed, InternalInvariantViolated, InvalidInstance, PreconditionViolated,
 )
@@ -38,6 +38,9 @@ def construct_extreme(
     n = len(cs) + 2
     if n < 3:
         raise PreconditionViolated("need at least one leading cost (n >= 3)")
+    require_integers(p1=p1, **{f"cs[{i}]": c for i, c in enumerate(cs)})
+    if deadlines not in ("none", "p") or isinstance(jitters, str) and jitters not in ("p", "zero"):
+        raise InvalidInstance(f"unknown preset: jitters={jitters!r}, deadlines={deadlines!r}")
     if any(c < 1 for c in cs):
         raise PreconditionViolated("leading costs must be >= 1")
     if p1 <= cs[0]:
@@ -79,6 +82,7 @@ def tight_mixing_instance(n: int) -> MixInstance:
     The weight utilization is exactly 1 and the unique optimal s is
     n*2^n - 1 = lcm(a) - 1 with the same objective value.
     """
+    require_integers(n=n)
     if n < 2:
         raise PreconditionViolated(f"tight family needs n >= 2, got {n}")
     rhs = n * 2**n - 1
@@ -114,6 +118,7 @@ def random_system(
     """
     if jitter_mode not in ("zero", "upto-p"):
         raise InvalidInstance(f"unknown jitter_mode {jitter_mode!r}")
+    require_integers(n=n, p_max=p_max)
     if p_max < 1:
         raise InvalidInstance(f"p_max must be >= 1, got {p_max}")
     rng = random.Random(seed)
@@ -151,8 +156,11 @@ def random_mix_instance(
     harmonic: bool = True,
 ) -> MixInstance:
     """Seeded random bounded mixing instance (weight utilization <= w0 = 1)."""
+    require_integers(n=n, a_max=a_max, b_lo=b_lo, b_hi=b_hi, w_max=w_max)
     if a_max < 1:
         raise InvalidInstance(f"a_max must be >= 1, got {a_max}")
+    if b_lo > b_hi or w_max < 0:
+        raise InvalidInstance(f"need b_lo <= b_hi and w_max >= 0, got {b_lo}, {b_hi}, {w_max}")
     rng = random.Random(seed)
     for _ in range(_MAX_TRIES):
         if harmonic:

@@ -43,7 +43,7 @@ from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, certified_s, is_harmonic, is_integer
+from .core import ceil_div, certified_s, is_harmonic, is_integer, require_integers
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -97,6 +97,7 @@ def validate(inst: MixInstance) -> None:
 
 def complete(s: int, inst: MixInstance) -> MixSolution:
     """Canonical completion of s: x_i = ceil((b_i - s)/a_i), pointwise minimal."""
+    require_integers(s=s)
     if s < 0:
         raise PreconditionViolated(f"s must be nonnegative, got {s}")
     x = tuple(ceil_div(t.b - s, t.a) for t in inst.terms)

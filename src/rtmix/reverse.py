@@ -12,10 +12,11 @@ solver here, applies that identity to any bounded instance.  It checks the
 instance once, at entry: w0 = 1 (rescaling would change the integrality of
 the dual query), then `mixing.certified_s_bound`, which raises Unbounded
 when sum w_i/a_i > 1.  It shifts each b_i by a multiple of a_i into the
-crowded window [m, m + a_i], m = lcm(a) (`shift_record`, which checks the
-window), where beta = b_min gives jitter 0 <= b_i - beta <= a_i, hands the
-shifted right-hand sides, with the same w and a, to the crowded search
-(`_solve_crowded`), and shifts the objective back by a computable constant.
+crowded window [m, m + a_i], m = lcm(a), where beta = b_min gives jitter
+0 <= b_i - beta <= a_i (`shift_record`, whose one pass checks the window and
+returns the shifted right-hand sides and the objective correction they
+cost), hands them as they are, with the same w and a, to the crowded search
+(`_solve_crowded`), and subtracts the correction from its objective.
 The search builds one dual query and derives each probe's, at dual constant
 beta - k, from it (`rta.ResponseQuery.at`), sharing its mixing form.  The
 query's load aggregate brackets every response (Sjodin and Hansson, RTSS
@@ -36,20 +37,10 @@ probe's search and the fallback's scan.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from . import mixing, rta
-from .core import Task, ceil_div
+from .core import Task, ceil_div, require_integers
 from .errors import InternalInvariantViolated, PreconditionViolated, UtilizationExceeded
-
-
-@dataclass(frozen=True)
-class ShiftRecord:
-    """Normalization data: b'_i = b_i + offset_i * a_i lands in [m, m + a_i]."""
-
-    m: int
-    offsets: tuple[int, ...]
-    objective_correction: int
 
 
 def _validate(inst: mixing.MixInstance) -> None:
@@ -90,6 +81,7 @@ def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
     beta at or above the certified s bound, and beta - k >= 1.  Raises
     Unbounded when sum w_i/a_i > 1 (`mixing.certified_s_bound`)."""
     _validate(inst)
+    require_integers(beta=beta, k=k)
     if beta - k < 1:
         raise PreconditionViolated(f"need beta - k >= 1, got beta={beta}, k={k}")
     if beta < mixing.certified_s_bound(inst):
@@ -101,24 +93,22 @@ def mix_leq_via_rtc(inst: mixing.MixInstance, beta: int, k: int) -> bool:
 def solve_general_via_shift(inst: mixing.MixInstance) -> mixing.MixSolution:
     """Optimum of any bounded instance: shift each b_i by a multiple of
     a_i into the crowded window [m, m + a_i] (`shift_record`), solve the
-    shifted right-hand sides (`_solve_crowded`), and subtract the shift's
-    cost.  With x'_i = x_i + offset_i the shifted objective at s is the
-    original's plus the correction, so the optimal s is the same and the
-    completion is checked once, against the original instance.  Its one
-    `certified_s_bound` (Unbounded, then OverflowLimit) holds for the
+    shifted right-hand sides as they are (`_solve_crowded`), and subtract the
+    correction they cost.  With x'_i = x_i + offset_i the shifted objective
+    at s is the original's plus the correction, so the optimal s is the same
+    and the completion is checked once, against the original instance.  Its
+    one `certified_s_bound` (Unbounded, then OverflowLimit) holds for the
     shifted instance too, since the shift keeps w and a."""
     _validate(inst)
     mixing.certified_s_bound(inst)
     if not inst.terms:
         return mixing.complete(0, inst)
-    rec = shift_record(inst)
-    bs = [t.b + off * t.a for t, off in zip(inst.terms, rec.offsets)]
+    bs, correction = shift_record(inst)
     s, objective = _solve_crowded(inst.terms, bs)
-    objective -= rec.objective_correction
     sol = mixing.complete(s, inst)
-    if sol.objective != objective:
+    if sol.objective != objective - correction:
         raise InternalInvariantViolated(f"witness at s={s} has objective {sol.objective}, "
-                                        f"expected {objective}")
+                                        f"expected {objective - correction}")
     return sol
 
 
@@ -178,16 +168,20 @@ def _solve_crowded(terms: tuple[mixing.MixTerm, ...], bs: list[int]) -> tuple[in
     return beta - ry, lo
 
 
-def shift_record(inst: mixing.MixInstance) -> ShiftRecord:
-    """Offsets ceil((m - b_i)/a_i) and the objective correction they cost,
-    for a valid instance.  Each shifted b'_i lies in [m, m + a_i], so
-    m <= b'_min and the shifted instance is crowded: b'_i <= b'_min + a_i."""
+def shift_record(inst: mixing.MixInstance) -> tuple[list[int], int]:
+    """The shifted right-hand sides b'_i = b_i + offset_i * a_i, with
+    offset_i = ceil((m - b_i)/a_i), m = lcm(a), and the objective correction
+    sum w_i * offset_i they cost, for a valid instance.  Each b'_i is checked
+    to lie in [m, m + a_i], so m <= b'_min and the shifted instance is
+    crowded: b'_i <= b'_min + a_i."""
     m = math.lcm(*inst.capacities())
-    offsets = tuple(ceil_div(m - t.b, t.a) for t in inst.terms)
-    for t, off in zip(inst.terms, offsets):
-        shifted = t.b + off * t.a
+    bs, correction = [], 0
+    for t in inst.terms:
+        offset = ceil_div(m - t.b, t.a)
+        shifted = t.b + offset * t.a
         if not m <= shifted <= m + t.a:
             raise InternalInvariantViolated(f"shifted right-hand side {shifted} "
                                             "escaped [m, m + a]")
-    correction = sum(t.w * off for t, off in zip(inst.terms, offsets))
-    return ShiftRecord(m, offsets, correction)
+        bs.append(shifted)
+        correction += t.w * offset
+    return bs, correction

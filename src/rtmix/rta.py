@@ -41,10 +41,10 @@ the differences below it.  Its difference probes always run the mixing
 solve, so each records the forced multipliers that the walk's audit checks.
 
 `compute_response(q, "auto")` on harmonic periods runs the fixed point
-first.  On a query with interferers it iterates t <- W(t) from
-t0 = max(gamma, lower), a certified lower bound, for at most
-(u - t0 + 1).bit_length() steps: the most bisection steps `_bracket` can
-take on [t0, u].  When W(t) <= t, t is the response.  Otherwise the last
+first.  It iterates t <- W(t) from t0 = max(gamma, lower), a certified
+lower bound, for at most (u - t0 + 1).bit_length() steps: the most bisection
+steps `_bracket` can take on [t0, u].  When W(t) <= t, t is the response.
+Otherwise the last
 iterate, a certified lower bound since W is monotone and W(r) = r, becomes
 the query's `lower`, and `auto` hands off to the walk, which starts above
 everything the iteration spent (ski rental: Karlin, Manasse, Rudolph and
@@ -79,13 +79,13 @@ certified lower bound on its response (`lower`, 0 when none is known),
 from which `auto`, `harmonic`, `turing` and `jitter-free` start;
 `analyze_system` sets it to r_{j-1} + c_j for level j, `auto` raises it to
 its last iterate when it hands off, and `response_bruteforce`, the
-independent baseline, ignores it.  From the bounds' load aggregate, two
-O(1) derivations, checked as a build is, make a query from a built one:
+independent baseline, ignores it.  Two derivations, checked as a build is,
+make a query from a built one, deriving its bounds from the load aggregate:
 `ResponseQuery.at` at another gamma or lower (`auto`'s hand-off, `reverse`),
 and `ResponseQuery.plus` with one more interferer (`analyze_system`), which
-extends the compiled terms by one and trusts its caller to have checked the
-task: `analyze_system` validates its `TaskSystem` once, so a request checks
-each task once there, besides its decoder's check.
+trusts its caller to have checked the task: `analyze_system` validates its
+`TaskSystem` once, so a request checks each task once there, besides its
+decoder's check.
 
 Mix(I, k) differs between probes only by the shift k, so a query compiles
 its interferers' mixing form once (`mixing.compile_mix`: one term
@@ -115,6 +115,7 @@ from .core import (
     bounds_from_parts,
     is_harmonic,
     is_integer,
+    require_integers,
     validate,
     validate_task,
     workload,
@@ -137,10 +138,13 @@ class ResponseQuery:
     on the response that the caller certifies (0 when it knows none); the
     searches start from it.  `analyze_system` sets it, and `auto` raises it
     on a hand-off.  The interferers' mixing form (`form`) is compiled on
-    first need; its certified S (`s_bound`) comes with the bounds, which
-    also carry the load aggregate from which `at` and `plus` derive a query
-    without a pass over the interferers.  W is compiled at the build into
-    integer terms (`workload`), which `at` shares and `plus` extends."""
+    first need; its certified S is `bounds.s`, and the bounds also carry the
+    load aggregate from which `at` and `plus` derive their bounds without a
+    pass over the interferers.  W is compiled at the build into integer
+    terms (`workload`), which `at` shares and `plus` extends.  With no
+    interferers, S = 0 and u = ceil(ell) = gamma >= `lower`, so with no
+    case of their own every search returns gamma after one W evaluation and
+    `decide_large_k` decides k >= gamma on the empty mixing form."""
 
     gamma: int
     tasks: tuple[Task, ...]
@@ -153,10 +157,9 @@ class ResponseQuery:
         tasks = tuple(tasks)
         for i, t in enumerate(tasks):
             validate_task(i, t)
-        periods = tuple(sorted(t.p for t in tasks))
-        vars(self).update(tasks=tasks, harmonic=is_harmonic(periods),
+        vars(self).update(tasks=tasks, harmonic=is_harmonic(t.p for t in tasks),
                           jittered=any(t.jitter for t in tasks),
-                          _form=[], _periods=periods,  # `_form` is shared by every `at` copy
+                          _form=[],  # shared by every `at` copy
                           _terms=tuple((t.c, t.p, t.jitter + t.p - 1) for t in tasks))
         self._set_constants(gamma, lower, lambda g: bounds_from_parts(g, tasks))
 
@@ -170,20 +173,16 @@ class ResponseQuery:
 
     def plus(self, t: Task, gamma: int, lower: int = 0) -> ResponseQuery:
         """This query with interferer t, below all of its interferers in
-        priority, added at gamma and lower, in O(1): the bounds come from the
-        load aggregate, the chain flag from testing the new period against
-        its two sorted neighbours, and the compiled W gains one term.  Gamma
+        priority, added at gamma and lower: the bounds come from the load
+        aggregate, the chain flag holds when t's period is comparable with
+        every other (as a chain's pairs are), and W gains one term.  Gamma
         and lower are checked as a build checks them; t is not, since its
         one caller, `analyze_system`, adds tasks that its one `validate`
         has checked."""
-        p, periods = t.p, self._periods
-        i = bisect.bisect_left(periods, p)
-        harmonic = (self.harmonic and (i == 0 or p % periods[i - 1] == 0)
-                    and (i == len(periods) or periods[i] % p == 0))
         return self._copy(
-            _form=[], _periods=periods[:i] + (p,) + periods[i:], harmonic=harmonic,
-            jittered=self.jittered or t.jitter > 0, tasks=self.tasks + (t,),
-            _terms=self._terms + ((t.c, p, t.jitter + p - 1),),
+            _form=[], jittered=self.jittered or t.jitter > 0, tasks=self.tasks + (t,),
+            harmonic=self.harmonic and all(t.p % u.p == 0 or u.p % t.p == 0 for u in self.tasks),
+            _terms=self._terms + ((t.c, t.p, t.jitter + t.p - 1),),
         )._set_constants(gamma, lower, lambda g: self.bounds.plus(t, g))
 
     def _copy(self, **changes) -> ResponseQuery:
@@ -221,11 +220,6 @@ class ResponseQuery:
             self._form.append(mixing.compile_mix(inst))
         return self._form[0]
 
-    @property
-    def s_bound(self) -> int:
-        """The certified bound S on the optimal s of every Mix(I, k)."""
-        return self.bounds.s
-
 
 class Residual(NamedTuple):
     """One decision probe of the harmonic walk at k: the interferers with
@@ -254,8 +248,6 @@ def response_bruteforce(q: ResponseQuery) -> int:
     """Least fixed point of t -> gamma + sum c_i*ceil((t+jitter_i)/p_i),
     iterated upward from gamma.  Monotone, so it converges to the least
     feasible t; the certified upper bound doubles as an iteration guard."""
-    if not q.tasks:
-        return q.gamma
     t = q.gamma
     while True:
         counters.bump("fixpoint_iters")
@@ -310,12 +302,11 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
             return k >= q.gamma
         counters.bump("decision_probes")
         return mixing.solve_harmonic(q.form.at(k, q.depth)).objective <= k - q.gamma
+    require_integers(k=k)
     if k < 1:
         raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
-    if not q.tasks:
-        return k >= q.gamma
-    if k < q.s_bound:
-        raise PreconditionKTooSmall(k, q.s_bound)
+    if k < q.bounds.s:
+        raise PreconditionKTooSmall(k, q.bounds.s)
     counters.bump("decision_probes")
     solve = mixing.solve_harmonic if q.harmonic else mixing.solve_bruteforce
     return solve(q.form.at(k)).objective <= k - q.gamma
@@ -400,8 +391,6 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
     recurrence."""
     if not q.harmonic:
         raise PreconditionViolated("periods do not form a divisibility chain")
-    if not q.tasks:
-        return q.gamma
     lo, hi = max(q.lower, q.bounds.ceil_ell), q.bounds.u
     for k in sorted({t.p - t.jitter for t in q.tasks} - {0}):
         if k < lo:
@@ -423,10 +412,8 @@ def _general_search(q: ResponseQuery) -> int:
     from it up to u, or up to the lcm m when W(m) <= m.  The climb costs
     O(S) W evaluations; since c_i >= 1, the drop points in [0, S] that one
     decision at S would sweep number at most S*U + n."""
-    if not q.tasks:
-        return q.gamma
     t0 = max(q.lower, q.bounds.ceil_ell)
-    t, settled = _iterate(q, t0, max(1, q.s_bound - t0 + 1))
+    t, settled = _iterate(q, t0, max(1, q.bounds.s - t0 + 1))
     if settled:
         return t
     hi = q.bounds.u
@@ -475,13 +462,12 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     does."""
     if algorithm == "auto":
         if q.harmonic:
-            if q.tasks:
-                t0 = max(q.gamma, q.lower)
-                t, settled = _iterate(q, t0, (q.bounds.u - t0 + 1).bit_length())
-                if settled:
-                    return t
-                counters.bump("auto_handoffs")
-                q = q.at(q.gamma, t)
+            t0 = max(q.gamma, q.lower)
+            t, settled = _iterate(q, t0, (q.bounds.u - t0 + 1).bit_length())
+            if settled:
+                return t
+            counters.bump("auto_handoffs")
+            q = q.at(q.gamma, t)
             algorithm = "harmonic"
         elif not q.jittered:
             algorithm = "jitter-free"

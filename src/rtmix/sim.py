@@ -18,7 +18,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Literal
 
-from .core import TaskSystem, is_integer, validate
+from .core import TaskSystem, is_integer, require_integers, validate
 from .errors import HorizonTooSmall, InvalidInstance, PreconditionViolated
 
 # Widest strip `render_gantt` draws, in time units (columns).
@@ -97,8 +97,7 @@ def simulate(ts: TaskSystem, rp: ReleasePattern, horizon: int) -> ScheduleTrace:
     """Run the schedule on [0, horizon); raises HorizonTooSmall if a job
     released inside the window cannot finish."""
     validate_pattern(ts, rp)
-    if not is_integer(horizon):
-        raise InvalidInstance(f"horizon must be an integer, got {horizon!r}")
+    require_integers(horizon=horizon)
     if horizon < 1:
         raise InvalidInstance(f"horizon must be >= 1, got {horizon}")
 

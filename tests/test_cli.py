@@ -2,6 +2,7 @@
 
 import argparse
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import rtmix
-from rtmix import blockip, reverse, rta
+from rtmix import blockip, mixing, reverse, rta
 from rtmix.cli import EXIT_CODES, build_parser, main
 from rtmix.core import Task, TaskSystem
 from rtmix.errors import OverflowLimit
@@ -53,6 +54,18 @@ class TestRtaCompute:
         assert rep["result"]["schedulable"] is False
         assert rep["certificates"]["verified_against_bruteforce"] is True
         assert {"result", "algorithm", "certificates", "timings", "instance"} <= rep.keys()
+
+    def test_verify_mismatch_exits_1(self, capsys, demo_file, monkeypatch):
+        # an oracle that disagrees with every response: the first task's
+        # mismatch leaves as the JSON error object with exit code 1
+        oracle = rta.response_bruteforce
+        monkeypatch.setattr(rta, "response_bruteforce", lambda q: oracle(q) + 1)
+        code, out = run_cli(capsys, "rta", "compute", "--input", demo_file, "--verify")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "_VerifyMismatch",
+            "message": "task 0: 15 disagrees with the brute-force oracle",
+        }
 
     def test_require_schedulable_exit_code(self, capsys, demo_file):
         code, _ = run_cli(
@@ -131,6 +144,20 @@ class TestMixSolve:
         )
         assert code == 0
         assert last_json(out)["result"]["objective"] == 23
+
+    def test_verify_mismatch_exits_1(self, capsys, tmp_path, monkeypatch):
+        tight = tmp_path / "tight.json"
+        run_cli(capsys, "gen", "tight-mix", "--n", "3", "--output", str(tight))
+        oracle = mixing.solve_bruteforce
+        monkeypatch.setattr(mixing, "solve_bruteforce",
+                            lambda inst: dataclasses.replace(oracle(inst), objective=24))
+        code, out = run_cli(capsys, "mix", "solve", "--input", str(tight),
+                            "--algorithm", "harmonic", "--verify")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "_VerifyMismatch",
+            "message": "objective 23 disagrees with brute force 24",
+        }
 
     def test_via_rtc_on_crowded_instance(self, capsys, tmp_path):
         # `shift` is the one solver through response times (rtc)

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from rtmix import blockip, mixing, reverse, rta
 from rtmix.core import (
     MAGNITUDE_CAP,
     Task,
@@ -21,7 +22,12 @@ from rtmix.core import (
     validate,
 )
 from rtmix.errors import InvalidInstance, OverflowLimit, UtilizationExceeded
+from rtmix.mixing import MixInstance
 from rtmix.rta import ResponseQuery, response_bruteforce
+
+
+def _pair_program():
+    return blockip.encode_rtc_as_4block(TaskSystem([Task(1, 2, 0), Task(1, 1, 0)]))
 
 
 class TestValidate:
@@ -78,6 +84,25 @@ class TestValidate:
 
         assert is_integer(3) and is_integer(-2**80) and is_integer(Count(4))
         assert not any(is_integer(v) for v in (True, False, 3.0, "3", None))
+
+    @pytest.mark.parametrize(
+        "entry, name",
+        [
+            (lambda: rta.decide_large_k(ResponseQuery([Task(1, 4, 0)], 3), 50.5), "k"),
+            (lambda: blockip.solve_2stage_desk(_pair_program(), 5.5), "k"),
+            (lambda: blockip.solve_simple_4block(_pair_program(), 5.5), "H"),
+            (lambda: blockip.solve_simple_4block(_pair_program(), True), "H"),
+            (lambda: reverse.mix_leq_via_rtc(MixInstance(1, [(1, 2, 8)]), 8, "3"), "k"),
+            (lambda: reverse.mix_leq_via_rtc(MixInstance(1, [(1, 2, 8)]), 8.5, 3), "beta"),
+            (lambda: mixing.complete(1.5, MixInstance(1, [(1, 2, 3)])), "s"),
+        ],
+        ids=["decide_large_k", "solve_2stage_desk", "solve_simple_4block-float",
+             "solve_simple_4block-bool", "mix_leq_via_rtc-k", "mix_leq_via_rtc-beta",
+             "complete"],
+    )
+    def test_solver_entries_name_a_non_integer_argument(self, entry, name):
+        with pytest.raises(InvalidInstance, match=f"^{name} must be an integer, got "):
+            entry()
 
 
 class TestUtilization:

@@ -76,6 +76,42 @@ class TestConstructExtreme:
         assert str(exc.value) == message
 
 
+class TestArgumentTypes:
+    """Every generator names a non-integer size, bound or cost, an unknown
+    preset and an empty draw range with InvalidInstance instead of a raw
+    TypeError or ValueError."""
+
+    @pytest.mark.parametrize(
+        "entry, message",
+        [
+            (lambda: random_system(1, 2.5, 10), "n must be an integer, got 2.5"),
+            (lambda: random_system(1, 3, 10.5), "p_max must be an integer, got 10.5"),
+            (lambda: random_system(1, True, 10), "n must be an integer, got True"),
+            (lambda: random_mix_instance(1, 3, 10.5), "a_max must be an integer, got 10.5"),
+            (lambda: random_mix_instance(1, 3, 10, b_hi="9"), "b_hi must be an integer, got '9'"),
+            (lambda: random_mix_instance(1, 3, 10, b_lo=5, b_hi=1),
+             "need b_lo <= b_hi and w_max >= 0, got 5, 1, 16"),
+            (lambda: random_mix_instance(1, 3, 10, w_max=-1),
+             "need b_lo <= b_hi and w_max >= 0, got -512, 512, -1"),
+            (lambda: construct_extreme([1], 10.5), "p1 must be an integer, got 10.5"),
+            (lambda: construct_extreme([1, 1.5], 10), "cs[1] must be an integer, got 1.5"),
+            (lambda: tight_mixing_instance(3.5), "n must be an integer, got 3.5"),
+            (lambda: construct_extreme([1], 10, deadlines="q"),
+             "unknown preset: jitters='p', deadlines='q'"),
+            (lambda: construct_extreme([1], 10, jitters="q"),
+             "unknown preset: jitters='q', deadlines='none'"),
+        ],
+    )
+    def test_rejected(self, entry, message):
+        with pytest.raises(InvalidInstance) as exc:
+            entry()
+        assert str(exc.value) == message
+
+    def test_presets_still_build(self):
+        ts = construct_extreme([1], 3, "zero", deadlines="p")
+        assert [t.d for t in ts.tasks] == [t.p for t in ts.tasks]
+
+
 class TestTightMixing:
     @pytest.mark.parametrize("n", [1, 0])
     def test_needs_two_terms(self, n):

@@ -176,8 +176,8 @@ def crowded_instances(draw):
 
 def shifted(inst):
     """The crowded instance that solve_general_via_shift(inst) searches."""
-    rec = shift_record(inst)
-    return MixInstance(1, [(t.w, t.a, t.b + off * t.a) for t, off in zip(inst.terms, rec.offsets)])
+    bs, _ = shift_record(inst)
+    return MixInstance(1, [(t.w, t.a, b) for t, b in zip(inst.terms, bs)])
 
 
 def rhs(inst):
@@ -337,15 +337,18 @@ class TestShift:
 
     def test_offsets_land_in_the_crowded_window(self):
         inst = MixInstance(1, [(1, 2, -3), (2, 4, 1), (1, 8, 21)])
-        rec = shift_record(inst)
-        assert rec.m == 8
-        for t, off in zip(inst.terms, rec.offsets):
-            assert rec.m <= t.b + off * t.a <= rec.m + t.a
+        bs, correction = shift_record(inst)
+        m = math.lcm(*inst.capacities())
+        assert m == 8
+        offsets = [(b - t.b) // t.a for t, b in zip(inst.terms, bs)]
+        for t, b, off in zip(inst.terms, bs, offsets):
+            assert m <= b == t.b + off * t.a <= m + t.a
+        assert correction == sum(t.w * off for t, off in zip(inst.terms, offsets)) == 9
 
     def test_already_crowded_instance_gets_nonpositive_offsets(self):
         inst = MixInstance(1, [(1, 2, 5), (1, 4, 6)])
-        rec = shift_record(inst)
-        assert all(off <= 0 for off in rec.offsets)
+        bs, correction = shift_record(inst)
+        assert all(b <= t.b for t, b in zip(inst.terms, bs)) and correction <= 0
         assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
 
     def test_single_term(self):
@@ -359,9 +362,9 @@ class TestShift:
         big = [inst for inst in draws if math.lcm(*inst.capacities()) > 2**63]
         assert len(big) >= 10
         for inst in big:
-            rec = shift_record(inst)
-            assert all(rec.m <= t.b + off * t.a <= rec.m + t.a
-                       for t, off in zip(inst.terms, rec.offsets))
+            bs, _ = shift_record(inst)
+            m = math.lcm(*inst.capacities())
+            assert all(m <= b <= m + t.a for t, b in zip(inst.terms, bs))
             assert solve_general_via_shift(inst) == solve_bruteforce(inst)
 
     def test_validates_once_per_compiled_query_not_per_probe(self, monkeypatch):

@@ -40,6 +40,7 @@ from rtmix.errors import (
 from rtmix.gen import construct_extreme, random_system
 from rtmix.mixing import MixInstance, certified_s_bound, solve_bruteforce
 from rtmix.rta import (
+    ALGORITHMS,
     ProbeRecord,
     ResponseQuery,
     analyze_system,
@@ -118,7 +119,7 @@ class TestCompiledQuery:
         assert q.bounds.utilization == Fraction(15, 65) + Fraction(7, 30)
         assert q.bounds == bounds_from_parts(13, q.tasks)
         s_bound = certified_s_bound(MixInstance(1, [(t.c, t.p, 0) for t in q.tasks]))
-        assert q.s_bound == s_bound == 42
+        assert q.bounds.s == s_bound == 42
 
     def test_unknown_algorithm_rejected(self, demo_system):
         with pytest.raises(InvalidInstance) as exc:
@@ -158,7 +159,7 @@ class TestCompiledQuery:
         assert want == 21 != response_bruteforce(ResponseQuery((task,), 9))
         for algorithm in applicable(q):
             assert compute_response(q, algorithm) == want, algorithm
-        for k in range(max(1, q.s_bound), q.bounds.u + 1):
+        for k in range(max(1, q.bounds.s), q.bounds.u + 1):
             assert decide_large_k(q, k) == (want <= k), k
         trace = []
         assert response_harmonic(q, trace=trace) == want
@@ -178,7 +179,7 @@ class TestCompiledQuery:
         derived = [q.at(q.gamma + 1, q.gamma + 1) for q in queries]
         monkeypatch.undo()
         # the form is compiled on first need, and shared with the derived query
-        assert queries[2].s_bound == 42 and derived[2].form is queries[2].form
+        assert queries[2].bounds.s == 42 and derived[2].form is queries[2].form
 
     def test_each_query_checks_its_mixing_form_once(self, monkeypatch):
         # a query's form is checked when it is compiled, on the query's first
@@ -307,7 +308,7 @@ class TestCompiledQuery:
         except UtilizationExceeded:
             return
         inst = MixInstance(1, [(t.c, t.p, k + t.jitter) for t in tasks])
-        assert q.bounds.s == q.s_bound == certified_s_bound(inst)
+        assert q.bounds.s == certified_s_bound(inst)
         assert not q._form
 
     def test_a_query_the_climb_settles_checks_no_mixing_form(self, monkeypatch):
@@ -428,6 +429,20 @@ class TestDecideLargeK:
     def test_empty_interference(self, demo_system):
         assert decide_large_k(ResponseQuery((), 5), 5)
 
+    def test_empty_interference_takes_the_ordinary_path(self):
+        # no interferer: S = 0 and u = ceil(ell) = gamma, so every search
+        # returns gamma after one W evaluation, and the decision runs on the
+        # empty mixing form
+        q = ResponseQuery((), 7)
+        assert (q.bounds.s, q.bounds.u, q.bounds.ceil_ell) == (0, 7, 7)
+        assert [decide_large_k(q, k) for k in range(1, 10)] == [k >= 7 for k in range(1, 10)]
+        assert q.form.levels == ()
+        for algorithm in ALGORITHMS:
+            with counters.collect() as ops:
+                assert compute_response(q, algorithm) == 7
+                assert compute_response(q.at(7, 7), algorithm) == 7
+            assert ops.fixpoint_iters == (0 if algorithm == "harmonic" else 2), algorithm
+
     @pytest.mark.parametrize("k", [0, -3])
     def test_refuses_k_below_1(self, demo_system, k):
         with pytest.raises(PreconditionViolated) as exc:
@@ -449,12 +464,12 @@ class TestDecideLargeK:
         q = full_query(ts)
         r = response_bruteforce(q)
         if q.tasks:
-            for k in range(1, q.s_bound):
+            for k in range(1, q.bounds.s):
                 with pytest.raises(PreconditionKTooSmall):
                     decide_large_k(q, k)
-        for k in {q.s_bound, q.s_bound + 1, r - 1, r, r + 1, q.bounds.u}:
-            if k >= max(1, q.s_bound):
-                assert decide_large_k(q, k) == (r <= k), (k, r, q.s_bound)
+        for k in {q.bounds.s, q.bounds.s + 1, r - 1, r, r + 1, q.bounds.u}:
+            if k >= max(1, q.bounds.s):
+                assert decide_large_k(q, k) == (r <= k), (k, r, q.bounds.s)
 
     @FAMILIES
     @given(data=st.data())
@@ -466,7 +481,7 @@ class TestDecideLargeK:
 
         def spy(q, k):
             if isinstance(q, ResponseQuery):
-                decided.append((q.s_bound, k))
+                decided.append((q.bounds.s, k))
             return real(q, k)
 
         with mock.patch.object(rta, "decide_large_k", spy):
@@ -480,7 +495,7 @@ class TestDecideLargeK:
         decided = []
         real = rta.decide_large_k
         with mock.patch.object(rta, "decide_large_k",
-                               lambda q, k: decided.append(k - q.s_bound) or real(q, k)):
+                               lambda q, k: decided.append(k - q.bounds.s) or real(q, k)):
             for harmonic in (True, False):
                 q = ResponseQuery(geometric(10, harmonic, True).tasks, 2**9)
                 assert response_turing(q) == response_bruteforce(q)
@@ -755,7 +770,7 @@ class TestTuring:
     def test_demo_query_resolved_by_scan(self, demo_system):
         # the utilization bound certifies S = 42, and the fixed point lands exactly there
         q = ResponseQuery(demo_system.tasks[:2], 13)
-        assert q.s_bound == 42
+        assert q.bounds.s == 42
         assert response_turing(q) == 42
 
     def test_extreme_system(self, extreme3):
@@ -797,7 +812,7 @@ class TestTuring:
             Task(1, 2**31, 0, 2**31),
         ])
         q = full_query(ts)
-        assert q.s_bound == 1125349347163456
+        assert q.bounds.s == 1125349347163456
         with counters.collect() as ops:
             r = response_turing(q)
         assert r == response_bruteforce(q) == 1073740801
@@ -814,7 +829,7 @@ class TestTuring:
         # climb reaches 42 in one step and settles there (two W evaluations);
         # a lower bound below ceil(ell) changes nothing, one at r settles at once
         cold = ResponseQuery(demo_system.tasks[:2], 13)
-        assert cold.s_bound == 42 and math.ceil(cold.bounds.ell) == 30
+        assert cold.bounds.s == 42 and math.ceil(cold.bounds.ell) == 30
         for lower, evaluations in ((0, 2), (20, 2), (22 + 13, 2), (42, 1)):
             q = cold.at(13, lower)
             with counters.collect() as ops:
