@@ -18,6 +18,7 @@ command keeps its own exit code.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -36,6 +37,7 @@ from .errors import (
     RTMixError,
     Unbounded,
     UtilizationExceeded,
+    VerifyMismatch,
 )
 
 EXIT_OK = 0
@@ -45,13 +47,9 @@ EXIT_RESOURCE = 3
 EXIT_INTERNAL = 4
 
 
-class _VerifyMismatch(RTMixError):
-    pass
-
-
 # Exit code of each error class; an error takes the entry of its nearest listed class.
 EXIT_CODES = {
-    **dict.fromkeys((Unbounded, Infeasible, UtilizationExceeded, _VerifyMismatch), EXIT_NEGATIVE),
+    **dict.fromkeys((Unbounded, Infeasible, UtilizationExceeded, VerifyMismatch), EXIT_NEGATIVE),
     **dict.fromkeys((InvalidInstance, PreconditionViolated, HorizonTooSmall), EXIT_INVALID),
     **dict.fromkeys((OverflowLimit, BudgetExceeded, GenerationFailed), EXIT_RESOURCE),
     **dict.fromkeys((InternalInvariantViolated, RTMixError), EXIT_INTERNAL),
@@ -105,22 +103,14 @@ def _cmd_rta_compute(args) -> tuple[int, dict]:
         for tv in verdicts.tasks:
             q = rta.ResponseQuery(ts.tasks[:tv.index], ts.tasks[tv.index].c)
             if rta.response_bruteforce(q) != tv.response:
-                raise _VerifyMismatch(
+                raise VerifyMismatch(
                     f"task {tv.index}: {tv.response} disagrees with the brute-force oracle"
                 )
     report = {
         "result": {
             "responses": list(verdicts.responses()),
             "schedulable": verdicts.schedulable,
-            "tasks": [
-                {
-                    "index": tv.index,
-                    "response": tv.response,
-                    "deadline_budget": tv.deadline_budget,
-                    "schedulable": tv.schedulable,
-                }
-                for tv in verdicts.tasks
-            ],
+            "tasks": [dataclasses.asdict(tv) for tv in verdicts.tasks],
         },
         "algorithm": args.algorithm,
         "certificates": {"verified_against_bruteforce": bool(args.verify)},
@@ -149,7 +139,7 @@ def _cmd_mix_solve(args) -> tuple[int, dict]:
     if args.verify:
         oracle = mixing.solve_bruteforce(inst)
         if oracle.objective != sol.objective:
-            raise _VerifyMismatch(
+            raise VerifyMismatch(
                 f"objective {sol.objective} disagrees with brute force {oracle.objective}"
             )
     report = {

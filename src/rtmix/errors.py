@@ -61,5 +61,9 @@ class HorizonTooSmall(RTMixError):
     """A released job could not finish before the simulation horizon."""
 
 
+class VerifyMismatch(RTMixError):
+    """Under `--verify`, an answer disagreed with the brute-force oracle."""
+
+
 class InternalInvariantViolated(RTMixError):
     """A certified identity failed; indicates an arithmetic bug, not bad input."""

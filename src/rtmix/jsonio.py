@@ -6,11 +6,14 @@ Mixing:         {"w0": int, "terms": [{"w": int, "a": int, "b": int}, ...]}
 Releases:       {"releases": [[{"arrival": int, "release": int}, ...], ...]}
 4-block:        {"n","r","s","t","q","D","C","B","A","b0","rhs","w0","j","wj","u"}
                 (matrices row-major)
+
+Every record (task, term, release) is read by `_objects`: an object, no unknown field.
 """
 
 from __future__ import annotations
 
 import json
+from dataclasses import asdict
 from typing import Any
 
 from .blockip import SimpleFourBlock
@@ -26,6 +29,16 @@ def _require(cond: bool, msg: str) -> None:
         raise InvalidInstance(msg)
 
 
+def _objects(entries: list, fields: set[str], what: str) -> list[dict]:
+    """`entries`, each checked to be an object with no field outside `fields`."""
+    for entry in entries:
+        _require(isinstance(entry, dict), f"each {what} must be an object")
+        unknown = set(entry) - fields
+        if unknown:
+            raise InvalidInstance(f"unknown {what} fields: {sorted(unknown)}")
+    return entries
+
+
 def task_system_to_dict(ts: TaskSystem) -> dict:
     return {
         "tasks": [
@@ -37,21 +50,8 @@ def task_system_to_dict(ts: TaskSystem) -> dict:
 def task_system_from_dict(data: Any) -> TaskSystem:
     _require(isinstance(data, dict) and isinstance(data.get("tasks"), list),
              "expected {'tasks': [...]}")
-    tasks = []
-    for entry in data["tasks"]:
-        _require(isinstance(entry, dict), "each task must be an object")
-        unknown = set(entry) - {"c", "d", "p", "jitter"}
-        if unknown:
-            raise InvalidInstance(f"unknown task fields: {sorted(unknown)}")
-        tasks.append(
-            Task(
-                c=entry.get("c"),
-                p=entry.get("p"),
-                jitter=entry.get("jitter", 0),
-                d=entry.get("d"),
-            )
-        )
-    ts = TaskSystem(tasks)
+    tasks = _objects(data["tasks"], {"c", "d", "p", "jitter"}, "task")
+    ts = TaskSystem([Task(e.get("c"), e.get("p"), e.get("jitter", 0), e.get("d")) for e in tasks])
     validate(ts)
     return ts
 
@@ -66,13 +66,8 @@ def mix_instance_to_dict(inst: MixInstance) -> dict:
 def mix_instance_from_dict(data: Any) -> MixInstance:
     _require(isinstance(data, dict) and "w0" in data and isinstance(data.get("terms"), list),
              "expected {'w0': ..., 'terms': [...]}")
-    terms = []
-    for entry in data["terms"]:
-        _require(isinstance(entry, dict), "each term must be an object")
-        unknown = set(entry) - {"w", "a", "b"}
-        if unknown:
-            raise InvalidInstance(f"unknown term fields: {sorted(unknown)}")
-        terms.append((entry.get("w"), entry.get("a"), entry.get("b")))
+    terms = [(e.get("w"), e.get("a"), e.get("b"))
+             for e in _objects(data["terms"], {"w", "a", "b"}, "term")]
     inst = MixInstance(data["w0"], terms)
     validate_mix(inst)
     return inst
@@ -88,10 +83,9 @@ def release_pattern_from_dict(data: Any) -> ReleasePattern:
     jobs = []
     for per_task in data["releases"]:
         _require(isinstance(per_task, list), "each task's releases must be a list")
-        for e in per_task:
-            _require(isinstance(e, dict) and is_integer(e.get("arrival"))
-                     and is_integer(e.get("release")),
-                     "each release must be an object with integer 'arrival' and 'release'")
+        for e in _objects(per_task, {"arrival", "release"}, "release"):
+            _require(is_integer(e.get("arrival")) and is_integer(e.get("release")),
+                     "each release must have integer 'arrival' and 'release'")
         jobs.append([(e["arrival"], e["release"]) for e in per_task])
     return ReleasePattern(jobs)
 
@@ -99,19 +93,8 @@ def release_pattern_from_dict(data: Any) -> ReleasePattern:
 def trace_to_dict(trace: ScheduleTrace) -> dict:
     return {
         "horizon": trace.horizon,
-        "segments": [
-            {"start": s.start, "end": s.end, "task": s.task} for s in trace.segments
-        ],
-        "jobs": [
-            {
-                "task": j.task,
-                "index": j.index,
-                "arrival": j.arrival,
-                "release": j.release,
-                "completion": j.completion,
-            }
-            for j in trace.jobs
-        ],
+        "segments": [asdict(s) for s in trace.segments],
+        "jobs": [asdict(j) for j in trace.jobs],
     }
 
 
@@ -175,6 +158,8 @@ def load_json(path: str) -> Any:
         raise InvalidInstance(f"cannot read {path}: {exc}") from None
     except json.JSONDecodeError as exc:
         raise InvalidInstance(f"{path} is not valid JSON: {exc}") from None
+    except UnicodeDecodeError as exc:  # a ValueError too: catch it before the digit limit
+        raise InvalidInstance(f"{path} is not UTF-8 text: {exc}") from None
     except ValueError as exc:  # an integer literal past the int/str digit limit
         raise InvalidInstance(f"{path} holds an integer too long to parse: {exc}") from None
     except RecursionError:

@@ -97,7 +97,7 @@ at base k, right-hand sides k + jitter_i, and checks nothing again;
 and the brute-force scan searches s in [0, S].  A probe of the harmonic
 walk searches the form's prefix of levels below k, passed to
 `decide_large_k` as a `Residual`; it needs no S, since the walk keeps every
-residual period below the probe.
+residual period below the probe (a walk probe with none decides itself).
 `compute_response` is the only algorithm selector; `reverse` calls it too.
 """
 
@@ -223,24 +223,22 @@ class ResponseQuery:
 
 class Residual(NamedTuple):
     """One decision probe of the harmonic walk at k: the interferers with
-    period below k, as the lowest `depth` levels of the query's mixing form
-    (right-hand sides k + jitter_i; no form when `depth` is 0), and the
-    constant gamma' that the tasks with forced multipliers add to gamma."""
+    period below k, at least one, as the lowest `depth` levels of the
+    query's mixing form (right-hand sides k + jitter_i), and the constant
+    gamma' that the tasks with forced multipliers add to gamma."""
 
-    form: mixing.MixForm | None
+    form: mixing.MixForm
     depth: int
     gamma: int
 
 
 @dataclass
 class ProbeRecord:
-    """Instrumentation record of one decision probe (for invariant audits)."""
+    """One probe of the harmonic walk: k, forced multipliers, residual set, verdict."""
 
-    phase: str                  # "difference" or "bisection"
     k: int
     forced: dict[int, int]      # position in q.tasks -> forced multiplier (1 or 2)
     residual: tuple[int, ...]   # positions in q.tasks
-    gamma_prime: int
     feasible: bool
 
 
@@ -294,12 +292,10 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
     k, searched with no check repeated; the brute-force scan searches s in
     [0, S].  A `Residual` of the harmonic walk needs no S: the walk
     certifies the reduction by construction (every residual period lies
-    below k, which `_walk_probe` checks), and its instance is a prefix of
-    the form's levels at base k.
+    below k, and `_walk_probe` checks that every other task is forced), and
+    its instance is a prefix of the form's levels at base k.
     """
     if isinstance(q, Residual):
-        if not q.depth:
-            return k >= q.gamma
         counters.bump("decision_probes")
         return mixing.solve_harmonic(q.form.at(k, q.depth)).objective <= k - q.gamma
     require_integers(k=k)
@@ -312,37 +308,31 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
     return solve(q.form.at(k)).objective <= k - q.gamma
 
 
-def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, phase: str,
-                k: int, lo: int) -> bool:
+def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, k: int, lo: int) -> bool:
     """One probe of the harmonic walk at k >= lo, lo a certified lower bound
     on the response: Mix(residual, k) <= k - gamma'.  With d_j = p_j - jitter_j,
-    task j's multiplier is forced to 1 when k <= d_j and to 2 when d_j < lo
-    and k <= p_j; the rest form the residual.  No difference lies in [lo, k),
-    so the residual is exactly the tasks with period below k, the form's
-    prefix of levels below k; a residual that is not raises
-    InternalInvariantViolated.  The form is compiled on the first probe
-    whose residual is not empty."""
-    forced, residual, below, gamma_prime = {}, [], [], q.gamma
+    a task with p_j >= k is forced to multiplier 1 when k <= d_j, else to 2,
+    as d_j < lo: no difference lies in [lo, k), and one there raises
+    InternalInvariantViolated.  The residual, the tasks with period below k,
+    is the form's prefix of levels below k; with none, the probe is k >= gamma'
+    and no decision."""
+    forced, residual, gamma_prime = {}, [], q.gamma
     for j, t in enumerate(q.tasks):
         d = t.p - t.jitter
-        if k <= d:
-            forced[j] = 1
-            gamma_prime += t.c
-        elif d < lo and k <= t.p:
-            forced[j] = 2
-            gamma_prime += 2 * t.c
-        else:
-            residual.append(j)
         if t.p < k:
-            below.append(j)
-    if residual != below:
-        raise InternalInvariantViolated("residual set is not the chain below the probe")
-    residual = tuple(residual)
-    form = q.form if residual else None
-    depth = bisect.bisect_left(form.levels, k) if residual else 0
-    feasible = decide_large_k(Residual(form, depth, gamma_prime), k)
+            residual.append(j)
+        elif k <= d or d < lo:
+            forced[j] = 1 if k <= d else 2
+            gamma_prime += forced[j] * t.c
+        else:
+            raise InternalInvariantViolated("residual set is not the chain below the probe")
+    if residual:
+        depth = bisect.bisect_left(q.form.levels, k)
+        feasible = decide_large_k(Residual(q.form, depth, gamma_prime), k)
+    else:
+        feasible = k >= gamma_prime
     if trace is not None:
-        trace.append(ProbeRecord(phase, k, forced, residual, gamma_prime, feasible))
+        trace.append(ProbeRecord(k, forced, tuple(residual), feasible))
     return feasible
 
 
@@ -395,11 +385,11 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
     for k in sorted({t.p - t.jitter for t in q.tasks} - {0}):
         if k < lo:
             continue
-        if _walk_probe(q, trace, "difference", k, lo):
+        if _walk_probe(q, trace, k, lo):
             hi = min(k, q.workload(k))
             break
         lo = max(k + 1, q.workload(k + 1))
-    t = _bracket(q, lo, hi, lambda k: _walk_probe(q, trace, "bisection", k, lo))
+    t = _bracket(q, lo, hi, lambda k: _walk_probe(q, trace, k, lo))
     return _least_fixed_point(q, t, "harmonic walk")
 
 

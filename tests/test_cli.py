@@ -63,7 +63,7 @@ class TestRtaCompute:
         code, out = run_cli(capsys, "rta", "compute", "--input", demo_file, "--verify")
         assert code == 1
         assert json.loads(out) == {
-            "error": "_VerifyMismatch",
+            "error": "VerifyMismatch",
             "message": "task 0: 15 disagrees with the brute-force oracle",
         }
 
@@ -155,7 +155,7 @@ class TestMixSolve:
                             "--algorithm", "harmonic", "--verify")
         assert code == 1
         assert json.loads(out) == {
-            "error": "_VerifyMismatch",
+            "error": "VerifyMismatch",
             "message": "objective 23 disagrees with brute force 24",
         }
 
@@ -578,9 +578,10 @@ class TestErrorExitCodes:
             {"releases": 5},
             {"releases": [[5]]},
             {"releases": [[{"arrival": 0.5, "release": True}], [], []]},
+            {"releases": [[{"arrival": 0, "release": 0, "x": 1}], [], []]},
         ],
         ids=["release-missing", "releases-not-a-list", "release-not-an-object",
-             "release-not-integers"],
+             "release-not-integers", "release-unknown-field"],
     )
     def test_malformed_releases_exit_2(self, capsys, tmp_path, demo_file, releases):
         path = tmp_path / "releases.json"
@@ -608,6 +609,17 @@ class TestUnreadableInput:
         report = json.loads(captured.out)
         assert report["error"] == "InvalidInstance"
         assert report["message"].startswith(message.format(path=path))
+        assert "Traceback" not in captured.out + captured.err
+
+    def test_input_that_is_not_utf8_exits_2(self, capsys, tmp_path):
+        # bytes ff fe open a UTF-16 byte-order mark, which UTF-8 cannot decode
+        path = tmp_path / "bad.json"
+        path.write_bytes(b"\xff\xfe{}")
+        assert main(["rta", "compute", "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert report["error"] == "InvalidInstance"
+        assert report["message"].startswith(f"{path} is not UTF-8 text: ")
         assert "Traceback" not in captured.out + captured.err
 
 

@@ -10,7 +10,12 @@ from conftest import random_release_pattern
 from rtmix import gen
 from rtmix.cli import main
 from rtmix.core import is_harmonic, utilization, validate
-from rtmix.errors import InternalInvariantViolated, InvalidInstance, PreconditionViolated
+from rtmix.errors import (
+    GenerationFailed,
+    InternalInvariantViolated,
+    InvalidInstance,
+    PreconditionViolated,
+)
 from rtmix.gen import (
     construct_extreme,
     random_mix_instance,
@@ -194,6 +199,12 @@ class TestRandomMixInstance:
     def test_nonpositive_capacity_bound_rejected(self, a_max, harmonic):
         with pytest.raises(InvalidInstance, match="a_max"):
             random_mix_instance(1, 3, a_max, harmonic=harmonic)
+
+    def test_attempt_cap_raises(self):
+        # 40 terms of capacity 1, each weight drawn from {0, 1}: bounded only
+        # when at most one weight is 1, which no draw within the cap gives
+        with pytest.raises(GenerationFailed, match="no bounded mixing instance"):
+            random_mix_instance(1, 40, 1)
 
 
 class TestDrawCount:

@@ -67,6 +67,11 @@ class TestReleasePattern:
         rp = ReleasePattern([[(0, 8), (65, 73)], [], [(0, 25)]])
         assert release_pattern_from_dict(release_pattern_to_dict(rp)) == rp
 
+    def test_unknown_field_rejected(self):
+        with pytest.raises(InvalidInstance) as exc:
+            release_pattern_from_dict({"releases": [[{"arrival": 0, "release": 0, "x": 1}]]})
+        assert str(exc.value) == "unknown release fields: ['x']"
+
 
 class TestTrace:
     def test_segments_and_jobs_serialized(self, demo_system):

@@ -567,6 +567,13 @@ class TestHarmonicWalk:
         q = ResponseQuery(ts.tasks[:2], 13)
         assert response_harmonic(q) == response_bruteforce(q)
 
+    def test_probe_refuses_a_difference_between_lo_and_k(self):
+        # d = 8 - 2 = 6 lies in [lo, k) = [5, 7): the task's period is not
+        # below k, and its multiplier is forced neither to 1 (k > d) nor to
+        # 2 (d >= lo)
+        with pytest.raises(InternalInvariantViolated, match="not the chain below the probe"):
+            rta._walk_probe(ResponseQuery([Task(1, 8, 2)], 1), None, 7, 5)
+
     def test_rejects_non_harmonic_periods(self, demo_system):
         with pytest.raises(PreconditionViolated):
             response_harmonic(ResponseQuery(demo_system.tasks[:2], 13))
