@@ -24,8 +24,9 @@ writes - the bricks' completions sum to an affine function of t between the
 points where some brick's ceiling or floor steps, with one slope for all
 pieces, so the first stage evaluates only the left end of each piece:
 about sum_i |b_i|*u/p_i points instead of u + 1 (the piece path,
-`on_piece_path`).  One generator, `_piece_values`, walks the pieces and
-yields each feasible piece with its left end's value.
+`on_piece_path`), each piece ending just before the nearest next step
+(`_pieces`).  One generator, `_piece_values`, walks the pieces of t's range
+at a probe k and yields each feasible piece with its left end's value.
 
 `solve_simple_4block` finds the least feasible k in [0, H] (the decisions
 are monotone in k because a larger k only relaxes w^T x <= k, and no k < 0
@@ -45,9 +46,8 @@ t - sum c_i*x_i >= c_n.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
-from itertools import groupby, product
+from itertools import product
 from typing import Iterator, Sequence
 
 from . import counters
@@ -235,20 +235,6 @@ def _unit_slack_coefficient(rows: Matrix) -> int | None:
     return None
 
 
-def _steps(num: int, m: int, coef: int, T: int) -> Iterator[int]:
-    """The t in [1, T], in increasing order, where floor((num + m*t)/coef)
-    differs from its value at t - 1 (m != 0); a t repeats when |m| > coef.
-
-    A falling term floor((num - a*t)/coef) equals
-    -floor((coef - 1 - num + a*t)/coef), so it steps where that rising term
-    does.  A rising term steps once per multiple j*coef in (num, num + m*T],
-    at t = ceil((j*coef - num)/m).
-    """
-    if m < 0:
-        num, m = coef - 1 - num, -m
-    return (ceil_div(j * coef - num, m) for j in range(num // coef + 1, (num + m * T) // coef + 1))
-
-
 def _pieces(p: SimpleFourBlock, T: int) -> Iterator[tuple[int, int]]:
     """The pieces [left, right] of t in [0, T] (T >= 0) of a program on the
     piece path (`on_piece_path`), lazily and in increasing order.
@@ -257,19 +243,25 @@ def _pieces(p: SimpleFourBlock, T: int) -> Iterator[tuple[int, int]]:
     lo = ceil((rhs_i - b_i*t)/p_i) and hi = floor((rhs_i + uz_i - b_i*t)/p_i),
     so between their steps it is affine with slope c_z*b_i and its
     feasibility is fixed.  The coupling row is then affine on every piece
-    with one slope `_slope(p)`.
+    with one slope `_slope(p)`.  A piece ends just before the nearest next
+    step of any bound, each kept rising as floor((num + m*t)/coef), m > 0
+    (floor((num - a*t)/coef) = -floor((coef - 1 - num + a*t)/coef)).
     """
-    terms = set()  # (num, m, coef) of each distinct floor((num + m*t)/coef)
+    terms = set()  # (num, m, coef) of each distinct floor((num + m*t)/coef), m > 0
     for i in range(p.n):
         b, coef, rhs, uz = p.B[i][0][0], p.A[i][0][0], p.rhs[i][0], p.u_brick(i)[1]
         if b:
-            terms.update(((rhs + coef - 1, -b, coef), (rhs + uz, -b, coef)))
-    steps = heapq.merge(*(_steps(num, m, coef, T) for num, m, coef in terms))
+            for num in (rhs + coef - 1, rhs + uz):
+                terms.add((num, -b, coef) if b < 0 else (coef - 1 - num, b, coef))
     left = 0
-    for start, _ in groupby(steps):  # the left end of every piece but the first
-        yield left, start - 1
-        left = start
-    yield left, T
+    while left <= T:
+        right = T
+        for num, m, coef in terms:  # ceil((next multiple of coef - num)/m) - 1
+            step = (((num + m * left) // coef + 1) * coef - num - 1) // m
+            if step < right:
+                right = step
+        yield left, right
+        left = right + 1
 
 
 def _slope(p: SimpleFourBlock) -> int:
@@ -277,9 +269,10 @@ def _slope(p: SimpleFourBlock) -> int:
     return p.D[0][0] + sum(p.C[i][0][1] * p.B[i][0][0] for i in range(p.n))
 
 
-def _piece_values(p: SimpleFourBlock, T: int, budget: _Budget) -> Iterator[tuple[int, int, int]]:
-    """(left, right, f(left)) for each piece [left, right] of t in [0, T] of a
-    program on the piece path whose bricks all complete, in increasing order.
+def _piece_values(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[tuple[int, int, int]]:
+    """(left, right, f(left)) in increasing order for each piece [left, right]
+    of t in [0, min(u_0, floor(k/w0))] ([0, u_0] when w0 = 0), where the slack
+    row leaves room, of a program on the piece path whose bricks all complete.
 
     f(t) is the coupling row's maximum at first-stage point t, every brick
     completed in closed form (wj = 0 here).  On a piece f is affine with
@@ -287,11 +280,11 @@ def _piece_values(p: SimpleFourBlock, T: int, budget: _Budget) -> Iterator[tuple
     stands for the piece.  Each piece spends one unit of the budget and each
     completion tried one more.
     """
-    d = p.D[0][0]
+    d, w0, u0 = p.D[0][0], p.w0[0], p.u[0]
     bricks = [
         (p.A[i][0][0], p.C[i][0], p.rhs[i][0], p.B[i][0][0], p.u_brick(i)) for i in range(p.n)
     ]
-    for left, right in _pieces(p, T):
+    for left, right in _pieces(p, min(u0, k // w0) if w0 else u0):
         budget.spend()
         total = d * left
         for coef, c, rhs, b, boxes in bricks:
@@ -305,20 +298,20 @@ def _piece_values(p: SimpleFourBlock, T: int, budget: _Budget) -> Iterator[tuple
 
 
 def _piece_totals(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[int]:
-    """`solve_2stage_desk` on the piece path: the best f on each piece of t in
-    [0, T], T = min(u_0, floor(k / w0)), where the slack row leaves room (no
-    t does when k < 0), f(left) + max(0, sigma)*(right - left): the right
-    end's value if the slope sigma is positive, else the left end's."""
+    """`solve_2stage_desk` on the piece path: the best f on each piece of
+    `_piece_values`' range (no t has room when k < 0, which with w0 = 0 the
+    range alone does not show), f(left) + max(0, sigma)*(right - left): the
+    right end's value if the slope sigma is positive, else the left end's."""
     if k < 0:
         return
-    w0, u0 = p.w0[0], p.u[0]
     rise = max(0, _slope(p))
-    for left, right, value in _piece_values(p, min(u0, k // w0) if w0 else u0, budget):
+    for left, right, value in _piece_values(p, k, budget):
         yield value + rise * (right - left)
 
 
-def _least_reaching_t(p: SimpleFourBlock, T: int, budget: _Budget) -> int | None:
-    """The least t in [0, T] with f(t) >= b0 on the piece path, or None.
+def _least_reaching_t(p: SimpleFourBlock, H: int, budget: _Budget) -> int | None:
+    """The least t in `_piece_values`' range at k = H (H >= 0) with
+    f(t) >= b0 on the piece path, or None.
 
     One increasing pass over `_piece_values`: f is affine with slope sigma
     on each piece, so when sigma > 0 the pass solves
@@ -326,7 +319,7 @@ def _least_reaching_t(p: SimpleFourBlock, T: int, budget: _Budget) -> int | None
     first hit.
     """
     sigma = _slope(p)
-    for left, right, value in _piece_values(p, T, budget):
+    for left, right, value in _piece_values(p, H, budget):
         if value >= p.b0:
             return left
         if sigma > 0:
@@ -406,10 +399,10 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
     InvalidInstance.  Raises Infeasible when no k in the window passes.
 
     On the piece path (`on_piece_path`) the answer is w0*t* for the least
-    t* in [0, min(u_0, floor(H / w0))] (or [0, u_0] when w0 = 0) whose
-    coupling value reaches b0: one sweep over the pieces, under a node
-    budget of its own, finds t*, and one `solve_2stage_desk` probe at w0*t*
-    certifies it.  Every other program is bisected on k, one probe a step.
+    t* in t's range at k = H (`_piece_values`) whose coupling value reaches
+    b0: one sweep over the pieces, under a node budget of its own, finds t*,
+    and one `solve_2stage_desk` probe at w0*t* certifies it.  Every other
+    program is bisected on k, one probe a step.
     """
     if H is None:
         H = _default_objective_bound(p)
@@ -418,13 +411,12 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
         raise InvalidInstance(f"the search bound H must be nonnegative, got {H}")
     if not on_piece_path(p):
         return _bisect(p, H)
-    w0, u0 = p.w0[0], p.u[0]
     budget = _Budget(DEFAULT_NODE_BUDGET)
-    t = _least_reaching_t(p, min(u0, H // w0) if w0 else u0, budget)
+    t = _least_reaching_t(p, H, budget)
     counters.bump("blockip_nodes", budget.budget - budget.left)
     if t is None:
         raise Infeasible(f"no objective value in [0, {H}] satisfies the coupling bound")
-    k = w0 * t
+    k = p.w0[0] * t
     value = solve_2stage_desk(p, k)
     if value is None or value < p.b0:
         raise InternalInvariantViolated(

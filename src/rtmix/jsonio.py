@@ -83,10 +83,8 @@ def release_pattern_from_dict(data: Any) -> ReleasePattern:
     jobs = []
     for per_task in data["releases"]:
         _require(isinstance(per_task, list), "each task's releases must be a list")
-        for e in _objects(per_task, {"arrival", "release"}, "release"):
-            _require(is_integer(e.get("arrival")) and is_integer(e.get("release")),
-                     "each release must have integer 'arrival' and 'release'")
-        jobs.append([(e["arrival"], e["release"]) for e in per_task])
+        jobs.append([(e.get("arrival"), e.get("release"))
+                     for e in _objects(per_task, {"arrival", "release"}, "release")])
     return ReleasePattern(jobs)
 
 

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import small_task_systems
@@ -261,6 +261,24 @@ class TestDeskBackend:
         )
         assert solve_2stage_desk(prog, 12) == 10
         assert solve_2stage_desk(prog, 9) == 5
+
+    @given(unit_slack_programs() | unit_slack_programs(b_max=1), st.integers(0, 40))
+    @example(brick_program(  # b = 0 beside b = -7 past p = 3: up to three steps at one t
+        n=2, t=2, C=(((0, 0),),) * 2, B=(((0,),), ((-7,),)), A=(((3, -1),),) * 2,
+        rhs=((1,), (-2,)), wj=(0, 0), u=(40, 4, 4, 4, 2)), 40)
+    @settings(max_examples=300)
+    def test_pieces_are_the_maximal_runs_of_constant_bounds(self, prog, T):
+        # each brick's completion sees t only through its pair (lo, hi); the
+        # pieces are exactly the maximal runs of t in [0, T] where no pair moves
+        bricks = [(prog.A[i][0][0], prog.B[i][0][0], prog.rhs[i][0], prog.u_brick(i)[1])
+                  for i in range(prog.n)]
+
+        def pairs(t):
+            return tuple((ceil_div(rhs - b * t, p), (rhs + uz - b * t) // p)
+                         for p, b, rhs, uz in bricks)
+
+        runs = [list(run) for _, run in itertools.groupby(range(T + 1), key=pairs)]
+        assert list(blockip._pieces(prog, T)) == [(run[0], run[-1]) for run in runs]
 
     def test_falling_slope_takes_left_ends(self):
         # 5x - z = 2t with z in [0, 4]: x = ceil(2t/5) steps at t = 1, 3, 6,

@@ -146,17 +146,34 @@ class TestMixSolve:
         assert last_json(out)["result"]["objective"] == 23
 
     def test_verify_mismatch_exits_1(self, capsys, tmp_path, monkeypatch):
+        # a solver under check that overshoots the optimum by one
         tight = tmp_path / "tight.json"
         run_cli(capsys, "gen", "tight-mix", "--n", "3", "--output", str(tight))
-        oracle = mixing.solve_bruteforce
-        monkeypatch.setattr(mixing, "solve_bruteforce",
-                            lambda inst: dataclasses.replace(oracle(inst), objective=24))
+        solver = mixing.solve_harmonic
+        monkeypatch.setattr(mixing, "solve_harmonic",
+                            lambda inst: dataclasses.replace(solver(inst), objective=24))
         code, out = run_cli(capsys, "mix", "solve", "--input", str(tight),
                             "--algorithm", "harmonic", "--verify")
         assert code == 1
         assert json.loads(out) == {
             "error": "VerifyMismatch",
-            "message": "objective 23 disagrees with brute force 24",
+            "message": "objective 24 disagrees with brute force 23",
+        }
+
+    def test_verify_checks_the_bruteforce_solver_too(self, capsys, tmp_path, monkeypatch):
+        # the oracle is not `mixing.solve_bruteforce`, so a wrong brute force
+        # under --algorithm bruteforce --verify is caught
+        tight = tmp_path / "tight.json"
+        run_cli(capsys, "gen", "tight-mix", "--n", "3", "--output", str(tight))
+        solver = mixing.solve_bruteforce
+        monkeypatch.setattr(mixing, "solve_bruteforce",
+                            lambda inst: dataclasses.replace(solver(inst), objective=22))
+        code, out = run_cli(capsys, "mix", "solve", "--input", str(tight),
+                            "--algorithm", "bruteforce", "--verify")
+        assert code == 1
+        assert json.loads(out) == {
+            "error": "VerifyMismatch",
+            "message": "objective 22 disagrees with brute force 23",
         }
 
     def test_via_rtc_on_crowded_instance(self, capsys, tmp_path):
@@ -591,6 +608,19 @@ class TestErrorExitCodes:
         captured = capsys.readouterr()
         assert json.loads(captured.out)["error"] == "InvalidInstance"
         assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("release", [{"arrival": 0}, {"arrival": 0.5, "release": 1}])
+    def test_release_integers_are_checked_by_the_simulator(self, capsys, tmp_path, demo_file,
+                                                             release):
+        # the decoder passes each field as read; `sim.validate_pattern` owns the rule
+        path = tmp_path / "releases.json"
+        path.write_text(json.dumps({"releases": [[], [release], []]}))
+        argv = ["sim", "run", "--input", demo_file, "--releases", str(path), "--horizon", "200"]
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().out) == {
+            "error": "InvalidInstance",
+            "message": "task 1: arrival and release must be integers",
+        }
 
 
 class TestUnreadableInput:
