@@ -63,12 +63,12 @@ def _render(report: dict, fmt: str) -> str:
     def walk(obj, pad=""):
         if isinstance(obj, dict):
             for key, val in obj.items():
-                if isinstance(val, (dict, list)):
+                if isinstance(val, (dict, list, tuple)):
                     yield f"{pad}{key}:"
                     yield from walk(val, pad + "  ")
                 else:
                     yield f"{pad}{key}: {val}"
-        elif isinstance(obj, list):
+        elif isinstance(obj, (list, tuple)):
             for val in obj:
                 yield from walk(val, pad)
         else:

@@ -88,6 +88,8 @@ class TaskSystem:
 
 def validate_task(idx: int, t: Task) -> None:
     """Check one task's fields; raise InvalidInstance naming task `idx`."""
+    if not isinstance(t, Task):
+        raise InvalidInstance(f"task {idx}: expected a Task, got {t!r}")
     if not (is_integer(t.c) and is_integer(t.p) and is_integer(t.jitter)):
         name = next(n for n in ("c", "p", "jitter") if not is_integer(getattr(t, n)))
         raise InvalidInstance(f"task {idx}: field {name} must be an integer")
@@ -120,6 +122,9 @@ def load_at_lcm(pairs: Iterable[tuple[int, int]]) -> tuple[int, int]:
     """(L, m) for (num, den) pairs with den >= 1: m is the lcm of the dens and
     L = sum num*(m/den), so sum num/den = L/m, decided in integers."""
     pairs = tuple(pairs)
+    for _, d in pairs:
+        if not is_integer(d) or d < 1:
+            raise InvalidInstance(f"denominators must be integers >= 1, got {d!r}")
     m = math.lcm(*(d for _, d in pairs))
     return sum(n * (m // d) for n, d in pairs), m
 
@@ -138,11 +143,10 @@ def utilization(obj: TaskSystem | Iterable[Task]) -> Fraction:
 
 def is_harmonic(obj: TaskSystem | Iterable[int]) -> bool:
     """True iff the periods (or given capacities) pairwise divide in sorted order."""
-    values = sorted(obj.periods() if isinstance(obj, TaskSystem) else obj)
-    if not values:
-        return True
-    if values[0] < 1:
+    values = obj.periods() if isinstance(obj, TaskSystem) else tuple(obj)
+    if not all(is_integer(v) and v >= 1 for v in values):
         raise InvalidInstance("harmonicity is defined for positive integers only")
+    values = sorted(values)
     return all(b % a == 0 for a, b in zip(values, values[1:]))
 
 

@@ -4,8 +4,8 @@ Task systems:   {"tasks": [{"c": int, "d": int|null, "p": int, "jitter": int}, .
                 (priority = array order, index 0 highest)
 Mixing:         {"w0": int, "terms": [{"w": int, "a": int, "b": int}, ...]}
 Releases:       {"releases": [[{"arrival": int, "release": int}, ...], ...]}
-4-block:        {"n","r","s","t","q","D","C","B","A","b0","rhs","w0","j","wj","u"}
-                (matrices row-major)
+4-block:        the fields of `_FOUR_BLOCK` in its order (matrices row-major); the
+                writer hands `json` the program's own nested tuples
 
 Every record (task, term, release) is read by `_objects`: an object, no unknown field.
 """
@@ -96,29 +96,22 @@ def trace_to_dict(trace: ScheduleTrace) -> dict:
     }
 
 
+# The 4-block document's fields in order, each with its depth of array nesting
+# (0 for an integer); q is the one field the program does not store: it is 1.
+_FOUR_BLOCK = {"n": 0, "r": 0, "s": 0, "t": 0, "q": 0, "D": 2, "C": 3, "B": 3, "A": 3,
+               "b0": 0, "rhs": 2, "w0": 1, "j": 0, "wj": 1, "u": 1}
+
+
 def four_block_to_dict(p: SimpleFourBlock) -> dict:
-    return {
-        "n": p.n,
-        "r": p.r,
-        "s": p.s,
-        "t": p.t,
-        "q": 1,
-        "D": [list(row) for row in p.D],
-        "C": [[list(row) for row in block] for block in p.C],
-        "B": [[list(row) for row in block] for block in p.B],
-        "A": [[list(row) for row in block] for block in p.A],
-        "b0": p.b0,
-        "rhs": [list(r) for r in p.rhs],
-        "w0": list(p.w0),
-        "j": p.j,
-        "wj": list(p.wj),
-        "u": list(p.u),
-    }
+    """The program's fields as it stores them: `json` writes a tuple as it
+    writes a list, so the dict shares the program's nested tuples."""
+    return {name: 1 if name == "q" else getattr(p, name) for name in _FOUR_BLOCK}
 
 
 def _arrays(value: Any, depth: int, what: str) -> tuple:
-    """`value` as tuples nested `depth` deep; every level must be a JSON array."""
-    if not isinstance(value, list):
+    """`value` as tuples nested `depth` deep; every level must be an array
+    (a JSON list, or a tuple as `four_block_to_dict` leaves it)."""
+    if not isinstance(value, (list, tuple)):
         raise InvalidInstance(f"4-block field {what} must be an array")
     return tuple(_arrays(v, depth - 1, what) if depth > 1 else v for v in value)
 
@@ -128,22 +121,8 @@ def four_block_from_dict(data: Any) -> SimpleFourBlock:
     q = data.get("q", 1)
     _require(is_integer(q) and q == 1, "exactly one coupling inequality is supported")
     try:
-        return SimpleFourBlock(
-            n=data["n"],
-            r=data["r"],
-            s=data["s"],
-            t=data["t"],
-            D=_arrays(data["D"], 2, "D"),
-            C=_arrays(data["C"], 3, "C"),
-            B=_arrays(data["B"], 3, "B"),
-            A=_arrays(data["A"], 3, "A"),
-            b0=data["b0"],
-            rhs=_arrays(data["rhs"], 2, "rhs"),
-            w0=_arrays(data["w0"], 1, "w0"),
-            j=data["j"],
-            wj=_arrays(data["wj"], 1, "wj"),
-            u=_arrays(data["u"], 1, "u"),
-        )
+        return SimpleFourBlock(**{name: _arrays(data[name], depth, name) if depth else data[name]
+                                  for name, depth in _FOUR_BLOCK.items() if name != "q"})
     except KeyError as exc:
         raise InvalidInstance(f"missing 4-block field {exc}") from None
 

@@ -732,6 +732,21 @@ class TestTextFormat:
         assert code == 0
         assert "responses" in out and "{" not in out.splitlines()[0]
 
+    def test_blockip_instance_is_listed_as_nested_arrays(self, capsys, tmp_path):
+        from rtmix.jsonio import four_block_to_dict
+
+        prog = blockip.encode_rtc_as_4block(TaskSystem([Task(1, 2, 0), Task(1, 4, 0)]))
+        path = tmp_path / "prog.json"
+        path.write_text(json.dumps(four_block_to_dict(prog)))
+        code, out = run_cli(capsys, "--format", "text", "blockip", "solve", "--input", str(path))
+        assert code == 0
+        assert not any(bracket in out for bracket in "()[]")
+        lines = out.splitlines()
+        # one 1 x t row per brick, one value a line
+        listed = lines[lines.index("  C:") + 1:lines.index("  B:")]
+        assert listed == [f"    {v}" for block in prog.C for v in block[0]]
+        assert lines[lines.index("  u:") + 1:] == [f"    {v}" for v in prog.u]
+
 
 def parser_algorithms(command: str) -> tuple[str, ...]:
     """The --algorithm choices that the parser accepts for `rtmix <command>`."""

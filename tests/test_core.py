@@ -73,6 +73,17 @@ class TestValidate:
             validate([Task(1, 5, 0)])
         assert str(exc.value) == "expected a TaskSystem"
 
+    @pytest.mark.parametrize(
+        "entry, idx",
+        [(lambda: ResponseQuery([5], 1), 0), (lambda: ResponseQuery([Task(1, 4, 0), 5], 1), 1),
+         (lambda: rta.analyze_system(TaskSystem([5])), 0)],
+        ids=["query", "query-second", "analyze_system"],
+    )
+    def test_an_entry_that_is_not_a_task_is_named(self, entry, idx):
+        with pytest.raises(InvalidInstance) as exc:
+            entry()
+        assert str(exc.value) == f"task {idx}: expected a Task, got 5"
+
     def test_rejects_a_non_integer_deadline(self):
         with pytest.raises(InvalidInstance) as exc:
             validate(TaskSystem([Task(2, 5, 0, 3.0)]))
@@ -141,6 +152,12 @@ class TestUtilization:
         m = math.lcm(*[t.p for t in prefix])
         assert (hp < 1) == (hp <= 1 - Fraction(1, m))
 
+    @pytest.mark.parametrize("p", [0, -3, 2.0])
+    def test_a_period_that_is_not_a_positive_integer_is_refused(self, p):
+        with pytest.raises(InvalidInstance) as exc:
+            utilization([Task(1, p)])
+        assert str(exc.value) == f"denominators must be integers >= 1, got {p!r}"
+
 
 class TestHarmonic:
     def test_divisor_chain(self):
@@ -151,6 +168,12 @@ class TestHarmonic:
 
     def test_singleton(self):
         assert is_harmonic([7])
+
+    @pytest.mark.parametrize("values", [[1.5, 3], [3, 1.5], ["2", 4], [2, True]])
+    def test_refuses_what_is_not_a_positive_integer(self, values):
+        with pytest.raises(InvalidInstance) as exc:
+            is_harmonic(values)
+        assert str(exc.value) == "harmonicity is defined for positive integers only"
 
     @given(st.lists(st.integers(1, 60), min_size=1, max_size=6))
     def test_harmonic_iff_lcm_is_max(self, values):
@@ -181,6 +204,12 @@ class TestRationalArithmetic:
     @given(st.integers(-200, 200), st.integers(1, 50))
     def test_ceil_div_matches_fraction_ceiling(self, num, den):
         assert ceil_div(num, den) == math.ceil(Fraction(num, den))
+
+    @pytest.mark.parametrize("den", [0, -3])
+    def test_ceil_div_refuses_a_denominator_below_1(self, den):
+        with pytest.raises(ValueError) as exc:
+            ceil_div(7, den)
+        assert str(exc.value) == f"ceil_div needs a positive denominator, got {den}"
 
 
 class TestBounds:

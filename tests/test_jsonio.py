@@ -1,5 +1,7 @@
 """JSON schema round trips and rejection of malformed documents."""
 
+import json
+
 import pytest
 
 from conftest import release_pattern_to_dict
@@ -108,3 +110,26 @@ class TestFourBlock:
         del data["u"]
         with pytest.raises(InvalidInstance, match="missing"):
             four_block_from_dict(data)
+
+
+def _nested(value, kinds, depth=0):
+    """`value` with each array at nesting `depth` made kinds[depth % len(kinds)]."""
+    if not isinstance(value, list):
+        return value
+    return kinds[depth % len(kinds)](_nested(v, kinds, depth + 1) for v in value)
+
+
+class TestFourBlockArrays:
+    PROG = encode_rtc_as_4block(TaskSystem([Task(1, 2, 0), Task(1, 4, 1), Task(2, 8, 0)]))
+
+    def test_the_writer_shares_the_program_s_tuples(self):
+        data = four_block_to_dict(self.PROG)
+        assert data["q"] == 1 and list(data).index("q") == list(data).index("t") + 1
+        assert all(data[name] is getattr(self.PROG, name) for name in data if name != "q")
+
+    @pytest.mark.parametrize("kinds", [(tuple,), (list, tuple), (tuple, list)],
+                             ids=["tuples", "lists-then-tuples", "tuples-then-lists"])
+    def test_tuples_read_as_the_json_form(self, kinds):
+        text = json.loads(json.dumps(four_block_to_dict(self.PROG)))
+        data = {name: _nested(value, kinds) for name, value in text.items()}
+        assert four_block_from_dict(data) == four_block_from_dict(text) == self.PROG

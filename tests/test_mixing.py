@@ -8,17 +8,25 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_mix_instances, exceeds_w0, mix_enum_oracle
+from rtmix import mixing
 from rtmix.core import is_harmonic
 from rtmix.gen import random_mix_instance, tight_mixing_instance
 from rtmix.mixing import (
     MixInstance,
+    MixSolution,
     certified_s_bound,
     compile_mix,
     complete,
     solve_bruteforce,
     solve_harmonic,
 )
-from rtmix.errors import InvalidInstance, OverflowLimit, PreconditionViolated, Unbounded
+from rtmix.errors import (
+    InternalInvariantViolated,
+    InvalidInstance,
+    OverflowLimit,
+    PreconditionViolated,
+    Unbounded,
+)
 from rtmix.reverse import solve_general_via_shift
 
 
@@ -309,3 +317,22 @@ class TestValidation:
     def test_bad_instances_rejected(self, w0, terms):
         with pytest.raises(InvalidInstance):
             solve_bruteforce(MixInstance(w0, terms))
+
+
+class TestInvariantGuards:
+    """A searched instance's completion is checked against the search."""
+
+    # Mix = min s + ceil((5 - s)/2): 3, first at s = 0
+    INST = MixInstance(1, [(1, 2, 5)])
+
+    def test_an_infeasible_completion_is_caught(self, monkeypatch):
+        monkeypatch.setattr(mixing, "complete", lambda s, inst: MixSolution(s, (0,), 0))
+        with pytest.raises(InternalInvariantViolated) as exc:
+            solve_bruteforce(self.INST)
+        assert str(exc.value) == "solver produced an infeasible completion at s=0"
+
+    def test_a_completion_off_the_searched_objective_is_caught(self, monkeypatch):
+        monkeypatch.setattr(mixing, "complete", lambda s, inst: MixSolution(s, (3,), 4))
+        with pytest.raises(InternalInvariantViolated) as exc:
+            solve_bruteforce(self.INST)
+        assert str(exc.value) == "the search carried objective 3 to s=0, completion gives 4"

@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from conftest import bounded_mix_instances, exceeds_w0, mix_enum_oracle
 from rtmix import counters, mixing, reverse, rta
-from rtmix.errors import PreconditionViolated, Unbounded
+from rtmix.core import ceil_div
+from rtmix.errors import InternalInvariantViolated, PreconditionViolated, Unbounded
 from rtmix.gen import random_mix_instance, tight_mixing_instance
 from rtmix.mixing import MixInstance, solve_bruteforce
 from rtmix.reverse import mix_leq_via_rtc, shift_record, solve_general_via_shift
@@ -505,3 +506,43 @@ class TestConstantBeta:
             beta = floor_b + rng.randint(0, 15)
             inst = MixInstance(1, [(t.w, t.a, beta) for t in base.terms])
             assert solve_general_via_shift(inst).objective == solve_bruteforce(inst).objective
+
+
+class TestInvariantGuards:
+    """Each internal guard raises, with its message, once the fault it
+    watches for is injected just before it."""
+
+    def test_a_witness_off_the_crowded_objective_is_caught(self, monkeypatch):
+        inst = MixInstance(1, [(1, 2, 4), (1, 4, 4)])
+        sol = solve_general_via_shift(inst)
+        crowded = reverse._solve_crowded
+
+        def lying(terms, bs):
+            s, objective = crowded(terms, bs)
+            return s, objective + 1
+
+        monkeypatch.setattr(reverse, "_solve_crowded", lying)
+        with pytest.raises(InternalInvariantViolated) as exc:
+            solve_general_via_shift(inst)
+        assert str(exc.value) == (f"witness at s={sol.s} has objective {sol.objective}, "
+                                  f"expected {sol.objective + 1}")
+
+    def test_a_fallback_optimum_outside_the_window_is_caught(self, monkeypatch):
+        # capacity 1 and weight 1: the dual load is 1, so the search falls back at once
+        monkeypatch.setattr(mixing, "solve_bruteforce", lambda inst: mixing.MixSolution(0, (), 0))
+        with pytest.raises(InternalInvariantViolated) as exc:
+            solve_general_via_shift(MixInstance(1, [(1, 1, 0)]))
+        assert str(exc.value) == "crowded fallback produced optimum 0 outside [beta, b_max]"
+
+    def test_responses_that_empty_the_bracket_are_caught(self, monkeypatch):
+        monkeypatch.setattr(rta, "compute_response", lambda q: 10**9)
+        with pytest.raises(InternalInvariantViolated) as exc:
+            solve_general_via_shift(MixInstance(1, [(1, 3, 5), (2, 5, 7)]))
+        assert str(exc.value) == "the responses emptied the bracket [17, 16]"
+
+    def test_a_shift_outside_the_crowded_window_is_caught(self, monkeypatch):
+        # m = 4: b = 4 needs offset 0, and one less puts it at 2
+        monkeypatch.setattr(reverse, "ceil_div", lambda num, den: ceil_div(num, den) - 1)
+        with pytest.raises(InternalInvariantViolated) as exc:
+            shift_record(MixInstance(1, [(1, 2, 4), (1, 4, 4)]))
+        assert str(exc.value) == "shifted right-hand side 2 escaped [m, m + a]"

@@ -1126,3 +1126,28 @@ class TestCrossAlgorithmAgreement:
         q = ResponseQuery(demo_system.tasks[:2], 13)
         for algorithm in ("auto", "bruteforce", "turing"):
             assert compute_response(q, algorithm) == 42
+
+
+class TestInvariantGuards:
+    """Each internal guard raises, with its message, once the fault it
+    watches for is injected just before it."""
+
+    def test_the_fixed_point_may_not_escape_u(self, monkeypatch):
+        q = ResponseQuery([Task(3, 9, 0)], 3)
+        monkeypatch.setattr(rta, "workload", lambda tasks, gamma, t: q.bounds.u + 1)
+        with pytest.raises(InternalInvariantViolated) as exc:
+            response_bruteforce(q)
+        assert str(exc.value) == f"fixed-point iteration escaped the certified bound {q.bounds.u}"
+
+    @pytest.mark.parametrize(
+        "verdict, task, gamma, message",
+        [(True, Task(3, 9, 0), 3, "harmonic walk returned infeasible t=5"),
+         (False, Task(2, 5, 1), 1, "harmonic walk returned non-minimal t=5"),
+         (False, Task(3, 9, 0), 3, "the verdicts emptied the bracket [10, 9]")],
+        ids=["infeasible", "non-minimal", "empty-bracket"],
+    )
+    def test_a_lying_walk_probe_is_caught(self, monkeypatch, verdict, task, gamma, message):
+        monkeypatch.setattr(rta, "_walk_probe", lambda *args: verdict)
+        with pytest.raises(InternalInvariantViolated) as exc:
+            response_harmonic(ResponseQuery([task], gamma))
+        assert str(exc.value) == message
