@@ -35,8 +35,8 @@ probe at k only widens t's range to [0, floor(k/w0)], so the least k is w0
 times the least t whose coupling value reaches b0: one increasing sweep over
 the same `_piece_values` finds that t, solving the affine inequality inside
 each piece and stopping at the first hit, and one `solve_2stage_desk` probe
-at the answer certifies it.  Every other program is searched by bisection
-on k with one `solve_2stage_desk` probe per step.
+at the answer certifies it.  Every other program is searched on k by
+`core.bracket`, one `solve_2stage_desk` probe a step.
 
 `encode_rtc_as_4block` expresses response-time computation with jitter in
 this shape: one first-stage variable t, one unit-slack brick (x_i, z_i) per
@@ -50,7 +50,7 @@ from dataclasses import dataclass
 from itertools import product
 from typing import Iterator, Sequence
 
-from . import counters
+from . import core, counters
 from .core import TaskSystem, bounds_from_parts, ceil_div, is_integer, require_integers, validate
 from .errors import (
     BudgetExceeded,
@@ -402,7 +402,7 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
     t* in t's range at k = H (`_piece_values`) whose coupling value reaches
     b0: one sweep over the pieces, under a node budget of its own, finds t*,
     and one `solve_2stage_desk` probe at w0*t* certifies it.  Every other
-    program is bisected on k, one probe a step.
+    program is bisected on k (`_bisect`), one probe a step.
     """
     if H is None:
         H = _default_objective_bound(p)
@@ -426,8 +426,9 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
 
 
 def _bisect(p: SimpleFourBlock, H: int) -> int:
-    """Least k in [0, H] whose probe reaches b0, by bisection; the decisions
-    are monotone in k because a larger k only relaxes the slack row."""
+    """Least k in [0, H] whose probe reaches b0, by `core.bracket` once H
+    reaches it; the decisions are monotone in k because a larger k only
+    relaxes the slack row."""
 
     def reaches(k: int) -> bool:
         value = solve_2stage_desk(p, k)
@@ -435,14 +436,7 @@ def _bisect(p: SimpleFourBlock, H: int) -> int:
 
     if not reaches(H):
         raise Infeasible(f"no objective value in [0, {H}] satisfies the coupling bound")
-    lo, hi = 0, H
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if reaches(mid):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return core.bracket(0, H, lambda k, lo, hi: (lo, k) if reaches(k) else (k + 1, hi))
 
 
 def _default_objective_bound(p: SimpleFourBlock) -> int:

@@ -24,9 +24,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
-from .errors import InvalidInstance, OverflowLimit, UtilizationExceeded
+from .errors import InternalInvariantViolated, InvalidInstance, OverflowLimit, UtilizationExceeded
 
 # Cap on the search bound S (`certified_s`).  Every search is bounded by S,
 # so a hard cap on S beats a silent astronomically long search.
@@ -50,6 +50,24 @@ def ceil_div(num: int, den: int) -> int:
     if den <= 0:
         raise ValueError(f"ceil_div needs a positive denominator, got {den}")
     return -((-num) // den)
+
+
+def bracket(lo: int, hi: int, narrow: Callable[[int, int, int], tuple[int, int]]) -> int:
+    """The least k in [lo, hi] that a monotone decision accepts, by the one
+    bisection: while lo < hi, `narrow(k, lo, hi)` probes k = (lo + hi) // 2
+    and returns the window its verdict proves, within [lo, k] on a yes and
+    [k + 1, hi] on a no, so a search probes at most
+    ceil(log2(hi - lo + 1)) = (hi - lo).bit_length() times.  Raises
+    InternalInvariantViolated when the verdicts empty the window, or when a
+    probe keeps k below the window's upper end, which would loop forever."""
+    while lo < hi:
+        k = (lo + hi) // 2
+        lo, hi = narrow(k, lo, hi)
+        if lo <= k < hi:
+            raise InternalInvariantViolated(f"the probe kept its midpoint {k} inside [{lo}, {hi}]")
+    if lo > hi:
+        raise InternalInvariantViolated(f"the verdicts emptied the bracket [{lo}, {hi}]")
+    return lo
 
 
 def certified_s(weight_sum: int, m: int, slack: int) -> int:

@@ -21,13 +21,14 @@ The search builds one dual query and derives each probe's, at dual constant
 beta - k, from it (`rta.ResponseQuery.at`), sharing its mixing form.  The
 query's load aggregate brackets every response (Sjodin and Hansson, RTSS
 1998): it decides the first probe in most solves and leaves at most
-sum w_i + 1 values of k, and each probe's response narrows them from both
-sides.  The least k's witness s = beta - response is completed and checked
-once, against the original instance.  `mix_leq_via_rtc` is the checked form
-of one decision, which the search calls only where the bounds leave its
-first probe open.  Queries are answered by `rta.compute_response`, the
-selector `rtmix rta compute --algorithm auto` uses; a dual load >= 1 (the
-query's own `UtilizationExceeded`) reads as "no response".
+sum w_i + 1 values of k, which `core.bracket` bisects, each probe's response
+narrowing them from both sides.  The least k's witness s = beta - response
+is completed and checked once, against the original instance.
+`mix_leq_via_rtc` is the checked form of one decision, which the search
+calls only where the bounds leave its first probe open.  Queries are
+answered by `rta.compute_response`, the selector `rtmix rta compute
+--algorithm auto` uses; a dual load >= 1 (the query's own
+`UtilizationExceeded`) reads as "no response".
 
 The lcm m, beta and the shifted right-hand sides are uncapped: only the
 certified S meets the magnitude cap (`core.certified_s`), and S bounds each
@@ -38,7 +39,7 @@ from __future__ import annotations
 
 import math
 
-from . import mixing, rta
+from . import core, mixing, rta
 from .core import Task, ceil_div, require_integers
 from .errors import InternalInvariantViolated, PreconditionViolated, UtilizationExceeded
 
@@ -125,19 +126,20 @@ def _solve_crowded(terms: tuple[mixing.MixTerm, ...], bs: list[int]) -> tuple[in
     and each g <= top - C has u1(g) <= beta.  So it decides the first probe,
     k = beta - 1 (the dual constant stays >= 1): a yes when top - C >= 1, a
     no when top < 1 or at dual load >= 1; only in between does the checked
-    `mix_leq_via_rtc` compute it.  After a yes, the least k lies in
-    [beta - top, beta - max(1, top - C)], at most C + 1 values.  Each probe's
-    response r narrows them from both sides, as `rta._bracket` does with W:
+    `mix_leq_via_rtc` compute it.  After a yes, `core.bracket` searches the
+    least k in [beta - top, beta - max(1, top - C)], at most C + 1 values,
+    and each probe's response r narrows them from both sides:
     f(t) = t - sum w_i*ceil((t + jitter_i)/a_i) rises by at most 1 per unit
     of t, the least k is beta - max_{t <= beta} f(t), and f(r) = g since
     W(r) = r, while f(t) < g for t < r.  So a yes (r <= beta) puts the least
     k in [k - (beta - r), k], and a no in [k + 1, k + (r - beta)].  A probe
     below the least yes k' starts from r(k') + (k' - k), a lower bound since
     r(g) - g, the interference at r(g), never falls as g grows.  The least
-    k's witness is s = beta - r.  When k = beta - 1 fails, the optimum lies in
-    [beta, b_max], at s < min(m, beta) = m by the shift identity; the
-    fallback's brute-force range [0, S] lies inside it (S <= m - 1) and holds
-    an optimal s, so its smallest optimal s is the answer.
+    k's witness is s = beta - r, probed once more when the window alone
+    settles that k.  When k = beta - 1 fails, the optimum lies in [beta,
+    b_max], at s < min(m, beta) = m by the shift identity; the fallback's
+    brute-force range [0, S] lies inside it (S <= m - 1) and holds an
+    optimal s, so its smallest optimal s is the answer.
     """
     beta = min(bs)
     q = _dual_query(terms, bs, beta, 1)
@@ -153,19 +155,21 @@ def _solve_crowded(terms: tuple[mixing.MixTerm, ...], bs: list[int]) -> tuple[in
                 raise InternalInvariantViolated("crowded fallback produced optimum "
                                                 f"{sol.objective} outside [beta, b_max]")
             return sol.s, sol.objective
-    # in integers, since beta may pass sys.maxsize
-    lo, hi = beta - top, beta - max(1, top - cost_sum)
     ky = ry = None  # the least k probed with a yes, and its response
-    while ky != lo:
-        if lo > hi:
-            raise InternalInvariantViolated(f"the responses emptied the bracket [{lo}, {hi}]")
-        k = (lo + hi) // 2
+
+    def probe(k: int, lo: int, hi: int) -> tuple[int, int]:
+        nonlocal ky, ry
         r = rta.compute_response(q.at(beta - k, 0 if ky is None else ry + ky - k))
-        if r <= beta:
-            ky, ry, lo, hi = k, r, max(lo, k - (beta - r)), k
-        else:
-            lo, hi = k + 1, min(hi, k + (r - beta))
-    return beta - ry, lo
+        if r > beta:
+            return k + 1, min(hi, k + (r - beta))
+        ky, ry = k, r
+        return max(lo, k - (beta - r)), k
+
+    # in integers, since beta may pass sys.maxsize
+    least = core.bracket(beta - top, beta - max(1, top - cost_sum), probe)
+    if ky != least:  # the window alone settled it: one probe there gives the witness
+        core.bracket(*probe(least, least, least), probe)
+    return beta - ry, least
 
 
 def shift_record(inst: mixing.MixInstance) -> tuple[list[int], int]:

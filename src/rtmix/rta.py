@@ -25,20 +25,19 @@ a certified bound S on the optimal s of the mixing instance, hence:
   until one is feasible, then searches the interval that leaves.
 
 All of them decide through `decide_large_k`, the one dualized oracle.
-Every search is bracketed by the recurrence (`_bracket`): the response r is
-a fixed point of the monotone W, so a yes at k gives r <= min(k, W(k)) and
+Every search bisects through `core.bracket`, the one bisection, and
+narrows its window by the recurrence (`_bracket`): the response r is a
+fixed point of the monotone W, so a yes at k gives r <= min(k, W(k)) and
 a no gives r >= max(k + 1, W(k + 1)).  W(k) is computed before the decision,
 and when W(k) <= k, k is itself feasible: the recurrence gives the yes in
 O(n), with r <= W(k), and no mixing solve runs (a free verdict, counted as
 `recurrence_verdicts`; `decision_probes` counts only the oracle's calls).
-The searches bisect and tighten the bracket this way after each verdict; the
-width still at least halves per step, so a search decides at most
-ceil(log2(hi - lo + 1)) times.  The harmonic walk starts its lower end at
-ceil(ell), the certified lower bound of `core.bounds_from_parts` (Sjodin and
-Hansson, RTSS 1998), or at the query's `lower` when that is larger; it
-tightens that end the same way after each infeasible difference, and skips
-the differences below it.  Its difference probes always run the mixing
-solve, so each records the forced multipliers that the walk's audit checks.
+The harmonic walk starts its lower end at ceil(ell), the certified lower
+bound of `core.bounds_from_parts` (Sjodin and Hansson, RTSS 1998), or at the
+query's `lower` when that is larger; it tightens that end the same way after
+each infeasible difference, and skips the differences below it.  Its
+difference probes always run the mixing solve, so each records the forced
+multipliers that the walk's audit checks.
 
 `compute_response(q, "auto")` on harmonic periods runs the fixed point
 first.  It iterates t <- W(t) from t0 = max(gamma, lower), a certified
@@ -107,7 +106,7 @@ import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
-from . import counters, mixing
+from . import core, counters, mixing
 from .core import (
     BoundsResult,
     Task,
@@ -341,35 +340,24 @@ def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
     if q.workload(t) > t:
         raise InternalInvariantViolated(f"{algorithm} returned infeasible t={t}")
     if t > q.gamma and q.workload(t - 1) <= t - 1:
-        raise InternalInvariantViolated(f"{algorithm} returned non-minimal t={t}")
+        raise InternalInvariantViolated(f"{algorithm} returned t={t}, but t - 1 is feasible")
     return t
 
 
 def _bracket(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int], bool]) -> int:
     """The response r, given lo <= r <= hi and a decision decide(k) that
-    answers "r <= k".
+    answers "r <= k", by `core.bracket` under the recurrence (see the module
+    docstring): a yes at k gives r <= min(k, W(k)), a no r >= max(k + 1,
+    W(k + 1)), and `decide` only sees a k with W(k) > k."""
 
-    Bisects, and each verdict also tightens the bracket through the
-    recurrence: r is a fixed point of the monotone workload W, so a yes at k
-    gives r <= W(k) besides r <= k, and a no gives r >= W(k + 1) besides
-    r >= k + 1.  W(k) comes first: when W(k) <= k, k is feasible, so the
-    yes is free and `decide` is not called; `decide` only sees a k with
-    W(k) > k.  The bracket still at least halves per step, so a search calls
-    `decide` at most ceil(log2(hi - lo + 1)) times.
-    """
-    while lo < hi:
-        k = (lo + hi) // 2
+    def narrow(k: int, lo: int, hi: int) -> tuple[int, int]:
         w = q.workload(k)
         if w <= k:
             counters.bump("recurrence_verdicts")
-            hi = w
-        elif decide(k):
-            hi = k
-        else:
-            lo = max(k + 1, q.workload(k + 1))
-    if lo != hi:
-        raise InternalInvariantViolated(f"the verdicts emptied the bracket [{lo}, {hi}]")
-    return lo
+            return lo, w
+        return (lo, k) if decide(k) else (max(k + 1, q.workload(k + 1)), hi)
+
+    return core.bracket(lo, hi, narrow)
 
 
 def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
@@ -441,15 +429,11 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     """Run the selected algorithm.
 
     "auto" on harmonic periods first iterates t <- W(t) from
-    t0 = max(gamma, lower) for at most (u - t0 + 1).bit_length() steps, the
-    most bisection steps `_bracket` can take on [t0, u].  It returns t once
-    W(t) <= t, and otherwise hands the last iterate, as `lower`, to the walk
-    (counted as `auto_handoffs`).  The bound counts steps, not work; it
-    holds for the walk, whose every probe evaluates W, and not for the
-    general-period search, whose probes can cost thousands of W
-    evaluations (see the module docstring).  So on other periods "auto"
-    runs `jitter-free` (zero jitter) or `turing`, as an explicit algorithm
-    does."""
+    t0 = max(gamma, lower) for at most (u - t0 + 1).bit_length() steps.  It
+    returns t once W(t) <= t, and otherwise hands the last iterate, as
+    `lower`, to the walk (counted as `auto_handoffs`).  On other periods
+    "auto" runs `jitter-free` (zero jitter) or `turing`, as an explicit
+    algorithm does; the module docstring says why."""
     if algorithm == "auto":
         if q.harmonic:
             t0 = max(q.gamma, q.lower)

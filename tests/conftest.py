@@ -8,14 +8,17 @@ dual maximum by enumerating its own program.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import random
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from rtmix import core
 from rtmix.core import Task, TaskSystem, ceil_div
 from rtmix.mixing import MixInstance
 from rtmix.sim import ReleasePattern
@@ -38,10 +41,26 @@ def workload(tasks, gamma: int, t: int) -> int:
 
 
 def response_scan_oracle(tasks, gamma: int, hi: int) -> int | None:
-    """Least t in [0, hi] satisfying t >= gamma + sum c*ceil((t+jitter)/p)."""
-    for t in range(hi + 1):
-        if workload(tasks, gamma, t) <= t:
-            return t
+    """Least t in [0, hi] satisfying t >= gamma + sum c*ceil((t+jitter)/p).
+
+    A linear scan of t, one block of t at a time.  From t to t + 1 task i's
+    ceiling ceil((t + jitter_i)/p_i) rises by one exactly when
+    (t + jitter_i) % p_i == 0, so the steps of the workload over a block are
+    accumulated per t first, as `mix_enum_oracle` accumulates its drops:
+    O(hi + sum hi/p_i), not O(hi * n).
+    """
+    w = workload(tasks, gamma, 0)
+    block = 4096
+    for start in range(0, hi + 1, block):
+        steps = [0] * min(block, hi + 1 - start)
+        for task in tasks:
+            # the offsets i in the block with (start + i + jitter) % p == 0
+            for i in range(-(start + task.jitter) % task.p, len(steps), task.p):
+                steps[i] += task.c
+        for t, step in enumerate(steps, start):
+            if w <= t:
+                return t
+            w += step
     return None
 
 
@@ -83,6 +102,23 @@ def dual_max_oracle(tasks, k: int) -> int:
         if best is None or val > best:
             best = val
     return best
+
+
+@contextlib.contextmanager
+def recorded_core_brackets():
+    """Yield a list that collects (narrowing rule's qualified name, lo, hi,
+    probed k) of every `core.bracket` search that returns."""
+    searches = []
+    real = core.bracket
+
+    def spy(lo, hi, narrow):
+        probes = []
+        k = real(lo, hi, lambda k, *window: probes.append(k) or narrow(k, *window))
+        searches.append((narrow.__qualname__, lo, hi, probes))
+        return k
+
+    with mock.patch.object(core, "bracket", spy):
+        yield searches
 
 
 def random_release_pattern(seed: int, ts: TaskSystem, horizon: int) -> list[list[tuple[int, int]]]:

@@ -7,10 +7,10 @@ import math
 import random
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import small_task_systems
+from conftest import recorded_core_brackets, small_task_systems
 from rtmix import blockip, counters
 from rtmix.blockip import (
     SimpleFourBlock,
@@ -390,6 +390,22 @@ class TestBinarySearch:
         prog = dataclasses.replace(mirrored(prog) if mirror else prog, w0=(w0,))
         assert blockip.on_piece_path(prog) is not mirror
         assert solve_simple_4block(prog, H) == want
+
+
+    @given(small_task_systems(max_n=3, p_max=8))
+    @settings(max_examples=40)
+    def test_the_bisection_probes_at_most_log2_of_its_window(self, ts):
+        # the mirrored encoding leaves the piece path for `_bisect`: after its
+        # probe of H, one `core.bracket` over [0, H] probes at most
+        # ceil(log2(H + 1)) times
+        prog = mirrored(encode_rtc_as_4block(ts))
+        assume(not blockip.on_piece_path(prog))  # one task has no brick to mirror
+        want = response_bruteforce(ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c))
+        with recorded_core_brackets() as searches:
+            assert solve_simple_4block(prog) == want
+        [(name, lo, hi, probes)] = searches
+        assert name.startswith("_bisect.") and lo == 0
+        assert len(probes) <= hi.bit_length(), (hi, probes)
 
 
 class TestPieceSweep:

@@ -13,6 +13,7 @@ from rtmix.core import (
     Task,
     TaskSystem,
     bounds_from_parts,
+    bracket,
     ceil_div,
     certified_s,
     is_harmonic,
@@ -21,7 +22,12 @@ from rtmix.core import (
     utilization,
     validate,
 )
-from rtmix.errors import InvalidInstance, OverflowLimit, UtilizationExceeded
+from rtmix.errors import (
+    InternalInvariantViolated,
+    InvalidInstance,
+    OverflowLimit,
+    UtilizationExceeded,
+)
 from rtmix.mixing import MixInstance
 from rtmix.rta import ResponseQuery, response_bruteforce
 
@@ -367,3 +373,42 @@ class TestWidthCertificates:
     def test_single_task(self):
         b = response_bounds(TaskSystem([Task(2, 5, 1)]))
         assert b.u1 - b.ell <= 5 and b.u1 <= 2 * 5**2
+
+
+class TestBracket:
+    """`core.bracket`, the one bisection: the least k that a monotone
+    decision accepts, at most (hi - lo).bit_length() probes."""
+
+    @staticmethod
+    def threshold(least, probes):
+        """The plain rule for the decision "k >= least", recording each probe."""
+        def narrow(k, lo, hi):
+            probes.append(k)
+            return (lo, k) if k >= least else (k + 1, hi)
+        return narrow
+
+    def test_no_probe_on_a_settled_window(self):
+        probes = []
+        assert bracket(7, 7, self.threshold(0, probes)) == 7
+        assert probes == []
+
+    def test_every_monotone_decision_on_a_grid_of_windows(self):
+        for lo in range(-3, 9):
+            for hi in range(lo, lo + 34):
+                for least in range(lo, hi + 1):
+                    probes = []
+                    assert bracket(lo, hi, self.threshold(least, probes)) == least
+                    assert len(probes) <= (hi - lo).bit_length(), (lo, hi, least, probes)
+                    assert len(set(probes)) == len(probes)
+
+    def test_verdicts_that_empty_the_window_raise(self):
+        # the no at k = 2 proves [3, 2]
+        with pytest.raises(InternalInvariantViolated) as exc:
+            bracket(0, 4, lambda k, lo, hi: (k + 1, k))
+        assert str(exc.value) == "the verdicts emptied the bracket [3, 2]"
+
+    def test_a_probe_that_keeps_its_midpoint_raises(self):
+        # a window that still holds k below its upper end would probe k forever
+        with pytest.raises(InternalInvariantViolated) as exc:
+            bracket(0, 8, lambda k, lo, hi: (lo, hi))
+        assert str(exc.value) == "the probe kept its midpoint 4 inside [0, 8]"

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from conftest import bounded_mix_instances, exceeds_w0, mix_enum_oracle
+from conftest import bounded_mix_instances, exceeds_w0, mix_enum_oracle, recorded_core_brackets
 from rtmix import counters, mixing, reverse, rta
 from rtmix.core import ceil_div
 from rtmix.errors import InternalInvariantViolated, PreconditionViolated, Unbounded
@@ -234,6 +234,29 @@ class TestBoundsWindow:
             assert all(lower <= response for lower, response in probes)
             assert len(decided) <= 1
             assert len(probes) <= len(decided) + 1 + math.ceil(math.log2(cost_sum + 1))
+
+    @given(crowded_instances())
+    @example(MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)]))
+    @example(MixInstance(1, [(1, 2, 6), (1, 3, 6)]))  # the bounds leave k = beta - 1 open
+    @settings(max_examples=150)
+    def test_every_search_probes_at_most_log2_of_its_window(self, inst):
+        # the crowded search's `core.bracket`, and those of the responses it
+        # asks for, each probe at most ceil(log2(hi - lo + 1)) times
+        with recorded_core_brackets() as searches:
+            _, objective = reverse._solve_crowded(inst.terms, rhs(inst))
+        assert objective == solve_bruteforce(inst).objective
+        for name, lo, hi, probes in searches:
+            assert len(probes) <= (hi - lo).bit_length(), (name, lo, hi, probes)
+        if objective < min(t.b for t in inst.terms):  # no crowded fallback
+            assert any(name.startswith("_solve_crowded.") for name, *_ in searches)
+
+    def test_the_search_is_one_core_bracket(self):
+        # the window [94, 98] of `test_warm_starts_are_taken`, bisected
+        inst = MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)])
+        with recorded_core_brackets() as searches:
+            solve_general_via_shift(inst)
+        crowded = [search[1:] for search in searches if search[0].startswith("_solve_crowded.")]
+        assert crowded == [(94, 98, [96, 95, 94])]
 
     @given(crowded_instances())
     @example(MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)]))
@@ -538,7 +561,7 @@ class TestInvariantGuards:
         monkeypatch.setattr(rta, "compute_response", lambda q: 10**9)
         with pytest.raises(InternalInvariantViolated) as exc:
             solve_general_via_shift(MixInstance(1, [(1, 3, 5), (2, 5, 7)]))
-        assert str(exc.value) == "the responses emptied the bracket [17, 16]"
+        assert str(exc.value) == "the verdicts emptied the bracket [17, 16]"
 
     def test_a_shift_outside_the_crowded_window_is_caught(self, monkeypatch):
         # m = 4: b = 4 needs offset 0, and one less puts it at 2

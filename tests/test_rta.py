@@ -792,13 +792,10 @@ class TestTuring:
         q = full_query(ts)
         assert response_turing(q) == response_bruteforce(q)
 
-    @FAMILIES
-    @given(data=st.data())
-    @settings(max_examples=60)
-    def test_general_search_matches_the_scan_cold_and_warm(self, harmonic, zero_jitter, data):
+    @staticmethod
+    def check_against_the_scan(ts):
         # turing, jitter-free and auto against the linear scan of the defining
         # inequality, at every level: cold, from r_{j-1} + c_j and from r_j
-        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         responses = oracle_responses(ts)
         for j, task in enumerate(ts.tasks):
             cold = ResponseQuery(ts.tasks[:j], task.c)
@@ -807,6 +804,20 @@ class TestTuring:
                 for algorithm in algorithms:
                     got = compute_response(cold.at(task.c, lower), algorithm)
                     assert got == responses[j], (algorithm, lower)
+        return responses
+
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=60)
+    def test_general_search_matches_the_scan_cold_and_warm(self, harmonic, zero_jitter, data):
+        self.check_against_the_scan(data.draw(small_task_systems(5, 24, zero_jitter, harmonic)))
+
+    def test_general_search_matches_the_scan_on_a_deep_response(self):
+        # a draw of the strategy above whose last level responds at 149,246,
+        # where a scan of one W evaluation per t exceeded the 200 ms deadline
+        ts = TaskSystem([Task(c, p, jitter, p) for c, p, jitter in
+                         [(1, 7, 1), (7, 20, 14), (4, 9, 1), (1, 16, 16), (23, 24, 9)]])
+        assert self.check_against_the_scan(ts)[-1] == 149246
 
     def test_auto_on_a_certified_s_far_above_the_response(self):
         # general periods with jitter, the slot turing holds in auto; S is
@@ -1142,7 +1153,7 @@ class TestInvariantGuards:
     @pytest.mark.parametrize(
         "verdict, task, gamma, message",
         [(True, Task(3, 9, 0), 3, "harmonic walk returned infeasible t=5"),
-         (False, Task(2, 5, 1), 1, "harmonic walk returned non-minimal t=5"),
+         (False, Task(2, 5, 1), 1, "harmonic walk returned t=5, but t - 1 is feasible"),
          (False, Task(3, 9, 0), 3, "the verdicts emptied the bracket [10, 9]")],
         ids=["infeasible", "non-minimal", "empty-bracket"],
     )
