@@ -16,8 +16,9 @@ maximizes its share of a independently, brick j under the room
 k - w0 . x^(0) that x^(0) leaves its weights.  `solve_2stage_desk` exploits
 exactly that under the node budget `DEFAULT_NODE_BUDGET`.  A unit-slack brick,
 whose one row is (p, -1) with p >= 1, is completed in closed form in O(1);
-every other brick goes through a depth-first search with interval-propagation
-pruning.  Both stop brick j where its weight would pass the room.  In general
+every other brick goes through a depth-first search that enters only the
+values of each variable that leave every row reachable by the later ones.
+Both stop brick j where its weight would pass the room.  In general
 the first stage enumerates the x^(0) box.  When x^(0) is one variable t,
 wj = 0 and every brick is unit-slack - the shape `encode_rtc_as_4block`
 writes - the bricks' completions sum to an affine function of t between the
@@ -30,13 +31,16 @@ at a probe k and yields each feasible piece with its left end's value.
 
 `solve_simple_4block` finds the least feasible k in [0, H] (the decisions
 are monotone in k because a larger k only relaxes w^T x <= k, and no k < 0
-passes because weights and variables are nonnegative).  On the piece path a
-probe at k only widens t's range to [0, floor(k/w0)], so the least k is w0
-times the least t whose coupling value reaches b0: one increasing sweep over
-the same `_piece_values` finds that t, solving the affine inequality inside
-each piece and stopping at the first hit, and one `solve_2stage_desk` probe
-at the answer certifies it.  Every other program is searched on k by
-`core.bracket`, one `solve_2stage_desk` probe a step.
+passes because weights and variables are nonnegative).  Its two searches
+share one contract: each returns that k, or H + 1 when no k in [0, H]
+passes, and `solve_simple_4block` alone raises Infeasible on H + 1.  On the
+piece path a probe at k only widens t's range to [0, floor(k/w0)], so the
+least k is w0 times the least t whose coupling value reaches b0: one
+increasing sweep over the same `_piece_values` finds that t, solving the
+affine inequality inside each piece and stopping at the first hit, and one
+`solve_2stage_desk` probe at the answer certifies it.  Every other program is
+searched on k by one `core.bracket` over [0, H + 1], one `solve_2stage_desk`
+probe a step; the bracket never probes H + 1, so it stands for none.
 
 `encode_rtc_as_4block` expresses response-time computation with jitter in
 this shape: one first-stage variable t, one unit-slack brick (x_i, z_i) per
@@ -156,12 +160,14 @@ def _max_brick(
     """Exact max of a_obj . x over integer x in the boxes with rows . x = rhs
     and weights . x <= room (weights and room nonnegative).
 
-    Depth-first assignment with interval propagation: a partial assignment is
-    pruned as soon as some row's residual cannot be covered by the remaining
-    variables' coefficient ranges.  Each variable's values stop where the
-    partial weight, which only grows, would pass the room.  The search keeps
-    its own stack of open variables, one frame each, so no width of brick
-    meets the interpreter's recursion limit.
+    Depth-first assignment with interval propagation: each variable runs only
+    over [first, last], the values that keep the partial weight within the
+    room and leave every row's residual within what the later variables'
+    coefficient ranges can still add, so every child it enters can still
+    reach each row and no value is entered only to be pruned.  A leaf checks
+    that every residual is zero, which covers a brick with no variables.  The
+    search keeps its own stack of open variables, one frame each, so no width
+    of brick meets the interpreter's recursion limit.
     """
     nvars = len(boxes)
     residual = list(rhs)
@@ -186,16 +192,27 @@ def _max_brick(
         if v == nvars:
             if all(r == 0 for r in residual) and (best is None or acc_obj > best):
                 best = acc_obj
-        elif all(lo <= r <= hi for lo, r, hi in zip(lo_suffix[v], residual, hi_suffix[v])):
-            top = min(boxes[v], left // weights[v]) if weights[v] else boxes[v]
-            if top >= 0:  # enter the first child, value 0, which leaves the residual
-                frames.append([0, top, acc_obj, left])
+        else:
+            first, last = 0, min(boxes[v], left // weights[v]) if weights[v] else boxes[v]
+            for row, r, lo, hi in zip(rows, residual, lo_suffix[v + 1], hi_suffix[v + 1]):
+                a = row[v]  # r - a*x must stay within [lo, hi]
+                if a > 0:
+                    first, last = max(first, ceil_div(r - hi, a)), min(last, (r - lo) // a)
+                elif a < 0:
+                    first, last = max(first, ceil_div(lo - r, -a)), min(last, (hi - r) // -a)
+                elif not lo <= r <= hi:
+                    last = -1  # the row is out of reach whatever value v takes
+            if first <= last:  # enter the first child, value first
+                frames.append([first, last, acc_obj, left])
+                for ri, row in enumerate(rows):
+                    residual[ri] -= row[v] * first
+                acc_obj, left = acc_obj + a_obj[v] * first, left - weights[v] * first
                 continue
         # back up to the deepest open variable with a value left, and take it
         while frames:
             v = len(frames) - 1
-            val, top, acc_obj, left = frame = frames[-1]
-            if val < top:
+            val, last, acc_obj, left = frame = frames[-1]
+            if val < last:
                 frame[0] = val = val + 1
                 for ri, row in enumerate(rows):
                     residual[ri] -= row[v]
@@ -236,8 +253,8 @@ def _unit_slack_coefficient(rows: Matrix) -> int | None:
 
 
 def _pieces(p: SimpleFourBlock, T: int) -> Iterator[tuple[int, int]]:
-    """The pieces [left, right] of t in [0, T] (T >= 0) of a program on the
-    piece path (`on_piece_path`), lazily and in increasing order.
+    """The pieces [left, right] of t in [0, T], none when T < 0, of a program
+    on the piece path (`on_piece_path`), lazily and in increasing order.
 
     Brick i's completion depends on t only through
     lo = ceil((rhs_i - b_i*t)/p_i) and hi = floor((rhs_i + uz_i - b_i*t)/p_i),
@@ -271,8 +288,9 @@ def _slope(p: SimpleFourBlock) -> int:
 
 def _piece_values(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[tuple[int, int, int]]:
     """(left, right, f(left)) in increasing order for each piece [left, right]
-    of t in [0, min(u_0, floor(k/w0))] ([0, u_0] when w0 = 0), where the slack
-    row leaves room, of a program on the piece path whose bricks all complete.
+    of t's whole range at probe k, the t in [0, u_0] with room k - w0*t >= 0
+    (none when k < 0), of a program on the piece path whose bricks all
+    complete.
 
     f(t) is the coupling row's maximum at first-stage point t, every brick
     completed in closed form (wj = 0 here).  On a piece f is affine with
@@ -284,7 +302,7 @@ def _piece_values(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[tuple
     bricks = [
         (p.A[i][0][0], p.C[i][0], p.rhs[i][0], p.B[i][0][0], p.u_brick(i)) for i in range(p.n)
     ]
-    for left, right in _pieces(p, min(u0, k // w0) if w0 else u0):
+    for left, right in _pieces(p, -1 if k < 0 else min(u0, k // w0) if w0 else u0):
         budget.spend()
         total = d * left
         for coef, c, rhs, b, boxes in bricks:
@@ -295,38 +313,6 @@ def _piece_values(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[tuple
             total += part
         else:
             yield left, right, total
-
-
-def _piece_totals(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[int]:
-    """`solve_2stage_desk` on the piece path: the best f on each piece of
-    `_piece_values`' range (no t has room when k < 0, which with w0 = 0 the
-    range alone does not show), f(left) + max(0, sigma)*(right - left): the
-    right end's value if the slope sigma is positive, else the left end's."""
-    if k < 0:
-        return
-    rise = max(0, _slope(p))
-    for left, right, value in _piece_values(p, k, budget):
-        yield value + rise * (right - left)
-
-
-def _least_reaching_t(p: SimpleFourBlock, H: int, budget: _Budget) -> int | None:
-    """The least t in `_piece_values`' range at k = H (H >= 0) with
-    f(t) >= b0 on the piece path, or None.
-
-    One increasing pass over `_piece_values`: f is affine with slope sigma
-    on each piece, so when sigma > 0 the pass solves
-    f(left) + sigma*(t - left) >= b0 inside the piece; it stops at the
-    first hit.
-    """
-    sigma = _slope(p)
-    for left, right, value in _piece_values(p, H, budget):
-        if value >= p.b0:
-            return left
-        if sigma > 0:
-            t = left + ceil_div(p.b0 - value, sigma)
-            if t <= right:
-                return t
-    return None
 
 
 def on_piece_path(p: SimpleFourBlock) -> bool:
@@ -350,7 +336,8 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
 
     On the piece path (`on_piece_path`) the first stage evaluates the left
     end of each piece of t on which the coupling row is affine
-    (`_piece_values`) and extends it to the piece's best end; otherwise it
+    (`_piece_values`) and extends it to the piece's best end,
+    f(left) + max(0, sigma)*(right - left) for the slope sigma; otherwise it
     enumerates the x^(0) box.  The probe is the max over one total per
     feasible piece or point.  Each piece, each first-stage point, each
     closed-form completion and each DFS node spends one unit of the budget;
@@ -358,8 +345,12 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     """
     require_integers(k=k)
     budget = _Budget(DEFAULT_NODE_BUDGET)
-    totals = _piece_totals if on_piece_path(p) else _first_stage_totals
-    best = max(totals(p, k, budget), default=None)
+    if on_piece_path(p):
+        rise = max(0, _slope(p))
+        totals = (f + rise * (right - left) for left, right, f in _piece_values(p, k, budget))
+    else:
+        totals = _first_stage_totals(p, k, budget)
+    best = max(totals, default=None)
     counters.bump("blockip_nodes", budget.budget - budget.left)
     return best
 
@@ -396,27 +387,45 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
 
     Weights and variables are nonnegative, so no k < 0 passes.  H defaults to
     sum w_i * u_i, a sound bound on w^T x over the boxes; a negative H raises
-    InvalidInstance.  Raises Infeasible when no k in the window passes.
-
-    On the piece path (`on_piece_path`) the answer is w0*t* for the least
-    t* in t's range at k = H (`_piece_values`) whose coupling value reaches
-    b0: one sweep over the pieces, under a node budget of its own, finds t*,
-    and one `solve_2stage_desk` probe at w0*t* certifies it.  Every other
-    program is bisected on k (`_bisect`), one probe a step.
+    InvalidInstance.  Both searches return the least k in [0, H] whose probe
+    reaches b0, or H + 1 when none does, and H + 1 raises Infeasible here.
+    The piece path (`on_piece_path`) sweeps t's pieces (`_sweep`); every
+    other program is bisected on k (`_bisect`).
     """
     if H is None:
         H = _default_objective_bound(p)
     require_integers(H=H)
     if H < 0:
         raise InvalidInstance(f"the search bound H must be nonnegative, got {H}")
-    if not on_piece_path(p):
-        return _bisect(p, H)
-    budget = _Budget(DEFAULT_NODE_BUDGET)
-    t = _least_reaching_t(p, H, budget)
-    counters.bump("blockip_nodes", budget.budget - budget.left)
-    if t is None:
+    k = _sweep(p, H) if on_piece_path(p) else _bisect(p, H)
+    if k > H:
         raise Infeasible(f"no objective value in [0, {H}] satisfies the coupling bound")
-    k = p.w0[0] * t
+    return k
+
+
+def _sweep(p: SimpleFourBlock, H: int) -> int:
+    """Least k in [0, H] whose probe reaches b0 on the piece path, or H + 1
+    when none does: w0 times the least t in `_piece_values`' range at k = H
+    with f(t) >= b0, as a probe at k only widens that range to t <= k/w0.
+
+    One increasing pass over the pieces, under a node budget of its own: f is
+    affine with slope sigma on each piece, so when sigma > 0 the pass solves
+    f(left) + sigma*(t - left) >= b0 inside the piece.  It stops at the first
+    hit, and one `solve_2stage_desk` probe at w0*t certifies it.
+    """
+    budget = _Budget(DEFAULT_NODE_BUDGET)
+    sigma, k = _slope(p), H + 1
+    for left, right, value in _piece_values(p, H, budget):
+        if value >= p.b0:
+            t = left
+        else:  # past right when the piece never reaches b0
+            t = left + ceil_div(p.b0 - value, sigma) if sigma > 0 else right + 1
+        if t <= right:
+            k = p.w0[0] * t
+            break
+    counters.bump("blockip_nodes", budget.budget - budget.left)
+    if k > H:
+        return k
     value = solve_2stage_desk(p, k)
     if value is None or value < p.b0:
         raise InternalInvariantViolated(
@@ -426,17 +435,17 @@ def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:
 
 
 def _bisect(p: SimpleFourBlock, H: int) -> int:
-    """Least k in [0, H] whose probe reaches b0, by `core.bracket` once H
-    reaches it; the decisions are monotone in k because a larger k only
-    relaxes the slack row."""
+    """Least k in [0, H] whose probe reaches b0, or H + 1 when none does: one
+    `core.bracket` over [0, H + 1], one `solve_2stage_desk` probe a step.
+    `core.bracket` never probes its window's upper end, so H + 1 stands for
+    none, and a k <= H it returns was probed with a yes; the decisions are
+    monotone in k because a larger k only relaxes the slack row."""
 
-    def reaches(k: int) -> bool:
+    def narrow(k: int, lo: int, hi: int) -> tuple[int, int]:
         value = solve_2stage_desk(p, k)
-        return value is not None and value >= p.b0
+        return (lo, k) if value is not None and value >= p.b0 else (k + 1, hi)
 
-    if not reaches(H):
-        raise Infeasible(f"no objective value in [0, {H}] satisfies the coupling bound")
-    return core.bracket(0, H, lambda k, lo, hi: (lo, k) if reaches(k) else (k + 1, hi))
+    return core.bracket(0, H + 1, narrow)
 
 
 def _default_objective_bound(p: SimpleFourBlock) -> int:

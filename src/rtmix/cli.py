@@ -58,21 +58,21 @@ EXIT_CODES = {
 
 
 def _render(report: dict, fmt: str) -> str:
-    """The report as text; an integer past the interpreter's int/str digit
-    limit (`sys.get_int_max_str_digits`) raises OverflowLimit."""
+    """The report as text: each key on a `key:` line and each array item on a
+    `-` line, a scalar after it and an object's or array's contents two spaces
+    deeper.  An integer past the interpreter's int/str digit limit
+    (`sys.get_int_max_str_digits`) raises OverflowLimit."""
     def walk(obj, pad=""):
         if isinstance(obj, dict):
-            for key, val in obj.items():
-                if isinstance(val, (dict, list, tuple)):
-                    yield f"{pad}{key}:"
-                    yield from walk(val, pad + "  ")
-                else:
-                    yield f"{pad}{key}: {val}"
-        elif isinstance(obj, (list, tuple)):
-            for val in obj:
-                yield from walk(val, pad)
+            items = ((f"{pad}{key}:", val) for key, val in obj.items())
         else:
-            yield f"{pad}{obj}"
+            items = ((f"{pad}-", val) for val in obj)
+        for head, val in items:
+            if isinstance(val, (dict, list, tuple)):
+                yield head
+                yield from walk(val, pad + "  ")
+            else:
+                yield f"{head} {val}"
     try:
         return json.dumps(report, indent=2) if fmt == "json" else "\n".join(walk(report))
     except ValueError as exc:

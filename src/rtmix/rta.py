@@ -41,8 +41,9 @@ multipliers that the walk's audit checks.
 
 `compute_response(q, "auto")` on harmonic periods runs the fixed point
 first.  It iterates t <- W(t) from t0 = max(gamma, lower), a certified
-lower bound, for at most (u - t0 + 1).bit_length() steps: the most bisection
-steps `_bracket` can take on [t0, u].  When W(t) <= t, t is the response.
+lower bound, for at most (u - t0 + 1).bit_length() steps, a budget no smaller
+than the (u - t0).bit_length() probes `_bracket` can make on [t0, u].  When
+W(t) <= t, t is the response.
 Otherwise the last
 iterate, a certified lower bound since W is monotone and W(r) = r, becomes
 the query's `lower`, and `auto` hands off to the walk, which starts above
@@ -429,7 +430,8 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     """Run the selected algorithm.
 
     "auto" on harmonic periods first iterates t <- W(t) from
-    t0 = max(gamma, lower) for at most (u - t0 + 1).bit_length() steps.  It
+    t0 = max(gamma, lower) for at most (u - t0 + 1).bit_length() steps, no
+    fewer than the bisection's (u - t0).bit_length() probes on [t0, u].  It
     returns t once W(t) <= t, and otherwise hands the last iterate, as
     `lower`, to the walk (counted as `auto_handoffs`).  On other periods
     "auto" runs `jitter-free` (zero jitter) or `turing`, as an explicit

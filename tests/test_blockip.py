@@ -211,6 +211,14 @@ class TestDeskBackend:
         want = blockip._max_brick(c, ((coef, -1),), (rest,), boxes, weights, room, budget)
         assert blockip._max_unit_slack(coef, c, rest, boxes, weights, room) == want
 
+    def test_a_slack_brick_enters_only_its_feasible_x(self):
+        # row (-7, 1) with rhs -10 leaves z = 7x - 10 in [0, 6] one x, 2, of
+        # the box [0, 50]: the root, x = 2 and z = 4, the leaf, are the only
+        # nodes, so no other x is entered
+        budget = blockip._Budget(10_000)
+        assert blockip._max_brick((1, 0), ((-7, 1),), (-10,), (50, 6), (0, 0), 0, budget) == 2
+        assert budget.budget - budget.left == 3
+
     def test_forced_equality(self):
         # brick variable pinned by its row x = 3, box [0, 5], maximize x only
         prog = brick_program(D=((0,),), C=(((1,),),))
@@ -350,14 +358,23 @@ class TestBinarySearch:
         with pytest.raises(Infeasible):
             solve_simple_4block(prog, H=1)
 
-    def test_bisection_infeasible_when_h_window_misses(self, pair_system):
-        # the mirrored encoding leaves the piece path, so the bisection's own
-        # check of H refuses it
+    def test_bisection_infeasible_when_h_window_misses(self, pair_system, monkeypatch):
+        # the mirrored encoding leaves the piece path, so one `core.bracket`
+        # over [0, H + 1] returns H + 1 and the solver refuses it; the desk
+        # is probed only at the bracket's midpoints, never at H on its own
+        # or outside [0, H]
         prog = mirrored(encode_rtc_as_4block(pair_system))
         assert not blockip.on_piece_path(prog)
-        with pytest.raises(Infeasible) as exc:
+        desk, probed = blockip.solve_2stage_desk, []
+        monkeypatch.setattr(
+            blockip, "solve_2stage_desk", lambda p, k: probed.append(k) or desk(p, k)
+        )
+        with recorded_core_brackets() as searches, pytest.raises(Infeasible) as exc:
             solve_simple_4block(prog, H=1)
         assert str(exc.value) == "no objective value in [0, 1] satisfies the coupling bound"
+        [(name, lo, hi, midpoints)] = searches
+        assert name.startswith("_bisect.") and (lo, hi) == (0, 2)
+        assert probed == midpoints and all(0 <= k <= 1 for k in probed)
 
     def test_zero_objective_feasible_at_zero(self):
         prog = brick_program()
@@ -393,11 +410,13 @@ class TestBinarySearch:
 
 
     @given(small_task_systems(max_n=3, p_max=8))
+    @example(TaskSystem([Task(2, 6, 1, 6), Task(5, 8, 0, 8), Task(5, 5, 0, 5)]))
     @settings(max_examples=40)
     def test_the_bisection_probes_at_most_log2_of_its_window(self, ts):
-        # the mirrored encoding leaves the piece path for `_bisect`: after its
-        # probe of H, one `core.bracket` over [0, H] probes at most
-        # ceil(log2(H + 1)) times
+        # the mirrored encoding leaves the piece path for `_bisect`: one
+        # `core.bracket` over [0, H + 1] probes at most ceil(log2(H + 2))
+        # times.  The example's mirrored bricks stay within the deadline only
+        # while the DFS enters no value that leaves a row out of reach
         prog = mirrored(encode_rtc_as_4block(ts))
         assume(not blockip.on_piece_path(prog))  # one task has no brick to mirror
         want = response_bruteforce(ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c))
@@ -433,10 +452,9 @@ class TestPieceSweep:
                 assert solve_simple_4block(case, H) == least, b0
 
     def test_one_probe_and_no_more_nodes_than_the_bisection(self, monkeypatch):
-        # each solve makes one certificate probe, where bisection makes
-        # 1 + about log2(H); the sweep visits no more pieces than bisection's
-        # first probe, at H, and with its certificate spends no more than the
-        # whole bisection
+        # each solve makes one certificate probe, where bisection makes about
+        # log2(H + 2); the sweep visits no more pieces than one probe at H,
+        # and with its certificate spends no more than the whole bisection
         desk = blockip.solve_2stage_desk
         probes = []  # the nodes of each probe, kept apart from the caller's
 
@@ -449,9 +467,13 @@ class TestPieceSweep:
         monkeypatch.setattr(blockip, "solve_2stage_desk", counted)
         for seed in range(1, 201):
             prog = encode_rtc_as_4block(random_system(seed, 3, 16, jitter_mode="zero"))
+            H = blockip._default_objective_bound(prog)
             probes.clear()
-            want = blockip._bisect(prog, blockip._default_objective_bound(prog))
-            at_h, bisection = probes[0], sum(probes)
+            blockip.solve_2stage_desk(prog, H)
+            [at_h] = probes
+            probes.clear()
+            want = blockip._bisect(prog, H)
+            bisection = sum(probes)
             probes.clear()
             with counters.collect() as sweep:
                 assert solve_simple_4block(prog) == want, seed

@@ -742,10 +742,25 @@ class TestTextFormat:
         assert code == 0
         assert not any(bracket in out for bracket in "()[]")
         lines = out.splitlines()
-        # one 1 x t row per brick, one value a line
+        # one item per brick, holding one item per row, holding one `- value`
+        # line per entry, each level two spaces deeper
         listed = lines[lines.index("  C:") + 1:lines.index("  B:")]
-        assert listed == [f"    {v}" for block in prog.C for v in block[0]]
-        assert lines[lines.index("  u:") + 1:] == [f"    {v}" for v in prog.u]
+        assert listed == [
+            line
+            for block in prog.C
+            for line in ["    -", "      -", *(f"        - {v}" for v in block[0])]
+        ]
+        assert lines[lines.index("  u:") + 1:] == [f"    - {v}" for v in prog.u]
+
+    def test_rta_tasks_are_listed_as_items(self, capsys, demo_file, demo_system):
+        code, out = run_cli(capsys, "--format", "text", "rta", "compute", "--input", demo_file)
+        assert code == 0
+        lines = out.splitlines()
+        tasks = lines[lines.index("  tasks:") + 1:lines.index("algorithm: auto")]
+        assert [line for line in tasks if line.startswith("    -")] == ["    -"] * 3
+        assert [line for line in tasks if "index" in line] == [
+            f"      index: {i}" for i in range(len(demo_system.tasks))
+        ]
 
 
 def parser_algorithms(command: str) -> tuple[str, ...]:
