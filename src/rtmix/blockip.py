@@ -68,37 +68,37 @@ Matrix = tuple[tuple[int, ...], ...]
 DEFAULT_NODE_BUDGET = 5_000_000
 
 
-def _integers(values, length: int, what: str) -> None:
-    if len(values) != length or not all(is_integer(v) for v in values):
-        raise InvalidInstance(f"{what} must hold {length} integers")
-
-
-def _matrix(rows, r: int, cols: int, what: str) -> None:
-    if len(rows) != r:
-        raise InvalidInstance(f"{what}: expected a {r}x{cols} integer matrix")
-    for row in rows:
-        _integers(row, cols, f"each row of {what}")
+def _array(value, shape: tuple[int, ...]) -> tuple | None:
+    """`value` as tuples nested to `shape`, or None when it is not that: each
+    level a list or a tuple of its length, each leaf an integer."""
+    if not isinstance(value, (list, tuple)) or len(value) != shape[0]:
+        return None
+    if len(shape) == 1:
+        return tuple(value) if all(map(is_integer, value)) else None
+    rows = [_array(v, shape[1:]) for v in value]
+    return None if None in rows else tuple(rows)
 
 
 @dataclass(frozen=True)
 class SimpleFourBlock:
     """n bricks of width t over a first stage of width s, r equality rows per
-    brick, one coupling inequality (q = 1)."""
+    brick, one coupling inequality (q = 1).  Each array field may nest lists
+    or tuples; `__post_init__` checks its shape and stores it as tuples."""
 
     n: int
     r: int
     s: int
     t: int
-    D: Matrix                      # 1 x s   coupling coefficients on x^(0)
-    C: tuple[Matrix, ...]          # n of 1 x t
-    B: tuple[Matrix, ...]          # n of r x s
-    A: tuple[Matrix, ...]          # n of r x t
+    D: Matrix                      # coupling coefficients on x^(0)
+    C: tuple[Matrix, ...]          # coupling coefficients on each brick
+    B: tuple[Matrix, ...]          # each brick's rows on x^(0)
+    A: tuple[Matrix, ...]          # each brick's rows on its own variables
     b0: int
-    rhs: tuple[tuple[int, ...], ...]  # n of length r
+    rhs: tuple[tuple[int, ...], ...]  # each brick's right-hand sides
     w0: tuple[int, ...]            # objective on x^(0)
     j: int | None                  # addressed brick (1-based), None if n = 0
     wj: tuple[int, ...]            # objective on brick j
-    u: tuple[int, ...]             # box bounds, length s + n*t
+    u: tuple[int, ...]             # box bounds, x^(0) then brick by brick
 
     def __post_init__(self):
         n, r, s, t = self.n, self.r, self.s, self.t
@@ -106,24 +106,22 @@ class SimpleFourBlock:
             raise InvalidInstance("n, r, s, t and b0 must be integers")
         if n < 0 or s < 1 or t < 0 or r < 0:
             raise InvalidInstance("dimensions must satisfy n,r,t >= 0 and s >= 1")
-        _matrix(self.D, 1, s, "D")
-        if len(self.C) != n or len(self.B) != n or len(self.A) != n or len(self.rhs) != n:
-            raise InvalidInstance("need exactly one C, B, A, rhs block per brick")
-        for i in range(n):
-            _matrix(self.C[i], 1, t, f"C[{i}]")
-            _matrix(self.B[i], r, s, f"B[{i}]")
-            _matrix(self.A[i], r, t, f"A[{i}]")
-            _integers(self.rhs[i], r, f"rhs[{i}]")
-        _integers(self.w0, s, "w0")
+        # every array field's shape in n, r, s, t
+        shapes = {"D": (1, s), "C": (n, 1, t), "B": (n, r, s), "A": (n, r, t), "rhs": (n, r),
+                  "w0": (s,), "wj": (t,), "u": (s + n * t,)}
+        for name, shape in shapes.items():
+            value = _array(getattr(self, name), shape)
+            if value is None:
+                raise InvalidInstance(
+                    f"{name} must be an integer array of shape {'x'.join(map(str, shape))}")
+            object.__setattr__(self, name, value)
         if n == 0:
             if self.j is not None:
                 raise InvalidInstance("j must be None when there are no bricks")
         elif not is_integer(self.j) or not 1 <= self.j <= n:
             raise InvalidInstance(f"addressed brick j={self.j!r} out of range 1..{n}")
-        _integers(self.wj, t, "wj")
         if any(v < 0 for v in self.w0) or any(v < 0 for v in self.wj):
             raise InvalidInstance("objective weights must be nonnegative")
-        _integers(self.u, s + n * t, "box bounds u")
         if any(v < 0 for v in self.u):
             raise InvalidInstance("box bounds must be nonnegative")
 
@@ -339,9 +337,10 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     (`_piece_values`) and extends it to the piece's best end,
     f(left) + max(0, sigma)*(right - left) for the slope sigma; otherwise it
     enumerates the x^(0) box.  The probe is the max over one total per
-    feasible piece or point.  Each piece, each first-stage point, each
-    closed-form completion and each DFS node spends one unit of the budget;
-    a solve adds the units it spent to the `blockip_nodes` counter.
+    feasible piece or point.  Each piece, each first-stage point with room,
+    each closed-form completion and each DFS node spends one unit of the
+    budget; a solve adds the units it spent to the `blockip_nodes` counter,
+    also when it runs out of budget.
     """
     require_integers(k=k)
     budget = _Budget(DEFAULT_NODE_BUDGET)
@@ -350,22 +349,25 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
         totals = (f + rise * (right - left) for left, right, f in _piece_values(p, k, budget))
     else:
         totals = _first_stage_totals(p, k, budget)
-    best = max(totals, default=None)
-    counters.bump("blockip_nodes", budget.budget - budget.left)
-    return best
+    try:
+        return max(totals, default=None)
+    finally:
+        counters.bump("blockip_nodes", budget.budget - budget.left)
 
 
 def _first_stage_totals(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[int]:
     """`solve_2stage_desk` off the piece path: the coupling row's maximum at
-    every x^(0) in its box whose bricks all complete, each on its own, under
-    the room the point leaves."""
+    every x^(0) in its box with room k - w0 . x^(0) >= 0 whose bricks all
+    complete, each on its own, under that room; each variable runs only up
+    to the room it leaves on its own (none when k < 0)."""
     weights = [p.wj if i + 1 == p.j else (0,) * p.t for i in range(p.n)]
     unit_coef = [_unit_slack_coefficient(a) for a in p.A]
-    for x0 in product(*(range(u + 1) for u in p.u_first())):
-        budget.spend()
+    tops = [min(u, k // w if w else u) if k >= 0 else -1 for u, w in zip(p.u_first(), p.w0)]
+    for x0 in product(*(range(top + 1) for top in tops)):
         room = k - sum(w * v for w, v in zip(p.w0, x0))
         if room < 0:
             continue
+        budget.spend()
         total = sum(d * v for d, v in zip(p.D[0], x0))
         for i in range(p.n):
             rhs = [r - sum(b * v for b, v in zip(row, x0)) for r, row in zip(p.rhs[i], p.B[i])]
@@ -415,15 +417,17 @@ def _sweep(p: SimpleFourBlock, H: int) -> int:
     """
     budget = _Budget(DEFAULT_NODE_BUDGET)
     sigma, k = _slope(p), H + 1
-    for left, right, value in _piece_values(p, H, budget):
-        if value >= p.b0:
-            t = left
-        else:  # past right when the piece never reaches b0
-            t = left + ceil_div(p.b0 - value, sigma) if sigma > 0 else right + 1
-        if t <= right:
-            k = p.w0[0] * t
-            break
-    counters.bump("blockip_nodes", budget.budget - budget.left)
+    try:
+        for left, right, value in _piece_values(p, H, budget):
+            if value >= p.b0:
+                t = left
+            else:  # past right when the piece never reaches b0
+                t = left + ceil_div(p.b0 - value, sigma) if sigma > 0 else right + 1
+            if t <= right:
+                k = p.w0[0] * t
+                break
+    finally:
+        counters.bump("blockip_nodes", budget.budget - budget.left)
     if k > H:
         return k
     value = solve_2stage_desk(p, k)

@@ -4,8 +4,9 @@ Task systems:   {"tasks": [{"c": int, "d": int|null, "p": int, "jitter": int}, .
                 (priority = array order, index 0 highest)
 Mixing:         {"w0": int, "terms": [{"w": int, "a": int, "b": int}, ...]}
 Releases:       {"releases": [[{"arrival": int, "release": int}, ...], ...]}
-4-block:        the fields of `_FOUR_BLOCK` in its order (matrices row-major); the
-                writer hands `json` the program's own nested tuples
+4-block:        the fields of `_FOUR_BLOCK` in its order, each array nested
+                row-major; `SimpleFourBlock` states and checks every array's
+                shape, and the writer hands `json` the program's own tuples
 
 Every record (task, term, release) is read by `_objects`: an object, no unknown field.
 """
@@ -96,10 +97,9 @@ def trace_to_dict(trace: ScheduleTrace) -> dict:
     }
 
 
-# The 4-block document's fields in order, each with its depth of array nesting
-# (0 for an integer); q is the one field the program does not store: it is 1.
-_FOUR_BLOCK = {"n": 0, "r": 0, "s": 0, "t": 0, "q": 0, "D": 2, "C": 3, "B": 3, "A": 3,
-               "b0": 0, "rhs": 2, "w0": 1, "j": 0, "wj": 1, "u": 1}
+# The 4-block document's fields in order; q is the one field the program does
+# not store: it is 1.
+_FOUR_BLOCK = ("n", "r", "s", "t", "q", "D", "C", "B", "A", "b0", "rhs", "w0", "j", "wj", "u")
 
 
 def four_block_to_dict(p: SimpleFourBlock) -> dict:
@@ -108,21 +108,13 @@ def four_block_to_dict(p: SimpleFourBlock) -> dict:
     return {name: 1 if name == "q" else getattr(p, name) for name in _FOUR_BLOCK}
 
 
-def _arrays(value: Any, depth: int, what: str) -> tuple:
-    """`value` as tuples nested `depth` deep; every level must be an array
-    (a JSON list, or a tuple as `four_block_to_dict` leaves it)."""
-    if not isinstance(value, (list, tuple)):
-        raise InvalidInstance(f"4-block field {what} must be an array")
-    return tuple(_arrays(v, depth - 1, what) if depth > 1 else v for v in value)
-
-
 def four_block_from_dict(data: Any) -> SimpleFourBlock:
+    """The program `data` gives, each field passed on as JSON gave it."""
     _require(isinstance(data, dict), "expected a 4-block object")
     q = data.get("q", 1)
     _require(is_integer(q) and q == 1, "exactly one coupling inequality is supported")
     try:
-        return SimpleFourBlock(**{name: _arrays(data[name], depth, name) if depth else data[name]
-                                  for name, depth in _FOUR_BLOCK.items() if name != "q"})
+        return SimpleFourBlock(**{name: data[name] for name in _FOUR_BLOCK if name != "q"})
     except KeyError as exc:
         raise InvalidInstance(f"missing 4-block field {exc}") from None
 

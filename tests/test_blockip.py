@@ -147,23 +147,36 @@ class TestStructure:
     @pytest.mark.parametrize(
         "overrides, message",
         [
-            ({"D": ((1,), (1,))}, "D: expected a 1x1 integer matrix"),
+            ({"D": ((1,), (1,))}, "D must be an integer array of shape 1x1"),
             ({"s": 0}, "dimensions must satisfy n,r,t >= 0 and s >= 1"),
             ({"n": -1}, "dimensions must satisfy n,r,t >= 0 and s >= 1"),
-            ({"C": ()}, "need exactly one C, B, A, rhs block per brick"),
+            ({"C": ()}, "C must be an integer array of shape 1x1x1"),
             ({"n": 0, "C": (), "B": (), "A": (), "rhs": (), "u": (5,)},
              "j must be None when there are no bricks"),
             ({"j": 2}, "addressed brick j=2 out of range 1..1"),
             ({"j": None}, "addressed brick j=None out of range 1..1"),
             ({"u": (5, -1)}, "box bounds must be nonnegative"),
+            ({"D": (5,)}, "D must be an integer array of shape 1x1"),
+            ({"rhs": (3,)}, "rhs must be an integer array of shape 1x1"),
+            ({"B": ((0,),)}, "B must be an integer array of shape 1x1x1"),
+            ({"u": (5, True)}, "u must be an integer array of shape 2"),
+            ({"A": (((True,),),)}, "A must be an integer array of shape 1x1x1"),
         ],
         ids=["D-rows", "s-zero", "n-negative", "C-blocks", "j-without-bricks",
-             "j-past-n", "j-missing", "negative-box-bound"],
+             "j-past-n", "j-missing", "negative-box-bound", "D-not-an-array",
+             "rhs-row-an-integer", "B-row-an-integer", "bool-u", "bool-A"],
     )
     def test_malformed_program_names_its_fault(self, overrides, message):
         with pytest.raises(InvalidInstance) as exc:
             brick_program(**overrides)
         assert str(exc.value) == message
+
+    def test_lists_and_tuples_build_one_program(self):
+        lists = brick_program(D=[[1]], C=[[[0]]], B=[[[0]]], A=[[[1]]], rhs=[[3]], w0=[0],
+                              wj=[0], u=[5, 5])
+        tuples = brick_program()
+        assert lists == tuples and hash(lists) == hash(tuples)
+        assert lists.C == (((0,),),) and lists.u == (5, 5)
 
     def test_negative_weights_rejected(self):
         with pytest.raises(InvalidInstance):
@@ -317,9 +330,37 @@ class TestDeskBackend:
             wj=(0, 0), u=(10**12, 10**12, 0),
         )
         monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 1000)
-        with pytest.raises(BudgetExceeded) as exc:
+        with counters.collect() as ops, pytest.raises(BudgetExceeded) as exc:
             solve_2stage_desk(prog, 10**12)
         assert exc.value.explored == 1001
+        assert ops.blockip_nodes == exc.value.explored  # the spent nodes are counted
+        # the sweep too counts what it spent: b0 is out of reach, so it walks
+        # every piece until its budget runs out
+        with counters.collect() as ops, pytest.raises(BudgetExceeded) as exc:
+            blockip._sweep(dataclasses.replace(prog, b0=10**13), 10**12)
+        assert ops.blockip_nodes == exc.value.explored == 1001
+
+    def test_first_stage_spends_nodes_only_on_points_with_room(self):
+        # wj = (1, 0) leaves the piece path; at k = 0 only t = 0 of the box
+        # [0, 66] has room, so the probe spends one node on it and one on each
+        # brick's completion, where enumerating the box spent 69
+        ts = TaskSystem([Task(15, 65, 0), Task(7, 30, 0), Task(13, 50, 0)])
+        prog = dataclasses.replace(encode_rtc_as_4block(ts), wj=(1, 0))
+        assert prog.u[0] == 66 and not blockip.on_piece_path(prog)
+        with counters.collect() as ops:
+            solve_2stage_desk(prog, 0)
+        assert ops.blockip_nodes == 3
+        assert solve_simple_4block(prog) == 43
+
+    def test_no_first_stage_point_has_room_below_zero(self, monkeypatch):
+        # a zero first-stage weight leaves t's range whole, but no point has
+        # room at k < 0: the probe enters none of the 10**12 + 1 points
+        monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 1000)
+        prog = brick_program(u=(10**12, 5))
+        assert not blockip.on_piece_path(prog)
+        with counters.collect() as ops:
+            assert solve_2stage_desk(prog, -1) is None
+        assert ops.blockip_nodes == 0
 
     def test_encoding_spends_nodes_per_piece(self):
         # the encoding's first stage visits one end of each piece of t, where

@@ -802,6 +802,23 @@ class TestReadmeAlgorithms:
         assert parser_algorithms("mix solve") == ("bruteforce", "harmonic", "shift")
 
 
+class TestReadmeFourBlock:
+    """The README's worked 4-block example is the program `FOUR_BLOCK`, and
+    `rtmix blockip solve` returns the objective the README states for it."""
+
+    def test_the_example_solves_to_its_stated_objective(self, capsys, tmp_path):
+        text = "\n".join(readme_lines())
+        section = text[text.index("4-block program:"):]
+        stated = int(re.search(r"`rtmix blockip solve` returns the objective (\d+)", section)[1])
+        block = section[section.index("```json") + len("```json"):]
+        example = json.loads(block[:block.index("```")])
+        assert example == FOUR_BLOCK
+        path = tmp_path / "prog.json"
+        path.write_text(json.dumps(example))
+        code, out = run_cli(capsys, "blockip", "solve", "--input", str(path))
+        assert code == 0 and last_json(out)["result"]["objective"] == stated
+
+
 class TestReadmeExitCodes:
     """The README's exit-code table lists each public error class of
     `cli.EXIT_CODES` under its code, and under no other."""

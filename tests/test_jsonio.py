@@ -103,7 +103,9 @@ class TestFourBlock:
         data[field] = value
         with pytest.raises(InvalidInstance) as exc:
             four_block_from_dict(data)
-        assert str(exc.value) == f"4-block field {field} must be an array"
+        # one task leaves no brick: n = r = t = 0 and s = 1
+        shape = {"D": "1x1", "C": "0x1x0", "w0": "1", "rhs": "0x0"}[field]
+        assert str(exc.value) == f"{field} must be an integer array of shape {shape}"
 
     def test_missing_field_rejected(self):
         data = four_block_to_dict(encode_rtc_as_4block(TaskSystem([Task(1, 2, 0)])))
