@@ -75,8 +75,13 @@ def _array(value, shape: tuple[int, ...]) -> tuple | None:
         return None
     if len(shape) == 1:
         return tuple(value) if all(map(is_integer, value)) else None
-    rows = [_array(v, shape[1:]) for v in value]
-    return None if None in rows else tuple(rows)
+    rows, kept = [], type(value) is tuple  # a tuple of kept rows is kept, not copied
+    for v in value:
+        rows.append(row := _array(v, shape[1:]))
+        if row is None:
+            return None
+        kept = kept and row is v
+    return value if kept else tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -337,7 +342,7 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
     (`_piece_values`) and extends it to the piece's best end,
     f(left) + max(0, sigma)*(right - left) for the slope sigma; otherwise it
     enumerates the x^(0) box.  The probe is the max over one total per
-    feasible piece or point.  Each piece, each first-stage point with room,
+    feasible piece or point.  Each piece, each first-stage point entered,
     each closed-form completion and each DFS node spends one unit of the
     budget; a solve adds the units it spent to the `blockip_nodes` counter,
     also when it runs out of budget.
@@ -358,16 +363,16 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
 def _first_stage_totals(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[int]:
     """`solve_2stage_desk` off the piece path: the coupling row's maximum at
     every x^(0) in its box with room k - w0 . x^(0) >= 0 whose bricks all
-    complete, each on its own, under that room; each variable runs only up
-    to the room it leaves on its own (none when k < 0)."""
+    complete, each on its own, under that room; each variable runs only up to
+    the room it leaves on its own (none when k < 0), each point entered a node."""
     weights = [p.wj if i + 1 == p.j else (0,) * p.t for i in range(p.n)]
     unit_coef = [_unit_slack_coefficient(a) for a in p.A]
     tops = [min(u, k // w if w else u) if k >= 0 else -1 for u, w in zip(p.u_first(), p.w0)]
     for x0 in product(*(range(top + 1) for top in tops)):
+        budget.spend()
         room = k - sum(w * v for w, v in zip(p.w0, x0))
         if room < 0:
             continue
-        budget.spend()
         total = sum(d * v for d, v in zip(p.D[0], x0))
         for i in range(p.n):
             rhs = [r - sum(b * v for b, v in zip(row, x0)) for r, row in zip(p.rhs[i], p.B[i])]

@@ -33,9 +33,8 @@ class Counters:
     # Harmonic queries that `auto`'s fixed-point leg left unsettled within
     # its budget and handed off to the walk.
     auto_handoffs: int = 0
-    # Node-budget units that blockip's two-stage solver spent, a run that ran
-    # out of budget included: first-stage points with room or pieces of t,
-    # closed-form brick completions and DFS nodes.
+    # Node-budget units blockip's two-stage solver spent, out of budget too:
+    # first-stage points entered or pieces of t, brick completions, DFS nodes.
     blockip_nodes: int = 0
 
     def as_dict(self) -> dict:

@@ -4,9 +4,8 @@ Task systems:   {"tasks": [{"c": int, "d": int|null, "p": int, "jitter": int}, .
                 (priority = array order, index 0 highest)
 Mixing:         {"w0": int, "terms": [{"w": int, "a": int, "b": int}, ...]}
 Releases:       {"releases": [[{"arrival": int, "release": int}, ...], ...]}
-4-block:        the fields of `_FOUR_BLOCK` in its order, each array nested
-                row-major; `SimpleFourBlock` states and checks every array's
-                shape, and the writer hands `json` the program's own tuples
+4-block:        the fields of `_FOUR_BLOCK` in order, arrays nested row-major to the shapes
+                `SimpleFourBlock` states; the writer hands `json` the program's own tuples
 
 Every record (task, term, release) is read by `_objects`: an object, no unknown field.
 """
@@ -97,8 +96,7 @@ def trace_to_dict(trace: ScheduleTrace) -> dict:
     }
 
 
-# The 4-block document's fields in order; q is the one field the program does
-# not store: it is 1.
+# The 4-block document's fields in order; q, always 1, is the one not stored.
 _FOUR_BLOCK = ("n", "r", "s", "t", "q", "D", "C", "B", "A", "b0", "rhs", "w0", "j", "wj", "u")
 
 

@@ -177,6 +177,9 @@ class TestStructure:
         tuples = brick_program()
         assert lists == tuples and hash(lists) == hash(tuples)
         assert lists.C == (((0,),),) and lists.u == (5, 5)
+        # a field given as tuples is kept as it is, not copied
+        C = (((0,),),)
+        assert brick_program(C=C).C is C
 
     def test_negative_weights_rejected(self):
         with pytest.raises(InvalidInstance):
@@ -361,6 +364,27 @@ class TestDeskBackend:
         with counters.collect() as ops:
             assert solve_2stage_desk(prog, -1) is None
         assert ops.blockip_nodes == 0
+
+    def test_the_budget_bounds_a_first_stage_of_many_variables(self, monkeypatch):
+        # 40 first-stage variables of weight 1 at k = 2: each reaches 2 on its
+        # own room, so the walk may enter 3**40 points though only
+        # C(42, 2) = 861 have room in total; every point entered spends a node,
+        # so a budget of 1000 stops the walk after 1001 of them
+        s = 40
+        prog = brick_program(n=0, r=0, s=s, t=0, D=((1,) * s,), C=(), B=(), A=(), rhs=(),
+                             w0=(1,) * s, j=None, wj=(), u=(2,) * s)
+        assert math.comb(s + 2, 2) < 1000 < 3**s
+        monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 1000)
+        with counters.collect() as ops, pytest.raises(BudgetExceeded) as exc:
+            solve_2stage_desk(prog, 2)
+        assert ops.blockip_nodes == exc.value.explored == 1001
+        # with s = 2 the walk stays small, and each point without room costs
+        # its node: (0..2) x (0..2) holds 9 points, 6 of them with room
+        prog = brick_program(n=0, r=0, s=2, t=0, D=((1, 1),), C=(), B=(), A=(), rhs=(),
+                             w0=(1, 1), j=None, wj=(), u=(2, 2))
+        with counters.collect() as ops:
+            assert solve_2stage_desk(prog, 2) == 2
+        assert ops.blockip_nodes == 9
 
     def test_encoding_spends_nodes_per_piece(self):
         # the encoding's first stage visits one end of each piece of t, where
