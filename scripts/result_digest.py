@@ -48,9 +48,9 @@ from rtmix.cli import EXIT_INTERNAL, main as cli_main
 # level and 10 whose interferer lcm passes 2**63; one more system's search
 # bound S passes the magnitude cap at a middle level
 SYSTEMS = 240
-# seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6, 7
-# crowded ones at the ends of the reverse search's window and 5 whose lcm
-# passes 2**63
+# seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6, a
+# deep chain of L = 8, 12 and 16 levels, 7 crowded ones at the ends of the
+# reverse search's window and 5 whose lcm passes 2**63
 MIX = 120
 # seeded `gen random` systems, n = 2 or 3 and p_max = 8 or 16, jitter-free and
 # then with jitter, each also solved in mirrored form, and with weight 1 on the
@@ -183,6 +183,11 @@ def mix_instances(count: int):
             gen.random_mix_instance(seed, n, a_max, harmonic=harmonic)
     for n in range(2, 7):
         yield f"tight-mix n={n}", gen.tight_mixing_instance(n)
+    # a deep divisibility chain, w = 1, a = 2^i, b = 2^(i-1) + 12345 for
+    # i = 1..L, on which the harmonic search's cost still grows exponentially in L
+    for levels in (8, 12, 16):
+        yield f"chain L={levels}", MixInstance(1, [(1, 2**i, 2 ** (i - 1) + 12345)
+                                                   for i in range(1, levels + 1)])
     # crowded instances at the ends of the window that the dual query's bounds
     # leave for the least k, [beta - top, beta - max(1, top - C)] with C = sum w_i.
     # No positive weight: no interferer, C = 0, and the window is {0}, its

@@ -164,6 +164,13 @@ def is_harmonic(obj: TaskSystem | Iterable[int]) -> bool:
     values = obj.periods() if isinstance(obj, TaskSystem) else tuple(obj)
     if not all(is_integer(v) and v >= 1 for v in values):
         raise InvalidInstance("harmonicity is defined for positive integers only")
+    return is_chain(values)
+
+
+def is_chain(values: Iterable[int]) -> bool:
+    """`is_harmonic` on positive integers its caller has checked, with no
+    check of its own: a query build and a mixing compile pass the periods
+    or capacities they have just validated."""
     values = sorted(values)
     return all(b % a == 0 for a, b in zip(values, values[1:]))
 

@@ -15,7 +15,8 @@ Two exact solvers are provided:
   objective shifts by a*(w0 - sum_{a_j <= a} w_j/a_j) >= 0 under s -> s + a,
   so the search narrows to one capacity-period per level and only splits at
   the level's own breakpoints, carrying the objective down so that a leaf
-  costs O(1).
+  costs O(1), and skips every window whose lower bound reaches the best
+  objective found.
 
 Every solver returns the solution with the smallest optimal s, and every
 returned completion is feasibility-checked before it leaves the module.
@@ -43,7 +44,7 @@ from itertools import repeat
 from typing import Iterable
 
 from . import counters
-from .core import ceil_div, certified_s, is_harmonic, is_integer, require_integers
+from .core import ceil_div, certified_s, is_chain, is_integer, require_integers
 from .errors import (
     InternalInvariantViolated,
     InvalidInstance,
@@ -137,12 +138,15 @@ class MixForm:
     terms at level l; a term's right-hand side is b = base + offset.  Zero-
     weight terms never move the objective and are left out.  `chain` tells
     whether all capacities form a divisibility chain, and `s_bound` is the
-    certified S (`certified_s_bound`), which no right-hand side enters.
-    Dropping terms shrinks both the lcm and the utilization bound, so a
-    prefix of levels stays bounded and keeps S certified: one compiled form
-    serves every instance that keeps some of its lowest levels and moves
-    all right-hand sides by one constant (`at`), without checking anything
-    again.
+    certified S (`certified_s_bound`), which no right-hand side enters.  On
+    a chain, `loads[l]` = sum_{j <= l} w_j*(a_l/a_j) and `offset_loads[l]` =
+    sum_{j <= l} w_j*(a_l/a_j)*offset_j over the terms of levels up to l
+    feed `_search`'s bound; both are empty off a chain, and neither reads a
+    level above l.  Dropping terms shrinks both the lcm and the utilization
+    bound, so a prefix of levels stays bounded and keeps S certified: one
+    compiled form serves every instance that keeps some of its lowest
+    levels and moves all right-hand sides by one constant (`at`), without
+    checking anything again.
     """
 
     w0: int
@@ -150,27 +154,40 @@ class MixForm:
     groups: tuple[tuple[tuple[int, int], ...], ...]
     chain: bool
     s_bound: int
+    loads: tuple[int, ...]
+    offset_loads: tuple[int, ...]
     base: int = 0
 
     def at(self, base: int, depth: int | None = None) -> MixForm:
         """The lowest `depth` levels (all of them when None), with right-hand
         sides base + offset."""
         return MixForm(self.w0, self.levels[:depth], self.groups[:depth], self.chain,
-                       self.s_bound, base)
+                       self.s_bound, self.loads[:depth], self.offset_loads[:depth], base)
 
 
 def compile_mix(inst: MixInstance) -> MixForm:
     """Check an instance once - validity, then boundedness and S in one
     pass (`certified_s_bound`) - note whether its capacities form a
-    divisibility chain, and group its positive-weight terms by capacity."""
+    divisibility chain, group its positive-weight terms by capacity and, on
+    a chain, sum their loads level by level."""
     validate(inst)
     groups: dict[int, list[tuple[int, int]]] = {}
     for t in inst.terms:
         if t.w:
             groups.setdefault(t.a, []).append((t.w, t.b))
     levels = tuple(sorted(groups))
-    return MixForm(inst.w0, levels, tuple(tuple(groups[a]) for a in levels),
-                   is_harmonic(inst.capacities()), certified_s_bound(inst))
+    chain = is_chain(inst.capacities())
+    loads, offset_loads = [], []
+    load = offset_load = 0
+    below = 1
+    for a in levels if chain else ():
+        load = load * (a // below) + sum(w for w, _ in groups[a])
+        offset_load = offset_load * (a // below) + sum(w * off for w, off in groups[a])
+        loads.append(load)
+        offset_loads.append(offset_load)
+        below = a
+    return MixForm(inst.w0, levels, tuple(tuple(groups[a]) for a in levels), chain,
+                   certified_s_bound(inst), tuple(loads), tuple(offset_loads))
 
 
 def _solve(inst: MixInstance | MixForm, search) -> MixSolution:
@@ -246,6 +263,18 @@ def _search(form: MixForm) -> tuple[int, int]:
     it.  At the bottom the objective is w0*s plus that sum, so the left end
     wins and a leaf costs O(1).  Leaves are visited left to right, so ties
     resolve to the smallest s.
+
+    A window is skipped once a lower bound on its objective reaches the
+    best one found: with P_l = sum_{j <= l} w_j*(a_l/a_j) and
+    Q_l = sum_{j <= l} w_j*(a_l/a_j)*b_j over the terms of levels up to l,
+    every s >= L in a window of level l costs at least
+    acc + w0*L + ceil((Q_l - L*P_l)/a_l), acc the terms above l, since
+    ceil(x) >= x, every lower capacity divides a_l and boundedness gives
+    w0*a_l >= P_l.  P_l is the form's `loads[l]` and Q_l = base*P_l +
+    `offset_loads[l]`, both summed once, when the form is compiled.  A skipped
+    window costs one `mixing_ops` unit; it holds no s below the best one's
+    objective, and none of equal objective left of it, so the answer stays
+    the smallest optimal s.
     """
     if not form.chain:
         raise PreconditionViolated("capacities do not form a divisibility chain")
@@ -253,12 +282,17 @@ def _search(form: MixForm) -> tuple[int, int]:
     counters.bump("mixing_calls")
     if not levels:
         return 0, 0
+    loads, offset_loads = form.loads, form.offset_loads
     ops = 0
     best_s = best_obj = None
     stack = [(0, levels[-1], len(levels) - 1, 0)]
     while stack:
         left, right, li, acc = stack.pop()
         a = levels[li]
+        if best_obj is not None and best_obj <= acc + w0 * left - (
+                (left - base) * loads[li] - offset_loads[li]) // a:
+            ops += 1  # the window's lower bound reaches the best objective
+            continue
         right = min(right, left + a)
         group = groups[li]
         cuts = []

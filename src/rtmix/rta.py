@@ -28,7 +28,11 @@ All of them decide through `decide_large_k`, the one dualized oracle.
 Every search bisects through `core.bracket`, the one bisection, and
 narrows its window by the recurrence (`_bracket`): the response r is a
 fixed point of the monotone W, so a yes at k gives r <= min(k, W(k)) and
-a no gives r >= max(k + 1, W(k + 1)).  W(k) is computed before the decision,
+a no gives r >= max(k + 1, W(k + 1)).  A decision also returns its witness
+t* = k - s*, s* the smallest optimal s of the mixing instance, and a yes
+whose t* satisfies lo <= t* < k and W(t*) <= t*, checked in O(n), gives
+r <= W(t*): the window's upper end drops to W(t*), below k (`_cap`).
+W(k) is computed before the decision,
 and when W(k) <= k, k is itself feasible: the recurrence gives the yes in
 O(n), with r <= W(k), and no mixing solve runs (a free verdict, counted as
 `recurrence_verdicts`; `decision_probes` counts only the oracle's calls).
@@ -113,7 +117,7 @@ from .core import (
     Task,
     TaskSystem,
     bounds_from_parts,
-    is_harmonic,
+    is_chain,
     is_integer,
     require_integers,
     validate,
@@ -157,7 +161,7 @@ class ResponseQuery:
         tasks = tuple(tasks)
         for i, t in enumerate(tasks):
             validate_task(i, t)
-        vars(self).update(tasks=tasks, harmonic=is_harmonic(t.p for t in tasks),
+        vars(self).update(tasks=tasks, harmonic=is_chain(t.p for t in tasks),
                           jittered=any(t.jitter for t in tasks),
                           _form=[],  # shared by every `at` copy
                           _terms=tuple((t.c, t.p, t.jitter + t.p - 1) for t in tasks))
@@ -284,38 +288,46 @@ def _iterate(q: ResponseQuery, t: int, budget: int) -> tuple[int, bool]:
         counters.bump("fixpoint_iters", steps)
 
 
-def decide_large_k(q: ResponseQuery | Residual, k: int) -> bool:
-    """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma.
+def decide_large_k(q: ResponseQuery | Residual, k: int) -> tuple[bool, int]:
+    """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma, and
+    return the verdict with the optimum's witness t* = k - s*.
 
     Valid for k at or above the certified bound S, so a built query refuses
     any smaller k (the gate).  Mix(I, k) is the query's mixing form at base
     k, searched with no check repeated; the brute-force scan searches s in
-    [0, S].  A `Residual` of the harmonic walk needs no S: the walk
-    certifies the reduction by construction (every residual period lies
-    below k, and `_walk_probe` checks that every other task is forced), and
-    its instance is a prefix of the form's levels at base k.
+    [0, S].  At s = k - t the objective is W(t) - gamma + k - t, so t*
+    minimizes W(t) - t over [k - S, k], and on a built query a yes means
+    W(t*) <= t*: r <= W(t*) <= t* <= k.  A `Residual` of the harmonic walk
+    needs no S: the walk certifies the reduction by construction (every
+    residual period lies below k, and `_walk_probe` checks that every other
+    task is forced), and its instance is a prefix of the form's levels at
+    base k.  Its forced multipliers hold only on [lo, k], so its witness
+    bounds r only once W(t*) <= t* is checked, as `_bracket` does.
     """
     if isinstance(q, Residual):
-        counters.bump("decision_probes")
-        return mixing.solve_harmonic(q.form.at(k, q.depth)).objective <= k - q.gamma
-    require_integers(k=k)
-    if k < 1:
-        raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
-    if k < q.bounds.s:
-        raise PreconditionKTooSmall(k, q.bounds.s)
+        solve, form = mixing.solve_harmonic, q.form.at(k, q.depth)
+    else:
+        require_integers(k=k)
+        if k < 1:
+            raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
+        if k < q.bounds.s:
+            raise PreconditionKTooSmall(k, q.bounds.s)
+        solve = mixing.solve_harmonic if q.harmonic else mixing.solve_bruteforce
+        form = q.form.at(k)
     counters.bump("decision_probes")
-    solve = mixing.solve_harmonic if q.harmonic else mixing.solve_bruteforce
-    return solve(q.form.at(k)).objective <= k - q.gamma
+    sol = solve(form)
+    return sol.objective <= k - q.gamma, k - sol.s
 
 
-def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, k: int, lo: int) -> bool:
+def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, k: int,
+                lo: int) -> tuple[bool, int]:
     """One probe of the harmonic walk at k >= lo, lo a certified lower bound
-    on the response: Mix(residual, k) <= k - gamma'.  With d_j = p_j - jitter_j,
-    a task with p_j >= k is forced to multiplier 1 when k <= d_j, else to 2,
-    as d_j < lo: no difference lies in [lo, k), and one there raises
-    InternalInvariantViolated.  The residual, the tasks with period below k,
-    is the form's prefix of levels below k; with none, the probe is k >= gamma'
-    and no decision."""
+    on the response: Mix(residual, k) <= k - gamma', with its witness t*.
+    With d_j = p_j - jitter_j, a task with p_j >= k is forced to multiplier
+    1 when k <= d_j, else to 2, as d_j < lo: no difference lies in [lo, k),
+    and one there raises InternalInvariantViolated.  The residual, the tasks
+    with period below k, is the form's prefix of levels below k; with none,
+    the probe is k >= gamma', no decision, and its witness is k."""
     forced, residual, gamma_prime = {}, [], q.gamma
     for j, t in enumerate(q.tasks):
         d = t.p - t.jitter
@@ -328,12 +340,12 @@ def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, k: int, lo: i
             raise InternalInvariantViolated("residual set is not the chain below the probe")
     if residual:
         depth = bisect.bisect_left(q.form.levels, k)
-        feasible = decide_large_k(Residual(q.form, depth, gamma_prime), k)
+        feasible, witness = decide_large_k(Residual(q.form, depth, gamma_prime), k)
     else:
-        feasible = k >= gamma_prime
+        feasible, witness = k >= gamma_prime, k
     if trace is not None:
         trace.append(ProbeRecord(k, forced, tuple(residual), feasible))
-    return feasible
+    return feasible, witness
 
 
 def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
@@ -345,18 +357,32 @@ def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
     return t
 
 
-def _bracket(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int], bool]) -> int:
+def _cap(q: ResponseQuery, lo: int, k: int, t: int) -> int:
+    """The upper end that a yes at k with witness t proves, lo <= r: W(t)
+    when lo <= t < k and W(t) <= t, since then r <= W(t) <= t; else k.
+    The O(n) check trusts no forcing: the walk's holds only on [lo, k]."""
+    if lo <= t < k:
+        w = q.workload(t)
+        if w <= t:
+            return w
+    return k
+
+
+def _bracket(q: ResponseQuery, lo: int, hi: int,
+             decide: Callable[[int], tuple[bool, int]]) -> int:
     """The response r, given lo <= r <= hi and a decision decide(k) that
-    answers "r <= k", by `core.bracket` under the recurrence (see the module
-    docstring): a yes at k gives r <= min(k, W(k)), a no r >= max(k + 1,
-    W(k + 1)), and `decide` only sees a k with W(k) > k."""
+    answers "r <= k" with its witness t*, by `core.bracket` under the
+    recurrence (see the module docstring): a yes at k gives r <= W(t*) when
+    the witness passes `_cap`'s check and r <= min(k, W(k)) always, a no
+    r >= max(k + 1, W(k + 1)), and `decide` only sees a k with W(k) > k."""
 
     def narrow(k: int, lo: int, hi: int) -> tuple[int, int]:
         w = q.workload(k)
         if w <= k:
             counters.bump("recurrence_verdicts")
             return lo, w
-        return (lo, k) if decide(k) else (max(k + 1, q.workload(k + 1)), hi)
+        feasible, t = decide(k)
+        return (lo, _cap(q, lo, k, t)) if feasible else (max(k + 1, q.workload(k + 1)), hi)
 
     return core.bracket(lo, hi, narrow)
 
@@ -364,7 +390,8 @@ def _bracket(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int], bool]) 
 def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
     """The harmonic walk: probe the distinct nonzero differences upward from
     lo = max(lower, ceil(ell)), skipping those below lo; a no at k raises lo
-    to max(k + 1, W(k + 1)), a yes caps hi at min(k, W(k)) and ends the scan.
+    to max(k + 1, W(k + 1)), a yes caps hi at min(k, W(k)), or at W(t*) when
+    its witness passes `_cap`'s check, and ends the scan.
     Then `_bracket` searches [lo, hi]; no difference lies in [lo, hi), so the
     forcing by that lo stays valid.  The answer is re-checked against the
     recurrence."""
@@ -374,8 +401,9 @@ def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = Non
     for k in sorted({t.p - t.jitter for t in q.tasks} - {0}):
         if k < lo:
             continue
-        if _walk_probe(q, trace, k, lo):
-            hi = min(k, q.workload(k))
+        feasible, t = _walk_probe(q, trace, k, lo)
+        if feasible:
+            hi = min(_cap(q, lo, k, t), q.workload(k))
             break
         lo = max(k + 1, q.workload(k + 1))
     t = _bracket(q, lo, hi, lambda k: _walk_probe(q, trace, k, lo))

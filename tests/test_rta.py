@@ -160,7 +160,7 @@ class TestCompiledQuery:
         for algorithm in applicable(q):
             assert compute_response(q, algorithm) == want, algorithm
         for k in range(max(1, q.bounds.s), q.bounds.u + 1):
-            assert decide_large_k(q, k) == (want <= k), k
+            assert decide_large_k(q, k)[0] == (want <= k), k
         trace = []
         assert response_harmonic(q, trace=trace) == want
         assert [rec.residual for rec in trace] == [(0, 1)]
@@ -284,8 +284,8 @@ class TestCompiledQuery:
         # sorts the periods again.  The jittered non-harmonic geometric query
         # leaves the climb unsettled, so the general-period search probes.
         calls = []
-        real = rta.is_harmonic
-        monkeypatch.setattr(rta, "is_harmonic", lambda v: calls.append(v) or real(v))
+        real = rta.is_chain
+        monkeypatch.setattr(rta, "is_chain", lambda v: calls.append(v) or real(v))
         for build, algorithm in (
                 (lambda: ResponseQuery(geometric(10, False, True).tasks, 2**9), "turing"),
                 (lambda: full_query(random_system(3, 6, 256, harmonic=True)), "harmonic")):
@@ -419,15 +419,15 @@ class TestBuildMix:
 class TestDecideLargeK:
     def test_demo_at_certified_bound(self, demo_system):
         q = ResponseQuery(demo_system.tasks[:2], 13)
-        assert decide_large_k(q, 390)
+        assert decide_large_k(q, 390)[0]
 
     def test_extreme_bracketing(self, extreme3):
         q = ResponseQuery(extreme3.tasks[:2], 1)
-        assert not decide_large_k(q, 11)
-        assert decide_large_k(q, 12)
+        assert not decide_large_k(q, 11)[0]
+        assert decide_large_k(q, 12)[0]
 
     def test_empty_interference(self, demo_system):
-        assert decide_large_k(ResponseQuery((), 5), 5)
+        assert decide_large_k(ResponseQuery((), 5), 5)[0]
 
     def test_empty_interference_takes_the_ordinary_path(self):
         # no interferer: S = 0 and u = ceil(ell) = gamma, so every search
@@ -435,7 +435,7 @@ class TestDecideLargeK:
         # empty mixing form
         q = ResponseQuery((), 7)
         assert (q.bounds.s, q.bounds.u, q.bounds.ceil_ell) == (0, 7, 7)
-        assert [decide_large_k(q, k) for k in range(1, 10)] == [k >= 7 for k in range(1, 10)]
+        assert [decide_large_k(q, k)[0] for k in range(1, 10)] == [k >= 7 for k in range(1, 10)]
         assert q.form.levels == ()
         for algorithm in ALGORITHMS:
             with counters.collect() as ops:
@@ -469,7 +469,7 @@ class TestDecideLargeK:
                     decide_large_k(q, k)
         for k in {q.bounds.s, q.bounds.s + 1, r - 1, r, r + 1, q.bounds.u}:
             if k >= max(1, q.bounds.s):
-                assert decide_large_k(q, k) == (r <= k), (k, r, q.bounds.s)
+                assert decide_large_k(q, k)[0] == (r <= k), (k, r, q.bounds.s)
 
     @FAMILIES
     @given(data=st.data())
@@ -501,9 +501,29 @@ class TestDecideLargeK:
                 assert response_turing(q) == response_bruteforce(q)
         assert decided and min(decided) > 0
 
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_a_yes_names_a_witness_that_bounds_the_response(self, harmonic, zero_jitter, data):
+        # at k >= S the optimum's s* names t* = k - s*: a yes has
+        # r <= W(t*) <= t* <= k, and a no has r > k
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        q = full_query(ts)
+        r = response_bruteforce(q)
+        start = max(1, q.bounds.s)
+        drawn = data.draw(st.lists(st.integers(start, max(start, q.bounds.u)), max_size=4))
+        for k in {start, r, r + 1, q.bounds.u, *drawn}:
+            if k < start:
+                continue
+            feasible, t = decide_large_k(q, k)
+            if feasible:
+                assert r <= workload(q.tasks, q.gamma, t) <= t <= k, (k, t, r)
+            else:
+                assert r > k, (k, r)
+
     def test_verdict_monotone_in_k(self, extreme3):
         q = ResponseQuery(extreme3.tasks[:2], 1)
-        verdicts = [decide_large_k(q, k) for k in range(4, 30)]
+        verdicts = [decide_large_k(q, k)[0] for k in range(4, 30)]
         assert verdicts == sorted(verdicts)
 
     @given(small_task_systems(max_n=3, p_max=8))
@@ -658,6 +678,50 @@ class TestWalkAtScale:
         lower = response_bruteforce(ResponseQuery(ts.tasks[:k - 1], 1)) + 2 ** (k - 1)
         for bound in (lower, r):
             assert _audit_walk(ResponseQuery(ts.tasks, 2 ** (k - 1), bound)) == r
+
+    def test_the_jittered_geometric_query_is_pruned(self):
+        # c_i = 1, p_i = 2^i and jitter 2^(i-1) for i = 1..11, gamma = 2^11:
+        # `auto` hands off to the walk, whose chain searches skip each window
+        # whose lower bound reaches the best objective found (31,266 mixing
+        # ops without that)
+        q = ResponseQuery(geometric(12, jitter=True).tasks[:-1], 2**11)
+        r = response_bruteforce(q)
+        with counters.collect() as ops:
+            assert compute_response(q) == r
+        assert ops.auto_handoffs == 1 and ops.mixing_ops <= 20_000, ops
+
+
+class TestWitness:
+    """A yes decision names t* = k - s*, and `_bracket` lowers its upper end
+    to W(t*) once W(t*) <= t* is checked."""
+
+    def test_a_witness_that_fails_the_check_bounds_nothing(self, monkeypatch):
+        # the walk's forced multipliers hold only on [lo, k]; a probe that names
+        # the walk's lower end lo as its witness is used only when lo is the
+        # response, so no answer moves
+        real = rta._walk_probe
+        monkeypatch.setattr(rta, "_walk_probe",
+                            lambda q, trace, k, lo: (real(q, trace, k, lo)[0], lo))
+        for seed in range(40):
+            ts = random_system(seed + 900, random.Random(seed).randint(2, 7), 256, harmonic=True)
+            q = full_query(ts)
+            assert response_harmonic(q) == response_bruteforce(q), seed
+
+    def test_the_witness_saves_decisions(self, monkeypatch):
+        # general jittered systems: every answer stays, with fewer decisions
+        # than a bracket that keeps hi = k after each yes
+        systems = [random_system(seed, 6, 256) for seed in range(1, 21)]
+
+        def probes():
+            with counters.collect() as ops:
+                responses = [analyze_system(ts).responses() for ts in systems]
+            return responses, ops.decision_probes
+
+        responses, with_witness = probes()
+        monkeypatch.setattr(rta, "_cap", lambda q, lo, k, t: k)
+        unchanged, without_witness = probes()
+        assert unchanged == responses and with_witness < without_witness, \
+            (with_witness, without_witness)
 
 
 class TestWarmStart:
@@ -1158,7 +1222,8 @@ class TestInvariantGuards:
         ids=["infeasible", "non-minimal", "empty-bracket"],
     )
     def test_a_lying_walk_probe_is_caught(self, monkeypatch, verdict, task, gamma, message):
-        monkeypatch.setattr(rta, "_walk_probe", lambda *args: verdict)
+        # a fake probe answers with the witness k, which bounds nothing
+        monkeypatch.setattr(rta, "_walk_probe", lambda q, trace, k, lo: (verdict, k))
         with pytest.raises(InternalInvariantViolated) as exc:
             response_harmonic(ResponseQuery([task], gamma))
         assert str(exc.value) == message
