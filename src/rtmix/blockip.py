@@ -51,7 +51,6 @@ t - sum c_i*x_i >= c_n.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Iterator, Sequence
 
 from . import core, counters
@@ -363,16 +362,19 @@ def solve_2stage_desk(p: SimpleFourBlock, k: int) -> int | None:
 def _first_stage_totals(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator[int]:
     """`solve_2stage_desk` off the piece path: the coupling row's maximum at
     every x^(0) in its box with room k - w0 . x^(0) >= 0 whose bricks all
-    complete, each on its own, under that room; each variable runs only up to
-    the room it leaves on its own (none when k < 0), each point entered a node."""
+    complete, each on its own, under that room.  An odometer walks those
+    points alone, lazily and in lexicographic order: variable i runs only up
+    to the room that x_0..x_{i-1} leave it (no point when k < 0), and each
+    point entered is a node."""
+    if k < 0:
+        return
     weights = [p.wj if i + 1 == p.j else (0,) * p.t for i in range(p.n)]
     unit_coef = [_unit_slack_coefficient(a) for a in p.A]
-    tops = [min(u, k // w if w else u) if k >= 0 else -1 for u, w in zip(p.u_first(), p.w0)]
-    for x0 in product(*(range(top + 1) for top in tops)):
+    u, w0 = p.u_first(), p.w0
+    x0, rooms = [0] * p.s, [k] * (p.s + 1)  # rooms[i] = k - w0[:i] . x0[:i]
+    while True:
         budget.spend()
-        room = k - sum(w * v for w, v in zip(p.w0, x0))
-        if room < 0:
-            continue
+        room = rooms[-1]
         total = sum(d * v for d, v in zip(p.D[0], x0))
         for i in range(p.n):
             rhs = [r - sum(b * v for b, v in zip(row, x0)) for r, row in zip(p.rhs[i], p.B[i])]
@@ -387,6 +389,14 @@ def _first_stage_totals(p: SimpleFourBlock, k: int, budget: _Budget) -> Iterator
             total += part
         else:
             yield total
+        i = p.s - 1  # the last variable that can still rise
+        while i >= 0 and (x0[i] == u[i] or w0[i] * (x0[i] + 1) > rooms[i]):
+            i -= 1
+        if i < 0:
+            return
+        x0[i] += 1
+        x0[i + 1:] = [0] * (p.s - 1 - i)
+        rooms[i + 1:] = [rooms[i] - w0[i] * x0[i]] * (p.s - i)
 
 
 def solve_simple_4block(p: SimpleFourBlock, H: int | None = None) -> int:

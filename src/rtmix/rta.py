@@ -25,28 +25,26 @@ a certified bound S on the optimal s of the mixing instance, hence:
   until one is feasible, then searches the interval that leaves.
 
 All of them decide through `decide_large_k`, the one dualized oracle.
-Every search bisects through `core.bracket`, the one bisection, and
-narrows its window by the recurrence (`_bracket`): the response r is a
-fixed point of the monotone W, so a yes at k gives r <= min(k, W(k)) and
-a no gives r >= max(k + 1, W(k + 1)).  A decision also returns its witness
-t* = k - s*, s* the smallest optimal s of the mixing instance, and a yes
-whose t* satisfies lo <= t* < k and W(t*) <= t*, checked in O(n), gives
-r <= W(t*): the window's upper end drops to W(t*), below k (`_cap`).
-W(k) is computed before the decision,
-and when W(k) <= k, k is itself feasible: the recurrence gives the yes in
-O(n), with r <= W(k), and no mixing solve runs (a free verdict, counted as
+Every search narrows its window by one rule (`_search`), first at each k
+of an ascending scan (the walk's differences) and then in `core.bracket`,
+the one bisection.  The response r is a fixed point of the monotone W, so
+a yes at k gives r <= min(k, W(k)) and a no gives r >= max(k + 1, W(k + 1)).
+A decision also returns its witness t* = k - s*, s* the smallest optimal s
+of the mixing instance, and a yes whose t* satisfies lo <= t* < k and
+W(t*) <= t*, checked in O(n), gives r <= W(t*): the window's upper end
+drops to W(t*), below k.  W(k) is computed before the decision, and when
+W(k) <= k, k is itself feasible: the recurrence gives the yes in O(n),
+with r <= W(k), and no mixing solve runs (a free verdict, counted as
 `recurrence_verdicts`; `decision_probes` counts only the oracle's calls).
 The harmonic walk starts its lower end at ceil(ell), the certified lower
 bound of `core.bounds_from_parts` (Sjodin and Hansson, RTSS 1998), or at the
-query's `lower` when that is larger; it tightens that end the same way after
-each infeasible difference, and skips the differences below it.  Its
-difference probes always run the mixing solve, so each records the forced
-multipliers that the walk's audit checks.
+query's `lower` when that is larger; the scan skips the differences outside
+the window.
 
 `compute_response(q, "auto")` on harmonic periods runs the fixed point
 first.  It iterates t <- W(t) from t0 = max(gamma, lower), a certified
 lower bound, for at most (u - t0 + 1).bit_length() steps, a budget no smaller
-than the (u - t0).bit_length() probes `_bracket` can make on [t0, u].  When
+than the (u - t0).bit_length() probes `core.bracket` can make on [t0, u].  When
 W(t) <= t, t is the response.
 Otherwise the last
 iterate, a certified lower bound since W is monotone and W(r) = r, becomes
@@ -302,7 +300,7 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> tuple[bool, int]:
     residual period lies below k, and `_walk_probe` checks that every other
     task is forced), and its instance is a prefix of the form's levels at
     base k.  Its forced multipliers hold only on [lo, k], so its witness
-    bounds r only once W(t*) <= t* is checked, as `_bracket` does.
+    bounds r only once W(t*) <= t* is checked, as `_search` does.
     """
     if isinstance(q, Residual):
         solve, form = mixing.solve_harmonic, q.form.at(k, q.depth)
@@ -348,8 +346,34 @@ def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, k: int,
     return feasible, witness
 
 
-def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
-    """t, after checking it against the recurrence: feasible, and t - 1 is not."""
+def _search(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int, int], tuple[bool, int]],
+            algorithm: str, scan: Iterable[int] = ()) -> int:
+    """The response r, given lo <= r <= hi and a decision decide(k, lo) that
+    answers "r <= k" with its witness t*, through one narrowing rule (see the
+    module docstring): W(k) <= k gives r <= W(k) and `decide` is not asked;
+    otherwise a yes gives r <= W(t*) when lo <= t* < k and W(t*) <= t*, checked
+    in O(n) since the walk's forcing holds only on [lo, k], else r <= k, and a
+    no gives r >= max(k + 1, W(k + 1)).  The rule runs first at each k of the
+    ascending `scan` that lies in the window, then `core.bracket` bisects what
+    is left.  The answer is checked against the recurrence: feasible, and
+    t - 1 is not."""
+
+    def narrow(k: int, lo: int, hi: int) -> tuple[int, int]:
+        w = q.workload(k)
+        if w <= k:
+            counters.bump("recurrence_verdicts")
+            return lo, w
+        feasible, t = decide(k, lo)
+        if not feasible:
+            return max(k + 1, q.workload(k + 1)), hi
+        if lo <= t < k and (w_t := q.workload(t)) <= t:
+            return lo, w_t
+        return lo, k
+
+    for k in scan:
+        if lo <= k < hi:
+            lo, hi = narrow(k, lo, hi)
+    t = core.bracket(lo, hi, narrow)
     if q.workload(t) > t:
         raise InternalInvariantViolated(f"{algorithm} returned infeasible t={t}")
     if t > q.gamma and q.workload(t - 1) <= t - 1:
@@ -357,57 +381,18 @@ def _least_fixed_point(q: ResponseQuery, t: int, algorithm: str) -> int:
     return t
 
 
-def _cap(q: ResponseQuery, lo: int, k: int, t: int) -> int:
-    """The upper end that a yes at k with witness t proves, lo <= r: W(t)
-    when lo <= t < k and W(t) <= t, since then r <= W(t) <= t; else k.
-    The O(n) check trusts no forcing: the walk's holds only on [lo, k]."""
-    if lo <= t < k:
-        w = q.workload(t)
-        if w <= t:
-            return w
-    return k
-
-
-def _bracket(q: ResponseQuery, lo: int, hi: int,
-             decide: Callable[[int], tuple[bool, int]]) -> int:
-    """The response r, given lo <= r <= hi and a decision decide(k) that
-    answers "r <= k" with its witness t*, by `core.bracket` under the
-    recurrence (see the module docstring): a yes at k gives r <= W(t*) when
-    the witness passes `_cap`'s check and r <= min(k, W(k)) always, a no
-    r >= max(k + 1, W(k + 1)), and `decide` only sees a k with W(k) > k."""
-
-    def narrow(k: int, lo: int, hi: int) -> tuple[int, int]:
-        w = q.workload(k)
-        if w <= k:
-            counters.bump("recurrence_verdicts")
-            return lo, w
-        feasible, t = decide(k)
-        return (lo, _cap(q, lo, k, t)) if feasible else (max(k + 1, q.workload(k + 1)), hi)
-
-    return core.bracket(lo, hi, narrow)
-
-
 def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
-    """The harmonic walk: probe the distinct nonzero differences upward from
-    lo = max(lower, ceil(ell)), skipping those below lo; a no at k raises lo
-    to max(k + 1, W(k + 1)), a yes caps hi at min(k, W(k)), or at W(t*) when
-    its witness passes `_cap`'s check, and ends the scan.
-    Then `_bracket` searches [lo, hi]; no difference lies in [lo, hi), so the
-    forcing by that lo stays valid.  The answer is re-checked against the
-    recurrence."""
+    """The harmonic walk: `_search` from lo = max(lower, ceil(ell)) up to u,
+    scanning the distinct nonzero differences upward before it bisects, with
+    `_walk_probe` as the decision.  A no at a difference raises lo past it
+    and a yes drops hi to it or below, so no difference lies in the window
+    that the bisection searches, and the forcing by its lower end stays
+    valid."""
     if not q.harmonic:
         raise PreconditionViolated("periods do not form a divisibility chain")
-    lo, hi = max(q.lower, q.bounds.ceil_ell), q.bounds.u
-    for k in sorted({t.p - t.jitter for t in q.tasks} - {0}):
-        if k < lo:
-            continue
-        feasible, t = _walk_probe(q, trace, k, lo)
-        if feasible:
-            hi = min(_cap(q, lo, k, t), q.workload(k))
-            break
-        lo = max(k + 1, q.workload(k + 1))
-    t = _bracket(q, lo, hi, lambda k: _walk_probe(q, trace, k, lo))
-    return _least_fixed_point(q, t, "harmonic walk")
+    return _search(q, max(q.lower, q.bounds.ceil_ell), q.bounds.u,
+                   lambda k, lo: _walk_probe(q, trace, k, lo), "harmonic walk",
+                   sorted({t.p - t.jitter for t in q.tasks} - {0}))
 
 
 def _general_search(q: ResponseQuery) -> int:
@@ -415,7 +400,7 @@ def _general_search(q: ResponseQuery) -> int:
     bound (Sjodin and Hansson, RTSS 1998), for at most max(1, S - t0 + 1)
     steps.  A t with W(t) <= t is the response.  Otherwise every step rose
     by at least 1, so the last iterate, still a certified lower bound,
-    stands above S, where every decision passes the gate: `_bracket` runs
+    stands above S, where every decision passes the gate: `_search` runs
     from it up to u, or up to the lcm m when W(m) <= m.  The climb costs
     O(S) W evaluations; since c_i >= 1, the drop points in [0, S] that one
     decision at S would sweep number at most S*U + n."""
@@ -423,12 +408,9 @@ def _general_search(q: ResponseQuery) -> int:
     t, settled = _iterate(q, t0, max(1, q.bounds.s - t0 + 1))
     if settled:
         return t
-    hi = q.bounds.u
     m = q.bounds.m
-    if q.workload(m) <= m:
-        hi = min(hi, m)
-    t = _bracket(q, t, hi, lambda k: decide_large_k(q, k))
-    return _least_fixed_point(q, t, "general-period search")
+    hi = min(q.bounds.u, m) if q.workload(m) <= m else q.bounds.u
+    return _search(q, t, hi, lambda k, lo: decide_large_k(q, k), "general-period search")
 
 
 def response_turing(q: ResponseQuery) -> int:

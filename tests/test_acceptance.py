@@ -228,9 +228,16 @@ def test_criterion_08_forced_value_invariants():
                 assert forced == ceil_div(t_star + task.jitter, task.p), (ts, i)
                 two_value_checks += 1
         # walk instrumentation: every feasible probe's forced assignment
-        # matches the true optimum's multipliers
+        # matches the true optimum's multipliers.  The walk's scan reaches the
+        # least difference d >= t* below u, and settles it by the recurrence,
+        # with no probe, when W(d) <= d; the probe at d runs directly then,
+        # from lo = t*, which leaves no difference in [lo, d)
         trace: list[rta.ProbeRecord] = []
         assert rta.response_harmonic(q, trace=trace) == t_star
+        d = min((t.p - t.jitter for t in q.tasks if t.p - t.jitter >= t_star), default=None)
+        if d is not None and d < q.bounds.u and q.workload(d) <= d:
+            assert all(rec.k != d for rec in trace), (ts, d)
+            assert rta._walk_probe(q, trace, d, t_star)[0], (ts, d)
         for rec in trace:
             if not rec.feasible:
                 continue

@@ -366,25 +366,31 @@ class TestDeskBackend:
         assert ops.blockip_nodes == 0
 
     def test_the_budget_bounds_a_first_stage_of_many_variables(self, monkeypatch):
-        # 40 first-stage variables of weight 1 at k = 2: each reaches 2 on its
-        # own room, so the walk may enter 3**40 points though only
-        # C(42, 2) = 861 have room in total; every point entered spends a node,
-        # so a budget of 1000 stops the walk after 1001 of them
-        s = 40
-        prog = brick_program(n=0, r=0, s=s, t=0, D=((1,) * s,), C=(), B=(), A=(), rhs=(),
-                             w0=(1,) * s, j=None, wj=(), u=(2,) * s)
-        assert math.comb(s + 2, 2) < 1000 < 3**s
-        monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 1000)
-        with counters.collect() as ops, pytest.raises(BudgetExceeded) as exc:
-            solve_2stage_desk(prog, 2)
-        assert ops.blockip_nodes == exc.value.explored == 1001
-        # with s = 2 the walk stays small, and each point without room costs
-        # its node: (0..2) x (0..2) holds 9 points, 6 of them with room
-        prog = brick_program(n=0, r=0, s=2, t=0, D=((1, 1),), C=(), B=(), A=(), rhs=(),
-                             w0=(1, 1), j=None, wj=(), u=(2, 2))
+        # s first-stage variables of weight w at k = 2, each in [0, box]
+        def first_stage(s, w=1, box=2):
+            return brick_program(n=0, r=0, s=s, t=0, D=((1,) * s,), C=(), B=(), A=(), rhs=(),
+                                 w0=(w,) * s, j=None, wj=(), u=(box,) * s)
+
+        # with s = 40 each variable reaches 2 on its own room, so the box
+        # holds 3**40 points, but the odometer enters only the C(42, 2) = 861
+        # with room in total, one node each
         with counters.collect() as ops:
-            assert solve_2stage_desk(prog, 2) == 2
-        assert ops.blockip_nodes == 9
+            assert solve_2stage_desk(first_stage(40), 2) == 2
+        assert ops.blockip_nodes == math.comb(42, 2) == 861
+        # with s = 2, (0..2) x (0..2) holds 9 points, 6 of them with room
+        with counters.collect() as ops:
+            assert solve_2stage_desk(first_stage(2), 2) == 2
+        assert ops.blockip_nodes == 6
+        # a budget below 861 stops the walk after budget + 1 nodes, also with
+        # 1500 variables, which the odometer walks with no recursion, and with
+        # two zero-weight variables whose box of (10**12 + 1)**2 points all
+        # have room (one variable alone would take the piece path)
+        monkeypatch.setattr(blockip, "DEFAULT_NODE_BUDGET", 500)
+        for prog in (first_stage(40), first_stage(1500), first_stage(2, w=0, box=10**12)):
+            assert not blockip.on_piece_path(prog)
+            with counters.collect() as ops, pytest.raises(BudgetExceeded) as exc:
+                solve_2stage_desk(prog, 2)
+            assert ops.blockip_nodes == exc.value.explored == 501
 
     def test_encoding_spends_nodes_per_piece(self):
         # the encoding's first stage visits one end of each piece of t, where

@@ -14,7 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import dual_max_oracle, exceeds_w0, response_scan_oracle, small_task_systems
+from conftest import (
+    dual_max_oracle,
+    exceeds_w0,
+    recorded_core_brackets,
+    response_scan_oracle,
+    small_task_systems,
+)
 from conftest import workload as conftest_workload
 from rtmix.core import (
     Task,
@@ -594,6 +600,21 @@ class TestHarmonicWalk:
         with pytest.raises(InternalInvariantViolated, match="not the chain below the probe"):
             rta._walk_probe(ResponseQuery([Task(1, 8, 2)], 1), None, 7, 5)
 
+    def test_the_recurrence_settles_a_difference_with_no_probe(self):
+        # differences 3 and 6 from lo = 3: the probe at 3 says no and raises
+        # lo to W(4) = 5; at d = 6, W(6) = 5 <= 6 proves r <= 5 with no probe
+        q = ResponseQuery([Task(1, 3, 0), Task(2, 6, 0)], 1)
+        assert q.bounds.ceil_ell <= 6 < q.bounds.u and q.workload(6) <= 6
+        real, probed = rta._walk_probe, []
+
+        def spy(q, trace, k, lo):
+            probed.append(k)
+            return real(q, trace, k, lo)
+
+        with mock.patch.object(rta, "_walk_probe", spy), counters.collect() as ops:
+            assert response_harmonic(q) == response_bruteforce(q) == 5
+        assert probed == [3] and ops.recurrence_verdicts >= 1, (probed, ops)
+
     def test_rejects_non_harmonic_periods(self, demo_system):
         with pytest.raises(PreconditionViolated):
             response_harmonic(ResponseQuery(demo_system.tasks[:2], 13))
@@ -692,7 +713,7 @@ class TestWalkAtScale:
 
 
 class TestWitness:
-    """A yes decision names t* = k - s*, and `_bracket` lowers its upper end
+    """A yes decision names t* = k - s*, and `_search` lowers its upper end
     to W(t*) once W(t*) <= t* is checked."""
 
     def test_a_witness_that_fails_the_check_bounds_nothing(self, monkeypatch):
@@ -718,7 +739,9 @@ class TestWitness:
             return responses, ops.decision_probes
 
         responses, with_witness = probes()
-        monkeypatch.setattr(rta, "_cap", lambda q, lo, k, t: k)
+        # a decision that names t* = k as its witness bounds nothing below k
+        real = rta.decide_large_k
+        monkeypatch.setattr(rta, "decide_large_k", lambda q, k: (real(q, k)[0], k))
         unchanged, without_witness = probes()
         assert unchanged == responses and with_witness < without_witness, \
             (with_witness, without_witness)
@@ -757,43 +780,51 @@ class TestWarmStart:
 
     @staticmethod
     @contextlib.contextmanager
-    def recorded_brackets():
-        """Yield a list that collects (q, lo, hi, probed k) of every bracketed search."""
-        searches = []
-        real = rta._bracket
+    def recorded_searches():
+        """Yield the `core.bracket` searches (see `recorded_core_brackets`)
+        and a list of (q, k) for every k that a search passes to its
+        decision, the walk's difference scan included."""
+        decided = []
+        real_walk, real_decide = rta._walk_probe, rta.decide_large_k
 
-        def spy(q, lo, hi, decide):
-            probes = []
-            t = real(q, lo, hi, lambda k: probes.append(k) or decide(k))
-            searches.append((q, lo, hi, probes))
-            return t
+        def walk(q, trace, k, lo):
+            decided.append((q, k))
+            return real_walk(q, trace, k, lo)
 
-        with mock.patch.object(rta, "_bracket", spy):
-            yield searches
+        def decide(q, k):
+            if isinstance(q, ResponseQuery):  # the walk's `Residual`s are seen above
+                decided.append((q, k))
+            return real_decide(q, k)
+
+        with recorded_core_brackets() as searches, \
+                mock.patch.object(rta, "_walk_probe", walk), \
+                mock.patch.object(rta, "decide_large_k", decide):
+            yield searches, decided
 
     @FAMILIES
     @given(data=st.data())
     @settings(max_examples=60)
     def test_bracketed_searches_stay_within_log2(self, harmonic, zero_jitter, data):
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
-        with self.recorded_brackets() as searches:
+        with self.recorded_searches() as (searches, decided):
             for algorithm in applicable(full_query(ts)):
                 analyze_system(ts, algorithm)
                 compute_response(full_query(ts), algorithm)
-        for q, lo, hi, probes in searches:
+        for _, lo, hi, probes in searches:
             # at most ceil(log2(hi - lo + 1)) probes
             assert len(probes) <= (hi - lo).bit_length(), (lo, hi, probes)
-            # a k with W(k) <= k is settled by the recurrence, never decided
-            for k in probes:
-                assert workload(q.tasks, q.gamma, k) > k, (q.tasks, q.gamma, k)
+        # a k with W(k) <= k is settled by the recurrence, never decided
+        for q, k in decided:
+            assert workload(q.tasks, q.gamma, k) > k, (q.tasks, q.gamma, k)
 
     def test_bracket_bound_on_the_geometric_walk(self):
         # the walk's bracketed search on this query spans a wide interval
         q = ResponseQuery(geometric(10).tasks, 2**9)
-        with self.recorded_brackets() as searches:
+        with self.recorded_searches() as (searches, decided):
             assert response_harmonic(q) == response_bruteforce(q)
         assert any(probes for *_, probes in searches)
         assert all(len(probes) <= (hi - lo).bit_length() for _, lo, hi, probes in searches)
+        assert decided and all(q.workload(k) > k for _, k in decided)
 
 
 class TestSearchesAtScale:
@@ -1215,15 +1246,21 @@ class TestInvariantGuards:
         assert str(exc.value) == f"fixed-point iteration escaped the certified bound {q.bounds.u}"
 
     @pytest.mark.parametrize(
-        "verdict, task, gamma, message",
-        [(True, Task(3, 9, 0), 3, "harmonic walk returned infeasible t=5"),
-         (False, Task(2, 5, 1), 1, "harmonic walk returned t=5, but t - 1 is feasible"),
-         (False, Task(3, 9, 0), 3, "the verdicts emptied the bracket [10, 9]")],
+        "answer, tasks, gamma, lower, message",
+        [(lambda k: True, [Task(3, 9, 0)], 3, 0, "harmonic walk returned infeasible t=5"),
+         (lambda k: True, [Task(1, 4, 1), Task(2, 4, 0)], 1, 8,
+          "harmonic walk returned t=8, but t - 1 is feasible"),
+         (lambda k: k >= 3, [Task(3, 6, 0)], 1, 0, "the verdicts emptied the bracket [4, 3]")],
         ids=["infeasible", "non-minimal", "empty-bracket"],
     )
-    def test_a_lying_walk_probe_is_caught(self, monkeypatch, verdict, task, gamma, message):
-        # a fake probe answers with the witness k, which bounds nothing
-        monkeypatch.setattr(rta, "_walk_probe", lambda q, trace, k, lo: (verdict, k))
+    def test_a_lying_walk_probe_is_caught(self, monkeypatch, answer, tasks, gamma, lower, message):
+        # a fake probe answers answer(k) with the witness k, which bounds
+        # nothing.  Every lower end that a no sets leaves t - 1 infeasible, so
+        # only a start above the response, a `lower` that lies (8 > r = 7),
+        # can end the search on a t whose t - 1 is feasible
+        consulted = []
+        monkeypatch.setattr(rta, "_walk_probe",
+                            lambda q, trace, k, lo: (consulted.append(k) or answer(k), k))
         with pytest.raises(InternalInvariantViolated) as exc:
-            response_harmonic(ResponseQuery([task], gamma))
-        assert str(exc.value) == message
+            response_harmonic(ResponseQuery(tasks, gamma, lower))
+        assert str(exc.value) == message and consulted
