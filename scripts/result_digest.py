@@ -6,13 +6,13 @@ Runs `rtmix rta compute` under every algorithm that applies, `auto` with
 `--verify` (each level's response checked against a fixed-point query built
 from the level's interferers; the line keeps the label `rta compute auto`,
 and a mismatch exits 1 with no result, so the algorithms disagree), `rtmix
-mix solve` under all three algorithms, and `rtmix blockip encode-rtc` followed by
-`rtmix blockip solve` on the encoded program and, for the small programs, on
-its mirrored form and on both forms with the objective weight (1, 0) on
-brick 1, through `rtmix.cli.main`, and prints one JSON line per
-run: the input, the command, the exit code, and the report's `result` and
-`counters` (the encoded program for `encode-rtc`, the error object for a
-failed run).  Timings are left out, so two checkouts that
+mix solve` under all three algorithms, raw invalid documents included, and
+`rtmix blockip encode-rtc` followed by `rtmix blockip solve` on the encoded
+program and, for the small programs, on its mirrored form and on both forms
+with the objective weight (1, 0) on brick 1, through `rtmix.cli.main`, and
+prints one JSON line per run: the input, the command, the exit code, and the
+report's `result` and `counters` (the encoded program for `encode-rtc`, the
+error object for a failed run).  Timings are left out, so two checkouts that
 compute the same thing print the same lines:
 
     PYTHONPATH=src python3 scripts/result_digest.py > new.jsonl
@@ -58,6 +58,14 @@ MIX = 120
 # p_max = 128 and 1024 (seeds 1-5), whose first-stage ranges run to 2179, and
 # 5 jitter-free n = 6 ones whose interferer lcm passes 2**63
 BLOCKIP = 60
+# raw mixing documents that no `MixInstance` can hold, since an instance
+# checks itself when it is built: each run exits 2 under every algorithm
+INVALID_MIX = {
+    "invalid capacity 0": {"w0": 1, "terms": [{"w": 1, "a": 2, "b": 3}, {"w": 1, "a": 0, "b": 3}]},
+    "invalid negative weight": {"w0": 1, "terms": [{"w": -1, "a": 2, "b": 3}]},
+    "invalid boolean b": {"w0": 1, "terms": [{"w": 1, "a": 2, "b": True}]},
+    "invalid float w0": {"w0": 1.0, "terms": [{"w": 1, "a": 2, "b": 3}]},
+}
 # the lcm past which the large-lcm families draw: the magnitude cap plus
 # one, which bounds S and not the lcm
 BIG_LCM = 2**63
@@ -295,6 +303,11 @@ def main() -> int:
                     if out["code"] == 0:
                         objectives[algorithm] = out["result"]["objective"]
                 agree(name + label, "mix solve objectives", objectives)
+        for name, doc in INVALID_MIX.items():
+            write(path, doc)
+            for algorithm in ("bruteforce", "harmonic", "shift"):
+                out = run(["mix", "solve", "--input", path, "--algorithm", algorithm])
+                record(name, f"mix solve {algorithm}", out)
         for name, ts, small in blockip_systems(BLOCKIP):
             write(path, system_dict(ts))
             out = run(["blockip", "encode-rtc", "--input", path])

@@ -7,7 +7,10 @@ Releases:       {"releases": [[{"arrival": int, "release": int}, ...], ...]}
 4-block:        the fields of `_FOUR_BLOCK` in order, arrays nested row-major to the shapes
                 `SimpleFourBlock` states; the writer hands `json` the program's own tuples
 
-Every record (task, term, release) is read by `_objects`: an object, no unknown field.
+Every document and every record (task, term, release) is read by `_objects`: an object,
+no unknown field.  A decoded task system is checked here (`core.validate`); a mixing
+instance checks itself when it is built (`MixInstance`), as a 4-block program does
+(`SimpleFourBlock`), so this module checks neither again.
 """
 
 from __future__ import annotations
@@ -20,7 +23,6 @@ from .blockip import SimpleFourBlock
 from .core import Task, TaskSystem, is_integer, validate
 from .errors import InvalidInstance
 from .mixing import MixInstance, MixSolution
-from .mixing import validate as validate_mix
 from .sim import ReleasePattern, ScheduleTrace
 
 
@@ -30,9 +32,10 @@ def _require(cond: bool, msg: str) -> None:
 
 
 def _objects(entries: list, fields: set[str], what: str) -> list[dict]:
-    """`entries`, each checked to be an object with no field outside `fields`."""
+    """`entries`, each checked to be an object with no field outside `fields`;
+    a document is checked as a list of one."""
     for entry in entries:
-        _require(isinstance(entry, dict), f"each {what} must be an object")
+        _require(isinstance(entry, dict), f"a {what} must be an object")
         unknown = set(entry) - fields
         if unknown:
             raise InvalidInstance(f"unknown {what} fields: {sorted(unknown)}")
@@ -48,8 +51,8 @@ def task_system_to_dict(ts: TaskSystem) -> dict:
 
 
 def task_system_from_dict(data: Any) -> TaskSystem:
-    _require(isinstance(data, dict) and isinstance(data.get("tasks"), list),
-             "expected {'tasks': [...]}")
+    [data] = _objects([data], {"tasks"}, "task system")
+    _require(isinstance(data.get("tasks"), list), "expected {'tasks': [...]}")
     tasks = _objects(data["tasks"], {"c", "d", "p", "jitter"}, "task")
     ts = TaskSystem([Task(e.get("c"), e.get("p"), e.get("jitter", 0), e.get("d")) for e in tasks])
     validate(ts)
@@ -64,13 +67,12 @@ def mix_instance_to_dict(inst: MixInstance) -> dict:
 
 
 def mix_instance_from_dict(data: Any) -> MixInstance:
-    _require(isinstance(data, dict) and "w0" in data and isinstance(data.get("terms"), list),
+    [data] = _objects([data], {"w0", "terms"}, "mixing instance")
+    _require("w0" in data and isinstance(data.get("terms"), list),
              "expected {'w0': ..., 'terms': [...]}")
     terms = [(e.get("w"), e.get("a"), e.get("b"))
              for e in _objects(data["terms"], {"w", "a", "b"}, "term")]
-    inst = MixInstance(data["w0"], terms)
-    validate_mix(inst)
-    return inst
+    return MixInstance(data["w0"], terms)  # which checks itself
 
 
 def mix_solution_to_dict(sol: MixSolution) -> dict:
@@ -78,8 +80,8 @@ def mix_solution_to_dict(sol: MixSolution) -> dict:
 
 
 def release_pattern_from_dict(data: Any) -> ReleasePattern:
-    _require(isinstance(data, dict) and isinstance(data.get("releases"), list),
-             "expected {'releases': [[...], ...]}")
+    [data] = _objects([data], {"releases"}, "release pattern")
+    _require(isinstance(data.get("releases"), list), "expected {'releases': [[...], ...]}")
     jobs = []
     for per_task in data["releases"]:
         _require(isinstance(per_task, list), "each task's releases must be a list")
@@ -108,7 +110,7 @@ def four_block_to_dict(p: SimpleFourBlock) -> dict:
 
 def four_block_from_dict(data: Any) -> SimpleFourBlock:
     """The program `data` gives, each field passed on as JSON gave it."""
-    _require(isinstance(data, dict), "expected a 4-block object")
+    [data] = _objects([data], set(_FOUR_BLOCK), "4-block program")
     q = data.get("q", 1)
     _require(is_integer(q) and q == 1, "exactly one coupling inequality is supported")
     try:

@@ -21,8 +21,10 @@ Two exact solvers are provided:
 Every solver returns the solution with the smallest optimal s, and every
 returned completion is feasibility-checked before it leaves the module.
 
-Both solvers search one compiled form, a `MixForm`: `compile_mix` checks
-validity, then decides boundedness and certifies S in one pass
+A `MixInstance` checks itself when it is built (`validate`, called by its
+constructor, so `dataclasses.replace` checks too), and nothing checks its
+validity again.  Both solvers search one compiled form, a `MixForm`:
+`compile_mix` decides boundedness and certifies S in one pass
 (`certified_s_bound`, which raises Unbounded, then OverflowLimit when S
 passes the magnitude cap 2**63 - 1; the lcm itself is uncapped), notes
 whether the capacities form a divisibility chain, and groups the
@@ -31,8 +33,7 @@ and checks its completion.  A solver given a form searches it with no check
 repeated and reports s and the objective only: `rta` compiles one form per
 response query, terms (c_i, p_i, jitter_i), and every decision probe
 searches it at right-hand sides k + jitter_i (`MixForm.at`), the harmonic
-walk a prefix of its levels.  `certified_s_bound` trusts its caller and does
-not re-validate, so code calling it directly validates first.
+walk a prefix of its levels.
 """
 
 from __future__ import annotations
@@ -62,6 +63,8 @@ class MixTerm:
 
 @dataclass(frozen=True)
 class MixInstance:
+    """A mixing set instance, checked by `validate` when it is built."""
+
     w0: int
     terms: tuple[MixTerm, ...]
 
@@ -72,6 +75,7 @@ class MixInstance:
             "terms",
             tuple(t if isinstance(t, MixTerm) else MixTerm(*t) for t in terms),
         )
+        validate(self)
 
     def capacities(self) -> tuple[int, ...]:
         return tuple(t.a for t in self.terms)
@@ -85,6 +89,8 @@ class MixSolution:
 
 
 def validate(inst: MixInstance) -> None:
+    """Reject a w0 or a term field that is not an integer, w0 < 0, a
+    capacity below 1 and a negative weight; run by `MixInstance` itself."""
     if not is_integer(inst.w0) or inst.w0 < 0:
         raise InvalidInstance(f"w0 must be a nonnegative integer, got {inst.w0!r}")
     for idx, t in enumerate(inst.terms):
@@ -166,11 +172,11 @@ class MixForm:
 
 
 def compile_mix(inst: MixInstance) -> MixForm:
-    """Check an instance once - validity, then boundedness and S in one
-    pass (`certified_s_bound`) - note whether its capacities form a
-    divisibility chain, group its positive-weight terms by capacity and, on
-    a chain, sum their loads level by level."""
-    validate(inst)
+    """Check an instance's boundedness and S once, in one pass
+    (`certified_s_bound`; the instance checked its validity when it was
+    built), note whether its capacities form a divisibility chain, group its
+    positive-weight terms by capacity and, on a chain, sum their loads level
+    by level."""
     groups: dict[int, list[tuple[int, int]]] = {}
     for t in inst.terms:
         if t.w:
@@ -191,11 +197,11 @@ def compile_mix(inst: MixInstance) -> MixForm:
 
 
 def _solve(inst: MixInstance | MixForm, search) -> MixSolution:
-    """Run `search` on a compiled form.  A `MixInstance` is compiled (every
-    check), searched once, and its completion is checked for feasibility
-    and against the search's objective.  A compiled form was checked when
-    it was compiled and is only searched: its solution reports s and the
-    objective, and leaves x empty."""
+    """Run `search` on a compiled form.  A `MixInstance` is compiled
+    (boundedness and S), searched once, and its completion is checked for
+    feasibility and against the search's objective.  A compiled form was
+    checked when it was compiled and is only searched: its solution reports
+    s and the objective, and leaves x empty."""
     if isinstance(inst, MixForm):
         s, obj = search(inst)
         return MixSolution(s, (), obj)

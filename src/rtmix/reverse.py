@@ -8,10 +8,12 @@ turns it around: for beta at or above the certified bound S on optimal s,
 
 where the instance's capacities become periods, weights become costs, and
 b_i - beta becomes the release jitter.  `solve_general_via_shift`, the one
-solver here, applies that identity to any bounded instance.  It checks the
-instance once, at entry: w0 = 1 (rescaling would change the integrality of
-the dual query), then `mixing.certified_s_bound`, which raises Unbounded
-when sum w_i/a_i > 1.  It shifts each b_i by a multiple of a_i into the
+solver here, applies that identity to any bounded instance.  The instance
+checked its validity when it was built (`mixing.MixInstance`), so the solver
+checks only what this reduction adds, once, at entry: w0 = 1 (rescaling
+would change the integrality of the dual query), then
+`mixing.certified_s_bound`, which raises Unbounded when sum w_i/a_i > 1.
+It shifts each b_i by a multiple of a_i into the
 crowded window [m, m + a_i], m = lcm(a), where beta = b_min gives jitter
 0 <= b_i - beta <= a_i (`shift_record`, whose one pass checks the window and
 returns the shifted right-hand sides and the objective correction they
@@ -45,12 +47,12 @@ from .errors import InternalInvariantViolated, PreconditionViolated, Utilization
 
 
 def _validate(inst: mixing.MixInstance) -> None:
+    """The w0 = 1 rule, the one check a valid instance can still fail here."""
     if inst.w0 != 1:
         raise PreconditionViolated(
             f"reverse reductions require w0 = 1, got {inst.w0!r} (rescaling would "
             "change the integrality of the dual query)"
         )
-    mixing.validate(inst)
 
 
 def _dual_query(terms: tuple[mixing.MixTerm, ...], bs: list[int], beta: int,

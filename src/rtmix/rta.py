@@ -139,11 +139,14 @@ class ResponseQuery:
     `jittered` whether some interferer has jitter.  `lower` is a lower bound
     on the response that the caller certifies (0 when it knows none); the
     searches start from it.  `analyze_system` sets it, and `auto` raises it
-    on a hand-off.  The interferers' mixing form (`form`) is compiled on
-    first need; its certified S is `bounds.s`, and the bounds also carry the
-    load aggregate from which `at` and `plus` derive their bounds without a
-    pass over the interferers.  W is compiled at the build into integer
-    terms (`workload`), which `at` shares and `plus` extends.  With no
+    on a hand-off.  A build checks it against u only: a `lower` above the
+    response is caught, if at all, by `_search`'s check that t - 1 is
+    infeasible, and that is the one fault that check catches.  The
+    interferers' mixing form (`form`) is compiled on first need; its
+    certified S is `bounds.s`, and the bounds also carry the load aggregate
+    from which `at` and `plus` derive their bounds without a pass over the
+    interferers.  W is compiled at the build into integer terms
+    (`workload`), which `at` shares and `plus` extends.  With no
     interferers, S = 0 and u = ceil(ell) = gamma >= `lower`, so with no
     case of their own every search returns gamma after one W evaluation and
     `decide_large_k` decides k >= gamma on the empty mixing form."""
@@ -356,7 +359,11 @@ def _search(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int, int], tup
     no gives r >= max(k + 1, W(k + 1)).  The rule runs first at each k of the
     ascending `scan` that lies in the window, then `core.bracket` bisects what
     is left.  The answer is checked against the recurrence: feasible, and
-    t - 1 is not."""
+    t - 1 is not.  No decision can trip the second check, since the bracket
+    returns its last lower end and a no sets it to max(k + 1, W(k + 1)) at a
+    k with W(k) > k, which leaves every t from k up to it infeasible (W is
+    monotone).  It catches only a start above the response: a caller's
+    `lower` that is not the lower bound it certifies (`ResponseQuery`)."""
 
     def narrow(k: int, lo: int, hi: int) -> tuple[int, int]:
         w = q.workload(k)

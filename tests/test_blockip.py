@@ -235,6 +235,14 @@ class TestDeskBackend:
         assert blockip._max_brick((1, 0), ((-7, 1),), (-10,), (50, 6), (0, 0), 0, budget) == 2
         assert budget.budget - budget.left == 3
 
+    def test_a_row_out_of_reach_cuts_the_root(self):
+        # row (0, 1) = 5: x takes no part in it, and z in [0, 2] reaches at
+        # most 2, so the root enters no value of x and the brick is
+        # infeasible after one node
+        budget = blockip._Budget(10_000)
+        assert blockip._max_brick((1, 1), ((0, 1),), (5,), (3, 2), (0, 0), 0, budget) is None
+        assert budget.budget - budget.left == 1
+
     def test_forced_equality(self):
         # brick variable pinned by its row x = 3, box [0, 5], maximize x only
         prog = brick_program(D=((0,),), C=(((1,),),))

@@ -8,6 +8,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 import tempfile
@@ -724,6 +725,30 @@ class TestIntegerFieldsOnly:
         assert last_json(out)["error"] == "InvalidInstance"
 
 
+class TestUnknownDocumentFields:
+    @pytest.mark.parametrize("argv, payload", [
+        (["rta", "compute"], {"tasks": [{"c": 1, "d": 4, "p": 4, "jitter": 0}], "extra": 1}),
+        (["mix", "solve"], {"w0": 1, "terms": [{"w": 1, "a": 2, "b": 3}], "extra": 1}),
+        (["blockip", "solve"], {**FOUR_BLOCK, "extra": 1}),
+        (["blockip", "encode-rtc"], {"tasks": [{"c": 1, "p": 4}], "extra": 1}),
+    ], ids=["rta", "mix", "blockip", "encode-rtc"])
+    def test_rejected_with_exit_2(self, capsys, tmp_path, argv, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code, out = run_cli(capsys, *argv, "--input", str(path))
+        assert code == 2
+        assert last_json(out)["message"].endswith("fields: ['extra']")
+
+    def test_sim_run_rejects_them_in_the_releases(self, capsys, tmp_path, demo_file):
+        path = tmp_path / "releases.json"
+        path.write_text(json.dumps({"releases": [[], [], []], "extra": 1}))
+        code, out = run_cli(capsys, "sim", "run", "--input", demo_file, "--releases", str(path),
+                            "--horizon", "10")
+        assert code == 2
+        assert last_json(out) == {"error": "InvalidInstance",
+                                  "message": "unknown release pattern fields: ['extra']"}
+
+
 class TestTextFormat:
     def test_text_output(self, capsys, demo_file):
         code, out = run_cli(
@@ -817,6 +842,33 @@ class TestReadmeFourBlock:
         path.write_text(json.dumps(example))
         code, out = run_cli(capsys, "blockip", "solve", "--input", str(path))
         assert code == 0 and last_json(out)["result"]["objective"] == stated
+
+
+class TestReadmeCommandLine:
+    """The README's "Command line" block runs as written, top to bottom, in a
+    directory that holds the "File formats" examples under the names it
+    reads: every `rtmix` line exits 0."""
+
+    NAMES = {"tasks": "system.json", "terms": "instance.json", "releases": "releases.json",
+             "A": "prog.json"}
+
+    def test_every_line_exits_0(self, capsys, tmp_path, monkeypatch):
+        text = "\n".join(readme_lines())
+        block = text[text.index("## Command line"):]
+        block = block[block.index("```sh\n"):]
+        commands = [line for line in block[:block.index("\n```")].splitlines()
+                    if line.startswith("rtmix ")]
+        formats = text[text.index("### File formats"):text.index("## Scripts")]
+        for example in re.findall(r"```json\n(.*?)```", formats, re.S):
+            [name] = [self.NAMES[key] for key in json.loads(example) if key in self.NAMES]
+            (tmp_path / name).write_text(example)
+        assert sorted(os.listdir(tmp_path)) == sorted(self.NAMES.values())
+        monkeypatch.chdir(tmp_path)
+        assert {line.split()[1] for line in commands} == {"rta", "mix", "gen", "sim",
+                                                            "blockip"}
+        for line in commands:
+            code, out = run_cli(capsys, *shlex.split(line)[1:])
+            assert code == 0, (line, out)
 
 
 class TestReadmeExitCodes:

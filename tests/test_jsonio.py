@@ -114,6 +114,34 @@ class TestFourBlock:
             four_block_from_dict(data)
 
 
+DOCUMENTS = [
+    (task_system_from_dict, {"tasks": [{"c": 1, "p": 2}]}, "task system"),
+    (mix_instance_from_dict, {"w0": 1, "terms": []}, "mixing instance"),
+    (release_pattern_from_dict, {"releases": [[]]}, "release pattern"),
+    (four_block_from_dict, four_block_to_dict(encode_rtc_as_4block(TaskSystem([Task(1, 2, 0)]))),
+     "4-block program"),
+]
+
+
+class TestDocuments:
+    """A document is read as a record is: an object with no unknown field."""
+
+    @pytest.mark.parametrize("decode, doc, what", DOCUMENTS, ids=["tasks", "mix", "releases",
+                                                                  "4-block"])
+    def test_unknown_fields_rejected_sorted(self, decode, doc, what):
+        decode(doc)
+        with pytest.raises(InvalidInstance) as exc:
+            decode({**doc, "z": 0, "extra": 1})
+        assert str(exc.value) == f"unknown {what} fields: ['extra', 'z']"
+
+    @pytest.mark.parametrize("decode, doc, what", DOCUMENTS, ids=["tasks", "mix", "releases",
+                                                                  "4-block"])
+    def test_a_document_that_is_not_an_object_is_rejected(self, decode, doc, what):
+        with pytest.raises(InvalidInstance) as exc:
+            decode([doc])
+        assert str(exc.value) == f"a {what} must be an object"
+
+
 def _nested(value, kinds, depth=0):
     """`value` with each array at nesting `depth` made kinds[depth % len(kinds)]."""
     if not isinstance(value, list):

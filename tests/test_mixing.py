@@ -1,5 +1,6 @@
 """Mixing set: canonical completion, bounds on s, and the two exact solvers."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
@@ -337,6 +338,19 @@ class TestShiftIdentity:
 
 
 class TestValidation:
+    """An instance checks itself when it is built, through
+    `dataclasses.replace` too, and names the term at fault by its index."""
+
+    CASES = [
+        (-1, [], "w0 must be a nonnegative integer, got -1"),
+        (True, [], "w0 must be a nonnegative integer, got True"),
+        (1.0, [(1, 2, 3)], "w0 must be a nonnegative integer, got 1.0"),
+        (1, [(1, 2, 3), (1, 0, 3)], "term 1: capacity must satisfy a >= 1, got 0"),
+        (1, [(-1, 2, 3)], "term 0: weight must be nonnegative, got -1"),
+        (1, [(1, 2, 3), (1, 2, True)], "term 1: w, a, b must be integers"),
+    ]
+    IDS = ["negative-w0", "bool-w0", "float-w0", "zero-capacity", "negative-weight", "bool-b"]
+
     @pytest.mark.parametrize(
         "w0, terms",
         [
@@ -347,7 +361,15 @@ class TestValidation:
     )
     def test_bad_instances_rejected(self, w0, terms):
         with pytest.raises(InvalidInstance):
-            solve_bruteforce(MixInstance(w0, terms))
+            MixInstance(w0, terms)
+
+    @pytest.mark.parametrize("w0, terms, message", CASES, ids=IDS)
+    def test_built_directly_or_by_replace_with_its_message(self, w0, terms, message):
+        for build in (MixInstance, lambda w0, terms: dataclasses.replace(TIGHT2, w0=w0,
+                                                                         terms=terms)):
+            with pytest.raises(InvalidInstance) as exc:
+                build(w0, terms)
+            assert str(exc.value) == message
 
 
 class TestInvariantGuards:

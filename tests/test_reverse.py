@@ -94,18 +94,22 @@ class TestSolveCrowded:
     def test_instance_checked_once_per_public_entry(self, monkeypatch):
         # the shift leaves this crowded instance as it is, and the dual query's
         # bounds decide the first probe (top - C = 11 - 4 >= 1), so the solve
-        # validates and certifies the instance once, at its entry, and never
-        # calls the checked mix_leq_via_rtc.  It builds one response query;
-        # every probe derives its query from it and shares its mixing form,
-        # which is validated and certified once, not once per mixing solve
-        # that searches it.  The bounds leave a window of C + 1 = 5 values of
-        # k (C = sum w_i), so the search makes at most ceil(log2(C + 1))
-        # probes and at most one more for the witness.
+        # certifies the instance once, at its entry, and never calls the
+        # checked mix_leq_via_rtc.  An instance validates itself when it is
+        # built, so the solve validates nothing at its entry.
+        # It builds one response query; every probe derives its query from it
+        # and shares its mixing form, whose instance is validated once, when
+        # it is built, and certified once, when it is compiled, not once per
+        # mixing solve that searches it.  The bounds leave a window of
+        # C + 1 = 5 values of k (C = sum w_i), so the search makes at most
+        # ceil(log2(C + 1)) probes and at most one more for the witness.
         inst = MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)])
         expected = solve_bruteforce(inst).objective
-        validated, certified, built, probed, decided = [], [], [], [], []
-        validate, certify = mixing.validate, mixing.certified_s_bound
+        made, validated, certified, built, probed, decided = [], [], [], [], [], []
+        make, validate, certify = MixInstance.__init__, mixing.validate, mixing.certified_s_bound
         init, compute = rta.ResponseQuery.__init__, rta.compute_response
+        monkeypatch.setattr(MixInstance, "__init__",
+                            lambda i, *args: made.append(i) or make(i, *args))
         monkeypatch.setattr(mixing, "validate", lambda i: validated.append(i) or validate(i))
         monkeypatch.setattr(
             mixing, "certified_s_bound", lambda i: certified.append(i) or certify(i)
@@ -116,10 +120,10 @@ class TestSolveCrowded:
         monkeypatch.setattr(reverse, "mix_leq_via_rtc", lambda *args: decided.append(args))
         with counters.collect() as ops:
             assert solve_general_via_shift(inst).objective == expected
-        assert validated.count(inst) == certified.count(inst) == 1
-        forms = [v for v in validated if v != inst]
-        assert [c for c in certified if c != inst] == forms
-        assert len(forms) == len(built) == 1 < ops.mixing_calls  # one form serves several solves
+        # one validation per instance built, each of them, and none of inst
+        assert list(map(id, validated)) == list(map(id, made)) and inst not in made
+        assert list(map(id, certified)) == list(map(id, [inst, *made]))
+        assert len(made) == len(built) == 1 < ops.mixing_calls  # one form serves several solves
         assert decided == [] and 1 < len(probed)
         cost_sum = sum(t.w for t in inst.terms)
         assert len(probed) <= 1 + math.ceil(math.log2(cost_sum + 1))
@@ -392,21 +396,37 @@ class TestShift:
             assert solve_general_via_shift(inst) == solve_bruteforce(inst)
 
     def test_validates_once_per_compiled_query_not_per_probe(self, monkeypatch):
-        # each solve validates its instance at its public entries and each
-        # mixing form once, when it is compiled, however many probes search it
-        calls = Counter()
-        for module, name in ((mixing, "validate"), (mixing, "compile_mix"), (reverse, "_validate")):
-            def counted(*args, _real=getattr(module, name), _name=name):
-                calls[_name] += 1
-                return _real(*args)
+        # an instance validates itself once, when it is built, and nothing
+        # validates it again: the solves of instances built beforehand
+        # validate only the instances they build (each query's mixing form,
+        # each crowded fallback), each inside its own constructor, so none at
+        # a public entry, none when a form is compiled and none per probe
+        # that searches it
+        insts = [random_mix_instance(seed, n, a_max, harmonic=harmonic)
+                 for seed in range(1, 101)
+                 for n, a_max, harmonic in ((6, 256, True), (4, 16, False))]
+        calls, building = Counter(), []
+        make, validate, compile_mix = MixInstance.__init__, mixing.validate, mixing.compile_mix
 
-            monkeypatch.setattr(module, name, counted)
+        def built(inst, *args):
+            calls["built"] += 1
+            building.append(inst)
+            make(inst, *args)
+            building.pop()
+
+        def validated(inst):
+            assert building and building[-1] is inst
+            calls["validate"] += 1
+            validate(inst)
+
+        monkeypatch.setattr(MixInstance, "__init__", built)
+        monkeypatch.setattr(mixing, "validate", validated)
+        monkeypatch.setattr(mixing, "compile_mix", lambda i: calls.update(["compile_mix"])
+                            or compile_mix(i))
         with counters.collect() as ops:
-            for seed in range(1, 101):
-                for n, a_max, harmonic in ((6, 256, True), (4, 16, False)):
-                    inst = random_mix_instance(seed, n, a_max, harmonic=harmonic)
-                    solve_general_via_shift(inst)
-        assert calls["validate"] == calls["_validate"] + calls["compile_mix"]
+            for inst in insts:
+                solve_general_via_shift(inst)
+        assert calls["validate"] == calls["built"] > 0
         assert calls["compile_mix"] < ops.decision_probes
 
     @given(bounded_mix_instances())
