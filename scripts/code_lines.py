@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Print how many lines of the Python files in a directory hold code.
+"""Print how many lines of a Python file, or of the Python files in a
+directory, hold code.
 
 A line holds code when some token on it is neither a comment nor a
 docstring (the string that opens a module, class or function body); blank
@@ -9,6 +10,9 @@ every line it spans.  Uses only `ast` and `tokenize`:
 
     python3 scripts/code_lines.py             # src/rtmix of this checkout
     python3 scripts/code_lines.py path/to/src/rtmix
+    python3 scripts/code_lines.py path/to/src/rtmix/mixing.py
+
+Any other path, one that does not exist included, exits 2 with a message.
 """
 
 from __future__ import annotations
@@ -40,7 +44,14 @@ def code_lines(source: str) -> int:
 
 def main(argv: list[str]) -> int:
     root = Path(argv[0]) if argv else Path(__file__).resolve().parent.parent / "src" / "rtmix"
-    print(sum(code_lines(path.read_text()) for path in sorted(root.glob("*.py"))))
+    if root.is_file():
+        paths = [root]
+    elif root.is_dir():
+        paths = sorted(root.glob("*.py"))
+    else:
+        print(f"code_lines: {root} is neither a file nor a directory", file=sys.stderr)
+        return 2
+    print(sum(code_lines(path.read_text()) for path in paths))
     return 0
 
 

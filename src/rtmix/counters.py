@@ -20,7 +20,7 @@ class Counters:
     # which holds only the positive-weight terms).  Brute force: its n terms
     # at s = 0 plus one, then one per drop point.  Harmonic: per node, the
     # terms of its level (each evaluated once, its objective part carried
-    # down) plus one; per leaf, one.
+    # down) plus one; per leaf, one; per window its lower bound skips, one.
     mixing_ops: int = 0
     decision_probes: int = 0   # dualized decision-oracle invocations
     # Decisions "response <= k" of a bracketed search that W(k) <= k settled

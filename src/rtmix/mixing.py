@@ -18,6 +18,12 @@ Two exact solvers are provided:
   costs O(1), and skips every window whose lower bound reaches the best
   objective found.
 
+`solve` is the one selector between them: the chain search when the
+capacities form a divisibility chain, the scan otherwise.  `rta`'s decision
+probes and `reverse`'s fallback call it and pick no solver themselves; the
+two named solvers stay as explicit algorithms (`mix solve --algorithm`) and
+as each other's oracle.
+
 Every solver returns the solution with the smallest optimal s, and every
 returned completion is feasibility-checked before it leaves the module.
 
@@ -33,11 +39,12 @@ and checks its completion.  A solver given a form searches it with no check
 repeated and reports s and the objective only: `rta` compiles one form per
 response query, terms (c_i, p_i, jitter_i), and every decision probe
 searches it at right-hand sides k + jitter_i (`MixForm.at`), the harmonic
-walk a prefix of its levels.
+walk its levels with capacity below k.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -164,9 +171,10 @@ class MixForm:
     offset_loads: tuple[int, ...]
     base: int = 0
 
-    def at(self, base: int, depth: int | None = None) -> MixForm:
-        """The lowest `depth` levels (all of them when None), with right-hand
-        sides base + offset."""
+    def at(self, base: int, below: int | None = None) -> MixForm:
+        """The levels with capacity below `below` (all of them when None),
+        with right-hand sides base + offset."""
+        depth = None if below is None else bisect.bisect_left(self.levels, below)
         return MixForm(self.w0, self.levels[:depth], self.groups[:depth], self.chain,
                        self.s_bound, self.loads[:depth], self.offset_loads[:depth], base)
 
@@ -335,3 +343,12 @@ def solve_harmonic(inst: MixInstance | MixForm) -> MixSolution:
     optimal s wins ties.  Takes an instance or a compiled form, as
     `solve_bruteforce` does."""
     return _solve(inst, _search)
+
+
+def solve(inst: MixInstance | MixForm) -> MixSolution:
+    """Global optimum, smallest optimal s on ties: `solve_harmonic` when the
+    capacities form a divisibility chain (a form's `chain`), else
+    `solve_bruteforce`.  Both are called through this module's names, so a
+    wrapper put on either sees every call."""
+    chain = inst.chain if isinstance(inst, MixForm) else is_chain(inst.capacities())
+    return (solve_harmonic if chain else solve_bruteforce)(inst)

@@ -34,7 +34,9 @@ answered by `rta.compute_response`, the selector `rtmix rta compute
 
 The lcm m, beta and the shifted right-hand sides are uncapped: only the
 certified S meets the magnitude cap (`core.certified_s`), and S bounds each
-probe's search and the fallback's scan.
+probe's search and the fallback's.  The fallback solves the crowded
+instance through `mixing.solve`, which picks the chain search or the scan;
+nothing here picks a mixing solver.
 """
 
 from __future__ import annotations
@@ -139,9 +141,9 @@ def _solve_crowded(terms: tuple[mixing.MixTerm, ...], bs: list[int]) -> tuple[in
     r(g) - g, the interference at r(g), never falls as g grows.  The least
     k's witness is s = beta - r, probed once more when the window alone
     settles that k.  When k = beta - 1 fails, the optimum lies in [beta,
-    b_max], at s < min(m, beta) = m by the shift identity; the fallback's
-    brute-force range [0, S] lies inside it (S <= m - 1) and holds an
-    optimal s, so its smallest optimal s is the answer.
+    b_max], at s < min(m, beta) = m by the shift identity; the fallback,
+    `mixing.solve` (the chain search on a chain, else the brute-force scan
+    of [0, S], S <= m - 1), returns the smallest optimal s, the answer.
     """
     beta = min(bs)
     q = _dual_query(terms, bs, beta, 1)
@@ -152,7 +154,7 @@ def _solve_crowded(terms: tuple[mixing.MixTerm, ...], bs: list[int]) -> tuple[in
     if top - cost_sum < 1:  # the bounds do not decide k = beta - 1 a yes
         crowded = mixing.MixInstance(1, [(t.w, t.a, rhs) for t, rhs in zip(terms, bs)])
         if top < 1 or not mix_leq_via_rtc(crowded, beta, beta - 1):
-            sol = mixing.solve_bruteforce(crowded)
+            sol = mixing.solve(crowded)
             if not beta <= sol.objective <= max(bs):
                 raise InternalInvariantViolated("crowded fallback produced optimum "
                                                 f"{sol.objective} outside [beta, b_max]")

@@ -96,16 +96,17 @@ levels), on first need: the first probe that reaches a mixing solve.  Every
 query that `at` derives shares it.  A decision probe at k searches the form
 at base k, right-hand sides k + jitter_i, and checks nothing again;
 `decide_large_k` refuses every k below S, which it reads from the bounds,
-and the brute-force scan searches s in [0, S].  A probe of the harmonic
-walk searches the form's prefix of levels below k, passed to
-`decide_large_k` as a `Residual`; it needs no S, since the walk keeps every
-residual period below the probe (a walk probe with none decides itself).
-`compute_response` is the only algorithm selector; `reverse` calls it too.
+and `mixing.solve`, the one mixing selector, searches the form: by the
+chain search when the periods form a chain, else by the brute-force scan
+over s in [0, S].  A probe of the harmonic walk searches the form's levels
+with period below k, cut once and passed to `decide_large_k` as a
+`Residual`; it needs no S, since the walk keeps every residual period below
+the probe (a walk probe with none decides itself).  `compute_response` is
+the only response algorithm selector; `reverse` calls it too.
 """
 
 from __future__ import annotations
 
-import bisect
 from dataclasses import dataclass
 from typing import Callable, Iterable, NamedTuple
 
@@ -228,12 +229,11 @@ class ResponseQuery:
 
 class Residual(NamedTuple):
     """One decision probe of the harmonic walk at k: the interferers with
-    period below k, at least one, as the lowest `depth` levels of the
-    query's mixing form (right-hand sides k + jitter_i), and the constant
-    gamma' that the tasks with forced multipliers add to gamma."""
+    period below k, at least one, as the query's mixing form cut to those
+    levels, and the constant gamma' that the tasks with forced multipliers
+    add to gamma."""
 
     form: mixing.MixForm
-    depth: int
     gamma: int
 
 
@@ -295,28 +295,25 @@ def decide_large_k(q: ResponseQuery | Residual, k: int) -> tuple[bool, int]:
 
     Valid for k at or above the certified bound S, so a built query refuses
     any smaller k (the gate).  Mix(I, k) is the query's mixing form at base
-    k, searched with no check repeated; the brute-force scan searches s in
-    [0, S].  At s = k - t the objective is W(t) - gamma + k - t, so t*
-    minimizes W(t) - t over [k - S, k], and on a built query a yes means
-    W(t*) <= t*: r <= W(t*) <= t* <= k.  A `Residual` of the harmonic walk
-    needs no S: the walk certifies the reduction by construction (every
-    residual period lies below k, and `_walk_probe` checks that every other
-    task is forced), and its instance is a prefix of the form's levels at
-    base k.  Its forced multipliers hold only on [lo, k], so its witness
-    bounds r only once W(t*) <= t* is checked, as `_search` does.
+    k, searched by `mixing.solve` with no check repeated; off a chain its
+    brute-force scan searches s in [0, S].  At s = k - t the objective is
+    W(t) - gamma + k - t, so t* minimizes W(t) - t over [k - S, k], and on
+    a built query a yes means W(t*) <= t*: r <= W(t*) <= t* <= k.  A
+    `Residual` of the harmonic walk needs no S: the walk certifies the
+    reduction by construction (every residual period lies below k, and
+    `_walk_probe` checks that every other task is forced), and its form,
+    cut to the levels below k, is searched at base k the same way.  Its
+    forced multipliers hold only on [lo, k], so its witness bounds r only
+    once W(t*) <= t* is checked, as `_search` does.
     """
-    if isinstance(q, Residual):
-        solve, form = mixing.solve_harmonic, q.form.at(k, q.depth)
-    else:
+    if not isinstance(q, Residual):
         require_integers(k=k)
         if k < 1:
             raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
         if k < q.bounds.s:
             raise PreconditionKTooSmall(k, q.bounds.s)
-        solve = mixing.solve_harmonic if q.harmonic else mixing.solve_bruteforce
-        form = q.form.at(k)
     counters.bump("decision_probes")
-    sol = solve(form)
+    sol = mixing.solve(q.form.at(k))
     return sol.objective <= k - q.gamma, k - sol.s
 
 
@@ -327,7 +324,7 @@ def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, k: int,
     With d_j = p_j - jitter_j, a task with p_j >= k is forced to multiplier
     1 when k <= d_j, else to 2, as d_j < lo: no difference lies in [lo, k),
     and one there raises InternalInvariantViolated.  The residual, the tasks
-    with period below k, is the form's prefix of levels below k; with none,
+    with period below k, is the form cut to its levels below k; with none,
     the probe is k >= gamma', no decision, and its witness is k."""
     forced, residual, gamma_prime = {}, [], q.gamma
     for j, t in enumerate(q.tasks):
@@ -340,8 +337,7 @@ def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, k: int,
         else:
             raise InternalInvariantViolated("residual set is not the chain below the probe")
     if residual:
-        depth = bisect.bisect_left(q.form.levels, k)
-        feasible, witness = decide_large_k(Residual(q.form, depth, gamma_prime), k)
+        feasible, witness = decide_large_k(Residual(q.form.at(k, k), gamma_prime), k)
     else:
         feasible, witness = k >= gamma_prime, k
     if trace is not None:

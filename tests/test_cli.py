@@ -209,6 +209,26 @@ class TestMixSolve:
             objectives[algorithm] = last_json(out)["result"]["objective"]
         assert objectives["shift"] == objectives["bruteforce"]
 
+    def test_shift_takes_the_chain_search_on_a_deep_chain(self, capsys, tmp_path):
+        # the result digest's chain L = 16, w = 1, a = 2^i, b = 2^(i-1) + 12345:
+        # the reverse search falls back at once, and its fallback,
+        # `mixing.solve`, searches the chain as `--algorithm harmonic` does
+        # (27,729 mixing ops), not by the scan (65,551)
+        inst = tmp_path / "chain.json"
+        terms = [{"w": 1, "a": 2**i, "b": 2 ** (i - 1) + 12345} for i in range(1, 17)]
+        inst.write_text(json.dumps({"w0": 1, "terms": terms}))
+        reports = {}
+        for algorithm in ("bruteforce", "harmonic", "shift"):
+            code, out = run_cli(
+                capsys, "mix", "solve", "--input", str(inst), "--algorithm", algorithm
+            )
+            assert code == 0, out
+            reports[algorithm] = last_json(out)
+        shift, harmonic, bruteforce = (reports[a] for a in ("shift", "harmonic", "bruteforce"))
+        assert shift["result"] == harmonic["result"] == bruteforce["result"]
+        assert shift["counters"] == harmonic["counters"]
+        assert shift["counters"]["mixing_ops"] < bruteforce["counters"]["mixing_ops"]
+
     @pytest.mark.parametrize("algorithm", ["bruteforce", "harmonic", "shift"])
     def test_unbounded_exit_code(self, capsys, tmp_path, algorithm):
         inputs = [{"w0": 1, "terms": [{"w": 2, "a": 1, "b": 0}]}]

@@ -38,3 +38,17 @@ def test_counts_a_directory(tmp_path, capsys):
     (tmp_path / "c.txt").write_text("not python\n")
     assert code_lines.main([str(tmp_path)]) == 0
     assert capsys.readouterr().out == "3\n"
+
+
+def test_counts_a_file(tmp_path, capsys):
+    (tmp_path / "a.py").write_text('"""doc"""\nx = 1\ny = 2\n')
+    assert code_lines.main([str(tmp_path / "a.py")]) == 0
+    assert capsys.readouterr().out == "2\n"
+
+
+def test_a_path_that_is_not_a_file_or_a_directory_fails(tmp_path, capsys):
+    missing = tmp_path / "missing.py"
+    assert code_lines.main([str(missing)]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"code_lines: {missing} is neither a file nor a directory\n"

@@ -1,7 +1,9 @@
-"""Mixing set: canonical completion, bounds on s, and the two exact solvers."""
+"""Mixing set: canonical completion, bounds on s, the two exact solvers and
+the selector between them."""
 
 import dataclasses
 import math
+import sys
 from fractions import Fraction
 
 import pytest
@@ -9,15 +11,17 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import bounded_mix_instances, exceeds_w0, mix_enum_oracle
-from rtmix import counters, mixing
-from rtmix.core import is_harmonic
+from rtmix import counters, mixing, rta
+from rtmix.core import Task, is_harmonic
 from rtmix.gen import random_mix_instance, tight_mixing_instance
 from rtmix.mixing import (
+    MixForm,
     MixInstance,
     MixSolution,
     certified_s_bound,
     compile_mix,
     complete,
+    solve,
     solve_bruteforce,
     solve_harmonic,
 )
@@ -92,10 +96,10 @@ class TestUnbounded:
     @example(1, [(2, 4, 7), (4, 8, 7)])  # sum w_i/a_i = w0 exactly
     @settings(max_examples=150)
     def test_integer_test_matches_the_exact_utilization(self, w0, terms):
-        # compile, both solvers, S and the reverse solver raise Unbounded
-        # exactly when sum w_i/a_i > w0 in exact fractions
+        # compile, both solvers, the selector, S and the reverse solver raise
+        # Unbounded exactly when sum w_i/a_i > w0 in exact fractions
         inst = MixInstance(w0, terms)
-        entries = [certified_s_bound, compile_mix, solve_bruteforce]
+        entries = [certified_s_bound, compile_mix, solve_bruteforce, solve]
         if is_harmonic(inst.capacities()):
             entries.append(solve_harmonic)
         if w0 == 1:
@@ -117,7 +121,7 @@ class TestUnbounded:
         for zero in ([], [(0, 7, 1)]):
             over_cap = MixInstance(1, [(1, big, 0), (big - 2, big, 3), *zero])
             unbounded = MixInstance(1, [(1, big, 0), (big, big, 3), *zero])
-            for entry in (certified_s_bound, compile_mix, solve_bruteforce,
+            for entry in (certified_s_bound, compile_mix, solve_bruteforce, solve,
                           solve_general_via_shift):
                 with pytest.raises(OverflowLimit):
                     entry(over_cap)
@@ -126,7 +130,7 @@ class TestUnbounded:
 
     def test_solvers_raise(self):
         bad = MixInstance(1, [(2, 1, 0)])
-        for solver in (solve_bruteforce, solve_harmonic):
+        for solver in (solve_bruteforce, solve_harmonic, solve):
             with pytest.raises(Unbounded):
                 solver(bad)
 
@@ -210,8 +214,9 @@ class TestBruteforce:
     def test_agrees_with_plain_enumeration(self, inst):
         m = math.lcm(*inst.capacities()) if inst.terms else 1
         obj, s = mix_enum_oracle(inst, m)
-        sol = solve_bruteforce(inst)
-        assert (sol.objective, sol.s) == (obj, s)
+        for solver in (solve_bruteforce, solve):
+            sol = solver(inst)
+            assert (sol.objective, sol.s) == (obj, s), solver
 
     @given(st.data())
     @settings(max_examples=300)
@@ -265,8 +270,9 @@ class TestHarmonicSolver:
     @settings(max_examples=80)
     def test_matches_bruteforce_including_tie_break(self, inst):
         b = solve_bruteforce(inst)
-        h = solve_harmonic(inst)
-        assert (h.objective, h.s) == (b.objective, b.s)
+        for solver in (solve_harmonic, solve):
+            h = solver(inst)
+            assert (h.objective, h.s) == (b.objective, b.s), solver
 
     @given(st.data())
     @settings(max_examples=80)
@@ -285,8 +291,9 @@ class TestHarmonicSolver:
             terms.append((w, a, data.draw(st.integers(-300, 600))))
         inst = MixInstance(w0, terms)
         b = solve_bruteforce(inst)
-        h = solve_harmonic(inst)
-        assert (h.objective, h.s) == (b.objective, b.s)
+        for solver in (solve_harmonic, solve):
+            h = solver(inst)
+            assert (h.objective, h.s) == (b.objective, b.s), solver
 
     def test_the_deep_chain_is_pruned(self):
         # w = 1, a = 2^i, b = 2^(i-1) + 12345 for i = 1..12: the search skips
@@ -305,8 +312,95 @@ class TestHarmonicSolver:
         for seed in range(150):
             inst = random_mix_instance(seed, n=random.Random(seed).randint(0, 8), a_max=256)
             b = solve_bruteforce(inst)
-            h = solve_harmonic(inst)
-            assert (h.objective, h.s) == (b.objective, b.s)
+            for solver in (solve_harmonic, solve):
+                h = solver(inst)
+                assert (h.objective, h.s) == (b.objective, b.s), (seed, solver)
+
+
+@pytest.fixture
+def solver_calls(monkeypatch):
+    """Spies on `mixing.solve` and both named solvers: each call appends
+    (name, whether a `mixing.solve` call is under way, whether it got a
+    compiled form)."""
+    calls, depth = [], [0]
+
+    def spy(name, real):
+        def call(inst):
+            calls.append((name, depth[0] > 0, isinstance(inst, MixForm)))
+            depth[0] += name == "solve"
+            try:
+                return real(inst)
+            finally:
+                depth[0] -= name == "solve"
+        return call
+
+    for name in ("solve", "solve_harmonic", "solve_bruteforce"):
+        monkeypatch.setattr(mixing, name, spy(name, getattr(mixing, name)))
+    return calls
+
+
+class TestSelector:
+    """`mixing.solve` picks the chain search or the scan, and is the one
+    mixing call that `rta`'s decisions and `reverse`'s fallback make."""
+
+    CHAIN = MixInstance(1, [(1, 2, 5), (1, 4, 3), (0, 8, 9)])
+    GENERAL = MixInstance(1, [(1, 4, 3), (1, 6, 3)])
+
+    @pytest.mark.parametrize("compiled", [False, True], ids=["instance", "form"])
+    def test_a_chain_takes_the_chain_search_and_anything_else_the_scan(
+            self, solver_calls, compiled):
+        for inst, named in ((self.CHAIN, "solve_harmonic"), (self.GENERAL, "solve_bruteforce")):
+            solver_calls.clear()
+            sol = mixing.solve(compile_mix(inst) if compiled else inst)
+            assert solver_calls == [("solve", False, compiled), (named, True, compiled)]
+            want = solve_bruteforce(inst)
+            assert (sol.s, sol.objective) == (want.s, want.objective)
+            assert sol.x == (() if compiled else want.x)
+
+    @pytest.mark.parametrize("algorithm, named", [
+        ("harmonic", "solve_harmonic"),
+        ("turing", "solve_harmonic"),
+        ("turing", "solve_bruteforce"),
+    ])
+    def test_a_decision_makes_one_mixing_call(self, solver_calls, algorithm, named):
+        # the walk's residual probes and the general search's, on a chain and
+        # off it: one `mixing.solve` per decision probe, and each named
+        # solver is called only by it
+        if named == "solve_harmonic":
+            tasks = [Task(1, 4, 1), Task(2, 8, 3), Task(3, 16, 0)]
+        else:
+            tasks = [Task(1, 4, 1), Task(2, 6, 3), Task(1, 10, 0)]
+        q = rta.ResponseQuery(tasks, 5)
+        with counters.collect() as ops:
+            got = rta.compute_response(q, algorithm)
+        assert got == rta.response_bruteforce(q)
+        assert ops.decision_probes >= 1
+        assert [c for c in solver_calls if c[0] == "solve"] == [("solve", False, True)] \
+            * ops.decision_probes
+        assert [c for c in solver_calls if c[0] != "solve"] == [(named, True, True)] \
+            * ops.decision_probes
+
+    @pytest.mark.parametrize("inst, named", [
+        (MixInstance(1, [(1, 1, 0)]), "solve_harmonic"),
+        (MixInstance(1, [(1, 2, 3), (1, 3, 1), (1, 6, 4)]), "solve_bruteforce"),
+    ], ids=["chain", "general"])
+    def test_the_reverse_fallback_makes_one_mixing_call(self, solver_calls, inst, named):
+        # dual load 1: the crowded search falls back at once, and solves the
+        # crowded instance, not a compiled form as a decision probe does
+        sol = solve_general_via_shift(inst)
+        assert solver_calls == [("solve", False, False), (named, True, False)]
+        assert sol == solve_bruteforce(inst)
+
+    def test_a_chain_deeper_than_the_recursion_limit(self):
+        # w0 = 2, w = 1, a = 2^i, b = 1000 for i = 1..1100: the chain search
+        # descends one level per capacity on its explicit stack, past the
+        # depth that recursion would reach; the optimum is s = 1000
+        inst = MixInstance(2, [(1, 2**i, 1000) for i in range(1, 1101)])
+        assert len(inst.terms) > sys.getrecursionlimit()
+        want = solve_bruteforce(inst)
+        assert (want.s, want.objective) == (1000, 2000)
+        for solver in (solve_harmonic, solve):
+            assert solver(inst) == want, solver
 
 
 class TestShiftIdentity:

@@ -571,8 +571,9 @@ class TestInvariantGuards:
                                   f"expected {sol.objective + 1}")
 
     def test_a_fallback_optimum_outside_the_window_is_caught(self, monkeypatch):
-        # capacity 1 and weight 1: the dual load is 1, so the search falls back at once
-        monkeypatch.setattr(mixing, "solve_bruteforce", lambda inst: mixing.MixSolution(0, (), 0))
+        # capacity 1 and weight 1: the dual load is 1, so the search falls back
+        # at once, to `mixing.solve` (one capacity is a chain)
+        monkeypatch.setattr(mixing, "solve", lambda inst: mixing.MixSolution(0, (), 0))
         with pytest.raises(InternalInvariantViolated) as exc:
             solve_general_via_shift(MixInstance(1, [(1, 1, 0)]))
         assert str(exc.value) == "crowded fallback produced optimum 0 outside [beta, b_max]"
