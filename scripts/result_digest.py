@@ -43,10 +43,10 @@ from rtmix import MixInstance, Task, TaskSystem, gen, is_harmonic
 from rtmix.cli import EXIT_INTERNAL, main as cli_main
 
 # seeded `gen random` systems, besides 10 `gen extreme` ones, one large-S one,
-# 12 larger harmonic ones, 5 geometric ones, 3 larger general ones, 8
-# non-harmonic geometric ones, 3 whose utilization gate trips at a middle
-# level and 10 whose interferer lcm passes 2**63; one more system's search
-# bound S passes the magnitude cap at a middle level
+# 12 larger harmonic ones, 5 geometric ones, 3 jittered geometric ones, 3
+# larger general ones, 8 non-harmonic geometric ones, 3 whose utilization gate
+# trips at a middle level and 10 whose interferer lcm passes 2**63; one more
+# system's search bound S passes the magnitude cap at a middle level
 SYSTEMS = 240
 # seeded `random_mix_instance` inputs, besides `gen tight-mix` n = 2..6, a
 # deep chain of L = 8, 12 and 16 levels, 7 crowded ones at the ends of the
@@ -103,7 +103,8 @@ def systems(count: int):
         Task(2**29 - 2**10, 2**30 + 1, 7, 2**30 + 1),
         Task(1, 2**31, 0, 2**31),
     ])
-    # larger harmonic systems, short and long periods, for the walk's compiled chain
+    # larger harmonic systems, short and long periods, whose harmonic search
+    # decides on the chain of their compiled mixing form
     for n in (8, 10, 12):
         for p_max in (1024, 2**24):
             for jitter_mode in ("upto-p", "zero"):
@@ -116,6 +117,14 @@ def systems(count: int):
     for k in (10, 11, 12, 13, 14):
         tasks = [Task(1, 2**i, 0, 2**i) for i in range(1, k + 1)]
         yield f"geometric k={k}", TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
+    # the harmonic geometric family with jitter 2^(i-1) on task i for
+    # i = 1..k-1, then c = 2^(k-1) at period 2^k: the last level's fixed point
+    # from gamma does not settle within `auto`'s budget, so `auto` hands off
+    # to the harmonic search
+    for k in (10, 12, 14):
+        tasks = [Task(1, 2**i, 2 ** (i - 1), 2**i) for i in range(1, k)]
+        ts = TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
+        yield f"geometric k={k} jitter=True", ts
     # larger general systems with zero jitter, where turing, jitter-free and
     # the fixed point all apply
     for n in (8, 10, 12):

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 class Counters:
     mixing_calls: int = 0      # mixing-set solves
     # Steps of mixing solves, each a search of a compiled form (`MixForm`,
-    # which holds only the positive-weight terms).  Brute force: its n terms
-    # at s = 0 plus one, then one per drop point.  Harmonic: per node, the
+    # which holds only the positive-weight terms) over s up to S, or up to a
+    # decision's window when that is narrower.  Brute force: its n terms at
+    # s = 0 plus one, then one per drop point.  Harmonic: per node, the
     # terms of its level (each evaluated once, its objective part carried
     # down) plus one; per leaf, one; per window its lower bound skips, one.
     mixing_ops: int = 0
-    decision_probes: int = 0   # dualized decision-oracle invocations
+    decision_probes: int = 0   # windowed decisions, `rta.decide_large_k`
     # Decisions "response <= k" of a bracketed search that W(k) <= k settled
     # without the oracle.
     recurrence_verdicts: int = 0
@@ -31,7 +32,7 @@ class Counters:
     # climb from ceil(ell) (`turing`, `jitter-free`).
     fixpoint_iters: int = 0
     # Harmonic queries that `auto`'s fixed-point leg left unsettled within
-    # its budget and handed off to the walk.
+    # its budget and handed off to the harmonic walk.
     auto_handoffs: int = 0
     # Node-budget units blockip's two-stage solver spent, out of budget too:
     # first-stage points entered or pieces of t, brick completions, DFS nodes.

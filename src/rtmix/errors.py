@@ -15,16 +15,9 @@ class InvalidInstance(RTMixError):
 
 
 class PreconditionViolated(RTMixError):
-    """An operation was called outside its documented domain."""
-
-
-class PreconditionKTooSmall(PreconditionViolated):
-    """A decision probe k was below the certified search bound S."""
-
-    def __init__(self, k: int, bound: int):
-        super().__init__(f"decision probe k={k} is below the certified bound S={bound}")
-        self.k = k
-        self.bound = bound
+    """An operation was called outside its documented domain: a decision at
+    k < 1 or over a window [lo, k] with lo outside [0, k], the harmonic walk
+    on periods that form no chain, and the like."""
 
 
 class UtilizationExceeded(RTMixError):

@@ -38,13 +38,12 @@ positive-weight terms by capacity.  A solver given a `MixInstance` compiles it, 
 and checks its completion.  A solver given a form searches it with no check
 repeated and reports s and the objective only: `rta` compiles one form per
 response query, terms (c_i, p_i, jitter_i), and every decision probe
-searches it at right-hand sides k + jitter_i (`MixForm.at`), the harmonic
-walk its levels with capacity below k.
+searches it at right-hand sides k + jitter_i over a window of s
+(`MixForm.at`).
 """
 
 from __future__ import annotations
 
-import bisect
 import heapq
 import math
 from dataclasses import dataclass
@@ -151,15 +150,14 @@ class MixForm:
     terms at level l; a term's right-hand side is b = base + offset.  Zero-
     weight terms never move the objective and are left out.  `chain` tells
     whether all capacities form a divisibility chain, and `s_bound` is the
-    certified S (`certified_s_bound`), which no right-hand side enters.  On
+    largest s searched: the certified S (`certified_s_bound`), which no
+    right-hand side enters, or a window's width below it (`at`).  On
     a chain, `loads[l]` = sum_{j <= l} w_j*(a_l/a_j) and `offset_loads[l]` =
     sum_{j <= l} w_j*(a_l/a_j)*offset_j over the terms of levels up to l
-    feed `_search`'s bound; both are empty off a chain, and neither reads a
-    level above l.  Dropping terms shrinks both the lcm and the utilization
-    bound, so a prefix of levels stays bounded and keeps S certified: one
-    compiled form serves every instance that keeps some of its lowest
-    levels and moves all right-hand sides by one constant (`at`), without
-    checking anything again.
+    feed `_search`'s bound; both are empty off a chain.  One compiled form
+    serves every instance that moves all right-hand sides by one constant,
+    searched over any window [0, width] of s (`at`), without checking
+    anything again.
     """
 
     w0: int
@@ -171,12 +169,12 @@ class MixForm:
     offset_loads: tuple[int, ...]
     base: int = 0
 
-    def at(self, base: int, below: int | None = None) -> MixForm:
-        """The levels with capacity below `below` (all of them when None),
-        with right-hand sides base + offset."""
-        depth = None if below is None else bisect.bisect_left(self.levels, below)
-        return MixForm(self.w0, self.levels[:depth], self.groups[:depth], self.chain,
-                       self.s_bound, self.loads[:depth], self.offset_loads[:depth], base)
+    def at(self, base: int, width: int) -> MixForm:
+        """This form with right-hand sides base + offset, searched over s in
+        [0, min(`s_bound`, width)]: on a compiled form, whose `s_bound` is
+        the certified S, the smallest optimal s over [0, width]."""
+        return MixForm(self.w0, self.levels, self.groups, self.chain,
+                       min(self.s_bound, width), self.loads, self.offset_loads, base)
 
 
 def compile_mix(inst: MixInstance) -> MixForm:
@@ -228,7 +226,7 @@ def _solve(inst: MixInstance | MixForm, search) -> MixSolution:
 
 
 def _scan(form: MixForm) -> tuple[int, int]:
-    """The smallest optimal s in [0, S] and its objective."""
+    """The smallest optimal s in [0, `s_bound`] and its objective."""
     w0, base, hi = form.w0, form.base, form.s_bound
     terms = [(w, a, base + off) for a, group in zip(form.levels, form.groups) for w, off in group]
     counters.bump("mixing_calls")
@@ -250,8 +248,9 @@ def _scan(form: MixForm) -> tuple[int, int]:
 
 
 def solve_bruteforce(inst: MixInstance | MixForm) -> MixSolution:
-    """Global optimum over s = 0 .. S, the certified S; smallest optimal s
-    wins ties.
+    """Global optimum over s = 0 .. S, the certified S (a form cut by `at`
+    searches up to its width when that is smaller); smallest optimal s wins
+    ties.
 
     From s - 1 to s the objective rises by w0 and falls by w_i for every term
     with s = b_i (mod a_i), so a minimum lies at s = 0 or at one of these drop
@@ -267,7 +266,8 @@ def _search(form: MixForm) -> tuple[int, int]:
     and its objective.
 
     Works top-down over the levels (largest capacity first) on windows
-    [L, R).  Invariants: every term above the current level is constant on
+    [L, R), the first [0, min(a, `s_bound` + 1)) at the top capacity a.
+    Invariants: every term above the current level is constant on
     the window, and boundedness gives w0 >= sum_{a_j <= a} w_j/a_j, so
     s -> s + a never improves the objective and the window narrows to
     [L, L + a).  Splitting at the level's own breakpoints (where its
@@ -299,7 +299,7 @@ def _search(form: MixForm) -> tuple[int, int]:
     loads, offset_loads = form.loads, form.offset_loads
     ops = 0
     best_s = best_obj = None
-    stack = [(0, levels[-1], len(levels) - 1, 0)]
+    stack = [(0, min(levels[-1], form.s_bound + 1), len(levels) - 1, 0)]
     while stack:
         left, right, li, acc = stack.pop()
         a = levels[li]
@@ -341,7 +341,8 @@ def _search(form: MixForm) -> tuple[int, int]:
 def solve_harmonic(inst: MixInstance | MixForm) -> MixSolution:
     """Global optimum for a divisibility chain of capacities; the smallest
     optimal s wins ties.  Takes an instance or a compiled form, as
-    `solve_bruteforce` does."""
+    `solve_bruteforce` does, and searches a form cut by `at` up to its
+    width."""
     return _solve(inst, _search)
 
 

@@ -7,39 +7,42 @@ find the least t >= 0 with
 
 `response_bruteforce` solves it by the classic monotone fixed-point iteration
 and is the oracle for everything else.  The other algorithms answer the
-decision "response <= k?" through the equivalent mixing set question
-"Mix(I, k) <= k - gamma?", where Mix(I, k) has one term (w=c_i, a=p_i,
-b=k+jitter_i) per interferer.  That equivalence is only valid once k reaches
-a certified bound S on the optimal s of the mixing instance, hence:
+decision "response <= k?" through one windowed decision, `decide_large_k`.
+Given lo, a certified lower bound on the response r, r <= k holds exactly
+when some t in [lo, k] has W(t) <= t.  Mix(I, k) has one term (w=c_i, a=p_i,
+b=k+jitter_i) per interferer, and at s = k - t its objective is
+W(t) - gamma + k - t, so the decision is Mix(I, k) <= k - gamma over
+s in [0, k - lo] only.  That is exact for every k >= lo, on any periods, and
+needs no forced multipliers and no gate at the certified bound S: past S,
+S itself cuts the search, since every mixing optimum's smallest s lies
+within it.
 
 * `response_turing` and `response_jitter_free` (any periods; the second
   only without jitter) run one general-period search: climb t <- W(t) from
   t0 = max(lower, ceil(ell)) for at most max(1, S - t0 + 1) steps.  A t
-  with W(t) <= t is the response; otherwise the climb ends above S, where
-  every probe passes the gate, and a bracketed search runs from there.
-* `response_harmonic` (harmonic periods): at a probe k, every task with
-  p_j >= k has its optimal multiplier forced to 1 or 2 by the probe's
-  position relative to d_j = p_j - jitter_j, so those tasks leave the
-  residual instance and the probe stays above every residual period.  The
-  walk first probes the sorted distinct nonzero differences d_j upward
-  until one is feasible, then searches the interval that leaves.
+  with W(t) <= t is the response; otherwise a bracketed search runs from
+  the last iterate.
+* `response_harmonic` (harmonic periods) searches from
+  max(lower, ceil(ell)), probing the sorted distinct nonzero differences
+  d_j = p_j - jitter_j upward before it bisects.  The differences are only
+  its probe order: on the geometric family they settle the search in a few
+  probes where bisection alone takes many more.
 
-All of them decide through `decide_large_k`, the one dualized oracle.
 Every search narrows its window by one rule (`_search`), first at each k
-of an ascending scan (the walk's differences) and then in `core.bracket`,
-the one bisection.  The response r is a fixed point of the monotone W, so
-a yes at k gives r <= min(k, W(k)) and a no gives r >= max(k + 1, W(k + 1)).
-A decision also returns its witness t* = k - s*, s* the smallest optimal s
-of the mixing instance, and a yes whose t* satisfies lo <= t* < k and
-W(t*) <= t*, checked in O(n), gives r <= W(t*): the window's upper end
-drops to W(t*), below k.  W(k) is computed before the decision, and when
-W(k) <= k, k is itself feasible: the recurrence gives the yes in O(n),
-with r <= W(k), and no mixing solve runs (a free verdict, counted as
-`recurrence_verdicts`; `decision_probes` counts only the oracle's calls).
-The harmonic walk starts its lower end at ceil(ell), the certified lower
-bound of `core.bounds_from_parts` (Sjodin and Hansson, RTSS 1998), or at the
-query's `lower` when that is larger; the scan skips the differences outside
-the window.
+of the ascending differences, if any, and then in `core.bracket`, the one
+bisection.  The response r is a fixed point of the monotone W, so a yes at
+k gives r <= min(k, W(k)) and a no gives r >= max(k + 1, W(k + 1)).  A
+decision over the window [lo, k] also returns its witness t* = k - s*, s*
+the smallest optimal s of the mixing form searched, so that a yes names
+lo <= t* < k with W(t*) <= t*, checked in O(n), and gives r <= W(t*): the
+window's upper end drops to W(t*), below k.  W(k) is computed before the
+decision, and when W(k) <= k, k is itself feasible: the recurrence gives
+the yes in O(n), with r <= W(k), and no mixing solve runs (a free verdict,
+counted as `recurrence_verdicts`; `decision_probes` counts only the
+decisions).  The harmonic walk starts its lower end at ceil(ell), the
+certified lower bound of `core.bounds_from_parts` (Sjodin and Hansson,
+RTSS 1998), or at the query's `lower` when that is larger; it skips the
+differences outside the window.
 
 `compute_response(q, "auto")` on harmonic periods runs the fixed point
 first.  It iterates t <- W(t) from t0 = max(gamma, lower), a certified
@@ -48,18 +51,18 @@ than the (u - t0).bit_length() probes `core.bracket` can make on [t0, u].  When
 W(t) <= t, t is the response.
 Otherwise the last
 iterate, a certified lower bound since W is monotone and W(r) = r, becomes
-the query's `lower`, and `auto` hands off to the walk, which starts above
-everything the iteration spent (ski rental: Karlin, Manasse, Rudolph and
-Sleator, Algorithmica 1988).  The budget counts steps, not work.  Every
-walk probe evaluates W at least once and adds at most a solve over |I|
-chain levels, so on harmonic periods the iteration spends no more than a
-constant times what the walk's bisection can spend.  On general periods a
-probe sweeps the drop points up to S, which can cost thousands of W
-evaluations, so `auto` runs `jitter-free` (zero jitter) or `turing`, whose
-climb is the fixed point itself, bounded by S instead of a step count.
-The budget comes from the query; nothing is tuned.  Most queries of random
-harmonic systems settle in the first leg; the geometric family, where the
-fixed point needs thousands of steps, hands off.
+the query's `lower`, and `auto` hands off to the harmonic walk, which
+starts above everything the iteration spent (ski rental: Karlin, Manasse,
+Rudolph and Sleator, Algorithmica 1988).  The budget counts steps, not
+work.  Every probe evaluates W at least once and adds at most a solve over
+|I| chain levels, so on harmonic periods the iteration spends no more than
+a constant times what the bisection can spend.  On general periods a
+decision sweeps the drop points up to min(S, k - lo), which can cost
+thousands of W evaluations, so `auto` runs `jitter-free` (zero jitter) or
+`turing`, whose climb is the fixed point itself, bounded by S instead of a
+step count.  The budget comes from the query; nothing is tuned.  Most
+queries of random harmonic systems settle in the first leg; the geometric
+family, where the fixed point needs thousands of steps, hands off.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is what the paper states: the interfering
@@ -93,22 +96,19 @@ Mix(I, k) differs between probes only by the shift k, so a query compiles
 its interferers' mixing form once (`mixing.compile_mix`: one term
 (c_i, p_i, jitter_i) per interferer, checked once, grouped into period
 levels), on first need: the first probe that reaches a mixing solve.  Every
-query that `at` derives shares it.  A decision probe at k searches the form
-at base k, right-hand sides k + jitter_i, and checks nothing again;
-`decide_large_k` refuses every k below S, which it reads from the bounds,
-and `mixing.solve`, the one mixing selector, searches the form: by the
-chain search when the periods form a chain, else by the brute-force scan
-over s in [0, S].  A probe of the harmonic walk searches the form's levels
-with period below k, cut once and passed to `decide_large_k` as a
-`Residual`; it needs no S, since the walk keeps every residual period below
-the probe (a walk probe with none decides itself).  `compute_response` is
-the only response algorithm selector; `reverse` calls it too.
+query that `at` derives shares it.  A decision at k over [lo, k] searches
+the form at base k, right-hand sides k + jitter_i, up to width k - lo
+(`MixForm.at`), and checks nothing again; `mixing.solve`, the one mixing
+selector, searches it by the chain search when the periods form a chain,
+else by the brute-force scan over s in [0, min(S, k - lo)].
+`compute_response` is the only response algorithm selector; `reverse`
+calls it too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, Iterable
 
 from . import core, counters, mixing
 from .core import (
@@ -123,12 +123,7 @@ from .core import (
     validate_task,
     workload,
 )
-from .errors import (
-    InternalInvariantViolated,
-    InvalidInstance,
-    PreconditionKTooSmall,
-    PreconditionViolated,
-)
+from .errors import InternalInvariantViolated, InvalidInstance, PreconditionViolated
 
 @dataclass(frozen=True)
 class ResponseQuery:
@@ -142,7 +137,7 @@ class ResponseQuery:
     searches start from it.  `analyze_system` sets it, and `auto` raises it
     on a hand-off.  A build checks it against u only: a `lower` above the
     response is caught, if at all, by `_search`'s check that t - 1 is
-    infeasible, and that is the one fault that check catches.  The
+    infeasible or by a window that its verdicts empty.  The
     interferers' mixing form (`form`) is compiled on first need; its
     certified S is `bounds.s`, and the bounds also carry the load aggregate
     from which `at` and `plus` derive their bounds without a pass over the
@@ -227,26 +222,6 @@ class ResponseQuery:
         return self._form[0]
 
 
-class Residual(NamedTuple):
-    """One decision probe of the harmonic walk at k: the interferers with
-    period below k, at least one, as the query's mixing form cut to those
-    levels, and the constant gamma' that the tasks with forced multipliers
-    add to gamma."""
-
-    form: mixing.MixForm
-    gamma: int
-
-
-@dataclass
-class ProbeRecord:
-    """One probe of the harmonic walk: k, forced multipliers, residual set, verdict."""
-
-    k: int
-    forced: dict[int, int]      # position in q.tasks -> forced multiplier (1 or 2)
-    residual: tuple[int, ...]   # positions in q.tasks
-    feasible: bool
-
-
 def response_bruteforce(q: ResponseQuery) -> int:
     """Least fixed point of t -> gamma + sum c_i*ceil((t+jitter_i)/p_i),
     iterated upward from gamma.  Monotone, so it converges to the least
@@ -289,89 +264,64 @@ def _iterate(q: ResponseQuery, t: int, budget: int) -> tuple[int, bool]:
         counters.bump("fixpoint_iters", steps)
 
 
-def decide_large_k(q: ResponseQuery | Residual, k: int) -> tuple[bool, int]:
-    """Decide response(I, gamma) <= k through Mix(I, k) <= k - gamma, and
-    return the verdict with the optimum's witness t* = k - s*.
+def decide_large_k(q: ResponseQuery, k: int, lo: int) -> tuple[bool, int]:
+    """Decide response(I, gamma) <= k for k >= 1, given 0 <= lo <= k, a
+    certified lower bound on the response r, and return the verdict with its
+    witness t* = k - s*.
 
-    Valid for k at or above the certified bound S, so a built query refuses
-    any smaller k (the gate).  Mix(I, k) is the query's mixing form at base
-    k, searched by `mixing.solve` with no check repeated; off a chain its
-    brute-force scan searches s in [0, S].  At s = k - t the objective is
-    W(t) - gamma + k - t, so t* minimizes W(t) - t over [k - S, k], and on
-    a built query a yes means W(t*) <= t*: r <= W(t*) <= t* <= k.  A
-    `Residual` of the harmonic walk needs no S: the walk certifies the
-    reduction by construction (every residual period lies below k, and
-    `_walk_probe` checks that every other task is forced), and its form,
-    cut to the levels below k, is searched at base k the same way.  Its
-    forced multipliers hold only on [lo, k], so its witness bounds r only
-    once W(t*) <= t* is checked, as `_search` does.
+    r <= k holds exactly when some t in [lo, k] has W(t) <= t.  At s = k - t
+    the objective of Mix(I, k), the query's mixing form at base k, is
+    W(t) - gamma + k - t, so the decision is Mix(I, k) <= k - gamma over
+    s in [0, k - lo]: `mixing.solve` searches the form cut to that width
+    (`MixForm.at`) with no check repeated, and its smallest optimal s*
+    names the largest t* in [lo, k] that minimizes W(t) - t.  A yes means
+    W(t*) <= t*, so r <= W(t*) <= t* <= k.  This is exact at every k >= lo,
+    on any periods: no multiplier is forced and no k is refused for lying
+    below S.  The form searches s only up to min(S, k - lo), which loses
+    nothing, since the smallest optimal s of Mix(I, k) over all s >= 0 lies
+    in [0, S].
     """
-    if not isinstance(q, Residual):
-        require_integers(k=k)
-        if k < 1:
-            raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
-        if k < q.bounds.s:
-            raise PreconditionKTooSmall(k, q.bounds.s)
+    require_integers(k=k, lo=lo)
+    if k < 1:
+        raise PreconditionViolated(f"decision probes need k >= 1, got {k}")
+    if not 0 <= lo <= k:
+        raise PreconditionViolated(f"a decision needs 0 <= lo <= k, got lo={lo}, k={k}")
     counters.bump("decision_probes")
-    sol = mixing.solve(q.form.at(k))
+    sol = mixing.solve(q.form.at(k, k - lo))
     return sol.objective <= k - q.gamma, k - sol.s
 
 
-def _walk_probe(q: ResponseQuery, trace: list[ProbeRecord] | None, k: int,
-                lo: int) -> tuple[bool, int]:
-    """One probe of the harmonic walk at k >= lo, lo a certified lower bound
-    on the response: Mix(residual, k) <= k - gamma', with its witness t*.
-    With d_j = p_j - jitter_j, a task with p_j >= k is forced to multiplier
-    1 when k <= d_j, else to 2, as d_j < lo: no difference lies in [lo, k),
-    and one there raises InternalInvariantViolated.  The residual, the tasks
-    with period below k, is the form cut to its levels below k; with none,
-    the probe is k >= gamma', no decision, and its witness is k."""
-    forced, residual, gamma_prime = {}, [], q.gamma
-    for j, t in enumerate(q.tasks):
-        d = t.p - t.jitter
-        if t.p < k:
-            residual.append(j)
-        elif k <= d or d < lo:
-            forced[j] = 1 if k <= d else 2
-            gamma_prime += forced[j] * t.c
-        else:
-            raise InternalInvariantViolated("residual set is not the chain below the probe")
-    if residual:
-        feasible, witness = decide_large_k(Residual(q.form.at(k, k), gamma_prime), k)
-    else:
-        feasible, witness = k >= gamma_prime, k
-    if trace is not None:
-        trace.append(ProbeRecord(k, forced, tuple(residual), feasible))
-    return feasible, witness
-
-
-def _search(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int, int], tuple[bool, int]],
-            algorithm: str, scan: Iterable[int] = ()) -> int:
-    """The response r, given lo <= r <= hi and a decision decide(k, lo) that
-    answers "r <= k" with its witness t*, through one narrowing rule (see the
-    module docstring): W(k) <= k gives r <= W(k) and `decide` is not asked;
-    otherwise a yes gives r <= W(t*) when lo <= t* < k and W(t*) <= t*, checked
-    in O(n) since the walk's forcing holds only on [lo, k], else r <= k, and a
-    no gives r >= max(k + 1, W(k + 1)).  The rule runs first at each k of the
-    ascending `scan` that lies in the window, then `core.bracket` bisects what
-    is left.  The answer is checked against the recurrence: feasible, and
-    t - 1 is not.  No decision can trip the second check, since the bracket
-    returns its last lower end and a no sets it to max(k + 1, W(k + 1)) at a
-    k with W(k) > k, which leaves every t from k up to it infeasible (W is
-    monotone).  It catches only a start above the response: a caller's
-    `lower` that is not the lower bound it certifies (`ResponseQuery`)."""
+def _search(q: ResponseQuery, lo: int, hi: int, algorithm: str, scan: Iterable[int] = ()) -> int:
+    """The response r, given lo <= r <= hi, through one narrowing rule (see
+    the module docstring): W(k) <= k gives r <= W(k) with no decision;
+    otherwise `decide_large_k` decides "r <= k" over the window's lower end
+    lo, which every step keeps certified.  A yes names lo <= t* < k with
+    W(t*) <= t* (the verdict implies the second, and W(k) > k rules out
+    t* = k), so r <= W(t*); a witness that fails this raises
+    InternalInvariantViolated.  A no gives r >= max(k + 1, W(k + 1)).  The
+    rule runs first at each k of the ascending `scan` that lies in the
+    window, then `core.bracket` bisects what is left.  The answer is
+    checked against the recurrence: feasible, and t - 1 is not.  No
+    decision can trip either check.  The upper end stays feasible: u is
+    certified, and W(t) <= t keeps W(W(t)) <= W(t), W being monotone.  The
+    bracket returns its last lower end, and a no sets it to
+    max(k + 1, W(k + 1)) at a k with W(k) > k, which leaves every t from k
+    up to it infeasible.  So the first check catches a wrong certified upper
+    end and the second a start above the response: a caller's `lower` that
+    is not the lower bound it certifies (`ResponseQuery`)."""
 
     def narrow(k: int, lo: int, hi: int) -> tuple[int, int]:
         w = q.workload(k)
         if w <= k:
             counters.bump("recurrence_verdicts")
             return lo, w
-        feasible, t = decide(k, lo)
+        feasible, t = decide_large_k(q, k, lo)
         if not feasible:
             return max(k + 1, q.workload(k + 1)), hi
         if lo <= t < k and (w_t := q.workload(t)) <= t:
             return lo, w_t
-        return lo, k
+        raise InternalInvariantViolated(
+            f"{algorithm}: a yes at k={k} names the witness t={t}, not a feasible t in [{lo}, {k})")
 
     for k in scan:
         if lo <= k < hi:
@@ -384,36 +334,34 @@ def _search(q: ResponseQuery, lo: int, hi: int, decide: Callable[[int, int], tup
     return t
 
 
-def response_harmonic(q: ResponseQuery, *, trace: list[ProbeRecord] | None = None) -> int:
-    """The harmonic walk: `_search` from lo = max(lower, ceil(ell)) up to u,
-    scanning the distinct nonzero differences upward before it bisects, with
-    `_walk_probe` as the decision.  A no at a difference raises lo past it
-    and a yes drops hi to it or below, so no difference lies in the window
-    that the bisection searches, and the forcing by its lower end stays
-    valid."""
+def response_harmonic(q: ResponseQuery) -> int:
+    """The harmonic walk: `_search` from max(lower, ceil(ell)) up to u,
+    probing the distinct nonzero differences d_j = p_j - jitter_j upward
+    before it bisects.  The differences are only its probe order, which
+    pays on the geometric family: on the harmonic geometric system at
+    k = 14 (c_i = 1, p_i = 2^i, no jitter), `auto` makes 3 decision probes
+    over all its levels with them and 19 by bisection alone."""
     if not q.harmonic:
         raise PreconditionViolated("periods do not form a divisibility chain")
-    return _search(q, max(q.lower, q.bounds.ceil_ell), q.bounds.u,
-                   lambda k, lo: _walk_probe(q, trace, k, lo), "harmonic walk",
+    return _search(q, max(q.lower, q.bounds.ceil_ell), q.bounds.u, "harmonic walk",
                    sorted({t.p - t.jitter for t in q.tasks} - {0}))
 
 
 def _general_search(q: ResponseQuery) -> int:
     """Climb t <- W(t) from t0 = max(lower, ceil(ell)), a certified lower
     bound (Sjodin and Hansson, RTSS 1998), for at most max(1, S - t0 + 1)
-    steps.  A t with W(t) <= t is the response.  Otherwise every step rose
-    by at least 1, so the last iterate, still a certified lower bound,
-    stands above S, where every decision passes the gate: `_search` runs
-    from it up to u, or up to the lcm m when W(m) <= m.  The climb costs
+    steps.  A t with W(t) <= t is the response.  Otherwise `_search` runs
+    from the last iterate, still a certified lower bound, up to u, or up to
+    the lcm m when W(m) <= m.  The climb costs
     O(S) W evaluations; since c_i >= 1, the drop points in [0, S] that one
-    decision at S would sweep number at most S*U + n."""
+    decision sweeps number at most S*U + n."""
     t0 = max(q.lower, q.bounds.ceil_ell)
     t, settled = _iterate(q, t0, max(1, q.bounds.s - t0 + 1))
     if settled:
         return t
     m = q.bounds.m
     hi = min(q.bounds.u, m) if q.workload(m) <= m else q.bounds.u
-    return _search(q, t, hi, lambda k, lo: decide_large_k(q, k), "general-period search")
+    return _search(q, t, hi, "general-period search")
 
 
 def response_turing(q: ResponseQuery) -> int:
@@ -446,7 +394,7 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     t0 = max(gamma, lower) for at most (u - t0 + 1).bit_length() steps, no
     fewer than the bisection's (u - t0).bit_length() probes on [t0, u].  It
     returns t once W(t) <= t, and otherwise hands the last iterate, as
-    `lower`, to the walk (counted as `auto_handoffs`).  On other periods
+    `lower`, to the harmonic walk (counted as `auto_handoffs`).  On other periods
     "auto" runs `jitter-free` (zero jitter) or `turing`, as an explicit
     algorithm does; the module docstring says why."""
     if algorithm == "auto":

@@ -15,7 +15,6 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import assume
 from hypothesis import strategies as st
 
 from rtmix import core
@@ -153,24 +152,30 @@ def release_pattern_to_dict(rp: ReleasePattern) -> dict:
 
 @st.composite
 def small_task_systems(draw, max_n: int = 4, p_max: int = 12, zero_jitter: bool = False,
-                       harmonic: bool = False):
-    n = draw(st.integers(1, max_n))
-    periods = st.integers(1, p_max)
+                       harmonic: bool = False, min_n: int = 1):
+    n = draw(st.integers(min_n, max_n))
+    periods = range(1, p_max + 1)
     if harmonic:  # periods from one divisibility chain
         chain = [draw(st.integers(1, 4))]
         while chain[-1] * 2 <= p_max:
             factors = [2, 3] if chain[-1] * 3 <= p_max else [2]
             chain.append(chain[-1] * draw(st.sampled_from(factors)))
-        periods = st.sampled_from(chain)
-    tasks = []
-    for _ in range(n):
-        p = draw(periods)
-        c = draw(st.integers(1, p))
+        periods = chain
+    # Each interferer is drawn within the utilization budget the earlier ones
+    # leave (c/p below it), as `bounded_mix_instances` draws weights, so every
+    # system whose interferers' utilization is below 1 can be drawn and none
+    # is rejected after drawing.  Once no period leaves room for c = 1, the
+    # last task, which is not an interferer, ends the system.
+    tasks, budget = [], Fraction(1)
+    for i in range(n):
+        last = i == n - 1 or budget * max(periods) <= 1
+        p = draw(st.sampled_from([p for p in periods if last or budget * p > 1]))
+        c = draw(st.integers(1, p if last else math.ceil(budget * p) - 1))
+        budget -= Fraction(c, p)
         jitter = 0 if zero_jitter else draw(st.integers(0, p))
         tasks.append(Task(c, p, jitter, p))
-    # keep only instances passing the utilization gate, decided exactly
-    assume(sum(Fraction(t.c, t.p) for t in tasks[:-1]) < 1)
-    return TaskSystem(tasks)
+        if last:
+            return TaskSystem(tasks)
 
 
 @st.composite

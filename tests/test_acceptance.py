@@ -10,6 +10,7 @@ import math
 import random
 import time
 from fractions import Fraction
+from unittest import mock
 
 from conftest import dual_max_oracle
 from rtmix import blockip, counters, gen, mixing, reverse, rta, sim
@@ -218,6 +219,7 @@ def test_criterion_08_forced_value_invariants():
     start = time.perf_counter()
     suite = _harmonic_suite(500)
     two_value_checks = probe_checks = 0
+    real = rta.decide_large_k
     for ts in suite:
         q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         t_star = rta.response_bruteforce(q)
@@ -227,26 +229,18 @@ def test_criterion_08_forced_value_invariants():
                 forced = 1 if t_star <= task.p - task.jitter else 2
                 assert forced == ceil_div(t_star + task.jitter, task.p), (ts, i)
                 two_value_checks += 1
-        # walk instrumentation: every feasible probe's forced assignment
-        # matches the true optimum's multipliers.  The walk's scan reaches the
-        # least difference d >= t* below u, and settles it by the recurrence,
-        # with no probe, when W(d) <= d; the probe at d runs directly then,
-        # from lo = t*, which leaves no difference in [lo, d)
-        trace: list[rta.ProbeRecord] = []
-        assert rta.response_harmonic(q, trace=trace) == t_star
-        d = min((t.p - t.jitter for t in q.tasks if t.p - t.jitter >= t_star), default=None)
-        if d is not None and d < q.bounds.u and q.workload(d) <= d:
-            assert all(rec.k != d for rec in trace), (ts, d)
-            assert rta._walk_probe(q, trace, d, t_star)[0], (ts, d)
-        for rec in trace:
-            if not rec.feasible:
-                continue
-            assert rec.k >= t_star
-            for j, forced in rec.forced.items():
-                task = ts.tasks[j]
-                if rec.k <= task.p:
-                    assert forced == ceil_div(t_star + task.jitter, task.p), (ts, rec)
-                    probe_checks += 1
+        # the walk's decisions: each is exactly "response <= k", over a window
+        # [lo, k] with lo <= t*, and a yes names a feasible witness in [lo, k)
+        decided = []
+        with mock.patch.object(rta, "decide_large_k",
+                               lambda q, k, lo: decided.append((k, lo, real(q, k, lo)))
+                               or decided[-1][2]):
+            assert rta.response_harmonic(q) == t_star
+        for k, lo, (feasible, t) in decided:
+            assert feasible == (t_star <= k) and lo <= min(k, t_star) and lo <= t <= k, (ts, k, lo)
+            if feasible:
+                assert t < k and q.workload(t) <= t, (ts, k, t)
+            probe_checks += 1
     assert two_value_checks > 100 and probe_checks > 100
     elapsed = time.perf_counter() - start
     _report(

@@ -7,7 +7,7 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import recorded_core_brackets, small_task_systems
@@ -488,16 +488,17 @@ class TestBinarySearch:
         assert solve_simple_4block(prog, H) == want
 
 
-    @given(small_task_systems(max_n=3, p_max=8))
+    @given(small_task_systems(max_n=3, p_max=8, min_n=2))
     @example(TaskSystem([Task(2, 6, 1, 6), Task(5, 8, 0, 8), Task(5, 5, 0, 5)]))
     @settings(max_examples=40)
     def test_the_bisection_probes_at_most_log2_of_its_window(self, ts):
         # the mirrored encoding leaves the piece path for `_bisect`: one
         # `core.bracket` over [0, H + 1] probes at most ceil(log2(H + 2))
-        # times.  The example's mirrored bricks stay within the deadline only
-        # while the DFS enters no value that leaves a row out of reach
+        # times.  Two tasks or more, since one has no brick to mirror.  The
+        # example's mirrored bricks stay within the deadline only while the
+        # DFS enters no value that leaves a row out of reach
         prog = mirrored(encode_rtc_as_4block(ts))
-        assume(not blockip.on_piece_path(prog))  # one task has no brick to mirror
+        assert not blockip.on_piece_path(prog)
         want = response_bruteforce(ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c))
         with recorded_core_brackets() as searches:
             assert solve_simple_4block(prog) == want

@@ -105,7 +105,7 @@ class TestValidate:
     @pytest.mark.parametrize(
         "entry, name",
         [
-            (lambda: rta.decide_large_k(ResponseQuery([Task(1, 4, 0)], 3), 50.5), "k"),
+            (lambda: rta.decide_large_k(ResponseQuery([Task(1, 4, 0)], 3), 50.5, 0), "k"),
             (lambda: blockip.solve_2stage_desk(_pair_program(), 5.5), "k"),
             (lambda: blockip.solve_simple_4block(_pair_program(), 5.5), "H"),
             (lambda: blockip.solve_simple_4block(_pair_program(), True), "H"),

@@ -363,9 +363,9 @@ class TestSelector:
         ("turing", "solve_bruteforce"),
     ])
     def test_a_decision_makes_one_mixing_call(self, solver_calls, algorithm, named):
-        # the walk's residual probes and the general search's, on a chain and
-        # off it: one `mixing.solve` per decision probe, and each named
-        # solver is called only by it
+        # the walk's decisions and the general search's, on a chain and off
+        # it: one `mixing.solve` per decision probe, and each named solver is
+        # called only by it
         if named == "solve_harmonic":
             tasks = [Task(1, 4, 1), Task(2, 8, 3), Task(3, 16, 0)]
         else:
@@ -401,6 +401,26 @@ class TestSelector:
         assert (want.s, want.objective) == (1000, 2000)
         for solver in (solve_harmonic, solve):
             assert solver(inst) == want, solver
+
+
+class TestWindow:
+    """`MixForm.at(base, width)` moves every right-hand side to base + b and
+    searches s over [0, width] only, cut at S when S is smaller."""
+
+    @pytest.mark.parametrize("harmonic", [True, False], ids=["chain", "general"])
+    @given(data=st.data(), base=st.integers(-30, 60))
+    @settings(max_examples=150)
+    def test_a_window_is_the_enumerated_minimum_over_it(self, harmonic, data, base):
+        # the least objective over s in [0, width], smallest s on ties, for
+        # widths below the top capacity, below S and above S
+        inst = data.draw(bounded_mix_instances(max_n=4, a_max=12, harmonic=harmonic))
+        form = compile_mix(inst)
+        top, s_cert = max(form.levels, default=1), form.s_bound
+        edges = sorted({0, top - 1, top, max(0, s_cert - 1), s_cert, s_cert + 1, s_cert + top})
+        width = data.draw(st.sampled_from(edges) | st.integers(0, s_cert + top), label="width")
+        moved = MixInstance(inst.w0, [(t.w, t.a, t.b + base) for t in inst.terms])
+        sol = solve(form.at(base, width))
+        assert (sol.objective, sol.s) == mix_enum_oracle(moved, width), (form.chain, width)
 
 
 class TestShiftIdentity:

@@ -11,7 +11,7 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -38,7 +38,6 @@ from rtmix.errors import (
     InternalInvariantViolated,
     InvalidInstance,
     OverflowLimit,
-    PreconditionKTooSmall,
     PreconditionViolated,
     Unbounded,
     UtilizationExceeded,
@@ -47,7 +46,6 @@ from rtmix.gen import construct_extreme, random_system
 from rtmix.mixing import MixInstance, certified_s_bound, solve_bruteforce
 from rtmix.rta import (
     ALGORITHMS,
-    ProbeRecord,
     ResponseQuery,
     analyze_system,
     compute_response,
@@ -96,6 +94,21 @@ def geometric(k, harmonic=True, jitter=False):
     periods = [2**i for i in range(1, k)] + [2**k if harmonic else 3 * 2 ** (k - 2)]
     return TaskSystem([Task(1, p, 2 ** (i - 1) if jitter else 0)
                        for i, p in enumerate(periods, start=1)])
+
+
+@contextlib.contextmanager
+def recorded_decisions():
+    """Yield a list that collects (q, k, lo, (verdict, witness)) of every
+    `rta.decide_large_k` call that returns."""
+    decided, real = [], rta.decide_large_k
+
+    def spy(q, k, lo):
+        answer = real(q, k, lo)
+        decided.append((q, k, lo, answer))
+        return answer
+
+    with mock.patch.object(rta, "decide_large_k", spy):
+        yield decided
 
 
 FAMILIES = pytest.mark.parametrize(
@@ -165,11 +178,13 @@ class TestCompiledQuery:
         assert want == 21 != response_bruteforce(ResponseQuery((task,), 9))
         for algorithm in applicable(q):
             assert compute_response(q, algorithm) == want, algorithm
-        for k in range(max(1, q.bounds.s), q.bounds.u + 1):
-            assert decide_large_k(q, k)[0] == (want <= k), k
-        trace = []
-        assert response_harmonic(q, trace=trace) == want
-        assert [rec.residual for rec in trace] == [(0, 1)]
+        for lo in (0, want):
+            for k in range(max(1, lo), q.bounds.u + 1):
+                assert decide_large_k(q, k, lo)[0] == (want <= k), (k, lo)
+        # the walk decides on a query holding both copies
+        with recorded_decisions() as decided:
+            assert response_harmonic(q) == want
+        assert decided and all(d[0].tasks == (task, task) for d in decided), decided
 
     def test_building_a_query_calls_nothing_in_mixing(self, monkeypatch, demo_system):
         def refuse(*args, **kwargs):
@@ -401,7 +416,7 @@ class TestBruteforce:
 
 def mix_terms(q, k):
     """The (w, a, b) terms of Mix(I, k) as the query's compiled form holds them."""
-    form = q.form.at(k)
+    form = q.form.at(k, 0)
     return sorted((w, a, form.base + off) for a, group in zip(form.levels, form.groups)
                   for w, off in group)
 
@@ -425,15 +440,15 @@ class TestBuildMix:
 class TestDecideLargeK:
     def test_demo_at_certified_bound(self, demo_system):
         q = ResponseQuery(demo_system.tasks[:2], 13)
-        assert decide_large_k(q, 390)[0]
+        assert decide_large_k(q, 390, 0)[0]
 
     def test_extreme_bracketing(self, extreme3):
         q = ResponseQuery(extreme3.tasks[:2], 1)
-        assert not decide_large_k(q, 11)[0]
-        assert decide_large_k(q, 12)[0]
+        assert not decide_large_k(q, 11, 0)[0]
+        assert decide_large_k(q, 12, 0)[0]
 
     def test_empty_interference(self, demo_system):
-        assert decide_large_k(ResponseQuery((), 5), 5)[0]
+        assert decide_large_k(ResponseQuery((), 5), 5, 0)[0]
 
     def test_empty_interference_takes_the_ordinary_path(self):
         # no interferer: S = 0 and u = ceil(ell) = gamma, so every search
@@ -441,7 +456,7 @@ class TestDecideLargeK:
         # empty mixing form
         q = ResponseQuery((), 7)
         assert (q.bounds.s, q.bounds.u, q.bounds.ceil_ell) == (0, 7, 7)
-        assert [decide_large_k(q, k)[0] for k in range(1, 10)] == [k >= 7 for k in range(1, 10)]
+        assert [decide_large_k(q, k, 0)[0] for k in range(1, 10)] == [k >= 7 for k in range(1, 10)]
         assert q.form.levels == ()
         for algorithm in ALGORITHMS:
             with counters.collect() as ops:
@@ -452,76 +467,94 @@ class TestDecideLargeK:
     @pytest.mark.parametrize("k", [0, -3])
     def test_refuses_k_below_1(self, demo_system, k):
         with pytest.raises(PreconditionViolated) as exc:
-            decide_large_k(ResponseQuery(demo_system.tasks[:2], 13), k)
+            decide_large_k(ResponseQuery(demo_system.tasks[:2], 13), k, 0)
         assert str(exc.value) == f"decision probes need k >= 1, got {k}"
 
-    def test_gate_refuses_small_k(self, demo_system):
-        q = ResponseQuery(demo_system.tasks[:2], 13)
-        with pytest.raises(PreconditionKTooSmall):
-            decide_large_k(q, 1)
+    @pytest.mark.parametrize("k, lo", [(5, -1), (5, 6), (1, 2)])
+    def test_refuses_a_lower_end_outside_0_to_k(self, demo_system, k, lo):
+        with pytest.raises(PreconditionViolated) as exc:
+            decide_large_k(ResponseQuery(demo_system.tasks[:2], 13), k, lo)
+        assert str(exc.value) == f"a decision needs 0 <= lo <= k, got lo={lo}, k={k}"
 
-    @given(small_task_systems(max_n=4, p_max=12, zero_jitter=True))
-    @example(TaskSystem([Task(2, 11), Task(1, 10), Task(5, 7), Task(4, 4)]))  # S = 769, u = 3080
-    @settings(max_examples=60)
-    def test_zero_jitter_is_gated_at_s_as_jitter_is(self, ts):
-        # one gate for every built query: a zero-jitter query refuses every
-        # k below S, and from S up the verdict is exact, at the response and
-        # the certified upper bound too
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_the_window_decides_every_k_from_its_lower_end(self, harmonic, zero_jitter, data):
+        # from each certified lower end lo in {0, ceil(ell), r}, the decision
+        # at every k in [lo, lo + 60], below S too, is exactly r <= k, and
+        # its witness lies in [lo, k]; a yes's witness is feasible
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         q = full_query(ts)
         r = response_bruteforce(q)
-        if q.tasks:
-            for k in range(1, q.bounds.s):
-                with pytest.raises(PreconditionKTooSmall):
-                    decide_large_k(q, k)
-        for k in {q.bounds.s, q.bounds.s + 1, r - 1, r, r + 1, q.bounds.u}:
-            if k >= max(1, q.bounds.s):
-                assert decide_large_k(q, k)[0] == (r <= k), (k, r, q.bounds.s)
+        for lo in {0, q.bounds.ceil_ell, r}:
+            for k in range(max(1, lo), lo + 61):
+                feasible, t = decide_large_k(q, k, lo)
+                assert feasible == (r <= k), (lo, k, r, q.bounds.s)
+                assert lo <= t <= k, (lo, k, t)
+                if feasible:
+                    assert r <= workload(q.tasks, q.gamma, t) <= t, (lo, k, t, r)
 
     @FAMILIES
     @given(data=st.data())
     @settings(max_examples=40)
     def test_every_decision_on_a_built_query_is_at_or_above_s(self, harmonic, zero_jitter, data):
+        # the general-period search decides only once its climb has passed
+        # S, within a window whose lower end is certified
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
-        decided = []
-        real = rta.decide_large_k
+        algorithms = set(applicable(full_query(ts))) & {"turing", "jitter-free"}
+        with recorded_decisions() as decided:
+            for algorithm in algorithms:
+                analyze_system(ts, algorithm)
+        for q, k, lo, (feasible, t) in decided:
+            r = response_bruteforce(q)
+            assert q.bounds.s < lo <= min(k, r) and lo <= t <= k, (q.bounds.s, lo, k, r, t)
+            assert t < k or not feasible, (k, t)
 
-        def spy(q, k):
-            if isinstance(q, ResponseQuery):
-                decided.append((q.bounds.s, k))
-            return real(q, k)
-
-        with mock.patch.object(rta, "decide_large_k", spy):
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_every_decision_lies_in_a_certified_window(self, harmonic, zero_jitter, data):
+        # every search, `auto` and the harmonic walk included, decides "r <= k"
+        # only over a window [lo, k] with lo <= r; a yes names a witness in
+        # [lo, k), since W(k) > k wherever a decision runs
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        with recorded_decisions() as decided:
             for algorithm in applicable(full_query(ts)):
                 analyze_system(ts, algorithm)
-        assert all(k >= s_cert for s_cert, k in decided), decided
+        for q, k, lo, (feasible, t) in decided:
+            r = response_bruteforce(q)
+            assert lo <= min(k, r) and lo <= t <= k, (lo, k, r, t)
+            assert feasible == (r <= k) and (t < k or not feasible), (k, r, t)
 
     def test_the_spy_sees_decisions_above_s(self):
         # the geometric queries with jitter leave the climb unsettled, so
-        # the general-period search decides, every time above S
-        decided = []
-        real = rta.decide_large_k
-        with mock.patch.object(rta, "decide_large_k",
-                               lambda q, k: decided.append(k - q.bounds.s) or real(q, k)):
+        # the general-period search decides, every time above S and from a
+        # certified lower end
+        with recorded_decisions() as decided:
             for harmonic in (True, False):
                 q = ResponseQuery(geometric(10, harmonic, True).tasks, 2**9)
                 assert response_turing(q) == response_bruteforce(q)
-        assert decided and min(decided) > 0
+        assert decided
+        for q, k, lo, (_, t) in decided:
+            r = response_bruteforce(q)
+            assert q.bounds.s < lo <= min(k, r) and lo <= t <= k, (q.bounds.s, lo, k, r, t)
 
     @FAMILIES
     @given(data=st.data())
     @settings(max_examples=40)
     def test_a_yes_names_a_witness_that_bounds_the_response(self, harmonic, zero_jitter, data):
-        # at k >= S the optimum's s* names t* = k - s*: a yes has
+        # over [lo, k] the optimum's s* names t* = k - s*: a yes has
         # r <= W(t*) <= t* <= k, and a no has r > k
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         q = full_query(ts)
         r = response_bruteforce(q)
-        start = max(1, q.bounds.s)
+        lo = data.draw(st.sampled_from([0, q.bounds.ceil_ell, r]))
+        start = max(1, lo)
         drawn = data.draw(st.lists(st.integers(start, max(start, q.bounds.u)), max_size=4))
         for k in {start, r, r + 1, q.bounds.u, *drawn}:
             if k < start:
                 continue
-            feasible, t = decide_large_k(q, k)
+            feasible, t = decide_large_k(q, k, lo)
             if feasible:
                 assert r <= workload(q.tasks, q.gamma, t) <= t <= k, (k, t, r)
             else:
@@ -529,7 +562,7 @@ class TestDecideLargeK:
 
     def test_verdict_monotone_in_k(self, extreme3):
         q = ResponseQuery(extreme3.tasks[:2], 1)
-        verdicts = [decide_large_k(q, k)[0] for k in range(4, 30)]
+        verdicts = [decide_large_k(q, k, 0)[0] for k in range(4, 30)]
         assert verdicts == sorted(verdicts)
 
     @given(small_task_systems(max_n=3, p_max=8))
@@ -545,7 +578,7 @@ class TestDecideLargeK:
 
 
 class TestTwoValues:
-    """The two-value lemma behind the harmonic walk's forced multipliers: for
+    """The two-value lemma behind the paper's forced multipliers: for
     0 < t <= p, ceil((t + jitter)/p) is 1 while t <= p - jitter, else 2."""
 
     @pytest.mark.parametrize("t, expected", [(20, 1), (25, 1), (26, 2), (30, 2), (50, 2)])
@@ -593,26 +626,14 @@ class TestHarmonicWalk:
         q = ResponseQuery(ts.tasks[:2], 13)
         assert response_harmonic(q) == response_bruteforce(q)
 
-    def test_probe_refuses_a_difference_between_lo_and_k(self):
-        # d = 8 - 2 = 6 lies in [lo, k) = [5, 7): the task's period is not
-        # below k, and its multiplier is forced neither to 1 (k > d) nor to
-        # 2 (d >= lo)
-        with pytest.raises(InternalInvariantViolated, match="not the chain below the probe"):
-            rta._walk_probe(ResponseQuery([Task(1, 8, 2)], 1), None, 7, 5)
-
     def test_the_recurrence_settles_a_difference_with_no_probe(self):
         # differences 3 and 6 from lo = 3: the probe at 3 says no and raises
         # lo to W(4) = 5; at d = 6, W(6) = 5 <= 6 proves r <= 5 with no probe
         q = ResponseQuery([Task(1, 3, 0), Task(2, 6, 0)], 1)
         assert q.bounds.ceil_ell <= 6 < q.bounds.u and q.workload(6) <= 6
-        real, probed = rta._walk_probe, []
-
-        def spy(q, trace, k, lo):
-            probed.append(k)
-            return real(q, trace, k, lo)
-
-        with mock.patch.object(rta, "_walk_probe", spy), counters.collect() as ops:
+        with recorded_decisions() as decided, counters.collect() as ops:
             assert response_harmonic(q) == response_bruteforce(q) == 5
+        probed = [k for _, k, _, _ in decided]
         assert probed == [3] and ops.recurrence_verdicts >= 1, (probed, ops)
 
     def test_rejects_non_harmonic_periods(self, demo_system):
@@ -629,39 +650,20 @@ class TestHarmonicWalk:
             q = full_query(ts)
             assert response_harmonic(q) == response_bruteforce(q)
 
-    def test_forced_multipliers_match_the_optimum(self):
-        # audit the walk's instrumentation on feasible probes
-        for seed in range(60):
-            ts = random_system(seed + 400, random.Random(seed).randint(2, 6), 32, harmonic=True)
-            q = full_query(ts)
-            t_star = response_bruteforce(q)
-            trace: list[ProbeRecord] = []
-            assert response_harmonic(q, trace=trace) == t_star
-            for rec in trace:
-                if not rec.feasible:
-                    continue
-                assert rec.k >= t_star
-                for j, forced in rec.forced.items():
-                    task = ts.tasks[j]
-                    if rec.k <= task.p:
-                        assert forced == ceil_div(t_star + task.jitter, task.p), (
-                            seed,
-                            rec,
-                            t_star,
-                        )
-
 
 def _audit_walk(q):
-    """The walk's answer equals the fixed point's, every probe's verdict is
-    exactly "response <= k", and no probe lies below the walk's start, the
-    larger of the query's lower bound and ceil(ell); returns the response."""
+    """The walk's answer equals the fixed point's, every decision's verdict is
+    exactly "response <= k", and each decides over a window [lo, k] whose
+    lower end lies between the walk's start, the larger of the query's lower
+    bound and ceil(ell), and the response, with its witness in [lo, k];
+    returns the response."""
     t_star = response_bruteforce(q)
-    trace: list[ProbeRecord] = []
-    assert response_harmonic(q, trace=trace) == t_star
+    with recorded_decisions() as decided:
+        assert response_harmonic(q) == t_star
     start = max(q.lower, math.ceil(q.bounds.ell))
-    for rec in trace:
-        assert rec.feasible == (t_star <= rec.k), (t_star, rec)
-        assert rec.k >= start, (start, rec)
+    for _, k, lo, (feasible, t) in decided:
+        assert feasible == (t_star <= k), (t_star, k)
+        assert start <= lo <= min(k, t_star) and lo <= t <= k, (start, lo, k, t)
     return t_star
 
 
@@ -711,40 +713,67 @@ class TestWalkAtScale:
             assert compute_response(q) == r
         assert ops.auto_handoffs == 1 and ops.mixing_ops <= 20_000, ops
 
+    def test_the_window_bounds_the_jittered_geometric_query(self):
+        # the same family at k = 14: each decision searches s only over
+        # [0, k - lo], the window above the walk's certified lower end lo
+        q = ResponseQuery(geometric(14, jitter=True).tasks[:-1], 2**13)
+        r = response_bruteforce(q)
+        with counters.collect() as ops:
+            assert compute_response(q) == r
+        assert ops.auto_handoffs == 1 and ops.mixing_ops <= 30_000, ops
+
 
 class TestWitness:
     """A yes decision names t* = k - s*, and `_search` lowers its upper end
     to W(t*) once W(t*) <= t* is checked."""
 
     def test_a_witness_that_fails_the_check_bounds_nothing(self, monkeypatch):
-        # the walk's forced multipliers hold only on [lo, k]; a probe that names
-        # the walk's lower end lo as its witness is used only when lo is the
-        # response, so no answer moves
-        real = rta._walk_probe
-        monkeypatch.setattr(rta, "_walk_probe",
-                            lambda q, trace, k, lo: (real(q, trace, k, lo)[0], lo))
+        # a yes over [lo, k] names a feasible t* in [lo, k): the verdict gives
+        # W(t*) <= t*, and W(k) > k, where every decision runs, rules out
+        # t* = k.  A decision that names its window's lower end lo instead
+        # passes only when lo is feasible, and is caught everywhere else:
+        # no answer moves
+        real = rta.decide_large_k
+        monkeypatch.setattr(rta, "decide_large_k", lambda q, k, lo: (real(q, k, lo)[0], lo))
+        caught = 0
         for seed in range(40):
             ts = random_system(seed + 900, random.Random(seed).randint(2, 7), 256, harmonic=True)
             q = full_query(ts)
-            assert response_harmonic(q) == response_bruteforce(q), seed
+            try:
+                assert response_harmonic(q) == response_bruteforce(q), seed
+            except InternalInvariantViolated as exc:
+                assert "not a feasible t in [" in str(exc), seed
+                caught += 1
+        assert caught, "no decision named an infeasible lower end"
 
-    def test_the_witness_saves_decisions(self, monkeypatch):
+    def test_the_witness_saves_decisions(self):
         # general jittered systems: every answer stays, with fewer decisions
-        # than a bracket that keeps hi = k after each yes
+        # than a bracket that keeps hi = k after each yes, replayed here on
+        # each search's window with the fixed point's verdicts
         systems = [random_system(seed, 6, 256) for seed in range(1, 21)]
+        responses = [analyze_system(ts, "bruteforce").responses() for ts in systems]
+        windows, real = [], rta._search
 
-        def probes():
-            with counters.collect() as ops:
-                responses = [analyze_system(ts).responses() for ts in systems]
-            return responses, ops.decision_probes
+        def spy(q, lo, hi, *args):
+            windows.append((q, lo, hi))
+            return real(q, lo, hi, *args)
 
-        responses, with_witness = probes()
-        # a decision that names t* = k as its witness bounds nothing below k
-        real = rta.decide_large_k
-        monkeypatch.setattr(rta, "decide_large_k", lambda q, k: (real(q, k)[0], k))
-        unchanged, without_witness = probes()
-        assert unchanged == responses and with_witness < without_witness, \
-            (with_witness, without_witness)
+        with mock.patch.object(rta, "_search", spy), counters.collect() as ops:
+            assert [analyze_system(ts).responses() for ts in systems] == responses
+        without_witness = 0
+        for q, lo, hi in windows:
+            r = response_bruteforce(q)
+
+            def narrow(k, lo, hi, q=q, r=r):
+                nonlocal without_witness
+                if q.workload(k) <= k:
+                    return lo, q.workload(k)
+                without_witness += 1
+                return (lo, k) if r <= k else (max(k + 1, q.workload(k + 1)), hi)
+
+            assert core.bracket(lo, hi, narrow) == r
+        assert windows and ops.decision_probes < without_witness, \
+            (ops.decision_probes, without_witness)
 
 
 class TestWarmStart:
@@ -782,23 +811,9 @@ class TestWarmStart:
     @contextlib.contextmanager
     def recorded_searches():
         """Yield the `core.bracket` searches (see `recorded_core_brackets`)
-        and a list of (q, k) for every k that a search passes to its
-        decision, the walk's difference scan included."""
-        decided = []
-        real_walk, real_decide = rta._walk_probe, rta.decide_large_k
-
-        def walk(q, trace, k, lo):
-            decided.append((q, k))
-            return real_walk(q, trace, k, lo)
-
-        def decide(q, k):
-            if isinstance(q, ResponseQuery):  # the walk's `Residual`s are seen above
-                decided.append((q, k))
-            return real_decide(q, k)
-
-        with recorded_core_brackets() as searches, \
-                mock.patch.object(rta, "_walk_probe", walk), \
-                mock.patch.object(rta, "decide_large_k", decide):
+        and the decisions (see `recorded_decisions`), the walk's difference
+        scan included."""
+        with recorded_core_brackets() as searches, recorded_decisions() as decided:
             yield searches, decided
 
     @FAMILIES
@@ -814,7 +829,7 @@ class TestWarmStart:
             # at most ceil(log2(hi - lo + 1)) probes
             assert len(probes) <= (hi - lo).bit_length(), (lo, hi, probes)
         # a k with W(k) <= k is settled by the recurrence, never decided
-        for q, k in decided:
+        for q, k, *_ in decided:
             assert workload(q.tasks, q.gamma, k) > k, (q.tasks, q.gamma, k)
 
     def test_bracket_bound_on_the_geometric_walk(self):
@@ -824,7 +839,7 @@ class TestWarmStart:
             assert response_harmonic(q) == response_bruteforce(q)
         assert any(probes for *_, probes in searches)
         assert all(len(probes) <= (hi - lo).bit_length() for _, lo, hi, probes in searches)
-        assert decided and all(q.workload(k) > k for _, k in decided)
+        assert decided and all(q.workload(k) > k for _, k, *_ in decided)
 
 
 class TestSearchesAtScale:
@@ -1247,20 +1262,35 @@ class TestInvariantGuards:
 
     @pytest.mark.parametrize(
         "answer, tasks, gamma, lower, message",
-        [(lambda k: True, [Task(3, 9, 0)], 3, 0, "harmonic walk returned infeasible t=5"),
-         (lambda k: True, [Task(1, 4, 1), Task(2, 4, 0)], 1, 8,
+        [(lambda k: True, [Task(3, 9, 0)], 3, 0,
+          "harmonic walk: a yes at k=5 names the witness t=5, not a feasible t in [5, 5)"),
+         (None, [Task(1, 4, 1), Task(2, 4, 0)], 1, 8,
           "harmonic walk returned t=8, but t - 1 is feasible"),
-         (lambda k: k >= 3, [Task(3, 6, 0)], 1, 0, "the verdicts emptied the bracket [4, 3]")],
+         (None, [Task(3, 6, 0)], 1, 6, "the verdicts emptied the bracket [6, 4]")],
         ids=["infeasible", "non-minimal", "empty-bracket"],
     )
     def test_a_lying_walk_probe_is_caught(self, monkeypatch, answer, tasks, gamma, lower, message):
-        # a fake probe answers answer(k) with the witness k, which bounds
-        # nothing.  Every lower end that a no sets leaves t - 1 infeasible, so
-        # only a start above the response, a `lower` that lies (8 > r = 7),
-        # can end the search on a t whose t - 1 is feasible
-        consulted = []
-        monkeypatch.setattr(rta, "_walk_probe",
-                            lambda q, trace, k, lo: (consulted.append(k) or answer(k), k))
+        # a fake decision answers answer(k) with the witness k, which no yes
+        # may name, since W(k) > k wherever a decision runs: the witness guard
+        # catches a yes at an infeasible k.  No decision can trip the other
+        # guards, as a no keeps the lower end at most the feasible upper end
+        # and a yes lowers that to a feasible W(t*).  A start above the
+        # response, a `lower` that lies, reaches them (answer None: the real
+        # decision): the search ends on t = 8 although r = 7, or the free
+        # verdict W(6) = 4 < 6 empties the window
+        real = rta.decide_large_k
+        monkeypatch.setattr(rta, "decide_large_k",
+                            lambda q, k, lo: real(q, k, lo) if answer is None else (answer(k), k))
         with pytest.raises(InternalInvariantViolated) as exc:
             response_harmonic(ResponseQuery(tasks, gamma, lower))
-        assert str(exc.value) == message and consulted
+        assert str(exc.value) == message
+
+    def test_an_upper_end_below_the_response_is_caught(self):
+        # r = 6: a certified bound u = 5 from a faulty bounds pass, with the
+        # lower bound 5 at it, leaves the window [5, 5], which the search
+        # returns without a decision
+        q = ResponseQuery([Task(3, 9, 0)], 3, 5)
+        object.__setattr__(q, "bounds", q.bounds._replace(u=5))
+        with pytest.raises(InternalInvariantViolated) as exc:
+            response_harmonic(q)
+        assert str(exc.value) == "harmonic walk returned infeasible t=5"
