@@ -19,7 +19,9 @@ within it.
 
 * `response_turing` and `response_jitter_free` (any periods; the second
   only without jitter) run one general-period search: climb t <- W(t) from
-  t0 = max(lower, ceil(ell)) for at most max(1, S - t0 + 1) steps.  A t
+  t0 = max(lower, ceil(ell)) for at most
+  B = ceil((n + 1 + sum_i (S // p_i + 1)) / max(1, n)) steps, n = |I|, the
+  W evaluations (n units each) that cost about one decision's scan.  A t
   with W(t) <= t is the response; otherwise a bracketed search runs from
   the last iterate.
 * `response_harmonic` (harmonic periods) searches from
@@ -59,10 +61,13 @@ work.  Every probe evaluates W at least once and adds at most a solve over
 a constant times what the bisection can spend.  On general periods a
 decision sweeps the drop points up to min(S, k - lo), which can cost
 thousands of W evaluations, so `auto` runs `jitter-free` (zero jitter) or
-`turing`, whose climb is the fixed point itself, bounded by S instead of a
-step count.  The budget comes from the query; nothing is tuned.  Most
-queries of random harmonic systems settle in the first leg; the geometric
-family, where the fixed point needs thousands of steps, hands off.
+`turing`, whose climb is the fixed point itself, budgeted in work: it stops
+once its W evaluations have cost about as much as one decision's scan can
+(the same rule), so a query the climb leaves unsettled has spent at most
+about one decision more.  The budgets come from the query; nothing is
+tuned.  Most queries of random harmonic systems settle in the first leg;
+the geometric family, where the fixed point needs thousands of steps,
+hands off.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is what the paper states: the interfering
@@ -349,14 +354,22 @@ def response_harmonic(q: ResponseQuery) -> int:
 
 def _general_search(q: ResponseQuery) -> int:
     """Climb t <- W(t) from t0 = max(lower, ceil(ell)), a certified lower
-    bound (Sjodin and Hansson, RTSS 1998), for at most max(1, S - t0 + 1)
-    steps.  A t with W(t) <= t is the response.  Otherwise `_search` runs
-    from the last iterate, still a certified lower bound, up to u, or up to
-    the lcm m when W(m) <= m.  The climb costs
-    O(S) W evaluations; since c_i >= 1, the drop points in [0, S] that one
-    decision sweeps number at most S*U + n."""
+    bound (Sjodin and Hansson, RTSS 1998), for at most B steps.  A t with
+    W(t) <= t is the response.  Otherwise `_search` runs from the last
+    iterate, still a certified lower bound, up to u, or up to the lcm m when
+    W(m) <= m.
+
+    B is ski rental (Karlin, Manasse, Rudolph and Sleator, Algorithmica
+    1988) in `mixing_ops` units: one W evaluation costs n = |I|, and one
+    decision at most n + 1 + sum_i (S // p_i + 1), the brute-force scan's
+    own count over the drop points of [0, S].  So the climb keeps going
+    while its evaluations cost less than one decision, B = ceil(that / n),
+    and a query it leaves unsettled has spent at most about one decision
+    more than the decisions that settle it."""
     t0 = max(q.lower, q.bounds.ceil_ell)
-    t, settled = _iterate(q, t0, max(1, q.bounds.s - t0 + 1))
+    n = len(q.tasks)
+    scan = n + 1 + sum(q.bounds.s // t.p + 1 for t in q.tasks)  # one decision's ops bound
+    t, settled = _iterate(q, t0, -(-scan // max(1, n)))
     if settled:
         return t
     m = q.bounds.m
@@ -396,7 +409,8 @@ def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     returns t once W(t) <= t, and otherwise hands the last iterate, as
     `lower`, to the harmonic walk (counted as `auto_handoffs`).  On other periods
     "auto" runs `jitter-free` (zero jitter) or `turing`, as an explicit
-    algorithm does; the module docstring says why."""
+    algorithm does, whose climb is budgeted in work, about one decision's
+    scan (`_general_search`); the module docstring says why."""
     if algorithm == "auto":
         if q.harmonic:
             t0 = max(q.gamma, q.lower)

@@ -365,11 +365,12 @@ class TestSelector:
     def test_a_decision_makes_one_mixing_call(self, solver_calls, algorithm, named):
         # the walk's decisions and the general search's, on a chain and off
         # it: one `mixing.solve` per decision probe, and each named solver is
-        # called only by it
+        # called only by it; both queries leave the general search's climb
+        # unsettled, so it decides
         if named == "solve_harmonic":
-            tasks = [Task(1, 4, 1), Task(2, 8, 3), Task(3, 16, 0)]
+            tasks = [Task(1, 4, 0), Task(2, 8, 2), Task(3, 16, 7)]
         else:
-            tasks = [Task(1, 4, 1), Task(2, 6, 3), Task(1, 10, 0)]
+            tasks = [Task(1, 4, 1), Task(2, 6, 0), Task(3, 8, 3)]
         q = rta.ResponseQuery(tasks, 5)
         with counters.collect() as ops:
             got = rta.compute_response(q, algorithm)

@@ -93,7 +93,7 @@ class TestSolveCrowded:
 
     def test_instance_checked_once_per_public_entry(self, monkeypatch):
         # the shift leaves this crowded instance as it is, and the dual query's
-        # bounds decide the first probe (top - C = 11 - 4 >= 1), so the solve
+        # bounds decide the first probe (top - C = 28 - 6 >= 1), so the solve
         # certifies the instance once, at its entry, and never calls the
         # checked mix_leq_via_rtc.  An instance validates itself when it is
         # built, so the solve validates nothing at its entry.
@@ -101,9 +101,10 @@ class TestSolveCrowded:
         # and shares its mixing form, whose instance is validated once, when
         # it is built, and certified once, when it is compiled, not once per
         # mixing solve that searches it.  The bounds leave a window of
-        # C + 1 = 5 values of k (C = sum w_i), so the search makes at most
+        # C + 1 = 7 values of k (C = sum w_i), so the search makes at most
         # ceil(log2(C + 1)) probes and at most one more for the witness.
-        inst = MixInstance(1, [(1, 3, 105), (2, 5, 108), (1, 7, 107)])
+        # Some probe's climb stops unsettled, so it compiles the form.
+        inst = MixInstance(1, [(1, 9, 180), (1, 4, 180), (3, 10, 187), (1, 6, 181)])
         expected = solve_bruteforce(inst).objective
         made, validated, certified, built, probed, decided = [], [], [], [], [], []
         make, validate, certify = MixInstance.__init__, mixing.validate, mixing.certified_s_bound
