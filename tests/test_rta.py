@@ -504,26 +504,42 @@ class TestDecideLargeK:
                 if feasible:
                     assert r <= workload(q.tasks, q.gamma, t) <= t, (lo, k, t, r)
 
+    @staticmethod
+    def built_query_decisions(ts):
+        """The (q, k, lo, (verdict, witness)) of every decision that turing
+        and jitter-free, where applicable, make while analysing `ts`."""
+        algorithms = set(applicable(full_query(ts))) & {"turing", "jitter-free"}
+        with recorded_decisions() as decided:
+            for algorithm in algorithms:
+                analyze_system(ts, algorithm)
+        return decided
+
+    @FAMILIES
+    @given(data=st.data())
+    @settings(max_examples=40)
+    def test_every_decision_on_a_built_query_is_at_or_above_s(self, harmonic, zero_jitter, data):
+        # the general-period search decides below S as well as above it, and
+        # exactly: within a certified window [lo, k], its witness at or above
+        # k - S, since the form searches s only up to S
+        ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
+        for q, k, lo, (feasible, t) in self.built_query_decisions(ts):
+            r = response_bruteforce(q)
+            assert lo <= min(k, r) and max(lo, k - q.bounds.s) <= t <= k, (q.bounds.s, lo, k, r, t)
+            assert feasible == (r <= k) and (t < k or not feasible), (k, r, t)
+
     @FAMILIES
     @given(data=st.data())
     @settings(max_examples=40)
     def test_every_decision_on_a_built_query_follows_its_whole_climb(
             self, harmonic, zero_jitter, data):
         # the general-period search decides only once its climb has spent its
-        # whole budget unsettled, within a window whose lower end, at or
-        # above the climb's last iterate, is certified; below S too, where
-        # the windowed decision is exact
+        # whole budget unsettled, from a lower end at or above the climb's
+        # last iterate
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
-        algorithms = set(applicable(full_query(ts))) & {"turing", "jitter-free"}
-        with recorded_decisions() as decided:
-            for algorithm in algorithms:
-                analyze_system(ts, algorithm)
-        for q, k, lo, (feasible, t) in decided:
-            r = response_bruteforce(q)
+        for q, k, lo, _ in self.built_query_decisions(ts):
             evaluations, last, settled = climb(q)
             assert not settled and evaluations == climb_budget(q), (evaluations, last)
-            assert last <= lo <= min(k, r) and lo <= t <= k, (last, lo, k, r, t)
-            assert t < k or not feasible, (k, t)
+            assert last <= lo, (last, lo, k)
 
     @FAMILIES
     @given(data=st.data())
