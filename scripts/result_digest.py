@@ -23,7 +23,9 @@ At the end it prints, on stderr, the counter totals of each command and of
 all runs, so two checkouts can be compared by their totals alone.
 
 It exits 1, naming each fault on stderr, when two `rta compute` algorithms
-give different results on one input, when two successful `mix solve`
+give different results on one input, when `rta compute harmonic` and `rta
+compute auto` both succeed on one input with different counters (`auto`
+runs `harmonic` on every chain), when two successful `mix solve`
 algorithms give different objectives on one input, when `blockip solve`
 gives different results on a program and its mirrored form, or when any run
 exits 4 (an internal error).  A weighted program's objective counts x_1, so
@@ -286,13 +288,17 @@ def main() -> int:
                 algorithms.append("harmonic")
             if all(t.jitter == 0 for t in ts.tasks):
                 algorithms.append("jitter-free")
-            results = {}
+            outs = {}
             for algorithm in algorithms:
                 argv = ["rta", "compute", "--input", path, "--algorithm", algorithm]
-                out = run(argv + ["--verify"] * (algorithm == "auto"))
-                record(name, f"rta compute {algorithm}", out)
-                results[algorithm] = out.get("result")
-            agree(name, "rta compute results", results)
+                outs[algorithm] = run(argv + ["--verify"] * (algorithm == "auto"))
+                record(name, f"rta compute {algorithm}", outs[algorithm])
+            agree(name, "rta compute results", {a: out.get("result") for a, out in outs.items()})
+            harmonic, auto = outs.get("harmonic"), outs["auto"]
+            if harmonic and harmonic["code"] == auto["code"] == 0 \
+                    and harmonic["counters"] != auto["counters"]:
+                faults.append(f"{name}: rta compute harmonic and auto counters differ: "
+                              f"{harmonic['counters']} and {auto['counters']}")
         # two interferers on one period P = 2**63 + 1 leave level 2 slack 1/P
         # and S = P - 1, past the magnitude cap 2**63 - 1: level 2 raises
         # OverflowLimit

@@ -27,12 +27,12 @@ class Counters:
     # Decisions "response <= k" of a bracketed search that W(k) <= k settled
     # without the oracle.
     recurrence_verdicts: int = 0
-    # Evaluations of W in fixed-point iterations t <- W(t): the baseline's,
-    # `auto`'s first leg on harmonic periods and the general-period search's
-    # climb from ceil(ell) (`turing`, `jitter-free`).
+    # Evaluations of W in fixed-point iterations t <- W(t): the baseline's
+    # and every search's climb (`harmonic`, `turing`, `jitter-free`, and so
+    # `auto`).
     fixpoint_iters: int = 0
-    # Harmonic queries that `auto`'s fixed-point leg left unsettled within
-    # its budget and handed off to the harmonic walk.
+    # Queries whose climb, under any search algorithm, ended unsettled
+    # within its budget and handed off to the bracketed search.
     auto_handoffs: int = 0
     # Node-budget units blockip's two-stage solver spent, out of budget too:
     # first-stage points entered or pieces of t, brick completions, DFS nodes.

@@ -17,18 +17,23 @@ needs no forced multipliers and no gate at the certified bound S: past S,
 S itself cuts the search, since every mixing optimum's smallest s lies
 within it.
 
+Every search runs one body (`_climb_then_search`): climb t <- W(t) from a
+certified lower bound t0 for at most a budget of steps; a t with W(t) <= t
+is the response.  Otherwise the last iterate, a certified lower bound too
+since W is monotone and W(r) = r, hands off (counted as `auto_handoffs`) to
+a bracketed search from max(last iterate, ceil(ell)) up to u, or up to the
+lcm m when W(m) <= m.  Each algorithm supplies only its class's t0 and
+budget:
+
+* `response_harmonic` (harmonic periods) climbs from t0 = max(gamma, lower)
+  for at most (u - t0 + 1).bit_length() steps, and its search probes the
+  sorted distinct nonzero differences d_j = p_j - jitter_j upward before it
+  bisects.  The differences are only its probe order; below the cap at m,
+  bisection alone settles the geometric family in as few probes.
 * `response_turing` and `response_jitter_free` (any periods; the second
-  only without jitter) run one general-period search: climb t <- W(t) from
-  t0 = max(lower, ceil(ell)) for at most
+  only without jitter) climb from t0 = max(lower, ceil(ell)) for at most
   B = ceil((n + 1 + sum_i (S // p_i + 1)) / max(1, n)) steps, n = |I|, the
-  W evaluations (n units each) that cost about one decision's scan.  A t
-  with W(t) <= t is the response; otherwise a bracketed search runs from
-  the last iterate.
-* `response_harmonic` (harmonic periods) searches from
-  max(lower, ceil(ell)), probing the sorted distinct nonzero differences
-  d_j = p_j - jitter_j upward before it bisects.  The differences are only
-  its probe order: on the geometric family they settle the search in a few
-  probes where bisection alone takes many more.
+  W evaluations (n units each) that cost about one decision's scan.
 
 Every search narrows its window by one rule (`_search`), first at each k
 of the ascending differences, if any, and then in `core.bracket`, the one
@@ -41,33 +46,27 @@ window's upper end drops to W(t*), below k.  W(k) is computed before the
 decision, and when W(k) <= k, k is itself feasible: the recurrence gives
 the yes in O(n), with r <= W(k), and no mixing solve runs (a free verdict,
 counted as `recurrence_verdicts`; `decision_probes` counts only the
-decisions).  The harmonic walk starts its lower end at ceil(ell), the
+decisions).  Every search starts its lower end at ceil(ell), the
 certified lower bound of `core.bounds_from_parts` (Sjodin and Hansson,
-RTSS 1998), or at the query's `lower` when that is larger; it skips the
-differences outside the window.
+RTSS 1998), or at the last iterate when that is larger; the harmonic walk
+skips the differences outside the window.
 
-`compute_response(q, "auto")` on harmonic periods runs the fixed point
-first.  It iterates t <- W(t) from t0 = max(gamma, lower), a certified
-lower bound, for at most (u - t0 + 1).bit_length() steps, a budget no smaller
-than the (u - t0).bit_length() probes `core.bracket` can make on [t0, u].  When
-W(t) <= t, t is the response.
-Otherwise the last
-iterate, a certified lower bound since W is monotone and W(r) = r, becomes
-the query's `lower`, and `auto` hands off to the harmonic walk, which
-starts above everything the iteration spent (ski rental: Karlin, Manasse,
-Rudolph and Sleator, Algorithmica 1988).  The budget counts steps, not
-work.  Every probe evaluates W at least once and adds at most a solve over
-|I| chain levels, so on harmonic periods the iteration spends no more than
-a constant times what the bisection can spend.  On general periods a
-decision sweeps the drop points up to min(S, k - lo), which can cost
-thousands of W evaluations, so `auto` runs `jitter-free` (zero jitter) or
-`turing`, whose climb is the fixed point itself, budgeted in work: it stops
-once its W evaluations have cost about as much as one decision's scan can
-(the same rule), so a query the climb leaves unsettled has spent at most
-about one decision more.  The budgets come from the query; nothing is
-tuned.  Most queries of random harmonic systems settle in the first leg;
-the geometric family, where the fixed point needs thousands of steps,
-hands off.
+Both budgets are ski rental (Karlin, Manasse, Rudolph and Sleator,
+Algorithmica 1988): the climb keeps going while what it spent stays within
+what the search it hands off to can spend, and the search starts above
+everything the climb spent.  On harmonic periods the budget counts steps,
+not work: every probe evaluates W at least once and adds at most a solve
+over |I| chain levels, so the climb spends no more than a constant times
+what the bisection, at most (u - t0).bit_length() probes on [t0, u], can
+spend.  On general periods a decision sweeps the drop points up to
+min(S, k - lo), which can cost thousands of W evaluations, so the budget
+counts work: the climb stops once its W evaluations have cost about as much
+as one decision's scan can, so a query the climb leaves unsettled has spent
+at most about one decision more.  The budgets come from the query; nothing
+is tuned.  `compute_response(q, "auto")` only picks the period class:
+`harmonic` on a chain, else `turing` with jitter and `jitter-free` without.
+Most queries of random harmonic systems settle in the climb; the geometric
+family, where the fixed point needs thousands of steps, hands off.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is what the paper states: the interfering
@@ -86,16 +85,15 @@ Every search evaluates W through these terms; `core.workload` stays the
 definition, which `response_bruteforce`, the independent baseline, uses.
 Building a query calls nothing in `mixing`.  A query may also carry a
 certified lower bound on its response (`lower`, 0 when none is known),
-from which `auto`, `harmonic`, `turing` and `jitter-free` start;
-`analyze_system` sets it to r_{j-1} + c_j for level j, `auto` raises it to
-its last iterate when it hands off, and `response_bruteforce`, the
-independent baseline, ignores it.  Two derivations, checked as a build is,
-make a query from a built one, deriving its bounds from the load aggregate:
-`ResponseQuery.at` at another gamma or lower (`auto`'s hand-off, `reverse`),
-and `ResponseQuery.plus` with one more interferer (`analyze_system`), which
-trusts its caller to have checked the task: `analyze_system` validates its
-`TaskSystem` once, so a request checks each task once there, besides its
-decoder's check.
+from which `harmonic`, `turing` and `jitter-free` start;
+`analyze_system` sets it to r_{j-1} + c_j for level j, and
+`response_bruteforce`, the independent baseline, ignores it.  Two
+derivations, checked as a build is, make a query from a built one, deriving
+its bounds from the load aggregate: `ResponseQuery.at` at another gamma or
+lower (`reverse`), and `ResponseQuery.plus` with one more interferer
+(`analyze_system`), which trusts its caller to have checked the task:
+`analyze_system` validates its `TaskSystem` once, so a request checks each
+task once there, besides its decoder's check.
 
 Mix(I, k) differs between probes only by the shift k, so a query compiles
 its interferers' mixing form once (`mixing.compile_mix`: one term
@@ -139,14 +137,13 @@ class ResponseQuery:
     whether the interferers' periods form a divisibility chain and
     `jittered` whether some interferer has jitter.  `lower` is a lower bound
     on the response that the caller certifies (0 when it knows none); the
-    searches start from it.  `analyze_system` sets it, and `auto` raises it
-    on a hand-off.  A build checks it against u only: a `lower` above the
-    response is caught, if at all, by `_search`'s check that t - 1 is
-    infeasible or by a window that its verdicts empty.  The
-    interferers' mixing form (`form`) is compiled on first need; its
-    certified S is `bounds.s`, and the bounds also carry the load aggregate
-    from which `at` and `plus` derive their bounds without a pass over the
-    interferers.  W is compiled at the build into integer terms
+    searches start from it.  `analyze_system` and `reverse` set it.  A build
+    checks it against u only: a `lower` above the response is caught, if at
+    all, by `_search`'s check that t - 1 is infeasible or by a window that
+    its verdicts empty.  The interferers' mixing form (`form`) is compiled
+    on first need; its certified S is `bounds.s`, and the bounds also carry
+    the load aggregate from which `at` and `plus` derive their bounds
+    without a pass over the interferers.  W is compiled at the build into integer terms
     (`workload`), which `at` shares and `plus` extends.  With no
     interferers, S = 0 and u = ceil(ell) = gamma >= `lower`, so with no
     case of their own every search returns gamma after one W evaluation and
@@ -171,11 +168,10 @@ class ResponseQuery:
 
     def at(self, gamma: int, lower: int = 0) -> ResponseQuery:
         """This query at another constant gamma and certified lower bound,
-        checked as a build is.  Only `bounds` depends on gamma: derived from
-        its load aggregate, or kept at an unchanged gamma.  The interferers,
-        the flags, the compiled W and the mixing form are shared."""
-        return self._copy()._set_constants(
-            gamma, lower, lambda g: self.bounds if g == self.gamma else self.bounds.at(g))
+        checked as a build is.  Only `bounds` depends on gamma, derived from
+        its load aggregate.  The interferers, the flags, the compiled W and
+        the mixing form are shared."""
+        return self._copy()._set_constants(gamma, lower, self.bounds.at)
 
     def plus(self, t: Task, gamma: int, lower: int = 0) -> ResponseQuery:
         """This query with interferer t, below all of its interferers in
@@ -243,30 +239,6 @@ def response_bruteforce(q: ResponseQuery) -> int:
             )
         t = nxt
     return t
-
-
-def _iterate(q: ResponseQuery, t: int, budget: int) -> tuple[int, bool]:
-    """At most `budget` steps of t <- W(t) from t, a certified lower bound on
-    the response r.  Returns (r, True) at the first t with W(t) <= t, which
-    is then r itself; else (the last iterate, False).  Every iterate is a
-    certified lower bound too: W is monotone and W(r) = r.  `fixpoint_iters`
-    is bumped once, by the number of W evaluations, also when the climb
-    raises."""
-    u = q.bounds.u
-    steps = 0
-    try:
-        for steps in range(1, budget + 1):
-            nxt = q.workload(t)
-            if nxt <= t:
-                return t, True
-            if nxt > u:
-                raise InternalInvariantViolated(
-                    f"fixed-point iteration escaped the certified bound {u}"
-                )
-            t = nxt
-        return t, False
-    finally:
-        counters.bump("fixpoint_iters", steps)
 
 
 def decide_large_k(q: ResponseQuery, k: int, lo: int) -> tuple[bool, int]:
@@ -339,25 +311,57 @@ def _search(q: ResponseQuery, lo: int, hi: int, algorithm: str, scan: Iterable[i
     return t
 
 
+def _climb_then_search(q: ResponseQuery, t0: int, budget: int, algorithm: str) -> int:
+    """The response r, given t0 <= r, by the one body of every search.
+    Climb t <- W(t) from t0 for at most `budget` steps; at the first t with
+    W(t) <= t, t is r.  Every iterate is a certified lower bound too: W is
+    monotone and W(r) = r.  `fixpoint_iters` is bumped once, by the number
+    of W evaluations, also when the climb raises.  A climb that leaves the
+    query unsettled hands off (counted as `auto_handoffs`) to `_search` from
+    max(last iterate, ceil(ell)) up to u, or up to the lcm m when W(m) <= m,
+    which probes the sorted distinct nonzero differences d_j = p_j - jitter_j
+    first when the periods form a chain."""
+    u = q.bounds.u
+    t = t0
+    steps = 0
+    try:
+        for steps in range(1, budget + 1):
+            nxt = q.workload(t)
+            if nxt <= t:
+                return t
+            if nxt > u:
+                raise InternalInvariantViolated(
+                    f"fixed-point iteration escaped the certified bound {u}"
+                )
+            t = nxt
+    finally:
+        counters.bump("fixpoint_iters", steps)
+    counters.bump("auto_handoffs")
+    m = q.bounds.m
+    hi = min(u, m) if q.workload(m) <= m else u
+    scan = sorted({task.p - task.jitter for task in q.tasks} - {0}) if q.harmonic else ()
+    return _search(q, max(t, q.bounds.ceil_ell), hi, algorithm, scan)
+
+
 def response_harmonic(q: ResponseQuery) -> int:
-    """The harmonic walk: `_search` from max(lower, ceil(ell)) up to u,
-    probing the distinct nonzero differences d_j = p_j - jitter_j upward
-    before it bisects.  The differences are only its probe order, which
-    pays on the geometric family: on the harmonic geometric system at
-    k = 14 (c_i = 1, p_i = 2^i, no jitter), `auto` makes 3 decision probes
-    over all its levels with them and 19 by bisection alone."""
+    """The harmonic walk: climb from t0 = max(gamma, lower) for at most
+    (u - t0 + 1).bit_length() steps, no fewer than the bisection's
+    (u - t0).bit_length() probes on [t0, u], then search
+    (`_climb_then_search`), probing the differences d_j upward before it
+    bisects.  The differences are only its probe order: on the harmonic
+    geometric system at k = 14 (c_i = 1, p_i = 2^i, no jitter), `auto` makes
+    3 decision probes over all its levels, with them or by bisection alone
+    below the cap at m."""
     if not q.harmonic:
         raise PreconditionViolated("periods do not form a divisibility chain")
-    return _search(q, max(q.lower, q.bounds.ceil_ell), q.bounds.u, "harmonic walk",
-                   sorted({t.p - t.jitter for t in q.tasks} - {0}))
+    t0 = max(q.gamma, q.lower)
+    return _climb_then_search(q, t0, (q.bounds.u - t0 + 1).bit_length(), "harmonic walk")
 
 
 def _general_search(q: ResponseQuery) -> int:
-    """Climb t <- W(t) from t0 = max(lower, ceil(ell)), a certified lower
-    bound (Sjodin and Hansson, RTSS 1998), for at most B steps.  A t with
-    W(t) <= t is the response.  Otherwise `_search` runs from the last
-    iterate, still a certified lower bound, up to u, or up to the lcm m when
-    W(m) <= m.
+    """Climb from t0 = max(lower, ceil(ell)), a certified lower bound
+    (Sjodin and Hansson, RTSS 1998), for at most B steps, then search
+    (`_climb_then_search`).
 
     B is ski rental (Karlin, Manasse, Rudolph and Sleator, Algorithmica
     1988) in `mixing_ops` units: one W evaluation costs n = |I|, and one
@@ -366,15 +370,10 @@ def _general_search(q: ResponseQuery) -> int:
     while its evaluations cost less than one decision, B = ceil(that / n),
     and a query it leaves unsettled has spent at most about one decision
     more than the decisions that settle it."""
-    t0 = max(q.lower, q.bounds.ceil_ell)
     n = len(q.tasks)
     scan = n + 1 + sum(q.bounds.s // t.p + 1 for t in q.tasks)  # one decision's ops bound
-    t, settled = _iterate(q, t0, -(-scan // max(1, n)))
-    if settled:
-        return t
-    m = q.bounds.m
-    hi = min(q.bounds.u, m) if q.workload(m) <= m else q.bounds.u
-    return _search(q, t, hi, "general-period search")
+    return _climb_then_search(q, max(q.lower, q.bounds.ceil_ell), -(-scan // max(1, n)),
+                              "general-period search")
 
 
 def response_turing(q: ResponseQuery) -> int:
@@ -401,29 +400,11 @@ ALGORITHMS = ("auto", *_DISPATCH)
 
 
 def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
-    """Run the selected algorithm.
-
-    "auto" on harmonic periods first iterates t <- W(t) from
-    t0 = max(gamma, lower) for at most (u - t0 + 1).bit_length() steps, no
-    fewer than the bisection's (u - t0).bit_length() probes on [t0, u].  It
-    returns t once W(t) <= t, and otherwise hands the last iterate, as
-    `lower`, to the harmonic walk (counted as `auto_handoffs`).  On other periods
-    "auto" runs `jitter-free` (zero jitter) or `turing`, as an explicit
-    algorithm does, whose climb is budgeted in work, about one decision's
-    scan (`_general_search`); the module docstring says why."""
+    """Run the selected algorithm.  "auto" picks by the period class only:
+    `harmonic` on a chain, else `turing` with jitter and `jitter-free`
+    without; the module docstring says why."""
     if algorithm == "auto":
-        if q.harmonic:
-            t0 = max(q.gamma, q.lower)
-            t, settled = _iterate(q, t0, (q.bounds.u - t0 + 1).bit_length())
-            if settled:
-                return t
-            counters.bump("auto_handoffs")
-            q = q.at(q.gamma, t)
-            algorithm = "harmonic"
-        elif not q.jittered:
-            algorithm = "jitter-free"
-        else:
-            algorithm = "turing"
+        algorithm = "harmonic" if q.harmonic else "turing" if q.jittered else "jitter-free"
     if algorithm not in _DISPATCH:
         raise InvalidInstance(f"unknown algorithm {algorithm!r}")
     return _DISPATCH[algorithm](q)

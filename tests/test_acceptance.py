@@ -287,8 +287,8 @@ def _walk_ops(n: int, p_max: int, seeds) -> int:
             gen.random_system(seed * 37 + n * 5 + p_max, n, p_max, harmonic=True)
         )
         q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
-        with counters.collect() as c:
-            r = rta.response_harmonic(q)
+        with counters.collect() as c:  # the walk alone: a climb budget of 0
+            r = rta._climb_then_search(q, q.lower, 0, "harmonic walk")
         assert r == rta.response_bruteforce(q)
         total += c.mixing_ops
     return total

@@ -116,6 +116,19 @@ FAMILIES = pytest.mark.parametrize(
 )
 
 
+def walk(q):
+    """The harmonic walk alone: the search body of every algorithm with a
+    climb budget of 0, from max(lower, ceil(ell))."""
+    return rta._climb_then_search(q, q.lower, 0, "harmonic walk")
+
+
+def harmonic_climb(q):
+    """`harmonic`'s climb start t0 = max(gamma, lower) and budget
+    (u - t0 + 1).bit_length(), as the arguments of `climb`."""
+    t0 = max(q.gamma, q.lower)
+    return t0, (q.bounds.u - t0 + 1).bit_length()
+
+
 def climb_budget(q):
     """The general-period search's climb budget B, the W evaluations (n units
     each) that cost about one decision, n + 1 + sum_i (S // p_i + 1) units:
@@ -126,12 +139,13 @@ def climb_budget(q):
     return max(1, math.ceil(Fraction(decision, max(1, n))))
 
 
-def climb(q):
-    """The general-period search's climb, t <- W(t) from
-    t0 = max(lower, ceil(ell)) until W(t) <= t, at most `climb_budget(q)`
-    W evaluations: (the evaluations, the last iterate, whether it settled)."""
-    t = max(q.lower, math.ceil(q.bounds.ell))
-    budget = climb_budget(q)
+def climb(q, t0=None, budget=None):
+    """A climb t <- W(t) from t0 until W(t) <= t, at most `budget` W
+    evaluations, by default the general-period search's, from
+    max(lower, ceil(ell)) with `climb_budget(q)`: (the evaluations, the
+    last iterate, whether it settled)."""
+    t = max(q.lower, math.ceil(q.bounds.ell)) if t0 is None else t0
+    budget = climb_budget(q) if budget is None else budget
     for step in range(1, budget + 1):
         w = conftest_workload(q.tasks, q.gamma, t)
         if w <= t:
@@ -192,7 +206,7 @@ class TestCompiledQuery:
                 assert decide_large_k(q, k, lo)[0] == (want <= k), (k, lo)
         # the walk decides on a query holding both copies
         with recorded_decisions() as decided:
-            assert response_harmonic(q) == want
+            assert walk(q) == want
         assert decided and all(d[0].tasks == (task, task) for d in decided), decided
 
     def test_building_a_query_calls_nothing_in_mixing(self, monkeypatch, demo_system):
@@ -385,11 +399,17 @@ class TestCompiledWorkload:
         broken = q._copy(bounds=q.bounds._replace(u=path[cut] - 1))
         with counters.collect() as ops:
             with pytest.raises(InternalInvariantViolated, match="escaped"):
-                rta._iterate(broken, 32, 10)
+                rta._climb_then_search(broken, 32, 10, "harmonic walk")
         assert ops.fixpoint_iters == cut
-        with counters.collect() as ops:
-            assert rta._iterate(q, 32, cut) == (path[cut], False)
-        assert ops.fixpoint_iters == cut
+        # a climb cut short hands its last iterate to the search, whose own
+        # W evaluations count as no iteration
+        r = response_bruteforce(q)
+        starts, real = [], rta._search
+        with mock.patch.object(rta, "_search", lambda q, lo, *args: starts.append(lo)
+                               or real(q, lo, *args)), counters.collect() as ops:
+            assert rta._climb_then_search(q, 32, cut, "harmonic walk") == r
+        assert starts == [max(path[cut], q.bounds.ceil_ell)]
+        assert ops.fixpoint_iters == cut and ops.auto_handoffs == 1
         if cut == 3:
             with counters.collect() as ops:
                 with pytest.raises(InternalInvariantViolated):
@@ -461,9 +481,9 @@ class TestDecideLargeK:
         assert decide_large_k(ResponseQuery((), 5), 5, 0)[0]
 
     def test_empty_interference_takes_the_ordinary_path(self):
-        # no interferer: S = 0 and u = ceil(ell) = gamma, so every search
-        # returns gamma after one W evaluation, and the decision runs on the
-        # empty mixing form
+        # no interferer: S = 0 and u = ceil(ell) = gamma, so every climb
+        # settles at gamma after one W evaluation, and the decision runs on
+        # the empty mixing form
         q = ResponseQuery((), 7)
         assert (q.bounds.s, q.bounds.u, q.bounds.ceil_ell) == (0, 7, 7)
         assert [decide_large_k(q, k, 0)[0] for k in range(1, 10)] == [k >= 7 for k in range(1, 10)]
@@ -472,7 +492,7 @@ class TestDecideLargeK:
             with counters.collect() as ops:
                 assert compute_response(q, algorithm) == 7
                 assert compute_response(q.at(7, 7), algorithm) == 7
-            assert ops.fixpoint_iters == (0 if algorithm == "harmonic" else 2), algorithm
+            assert ops.fixpoint_iters == 2, algorithm
 
     @pytest.mark.parametrize("k", [0, -3])
     def test_refuses_k_below_1(self, demo_system, k):
@@ -663,7 +683,7 @@ class TestHarmonicWalk:
         q = ResponseQuery([Task(1, 3, 0), Task(2, 6, 0)], 1)
         assert q.bounds.ceil_ell <= 6 < q.bounds.u and q.workload(6) <= 6
         with recorded_decisions() as decided, counters.collect() as ops:
-            assert response_harmonic(q) == response_bruteforce(q) == 5
+            assert walk(q) == response_bruteforce(q) == 5
         probed = [k for _, k, _, _ in decided]
         assert probed == [3] and ops.recurrence_verdicts >= 1, (probed, ops)
 
@@ -1031,10 +1051,11 @@ class TestTuring:
 
 
 class TestAutoHybrid:
-    """`auto` on harmonic periods iterates the recurrence first, for at most
-    (u - t0 + 1).bit_length() steps from t0 = max(gamma, lower), and hands
-    the last iterate to the walk as the query's `lower`; on other periods it
-    runs `jitter-free` or `turing` alone."""
+    """`auto` picks the period class only: `harmonic` on a chain, which
+    iterates the recurrence first, for at most (u - t0 + 1).bit_length()
+    steps from t0 = max(gamma, lower), and hands the last iterate to the
+    walk; on other periods `jitter-free` or `turing`.  Every algorithm
+    counts a climb that hands off as `auto_handoffs`."""
 
     @FAMILIES
     @given(data=st.data())
@@ -1051,19 +1072,23 @@ class TestAutoHybrid:
     @pytest.mark.parametrize("k", [10, 11, 12])
     def test_harmonic_geometric_family_hands_off_once(self, k, jitter):
         q = ResponseQuery(geometric(k, True, jitter).tasks, 2 ** (k - 1))
-        with counters.collect() as ops:
+        with counters.collect() as auto_ops:
             r = compute_response(q, "auto")
         assert r == response_bruteforce(q)
-        assert ops.auto_handoffs == 1
-        assert ops.fixpoint_iters <= (q.bounds.u - q.gamma + 1).bit_length()
-        # an explicit algorithm runs its search alone, with no hand-off: the
-        # walk with no iteration before it, the general-period search with
-        # its own climb from ceil(ell)
-        for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
+        assert auto_ops.auto_handoffs == 1
+        assert auto_ops.fixpoint_iters <= (q.bounds.u - q.gamma + 1).bit_length()
+        # explicit `harmonic` is what `auto` runs here, counters included
+        with counters.collect() as ops:
+            assert compute_response(q, "harmonic") == r
+        assert ops == auto_ops
+        # the general-period search climbs from ceil(ell) with its own
+        # budget, and hands off only when that climb leaves the query unsettled
+        for algorithm in set(applicable(q)) - {"auto", "bruteforce", "harmonic"}:
             with counters.collect() as ops:
                 assert compute_response(q, algorithm) == r
-            evaluations = 0 if algorithm == "harmonic" else climb(q)[0]
-            assert ops.fixpoint_iters == evaluations and ops.auto_handoffs == 0, algorithm
+            evaluations, _, settled = climb(q)
+            assert ops.fixpoint_iters == evaluations, algorithm
+            assert ops.auto_handoffs == (not settled), algorithm
 
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
@@ -1075,8 +1100,10 @@ class TestAutoHybrid:
             assert compute_response(q, "turing" if jitter else "jitter-free") == r
         assert r == response_bruteforce(q)
         assert auto_ops == search_ops
-        assert auto_ops.fixpoint_iters == climb(q)[0]
-        assert auto_ops.auto_handoffs == 0
+        evaluations, _, settled = climb(q)
+        assert auto_ops.fixpoint_iters == evaluations
+        # with jitter the climb leaves the query unsettled and hands off once
+        assert auto_ops.auto_handoffs == int(jitter) == int(not settled)
 
     @pytest.mark.parametrize("harmonic", [True, False])
     @pytest.mark.parametrize("k", range(10, 15))
@@ -1090,6 +1117,61 @@ class TestAutoHybrid:
             assert r == math.ceil(q.bounds.ell) and conftest_workload(q.tasks, q.gamma, r) <= r
             assert ops.decision_probes == ops.recurrence_verdicts == 0
             assert ops.fixpoint_iters == 1
+
+
+class TestClimbThenSearch:
+    """One body serves `harmonic`, `turing` and `jitter-free`: a climb from
+    the algorithm's t0 within its budget, then, if the climb leaves the
+    query unsettled, one hand-off to the search, whose upper end is u or,
+    when W(m) <= m, the lcm m."""
+
+    @given(data=st.data(), zero_jitter=st.booleans())
+    @settings(max_examples=80)
+    def test_harmonic_equals_auto_on_chains_counters_included(self, data, zero_jitter):
+        # every level from r_{j-1} + c_j, as `analyze_system` sets it
+        ts = data.draw(small_task_systems(6, 64, zero_jitter, True))
+        r = 0
+        for j, task in enumerate(ts.tasks):
+            q = ResponseQuery(ts.tasks[:j], task.c, r + task.c if j else 0)
+            with counters.collect() as auto_ops:
+                r = compute_response(q, "auto")
+            with counters.collect() as ops:
+                assert compute_response(q, "harmonic") == r
+            assert ops == auto_ops, j
+
+    def test_a_hand_off_is_counted_exactly_when_the_climb_leaves_the_query_unsettled(self):
+        # the four geometric families, k = 10..12, under every algorithm
+        # with a climb, each against its own climb replayed independently
+        outcomes = set()
+        for k in (10, 11, 12):
+            for harmonic in (True, False):
+                for jitter in (False, True):
+                    q = ResponseQuery(geometric(k, harmonic, jitter).tasks, 2 ** (k - 1))
+                    r = response_bruteforce(q)
+                    for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
+                        evaluations, _, settled = (climb(q, *harmonic_climb(q))
+                                                   if algorithm == "harmonic" else climb(q))
+                        with counters.collect() as ops:
+                            assert compute_response(q, algorithm) == r
+                        assert ops.fixpoint_iters == evaluations, (k, harmonic, jitter, algorithm)
+                        assert ops.auto_handoffs == (not settled), (k, harmonic, jitter, algorithm)
+                        outcomes.add((algorithm, settled))
+        assert {settled for _, settled in outcomes} == {False, True}, outcomes
+
+    def test_no_k_above_the_lcm_is_probed(self):
+        # W(6) = 4 <= 6 = m < u = 11 and r = 6: the search's upper end is m,
+        # where an upper end at u probed k = 8 under every chain algorithm
+        q = ResponseQuery([Task(1, 2), Task(1, 6, 3)], 1)
+        m = q.bounds.m
+        assert q.workload(m) <= m < q.bounds.u
+        r = response_bruteforce(q)
+        probed = []
+        for search in (lambda q: compute_response(q, "auto"), response_harmonic, walk):
+            with recorded_core_brackets() as searches, recorded_decisions() as decided:
+                assert search(q) == r
+            probed += [k for *_, probes in searches for k in probes]
+            probed += [k for _, k, _, _ in decided]
+        assert probed and max(probed) <= m, probed
 
 
 class TestJitterFree:
@@ -1213,7 +1295,7 @@ class TestDerivedLevels:
         with mock.patch.object(rta, "bounds_from_parts", side_effect=AssertionError):
             same = q.at(13, 40)
             moved = q.at(14)
-        assert same.bounds is q.bounds and same.lower == 40
+        assert same.bounds == q.bounds and same.lower == 40
         assert moved.bounds == bounds_from_parts(14, q.tasks)
         for gamma, lower in ((True, 0), (13, q.bounds.u + 1)):
             with pytest.raises(InvalidInstance):
@@ -1330,7 +1412,7 @@ class TestInvariantGuards:
           "harmonic walk: a yes at k=5 names the witness t=5, not a feasible t in [5, 5)"),
          (None, [Task(1, 4, 1), Task(2, 4, 0)], 1, 8,
           "harmonic walk returned t=8, but t - 1 is feasible"),
-         (None, [Task(3, 6, 0)], 1, 6, "the verdicts emptied the bracket [6, 4]")],
+         (None, [Task(3, 8, 0)], 1, 6, "the verdicts emptied the bracket [6, 4]")],
         ids=["infeasible", "non-minimal", "empty-bracket"],
     )
     def test_a_lying_walk_probe_is_caught(self, monkeypatch, answer, tasks, gamma, lower, message):
@@ -1341,12 +1423,13 @@ class TestInvariantGuards:
         # and a yes lowers that to a feasible W(t*).  A start above the
         # response, a `lower` that lies, reaches them (answer None: the real
         # decision): the search ends on t = 8 although r = 7, or the free
-        # verdict W(6) = 4 < 6 empties the window
+        # verdict W(6) = 4 < 6 empties the window [6, 7], whose upper end
+        # u = 7 lies below the lcm 8, so that no cap at m narrows it
         real = rta.decide_large_k
         monkeypatch.setattr(rta, "decide_large_k",
                             lambda q, k, lo: real(q, k, lo) if answer is None else (answer(k), k))
         with pytest.raises(InternalInvariantViolated) as exc:
-            response_harmonic(ResponseQuery(tasks, gamma, lower))
+            walk(ResponseQuery(tasks, gamma, lower))
         assert str(exc.value) == message
 
     def test_an_upper_end_below_the_response_is_caught(self):
@@ -1356,5 +1439,5 @@ class TestInvariantGuards:
         q = ResponseQuery([Task(3, 9, 0)], 3, 5)
         object.__setattr__(q, "bounds", q.bounds._replace(u=5))
         with pytest.raises(InternalInvariantViolated) as exc:
-            response_harmonic(q)
+            walk(q)
         assert str(exc.value) == "harmonic walk returned infeasible t=5"
