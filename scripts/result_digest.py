@@ -23,9 +23,10 @@ At the end it prints, on stderr, the counter totals of each command and of
 all runs, so two checkouts can be compared by their totals alone.
 
 It exits 1, naming each fault on stderr, when two `rta compute` algorithms
-give different results on one input, when `rta compute harmonic` and `rta
-compute auto` both succeed on one input with different counters (`auto`
-runs `harmonic` on every chain), when two successful `mix solve`
+give different results on one input, when `rta compute harmonic`, `turing`
+or `jitter-free` succeeds on an input with counters different from those of
+`rta compute auto`, which succeeds there too (the three run one search and
+differ only in what they refuse), when two successful `mix solve`
 algorithms give different objectives on one input, when `blockip solve`
 gives different results on a program and its mirrored form, or when any run
 exits 4 (an internal error).  A weighted program's objective counts x_1, so
@@ -114,15 +115,15 @@ def systems(count: int):
                 ts = gen.random_system(seed, n, p_max, harmonic=True, jitter_mode=jitter_mode)
                 yield f"random seed={seed} n={n} p_max={p_max} harmonic=True {jitter_mode}", ts
     # geometric: c_i = 1, p_i = 2^i for i = 1..k, then c = 2^(k-1); the fixed
-    # point from gamma takes about 25k iterations at k = 12, while the
-    # general-period search's climb from ceil(ell) settles in one
+    # point from gamma takes about 25k iterations at k = 12, while every
+    # search's climb from ceil(ell) settles in one
     for k in (10, 11, 12, 13, 14):
         tasks = [Task(1, 2**i, 0, 2**i) for i in range(1, k + 1)]
         yield f"geometric k={k}", TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
     # the harmonic geometric family with jitter 2^(i-1) on task i for
-    # i = 1..k-1, then c = 2^(k-1) at period 2^k: the last level's fixed point
-    # from gamma does not settle within `auto`'s budget, so `auto` hands off
-    # to the harmonic search
+    # i = 1..k-1, then c = 2^(k-1) at period 2^k: the last level's climb from
+    # ceil(ell) does not settle within its budget, so it hands off to the
+    # bracketed search
     for k in (10, 12, 14):
         tasks = [Task(1, 2**i, 2 ** (i - 1), 2**i) for i in range(1, k)]
         ts = TaskSystem(tasks + [Task(2 ** (k - 1), 2**k, 0, 2**k)])
@@ -294,11 +295,13 @@ def main() -> int:
                 outs[algorithm] = run(argv + ["--verify"] * (algorithm == "auto"))
                 record(name, f"rta compute {algorithm}", outs[algorithm])
             agree(name, "rta compute results", {a: out.get("result") for a, out in outs.items()})
-            harmonic, auto = outs.get("harmonic"), outs["auto"]
-            if harmonic and harmonic["code"] == auto["code"] == 0 \
-                    and harmonic["counters"] != auto["counters"]:
-                faults.append(f"{name}: rta compute harmonic and auto counters differ: "
-                              f"{harmonic['counters']} and {auto['counters']}")
+            auto = outs["auto"]
+            for algorithm in ("harmonic", "turing", "jitter-free"):
+                out = outs.get(algorithm)
+                if out and out["code"] == auto["code"] == 0 \
+                        and out["counters"] != auto["counters"]:
+                    faults.append(f"{name}: rta compute {algorithm} and auto counters differ: "
+                                  f"{out['counters']} and {auto['counters']}")
         # two interferers on one period P = 2**63 + 1 leave level 2 slack 1/P
         # and S = P - 1, past the magnitude cap 2**63 - 1: level 2 raises
         # OverflowLimit

@@ -33,7 +33,7 @@ class Counters:
     fixpoint_iters: int = 0
     # Queries whose climb, under any search algorithm, ended unsettled
     # within its budget and handed off to the bracketed search.
-    auto_handoffs: int = 0
+    handoffs: int = 0
     # Node-budget units blockip's two-stage solver spent, out of budget too:
     # first-stage points entered or pieces of t, brick completions, DFS nodes.
     blockip_nodes: int = 0

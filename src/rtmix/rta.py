@@ -17,26 +17,22 @@ needs no forced multipliers and no gate at the certified bound S: past S,
 S itself cuts the search, since every mixing optimum's smallest s lies
 within it.
 
-Every search runs one body (`_climb_then_search`): climb t <- W(t) from a
-certified lower bound t0 for at most a budget of steps; a t with W(t) <= t
-is the response.  Otherwise the last iterate, a certified lower bound too
-since W is monotone and W(r) = r, hands off (counted as `auto_handoffs`) to
-a bracketed search from max(last iterate, ceil(ell)) up to u, or up to the
-lcm m when W(m) <= m.  Each algorithm supplies only its class's t0 and
-budget:
+Every search runs one body (`_climb_then_search`): climb t <- W(t) from
+t0 = max(lower, ceil(ell)), a certified lower bound (Sjodin and Hansson,
+RTSS 1998; ceil(ell) comes from `core.bounds_from_parts`), for at most a
+budget of steps that the query's period class sets; a t with W(t) <= t is
+the response.  Otherwise the last iterate, a certified lower bound too since
+W is monotone and W(r) = r, hands off (counted as `handoffs`) to one
+bracketed search (`_search`) from it up to u, or up to the lcm m when
+W(m) <= m.  `response_harmonic`, `response_turing` and
+`response_jitter_free` run that body as it is and differ only in what they
+refuse: `harmonic` periods that do not form a chain, `jitter-free` a query
+with jitter.  So on every query that one of them accepts, it runs what
+`compute_response(q, "auto")` runs, counters included; `auto` only picks the
+name by the period class, `harmonic` on a chain, else `turing` with jitter
+and `jitter-free` without.
 
-* `response_harmonic` (harmonic periods) climbs from t0 = max(gamma, lower)
-  for at most (u - t0 + 1).bit_length() steps, and its search probes the
-  sorted distinct nonzero differences d_j = p_j - jitter_j upward before it
-  bisects.  The differences are only its probe order; below the cap at m,
-  bisection alone settles the geometric family in as few probes.
-* `response_turing` and `response_jitter_free` (any periods; the second
-  only without jitter) climb from t0 = max(lower, ceil(ell)) for at most
-  B = ceil((n + 1 + sum_i (S // p_i + 1)) / max(1, n)) steps, n = |I|, the
-  W evaluations (n units each) that cost about one decision's scan.
-
-Every search narrows its window by one rule (`_search`), first at each k
-of the ascending differences, if any, and then in `core.bracket`, the one
+The search narrows its window by one rule in `core.bracket`, the one
 bisection.  The response r is a fixed point of the monotone W, so a yes at
 k gives r <= min(k, W(k)) and a no gives r >= max(k + 1, W(k + 1)).  A
 decision over the window [lo, k] also returns its witness t* = k - s*, s*
@@ -46,27 +42,24 @@ window's upper end drops to W(t*), below k.  W(k) is computed before the
 decision, and when W(k) <= k, k is itself feasible: the recurrence gives
 the yes in O(n), with r <= W(k), and no mixing solve runs (a free verdict,
 counted as `recurrence_verdicts`; `decision_probes` counts only the
-decisions).  Every search starts its lower end at ceil(ell), the
-certified lower bound of `core.bounds_from_parts` (Sjodin and Hansson,
-RTSS 1998), or at the last iterate when that is larger; the harmonic walk
-skips the differences outside the window.
+decisions).
 
-Both budgets are ski rental (Karlin, Manasse, Rudolph and Sleator,
+The budget is ski rental (Karlin, Manasse, Rudolph and Sleator,
 Algorithmica 1988): the climb keeps going while what it spent stays within
 what the search it hands off to can spend, and the search starts above
-everything the climb spent.  On harmonic periods the budget counts steps,
-not work: every probe evaluates W at least once and adds at most a solve
-over |I| chain levels, so the climb spends no more than a constant times
-what the bisection, at most (u - t0).bit_length() probes on [t0, u], can
-spend.  On general periods a decision sweeps the drop points up to
-min(S, k - lo), which can cost thousands of W evaluations, so the budget
-counts work: the climb stops once its W evaluations have cost about as much
-as one decision's scan can, so a query the climb leaves unsettled has spent
-at most about one decision more.  The budgets come from the query; nothing
-is tuned.  `compute_response(q, "auto")` only picks the period class:
-`harmonic` on a chain, else `turing` with jitter and `jitter-free` without.
-Most queries of random harmonic systems settle in the climb; the geometric
-family, where the fixed point needs thousands of steps, hands off.
+everything the climb spent.  On a chain the budget counts steps, not work:
+(u - t0 + 1).bit_length() of them, since every probe evaluates W at least
+once and adds at most a solve over |I| chain levels, so the climb spends no
+more than a constant times what the bisection, at most
+(u - t0).bit_length() probes on [t0, u], can spend.  On other periods a
+decision sweeps the drop points up to min(S, k - lo), which can cost
+thousands of W evaluations, so the budget counts work:
+B = ceil((n + 1 + sum_i (S // p_i + 1)) / max(1, n)) steps, n = |I|, the
+W evaluations (n units each) that cost about one decision's scan, so a
+query the climb leaves unsettled has spent at most about one decision more.
+The budgets come from the query; nothing is tuned.  Most queries of random
+systems settle in the climb; the jittered geometric family, where the fixed
+point needs thousands of steps, hands off.
 
 Every algorithm takes a `ResponseQuery`, the one compiled form of a query,
 and no other setting.  A query is what the paper states: the interfering
@@ -85,9 +78,9 @@ Every search evaluates W through these terms; `core.workload` stays the
 definition, which `response_bruteforce`, the independent baseline, uses.
 Building a query calls nothing in `mixing`.  A query may also carry a
 certified lower bound on its response (`lower`, 0 when none is known),
-from which `harmonic`, `turing` and `jitter-free` start;
-`analyze_system` sets it to r_{j-1} + c_j for level j, and
-`response_bruteforce`, the independent baseline, ignores it.  Two
+from which `harmonic`, `turing` and `jitter-free` start when it lies
+above ceil(ell); `analyze_system` sets it to r_{j-1} + c_j for level j,
+and `response_bruteforce`, the independent baseline, ignores it.  Two
 derivations, checked as a build is, make a query from a built one, deriving
 its bounds from the load aggregate: `ResponseQuery.at` at another gamma or
 lower (`reverse`), and `ResponseQuery.plus` with one more interferer
@@ -137,10 +130,10 @@ class ResponseQuery:
     whether the interferers' periods form a divisibility chain and
     `jittered` whether some interferer has jitter.  `lower` is a lower bound
     on the response that the caller certifies (0 when it knows none); the
-    searches start from it.  `analyze_system` and `reverse` set it.  A build
-    checks it against u only: a `lower` above the response is caught, if at
-    all, by `_search`'s check that t - 1 is infeasible or by a window that
-    its verdicts empty.  The interferers' mixing form (`form`) is compiled
+    searches start from it when it lies above ceil(ell).  `analyze_system`
+    and `reverse` set it.  A build checks it against u only: a `lower` above
+    the response is caught, if at all, by `_search`'s check that t - 1 is
+    infeasible or by a window that its verdicts empty.  The interferers' mixing form (`form`) is compiled
     on first need; its certified S is `bounds.s`, and the bounds also carry
     the load aggregate from which `at` and `plus` derive their bounds
     without a pass over the interferers.  W is compiled at the build into integer terms
@@ -268,24 +261,24 @@ def decide_large_k(q: ResponseQuery, k: int, lo: int) -> tuple[bool, int]:
     return sol.objective <= k - q.gamma, k - sol.s
 
 
-def _search(q: ResponseQuery, lo: int, hi: int, algorithm: str, scan: Iterable[int] = ()) -> int:
-    """The response r, given lo <= r <= hi, through one narrowing rule (see
-    the module docstring): W(k) <= k gives r <= W(k) with no decision;
-    otherwise `decide_large_k` decides "r <= k" over the window's lower end
-    lo, which every step keeps certified.  A yes names lo <= t* < k with
-    W(t*) <= t* (the verdict implies the second, and W(k) > k rules out
-    t* = k), so r <= W(t*); a witness that fails this raises
-    InternalInvariantViolated.  A no gives r >= max(k + 1, W(k + 1)).  The
-    rule runs first at each k of the ascending `scan` that lies in the
-    window, then `core.bracket` bisects what is left.  The answer is
-    checked against the recurrence: feasible, and t - 1 is not.  No
-    decision can trip either check.  The upper end stays feasible: u is
-    certified, and W(t) <= t keeps W(W(t)) <= W(t), W being monotone.  The
-    bracket returns its last lower end, and a no sets it to
-    max(k + 1, W(k + 1)) at a k with W(k) > k, which leaves every t from k
-    up to it infeasible.  So the first check catches a wrong certified upper
-    end and the second a start above the response: a caller's `lower` that
-    is not the lower bound it certifies (`ResponseQuery`)."""
+def _search(q: ResponseQuery, lo: int, algorithm: str) -> int:
+    """The response r, given a certified lower bound lo <= r, by one
+    bisection (`core.bracket`) over [lo, u], or over [lo, m] when the lcm m
+    has W(m) <= m, through one narrowing rule (see the module docstring):
+    W(k) <= k gives r <= W(k) with no decision; otherwise `decide_large_k`
+    decides "r <= k" over the window's lower end lo, which every step keeps
+    certified.  A yes names lo <= t* < k with W(t*) <= t* (the verdict
+    implies the second, and W(k) > k rules out t* = k), so r <= W(t*); a
+    witness that fails this raises InternalInvariantViolated.  A no gives
+    r >= max(k + 1, W(k + 1)).  The answer is checked against the
+    recurrence: feasible, and t - 1 is not.  No decision can trip either
+    check.  The upper end stays feasible: u is certified, and W(t) <= t
+    keeps W(W(t)) <= W(t), W being monotone.  The bracket returns its last
+    lower end, and a no sets it to max(k + 1, W(k + 1)) at a k with
+    W(k) > k, which leaves every t from k up to it infeasible.  So the first
+    check catches a wrong certified upper end and the second a start above
+    the response: a caller's `lower` that is not the lower bound it
+    certifies (`ResponseQuery`)."""
 
     def narrow(k: int, lo: int, hi: int) -> tuple[int, int]:
         w = q.workload(k)
@@ -300,10 +293,8 @@ def _search(q: ResponseQuery, lo: int, hi: int, algorithm: str, scan: Iterable[i
         raise InternalInvariantViolated(
             f"{algorithm}: a yes at k={k} names the witness t={t}, not a feasible t in [{lo}, {k})")
 
-    for k in scan:
-        if lo <= k < hi:
-            lo, hi = narrow(k, lo, hi)
-    t = core.bracket(lo, hi, narrow)
+    u, m = q.bounds.u, q.bounds.m
+    t = core.bracket(lo, min(u, m) if q.workload(m) <= m else u, narrow)
     if q.workload(t) > t:
         raise InternalInvariantViolated(f"{algorithm} returned infeasible t={t}")
     if t > q.gamma and q.workload(t - 1) <= t - 1:
@@ -311,18 +302,23 @@ def _search(q: ResponseQuery, lo: int, hi: int, algorithm: str, scan: Iterable[i
     return t
 
 
-def _climb_then_search(q: ResponseQuery, t0: int, budget: int, algorithm: str) -> int:
-    """The response r, given t0 <= r, by the one body of every search.
-    Climb t <- W(t) from t0 for at most `budget` steps; at the first t with
-    W(t) <= t, t is r.  Every iterate is a certified lower bound too: W is
-    monotone and W(r) = r.  `fixpoint_iters` is bumped once, by the number
-    of W evaluations, also when the climb raises.  A climb that leaves the
-    query unsettled hands off (counted as `auto_handoffs`) to `_search` from
-    max(last iterate, ceil(ell)) up to u, or up to the lcm m when W(m) <= m,
-    which probes the sorted distinct nonzero differences d_j = p_j - jitter_j
-    first when the periods form a chain."""
-    u = q.bounds.u
-    t = t0
+def _climb_then_search(q: ResponseQuery, algorithm: str) -> int:
+    """The response r by the one body of every search.  Climb t <- W(t)
+    from t0 = max(lower, ceil(ell)), a certified lower bound, for at most a
+    budget of steps that the period class sets (the module docstring says
+    why): (u - t0 + 1).bit_length() on a chain, else
+    B = ceil((n + 1 + sum_i (S // p_i + 1)) / max(1, n)), n = |I|.  At the
+    first t with W(t) <= t, t is r.  Every iterate is a certified lower
+    bound too, W being monotone with W(r) = r, and none lies below ceil(ell).
+    `fixpoint_iters` is bumped once, by the number of W evaluations, also
+    when the climb raises.  A climb that leaves the query unsettled hands
+    its last iterate off (counted as `handoffs`) to `_search`."""
+    u, n = q.bounds.u, len(q.tasks)
+    t = max(q.lower, q.bounds.ceil_ell)
+    if q.harmonic:
+        budget = (u - t + 1).bit_length()
+    else:  # one decision's ops bound over W evaluations of n units each
+        budget = -(-(n + 1 + sum(q.bounds.s // task.p + 1 for task in q.tasks)) // max(1, n))
     steps = 0
     try:
         for steps in range(1, budget + 1):
@@ -336,58 +332,27 @@ def _climb_then_search(q: ResponseQuery, t0: int, budget: int, algorithm: str) -
             t = nxt
     finally:
         counters.bump("fixpoint_iters", steps)
-    counters.bump("auto_handoffs")
-    m = q.bounds.m
-    hi = min(u, m) if q.workload(m) <= m else u
-    scan = sorted({task.p - task.jitter for task in q.tasks} - {0}) if q.harmonic else ()
-    return _search(q, max(t, q.bounds.ceil_ell), hi, algorithm, scan)
+    counters.bump("handoffs")
+    return _search(q, t, algorithm)
 
 
 def response_harmonic(q: ResponseQuery) -> int:
-    """The harmonic walk: climb from t0 = max(gamma, lower) for at most
-    (u - t0 + 1).bit_length() steps, no fewer than the bisection's
-    (u - t0).bit_length() probes on [t0, u], then search
-    (`_climb_then_search`), probing the differences d_j upward before it
-    bisects.  The differences are only its probe order: on the harmonic
-    geometric system at k = 14 (c_i = 1, p_i = 2^i, no jitter), `auto` makes
-    3 decision probes over all its levels, with them or by bisection alone
-    below the cap at m."""
+    """The harmonic walk (`_climb_then_search`), for harmonic periods only."""
     if not q.harmonic:
         raise PreconditionViolated("periods do not form a divisibility chain")
-    t0 = max(q.gamma, q.lower)
-    return _climb_then_search(q, t0, (q.bounds.u - t0 + 1).bit_length(), "harmonic walk")
-
-
-def _general_search(q: ResponseQuery) -> int:
-    """Climb from t0 = max(lower, ceil(ell)), a certified lower bound
-    (Sjodin and Hansson, RTSS 1998), for at most B steps, then search
-    (`_climb_then_search`).
-
-    B is ski rental (Karlin, Manasse, Rudolph and Sleator, Algorithmica
-    1988) in `mixing_ops` units: one W evaluation costs n = |I|, and one
-    decision at most n + 1 + sum_i (S // p_i + 1), the brute-force scan's
-    own count over the drop points of [0, S].  So the climb keeps going
-    while its evaluations cost less than one decision, B = ceil(that / n),
-    and a query it leaves unsettled has spent at most about one decision
-    more than the decisions that settle it."""
-    n = len(q.tasks)
-    scan = n + 1 + sum(q.bounds.s // t.p + 1 for t in q.tasks)  # one decision's ops bound
-    return _climb_then_search(q, max(q.lower, q.bounds.ceil_ell), -(-scan // max(1, n)),
-                              "general-period search")
+    return _climb_then_search(q, "harmonic walk")
 
 
 def response_turing(q: ResponseQuery) -> int:
-    """The general-period search (`_general_search`), for any periods."""
-    return _general_search(q)
+    """The one search (`_climb_then_search`), for any periods."""
+    return _climb_then_search(q, "turing")
 
 
 def response_jitter_free(q: ResponseQuery) -> int:
-    """The general-period search (`_general_search`), for zero-jitter
-    queries only."""
+    """The one search (`_climb_then_search`), for zero-jitter queries only."""
     if q.jittered:
         raise PreconditionViolated("jitter-free search requires jitter = 0 over I")
-    return _general_search(q)
-
+    return _climb_then_search(q, "jitter-free")
 
 _DISPATCH = {
     "bruteforce": response_bruteforce,
@@ -402,7 +367,9 @@ ALGORITHMS = ("auto", *_DISPATCH)
 def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
     """Run the selected algorithm.  "auto" picks by the period class only:
     `harmonic` on a chain, else `turing` with jitter and `jitter-free`
-    without; the module docstring says why."""
+    without.  The three run one search (`_climb_then_search`), which sets
+    its start and budget from the query, so the pick changes no answer and
+    no counter."""
     if algorithm == "auto":
         algorithm = "harmonic" if q.harmonic else "turing" if q.jittered else "jitter-free"
     if algorithm not in _DISPATCH:

@@ -117,35 +117,31 @@ FAMILIES = pytest.mark.parametrize(
 
 
 def walk(q):
-    """The harmonic walk alone: the search body of every algorithm with a
-    climb budget of 0, from max(lower, ceil(ell))."""
-    return rta._climb_then_search(q, q.lower, 0, "harmonic walk")
-
-
-def harmonic_climb(q):
-    """`harmonic`'s climb start t0 = max(gamma, lower) and budget
-    (u - t0 + 1).bit_length(), as the arguments of `climb`."""
-    t0 = max(q.gamma, q.lower)
-    return t0, (q.bounds.u - t0 + 1).bit_length()
+    """The search alone, with no climb: `rta._search` from
+    max(lower, ceil(ell))."""
+    return rta._search(q, max(q.lower, math.ceil(q.bounds.ell)), "harmonic walk")
 
 
 def climb_budget(q):
-    """The general-period search's climb budget B, the W evaluations (n units
-    each) that cost about one decision, n + 1 + sum_i (S // p_i + 1) units:
-    max(1, ceil(that / max(1, n))), with S from `mixing.certified_s_bound`."""
+    """The climb's budget, picked by the period class.  On a chain,
+    (u - t0 + 1).bit_length() steps from t0 = max(lower, ceil(ell)).
+    Otherwise B, the W evaluations (n units each) that cost about one
+    decision, n + 1 + sum_i (S // p_i + 1) units: max(1, ceil(that / max(1, n))),
+    with S from `mixing.certified_s_bound`."""
+    if is_harmonic([t.p for t in q.tasks]):
+        return (q.bounds.u - max(q.lower, math.ceil(q.bounds.ell)) + 1).bit_length()
     s_cert = certified_s_bound(MixInstance(1, [(t.c, t.p, 0) for t in q.tasks]))
     n = len(q.tasks)
     decision = n + 1 + sum(s_cert // t.p + 1 for t in q.tasks)
     return max(1, math.ceil(Fraction(decision, max(1, n))))
 
 
-def climb(q, t0=None, budget=None):
-    """A climb t <- W(t) from t0 until W(t) <= t, at most `budget` W
-    evaluations, by default the general-period search's, from
-    max(lower, ceil(ell)) with `climb_budget(q)`: (the evaluations, the
-    last iterate, whether it settled)."""
-    t = max(q.lower, math.ceil(q.bounds.ell)) if t0 is None else t0
-    budget = climb_budget(q) if budget is None else budget
+def climb(q):
+    """A climb t <- W(t) from max(lower, ceil(ell)) until W(t) <= t, at most
+    `climb_budget(q)` W evaluations: (the evaluations, the last iterate,
+    whether it settled)."""
+    t = max(q.lower, math.ceil(q.bounds.ell))
+    budget = climb_budget(q)
     for step in range(1, budget + 1):
         w = conftest_workload(q.tasks, q.gamma, t)
         if w <= t:
@@ -390,31 +386,31 @@ class TestCompiledWorkload:
 
     @pytest.mark.parametrize("cut", range(1, 6))
     def test_the_climb_counts_every_evaluation_also_when_it_raises(self, cut):
-        # iterates 32, 69, 105, 141, 176, 211, ...: a ceiling u just below
-        # iterate `cut` makes evaluation `cut` escape it
-        q = ResponseQuery(geometric(6, True, True).tasks, 32)
-        path = [32]
+        # the jittered non-harmonic geometric query at k = 10 climbs from
+        # ceil(ell) = 794368 through 794372, 794377, ... and spends its whole
+        # budget unsettled: a ceiling u just below iterate `cut` makes
+        # evaluation `cut` escape it, under every algorithm that accepts it
+        q = ResponseQuery(geometric(10, False, True).tasks, 2**9)
+        evaluations, last, settled = climb(q)
+        assert not settled and evaluations == climb_budget(q) > 5
+        path = [q.bounds.ceil_ell]
         for _ in range(cut):
             path.append(conftest_workload(q.tasks, q.gamma, path[-1]))
         broken = q._copy(bounds=q.bounds._replace(u=path[cut] - 1))
-        with counters.collect() as ops:
-            with pytest.raises(InternalInvariantViolated, match="escaped"):
-                rta._climb_then_search(broken, 32, 10, "harmonic walk")
-        assert ops.fixpoint_iters == cut
-        # a climb cut short hands its last iterate to the search, whose own
-        # W evaluations count as no iteration
+        for algorithm in ("auto", "turing"):
+            with counters.collect() as ops:
+                with pytest.raises(InternalInvariantViolated, match="escaped"):
+                    compute_response(broken, algorithm)
+            assert ops.fixpoint_iters == cut, algorithm
+        # the climb hands its last iterate to the search, whose own W
+        # evaluations count as no iteration
         r = response_bruteforce(q)
         starts, real = [], rta._search
         with mock.patch.object(rta, "_search", lambda q, lo, *args: starts.append(lo)
                                or real(q, lo, *args)), counters.collect() as ops:
-            assert rta._climb_then_search(q, 32, cut, "harmonic walk") == r
-        assert starts == [max(path[cut], q.bounds.ceil_ell)]
-        assert ops.fixpoint_iters == cut and ops.auto_handoffs == 1
-        if cut == 3:
-            with counters.collect() as ops:
-                with pytest.raises(InternalInvariantViolated):
-                    compute_response(broken, "auto")
-            assert ops.fixpoint_iters == 3
+            assert compute_response(q) == r
+        assert starts == [last]
+        assert ops.fixpoint_iters == evaluations and ops.handoffs == 1
 
 
 class TestBruteforce:
@@ -552,9 +548,9 @@ class TestDecideLargeK:
     @settings(max_examples=40)
     def test_every_decision_on_a_built_query_follows_its_whole_climb(
             self, harmonic, zero_jitter, data):
-        # the general-period search decides only once its climb has spent its
-        # whole budget unsettled, from a lower end at or above the climb's
-        # last iterate
+        # turing and jitter-free decide only once the climb has spent the
+        # whole budget of the query's period class unsettled, from a lower
+        # end at or above the climb's last iterate
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         for q, k, lo, _ in self.built_query_decisions(ts):
             evaluations, last, settled = climb(q)
@@ -654,8 +650,8 @@ class TestTwoValues:
 
 class TestHarmonicWalk:
     def test_extreme_all_differences_zero(self, extreme3):
-        # jitter = period makes every difference zero, so the walk goes
-        # straight to the bracketed search
+        # jitter = period makes every difference p_j - jitter_j zero, the
+        # paper's extreme case, where ceil(ell) = u is the response
         q = ResponseQuery(extreme3.tasks[:2], 1)
         assert response_harmonic(q) == 12
 
@@ -677,15 +673,16 @@ class TestHarmonicWalk:
         q = ResponseQuery(ts.tasks[:2], 13)
         assert response_harmonic(q) == response_bruteforce(q)
 
-    def test_the_recurrence_settles_a_difference_with_no_probe(self):
-        # differences 3 and 6 from lo = 3: the probe at 3 says no and raises
-        # lo to W(4) = 5; at d = 6, W(6) = 5 <= 6 proves r <= 5 with no probe
+    def test_the_recurrence_settles_a_midpoint_with_no_probe(self):
+        # the bisection over [3, 6], capped at m = 6 since W(6) = 5 <= 6: the
+        # decision at the midpoint 4 says no and raises lo to W(5) = 5; at
+        # the next midpoint, W(5) = 5 <= 5 proves r <= 5 with no probe
         q = ResponseQuery([Task(1, 3, 0), Task(2, 6, 0)], 1)
-        assert q.bounds.ceil_ell <= 6 < q.bounds.u and q.workload(6) <= 6
+        assert q.bounds.ceil_ell == 3 and q.bounds.m == 6 < q.bounds.u and q.workload(6) <= 6
         with recorded_decisions() as decided, counters.collect() as ops:
             assert walk(q) == response_bruteforce(q) == 5
         probed = [k for _, k, _, _ in decided]
-        assert probed == [3] and ops.recurrence_verdicts >= 1, (probed, ops)
+        assert probed == [4] and ops.recurrence_verdicts == 1, (probed, ops)
 
     def test_rejects_non_harmonic_periods(self, demo_system):
         with pytest.raises(PreconditionViolated):
@@ -762,7 +759,7 @@ class TestWalkAtScale:
         r = response_bruteforce(q)
         with counters.collect() as ops:
             assert compute_response(q) == r
-        assert ops.auto_handoffs == 1 and ops.mixing_ops <= 20_000, ops
+        assert ops.handoffs == 1 and ops.mixing_ops <= 20_000, ops
 
     def test_the_window_bounds_the_jittered_geometric_query(self):
         # the same family at k = 14: each decision searches s only over
@@ -771,7 +768,7 @@ class TestWalkAtScale:
         r = response_bruteforce(q)
         with counters.collect() as ops:
             assert compute_response(q) == r
-        assert ops.auto_handoffs == 1 and ops.mixing_ops <= 30_000, ops
+        assert ops.handoffs == 1 and ops.mixing_ops <= 30_000, ops
 
 
 class TestWitness:
@@ -803,16 +800,15 @@ class TestWitness:
         # each search's window with the fixed point's verdicts
         systems = [random_system(seed, 6, 256) for seed in range(1, 21)]
         responses = [analyze_system(ts, "bruteforce").responses() for ts in systems]
-        windows, real = [], rta._search
-
-        def spy(q, lo, hi, *args):
-            windows.append((q, lo, hi))
-            return real(q, lo, hi, *args)
-
-        with mock.patch.object(rta, "_search", spy), counters.collect() as ops:
+        queries, real = [], rta._search
+        with mock.patch.object(rta, "_search", lambda q, *args: queries.append(q)
+                               or real(q, *args)), \
+                recorded_core_brackets() as searches, counters.collect() as ops:
             assert [analyze_system(ts).responses() for ts in systems] == responses
+        # each search is one bisection
+        assert len(queries) == len(searches)
         without_witness = 0
-        for q, lo, hi in windows:
+        for q, (_, lo, hi, _) in zip(queries, searches):
             r = response_bruteforce(q)
 
             def narrow(k, lo, hi, q=q, r=r):
@@ -823,7 +819,7 @@ class TestWitness:
                 return (lo, k) if r <= k else (max(k + 1, q.workload(k + 1)), hi)
 
             assert core.bracket(lo, hi, narrow) == r
-        assert windows and ops.decision_probes < without_witness, \
+        assert queries and ops.decision_probes < without_witness, \
             (ops.decision_probes, without_witness)
 
 
@@ -862,8 +858,7 @@ class TestWarmStart:
     @contextlib.contextmanager
     def recorded_searches():
         """Yield the `core.bracket` searches (see `recorded_core_brackets`)
-        and the decisions (see `recorded_decisions`), the walk's difference
-        scan included."""
+        and the decisions (see `recorded_decisions`)."""
         with recorded_core_brackets() as searches, recorded_decisions() as decided:
             yield searches, decided
 
@@ -884,8 +879,9 @@ class TestWarmStart:
             assert workload(q.tasks, q.gamma, k) > k, (q.tasks, q.gamma, k)
 
     def test_bracket_bound_on_the_geometric_walk(self):
-        # the walk's bracketed search on this query spans a wide interval
-        q = ResponseQuery(geometric(10).tasks, 2**9)
+        # the jittered geometric query leaves the climb unsettled, and the
+        # walk's bracketed search on it spans a wide interval
+        q = ResponseQuery(geometric(10, jitter=True).tasks, 2**9)
         with self.recorded_searches() as (searches, decided):
             assert response_harmonic(q) == response_bruteforce(q)
         assert any(probes for *_, probes in searches)
@@ -1009,8 +1005,10 @@ class TestTuring:
         # general periods with jitter, each level from r_{j-1} + c_j as
         # `analyze_system` sets it: turing, and jitter-free on the query with
         # its jitter cleared, answer the fixed point, and the climb makes at
-        # most B W evaluations (n units each), about one decision's scan
-        # (n + 1 + sum_i (S // p_i + 1) units), before any decision runs
+        # most its class's budget of W evaluations before any decision runs:
+        # B (n units each), about one decision's scan (n + 1 +
+        # sum_i (S // p_i + 1) units), or, at a level whose periods form a
+        # chain, as a single interferer's do, (u - t0 + 1).bit_length()
         ts = data.draw(small_task_systems(6, 64))
         cleared = TaskSystem([dataclasses.replace(t, jitter=0) for t in ts.tasks])
         for system, algorithm in ((ts, "turing"), (cleared, "jitter-free")):
@@ -1051,11 +1049,10 @@ class TestTuring:
 
 
 class TestAutoHybrid:
-    """`auto` picks the period class only: `harmonic` on a chain, which
-    iterates the recurrence first, for at most (u - t0 + 1).bit_length()
-    steps from t0 = max(gamma, lower), and hands the last iterate to the
-    walk; on other periods `jitter-free` or `turing`.  Every algorithm
-    counts a climb that hands off as `auto_handoffs`."""
+    """`auto` picks the period class only: `harmonic` on a chain, else
+    `jitter-free` or `turing`.  Each climbs from max(lower, ceil(ell)) for
+    the budget its class sets and hands the last iterate to the search; every
+    algorithm counts a climb that hands off as `handoffs`."""
 
     @FAMILIES
     @given(data=st.data())
@@ -1068,27 +1065,28 @@ class TestAutoHybrid:
         # warm: analyze_system passes r_{j-1} + c_j as each level's lower bound
         assert analyze_system(ts, "auto") == analyze_system(ts, "bruteforce")
 
-    @pytest.mark.parametrize("jitter", [False, True])
+    @pytest.mark.parametrize("whole", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
-    def test_harmonic_geometric_family_hands_off_once(self, k, jitter):
-        q = ResponseQuery(geometric(k, True, jitter).tasks, 2 ** (k - 1))
+    def test_harmonic_geometric_family_hands_off_once(self, k, whole):
+        # the jittered harmonic geometric tasks, without or with the last
+        # one, interfere with gamma = 2^(k-1): the climb from ceil(ell)
+        # spends its whole budget of (u - ceil(ell) + 1).bit_length() steps
+        # unsettled and hands off once (the zero-jitter family settles in
+        # one step, below)
+        tasks = geometric(k, True, True).tasks
+        q = ResponseQuery(tasks if whole else tasks[:-1], 2 ** (k - 1))
         with counters.collect() as auto_ops:
             r = compute_response(q, "auto")
         assert r == response_bruteforce(q)
-        assert auto_ops.auto_handoffs == 1
-        assert auto_ops.fixpoint_iters <= (q.bounds.u - q.gamma + 1).bit_length()
-        # explicit `harmonic` is what `auto` runs here, counters included
-        with counters.collect() as ops:
-            assert compute_response(q, "harmonic") == r
-        assert ops == auto_ops
-        # the general-period search climbs from ceil(ell) with its own
-        # budget, and hands off only when that climb leaves the query unsettled
-        for algorithm in set(applicable(q)) - {"auto", "bruteforce", "harmonic"}:
+        evaluations, _, settled = climb(q)
+        assert not settled and auto_ops.handoffs == 1 and auto_ops.decision_probes > 0
+        assert auto_ops.fixpoint_iters == evaluations == climb_budget(q)
+        # every search that accepts the query is what `auto` runs here,
+        # counters included
+        for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
             with counters.collect() as ops:
                 assert compute_response(q, algorithm) == r
-            evaluations, _, settled = climb(q)
-            assert ops.fixpoint_iters == evaluations, algorithm
-            assert ops.auto_handoffs == (not settled), algorithm
+            assert ops == auto_ops, algorithm
 
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
@@ -1103,41 +1101,45 @@ class TestAutoHybrid:
         evaluations, _, settled = climb(q)
         assert auto_ops.fixpoint_iters == evaluations
         # with jitter the climb leaves the query unsettled and hands off once
-        assert auto_ops.auto_handoffs == int(jitter) == int(not settled)
+        assert auto_ops.handoffs == int(jitter) == int(not settled)
 
     @pytest.mark.parametrize("harmonic", [True, False])
     @pytest.mark.parametrize("k", range(10, 15))
     def test_zero_jitter_geometric_families_settle_in_the_climb(self, k, harmonic):
-        # ceil(ell) is the response itself: one W evaluation, no decision
+        # ceil(ell) is the response itself: one W evaluation, no decision,
+        # under every search, `harmonic` on the chain included
         q = ResponseQuery(geometric(k, harmonic).tasks, 2 ** (k - 1))
-        for algorithm in ("turing", "jitter-free"):
+        for algorithm in set(applicable(q)) - {"bruteforce"}:
             with counters.collect() as ops:
                 r = compute_response(q, algorithm)
             # ceil(ell) is a certified lower bound, so a feasible t there is the least
             assert r == math.ceil(q.bounds.ell) and conftest_workload(q.tasks, q.gamma, r) <= r
-            assert ops.decision_probes == ops.recurrence_verdicts == 0
-            assert ops.fixpoint_iters == 1
+            assert ops.decision_probes == ops.recurrence_verdicts == ops.handoffs == 0
+            assert ops.fixpoint_iters == 1, algorithm
 
 
 class TestClimbThenSearch:
     """One body serves `harmonic`, `turing` and `jitter-free`: a climb from
-    the algorithm's t0 within its budget, then, if the climb leaves the
-    query unsettled, one hand-off to the search, whose upper end is u or,
-    when W(m) <= m, the lcm m."""
+    max(lower, ceil(ell)) within the budget of the query's period class,
+    then, if the climb leaves the query unsettled, one hand-off to the
+    search, whose upper end is u or, when W(m) <= m, the lcm m."""
 
-    @given(data=st.data(), zero_jitter=st.booleans())
-    @settings(max_examples=80)
-    def test_harmonic_equals_auto_on_chains_counters_included(self, data, zero_jitter):
-        # every level from r_{j-1} + c_j, as `analyze_system` sets it
-        ts = data.draw(small_task_systems(6, 64, zero_jitter, True))
+    @given(data=st.data(), harmonic=st.booleans(), zero_jitter=st.booleans())
+    @settings(max_examples=160)
+    def test_every_search_equals_auto_counters_included(self, data, harmonic, zero_jitter):
+        # the four families, every level from r_{j-1} + c_j, as
+        # `analyze_system` sets it: the searches differ only in what they
+        # refuse, so each one that accepts a query runs what `auto` runs
+        ts = data.draw(small_task_systems(6, 64, zero_jitter, harmonic))
         r = 0
         for j, task in enumerate(ts.tasks):
             q = ResponseQuery(ts.tasks[:j], task.c, r + task.c if j else 0)
             with counters.collect() as auto_ops:
                 r = compute_response(q, "auto")
-            with counters.collect() as ops:
-                assert compute_response(q, "harmonic") == r
-            assert ops == auto_ops, j
+            for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
+                with counters.collect() as ops:
+                    assert compute_response(q, algorithm) == r
+                assert ops == auto_ops, (j, algorithm)
 
     def test_a_hand_off_is_counted_exactly_when_the_climb_leaves_the_query_unsettled(self):
         # the four geometric families, k = 10..12, under every algorithm
@@ -1149,12 +1151,11 @@ class TestClimbThenSearch:
                     q = ResponseQuery(geometric(k, harmonic, jitter).tasks, 2 ** (k - 1))
                     r = response_bruteforce(q)
                     for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
-                        evaluations, _, settled = (climb(q, *harmonic_climb(q))
-                                                   if algorithm == "harmonic" else climb(q))
+                        evaluations, _, settled = climb(q)
                         with counters.collect() as ops:
                             assert compute_response(q, algorithm) == r
                         assert ops.fixpoint_iters == evaluations, (k, harmonic, jitter, algorithm)
-                        assert ops.auto_handoffs == (not settled), (k, harmonic, jitter, algorithm)
+                        assert ops.handoffs == (not settled), (k, harmonic, jitter, algorithm)
                         outcomes.add((algorithm, settled))
         assert {settled for _, settled in outcomes} == {False, True}, outcomes
 
