@@ -7,10 +7,11 @@ result against the brute-force oracle and fails the run on mismatch.
 
 Every `RTMixError` leaves as a JSON error object {error, message} and the exit
 code that `EXIT_CODES` gives its class: 0 success, 1 infeasible / unbounded /
-not schedulable / verify mismatch, 2 invalid input, 3 overflow (the search
-bound S past the fixed magnitude cap 2**63 - 1, or a report integer too
-long to print), budget or generation attempt cap exhausted, 4 internal
-error (a certified invariant failed).  A reader that closes stdout early
+not schedulable / verify mismatch, 2 invalid input (usage errors included:
+the parser raises InvalidInstance, and until `--format` is parsed the object
+is JSON), 3 overflow (the search bound S past the fixed magnitude cap
+2**63 - 1, or a report integer too long to print), budget or generation
+attempt cap exhausted, 4 internal error (a certified invariant failed).  A reader that closes stdout early
 (`rtmix ... | head`) cuts the output short, with no traceback, and the
 command keeps its own exit code.
 """
@@ -248,8 +249,16 @@ def _cmd_blockip_encode(args) -> tuple[int, dict]:
     return _write_instance(jsonio.four_block_to_dict(prog), args)
 
 
+class _Parser(argparse.ArgumentParser):
+    """A parser, and through `add_subparsers` each of its subparsers, whose
+    usage errors raise InvalidInstance instead of printing usage and exiting."""
+
+    def error(self, message):
+        raise InvalidInstance(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="rtmix",
         description="Exact response-time analysis and mixing set solvers "
         "(magnitude cap 2**63 - 1 on the search bound S)",
@@ -324,13 +333,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    fmt = "json"
     try:
+        args = build_parser().parse_args(argv)
+        fmt = args.format
         code, report = args.handler(args)
-        text = _render(report, args.format) if report else None
+        text = _render(report, fmt) if report else None
     except RTMixError as exc:
-        _print(_render({"error": type(exc).__name__, "message": str(exc)}, args.format))
+        _print(_render({"error": type(exc).__name__, "message": str(exc)}, fmt))
         return next(EXIT_CODES[cls] for cls in type(exc).__mro__ if cls in EXIT_CODES)
     if text is not None:
         _print(text)

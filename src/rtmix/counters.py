@@ -28,11 +28,10 @@ class Counters:
     # without the oracle.
     recurrence_verdicts: int = 0
     # Evaluations of W in fixed-point iterations t <- W(t): the baseline's
-    # and every search's climb (`harmonic`, `turing`, `jitter-free`, and so
-    # `auto`).
+    # and the climb of `auto`'s search.
     fixpoint_iters: int = 0
-    # Queries whose climb, under any search algorithm, ended unsettled
-    # within its budget and handed off to the bracketed search.
+    # Queries whose climb ended unsettled within its budget and handed off
+    # to the bracketed search.
     handoffs: int = 0
     # Node-budget units blockip's two-stage solver spent, out of budget too:
     # first-stage points entered or pieces of t, brick completions, DFS nodes.

@@ -24,13 +24,13 @@ budget of steps that the query's period class sets; a t with W(t) <= t is
 the response.  Otherwise the last iterate, a certified lower bound too since
 W is monotone and W(r) = r, hands off (counted as `handoffs`) to one
 bracketed search (`_search`) from it up to u, or up to the lcm m when
-W(m) <= m.  `response_harmonic`, `response_turing` and
-`response_jitter_free` run that body as it is and differ only in what they
-refuse: `harmonic` periods that do not form a chain, `jitter-free` a query
-with jitter.  So on every query that one of them accepts, it runs what
-`compute_response(q, "auto")` runs, counters included; `auto` only picks the
-name by the period class, `harmonic` on a chain, else `turing` with jitter
-and `jitter-free` without.
+W(m) <= m.  `auto`, the one search name, calls the entry point of the
+query's period class: `response_harmonic` on a chain, else
+`response_turing` with jitter and `response_jitter_free` without.  The
+three run that body as it is and differ only in what they refuse
+(`response_harmonic` periods that do not form a chain,
+`response_jitter_free` a query with jitter); they stay apart so that a
+profile can attribute time per class.
 
 The search narrows its window by one rule in `core.bracket`, the one
 bisection.  The response r is a fixed point of the monotone W, so a yes at
@@ -78,8 +78,8 @@ Every search evaluates W through these terms; `core.workload` stays the
 definition, which `response_bruteforce`, the independent baseline, uses.
 Building a query calls nothing in `mixing`.  A query may also carry a
 certified lower bound on its response (`lower`, 0 when none is known),
-from which `harmonic`, `turing` and `jitter-free` start when it lies
-above ceil(ell); `analyze_system` sets it to r_{j-1} + c_j for level j,
+from which the search starts when it lies above ceil(ell);
+`analyze_system` sets it to r_{j-1} + c_j for level j,
 and `response_bruteforce`, the independent baseline, ignores it.  Two
 derivations, checked as a build is, make a query from a built one, deriving
 its bounds from the load aggregate: `ResponseQuery.at` at another gamma or
@@ -97,8 +97,8 @@ the form at base k, right-hand sides k + jitter_i, up to width k - lo
 (`MixForm.at`), and checks nothing again; `mixing.solve`, the one mixing
 selector, searches it by the chain search when the periods form a chain,
 else by the brute-force scan over s in [0, min(S, k - lo)].
-`compute_response` is the only response algorithm selector; `reverse`
-calls it too.
+`compute_response` is the only response algorithm selector, over two
+names, `auto` and `bruteforce`; `reverse` calls it too.
 """
 
 from __future__ import annotations
@@ -261,7 +261,7 @@ def decide_large_k(q: ResponseQuery, k: int, lo: int) -> tuple[bool, int]:
     return sol.objective <= k - q.gamma, k - sol.s
 
 
-def _search(q: ResponseQuery, lo: int, algorithm: str) -> int:
+def _search(q: ResponseQuery, lo: int) -> int:
     """The response r, given a certified lower bound lo <= r, by one
     bisection (`core.bracket`) over [lo, u], or over [lo, m] when the lcm m
     has W(m) <= m, through one narrowing rule (see the module docstring):
@@ -291,18 +291,18 @@ def _search(q: ResponseQuery, lo: int, algorithm: str) -> int:
         if lo <= t < k and (w_t := q.workload(t)) <= t:
             return lo, w_t
         raise InternalInvariantViolated(
-            f"{algorithm}: a yes at k={k} names the witness t={t}, not a feasible t in [{lo}, {k})")
+            f"a yes at k={k} names the witness t={t}, not a feasible t in [{lo}, {k})")
 
     u, m = q.bounds.u, q.bounds.m
     t = core.bracket(lo, min(u, m) if q.workload(m) <= m else u, narrow)
     if q.workload(t) > t:
-        raise InternalInvariantViolated(f"{algorithm} returned infeasible t={t}")
+        raise InternalInvariantViolated(f"the search returned infeasible t={t}")
     if t > q.gamma and q.workload(t - 1) <= t - 1:
-        raise InternalInvariantViolated(f"{algorithm} returned t={t}, but t - 1 is feasible")
+        raise InternalInvariantViolated(f"the search returned t={t}, but t - 1 is feasible")
     return t
 
 
-def _climb_then_search(q: ResponseQuery, algorithm: str) -> int:
+def _climb_then_search(q: ResponseQuery) -> int:
     """The response r by the one body of every search.  Climb t <- W(t)
     from t0 = max(lower, ceil(ell)), a certified lower bound, for at most a
     budget of steps that the period class sets (the module docstring says
@@ -333,48 +333,45 @@ def _climb_then_search(q: ResponseQuery, algorithm: str) -> int:
     finally:
         counters.bump("fixpoint_iters", steps)
     counters.bump("handoffs")
-    return _search(q, t, algorithm)
+    return _search(q, t)
 
 
 def response_harmonic(q: ResponseQuery) -> int:
     """The harmonic walk (`_climb_then_search`), for harmonic periods only."""
     if not q.harmonic:
         raise PreconditionViolated("periods do not form a divisibility chain")
-    return _climb_then_search(q, "harmonic walk")
+    return _climb_then_search(q)
 
 
 def response_turing(q: ResponseQuery) -> int:
     """The one search (`_climb_then_search`), for any periods."""
-    return _climb_then_search(q, "turing")
+    return _climb_then_search(q)
 
 
 def response_jitter_free(q: ResponseQuery) -> int:
     """The one search (`_climb_then_search`), for zero-jitter queries only."""
     if q.jittered:
         raise PreconditionViolated("jitter-free search requires jitter = 0 over I")
-    return _climb_then_search(q, "jitter-free")
+    return _climb_then_search(q)
 
-_DISPATCH = {
-    "bruteforce": response_bruteforce,
-    "harmonic": response_harmonic,
-    "turing": response_turing,
-    "jitter-free": response_jitter_free,
-}
 
-ALGORITHMS = ("auto", *_DISPATCH)
+ALGORITHMS = ("auto", "bruteforce")
 
 
 def compute_response(q: ResponseQuery, algorithm: str = "auto") -> int:
-    """Run the selected algorithm.  "auto" picks by the period class only:
-    `harmonic` on a chain, else `turing` with jitter and `jitter-free`
+    """Run the selected algorithm: the fixed point for "bruteforce", and for
+    "auto" the entry point of the period class, `response_harmonic` on a
+    chain, else `response_turing` with jitter and `response_jitter_free`
     without.  The three run one search (`_climb_then_search`), which sets
-    its start and budget from the query, so the pick changes no answer and
-    no counter."""
-    if algorithm == "auto":
-        algorithm = "harmonic" if q.harmonic else "turing" if q.jittered else "jitter-free"
-    if algorithm not in _DISPATCH:
+    its start and budget from the query.  They are called through this
+    module's names, so that a wrapper bound to one sees its calls."""
+    if algorithm == "bruteforce":
+        return response_bruteforce(q)
+    if algorithm != "auto":
         raise InvalidInstance(f"unknown algorithm {algorithm!r}")
-    return _DISPATCH[algorithm](q)
+    if q.harmonic:
+        return response_harmonic(q)
+    return response_turing(q) if q.jittered else response_jitter_free(q)
 
 
 @dataclass(frozen=True)

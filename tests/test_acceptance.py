@@ -288,7 +288,7 @@ def _walk_ops(n: int, p_max: int, seeds) -> int:
         )
         q = rta.ResponseQuery(ts.tasks[:-1], ts.tasks[-1].c)
         with counters.collect() as c:  # the search alone, with no climb
-            r = rta._search(q, max(q.lower, q.bounds.ceil_ell), "harmonic walk")
+            r = rta._search(q, max(q.lower, q.bounds.ceil_ell))
         assert r == rta.response_bruteforce(q)
         total += c.mixing_ops
     return total

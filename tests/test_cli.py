@@ -74,13 +74,42 @@ class TestRtaCompute:
         )
         assert code == 1
 
-    def test_algorithm_choices(self, demo_file):
-        assert rta.ALGORITHMS == ("auto", "bruteforce", "harmonic", "turing", "jitter-free")
-        with pytest.raises(SystemExit) as exc:
-            main(["rta", "compute", "--input", demo_file, "--algorithm", "lcm-scan"])
-        assert exc.value.code == 2
+    def test_algorithm_choices(self, capsys, demo_file):
+        assert rta.ALGORITHMS == ("auto", "bruteforce")
+        code, out = run_cli(capsys, "rta", "compute", "--input", demo_file,
+                            "--algorithm", "lcm-scan")
+        assert code == 2
+        report = json.loads(out)
+        assert report["error"] == "InvalidInstance"
+        assert report["message"].startswith(
+            "rtmix rta compute: argument --algorithm: invalid choice: 'lcm-scan'")
 
-    @pytest.mark.parametrize("algorithm", ["bruteforce", "turing"])
+    @pytest.mark.parametrize("argv, message", [
+        ((), "rtmix: the following arguments are required: command"),
+        (("rta",), "rtmix rta: the following arguments are required: subcommand"),
+        (("gen", "random", "--seed", "x", "--n", "2", "--p-max", "4"),
+         "rtmix gen random: argument --seed: invalid int value: 'x'"),
+        *((("--format", "text", "rta", "compute", "--input", "system.json", "--algorithm", name),
+           f"rtmix rta compute: argument --algorithm: invalid choice: '{name}'")
+          for name in ("harmonic", "turing", "jitter-free")),
+    ], ids=["no-command", "no-subcommand", "non-integer-seed", "harmonic", "turing", "jitter-free"])
+    def test_usage_errors_leave_as_the_json_error_object(self, capsys, argv, message):
+        # the retired algorithm names are usage errors too, printed as JSON
+        # although `--format text` was asked for, since no --format was parsed
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.err == ""
+        report = json.loads(captured.out)
+        assert report["error"] == "InvalidInstance" and report["message"].startswith(message)
+
+    @pytest.mark.parametrize("argv", [("--help",), ("rta", "compute", "--help")])
+    def test_help_still_exits_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: rtmix")
+
+    @pytest.mark.parametrize("algorithm", ["bruteforce", "auto"])
     def test_algorithm_selection(self, capsys, demo_file, algorithm):
         code, out = run_cli(
             capsys, "rta", "compute", "--input", demo_file, "--algorithm", algorithm

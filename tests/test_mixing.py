@@ -373,7 +373,7 @@ class TestSelector:
             tasks = [Task(1, 4, 1), Task(2, 6, 0), Task(3, 8, 3)]
         q = rta.ResponseQuery(tasks, 5)
         with counters.collect() as ops:
-            got = rta.compute_response(q, algorithm)
+            got = getattr(rta, f"response_{algorithm}")(q)
         assert got == rta.response_bruteforce(q)
         assert ops.decision_probes >= 1
         assert [c for c in solver_calls if c[0] == "solve"] == [("solve", False, True)] \

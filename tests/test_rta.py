@@ -79,13 +79,15 @@ def oracle_responses(ts):
 
 
 def applicable(q):
-    """The algorithms that accept query q."""
-    algorithms = ["auto", "bruteforce", "turing"]
+    """The response algorithms that accept query q: `compute_response`
+    under `auto`, the fixed point, and each search entry point that does
+    not refuse q."""
+    searches = [compute_response, response_bruteforce, response_turing]
     if is_harmonic([t.p for t in q.tasks]):
-        algorithms.append("harmonic")
+        searches.append(response_harmonic)
     if all(t.jitter == 0 for t in q.tasks):
-        algorithms.append("jitter-free")
-    return algorithms
+        searches.append(response_jitter_free)
+    return searches
 
 
 def geometric(k, harmonic=True, jitter=False):
@@ -119,7 +121,7 @@ FAMILIES = pytest.mark.parametrize(
 def walk(q):
     """The search alone, with no climb: `rta._search` from
     max(lower, ceil(ell))."""
-    return rta._search(q, max(q.lower, math.ceil(q.bounds.ell)), "harmonic walk")
+    return rta._search(q, max(q.lower, math.ceil(q.bounds.ell)))
 
 
 def climb_budget(q):
@@ -195,8 +197,8 @@ class TestCompiledQuery:
         assert q.tasks == (task, task) and q == ResponseQuery((task,), 9).plus(task, 9)
         want = response_scan_oracle(q.tasks, 9, q.bounds.u)
         assert want == 21 != response_bruteforce(ResponseQuery((task,), 9))
-        for algorithm in applicable(q):
-            assert compute_response(q, algorithm) == want, algorithm
+        for search in applicable(q):
+            assert search(q) == want, search.__name__
         for lo in (0, want):
             for k in range(max(1, lo), q.bounds.u + 1):
                 assert decide_large_k(q, k, lo)[0] == (want <= k), (k, lo)
@@ -312,8 +314,8 @@ class TestCompiledQuery:
         built = ResponseQuery(q.tasks, gamma, lower)
         derived = q.at(gamma, lower)
         assert query_fields(derived) == query_fields(built)
-        for algorithm in applicable(built):
-            assert compute_response(derived, algorithm) == compute_response(built, algorithm)
+        for search in applicable(built):
+            assert search(derived) == search(built), search.__name__
         for bad_gamma, bad_lower in ((0, 0), (True, 0), (2.0, 0),
                                      (gamma, -1), (gamma, True), (gamma, built.bounds.u + 1)):
             with pytest.raises(InvalidInstance):
@@ -327,13 +329,13 @@ class TestCompiledQuery:
         calls = []
         real = rta.is_chain
         monkeypatch.setattr(rta, "is_chain", lambda v: calls.append(v) or real(v))
-        for build, algorithm in (
-                (lambda: ResponseQuery(geometric(10, False, True).tasks, 2**9), "turing"),
-                (lambda: full_query(random_system(3, 6, 256, harmonic=True)), "harmonic")):
+        for build, search in (
+                (lambda: ResponseQuery(geometric(10, False, True).tasks, 2**9), response_turing),
+                (lambda: full_query(random_system(3, 6, 256, harmonic=True)), response_harmonic)):
             calls.clear()
             q = build()
             with counters.collect() as ops:
-                compute_response(q, algorithm)
+                search(q)
             assert ops.decision_probes > 1 and len(calls) == 1
 
     @given(st.lists(st.integers(1, 12).flatmap(
@@ -389,7 +391,7 @@ class TestCompiledWorkload:
         # the jittered non-harmonic geometric query at k = 10 climbs from
         # ceil(ell) = 794368 through 794372, 794377, ... and spends its whole
         # budget unsettled: a ceiling u just below iterate `cut` makes
-        # evaluation `cut` escape it, under every algorithm that accepts it
+        # evaluation `cut` escape it, under `auto` and the entry point it calls
         q = ResponseQuery(geometric(10, False, True).tasks, 2**9)
         evaluations, last, settled = climb(q)
         assert not settled and evaluations == climb_budget(q) > 5
@@ -397,17 +399,17 @@ class TestCompiledWorkload:
         for _ in range(cut):
             path.append(conftest_workload(q.tasks, q.gamma, path[-1]))
         broken = q._copy(bounds=q.bounds._replace(u=path[cut] - 1))
-        for algorithm in ("auto", "turing"):
+        for search in (compute_response, response_turing):
             with counters.collect() as ops:
                 with pytest.raises(InternalInvariantViolated, match="escaped"):
-                    compute_response(broken, algorithm)
-            assert ops.fixpoint_iters == cut, algorithm
+                    search(broken)
+            assert ops.fixpoint_iters == cut, search.__name__
         # the climb hands its last iterate to the search, whose own W
         # evaluations count as no iteration
         r = response_bruteforce(q)
         starts, real = [], rta._search
-        with mock.patch.object(rta, "_search", lambda q, lo, *args: starts.append(lo)
-                               or real(q, lo, *args)), counters.collect() as ops:
+        with mock.patch.object(rta, "_search", lambda q, lo: starts.append(lo)
+                               or real(q, lo)), counters.collect() as ops:
             assert compute_response(q) == r
         assert starts == [last]
         assert ops.fixpoint_iters == evaluations and ops.handoffs == 1
@@ -522,12 +524,10 @@ class TestDecideLargeK:
 
     @staticmethod
     def built_query_decisions(ts):
-        """The (q, k, lo, (verdict, witness)) of every decision that turing
-        and jitter-free, where applicable, make while analysing `ts`."""
-        algorithms = set(applicable(full_query(ts))) & {"turing", "jitter-free"}
+        """The (q, k, lo, (verdict, witness)) of every decision that `auto`
+        makes while analysing `ts`."""
         with recorded_decisions() as decided:
-            for algorithm in algorithms:
-                analyze_system(ts, algorithm)
+            analyze_system(ts)
         return decided
 
     @FAMILIES
@@ -548,7 +548,7 @@ class TestDecideLargeK:
     @settings(max_examples=40)
     def test_every_decision_on_a_built_query_follows_its_whole_climb(
             self, harmonic, zero_jitter, data):
-        # turing and jitter-free decide only once the climb has spent the
+        # the search decides only once the climb has spent the
         # whole budget of the query's period class unsettled, from a lower
         # end at or above the climb's last iterate
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
@@ -566,8 +566,9 @@ class TestDecideLargeK:
         # [lo, k), since W(k) > k wherever a decision runs
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         with recorded_decisions() as decided:
-            for algorithm in applicable(full_query(ts)):
-                analyze_system(ts, algorithm)
+            analyze_system(ts)
+            for search in applicable(full_query(ts)):
+                search(full_query(ts))
         for q, k, lo, (feasible, t) in decided:
             r = response_bruteforce(q)
             assert lo <= min(k, r) and lo <= t <= k, (lo, k, r, t)
@@ -835,7 +836,7 @@ class TestWarmStart:
         responses = oracle_responses(ts)
         for j in range(1, len(ts.tasks)):
             assert responses[j] >= responses[j - 1] + ts.tasks[j].c
-        for algorithm in ("auto", "bruteforce", "turing"):
+        for algorithm in ALGORITHMS:
             assert analyze_system(ts, algorithm).responses() == tuple(responses)
 
     @FAMILIES
@@ -848,10 +849,10 @@ class TestWarmStart:
             cold = ResponseQuery(ts.tasks[:j], task.c)
             for lower in {responses[j - 1] + task.c if j else 0, responses[j]}:
                 warm = ResponseQuery(ts.tasks[:j], task.c, lower)
-                for algorithm in applicable(cold):
-                    assert compute_response(warm, algorithm) == responses[j], (algorithm, lower)
-                    assert compute_response(cold, algorithm) == responses[j], algorithm
-                if "harmonic" in applicable(cold):
+                for search in applicable(cold):
+                    assert search(warm) == responses[j], (search.__name__, lower)
+                    assert search(cold) == responses[j], search.__name__
+                if response_harmonic in applicable(cold):
                     _audit_walk(warm)
 
     @staticmethod
@@ -868,9 +869,9 @@ class TestWarmStart:
     def test_bracketed_searches_stay_within_log2(self, harmonic, zero_jitter, data):
         ts = data.draw(small_task_systems(5, 24, zero_jitter, harmonic))
         with self.recorded_searches() as (searches, decided):
-            for algorithm in applicable(full_query(ts)):
-                analyze_system(ts, algorithm)
-                compute_response(full_query(ts), algorithm)
+            analyze_system(ts)
+            for search in applicable(full_query(ts)):
+                search(full_query(ts))
         for _, lo, hi, probes in searches:
             # at most ceil(log2(hi - lo + 1)) probes
             assert len(probes) <= (hi - lo).bit_length(), (lo, hi, probes)
@@ -890,7 +891,7 @@ class TestWarmStart:
 
 
 class TestSearchesAtScale:
-    """`turing`, `jitter-free` and the fixed point agree beyond the small
+    """`auto`, its entry points and the fixed point agree beyond the small
     random suites: general zero-jitter systems with n = 8..12, and the
     non-harmonic geometric family, cold and warm-started."""
 
@@ -899,8 +900,7 @@ class TestSearchesAtScale:
         # the first four systems, lcm past the magnitude cap or not
         for ts in (random_system(7000 * n + seed, n, 256, jitter_mode="zero") for seed in range(4)):
             want = analyze_system(ts, "bruteforce").responses()
-            for algorithm in ("auto", "turing", "jitter-free"):
-                assert analyze_system(ts, algorithm).responses() == want, algorithm
+            assert analyze_system(ts).responses() == want
             q = full_query(ts)
             assert response_turing(q) == response_jitter_free(q) == want[-1]
 
@@ -911,11 +911,12 @@ class TestSearchesAtScale:
         draws = (random_system(seed, 6, 2**16, jitter_mode=jitter_mode) for seed in range(12))
         big = [ts for ts in draws if math.lcm(*ts.periods()[:-1]) > 2**63][:6]
         assert len(big) == 6
-        algorithms = ["auto", "turing"] + (["jitter-free"] if jitter_mode == "zero" else [])
         for ts in big:
             want = analyze_system(ts, "bruteforce").responses()
-            for algorithm in algorithms:
-                assert analyze_system(ts, algorithm).responses() == want, algorithm
+            assert analyze_system(ts).responses() == want
+            q = full_query(ts)
+            for search in applicable(q):
+                assert search(q) == want[-1], search.__name__
 
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
@@ -956,11 +957,12 @@ class TestTuring:
         responses = oracle_responses(ts)
         for j, task in enumerate(ts.tasks):
             cold = ResponseQuery(ts.tasks[:j], task.c)
-            algorithms = ["turing", "auto"] + ([] if cold.jittered else ["jitter-free"])
+            searches = [response_turing, compute_response]
+            searches += [] if cold.jittered else [response_jitter_free]
             for lower in {0, responses[j - 1] + task.c if j else 0, responses[j]}:
-                for algorithm in algorithms:
-                    got = compute_response(cold.at(task.c, lower), algorithm)
-                    assert got == responses[j], (algorithm, lower)
+                for search in searches:
+                    got = search(cold.at(task.c, lower))
+                    assert got == responses[j], (search.__name__, lower)
         return responses
 
     @FAMILIES
@@ -1011,15 +1013,15 @@ class TestTuring:
         # chain, as a single interferer's do, (u - t0 + 1).bit_length()
         ts = data.draw(small_task_systems(6, 64))
         cleared = TaskSystem([dataclasses.replace(t, jitter=0) for t in ts.tasks])
-        for system, algorithm in ((ts, "turing"), (cleared, "jitter-free")):
+        for system, search in ((ts, response_turing), (cleared, response_jitter_free)):
             r = 0
             for j, task in enumerate(system.tasks):
                 q = ResponseQuery(system.tasks[:j], task.c, r + task.c if j else 0)
                 with counters.collect() as ops:
-                    got = compute_response(q, algorithm)
+                    got = search(q)
                 r = response_bruteforce(q)
-                assert got == r, (algorithm, j)
-                assert ops.fixpoint_iters <= climb_budget(q), (algorithm, j)
+                assert got == r, (search.__name__, j)
+                assert ops.fixpoint_iters <= climb_budget(q), (search.__name__, j)
                 assert ops.decision_probes == 0 or ops.fixpoint_iters == climb_budget(q)
 
     @pytest.mark.parametrize("jitter_mode, most", [("upto-p", 20), ("zero", 12)])
@@ -1049,10 +1051,11 @@ class TestTuring:
 
 
 class TestAutoHybrid:
-    """`auto` picks the period class only: `harmonic` on a chain, else
-    `jitter-free` or `turing`.  Each climbs from max(lower, ceil(ell)) for
-    the budget its class sets and hands the last iterate to the search; every
-    algorithm counts a climb that hands off as `handoffs`."""
+    """`auto` calls the entry point of the period class: `response_harmonic`
+    on a chain, else `response_jitter_free` or `response_turing`.  Each
+    climbs from max(lower, ceil(ell)) for the budget its class sets and hands
+    the last iterate to the search; every entry point counts a climb that
+    hands off as `handoffs`."""
 
     @FAMILIES
     @given(data=st.data())
@@ -1081,12 +1084,12 @@ class TestAutoHybrid:
         evaluations, _, settled = climb(q)
         assert not settled and auto_ops.handoffs == 1 and auto_ops.decision_probes > 0
         assert auto_ops.fixpoint_iters == evaluations == climb_budget(q)
-        # every search that accepts the query is what `auto` runs here,
+        # every entry point that accepts the query is what `auto` runs here,
         # counters included
-        for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
+        for search in set(applicable(q)) - {compute_response, response_bruteforce}:
             with counters.collect() as ops:
-                assert compute_response(q, algorithm) == r
-            assert ops == auto_ops, algorithm
+                assert search(q) == r
+            assert ops == auto_ops, search.__name__
 
     @pytest.mark.parametrize("jitter", [False, True])
     @pytest.mark.parametrize("k", [10, 11, 12])
@@ -1095,7 +1098,7 @@ class TestAutoHybrid:
         with counters.collect() as auto_ops:
             r = compute_response(q, "auto")
         with counters.collect() as search_ops:
-            assert compute_response(q, "turing" if jitter else "jitter-free") == r
+            assert (response_turing if jitter else response_jitter_free)(q) == r
         assert r == response_bruteforce(q)
         assert auto_ops == search_ops
         evaluations, _, settled = climb(q)
@@ -1107,67 +1110,52 @@ class TestAutoHybrid:
     @pytest.mark.parametrize("k", range(10, 15))
     def test_zero_jitter_geometric_families_settle_in_the_climb(self, k, harmonic):
         # ceil(ell) is the response itself: one W evaluation, no decision,
-        # under every search, `harmonic` on the chain included
+        # under every search, `response_harmonic` on the chain included
         q = ResponseQuery(geometric(k, harmonic).tasks, 2 ** (k - 1))
-        for algorithm in set(applicable(q)) - {"bruteforce"}:
+        for search in set(applicable(q)) - {response_bruteforce}:
             with counters.collect() as ops:
-                r = compute_response(q, algorithm)
+                r = search(q)
             # ceil(ell) is a certified lower bound, so a feasible t there is the least
             assert r == math.ceil(q.bounds.ell) and conftest_workload(q.tasks, q.gamma, r) <= r
             assert ops.decision_probes == ops.recurrence_verdicts == ops.handoffs == 0
-            assert ops.fixpoint_iters == 1, algorithm
+            assert ops.fixpoint_iters == 1, search.__name__
 
 
 class TestClimbThenSearch:
-    """One body serves `harmonic`, `turing` and `jitter-free`: a climb from
+    """One body serves `response_harmonic`, `response_turing` and
+    `response_jitter_free`: a climb from
     max(lower, ceil(ell)) within the budget of the query's period class,
     then, if the climb leaves the query unsettled, one hand-off to the
     search, whose upper end is u or, when W(m) <= m, the lcm m."""
 
-    @given(data=st.data(), harmonic=st.booleans(), zero_jitter=st.booleans())
-    @settings(max_examples=160)
-    def test_every_search_equals_auto_counters_included(self, data, harmonic, zero_jitter):
-        # the four families, every level from r_{j-1} + c_j, as
-        # `analyze_system` sets it: the searches differ only in what they
-        # refuse, so each one that accepts a query runs what `auto` runs
-        ts = data.draw(small_task_systems(6, 64, zero_jitter, harmonic))
-        r = 0
-        for j, task in enumerate(ts.tasks):
-            q = ResponseQuery(ts.tasks[:j], task.c, r + task.c if j else 0)
-            with counters.collect() as auto_ops:
-                r = compute_response(q, "auto")
-            for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
-                with counters.collect() as ops:
-                    assert compute_response(q, algorithm) == r
-                assert ops == auto_ops, (j, algorithm)
-
     def test_a_hand_off_is_counted_exactly_when_the_climb_leaves_the_query_unsettled(self):
-        # the four geometric families, k = 10..12, under every algorithm
-        # with a climb, each against its own climb replayed independently
+        # the four geometric families, k = 10..12, under every entry point
+        # that accepts them, each against its own climb replayed independently
         outcomes = set()
         for k in (10, 11, 12):
             for harmonic in (True, False):
                 for jitter in (False, True):
                     q = ResponseQuery(geometric(k, harmonic, jitter).tasks, 2 ** (k - 1))
                     r = response_bruteforce(q)
-                    for algorithm in set(applicable(q)) - {"auto", "bruteforce"}:
+                    for search in set(applicable(q)) - {compute_response, response_bruteforce}:
                         evaluations, _, settled = climb(q)
                         with counters.collect() as ops:
-                            assert compute_response(q, algorithm) == r
-                        assert ops.fixpoint_iters == evaluations, (k, harmonic, jitter, algorithm)
-                        assert ops.handoffs == (not settled), (k, harmonic, jitter, algorithm)
-                        outcomes.add((algorithm, settled))
+                            assert search(q) == r
+                        name = search.__name__
+                        assert ops.fixpoint_iters == evaluations, (k, harmonic, jitter, name)
+                        assert ops.handoffs == (not settled), (k, harmonic, jitter, name)
+                        outcomes.add((name, settled))
         assert {settled for _, settled in outcomes} == {False, True}, outcomes
 
     def test_no_k_above_the_lcm_is_probed(self):
         # W(6) = 4 <= 6 = m < u = 11 and r = 6: the search's upper end is m,
-        # where an upper end at u probed k = 8 under every chain algorithm
+        # where an upper end at u probed k = 8 under every chain search
         q = ResponseQuery([Task(1, 2), Task(1, 6, 3)], 1)
         m = q.bounds.m
         assert q.workload(m) <= m < q.bounds.u
         r = response_bruteforce(q)
         probed = []
-        for search in (lambda q: compute_response(q, "auto"), response_harmonic, walk):
+        for search in (compute_response, response_harmonic, walk):
             with recorded_core_brackets() as searches, recorded_decisions() as decided:
                 assert search(q) == r
             probed += [k for *_, probes in searches for k in probes]
@@ -1240,7 +1228,7 @@ class TestAnalyzeSystem:
         with pytest.raises(UtilizationExceeded):
             analyze_system(ts)
 
-    @pytest.mark.parametrize("algorithm", ["bruteforce", "turing"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_algorithm_selectors_agree(self, demo_system, algorithm):
         assert analyze_system(demo_system, algorithm).responses() == (15, 22, 42)
 
@@ -1392,8 +1380,35 @@ class TestCrossAlgorithmAgreement:
 
     def test_compute_response_dispatch(self, demo_system):
         q = ResponseQuery(demo_system.tasks[:2], 13)
-        for algorithm in ("auto", "bruteforce", "turing"):
+        for algorithm in ALGORITHMS:
             assert compute_response(q, algorithm) == 42
+
+    def test_auto_calls_the_entry_point_of_the_class_by_its_module_name(
+            self, monkeypatch, demo_system):
+        # spies bound to `rta.response_*`, as the benchmark's traced run binds
+        # its wrappers, see every call that `compute_response` makes: `auto`
+        # calls the one entry point of the query's period class, and a
+        # retired name is refused before any search runs
+        chain = ResponseQuery([Task(1, 2, 1), Task(1, 4, 0)], 1)
+        jittered = ResponseQuery(demo_system.tasks[:2], 13)
+        cleared = ResponseQuery([dataclasses.replace(t, jitter=0) for t in jittered.tasks], 13)
+        cases = [(chain, "auto", "response_harmonic"), (jittered, "auto", "response_turing"),
+                 (cleared, "auto", "response_jitter_free"),
+                 (jittered, "bruteforce", "response_bruteforce")]
+        want = [response_bruteforce(q) for q, _, _ in cases]
+        calls = []
+        for name in ("response_harmonic", "response_turing", "response_jitter_free",
+                     "response_bruteforce"):
+            monkeypatch.setattr(rta, name, lambda q, _real=getattr(rta, name), _name=name:
+                                calls.append(_name) or _real(q))
+        for (q, algorithm, called), r in zip(cases, want):
+            calls.clear()
+            assert compute_response(q, algorithm) == r
+            assert calls == [called], (algorithm, called)
+        calls.clear()
+        with pytest.raises(InvalidInstance) as exc:
+            compute_response(jittered, "turing")
+        assert str(exc.value) == "unknown algorithm 'turing'" and not calls
 
 
 class TestInvariantGuards:
@@ -1410,9 +1425,9 @@ class TestInvariantGuards:
     @pytest.mark.parametrize(
         "answer, tasks, gamma, lower, message",
         [(lambda k: True, [Task(3, 9, 0)], 3, 0,
-          "harmonic walk: a yes at k=5 names the witness t=5, not a feasible t in [5, 5)"),
+          "a yes at k=5 names the witness t=5, not a feasible t in [5, 5)"),
          (None, [Task(1, 4, 1), Task(2, 4, 0)], 1, 8,
-          "harmonic walk returned t=8, but t - 1 is feasible"),
+          "the search returned t=8, but t - 1 is feasible"),
          (None, [Task(3, 8, 0)], 1, 6, "the verdicts emptied the bracket [6, 4]")],
         ids=["infeasible", "non-minimal", "empty-bracket"],
     )
@@ -1441,4 +1456,4 @@ class TestInvariantGuards:
         object.__setattr__(q, "bounds", q.bounds._replace(u=5))
         with pytest.raises(InternalInvariantViolated) as exc:
             walk(q)
-        assert str(exc.value) == "harmonic walk returned infeasible t=5"
+        assert str(exc.value) == "the search returned infeasible t=5"
